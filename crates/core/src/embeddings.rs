@@ -166,6 +166,12 @@ pub struct CacheStats {
 ///   once; the others block on the entry and reuse the result.
 /// * **LRU-bounded** — each shard evicts its least-recently-used entry
 ///   beyond its share of [`EmbeddingCache::capacity`].
+/// * **One lookup path** — [`EmbeddingCache::get_or_embed_keyed`] does the
+///   probe; [`EmbeddingCache::get_or_embed`] and
+///   [`EmbeddingCache::get_or_embed_detailed`] only compute the
+///   fingerprint first. This is the only place an embedding is kept: the
+///   zoo's resolver table memoises graphs, never vectors, so dropping or
+///   replacing a cache needs no other invalidation.
 ///
 /// Hit/miss/eviction counts are exported both process-wide (telemetry
 /// counters `embed_cache.*`, visible in the controller's `{"op":"stats"}`
@@ -298,17 +304,33 @@ impl EmbeddingCache {
     }
 
     /// [`EmbeddingCache::get_or_embed`] plus whether the probe *hit* (the
-    /// key was already resident or in flight). The traced prediction path
-    /// uses the flag to distinguish `embed_cache` hit spans — microseconds
-    /// — from miss spans that paid for a GHN forward pass.
+    /// key was already resident or in flight).
     pub fn get_or_embed_detailed(
         &self,
         registry: &GhnRegistry,
         dataset: &str,
         graph: &CompGraph,
     ) -> Option<(Vec<f32>, bool)> {
+        self.get_or_embed_keyed(registry, dataset, graph.fingerprint(), graph)
+    }
+
+    /// The one lookup path: probes for `(dataset, fingerprint)` and reads
+    /// `graph` only on a miss, to embed it. `fingerprint` must be
+    /// `graph.fingerprint()`; callers that already hold it (a zoo model
+    /// resolved through [`pddl_zoo::resolve`]) pass it in, so a hit costs
+    /// the same whatever the size of the graph. The prediction path uses
+    /// the hit flag to tell `embed_cache` hit spans — microseconds — from
+    /// miss spans that paid for a GHN forward pass.
+    pub fn get_or_embed_keyed(
+        &self,
+        registry: &GhnRegistry,
+        dataset: &str,
+        fingerprint: u64,
+        graph: &CompGraph,
+    ) -> Option<(Vec<f32>, bool)> {
+        debug_assert_eq!(fingerprint, graph.fingerprint(), "key is not this graph's");
         let ghn = registry.get(dataset)?;
-        let key: CacheKey = (dataset.to_ascii_lowercase(), graph.fingerprint());
+        let key: CacheKey = (dataset.to_ascii_lowercase(), fingerprint);
         let m = cache_metrics();
 
         let shard = &self.shards[self.shard_index(&key)];
@@ -430,8 +452,16 @@ mod tests {
         assert!(was_hit, "second probe is a hit");
         assert_eq!(direct, first);
         assert_eq!(direct, second);
+        // The keyed entry point is the same path: a resolved zoo model's
+        // stored fingerprint finds the entry the wrappers inserted.
+        let zoo = pddl_zoo::resolve("resnet18", &CIFAR10).unwrap();
+        let (third, was_hit) = cache
+            .get_or_embed_keyed(&reg, "cifar10", zoo.fingerprint, &zoo.graph)
+            .unwrap();
+        assert!(was_hit, "keyed probe hits the wrapper's entry");
+        assert_eq!(direct, third);
         let s = cache.stats();
-        assert_eq!((s.misses, s.hits, s.computes, s.entries), (1, 1, 1, 1));
+        assert_eq!((s.misses, s.hits, s.computes, s.entries), (1, 2, 1, 1));
         // The global counters must be registered so the controller's
         // `{"op":"stats"}` snapshot carries them.
         let snap = pddl_telemetry::snapshot();

@@ -149,4 +149,4 @@ pub use offline::{OfflineTrainer, PredictDdl};
 pub use registry::GhnRegistry;
 pub use request::{ModelRef, Prediction, PredictionRequest, RequestError};
 pub use serve::{JobOutcome, ServeConfig, ServePool, SubmitError};
-pub use task_checker::{TaskChecker, TaskDecision};
+pub use task_checker::{ResolvedGraph, TaskChecker, TaskDecision};

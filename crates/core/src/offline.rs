@@ -225,11 +225,11 @@ impl OfflineTrainer {
             }
         }
         let embedded = pddl_par::par_map(&distinct, |((model, ds), w)| {
-            let graph = w
-                .build_graph()
+            let zoo = w
+                .resolve()
                 .unwrap_or_else(|| panic!("trace references unknown model {model}"));
             let ghn = registry.get(ds).expect("GHN trained above");
-            (graph.name.clone(), ghn.embed_graph(&graph))
+            (zoo.graph.name.clone(), ghn.embed_graph(&zoo.graph))
         });
         let mut cache: HashMap<(String, String), Vec<f32>> = HashMap::new();
         for ((key, _), (graph_name, emb)) in distinct.into_iter().zip(embedded) {
@@ -404,9 +404,9 @@ impl PredictDdl {
         req: &PredictionRequest,
         trace: Option<TraceContext>,
     ) -> Result<Prediction, RequestError> {
-        let graph = match TaskChecker::check(req, &self.registry)? {
+        let resolved = match TaskChecker::check(req, &self.registry)? {
             TaskDecision::Proceed(g) => g,
-            TaskDecision::OfflineTrainingRequired { dataset, .. } => {
+            TaskDecision::OfflineTrainingRequired { dataset } => {
                 return Err(RequestError::NeedsOfflineTraining { dataset })
             }
         };
@@ -414,10 +414,16 @@ impl PredictDdl {
         let t0 = Instant::now();
         let embed_timer = m.embed_latency.start_timer();
         // Cached GHN embedding: repeated workloads (same dataset + same
-        // graph structure) skip the forward pass entirely.
+        // graph structure) skip the forward pass entirely, and a zoo model
+        // brings its fingerprint with it, so a hit never walks the graph.
         let (embedding, was_hit) = self
             .cache
-            .get_or_embed_detailed(&self.registry, &req.dataset, &graph)
+            .get_or_embed_keyed(
+                &self.registry,
+                &req.dataset,
+                resolved.fingerprint(),
+                resolved.graph(),
+            )
             .expect("registry checked by TaskChecker");
         let embed_elapsed = t0.elapsed();
         embed_timer.observe();

@@ -4,20 +4,49 @@
 use crate::registry::GhnRegistry;
 use crate::request::{ModelRef, PredictionRequest, RequestError};
 use pddl_graph::CompGraph;
-use pddl_zoo::{build_model, dataset::dataset_by_name};
+use pddl_zoo::{dataset::dataset_by_name, ZooModel};
+use std::sync::Arc;
+
+/// The graph a request stands for, without copying it: a zoo name resolves
+/// to the process-wide shared [`ZooModel`], a submitted graph is borrowed
+/// from the request.
+#[derive(Debug)]
+pub enum ResolvedGraph<'a> {
+    /// A zoo model, with its fingerprint already known.
+    Zoo(Arc<ZooModel>),
+    /// The request's own, validated graph.
+    Submitted(&'a CompGraph),
+}
+
+impl ResolvedGraph<'_> {
+    /// The resolved computational graph.
+    pub fn graph(&self) -> &CompGraph {
+        match self {
+            ResolvedGraph::Zoo(m) => &m.graph,
+            ResolvedGraph::Submitted(g) => g,
+        }
+    }
+
+    /// [`CompGraph::fingerprint`] of the graph: a field read for a zoo
+    /// model, a hash over the graph for a submitted one.
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            ResolvedGraph::Zoo(m) => m.fingerprint,
+            ResolvedGraph::Submitted(g) => g.fingerprint(),
+        }
+    }
+}
 
 /// Outcome of validation.
 #[derive(Debug)]
-pub enum TaskDecision {
+pub enum TaskDecision<'a> {
     /// Proceed to embedding + inference with this resolved graph.
-    Proceed(CompGraph),
+    Proceed(ResolvedGraph<'a>),
     /// A GHN must be trained for the request's dataset first
     /// (step ④ of Fig. 7).
     OfflineTrainingRequired {
         /// The dataset needing a GHN.
         dataset: String,
-        /// The validated graph, kept so the request can resume after training.
-        graph: CompGraph,
     },
 }
 
@@ -28,10 +57,15 @@ impl TaskChecker {
     /// Validates the request; resolves the model to a graph; checks the GHN
     /// registry. "The Task Checker launches the inference procedure directly
     /// if a trained GHN model is available for a submitted workload" (§III-D).
-    pub fn check(
-        req: &PredictionRequest,
+    ///
+    /// Nothing here is proportional to the size of a zoo model: the name is
+    /// looked up in [`pddl_zoo::resolve`]'s table, which built and hashed
+    /// the graph the first time the process saw it. A submitted graph is
+    /// validated (linear in its size) and then borrowed, never cloned.
+    pub fn check<'a>(
+        req: &'a PredictionRequest,
         registry: &GhnRegistry,
-    ) -> Result<TaskDecision, RequestError> {
+    ) -> Result<TaskDecision<'a>, RequestError> {
         if req.batch_size == 0 || req.epochs == 0 {
             return Err(RequestError::InvalidParams(
                 "batch_size and epochs must be positive".into(),
@@ -47,19 +81,22 @@ impl TaskChecker {
                 // back to CIFAR-10 geometry for datasets we lack a
                 // descriptor for (the graph structure is what matters).
                 let ds = dataset_by_name(&req.dataset).unwrap_or(&pddl_zoo::CIFAR10);
-                build_model(name, ds).ok_or_else(|| RequestError::UnknownModel(name.clone()))?
+                ResolvedGraph::Zoo(
+                    pddl_zoo::resolve(name, ds)
+                        .ok_or_else(|| RequestError::UnknownModel(name.clone()))?,
+                )
             }
             ModelRef::Graph(g) => {
                 g.validate()
                     .map_err(|e| RequestError::InvalidGraph(e.to_string()))?;
-                g.clone()
+                ResolvedGraph::Submitted(g)
             }
         };
 
         if registry.has(&req.dataset) {
             Ok(TaskDecision::Proceed(graph))
         } else {
-            Ok(TaskDecision::OfflineTrainingRequired { dataset: req.dataset.clone(), graph })
+            Ok(TaskDecision::OfflineTrainingRequired { dataset: req.dataset.clone() })
         }
     }
 }
@@ -88,8 +125,40 @@ mod tests {
         let reg = registry_with_cifar();
         let req = PredictionRequest::zoo(Workload::standard("vgg16", "cifar10"), cluster());
         match TaskChecker::check(&req, &reg).unwrap() {
-            TaskDecision::Proceed(g) => assert_eq!(g.name, "vgg16"),
+            TaskDecision::Proceed(g) => assert_eq!(g.graph().name, "vgg16"),
             other => panic!("expected Proceed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dataset_without_descriptor_resolves_with_cifar_geometry() {
+        // A GHN can exist for a dataset the zoo has no descriptor for; the
+        // zoo graph is then the CIFAR-10 one, under the same cache key.
+        let mut reg = registry_with_cifar();
+        let ghn = reg.get("cifar10").unwrap().clone();
+        reg.insert("mnist", ghn);
+        let req = PredictionRequest::zoo(Workload::standard("vgg16", "mnist"), cluster());
+        match TaskChecker::check(&req, &reg).unwrap() {
+            TaskDecision::Proceed(g) => {
+                let cifar = pddl_zoo::build_model("vgg16", &pddl_zoo::CIFAR10).unwrap();
+                assert_eq!(g.fingerprint(), cifar.fingerprint());
+                assert_eq!(g.graph().nodes(), cifar.nodes());
+            }
+            other => panic!("expected Proceed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn submitted_graph_is_borrowed_not_copied() {
+        let reg = registry_with_cifar();
+        let g = pddl_zoo::build_model("alexnet", &pddl_zoo::CIFAR10).unwrap();
+        let req = PredictionRequest::graph(g, "cifar10", 64, 5, cluster());
+        let ModelRef::Graph(sent) = &req.model else { unreachable!() };
+        match TaskChecker::check(&req, &reg).unwrap() {
+            TaskDecision::Proceed(ResolvedGraph::Submitted(got)) => {
+                assert!(std::ptr::eq(got, sent));
+            }
+            other => panic!("expected the request's own graph, got {other:?}"),
         }
     }
 
@@ -99,7 +168,7 @@ mod tests {
         let req =
             PredictionRequest::zoo(Workload::standard("vgg16", "tiny-imagenet"), cluster());
         match TaskChecker::check(&req, &reg).unwrap() {
-            TaskDecision::OfflineTrainingRequired { dataset, .. } => {
+            TaskDecision::OfflineTrainingRequired { dataset } => {
                 assert_eq!(dataset, "tiny-imagenet")
             }
             other => panic!("expected offline-training branch, got {other:?}"),

@@ -43,10 +43,10 @@ pub fn efficiency(spec: &ModelSpec, device: Device, batch_per_worker: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pddl_zoo::{build_model, CIFAR10};
+    use pddl_zoo::CIFAR10;
 
     fn spec(name: &str) -> ModelSpec {
-        ModelSpec::from_graph(&build_model(name, &CIFAR10).unwrap())
+        pddl_zoo::resolve(name, &CIFAR10).unwrap().spec.clone()
     }
 
     #[test]

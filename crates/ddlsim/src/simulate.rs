@@ -91,8 +91,12 @@ impl Simulator {
 
     /// Noise-free expected training time in seconds.
     pub fn expected_time(&self, w: &Workload, cluster: &ClusterState) -> Result<f64, SimError> {
-        let (spec, ds) = self.resolve(w)?;
-        self.expected_time_with_spec(w, &spec, ds, cluster)
+        let ds = w
+            .dataset_desc()
+            .ok_or_else(|| SimError::UnknownDataset(w.dataset.clone()))?;
+        let zoo = pddl_zoo::resolve(&w.model, ds)
+            .ok_or_else(|| SimError::UnknownModel(w.model.clone()))?;
+        self.expected_time_with_spec(w, &zoo.spec, ds, cluster)
     }
 
     /// One noisy "measurement", as a real testbed run would produce.
@@ -108,16 +112,6 @@ impl Simulator {
             self.cfg.seed ^ hash_str(&w.key()) ^ (cluster.num_servers() as u64) << 32 ^ run_id,
         );
         Ok(expected * rng.lognormal_factor(self.cfg.noise_sigma) as f64)
-    }
-
-    fn resolve(&self, w: &Workload) -> Result<(ModelSpec, &'static pddl_zoo::DatasetDesc), SimError> {
-        let ds = w
-            .dataset_desc()
-            .ok_or_else(|| SimError::UnknownDataset(w.dataset.clone()))?;
-        let g = w
-            .build_graph()
-            .ok_or_else(|| SimError::UnknownModel(w.model.clone()))?;
-        Ok((ModelSpec::from_graph(&g), ds))
     }
 
     /// Core cost model with a pre-resolved spec (hot path for the trace

@@ -2,9 +2,10 @@
 //! DNN model in any computing cluster using any dataset" (§I).
 
 use pddl_zoo::dataset::{dataset_by_name, DatasetDesc};
-use pddl_zoo::{build_model, ModelSpec};
+use pddl_zoo::{ModelSpec, ZooModel};
 use pddl_graph::CompGraph;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A deep-learning training workload.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -37,15 +38,21 @@ impl Workload {
         dataset_by_name(&self.dataset)
     }
 
-    /// Builds the model's computational graph for this workload's dataset.
-    pub fn build_graph(&self) -> Option<CompGraph> {
-        let ds = self.dataset_desc()?;
-        build_model(&self.model, ds)
+    /// Resolves the model for this workload's dataset through the zoo's
+    /// per-process table ([`pddl_zoo::resolve`]): graph, fingerprint and
+    /// spec, shared, not rebuilt. `None` for an unknown model or dataset.
+    pub fn resolve(&self) -> Option<Arc<ZooModel>> {
+        pddl_zoo::resolve(&self.model, self.dataset_desc()?)
     }
 
-    /// Builds the analytic model spec.
+    /// An owned copy of the model's computational graph.
+    pub fn build_graph(&self) -> Option<CompGraph> {
+        self.resolve().map(|m| m.graph.clone())
+    }
+
+    /// The analytic model spec.
     pub fn model_spec(&self) -> Option<ModelSpec> {
-        self.build_graph().map(|g| ModelSpec::from_graph(&g))
+        self.resolve().map(|m| m.spec.clone())
     }
 
     /// Stable identifier for registries and caches.
@@ -64,11 +71,15 @@ mod tests {
         assert!(w.dataset_desc().is_some());
         let g = w.build_graph().unwrap();
         assert_eq!(g.name, "resnet18");
+        let zoo = w.resolve().unwrap();
+        assert_eq!(zoo.fingerprint, g.fingerprint());
+        assert_eq!(w.model_spec().unwrap(), zoo.spec);
     }
 
     #[test]
     fn unknown_model_unresolvable() {
         let w = Workload::standard("nosuchnet", "cifar10");
+        assert!(w.resolve().is_none());
         assert!(w.build_graph().is_none());
     }
 
@@ -76,6 +87,7 @@ mod tests {
     fn unknown_dataset_unresolvable() {
         let w = Workload::standard("resnet18", "imagenet21k");
         assert!(w.dataset_desc().is_none());
+        assert!(w.resolve().is_none());
         assert!(w.build_graph().is_none());
     }
 

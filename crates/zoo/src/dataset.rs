@@ -47,12 +47,14 @@ pub const TINY_IMAGENET: DatasetDesc = DatasetDesc {
 /// All built-in datasets.
 pub const ALL_DATASETS: [&DatasetDesc; 2] = [&CIFAR10, &TINY_IMAGENET];
 
-/// Looks up a dataset descriptor by name (case-insensitive).
+/// Looks up a dataset descriptor by name, ignoring ASCII case and every
+/// `-` (`"CIFAR10"`, `"tinyimagenet"` and `"tiny-imagenet"` all resolve).
+/// Runs twice per prediction, so it compares in place and allocates nothing.
 pub fn dataset_by_name(name: &str) -> Option<&'static DatasetDesc> {
-    let lower = name.to_ascii_lowercase();
-    ALL_DATASETS
-        .into_iter()
-        .find(|d| d.name == lower || d.name.replace('-', "") == lower.replace('-', ""))
+    fn key(s: &str) -> impl Iterator<Item = u8> + '_ {
+        s.bytes().filter(|&b| b != b'-').map(|b| b.to_ascii_lowercase())
+    }
+    ALL_DATASETS.into_iter().find(|d| key(d.name).eq(key(name)))
 }
 
 impl DatasetDesc {
@@ -73,6 +75,17 @@ mod tests {
         assert_eq!(dataset_by_name("tiny-imagenet").unwrap().num_classes, 200);
         assert_eq!(dataset_by_name("tinyimagenet").unwrap().resolution, 64);
         assert!(dataset_by_name("imagenet21k").is_none());
+    }
+
+    #[test]
+    fn lookup_ignores_every_dash_and_nothing_else() {
+        // Pinned as found: the comparison has always dropped all dashes
+        // from both sides, so doubled or stray ones are accepted too.
+        assert_eq!(dataset_by_name("tiny--imagenet"), Some(&TINY_IMAGENET));
+        assert_eq!(dataset_by_name("-Cifar-10-"), Some(&CIFAR10));
+        for miss in ["", "-", "tiny_imagenet", "tiny imagenet", "cifar100", "cifar1", "cifar10 "] {
+            assert!(dataset_by_name(miss).is_none(), "{miss:?}");
+        }
     }
 
     #[test]

@@ -18,4 +18,4 @@ pub mod registry;
 
 pub use builder::NetBuilder;
 pub use dataset::{DatasetDesc, CIFAR10, TINY_IMAGENET};
-pub use registry::{build_model, model_names, ModelSpec};
+pub use registry::{build_model, model_names, resolve, ModelSpec, ZooModel};

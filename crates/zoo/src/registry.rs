@@ -1,9 +1,10 @@
 //! The 31-model registry (Section IV-A2: "31 image classification DL models
 //! from the PyTorch Vision libraries").
 
-use crate::dataset::DatasetDesc;
+use crate::dataset::{DatasetDesc, ALL_DATASETS};
 use crate::families::*;
 use pddl_graph::CompGraph;
+use std::sync::{Arc, OnceLock};
 
 /// The 31 model names in canonical order.
 pub const MODEL_NAMES: [&str; 31] = [
@@ -46,7 +47,9 @@ pub fn model_names() -> &'static [&'static str] {
 }
 
 /// Builds the named model's computational graph for a dataset, or `None`
-/// for an unknown name.
+/// for an unknown name. This is the constructor behind [`resolve`]; callers
+/// that resolve a model by name use [`resolve`], which builds each
+/// (model, built-in dataset) pair once per process.
 pub fn build_model(name: &str, ds: &DatasetDesc) -> Option<CompGraph> {
     let g = match name {
         "alexnet" => alexnet::alexnet(ds),
@@ -79,10 +82,57 @@ pub fn build_model(name: &str, ds: &DatasetDesc) -> Option<CompGraph> {
     Some(g)
 }
 
+/// Everything that is a pure function of (model name, dataset): the graph,
+/// its [`CompGraph::fingerprint`] and its [`ModelSpec`], computed together
+/// so no caller derives them again.
+#[derive(Debug)]
+pub struct ZooModel {
+    /// The model's computational graph, as [`build_model`] returns it.
+    pub graph: CompGraph,
+    /// `graph.fingerprint()`.
+    pub fingerprint: u64,
+    /// `ModelSpec::from_graph(&graph)`.
+    pub spec: ModelSpec,
+}
+
+impl ZooModel {
+    fn build(name: &str, ds: &DatasetDesc) -> Option<Self> {
+        let graph = build_model(name, ds)?;
+        // At most one per table slot unless callers pass descriptors that
+        // are not built in: a value that keeps climbing means the table is
+        // being bypassed.
+        pddl_telemetry::counter("zoo.resolve.builds").inc();
+        Some(Self { fingerprint: graph.fingerprint(), spec: ModelSpec::from_graph(&graph), graph })
+    }
+}
+
+/// One slot per (model, built-in dataset), filled on first use and kept
+/// for the life of the process: the table is bounded by the zoo itself,
+/// so it has no capacity and never evicts.
+static TABLE: [OnceLock<Arc<ZooModel>>; MODEL_NAMES.len() * ALL_DATASETS.len()] =
+    [const { OnceLock::new() }; MODEL_NAMES.len() * ALL_DATASETS.len()];
+
+/// Resolves the named model for a dataset, or `None` for an unknown name.
+///
+/// For the built-in datasets ([`ALL_DATASETS`]) the result is memoised:
+/// the first call for a pair builds it (concurrent first calls build it
+/// once and share the result), every later call is a table read and an
+/// `Arc` clone. Any other descriptor is built afresh on each call.
+pub fn resolve(name: &str, ds: &DatasetDesc) -> Option<Arc<ZooModel>> {
+    let model = MODEL_NAMES.iter().position(|n| *n == name)?;
+    let Some(dataset) = ALL_DATASETS.iter().position(|d| *d == ds) else {
+        return ZooModel::build(name, ds).map(Arc::new);
+    };
+    let slot = &TABLE[model * ALL_DATASETS.len() + dataset];
+    Some(Arc::clone(slot.get_or_init(|| {
+        Arc::new(ZooModel::build(name, ds).expect("every name in MODEL_NAMES builds"))
+    })))
+}
+
 /// Summary statistics for a model on a dataset; the "gray box" feature set
 /// of the paper's baselines plus the structural statistics the simulator's
 /// efficiency model consumes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelSpec {
     pub name: String,
     pub flops_per_example: f64,
@@ -144,6 +194,38 @@ mod tests {
     #[test]
     fn unknown_model_is_none() {
         assert!(build_model("resnet1001", &CIFAR10).is_none());
+        assert!(resolve("resnet1001", &CIFAR10).is_none());
+    }
+
+    #[test]
+    fn resolve_equals_build_model_for_every_slot() {
+        for name in MODEL_NAMES {
+            for ds in ALL_DATASETS {
+                let built = build_model(name, ds).unwrap();
+                let zoo = resolve(name, ds).unwrap();
+                let g = &zoo.graph;
+                assert_eq!(g.name, built.name);
+                assert_eq!(g.nodes(), built.nodes(), "{name} on {}", ds.name);
+                for v in 0..built.num_nodes() {
+                    assert_eq!(g.successors(v), built.successors(v), "{name} node {v}");
+                    assert_eq!(g.predecessors(v), built.predecessors(v), "{name} node {v}");
+                }
+                assert_eq!(zoo.fingerprint, built.fingerprint(), "{name} on {}", ds.name);
+                assert_eq!(zoo.spec, ModelSpec::from_graph(&built), "{name} on {}", ds.name);
+                // The second call is a table read, not a second build.
+                assert!(Arc::ptr_eq(&zoo, &resolve(name, ds).unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_builds_afresh_for_a_dataset_that_is_not_built_in() {
+        let ds = DatasetDesc { name: "imagenet1k", num_classes: 1000, resolution: 224, ..CIFAR10 };
+        let a = resolve("resnet18", &ds).unwrap();
+        let b = resolve("resnet18", &ds).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.fingerprint, build_model("resnet18", &ds).unwrap().fingerprint());
+        assert_ne!(a.fingerprint, resolve("resnet18", &CIFAR10).unwrap().fingerprint);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 #   scripts/offline_check.sh test-telemetry   # run pddl-telemetry's real tests
 #   scripts/offline_check.sh test-faults      # run pddl-faults' real tests
 #   scripts/offline_check.sh test-par         # run pddl-par's real tests (queue, pool)
+#   scripts/offline_check.sh test-zoo         # run the zoo resolver tests (pddl-zoo + core's resolver tier)
 #   scripts/offline_check.sh test-golden      # run the golden-trace fixture test
 #   scripts/offline_check.sh test-bench       # run pddl-bench's tests (report schema)
 #   scripts/offline_check.sh test-tensor      # run the GEMM equivalence/determinism suite
@@ -126,6 +127,7 @@ NON_PROPTEST_TESTS=(
   --test shard
   --test registry
   --test sched
+  --test zoo_resolver
 )
 
 case "${1:-check}" in
@@ -157,6 +159,17 @@ case "${1:-check}" in
     ;;
   test-par)
     cargo test -p pddl-par --offline
+    ;;
+  test-zoo)
+    # The resolver table and everything that reads it run for real: the
+    # zoo crate's own suite (table == build_model for all 62 slots, the
+    # first-touch race), the simulator's by-name paths, and core's
+    # task-checker / keyed-cache unit tests plus the bit-identity and
+    # allocation-count tier. None of it needs serde at runtime.
+    cargo test -p pddl-zoo --offline --lib --test resolve_race --test fidelity
+    cargo test -p pddl-ddlsim --offline --lib -- workload:: simulate::
+    cargo test -p predictddl --offline --lib -- task_checker:: embeddings::
+    cargo test -p predictddl --offline --test zoo_resolver
     ;;
   test-golden)
     cargo test -p predictddl --offline --test golden_traces
