@@ -51,11 +51,9 @@
 //! ```
 
 use pddl_bench::report::{
-    summarize, KillSummary, PhaseReport, PrecisionSummary, RebalanceStep, ScalingPoint,
-    ServeReport, ShardReport, ShedReasons, StageSummary, TracingSummary,
+    summarize, KillSummary, PhaseReport, RebalanceStep, ScalingPoint, ServeReport, ShardReport,
+    ShedReasons, StageSummary, TracingSummary,
 };
-use pddl_ghn::Schedule;
-use pddl_zoo::{build_model, dataset::dataset_by_name};
 use pddl_router::{routing_key, HashRing};
 use pddl_cluster::retry::{RetryPolicy, ShedReason};
 use pddl_cluster::{ClusterState, ServerClass};
@@ -96,20 +94,8 @@ fn main() {
     };
 
     eprintln!("training tiny system for the benchmark workload ...");
-    let mut system = OfflineTrainer::tiny().train_full();
+    let system = Arc::new(OfflineTrainer::tiny().train_full());
     let req = bench_request();
-    // bf16-vs-f32 embed-path measurement runs on the freshly trained
-    // system before the load phases, restoring f32 for them.
-    let precision = measure_precision(&mut system, &req);
-    eprintln!(
-        "precision: f32 embed {:.0}us bf16 embed {:.0}us (ratio {:.3}, \
-         rel prediction delta {:.2e})",
-        precision.f32_embed_us,
-        precision.bf16_embed_us,
-        precision.latency_ratio,
-        precision.max_rel_prediction_err
-    );
-    let system = Arc::new(system);
 
     eprintln!(
         "loadgen: transport={transport} clients={clients} requests={requests} \
@@ -180,7 +166,6 @@ fn main() {
         phases,
         stages: stage_summaries,
         tracing,
-        precision,
         telemetry: telemetry.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
     };
     for p in &report.phases {
@@ -196,48 +181,6 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!("wrote {out}");
-}
-
-/// The bf16-vs-f32 measurement: median embed latency on the benchmark
-/// graph at both precisions via the live registry's GHN, plus the
-/// relative shift of the full prediction when the system is flipped to
-/// bf16 (the embedding cache is invalidated on every flip, so both
-/// predictions are real computes). Leaves the system at f32 for the load
-/// phases.
-fn measure_precision(system: &mut PredictDdl, req: &PredictionRequest) -> PrecisionSummary {
-    const REPS: usize = 5;
-    let ds = dataset_by_name(&req.dataset).expect("benchmark dataset registered");
-    let graph = build_model("resnet18", ds).expect("resnet18 in the zoo");
-    let embed_us = |system: &PredictDdl| {
-        let ghn = system
-            .registry
-            .get(&req.dataset)
-            .expect("benchmark dataset trained");
-        let sched = Schedule::new(&graph, ghn.cfg.s_max);
-        std::hint::black_box(ghn.embed_with_schedule(&graph, &sched)); // warmup
-        let mut samples: Vec<f64> = (0..REPS)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(ghn.embed_with_schedule(&graph, &sched));
-                start.elapsed().as_secs_f64() * 1e6
-            })
-            .collect();
-        median(&mut samples)
-    };
-
-    let f32_secs = system.predict(req).expect("f32 predict").seconds;
-    let f32_embed_us = embed_us(system);
-    system.set_precision(pddl_tensor::Precision::Bf16);
-    let bf16_secs = system.predict(req).expect("bf16 predict").seconds;
-    let bf16_embed_us = embed_us(system);
-    system.set_precision(pddl_tensor::Precision::F32);
-
-    PrecisionSummary {
-        f32_embed_us,
-        bf16_embed_us,
-        latency_ratio: f32_embed_us / bf16_embed_us,
-        max_rel_prediction_err: (bf16_secs - f32_secs).abs() / f32_secs.abs().max(1.0),
-    }
 }
 
 /// The fixed benchmark workload: a mid-sized zoo model on the dataset the

@@ -10,10 +10,8 @@
 //!
 //! Since the microkernel layer dispatches at runtime, every shape is also
 //! timed with the kernel pinned to the portable scalar fallback
-//! (`speedup_simd` is what the dispatched AVX2/NEON microkernel buys) and
-//! over bf16-frozen weights (`speedup_bf16`), and the embed e2e is re-run
-//! with the GHN frozen to bf16. The backend the run dispatched to is
-//! stamped into `config.kernel`.
+//! (`speedup_simd` is what the dispatched AVX2/NEON microkernel buys).
+//! The backend the run dispatched to is stamped into `config.kernel`.
 //!
 //! Every measurement is the median of `--reps` timed calls after one
 //! warmup; the kernels themselves are deterministic, so run-to-run noise
@@ -28,12 +26,12 @@
 //! `--quick` shrinks reps and drops the largest shapes — the CI smoke
 //! mode; the committed baseline is produced by a full run. `--compare`
 //! additionally prints a per-shape backend-comparison table (blocked vs
-//! forced-scalar vs bf16) to stdout.
+//! forced-scalar) to stdout.
 
 use pddl_bench::report::{EmbedE2e, GemmCase, TensorReport, TrainE2e};
 use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, Schedule, SynthGenerator, TrainConfig};
 use pddl_par::WorkPool;
-use pddl_tensor::{Matrix, PackBuffer, PackedBf16, Precision, Rng};
+use pddl_tensor::{Matrix, PackBuffer, Rng};
 use pddl_zoo::{build_model, dataset::dataset_by_name};
 use std::time::Instant;
 
@@ -71,8 +69,6 @@ fn main() {
     for &(m, k, n) in &shapes {
         let a = Matrix::rand_normal(m, k, 1.0, &mut rng);
         let b = Matrix::rand_normal(k, n, 1.0, &mut rng);
-        let b_bf16 = PackedBf16::from_matrix(&b);
-        let zero_bias = Matrix::zeros(1, n);
         let mut pack = PackBuffer::new();
 
         let reference_us = median_us(reps, || {
@@ -91,15 +87,10 @@ fn main() {
             std::hint::black_box(a.matmul_with(&b, &mut pack));
         });
         pddl_tensor::set_force_scalar(false);
-        // bf16 weights through the Nn fused entry point (zero bias makes
-        // it the plain product); widening happens inside the pack.
-        let bf16_us = median_us(reps, || {
-            std::hint::black_box(a.matmul_bias_bf16(&b_bf16, &zero_bias));
-        });
         let flops = 2.0 * m as f64 * n as f64 * k as f64;
         eprintln!(
             "gemm {m}x{k}·{k}x{n}: ref {reference_us:.1}us blocked {blocked_us:.1}us \
-             pooled {pooled_us:.1}us scalar {scalar_us:.1}us bf16 {bf16_us:.1}us ({:.2}x)",
+             pooled {pooled_us:.1}us scalar {scalar_us:.1}us ({:.2}x)",
             reference_us / blocked_us
         );
         gemm.push(GemmCase {
@@ -110,17 +101,14 @@ fn main() {
             blocked_us,
             pooled_us,
             scalar_us,
-            bf16_us,
             speedup_blocked: reference_us / blocked_us,
             speedup_pooled: reference_us / pooled_us,
             speedup_simd: scalar_us / blocked_us,
-            speedup_bf16: blocked_us / bf16_us,
             gflops_blocked: flops / blocked_us / 1e3,
         });
     }
 
-    // End-to-end inference: a real architecture through the GatedGNN,
-    // then the same GHN frozen to bf16.
+    // End-to-end inference: a real architecture through the GatedGNN.
     let model = "resnet18";
     let ds = dataset_by_name("cifar10").expect("cifar10 registered");
     let graph = build_model(model, ds).expect("resnet18 in the zoo");
@@ -133,14 +121,9 @@ fn main() {
     let batched_us = median_us(embed_reps, || {
         std::hint::black_box(ghn.embed_with_schedule(&graph, &sched));
     });
-    let mut ghn_bf16 = ghn.clone();
-    ghn_bf16.set_precision(Precision::Bf16);
-    let bf16_us = median_us(embed_reps, || {
-        std::hint::black_box(ghn_bf16.embed_with_schedule(&graph, &sched));
-    });
     eprintln!(
         "embed_graph {model} ({} nodes): ref {reference_us:.0}us batched {batched_us:.0}us \
-         bf16 {bf16_us:.0}us ({:.2}x)",
+         ({:.2}x)",
         graph.num_nodes(),
         reference_us / batched_us
     );
@@ -149,9 +132,7 @@ fn main() {
         nodes: graph.num_nodes(),
         reference_us,
         batched_us,
-        bf16_us,
         speedup: reference_us / batched_us,
-        speedup_bf16: batched_us / bf16_us,
     };
 
     // End-to-end meta-training on the fused tape (no slow-path twin
@@ -202,28 +183,26 @@ fn main() {
 }
 
 /// `--compare`: a per-shape table of the dispatched blocked kernel vs the
-/// forced-scalar kernel vs bf16 weights, plus the embed e2e line.
+/// forced-scalar kernel, plus the embed e2e line.
 fn print_compare(report: &TensorReport) {
     println!("kernel backend: {}", report.kernel);
     println!(
-        "{:>14} {:>12} {:>12} {:>12} {:>8} {:>8}",
-        "shape", "blocked_us", "scalar_us", "bf16_us", "simd_x", "bf16_x"
+        "{:>14} {:>12} {:>12} {:>8}",
+        "shape", "blocked_us", "scalar_us", "simd_x"
     );
     for c in &report.gemm {
         println!(
-            "{:>14} {:>12.1} {:>12.1} {:>12.1} {:>8.2} {:>8.2}",
+            "{:>14} {:>12.1} {:>12.1} {:>8.2}",
             format!("{}x{}x{}", c.m, c.k, c.n),
             c.blocked_us,
             c.scalar_us,
-            c.bf16_us,
-            c.speedup_simd,
-            c.speedup_bf16
+            c.speedup_simd
         );
     }
     let e = &report.embed_graph;
     println!(
-        "embed {} ({} nodes): f32 {:.0}us bf16 {:.0}us ({:.2}x)",
-        e.model, e.nodes, e.batched_us, e.bf16_us, e.speedup_bf16
+        "embed {} ({} nodes): reference {:.0}us batched {:.0}us ({:.2}x)",
+        e.model, e.nodes, e.reference_us, e.batched_us, e.speedup
     );
 }
 

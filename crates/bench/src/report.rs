@@ -152,25 +152,6 @@ pub struct TracingSummary {
     pub overhead_ratio: f64,
 }
 
-/// bf16 frozen-weight inference vs f32 on the serving embed path: the
-/// benchmark workload's GHN embed latency at each precision plus the
-/// worst relative prediction delta observed when the live system is
-/// flipped to bf16. The schema tier pins `latency_ratio >= 0.75` (bf16
-/// may cost at most ~33% over f32) and `max_rel_prediction_err <= 1e-2`
-/// on the committed baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrecisionSummary {
-    /// Median f32 `embed_with_schedule` latency, microseconds.
-    pub f32_embed_us: f64,
-    /// Median bf16 (frozen-weight) embed latency, microseconds.
-    pub bf16_embed_us: f64,
-    /// `f32_embed_us / bf16_embed_us` — >1 means bf16 is faster.
-    pub latency_ratio: f64,
-    /// `|bf16_seconds - f32_seconds| / max(|f32_seconds|, 1)` on the
-    /// benchmark prediction.
-    pub max_rel_prediction_err: f64,
-}
-
 /// The full benchmark report — rendered to `BENCH_serve.json`.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
@@ -196,8 +177,6 @@ pub struct ServeReport {
     pub stages: Vec<(String, StageSummary)>,
     /// Tracing-overhead burst results.
     pub tracing: TracingSummary,
-    /// bf16-vs-f32 embed latency and prediction-delta measurement.
-    pub precision: PrecisionSummary,
     /// Final values of the serving-side telemetry series, keyed by their
     /// exact registry names (e.g. `controller.requests_shed`).
     pub telemetry: Vec<(String, u64)>,
@@ -221,8 +200,8 @@ impl ServeReport {
         out.push_str("{\n");
         out.push_str("  \"benchmark\": \"serve\",\n");
         // v2: per-phase shed_reasons, per-stage percentiles, tracing block.
-        // v3: precision block (bf16 frozen-weight embed vs f32).
-        out.push_str("  \"version\": 3,\n");
+        // v4: v3's `precision` block removed (one inference arithmetic).
+        out.push_str("  \"version\": 4,\n");
         out.push_str(&format!("  \"transport\": \"{}\",\n", escape(&self.transport)));
         out.push_str("  \"config\": {\n");
         out.push_str(&format!("    \"workers\": {},\n", self.workers));
@@ -297,24 +276,6 @@ impl ServeReport {
             fnum(self.tracing.overhead_ratio)
         ));
         out.push_str("  },\n");
-        out.push_str("  \"precision\": {\n");
-        out.push_str(&format!(
-            "    \"f32_embed_us\": {},\n",
-            fnum(self.precision.f32_embed_us)
-        ));
-        out.push_str(&format!(
-            "    \"bf16_embed_us\": {},\n",
-            fnum(self.precision.bf16_embed_us)
-        ));
-        out.push_str(&format!(
-            "    \"latency_ratio\": {},\n",
-            fnum(self.precision.latency_ratio)
-        ));
-        out.push_str(&format!(
-            "    \"max_rel_prediction_err\": {:.6}\n",
-            self.precision.max_rel_prediction_err
-        ));
-        out.push_str("  },\n");
         out.push_str("  \"telemetry\": {\n");
         for (i, (name, value)) in self.telemetry.iter().enumerate() {
             out.push_str(&format!("    \"{}\": {}", escape(name), value));
@@ -326,11 +287,10 @@ impl ServeReport {
     }
 }
 
-/// One GEMM shape measured five ways: the reference transpose+dot
+/// One GEMM shape measured four ways: the reference transpose+dot
 /// kernel, the blocked packed kernel run serially, the blocked kernel
-/// with the work pool enabled, the blocked kernel pinned to the scalar
-/// microkernel, and the blocked kernel over bf16-frozen weights. Times
-/// are the median of the run's reps.
+/// with the work pool enabled, and the blocked kernel pinned to the
+/// scalar microkernel. Times are the median of the run's reps.
 #[derive(Clone, Debug)]
 pub struct GemmCase {
     pub m: usize,
@@ -344,8 +304,6 @@ pub struct GemmCase {
     pub pooled_us: f64,
     /// Blocked kernel forced onto the scalar microkernel, microseconds.
     pub scalar_us: f64,
-    /// Blocked kernel over `PackedBf16` weights, microseconds.
-    pub bf16_us: f64,
     /// `reference_us / blocked_us`.
     pub speedup_blocked: f64,
     /// `reference_us / pooled_us`.
@@ -353,27 +311,19 @@ pub struct GemmCase {
     /// `scalar_us / blocked_us` — what the dispatched SIMD microkernel
     /// buys over the portable fallback (1.0 when the host is scalar).
     pub speedup_simd: f64,
-    /// `blocked_us / bf16_us` — bf16 weight traffic vs f32 at the same
-    /// backend.
-    pub speedup_bf16: f64,
     /// Blocked-kernel throughput, `2·m·n·k / blocked_us / 1e3` GFLOP/s.
     pub gflops_blocked: f64,
 }
 
 /// End-to-end GHN inference: one `embed_with_schedule` call on a real zoo
-/// architecture, scalar reference loops vs the batched GEMM path vs the
-/// batched path over bf16-frozen weights.
+/// architecture, scalar reference loops vs the batched GEMM path.
 #[derive(Clone, Debug)]
 pub struct EmbedE2e {
     pub model: String,
     pub nodes: usize,
     pub reference_us: f64,
     pub batched_us: f64,
-    /// Batched path with the GHN frozen to bf16, microseconds.
-    pub bf16_us: f64,
     pub speedup: f64,
-    /// `batched_us / bf16_us`.
-    pub speedup_bf16: f64,
 }
 
 /// End-to-end GHN meta-training cost on the current (fused) tape.
@@ -409,7 +359,7 @@ impl TensorReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"benchmark\": \"tensor\",\n");
-        out.push_str("  \"version\": 2,\n");
+        out.push_str("  \"version\": 3,\n");
         out.push_str("  \"config\": {\n");
         out.push_str(&format!("    \"threads\": {},\n", self.threads));
         out.push_str(&format!("    \"reps\": {},\n", self.reps));
@@ -425,7 +375,6 @@ impl TensorReport {
             out.push_str(&format!("      \"blocked_us\": {},\n", fnum(c.blocked_us)));
             out.push_str(&format!("      \"pooled_us\": {},\n", fnum(c.pooled_us)));
             out.push_str(&format!("      \"scalar_us\": {},\n", fnum(c.scalar_us)));
-            out.push_str(&format!("      \"bf16_us\": {},\n", fnum(c.bf16_us)));
             out.push_str(&format!(
                 "      \"speedup_blocked\": {},\n",
                 fnum(c.speedup_blocked)
@@ -435,7 +384,6 @@ impl TensorReport {
                 fnum(c.speedup_pooled)
             ));
             out.push_str(&format!("      \"speedup_simd\": {},\n", fnum(c.speedup_simd)));
-            out.push_str(&format!("      \"speedup_bf16\": {},\n", fnum(c.speedup_bf16)));
             out.push_str(&format!(
                 "      \"gflops_blocked\": {}\n",
                 fnum(c.gflops_blocked)
@@ -454,12 +402,7 @@ impl TensorReport {
             "    \"batched_us\": {},\n",
             fnum(self.embed_graph.batched_us)
         ));
-        out.push_str(&format!("    \"bf16_us\": {},\n", fnum(self.embed_graph.bf16_us)));
-        out.push_str(&format!("    \"speedup\": {},\n", fnum(self.embed_graph.speedup)));
-        out.push_str(&format!(
-            "    \"speedup_bf16\": {}\n",
-            fnum(self.embed_graph.speedup_bf16)
-        ));
+        out.push_str(&format!("    \"speedup\": {}\n", fnum(self.embed_graph.speedup)));
         out.push_str("  },\n");
         out.push_str("  \"train_epoch\": {\n");
         out.push_str(&format!("    \"num_graphs\": {},\n", self.train_epoch.num_graphs));
@@ -953,12 +896,6 @@ mod tests {
                 untraced_rps: 1000.0,
                 overhead_ratio: 1.053,
             },
-            precision: PrecisionSummary {
-                f32_embed_us: 4000.0,
-                bf16_embed_us: 3900.0,
-                latency_ratio: 1.026,
-                max_rel_prediction_err: 0.0012,
-            },
             telemetry: vec![
                 ("controller.requests_shed".into(), 100),
                 ("controller.queue_depth_peak".into(), 4),
@@ -970,14 +907,9 @@ mod tests {
     fn render_parses_back() {
         let doc = JsonValue::parse(&sample().render()).expect("valid JSON");
         assert_eq!(doc.get("benchmark").and_then(|v| v.as_str()), Some("serve"));
-        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(3));
+        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(4));
         let tracing = doc.get("tracing").expect("tracing block");
         assert_eq!(tracing.get("overhead_ratio").and_then(|v| v.as_f64()), Some(1.053));
-        let precision = doc.get("precision").expect("precision block");
-        assert_eq!(
-            precision.get("max_rel_prediction_err").and_then(|v| v.as_f64()),
-            Some(0.0012)
-        );
         let qw = doc.get("stages").and_then(|s| s.get("queue_wait")).expect("queue_wait");
         assert_eq!(qw.get("p95_us").and_then(|v| v.as_u64()), Some(90));
         let sat = doc.get("phases").and_then(|p| p.as_array()).unwrap()[1]
@@ -1004,11 +936,9 @@ mod tests {
                 blocked_us: 180.0,
                 pooled_us: 180.0,
                 scalar_us: 410.0,
-                bf16_us: 170.0,
                 speedup_blocked: 3.9,
                 speedup_pooled: 3.9,
                 speedup_simd: 2.28,
-                speedup_bf16: 1.06,
                 gflops_blocked: 23.0,
             }],
             embed_graph: EmbedE2e {
@@ -1016,9 +946,7 @@ mod tests {
                 nodes: 70,
                 reference_us: 9000.0,
                 batched_us: 4000.0,
-                bf16_us: 3900.0,
                 speedup: 2.25,
-                speedup_bf16: 1.03,
             },
             train_epoch: TrainE2e {
                 num_graphs: 8,
@@ -1037,7 +965,7 @@ mod tests {
     fn tensor_render_parses_back() {
         let doc = JsonValue::parse(&sample_tensor().render()).expect("valid JSON");
         assert_eq!(doc.get("benchmark").and_then(|v| v.as_str()), Some("tensor"));
-        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(
             doc.get("config").and_then(|c| c.get("kernel")).and_then(|v| v.as_str()),
             Some("avx2+fma")

@@ -23,8 +23,8 @@
 //! serde_json is stubbed out.
 
 use pddl_bench::report::{
-    schema_paths, EmbedE2e, GemmCase, LatencySummary, PhaseReport, PrecisionSummary, ServeReport,
-    ShedReasons, StageSummary, TensorReport, TracingSummary, TrainE2e,
+    schema_paths, EmbedE2e, GemmCase, LatencySummary, PhaseReport, ServeReport, ShedReasons,
+    StageSummary, TensorReport, TracingSummary, TrainE2e,
 };
 use pddl_telemetry::JsonValue;
 use std::path::PathBuf;
@@ -57,11 +57,9 @@ fn sample_tensor_report() -> TensorReport {
                 blocked_us: 0.4,
                 pooled_us: 0.4,
                 scalar_us: 0.9,
-                bf16_us: 0.38,
                 speedup_blocked: 5.0,
                 speedup_pooled: 5.0,
                 speedup_simd: 2.25,
-                speedup_bf16: 1.05,
                 gflops_blocked: 5.1,
             },
             GemmCase {
@@ -72,11 +70,9 @@ fn sample_tensor_report() -> TensorReport {
                 blocked_us: 320.0,
                 pooled_us: 300.0,
                 scalar_us: 780.0,
-                bf16_us: 310.0,
                 speedup_blocked: 3.8,
                 speedup_pooled: 4.0,
                 speedup_simd: 2.44,
-                speedup_bf16: 1.03,
                 gflops_blocked: 13.1,
             },
         ],
@@ -85,9 +81,7 @@ fn sample_tensor_report() -> TensorReport {
             nodes: 71,
             reference_us: 1300.0,
             batched_us: 1050.0,
-            bf16_us: 1020.0,
             speedup: 1.24,
-            speedup_bf16: 1.03,
         },
         train_epoch: TrainE2e {
             num_graphs: 16,
@@ -173,12 +167,6 @@ fn sample_report() -> ServeReport {
             traced_rps: 970.0,
             untraced_rps: 1000.0,
             overhead_ratio: 1.031,
-        },
-        precision: PrecisionSummary {
-            f32_embed_us: 4100.0,
-            bf16_embed_us: 3950.0,
-            latency_ratio: 1.038,
-            max_rel_prediction_err: 0.0009,
         },
         telemetry: vec![
             ("controller.requests_shed".into(), 150),
@@ -346,37 +334,6 @@ fn committed_serve_baseline_meets_tracing_overhead_floor() {
     );
 }
 
-/// bf16 frozen-weight inference must hold the serving hot path: on the
-/// committed baseline the bf16 embed may cost at most ~33% over f32
-/// (`precision.latency_ratio >= 0.75`) and the benchmark prediction may
-/// shift by at most 1% relative (`max_rel_prediction_err <= 1e-2` — the
-/// same gate cross-precision hot reloads enforce on checkpoint probes).
-/// Reads the committed file only — deterministic, no benchmark runs.
-#[test]
-fn committed_serve_baseline_meets_precision_floor() {
-    let baseline = repo_root().join("BENCH_serve.json");
-    let Ok(contents) = std::fs::read_to_string(&baseline) else {
-        eprintln!("no committed BENCH_serve.json — skipping precision check");
-        return;
-    };
-    let doc = JsonValue::parse(&contents)
-        .unwrap_or_else(|e| panic!("{}: unparseable baseline: {e}", baseline.display()));
-    let precision = doc.get("precision").expect("baseline has a precision block");
-    let f = |k: &str| precision.get(k).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-    assert!(f("f32_embed_us") > 0.0, "precision bursts must have run");
-    assert!(f("bf16_embed_us") > 0.0, "precision bursts must have run");
-    let ratio = f("latency_ratio");
-    assert!(
-        ratio >= 0.75,
-        "bf16 embed may cost at most ~33% over f32 (committed ratio: {ratio})"
-    );
-    let err = f("max_rel_prediction_err");
-    assert!(
-        (0.0..=1e-2).contains(&err),
-        "bf16 predictions must stay within 1% of f32 (committed: {err})"
-    );
-}
-
 #[test]
 fn bench_tensor_schema_matches_golden_fixture() {
     let rendered = sample_tensor_report().render();
@@ -508,18 +465,6 @@ fn committed_tensor_baseline_meets_speedup_floor() {
         assert!(checked >= 2, "baseline must include >=2 embed-path shapes");
     }
 
-    // bf16 sanity: frozen-weight inference must not regress the embed
-    // path by more than a third (it should be roughly at parity or
-    // better — the win is weight-footprint, not raw arithmetic).
-    let embed_bf16 = doc
-        .get("embed_graph")
-        .and_then(|e| e.get("speedup_bf16"))
-        .and_then(|v| v.as_f64())
-        .expect("embed_graph.speedup_bf16");
-    assert!(
-        embed_bf16 >= 0.75,
-        "bf16 embed path may cost at most ~33% over f32 (committed ratio: {embed_bf16})"
-    );
 }
 
 // ---------------------------------------------------------------------------

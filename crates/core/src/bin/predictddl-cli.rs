@@ -25,7 +25,6 @@
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{TraceConfig, Workload};
 use pddl_registry::Registry;
-use pddl_tensor::Precision;
 use predictddl::{
     load_checkpoint, save_checkpoint, spawn_watcher, Controller, ControllerClient, LiveSystem,
     OfflineTrainer, PredictDdl, PredictionRequest, ReloadManager, ServeConfig,
@@ -42,27 +41,17 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(rest);
-    let result = match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        "train" => cmd_train(&flags),
-        "predict" => cmd_predict(&flags),
-        "serve" => cmd_serve(&flags),
-        "reload" => cmd_reload(&flags),
-        "observe" => cmd_observe(&flags),
-        "stats" => cmd_stats(&flags),
-        "trace" => cmd_trace(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "models" => cmd_models(),
-        _ => {
-            eprintln!("unknown command '{cmd}'\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = find_command(cmd) else {
+        eprintln!("unknown command '{cmd}'\n{USAGE}");
+        return ExitCode::FAILURE;
     };
-    if flags.contains_key("metrics-dump") {
+    let flags = parse_flags(rest);
+    let result = check_flags(command, &flags).and_then(|()| (command.run)(&flags));
+    if flags.contains_key(METRICS_DUMP) {
         eprintln!("{}", pddl_telemetry::snapshot_json());
     }
     match result {
@@ -81,9 +70,9 @@ const USAGE: &str = "usage:
                          --servers <n> [--gpu|--cpu] [--batch 128] [--epochs 10]
   predictddl-cli serve   --system <file> | --registry <dir>
                          [--addr 127.0.0.1:7077] [--watch-registry <ms>]
-                         [--precision f32|bf16] [--retain N] [--workers N]
-                         [--queue-depth N] [--max-conns N] [--deadline-ms N]
-                         [--trace-sample N] [--trace-slow-ms N] [--shard-id N]
+                         [--retain N] [--workers N] [--queue-depth N]
+                         [--max-conns N] [--deadline-ms N] [--trace-sample N]
+                         [--trace-slow-ms N] [--shard-id N]
                          [--fault-plan 'seed=42,delay=0.05:5,reset=0.02']
   predictddl-cli reload  [--addr 127.0.0.1:7077] [--version N] [--timeout-ms 5000]
   predictddl-cli observe [--addr 127.0.0.1:7077] --model <name> --dataset <name>
@@ -104,10 +93,6 @@ options:
                    pinned/live ones (default 4; 0 keeps everything)
   --watch-registry serve: poll the registry every <ms> and hot-swap to new
                    versions automatically (requires --registry)
-  --precision      serve: inference weight storage — f32 (default) or bf16
-                   (frozen bf16 panels on the GHN embed path; training and
-                   checkpoints always keep f32 masters). Applied to the
-                   initial system and to every hot-reloaded candidate
   --version        reload: target version (default: the registry's latest)
   --actual-secs    observe: the measured wall-clock training time being fed
                    back into the controller's drift detector
@@ -126,6 +111,91 @@ options:
   PDDL_FAULT_PLAN  same as --fault-plan, honored by serve and the collector";
 
 type Flags = HashMap<String, String>;
+
+/// One subcommand: its name, the flags it reads, and its entry point.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+/// The one flag every subcommand accepts.
+const METRICS_DUMP: &str = "metrics-dump";
+
+/// Every subcommand with the flags it reads. Anything else on a command
+/// line is refused before the command does any work, so a typo
+/// (`--worker 8`) cannot silently fall back to a default; a unit test
+/// holds [`USAGE`] to the same lists.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "train",
+        flags: &["out", "registry", "label", "datasets", "retain"],
+        run: cmd_train,
+    },
+    Command {
+        name: "predict",
+        flags: &["system", "model", "dataset", "servers", "gpu", "cpu", "batch", "epochs"],
+        run: cmd_predict,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            "system",
+            "registry",
+            "addr",
+            "watch-registry",
+            "retain",
+            "workers",
+            "queue-depth",
+            "max-conns",
+            "deadline-ms",
+            "trace-sample",
+            "trace-slow-ms",
+            "shard-id",
+            "fault-plan",
+        ],
+        run: cmd_serve,
+    },
+    Command { name: "reload", flags: &["addr", "version", "timeout-ms"], run: cmd_reload },
+    Command {
+        name: "observe",
+        flags: &[
+            "addr",
+            "model",
+            "dataset",
+            "servers",
+            "actual-secs",
+            "gpu",
+            "cpu",
+            "batch",
+            "epochs",
+            "timeout-ms",
+        ],
+        run: cmd_observe,
+    },
+    Command { name: "stats", flags: &["addr", "timeout-ms"], run: cmd_stats },
+    Command { name: "trace", flags: &["addr", "timeout-ms", "json"], run: cmd_trace },
+    Command { name: "metrics", flags: &["addr", "timeout-ms"], run: cmd_metrics },
+    Command { name: "models", flags: &[], run: cmd_models },
+];
+
+fn find_command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// Refuses any flag `command` does not read (first offender in
+/// alphabetical order, so the message is stable across runs).
+fn check_flags(command: &Command, flags: &Flags) -> Result<(), String> {
+    let unknown = flags
+        .keys()
+        .map(String::as_str)
+        .filter(|k| *k != METRICS_DUMP && !command.flags.contains(k))
+        .min();
+    match unknown {
+        Some(k) => Err(format!("unknown flag --{k} for {}", command.name)),
+        None => Ok(()),
+    }
+}
 
 fn parse_flags(args: &[String]) -> Flags {
     let mut flags = Flags::new();
@@ -298,11 +368,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(v) = flags.get("shard-id") {
         config.shard_id = Some(v.parse().map_err(|_| "--shard-id must be an integer")?);
     }
-    let precision = match flags.get("precision") {
-        None => Precision::F32,
-        Some(s) => Precision::parse(s)
-            .ok_or_else(|| format!("--precision must be f32 or bf16, got '{s}'"))?,
-    };
     // Resolve the initial system: from the checkpoint registry (newest
     // verifiable version; a --system file is published as the first
     // version when the registry is empty), or from a plain --system file.
@@ -310,7 +375,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let watcher_stop = Arc::new(AtomicBool::new(false));
     let controller = if let Some(root) = flags.get("registry") {
         let registry = open_registry(root, retain_from_flags(flags)?)?;
-        let (mut system, version) = match registry.latest() {
+        let (system, version) = match registry.latest() {
             Some(v) => {
                 let sys = load_checkpoint(&registry, v).map_err(|e| e.to_string())?;
                 eprintln!("loaded checkpoint v{v} from {root}");
@@ -327,14 +392,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 (sys, v)
             }
         };
-        system.set_precision(precision);
         let live = Arc::new(LiveSystem::new(system, version));
-        let manager = ReloadManager::with_precision(
-            registry,
-            Arc::clone(&live),
-            predictddl::reload::DEFAULT_PROBE_TOLERANCE,
-            precision,
-        );
+        let manager = ReloadManager::new(registry, Arc::clone(&live));
         if let Some(ms) = flags.get("watch-registry") {
             let ms: u64 = ms
                 .parse()
@@ -351,18 +410,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         if flags.contains_key("watch-registry") {
             return Err("--watch-registry requires --registry".to_string());
         }
-        let mut system = PredictDdl::load(required(flags, "system")?).map_err(|e| e.to_string())?;
-        system.set_precision(precision);
+        let system = PredictDdl::load(required(flags, "system")?).map_err(|e| e.to_string())?;
         Controller::serve_with(addr, system, config).map_err(|e| e.to_string())?
     };
     println!(
         "PredictDDL controller listening on {} ({} workers, queue depth {}, \
-         kernels {}, precision {})",
+         kernels {})",
         controller.addr(),
         config.workers.max(1),
         config.queue_depth.max(1),
         pddl_tensor::backend().name(),
-        precision.as_str(),
     );
     println!(
         "protocol: one JSON PredictionRequest per line (a JSON array is a \
@@ -498,11 +555,76 @@ fn cmd_metrics(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_models() -> Result<(), String> {
+fn cmd_models(_flags: &Flags) -> Result<(), String> {
     println!("model zoo ({} architectures):", pddl_zoo::model_names().len());
     for name in pddl_zoo::model_names() {
         println!("  {name}");
     }
     println!("datasets: cifar10, tiny-imagenet");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn command(name: &str) -> &'static Command {
+        find_command(name).expect("known command")
+    }
+
+    fn flags_of(args: &[&str]) -> Flags {
+        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn known_flags_pass_and_unknown_flags_name_the_offender() {
+        let serve = command("serve");
+        let ok = flags_of(&["--registry", "r", "--workers", "8", "--watch-registry", "500", "--metrics-dump"]);
+        assert_eq!(check_flags(serve, &ok), Ok(()));
+
+        let typo = flags_of(&["--system", "s.json", "--worker", "8"]);
+        assert_eq!(check_flags(serve, &typo), Err("unknown flag --worker for serve".to_string()));
+
+        // A flag this build never had and one it used to have read the same.
+        let removed = flags_of(&["--system", "s.json", "--precision", "f32"]);
+        assert_eq!(
+            check_flags(serve, &removed),
+            Err("unknown flag --precision for serve".to_string())
+        );
+
+        // Accepted lists are per command, not global.
+        assert!(check_flags(command("stats"), &flags_of(&["--workers", "8"])).is_err());
+        assert!(check_flags(command("models"), &flags_of(&[])).is_ok());
+    }
+
+    /// The `--flag` tokens on `cmd`'s synopsis lines in [`USAGE`].
+    fn usage_flags(cmd: &str) -> Vec<String> {
+        let synopsis = USAGE.split("options:").next().expect("usage has a synopsis");
+        let mut out = Vec::new();
+        let mut inside = false;
+        for line in synopsis.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("predictddl-cli ") {
+                inside = rest.split_whitespace().next() == Some(cmd);
+            }
+            if inside {
+                for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                    if let Some(flag) = word.strip_prefix("--") {
+                        out.push(flag.to_string());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn usage_synopsis_lists_exactly_the_accepted_flags() {
+        for c in COMMANDS {
+            let mut documented = usage_flags(c.name);
+            documented.sort();
+            let mut accepted: Vec<String> = c.flags.iter().map(|f| f.to_string()).collect();
+            accepted.sort();
+            assert_eq!(documented, accepted, "usage vs accepted flags for `{}`", c.name);
+        }
+    }
 }

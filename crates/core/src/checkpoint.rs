@@ -17,7 +17,6 @@ use crate::embeddings::EmbeddingCache;
 use crate::offline::PredictDdl;
 use crate::request::PredictionRequest;
 use pddl_registry::{Manifest, ProbeRecord, Registry, RegistryError};
-use pddl_tensor::Precision;
 use serde::{Deserialize, Serialize};
 
 /// Artifact name of the serialized trained system inside a version.
@@ -126,37 +125,6 @@ pub fn probe_records(system: &PredictDdl, max: usize) -> Vec<ProbeRecord> {
         .collect()
 }
 
-/// How far a replayed probe prediction may land from its recorded value.
-///
-/// Absolute tolerance is the right gate for bit-faithful paths (an
-/// unchanged f32 model reproduces its probes bit-identically; a few nano-
-/// seconds of slack covers nothing real). Relative tolerance is the right
-/// gate when the serving precision differs from the publish precision —
-/// bf16 quantization shifts each weight by up to 2⁻⁸ relative, so the
-/// prediction drifts proportionally to its magnitude, not by a fixed
-/// number of seconds.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ProbeTolerance {
-    /// `|got - want| <= secs`.
-    AbsoluteSecs(f64),
-    /// `|got - want| <= rel * max(|want|, 1.0)` — the `max` keeps the gate
-    /// meaningful for near-zero predictions.
-    Relative(f64),
-}
-
-impl ProbeTolerance {
-    fn admits(self, want: f64, got: f64) -> bool {
-        let diff = (got - want).abs();
-        if !diff.is_finite() {
-            return false;
-        }
-        match self {
-            ProbeTolerance::AbsoluteSecs(secs) => diff <= secs,
-            ProbeTolerance::Relative(rel) => diff <= rel * want.abs().max(1.0),
-        }
-    }
-}
-
 /// Replays `manifest`'s probes against `candidate` and checks each
 /// prediction lands within `tolerance` seconds of the recorded value
 /// (bit-equal always passes, so `tolerance == 0.0` demands exactness).
@@ -167,17 +135,6 @@ pub fn validate_probes(
     candidate: &PredictDdl,
     manifest: &Manifest,
     tolerance: f64,
-) -> Result<(), String> {
-    validate_probes_with(candidate, manifest, ProbeTolerance::AbsoluteSecs(tolerance))
-}
-
-/// [`validate_probes`] with an explicit [`ProbeTolerance`] — the entry
-/// point for precision-crossing reloads, where the gate must scale with
-/// the prediction's magnitude instead of being a fixed number of seconds.
-pub fn validate_probes_with(
-    candidate: &PredictDdl,
-    manifest: &Manifest,
-    tolerance: ProbeTolerance,
 ) -> Result<(), String> {
     if manifest.probes.is_empty() {
         return Ok(());
@@ -195,9 +152,8 @@ pub fn validate_probes_with(
         if bits == probe.seconds_bits {
             continue;
         }
-        let want = probe.seconds();
-        let got = f64::from_bits(bits);
-        if !tolerance.admits(want, got) {
+        let diff = (f64::from_bits(bits) - probe.seconds()).abs();
+        if !diff.is_finite() || diff > tolerance {
             return Err(format!(
                 "probe {:?} drifted: recorded {:016x}, candidate {:016x}",
                 probe.key, probe.seconds_bits, bits
@@ -209,10 +165,6 @@ pub fn validate_probes_with(
 
 /// Publishes `system` (plus its current embedding-cache contents and a
 /// fresh probe set) as a new registry version. Returns the version number.
-///
-/// The system's serving precision is stamped into the manifest, and the
-/// probe predictions are recorded at that precision — so a bf16 system's
-/// golden probes gate a bf16 reload bit-exactly, not within a fudge.
 pub fn save_checkpoint(
     registry: &Registry,
     system: &PredictDdl,
@@ -231,30 +183,18 @@ pub fn save_checkpoint(
         (SYSTEM_ARTIFACT.to_string(), system_json),
         (CACHE_ARTIFACT.to_string(), cache_json),
     ];
-    Ok(registry.publish_precision(label, system.precision().as_str(), &artifacts, &probes)?)
+    Ok(registry.publish(label, &artifacts, &probes)?)
 }
 
 /// Loads the system stored at `version`, rehydrating its embedding cache
-/// from the snapshot artifact and re-applying the manifest's serving
-/// precision (weights are always serialized as f32 masters; bf16 panels
-/// are re-frozen here). Content hashes are re-verified by the registry on
-/// every read, so a torn or bit-flipped artifact surfaces here as an
-/// error instead of as a silently wrong model.
+/// from the snapshot artifact. Content hashes are re-verified by the
+/// registry on every read, so a torn or bit-flipped artifact surfaces
+/// here as an error instead of as a silently wrong model.
 pub fn load_checkpoint(registry: &Registry, version: u64) -> Result<PredictDdl, CheckpointError> {
     // Content hashes were verified by read_artifact, so the bytes are the
     // published ones — which were valid UTF-8 JSON by construction.
     let system_json = registry.read_artifact(version, SYSTEM_ARTIFACT)?;
-    let mut system: PredictDdl = serde_json::from_str(&String::from_utf8_lossy(&system_json))?;
-    // Unknown spellings (a future precision this build predates) fall back
-    // to f32 masters rather than failing the load; so does a version whose
-    // manifest is unreadable (read_artifact already proved it committed).
-    let precision = registry
-        .manifest(version)
-        .and_then(|m| Precision::parse(&m.precision))
-        .unwrap_or(Precision::F32);
-    if precision != Precision::F32 {
-        system.set_precision(precision);
-    }
+    let system: PredictDdl = serde_json::from_str(&String::from_utf8_lossy(&system_json))?;
     match registry.read_artifact(version, CACHE_ARTIFACT) {
         Ok(cache_json) => {
             let snap: CacheSnapshot = serde_json::from_str(&String::from_utf8_lossy(&cache_json))?;
@@ -352,31 +292,6 @@ mod tests {
             system.cache.snapshot_entries(),
             "warm restart starts with the publisher's cache contents"
         );
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn bf16_checkpoint_round_trips_at_published_precision() {
-        let mut system = OfflineTrainer::tiny().train_full();
-        system.set_precision(Precision::Bf16);
-        let root = unique_root("bf16");
-        let (registry, _) = Registry::open(&root, 4).unwrap();
-        let v = save_checkpoint(&registry, &system, "bf16-test").unwrap();
-        assert_eq!(registry.manifest(v).unwrap().precision, "bf16");
-
-        // The loader reads the manifest stamp and re-freezes the f32
-        // masters to bf16, so predictions — and the probes recorded at
-        // publish time — are bit-exact against the publisher.
-        let loaded = load_checkpoint(&registry, v).unwrap();
-        assert_eq!(loaded.precision(), Precision::Bf16);
-        for (key, req) in probe_requests(&system, DEFAULT_PROBES) {
-            let a = system.predict(&req).unwrap().seconds;
-            let b = loaded.predict(&req).unwrap().seconds;
-            assert_eq!(a.to_bits(), b.to_bits(), "probe {key} drifted through bf16 checkpoint");
-        }
-        let manifest = registry.manifest(v).unwrap();
-        validate_probes(&loaded, &manifest, 0.0)
-            .expect("bf16 reload of a bf16 publish passes at zero tolerance");
         std::fs::remove_dir_all(&root).ok();
     }
 }

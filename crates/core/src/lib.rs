@@ -133,7 +133,7 @@ pub mod task_checker;
 pub use batch::{compare_batch, compare_batch_serial, BatchComparison, BatchJob};
 pub use checkpoint::{
     load_checkpoint, probe_records, probe_requests, save_checkpoint, validate_probes,
-    validate_probes_with, CheckpointError, ProbeTolerance, CACHE_ARTIFACT, SYSTEM_ARTIFACT,
+    CheckpointError, CACHE_ARTIFACT, SYSTEM_ARTIFACT,
 };
 pub use controller::{Controller, ControllerClient};
 pub use observe::ObservationSink;

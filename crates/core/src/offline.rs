@@ -371,22 +371,6 @@ pub struct PredictDdl {
 }
 
 impl PredictDdl {
-    /// Selects the inference storage precision for every GHN in the system.
-    /// `Bf16` freezes quantized serving weights (and drops the embedding
-    /// cache, which holds f32-path results); `F32` thaws back bit-exactly.
-    pub fn set_precision(&mut self, p: pddl_tensor::Precision) {
-        if p != self.registry.precision() {
-            self.cache = EmbeddingCache::default();
-        }
-        self.registry.set_precision(p);
-        pddl_tensor::bf16::report_precision(p);
-    }
-
-    /// The inference storage precision the system serves at.
-    pub fn precision(&self) -> pddl_tensor::Precision {
-        self.registry.precision()
-    }
-
     /// Handles one prediction request end-to-end: Task Checker → Embeddings
     /// Generator → Inference Engine (steps ③–⑥ of Fig. 7).
     pub fn predict(&self, req: &PredictionRequest) -> Result<Prediction, RequestError> {

@@ -7,7 +7,7 @@
 
 use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, SynthGenerator, TrainReport};
 use pddl_ghn::train::TrainConfig;
-use pddl_tensor::{Precision, Rng};
+use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -21,39 +21,12 @@ pub struct GhnRegistry {
     /// Meta-training schedule used for every dataset's model.
     pub train_config: TrainConfig,
     seed: u64,
-    /// Inference storage precision applied to every resident GHN. Never
-    /// serialized: checkpoints carry f32 masters, and the manifest's
-    /// `precision` field tells the loader whether to re-freeze.
-    #[serde(skip, default)]
-    precision: Precision,
 }
 
 impl GhnRegistry {
     /// Creates an empty registry; GHNs are added by [`Self::train_for_dataset`].
     pub fn new(ghn_config: GhnConfig, train_config: TrainConfig, seed: u64) -> Self {
-        Self {
-            ghns: HashMap::new(),
-            ghn_config,
-            train_config,
-            seed,
-            precision: Precision::F32,
-        }
-    }
-
-    /// Selects the inference storage precision for every resident GHN
-    /// (and any inserted later). `Bf16` freezes quantized weight panels
-    /// for the serving path; `F32` thaws back to bit-exact full
-    /// precision. Training always runs on the f32 masters regardless.
-    pub fn set_precision(&mut self, p: Precision) {
-        self.precision = p;
-        for ghn in self.ghns.values_mut() {
-            ghn.set_precision(p);
-        }
-    }
-
-    /// The inference storage precision resident GHNs serve at.
-    pub fn precision(&self) -> Precision {
-        self.precision
+        Self { ghns: HashMap::new(), ghn_config, train_config, seed }
     }
 
     /// Does a pretrained GHN exist for this dataset?
@@ -103,10 +76,8 @@ impl GhnRegistry {
         Ok((key, ghn, report))
     }
 
-    /// Inserts an externally trained GHN (tests, persistence), aligning it
-    /// to the registry's serving precision.
-    pub fn insert(&mut self, dataset: &str, mut ghn: Ghn) {
-        ghn.set_precision(self.precision);
+    /// Inserts an externally trained GHN (tests, persistence).
+    pub fn insert(&mut self, dataset: &str, ghn: Ghn) {
         self.ghns.insert(normalize(dataset), ghn);
     }
 }

@@ -12,11 +12,10 @@
 //! *rejects* the reload and leaves the old version serving — rollback is
 //! the default, not a recovery action.
 
-use crate::checkpoint::{load_checkpoint, validate_probes_with, ProbeTolerance};
+use crate::checkpoint::{load_checkpoint, validate_probes};
 use crate::offline::PredictDdl;
 use pddl_registry::Registry;
 use pddl_telemetry::{tlog, Counter, Level, Span};
-use pddl_tensor::Precision;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
@@ -25,14 +24,6 @@ use std::time::Duration;
 /// rounding hair away" — an unchanged model passes, a retrained one that
 /// drifts on its own training workloads does not.
 pub const DEFAULT_PROBE_TOLERANCE: f64 = 1e-9;
-
-/// Relative probe tolerance applied when the serve-time precision differs
-/// from the precision the checkpoint was published at. bf16 quantization
-/// shifts each weight by up to 2⁻⁸ relative; end-to-end through the GHN
-/// and the regressor the prediction drift stays well under 1% on the
-/// golden probes, so 1e-2 admits precision conversion while still
-/// rejecting genuinely wrong models.
-pub const CROSS_PRECISION_PROBE_TOLERANCE: f64 = 1e-2;
 
 struct ReloadMetrics {
     reloads: &'static Counter,
@@ -142,9 +133,6 @@ pub struct ReloadManager {
     /// validate and swap one at a time.
     gate: Mutex<()>,
     tolerance: f64,
-    /// Serve-time storage precision applied to every candidate after load,
-    /// overriding the precision the checkpoint was published at.
-    precision: Precision,
 }
 
 impl ReloadManager {
@@ -155,26 +143,11 @@ impl ReloadManager {
 
     /// Creates a manager with an explicit probe tolerance in seconds.
     pub fn with_tolerance(registry: Registry, live: Arc<LiveSystem>, tolerance: f64) -> Arc<Self> {
-        Self::with_precision(registry, live, tolerance, Precision::F32)
-    }
-
-    /// Creates a manager that serves every reloaded candidate at
-    /// `precision`. When a candidate's manifest was published at a
-    /// *different* precision, probe validation automatically widens to
-    /// [`CROSS_PRECISION_PROBE_TOLERANCE`] (relative) — bit-exactness is
-    /// only demanded of same-precision reloads.
-    pub fn with_precision(
-        registry: Registry,
-        live: Arc<LiveSystem>,
-        tolerance: f64,
-        precision: Precision,
-    ) -> Arc<Self> {
         Arc::new(Self {
             registry,
             live,
             gate: Mutex::new(()),
             tolerance,
-            precision,
         })
     }
 
@@ -186,11 +159,6 @@ impl ReloadManager {
     /// The live slot this manager swaps.
     pub fn live(&self) -> &Arc<LiveSystem> {
         &self.live
-    }
-
-    /// The serve-time precision applied to reloaded candidates.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// Attempts a reload to `target` (or the registry's latest version
@@ -230,21 +198,11 @@ impl ReloadManager {
             Some(m) => m,
             None => return reject(format!("no_such_version: {target}")),
         };
-        let mut candidate = match load_checkpoint(&self.registry, target) {
+        let candidate = match load_checkpoint(&self.registry, target) {
             Ok(c) => c,
             Err(e) => return reject(format!("load_failed: {e}")),
         };
-        // Serve-time precision wins over the published one; crossing
-        // precisions trades the bit-exact gate for a relative one, since
-        // requantized weights legitimately shift the predictions.
-        let published = Precision::parse(&manifest.precision).unwrap_or(Precision::F32);
-        candidate.set_precision(self.precision);
-        let tolerance = if self.precision == published {
-            ProbeTolerance::AbsoluteSecs(self.tolerance)
-        } else {
-            ProbeTolerance::Relative(CROSS_PRECISION_PROBE_TOLERANCE)
-        };
-        if let Err(e) = validate_probes_with(&candidate, &manifest, tolerance) {
+        if let Err(e) = validate_probes(&candidate, &manifest, self.tolerance) {
             return reject(format!("probe_mismatch: {e}"));
         }
         if let Err(e) = self.registry.pin(target) {
@@ -384,35 +342,6 @@ mod tests {
         assert!(err.reason.starts_with("probe_mismatch:"), "got: {}", err.reason);
         assert_eq!(live.version(), v1, "rollback: old version still live");
         assert_eq!(live.epoch(), 1, "no swap happened");
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn cross_precision_reload_passes_relative_probe_gate() {
-        let system = OfflineTrainer::tiny().train_full();
-        let root = unique_root("precision");
-        let (registry, _) = Registry::open(&root, 4).unwrap();
-        // Published at f32; the manifest stamps "f32" and records probes
-        // at full precision.
-        let v = save_checkpoint(&registry, &system, "f32-publish").unwrap();
-
-        // A bf16 serve plane re-freezes every candidate, so f32-recorded
-        // probes can only match within the relative cross-precision gate
-        // — the absolute bit-exact gate would reject the swap.
-        let live = Arc::new(LiveSystem::new(OfflineTrainer::tiny().train_full(), 0));
-        let mgr = ReloadManager::with_precision(
-            registry,
-            Arc::clone(&live),
-            DEFAULT_PROBE_TOLERANCE,
-            Precision::Bf16,
-        );
-        let outcome = mgr.reload(Some(v)).unwrap();
-        assert!(matches!(outcome, ReloadOutcome::Swapped { version, .. } if version == v));
-        assert_eq!(
-            live.pin().precision(),
-            Precision::Bf16,
-            "candidate re-frozen at the serve plane's precision"
-        );
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -11,9 +11,7 @@
 use crate::config::GhnConfig;
 use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore, Tape, Var};
 use pddl_graph::{features, one_hot_features, CompGraph, OpKind, ShortestPaths};
-use pddl_tensor::{
-    vecmat_acc, vecmat_acc_bf16, Activation as TensorAct, Matrix, PackedBf16, Precision, Rng,
-};
+use pddl_tensor::{vecmat_acc, Activation as TensorAct, Matrix, Rng};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -66,24 +64,6 @@ impl Schedule {
     }
 }
 
-/// bf16 snapshots of the embed-path weight matrices, built once by
-/// [`Ghn::set_precision`]. Biases (tiny, added once per row) and the
-/// decoder (not on the embed path) stay f32; the f32 master weights in
-/// the [`ParamStore`] are untouched, so precision can be flipped back
-/// without reloading and training always sees full precision.
-#[derive(Clone)]
-struct FrozenWeights {
-    embed_w: PackedBf16,
-    msg_ws: Vec<PackedBf16>,
-    msg_sp_ws: Vec<PackedBf16>,
-    gru_wz: PackedBf16,
-    gru_uz: PackedBf16,
-    gru_wr: PackedBf16,
-    gru_ur: PackedBf16,
-    gru_wh: PackedBf16,
-    gru_uh: PackedBf16,
-}
-
 /// The GHN-2 model. All weights live in the owned [`ParamStore`].
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Ghn {
@@ -94,11 +74,6 @@ pub struct Ghn {
     msg_sp: Mlp,
     gru: GruCell,
     decoder: Mlp,
-    /// Inference-only bf16 weight panels; never serialized — checkpoints
-    /// store f32 masters and the manifest's `precision` field says
-    /// whether to re-freeze after load.
-    #[serde(skip, default)]
-    frozen: Option<FrozenWeights>,
 }
 
 impl Ghn {
@@ -118,51 +93,12 @@ impl Ghn {
             Activation::Relu,
             rng,
         );
-        Self { cfg, ps, embed, msg, msg_sp, gru, decoder, frozen: None }
+        Self { cfg, ps, embed, msg, msg_sp, gru, decoder }
     }
 
     /// Embedding dimensionality.
     pub fn embed_dim(&self) -> usize {
         self.cfg.hidden_dim
-    }
-
-    /// Selects the inference storage precision. `Bf16` quantizes the
-    /// embed-path weights into frozen [`PackedBf16`] panels (round-to-
-    /// nearest-even, built from the f32 masters); `F32` drops them and
-    /// restores bit-exact full-precision inference. Training and the
-    /// traced path always read the f32 masters either way.
-    pub fn set_precision(&mut self, p: Precision) {
-        match p {
-            Precision::F32 => self.frozen = None,
-            Precision::Bf16 => {
-                let freeze_mlp = |mlp: &Mlp| -> Vec<PackedBf16> {
-                    mlp.layers
-                        .iter()
-                        .map(|l| PackedBf16::from_matrix(self.ps.get(l.w)))
-                        .collect()
-                };
-                self.frozen = Some(FrozenWeights {
-                    embed_w: PackedBf16::from_matrix(self.ps.get(self.embed.w)),
-                    msg_ws: freeze_mlp(&self.msg),
-                    msg_sp_ws: freeze_mlp(&self.msg_sp),
-                    gru_wz: PackedBf16::from_matrix(self.ps.get(self.gru.wz)),
-                    gru_uz: PackedBf16::from_matrix(self.ps.get(self.gru.uz)),
-                    gru_wr: PackedBf16::from_matrix(self.ps.get(self.gru.wr)),
-                    gru_ur: PackedBf16::from_matrix(self.ps.get(self.gru.ur)),
-                    gru_wh: PackedBf16::from_matrix(self.ps.get(self.gru.wh)),
-                    gru_uh: PackedBf16::from_matrix(self.ps.get(self.gru.uh)),
-                });
-            }
-        }
-    }
-
-    /// The storage precision the inference path currently runs at.
-    pub fn precision(&self) -> Precision {
-        if self.frozen.is_some() {
-            Precision::Bf16
-        } else {
-            Precision::F32
-        }
     }
 
     /// Total scalar weights of the GHN itself.
@@ -269,11 +205,9 @@ impl Ghn {
         let d = self.cfg.hidden_dim;
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
         // h1 = feats · W + b
-        let b = self.ps.get(self.embed.b);
-        let h1 = match &self.frozen {
-            Some(fz) => feats.matmul_bias_bf16(&fz.embed_w, b),
-            None => feats.matmul(self.ps.get(self.embed.w)).add_row_broadcast(b),
-        };
+        let h1 = feats
+            .matmul(self.ps.get(self.embed.w))
+            .add_row_broadcast(self.ps.get(self.embed.b));
         let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
         let mut m = vec![0.0f32; d];
 
@@ -426,7 +360,7 @@ impl Ghn {
         // then row-sum; same for virtual sources with their 1/s weights.
         if !neighbors.is_empty() {
             let xs = stack_rows(h, neighbors.iter().copied());
-            let out = self.mlp_batch(&self.msg, self.frozen_msg_ws(), &xs);
+            let out = self.mlp_batch(&self.msg, &xs);
             for r in 0..out.rows() {
                 for (mi, &o) in m.iter_mut().zip(out.row(r)) {
                     *mi += o;
@@ -435,7 +369,7 @@ impl Ghn {
         }
         if !virtual_sources.is_empty() {
             let xs = stack_rows(h, virtual_sources.iter().map(|&(u, _)| u));
-            let out = self.mlp_batch(&self.msg_sp, self.frozen_msg_sp_ws(), &xs);
+            let out = self.mlp_batch(&self.msg_sp, &xs);
             for (r, &(_, s)) in virtual_sources.iter().enumerate() {
                 let inv = 1.0 / s as f32;
                 for (mi, &o) in m.iter_mut().zip(out.row(r)) {
@@ -448,30 +382,15 @@ impl Ghn {
         h[v] = new;
     }
 
-    /// The frozen bf16 panels for the neighbor-message MLP, if any.
-    fn frozen_msg_ws(&self) -> Option<&[PackedBf16]> {
-        self.frozen.as_ref().map(|f| f.msg_ws.as_slice())
-    }
-
-    /// The frozen bf16 panels for the virtual-edge message MLP, if any.
-    fn frozen_msg_sp_ws(&self) -> Option<&[PackedBf16]> {
-        self.frozen.as_ref().map(|f| f.msg_sp_ws.as_slice())
-    }
-
     /// Batched MLP forward through the fused GEMM epilogues (bias and the
     /// hidden ReLU ride the matmul; no intermediate `x·W` matrices).
-    /// `frozen_ws`, when present, holds this MLP's per-layer bf16 weight
-    /// panels and routes every layer through the bf16 kernel entry points.
-    fn mlp_batch(&self, mlp: &Mlp, frozen_ws: Option<&[PackedBf16]>, xs: &Matrix) -> Matrix {
+    fn mlp_batch(&self, mlp: &Mlp, xs: &Matrix) -> Matrix {
         let last = mlp.layers.len() - 1;
         let mut cur = xs.clone();
         for (i, layer) in mlp.layers.iter().enumerate() {
             let b = self.ps.get(layer.b);
             let act = if i < last { mlp.hidden_act.fused() } else { TensorAct::Identity };
-            cur = match frozen_ws {
-                Some(ws) => cur.matmul_bias_act_bf16(&ws[i], b, act),
-                None => cur.matmul_bias_act(self.ps.get(layer.w), b, act),
-            };
+            cur = cur.matmul_bias_act(self.ps.get(layer.w), b, act);
         }
         cur
     }
@@ -511,47 +430,23 @@ impl Ghn {
         let sigmoid = |t: f32| 1.0 / (1.0 + (-t).exp());
 
         let mut z = self.ps.get(self.gru.bz).row(0).to_vec();
-        match &self.frozen {
-            Some(fz) => {
-                vecmat_acc_bf16(x, &fz.gru_wz, &mut z);
-                vecmat_acc_bf16(h, &fz.gru_uz, &mut z);
-            }
-            None => {
-                vecmat_acc(x, self.ps.get(self.gru.wz), &mut z);
-                vecmat_acc(h, self.ps.get(self.gru.uz), &mut z);
-            }
-        }
+        vecmat_acc(x, self.ps.get(self.gru.wz), &mut z);
+        vecmat_acc(h, self.ps.get(self.gru.uz), &mut z);
         for zi in &mut z {
             *zi = sigmoid(*zi);
         }
 
         let mut r = self.ps.get(self.gru.br).row(0).to_vec();
-        match &self.frozen {
-            Some(fz) => {
-                vecmat_acc_bf16(x, &fz.gru_wr, &mut r);
-                vecmat_acc_bf16(h, &fz.gru_ur, &mut r);
-            }
-            None => {
-                vecmat_acc(x, self.ps.get(self.gru.wr), &mut r);
-                vecmat_acc(h, self.ps.get(self.gru.ur), &mut r);
-            }
-        }
+        vecmat_acc(x, self.ps.get(self.gru.wr), &mut r);
+        vecmat_acc(h, self.ps.get(self.gru.ur), &mut r);
         for ri in &mut r {
             *ri = sigmoid(*ri);
         }
 
         let rh: Vec<f32> = r.iter().zip(h).map(|(ri, hi)| ri * hi).collect();
         let mut hh = self.ps.get(self.gru.bh).row(0).to_vec();
-        match &self.frozen {
-            Some(fz) => {
-                vecmat_acc_bf16(x, &fz.gru_wh, &mut hh);
-                vecmat_acc_bf16(&rh, &fz.gru_uh, &mut hh);
-            }
-            None => {
-                vecmat_acc(x, self.ps.get(self.gru.wh), &mut hh);
-                vecmat_acc(&rh, self.ps.get(self.gru.uh), &mut hh);
-            }
-        }
+        vecmat_acc(x, self.ps.get(self.gru.wh), &mut hh);
+        vecmat_acc(&rh, self.ps.get(self.gru.uh), &mut hh);
         for hi in &mut hh {
             *hi = hi.tanh();
         }
@@ -562,29 +457,13 @@ impl Ghn {
     /// Batched GRU step: `x` and `h` are `n×d`; one fused two-operand
     /// affine per gate for all rows at once.
     fn gru_batch(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        // One fused two-operand affine per gate; the frozen-panel arm is
-        // the same chain through the bf16 kernel entry points.
-        let (mut z, mut r, mut hh, rh);
-        match &self.frozen {
-            Some(fz) => {
-                z = x.matmul_bias_bf16(&fz.gru_wz, self.ps.get(self.gru.bz));
-                h.matmul_acc_act_bf16(&fz.gru_uz, &mut z, TensorAct::Sigmoid);
-                r = x.matmul_bias_bf16(&fz.gru_wr, self.ps.get(self.gru.br));
-                h.matmul_acc_act_bf16(&fz.gru_ur, &mut r, TensorAct::Sigmoid);
-                rh = r.hadamard(h);
-                hh = x.matmul_bias_bf16(&fz.gru_wh, self.ps.get(self.gru.bh));
-                rh.matmul_acc_act_bf16(&fz.gru_uh, &mut hh, TensorAct::Tanh);
-            }
-            None => {
-                z = x.matmul_bias(self.ps.get(self.gru.wz), self.ps.get(self.gru.bz));
-                h.matmul_acc_act(self.ps.get(self.gru.uz), &mut z, TensorAct::Sigmoid);
-                r = x.matmul_bias(self.ps.get(self.gru.wr), self.ps.get(self.gru.br));
-                h.matmul_acc_act(self.ps.get(self.gru.ur), &mut r, TensorAct::Sigmoid);
-                rh = r.hadamard(h);
-                hh = x.matmul_bias(self.ps.get(self.gru.wh), self.ps.get(self.gru.bh));
-                rh.matmul_acc_act(self.ps.get(self.gru.uh), &mut hh, TensorAct::Tanh);
-            }
-        }
+        let mut z = x.matmul_bias(self.ps.get(self.gru.wz), self.ps.get(self.gru.bz));
+        h.matmul_acc_act(self.ps.get(self.gru.uz), &mut z, TensorAct::Sigmoid);
+        let mut r = x.matmul_bias(self.ps.get(self.gru.wr), self.ps.get(self.gru.br));
+        h.matmul_acc_act(self.ps.get(self.gru.ur), &mut r, TensorAct::Sigmoid);
+        let rh = r.hadamard(h);
+        let mut hh = x.matmul_bias(self.ps.get(self.gru.wh), self.ps.get(self.gru.bh));
+        rh.matmul_acc_act(self.ps.get(self.gru.uh), &mut hh, TensorAct::Tanh);
 
         let mut out = h.clone();
         for ((o, &zi), &hi) in out
@@ -616,11 +495,7 @@ impl Ghn {
         let d = self.cfg.hidden_dim;
         let sched = Schedule::new(g, self.cfg.s_max);
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-        let b = self.ps.get(self.embed.b);
-        let mut h = match &self.frozen {
-            Some(fz) => feats.matmul_bias_bf16(&fz.embed_w, b),
-            None => feats.matmul_bias(self.ps.get(self.embed.w), b),
-        };
+        let mut h = feats.matmul_bias(self.ps.get(self.embed.w), self.ps.get(self.embed.b));
 
         for sweep in 0..sweeps {
             // Alternate direction per sweep to mirror fw/bw coverage.
@@ -628,8 +503,8 @@ impl Ghn {
             // Jacobi: every node reads the previous sweep's states, so each
             // state goes through the message MLPs exactly once per sweep —
             // two n×d batched forwards replace the old per-edge calls.
-            let msg_all = self.mlp_batch(&self.msg, self.frozen_msg_ws(), &h);
-            let msg_sp_all = self.mlp_batch(&self.msg_sp, self.frozen_msg_sp_ws(), &h);
+            let msg_all = self.mlp_batch(&self.msg, &h);
+            let msg_sp_all = self.mlp_batch(&self.msg_sp, &h);
             let mut m = Matrix::zeros(n, d);
             for v in 0..n {
                 let neighbors: &[usize] =
@@ -738,36 +613,6 @@ mod tests {
         for (a, b) in batched.iter().zip(&scalar) {
             assert!((a - b).abs() <= 1e-4, "batched {a} vs scalar {b}");
         }
-    }
-
-    #[test]
-    fn bf16_embedding_tracks_f32_and_thaw_is_bit_exact() {
-        let mut rng = Rng::new(31);
-        let mut cfg = GhnConfig::tiny();
-        cfg.t_passes = 2;
-        let mut ghn = Ghn::new(cfg, &mut rng);
-        let g = toy_graph();
-        let sched = Schedule::new(&g, ghn.cfg.s_max);
-        let full = ghn.embed_with_schedule(&g, &sched);
-
-        ghn.set_precision(Precision::Bf16);
-        assert_eq!(ghn.precision(), Precision::Bf16);
-        let quantized = ghn.embed_with_schedule(&g, &sched);
-        for (a, b) in full.iter().zip(&quantized) {
-            assert!(
-                (a - b).abs() <= 1e-2 * a.abs().max(1.0),
-                "bf16 embedding drifted: {a} vs {b}"
-            );
-        }
-        // The synchronous ablation path must run under bf16 too.
-        let sync = ghn.embed_graph_sync(&g, 4);
-        assert!(sync.iter().all(|x| x.is_finite()));
-
-        // Dropping back to f32 restores bit-exact inference: the f32
-        // masters were never touched by freezing.
-        ghn.set_precision(Precision::F32);
-        assert_eq!(ghn.precision(), Precision::F32);
-        assert_eq!(ghn.embed_with_schedule(&g, &sched), full);
     }
 
     #[test]

@@ -68,10 +68,6 @@ pub struct Manifest {
     pub created_unix: u64,
     /// Free-form operator label (e.g. `"nightly-retrain"`).
     pub label: String,
-    /// Inference storage precision the system was published for
-    /// (`"f32"` or `"bf16"`). Manifests written before the field existed
-    /// parse as `"f32"`.
-    pub precision: String,
     /// Every artifact in the version directory, with length + hash.
     pub artifacts: Vec<ArtifactEntry>,
     /// Golden probe set for reload validation (may be empty).
@@ -97,8 +93,6 @@ impl Manifest {
         out.push_str(&format!("  \"created_unix\": {},\n", self.created_unix));
         out.push_str("  \"label\": ");
         push_json_string(&mut out, &self.label);
-        out.push_str(",\n  \"precision\": ");
-        push_json_string(&mut out, &self.precision);
         out.push_str(",\n  \"artifacts\": [");
         for (i, a) in self.artifacts.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -127,6 +121,12 @@ impl Manifest {
     }
 
     /// Parses a manifest previously rendered by [`Manifest::to_json`].
+    ///
+    /// Manifests written while the store still recorded an inference
+    /// `precision` are accepted when it is absent or `"f32"` — the only
+    /// arithmetic this build serves — and refused otherwise: a version
+    /// published at another precision carries probes and a cache snapshot
+    /// computed in arithmetic the loader can no longer reproduce.
     pub fn from_json(input: &str) -> Result<Manifest, String> {
         let v = JsonValue::parse(input)?;
         let format = field_u64(&v, "format")? as u32;
@@ -137,13 +137,12 @@ impl Manifest {
             .and_then(|l| l.as_str())
             .ok_or("manifest: missing string field `label`")?
             .to_string();
-        // Absent in pre-precision manifests: those systems were published
-        // (and must be served) at full precision.
-        let precision = v
-            .get("precision")
-            .and_then(|p| p.as_str())
-            .unwrap_or("f32")
-            .to_string();
+        if let Some(p) = v.get("precision").filter(|p| p.as_str() != Some("f32")) {
+            return Err(format!(
+                "manifest: unsupported `precision` {} (this build serves f32 only)",
+                p.to_json()
+            ));
+        }
         let mut artifacts = Vec::new();
         for a in array_field(&v, "artifacts")? {
             let name = a
@@ -170,7 +169,6 @@ impl Manifest {
             version,
             created_unix,
             label,
-            precision,
             artifacts,
             probes,
         })
@@ -207,7 +205,6 @@ mod tests {
             version: 7,
             created_unix: 1_722_470_400,
             label: "nightly \"retrain\"".to_string(),
-            precision: "bf16".to_string(),
             artifacts: vec![
                 ArtifactEntry {
                     name: "system.json".into(),
@@ -246,7 +243,6 @@ mod tests {
             version: 1,
             created_unix: 0,
             label: String::new(),
-            precision: "f32".to_string(),
             artifacts: vec![],
             probes: vec![],
         };
@@ -268,16 +264,6 @@ mod tests {
                 "cut at {cut} should not parse"
             );
         }
-    }
-
-    #[test]
-    fn missing_precision_parses_as_f32() {
-        // A manifest written before the precision field existed.
-        let mut m = sample();
-        m.precision = "f32".to_string();
-        let legacy = m.to_json().replace("  \"precision\": \"f32\",\n", "");
-        assert!(!legacy.contains("precision"));
-        assert_eq!(Manifest::from_json(&legacy).unwrap(), m);
     }
 
     #[test]

@@ -307,24 +307,11 @@ impl Registry {
         artifacts: &[(String, Vec<u8>)],
         probes: &[ProbeRecord],
     ) -> Result<u64, RegistryError> {
-        self.publish_precision(label, "f32", artifacts, probes)
-    }
-
-    /// [`Registry::publish`] stamping an explicit inference-precision tag
-    /// (`"f32"` / `"bf16"`) into the manifest, so reloaders can restore
-    /// the serving precision the version was validated at.
-    pub fn publish_precision(
-        &self,
-        label: &str,
-        precision: &str,
-        artifacts: &[(String, Vec<u8>)],
-        probes: &[ProbeRecord],
-    ) -> Result<u64, RegistryError> {
         let now = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        self.publish_at_precision(now, label, precision, artifacts, probes)
+        self.publish_at(now, label, artifacts, probes)
     }
 
     /// [`Registry::publish`] with an explicit `created_unix` timestamp,
@@ -333,18 +320,6 @@ impl Registry {
         &self,
         created_unix: u64,
         label: &str,
-        artifacts: &[(String, Vec<u8>)],
-        probes: &[ProbeRecord],
-    ) -> Result<u64, RegistryError> {
-        self.publish_at_precision(created_unix, label, "f32", artifacts, probes)
-    }
-
-    /// [`Registry::publish_at`] with the manifest precision tag.
-    pub fn publish_at_precision(
-        &self,
-        created_unix: u64,
-        label: &str,
-        precision: &str,
         artifacts: &[(String, Vec<u8>)],
         probes: &[ProbeRecord],
     ) -> Result<u64, RegistryError> {
@@ -364,7 +339,6 @@ impl Registry {
             version,
             created_unix,
             label: label.to_string(),
-            precision: precision.to_string(),
             artifacts: entries,
             probes: probes.to_vec(),
         };
@@ -430,7 +404,6 @@ impl Registry {
             version,
             created_unix: 0,
             label: label.to_string(),
-            precision: "f32".to_string(),
             artifacts: entries,
             probes: Vec::new(),
         };

@@ -14,9 +14,7 @@
 //!   logical orientation of the inputs;
 //! * **layout-aware packing**: `A·B`, `A·Bᵀ` and `Aᵀ·B` share one kernel —
 //!   the pack routines absorb the transpose, so no caller ever
-//!   materializes a transposed matrix again — and bf16 `B` operands
-//!   (`BOperand::Bf16`) widen to f32 inside the pack/axpy inner loops,
-//!   so storage precision never forks the compute path;
+//!   materializes a transposed matrix again;
 //! * a reusable [`PackBuffer`] so repeated products (training loops,
 //!   per-request embeddings) stop allocating per call — including the
 //!   pool workers, which keep a thread-local tile workspace instead of
@@ -193,18 +191,6 @@ pub(crate) enum Layout {
     Tn,
 }
 
-/// The `B` operand as handed to [`gemm`]: full-precision, or a bf16
-/// frozen-weight panel widened to f32 inside the pack/axpy inner loops.
-/// bf16 is inference-only and restricted to [`Layout::Nn`] — every
-/// serving-path product is `x·W` with `W` row-major.
-#[derive(Clone, Copy)]
-pub(crate) enum BOperand<'a> {
-    /// Row-major f32, any layout.
-    F32(&'a [f32]),
-    /// Row-major bf16 (`Layout::Nn` only).
-    Bf16(&'a [u16]),
-}
-
 struct GemmMetrics {
     calls: &'static pddl_telemetry::Counter,
     flops: &'static pddl_telemetry::Counter,
@@ -236,7 +222,7 @@ pub(crate) fn gemm(
     n: usize,
     k: usize,
     a: &[f32],
-    b: BOperand<'_>,
+    b: &[f32],
     bias: Option<&[f32]>,
     act: Activation,
     accumulate: bool,
@@ -245,10 +231,6 @@ pub(crate) fn gemm(
     pool: Option<&WorkPool>,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    debug_assert!(
-        matches!(b, BOperand::F32(_)) || layout == Layout::Nn,
-        "bf16 operands are Nn-only (serving-path x·W products)"
-    );
     let metrics = gemm_metrics();
     metrics.calls.inc();
     metrics.flops.add((2 * m * n * k) as u64);
@@ -313,8 +295,7 @@ fn epilogue(
 }
 
 /// Direct kernels for products too small to amortize packing. All three
-/// run unit-stride in their inner loop without touching a transpose;
-/// bf16 `B` rows widen inside the dispatched axpy.
+/// run unit-stride in their inner loop without touching a transpose.
 #[allow(clippy::too_many_arguments)]
 fn small_product(
     kern: &'static Kernels,
@@ -323,23 +304,18 @@ fn small_product(
     n: usize,
     k: usize,
     a: &[f32],
-    b: BOperand<'_>,
+    b: &[f32],
     out: &mut [f32],
 ) {
-    match (layout, b) {
-        (Layout::Nn, BOperand::F32(b)) => {
+    match layout {
+        Layout::Nn => {
             for i in 0..m {
                 // Whole row product in one dispatched call — the axpy
                 // sweep runs inside the backend (see `Kernels::vecmat`).
                 (kern.vecmat)(&a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
             }
         }
-        (Layout::Nn, BOperand::Bf16(b)) => {
-            for i in 0..m {
-                (kern.vecmat_bf16)(&a[i * k..(i + 1) * k], b, &mut out[i * n..(i + 1) * n]);
-            }
-        }
-        (Layout::Nt, BOperand::F32(b)) => {
+        Layout::Nt => {
             for i in 0..m {
                 let a_row = &a[i * k..(i + 1) * k];
                 let out_row = &mut out[i * n..(i + 1) * n];
@@ -348,7 +324,7 @@ fn small_product(
                 }
             }
         }
-        (Layout::Tn, BOperand::F32(b)) => {
+        Layout::Tn => {
             for p in 0..k {
                 let a_col = &a[p * m..(p + 1) * m];
                 let b_row = &b[p * n..(p + 1) * n];
@@ -357,7 +333,6 @@ fn small_product(
                 }
             }
         }
-        (_, BOperand::Bf16(_)) => unreachable!("bf16 operands are Nn-only"),
     }
 }
 
@@ -370,7 +345,7 @@ fn blocked_product(
     n: usize,
     k: usize,
     a: &[f32],
-    b: BOperand<'_>,
+    b: &[f32],
     out: &mut [f32],
     pack: &mut PackBuffer,
     pool: Option<&WorkPool>,
@@ -537,10 +512,8 @@ fn pack_a(layout: Layout, ic: usize, mc: usize, pc: usize, kc: usize, m: usize, 
 }
 
 /// Packs all of logical `B` into per-`KC` slabs of `NR`-column slivers,
-/// zero padding the column remainder. Absorbs the `Nt` transpose; bf16
-/// operands widen to f32 here, so the packed panel — and everything
-/// downstream of it — is precision-agnostic.
-fn pack_b(layout: Layout, n: usize, k: usize, b: BOperand<'_>, pb: &mut [f32]) {
+/// zero padding the column remainder. Absorbs the `Nt` transpose.
+fn pack_b(layout: Layout, n: usize, k: usize, b: &[f32], pb: &mut [f32]) {
     let npad = n.div_ceil(NR) * NR;
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
@@ -551,23 +524,16 @@ fn pack_b(layout: Layout, n: usize, k: usize, b: BOperand<'_>, pb: &mut [f32]) {
             let sliver = &mut slab[js * kc * NR..(js + 1) * kc * NR];
             for p in 0..kc {
                 let dst = &mut sliver[p * NR..(p + 1) * NR];
-                match (layout, b) {
-                    (Layout::Nn | Layout::Tn, BOperand::F32(b)) => {
+                match layout {
+                    Layout::Nn | Layout::Tn => {
                         let src = &b[(pc + p) * n + jcol..(pc + p) * n + jcol + jlim];
                         dst[..jlim].copy_from_slice(src);
                     }
-                    (Layout::Nn, BOperand::Bf16(b)) => {
-                        let src = &b[(pc + p) * n + jcol..(pc + p) * n + jcol + jlim];
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d = crate::bf16::widen_bf16(s);
-                        }
-                    }
-                    (Layout::Nt, BOperand::F32(b)) => {
+                    Layout::Nt => {
                         for (j, d) in dst.iter_mut().enumerate().take(jlim) {
                             *d = b[(jcol + j) * k + pc + p];
                         }
                     }
-                    (_, BOperand::Bf16(_)) => unreachable!("bf16 operands are Nn-only"),
                 }
                 for d in &mut dst[jlim..] {
                     *d = 0.0;

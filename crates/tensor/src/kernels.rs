@@ -5,8 +5,7 @@
 //! never emits AVX or FMA instructions. This module supplies explicit
 //! implementations of the hot inner loops — the `MR×NR` microkernel, the
 //! axpy/dot primitives behind the small-product kernels and
-//! [`crate::vecmat_acc`], the bf16 widening axpy, and the vectorizable
-//! epilogue ops — for:
+//! [`crate::vecmat_acc`], and the vectorizable epilogue ops — for:
 //!
 //! * **AVX2 + FMA** (x86_64), selected when `is_x86_feature_detected!`
 //!   confirms both features at first use;
@@ -86,10 +85,6 @@ pub(crate) struct Kernels {
     /// *inside* the backend so a tiny product (a GHN node update) pays
     /// one indirect call instead of one per weight row.
     pub vecmat: fn(&[f32], &[f32], &mut [f32]),
-    /// [`Kernels::vecmat`] over a row-major bf16 weight panel; each row
-    /// widens to f32 inside the backend's axpy loop (bf16 operands are
-    /// `Nn`-only, so no standalone bf16 axpy entry is needed).
-    pub vecmat_bf16: fn(&[f32], &[u16], &mut [f32]),
     /// Dot product with the 8-lane partial-sum accumulation structure.
     pub dot: fn(&[f32], &[f32]) -> f32,
     /// `row[i] += bias[i]` (exact regardless of backend).
@@ -189,7 +184,6 @@ pub(crate) mod scalar {
         microkernel,
         axpy,
         vecmat,
-        vecmat_bf16,
         dot,
         bias_add,
         relu,
@@ -220,25 +214,10 @@ pub(crate) mod scalar {
     }
 
     #[inline(always)]
-    pub(crate) fn axpy_bf16(a: f32, x: &[u16], y: &mut [f32]) {
-        for (o, &xv) in y.iter_mut().zip(x) {
-            *o += a * crate::bf16::widen_bf16(xv);
-        }
-    }
-
-    #[inline(always)]
     pub(crate) fn vecmat(v: &[f32], w: &[f32], out: &mut [f32]) {
         let n = out.len();
         for (p, &vp) in v.iter().enumerate() {
             axpy(vp, &w[p * n..(p + 1) * n], out);
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn vecmat_bf16(v: &[f32], w: &[u16], out: &mut [f32]) {
-        let n = out.len();
-        for (p, &vp) in v.iter().enumerate() {
-            axpy_bf16(vp, &w[p * n..(p + 1) * n], out);
         }
     }
 
@@ -293,7 +272,6 @@ mod avx2 {
         microkernel,
         axpy,
         vecmat,
-        vecmat_bf16,
         dot,
         bias_add,
         relu,
@@ -313,10 +291,6 @@ mod avx2 {
 
     fn vecmat(v: &[f32], w: &[f32], out: &mut [f32]) {
         unsafe { vecmat_impl(v, w, out) }
-    }
-
-    fn vecmat_bf16(v: &[f32], w: &[u16], out: &mut [f32]) {
-        unsafe { vecmat_bf16_impl(v, w, out) }
     }
 
     fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -380,30 +354,6 @@ mod avx2 {
         }
     }
 
-    /// bf16 rows widen for free inside the FMA stream: 8 `u16` lanes are
-    /// zero-extended to `u32`, shifted into the high half (the exact bf16
-    /// → f32 widening), and bit-cast to packed floats.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpy_bf16_impl(a: f32, x: &[u16], y: &mut [f32]) {
-        let n = y.len().min(x.len());
-        let va = _mm256_set1_ps(a);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            let raw = _mm_loadu_si128(xp.add(i) as *const __m128i);
-            let wide = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(raw));
-            let vx = _mm256_castsi256_ps(wide);
-            let vy = _mm256_loadu_ps(yp.add(i));
-            _mm256_storeu_ps(yp.add(i), _mm256_fmadd_ps(va, vx, vy));
-            i += 8;
-        }
-        while i < n {
-            *yp.add(i) += a * crate::bf16::widen_bf16(*xp.add(i));
-            i += 1;
-        }
-    }
-
     /// The axpy sweep over every weight row inside one feature region, so
     /// `axpy_impl` inlines and the indirect call amortizes over the whole
     /// product.
@@ -412,14 +362,6 @@ mod avx2 {
         let n = out.len();
         for (p, &vp) in v.iter().enumerate() {
             axpy_impl(vp, &w[p * n..(p + 1) * n], out);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn vecmat_bf16_impl(v: &[f32], w: &[u16], out: &mut [f32]) {
-        let n = out.len();
-        for (p, &vp) in v.iter().enumerate() {
-            axpy_bf16_impl(vp, &w[p * n..(p + 1) * n], out);
         }
     }
 
@@ -504,7 +446,6 @@ mod neon {
         microkernel,
         axpy,
         vecmat,
-        vecmat_bf16,
         dot,
         bias_add,
         relu,
@@ -580,43 +521,12 @@ mod neon {
         }
     }
 
-    fn axpy_bf16(a: f32, x: &[u16], y: &mut [f32]) {
-        unsafe {
-            let n = y.len().min(x.len());
-            let va = vdupq_n_f32(a);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                // Zero-extend 4 u16 lanes and shift into the f32 high
-                // half — the exact bf16 → f32 widening.
-                let raw = vld1_u16(xp.add(i));
-                let wide = vshlq_n_u32::<16>(vmovl_u16(raw));
-                let vx = vreinterpretq_f32_u32(wide);
-                let vy = vld1q_f32(yp.add(i));
-                vst1q_f32(yp.add(i), vfmaq_f32(vy, va, vx));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) += a * crate::bf16::widen_bf16(*xp.add(i));
-                i += 1;
-            }
-        }
-    }
-
     // NEON is baseline on aarch64, so these plain fns inline the axpy
     // bodies directly — one indirect call per whole product.
     fn vecmat(v: &[f32], w: &[f32], out: &mut [f32]) {
         let n = out.len();
         for (p, &vp) in v.iter().enumerate() {
             axpy(vp, &w[p * n..(p + 1) * n], out);
-        }
-    }
-
-    fn vecmat_bf16(v: &[f32], w: &[u16], out: &mut [f32]) {
-        let n = out.len();
-        for (p, &vp) in v.iter().enumerate() {
-            axpy_bf16(vp, &w[p * n..(p + 1) * n], out);
         }
     }
 
@@ -731,21 +641,11 @@ mod tests {
         let (k, n) = (13, 21);
         let v: Vec<f32> = (0..k).map(|i| (i as f32 * 0.29).cos()).collect();
         let w: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.13).sin()).collect();
-        let wq: Vec<u16> = w.iter().map(|&x| crate::bf16::quantize_bf16(x)).collect();
         let mut out_simd = vec![0.5f32; n];
         let mut out_ref = out_simd.clone();
         (active().vecmat)(&v, &w, &mut out_simd);
         scalar::vecmat(&v, &w, &mut out_ref);
         for (a, b) in out_simd.iter().zip(&out_ref) {
-            assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
-        }
-        // bf16 entry widens before the multiply, so dispatched-vs-scalar
-        // stays within the same fma-only tolerance.
-        let mut q_simd = vec![0.5f32; n];
-        let mut q_ref = q_simd.clone();
-        (active().vecmat_bf16)(&v, &wq, &mut q_simd);
-        scalar::vecmat_bf16(&v, &wq, &mut q_ref);
-        for (a, b) in q_simd.iter().zip(&q_ref) {
             assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
         }
     }

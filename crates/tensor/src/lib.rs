@@ -18,20 +18,17 @@
 //!   partition never depends on it;
 //! * the hot inner loops dispatch at runtime to explicit AVX2/FMA or
 //!   NEON implementations ([`kernels`]), with the scalar loops kept as
-//!   the portable fallback and equivalence oracle, and [`bf16`] supplies
-//!   the frozen-weight storage for mixed-precision inference;
+//!   the portable fallback and equivalence oracle;
 //! * all randomness goes through [`rng::Rng`], a seeded xoshiro256**, so every
 //!   experiment in the workspace is reproducible bit-for-bit.
 
-pub mod bf16;
 pub mod gemm;
 pub mod kernels;
 pub mod linalg;
 pub mod matrix;
 pub mod rng;
 
-pub use bf16::{quantize_bf16, widen_bf16, PackedBf16, Precision};
 pub use gemm::{Activation, PackBuffer};
 pub use kernels::{backend, set_force_scalar, KernelBackend};
-pub use matrix::{vecmat_acc, vecmat_acc_bf16, Matrix};
+pub use matrix::{vecmat_acc, Matrix};
 pub use rng::Rng;

@@ -1,8 +1,7 @@
 //! Row-major dense `f32` matrix with the operation set needed by the
 //! autodiff engine and the regression library.
 
-use crate::bf16::PackedBf16;
-use crate::gemm::{self, Activation, BOperand, Layout, PackBuffer};
+use crate::gemm::{self, Activation, Layout, PackBuffer};
 use crate::kernels;
 use crate::rng::Rng;
 use pddl_par::WorkPool;
@@ -215,12 +214,7 @@ impl Matrix {
     /// macro-tiles over the global `pddl_par` pool above
     /// [`gemm::PAR_MADDS`] multiply-adds.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.assert_inner(other);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm::with_thread_pack(|pack| {
-            self.gemm_nn(other, None, Activation::Identity, false, &mut out, pack, Some(&WorkPool::global()));
-        });
-        out
+        self.matmul_pooled(other, &WorkPool::global())
     }
 
     /// [`Matrix::matmul`] with a caller-owned [`PackBuffer`], running
@@ -285,7 +279,7 @@ impl Matrix {
                 n,
                 k,
                 &self.data,
-                BOperand::F32(&other.data),
+                &other.data,
                 None,
                 Activation::Identity,
                 false,
@@ -310,7 +304,7 @@ impl Matrix {
                 n,
                 k,
                 &self.data,
-                BOperand::F32(&other.data),
+                &other.data,
                 None,
                 Activation::Identity,
                 false,
@@ -383,7 +377,7 @@ impl Matrix {
             other.cols,
             self.cols,
             &self.data,
-            BOperand::F32(&other.data),
+            &other.data,
             bias,
             act,
             accumulate,
@@ -391,68 +385,6 @@ impl Matrix {
             pack,
             pool,
         );
-    }
-
-    /// Fused `act(self·other + bias)` against a bf16 frozen-weight panel:
-    /// the serving-path affine forward when a checkpoint was loaded with
-    /// `--precision bf16`. Weights widen to f32 inside the kernel layer;
-    /// activations, bias, and the output stay f32 throughout.
-    pub fn matmul_bias_act_bf16(&self, other: &PackedBf16, bias: &Matrix, act: Activation) -> Matrix {
-        assert_eq!(self.cols, other.rows(), "matmul_bias_act_bf16 inner dim mismatch");
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, other.cols(), "bias width mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols());
-        gemm::with_thread_pack(|pack| {
-            gemm::gemm(
-                Layout::Nn,
-                self.rows,
-                other.cols(),
-                self.cols,
-                &self.data,
-                BOperand::Bf16(other.data()),
-                Some(bias.as_slice()),
-                act,
-                false,
-                &mut out.data,
-                pack,
-                Some(&WorkPool::global()),
-            );
-        });
-        out
-    }
-
-    /// `self·other + bias` against a bf16 panel
-    /// ([`Matrix::matmul_bias_act_bf16`] with the identity activation).
-    pub fn matmul_bias_bf16(&self, other: &PackedBf16, bias: &Matrix) -> Matrix {
-        self.matmul_bias_act_bf16(other, bias, Activation::Identity)
-    }
-
-    /// Fused accumulate against a bf16 panel: `out = act(out + self·other)`
-    /// — the bf16 twin of [`Matrix::matmul_acc_act`] for the GRU gates'
-    /// two-operand affine forms.
-    pub fn matmul_acc_act_bf16(&self, other: &PackedBf16, out: &mut Matrix, act: Activation) {
-        assert_eq!(self.cols, other.rows(), "matmul_acc_act_bf16 inner dim mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, other.cols()),
-            "matmul_acc_act_bf16 output shape mismatch"
-        );
-        gemm::with_thread_pack(|pack| {
-            gemm::gemm(
-                Layout::Nn,
-                self.rows,
-                other.cols(),
-                self.cols,
-                &self.data,
-                BOperand::Bf16(other.data()),
-                None,
-                act,
-                true,
-                &mut out.data,
-                pack,
-                Some(&WorkPool::global()),
-            );
-        });
     }
 
     /// Matrix–vector product `self · v`.
@@ -618,15 +550,6 @@ pub fn vecmat_acc(v: &[f32], w: &Matrix, out: &mut [f32]) {
     assert_eq!(v.len(), w.rows(), "vecmat_acc inner dim mismatch");
     assert_eq!(out.len(), w.cols(), "vecmat_acc output dim mismatch");
     (kernels::active().vecmat)(v, w.as_slice(), out);
-}
-
-/// [`vecmat_acc`] against a bf16 frozen-weight panel: each weight row
-/// widens to f32 inside the dispatched axpy, so the per-node GRU update
-/// keeps its allocation-free shape under `--precision bf16`.
-pub fn vecmat_acc_bf16(v: &[f32], w: &PackedBf16, out: &mut [f32]) {
-    assert_eq!(v.len(), w.rows(), "vecmat_acc_bf16 inner dim mismatch");
-    assert_eq!(out.len(), w.cols(), "vecmat_acc_bf16 output dim mismatch");
-    (kernels::active().vecmat_bf16)(v, w.data(), out);
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -11,7 +11,7 @@
 //! in exact bits: same inputs, any pool size, same output.
 
 use pddl_par::WorkPool;
-use pddl_tensor::{Activation, KernelBackend, Matrix, PackBuffer, PackedBf16, Rng};
+use pddl_tensor::{Activation, KernelBackend, Matrix, PackBuffer, Rng};
 use std::sync::Mutex;
 
 /// Serializes tests that flip the process-global kernel backend (or that
@@ -208,70 +208,6 @@ fn dispatch_matrix_backends_agree_across_layouts_and_epilogues() {
             }
         }
     }
-}
-
-/// bf16 storage is a *pure storage* change: widening the quantized panel
-/// back to f32 and running the f32 path produces bit-identical results to
-/// the bf16 entry points, because the kernel layer widens to f32 before
-/// any arithmetic. Against the original f32 weights the drift is bounded
-/// by bf16's 2⁻⁸ relative quantization step.
-#[test]
-fn bf16_matmul_is_exactly_widened_f32_and_tracks_original() {
-    let _lock = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = Rng::new(0xBF16);
-    // Shapes crossing the small/vecmat and blocked dispatch boundaries.
-    for &(m, k, n) in &[(1usize, 24usize, 48usize), (5, 33, 17), (64, 64, 64), (96, 128, 80)] {
-        let a = Matrix::rand_normal(m, k, 1.0, &mut rng);
-        let w = Matrix::rand_normal(k, n, 1.0, &mut rng);
-        let bias = Matrix::rand_normal(1, n, 1.0, &mut rng);
-        let packed = PackedBf16::from_matrix(&w);
-        let widened = packed.to_matrix();
-        for act in [Activation::Identity, Activation::Relu, Activation::Sigmoid] {
-            let via_bf16 = a.matmul_bias_act_bf16(&packed, &bias, act);
-            let via_widened = a.matmul_bias_act(&widened, &bias, act);
-            assert_eq!(
-                bits(&via_bf16),
-                bits(&via_widened),
-                "{m}x{k}x{n} {act:?}: bf16 path must equal widened-f32 path exactly"
-            );
-            let vs_f32 = a.matmul_bias_act(&w, &bias, act);
-            let err = rel_err(&via_bf16, &vs_f32);
-            // k accumulated terms each perturbed ≤2⁻⁹ on average (RNE):
-            // for unit-normal factors the absolute drift is bounded by
-            // Σ|aᵢwᵢ|·2⁻⁹ ≈ 0.64·k/512, so gate at k/512 with the
-            // rel_err scale floor of 1.0 absorbing small outputs.
-            let bound = k as f32 / 512.0;
-            assert!(
-                err <= bound,
-                "{m}x{k}x{n} {act:?}: bf16 drift {err} vs f32 (bound {bound})"
-            );
-        }
-        // Accumulating entry point (the GRU gate form).
-        let mut acc_bf16 = a.matmul_bias_bf16(&packed, &bias);
-        let mut acc_f32 = a.matmul_bias(&widened, &bias);
-        assert_eq!(bits(&acc_bf16), bits(&acc_f32));
-        a.matmul_acc_act_bf16(&packed, &mut acc_bf16, Activation::Sigmoid);
-        a.matmul_acc_act(&widened, &mut acc_f32, Activation::Sigmoid);
-        assert_eq!(bits(&acc_bf16), bits(&acc_f32), "{m}x{k}x{n}: accumulate path");
-    }
-}
-
-#[test]
-fn vecmat_acc_bf16_matches_widened_f32_exactly() {
-    let _lock = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rng = Rng::new(0x7EC2);
-    let w = Matrix::rand_normal(37, 19, 1.0, &mut rng);
-    let packed = PackedBf16::from_matrix(&w);
-    let widened = packed.to_matrix();
-    let v: Vec<f32> = (0..37).map(|_| rng.normal()).collect();
-    let mut via_bf16 = vec![0.25f32; 19];
-    let mut via_widened = via_bf16.clone();
-    pddl_tensor::vecmat_acc_bf16(&v, &packed, &mut via_bf16);
-    pddl_tensor::vecmat_acc(&v, &widened, &mut via_widened);
-    assert_eq!(
-        via_bf16.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        via_widened.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-    );
 }
 
 #[test]

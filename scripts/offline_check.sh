@@ -208,14 +208,17 @@ case "${1:-check}" in
   test-registry)
     # The crash-safe store is plain std, so its seeded torn-write /
     # recovery / retention unit suite runs for real offline, as do the
-    # tier's serde-free tests (the seeded crash sweep over raw artifacts
-    # and the golden manifest fixture). The checkpoint/TCP-reload tests
-    # need serde at runtime, so offline they are type-checked only and
-    # execute in networked CI.
+    # tier's serde-free tests (the seeded crash sweep over raw artifacts,
+    # the golden manifest fixture, and the old-manifest `precision`
+    # handling). The checkpoint/TCP-reload tests need serde at runtime,
+    # so offline they are type-checked only and execute in networked CI.
     cargo test -p pddl-registry --offline
     cargo test -p predictddl --offline --test registry -- \
       open_recovers_newest_verifiable_version_for_every_seed \
-      manifest_format_matches_golden_fixture
+      manifest_format_matches_golden_fixture \
+      parent_format_f32_precision_round_trips \
+      unsupported_precision_is_refused_with_reason \
+      open_quarantines_version_published_at_unsupported_precision
     cargo check -p predictddl --offline --test registry
     ;;
   test-sched)

@@ -322,7 +322,6 @@ fn golden_manifest() -> Manifest {
         version: 42,
         created_unix: 1_722_470_400,
         label: "nightly \"retrain\" #7".to_string(),
-        precision: "bf16".to_string(),
         artifacts: vec![
             ArtifactEntry { name: "system.json".into(), len: 8192, fnv1a: 0xcbf2_9ce4_8422_2325 },
             ArtifactEntry { name: "embed_cache.json".into(), len: 517, fnv1a: 0x0100_0000_01b3_0000 },
@@ -337,6 +336,10 @@ fn golden_manifest() -> Manifest {
 /// Pins the on-disk manifest JSON byte-for-byte. A failing diff means the
 /// checkpoint format changed: bump `FORMAT_VERSION` (old readers must
 /// reject newer manifests) and regenerate with `PDDL_REGEN_GOLDEN=1`.
+///
+/// The fixture lost its `precision` line without a `FORMAT_VERSION` bump:
+/// every v1 reader already parses a manifest without the key as f32, and
+/// f32 is the only precision a writer can now publish.
 #[test]
 fn manifest_format_matches_golden_fixture() {
     let rendered = golden_manifest().to_json();
@@ -361,4 +364,60 @@ fn manifest_format_matches_golden_fixture() {
     );
     // And the pinned bytes still parse back to the same manifest.
     assert_eq!(Manifest::from_json(&stored).unwrap(), golden_manifest());
+}
+
+/// `json` as the parent format wrote it: with a `precision` line between
+/// the label and the artifact list.
+fn stamp_precision(json: &str, precision: &str) -> String {
+    let stamped = json.replace(
+        "  \"artifacts\"",
+        &format!("  \"precision\": \"{precision}\",\n  \"artifacts\""),
+    );
+    assert_ne!(stamped, json, "artifacts line moved: {json}");
+    stamped
+}
+
+/// Manifests come from disk: one a parent build stamped `"f32"` reads
+/// back as exactly the manifest this build would have written.
+#[test]
+fn parent_format_f32_precision_round_trips() {
+    let old = stamp_precision(&golden_manifest().to_json(), "f32");
+    assert_eq!(Manifest::from_json(&old).unwrap(), golden_manifest());
+}
+
+/// Any other precision is refused by name — never served as f32 by guess.
+#[test]
+fn unsupported_precision_is_refused_with_reason() {
+    let err = Manifest::from_json(&stamp_precision(&golden_manifest().to_json(), "bf16")).unwrap_err();
+    assert!(err.contains("`precision`") && err.contains("\"bf16\""), "got: {err}");
+}
+
+/// A store holding an f32 version and a newer one a parent build published
+/// at bf16 opens on the f32 one; the other goes to `quarantine/` intact
+/// (its probes and cache snapshot were computed in arithmetic this build
+/// cannot reproduce).
+#[test]
+fn open_quarantines_version_published_at_unsupported_precision() {
+    let arts = raw_artifacts();
+    let root = unique_root("precision");
+    let (good, newer) = {
+        let (reg, _) = Registry::open(&root, 0).unwrap();
+        (reg.publish("f32", &arts, &[]).unwrap(), reg.publish("bf16", &arts, &[]).unwrap())
+    };
+    let manifest_path = root.join(format!("v{newer:04}")).join("manifest.json");
+    let json = std::fs::read_to_string(&manifest_path).unwrap();
+    std::fs::write(&manifest_path, stamp_precision(&json, "bf16")).unwrap();
+
+    let (reg, report) = Registry::open(&root, 0).unwrap();
+    assert_eq!(report.recovered, Some(good));
+    assert_eq!(reg.latest(), Some(good));
+    assert_eq!(report.quarantined.len(), 1);
+    let (version, reason) = &report.quarantined[0];
+    assert_eq!(*version, newer);
+    assert!(reason.starts_with("manifest_invalid:") && reason.contains("precision"), "got: {reason}");
+    let kept = root.join("quarantine").join(format!("v{newer:04}-manifest_invalid"));
+    for (name, bytes) in &arts {
+        assert_eq!(&std::fs::read(kept.join(name)).unwrap(), bytes, "{name} kept, not deleted");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -6,7 +6,6 @@
 
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::Workload;
-use pddl_tensor::Precision;
 use pddl_zoo::dataset::dataset_by_name;
 use pddl_zoo::{build_model, model_names, CIFAR10};
 use predictddl::{
@@ -118,14 +117,6 @@ fn predict_is_bit_identical_to_the_stepwise_pipeline_and_needs_no_invalidation()
     system.cache = EmbeddingCache::default();
     assert_eq!(assert_matches_stepwise(&system, &reqs), first);
     assert_eq!(system.cache.stats().computes, n);
-
-    // Precision changes drop the cache as before and thaw bit-exactly.
-    system.set_precision(Precision::Bf16);
-    let quantized = assert_matches_stepwise(&system, &reqs);
-    assert_eq!(system.cache.stats().computes, n);
-    assert_ne!(quantized, first, "bf16 weights must be visible in the predictions");
-    system.set_precision(Precision::F32);
-    assert_eq!(assert_matches_stepwise(&system, &reqs), first);
 
     // A hot reload swaps the whole system under the same process-wide
     // table: requests pinned afterwards are answered by the new model.
