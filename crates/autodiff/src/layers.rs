@@ -1,17 +1,39 @@
 //! Neural-network building blocks used by GHN-2 and the MLP regressor.
 
 use crate::tape::{ParamId, ParamStore, Tape, Var};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use pddl_tensor::Rng;
 
-use serde::{Deserialize, Serialize};
-
 /// Affine layer `y = x·W + b`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     pub w: ParamId,
     pub b: ParamId,
     pub in_dim: usize,
     pub out_dim: usize,
+}
+
+impl ToJson for Linear {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("w", &self.w)
+            .field("b", &self.b)
+            .field("in_dim", &self.in_dim)
+            .field("out_dim", &self.out_dim)
+            .end();
+    }
+}
+
+impl FromJson for Linear {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            w: o.field("w")?,
+            b: o.field("b")?,
+            in_dim: o.field("in_dim")?,
+            out_dim: o.field("out_dim")?,
+        })
+    }
 }
 
 impl Linear {
@@ -35,13 +57,28 @@ impl Linear {
 }
 
 /// Activation choices for [`Mlp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Activation {
     Relu,
     Tanh,
     Sigmoid,
     /// No nonlinearity (used on output layers).
     Identity,
+}
+
+impl ToJson for Activation {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.unit_variant(self);
+    }
+}
+
+impl FromJson for Activation {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        json::read_unit_variant(
+            v,
+            &[Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity],
+        )
+    }
 }
 
 impl Activation {
@@ -56,7 +93,7 @@ impl Activation {
     }
 
     /// The tensor-crate activation this maps to in fused GEMM epilogues.
-    /// This enum stays the serde-stable config surface; the tensor enum is
+    /// This enum stays the persisted config surface; the tensor enum is
     /// the compute-side type.
     pub fn fused(self) -> pddl_tensor::Activation {
         match self {
@@ -72,10 +109,26 @@ impl Activation {
 ///
 /// The GHN message function MLP(·) from Eq. (3)/(4) of the paper and the
 /// decoder heads are instances of this type.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     pub layers: Vec<Linear>,
     pub hidden_act: Activation,
+}
+
+impl ToJson for Mlp {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("layers", &self.layers)
+            .field("hidden_act", &self.hidden_act)
+            .end();
+    }
+}
+
+impl FromJson for Mlp {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { layers: o.field("layers")?, hidden_act: o.field("hidden_act")? })
+    }
 }
 
 impl Mlp {
@@ -128,7 +181,7 @@ impl Mlp {
 /// ĥ  = tanh(x·Wh + (r ⊙ h)·Uh + bh)
 /// h' = (1 − z) ⊙ h + z ⊙ ĥ
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GruCell {
     pub wz: ParamId,
     pub uz: ParamId,
@@ -141,6 +194,43 @@ pub struct GruCell {
     pub bh: ParamId,
     pub input_dim: usize,
     pub state_dim: usize,
+}
+
+impl ToJson for GruCell {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("wz", &self.wz)
+            .field("uz", &self.uz)
+            .field("bz", &self.bz)
+            .field("wr", &self.wr)
+            .field("ur", &self.ur)
+            .field("br", &self.br)
+            .field("wh", &self.wh)
+            .field("uh", &self.uh)
+            .field("bh", &self.bh)
+            .field("input_dim", &self.input_dim)
+            .field("state_dim", &self.state_dim)
+            .end();
+    }
+}
+
+impl FromJson for GruCell {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            wz: o.field("wz")?,
+            uz: o.field("uz")?,
+            bz: o.field("bz")?,
+            wr: o.field("wr")?,
+            ur: o.field("ur")?,
+            br: o.field("br")?,
+            wh: o.field("wh")?,
+            uh: o.field("uh")?,
+            bh: o.field("bh")?,
+            input_dim: o.field("input_dim")?,
+            state_dim: o.field("state_dim")?,
+        })
+    }
 }
 
 impl GruCell {

@@ -1,22 +1,50 @@
 //! The tape: parameter store, recorded operations, and the backward pass.
 
 use pddl_tensor::{Activation, Matrix, Rng};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 
 /// Handle to a persistent trainable parameter in a [`ParamStore`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub usize);
+
+impl ToJson for ParamId {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.0.write_json(w);
+    }
+}
+
+impl FromJson for ParamId {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        usize::read_json(v).map(ParamId)
+    }
+}
 
 /// Handle to a value on a [`Tape`]. Valid only for the tape that produced it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Var(usize);
 
 /// Owns the trainable parameters of a model across forward passes.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     values: Vec<Matrix>,
     names: Vec<String>,
+}
+
+impl ToJson for ParamStore {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("values", &self.values)
+            .field("names", &self.names)
+            .end();
+    }
+}
+
+impl FromJson for ParamStore {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { values: o.field("values")?, names: o.field("names")? })
+    }
 }
 
 impl ParamStore {

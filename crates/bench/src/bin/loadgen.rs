@@ -22,14 +22,13 @@
 //! Three transports:
 //!
 //! * `--transport inproc` (default): clients call
-//!   [`predictddl::ServePool`] directly. No sockets, no JSON, no serde at
-//!   runtime — this is the mode the offline build container runs to
-//!   produce the committed baseline, and it isolates the serving core's
-//!   own overhead.
+//!   [`predictddl::ServePool`] directly. No sockets, no JSON — this is
+//!   the mode that produces the committed baseline, and it isolates the
+//!   serving core's own overhead.
 //! * `--transport tcp`: a full controller is served on an ephemeral port
 //!   and clients use [`predictddl::ControllerClient::connect_resilient`],
 //!   measuring the wire stack end-to-end (retries and overload replies
-//!   included). Requires a network-enabled environment (CI).
+//!   included) over loopback.
 //! * `--transport fleet`: the sharded-serving benchmark — N in-process
 //!   shard pools behind the router's real [`pddl_router::HashRing`] and
 //!   [`pddl_router::routing_key`], writing `BENCH_shard.json` instead
@@ -37,9 +36,8 @@
 //!   shard-kill phase with exactly-once accounting). Each request pays a
 //!   `--service-us` floor, modelling shards whose capacity is
 //!   accelerator/IO-bound, so fleet scaling is measurable on the
-//!   single-core offline runner. Like `inproc`, it needs no sockets and
-//!   no serde — it is the mode that produces the committed
-//!   `BENCH_shard.json` baseline.
+//!   single-core runner. Like `inproc`, it needs no sockets — it is the
+//!   mode that produces the committed `BENCH_shard.json` baseline.
 //!
 //! ```text
 //! pddl-loadgen [--transport inproc|tcp] [--clients 8] [--requests 100]

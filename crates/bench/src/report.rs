@@ -4,8 +4,8 @@
 //! under a low-rate phase (expected: zero sheds) and a saturation phase
 //! (expected: nonzero sheds) and renders one [`ServeReport`] as the first
 //! point on the repository's perf trajectory. The JSON is rendered by
-//! hand — deterministic field order, fixed float precision, no serde on
-//! the hot path — so the shape can be pinned mechanically: the golden
+//! hand — deterministic field order, fixed float precision — so the
+//! shape can be pinned mechanically: the golden
 //! schema test (`crates/bench/tests/bench_schema.rs`) compares
 //! [`schema_paths`] of a rendered report against
 //! `tests/fixtures/bench_serve_schema.json`, and future PRs diff

@@ -19,8 +19,7 @@
 //! On an intentional schema change, regenerate with
 //! `PDDL_REGEN_GOLDEN=1 cargo test -p pddl-bench --test bench_schema`
 //! and review the fixture diff like any other code change. Fixtures are
-//! parsed with `pddl_telemetry::JsonValue`, so this test runs even where
-//! serde_json is stubbed out.
+//! parsed with `pddl_telemetry::JsonValue`.
 
 use pddl_bench::report::{
     schema_paths, EmbedE2e, GemmCase, LatencySummary, PhaseReport, ServeReport, ShedReasons,

@@ -11,7 +11,9 @@
 //! so a fixed-size pool would starve once the cluster outgrew it; the
 //! paper's pool likewise scales with the servers being collected from).
 //! Collector threads parse JSON-line messages and update a shared inventory
-//! behind a `parking_lot::RwLock`. [`CollectorServer::snapshot`] produces
+//! behind a `std::sync::RwLock` (a guard poisoned by a panicking collector
+//! thread is recovered, not propagated: one bad connection must not take
+//! the inventory down). [`CollectorServer::snapshot`] produces
 //! the [`ClusterState`] consumed by the Inference Engine.
 //!
 //! ## Degradation & chaos
@@ -25,11 +27,12 @@
 //! deterministic fault injectors so integration tests and the CLI can run
 //! identical chaos schedules.
 
-use crate::protocol::{read_msg, read_msg_bounded, write_msg, ClientMsg, ServerMsg, WireError, MAX_FRAME_BYTES};
+use crate::protocol::{
+    read_msg_bounded, write_msg, ClientMsg, ServerMsg, WireError, MAX_FRAME_BYTES,
+};
 use crate::retry::{is_transient, Backoff, RetryPolicy};
 use crate::spec::ServerSpec;
 use crate::state::{ClusterState, ServerStatus};
-use parking_lot::RwLock;
 use pddl_faults::{Direction, FaultPlan, FaultyRead, FaultyWrite};
 use pddl_telemetry::trace::{flight_recorder, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
@@ -37,7 +40,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -87,9 +90,9 @@ fn metrics() -> &'static Metrics {
 fn write_inventory<'a>(
     inv: &'a RwLock<Inventory>,
     m: &Metrics,
-) -> parking_lot::RwLockWriteGuard<'a, Inventory> {
+) -> RwLockWriteGuard<'a, Inventory> {
     let t0 = Instant::now();
-    let guard = inv.write();
+    let guard = inv.write().unwrap_or_else(PoisonError::into_inner);
     m.lock_wait.record_duration(t0.elapsed());
     guard
 }
@@ -189,7 +192,7 @@ impl CollectorServer {
 
     /// Number of currently registered servers (live or stale).
     pub fn num_registered(&self) -> usize {
-        self.inventory.read().servers.len()
+        self.inventory.read().unwrap_or_else(PoisonError::into_inner).servers.len()
     }
 
     /// Current cluster snapshot, hostname-sorted for determinism. Servers
@@ -201,7 +204,7 @@ impl CollectorServer {
         let stale_after =
             Duration::from_millis(self.stale_after_ms.load(Ordering::Relaxed));
         let now = Instant::now();
-        let inv = self.inventory.read();
+        let inv = self.inventory.read().unwrap_or_else(PoisonError::into_inner);
         let mut stale = 0i64;
         let mut servers: Vec<ServerStatus> = inv
             .servers
@@ -509,7 +512,21 @@ impl CollectorClient {
     }
 
     fn expect_ack(&mut self) -> std::io::Result<()> {
-        match read_msg::<ServerMsg>(&mut self.reader)? {
+        let reply = match read_msg_bounded::<ServerMsg>(&mut self.reader, MAX_FRAME_BYTES) {
+            // A reply frame torn or corrupted in transit is a transport
+            // failure, not the collector's verdict: the stream can no
+            // longer be trusted, so surface it as a (transient) abort and
+            // let the retry loop reconnect — `InvalidData` stays reserved
+            // for the collector's own `Error` reply below.
+            Err(WireError::Malformed { detail }) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionAborted,
+                    format!("collector reply corrupted in transit: {detail}"),
+                ))
+            }
+            other => other?,
+        };
+        match reply {
             Some(ServerMsg::Ack) => Ok(()),
             Some(ServerMsg::Error { reason }) => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -526,6 +543,7 @@ impl CollectorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_msg;
     use crate::spec::ServerClass;
 
     fn spec(name: &str, class: ServerClass) -> ServerSpec {
@@ -727,6 +745,45 @@ mod tests {
         let snap = server.snapshot();
         assert_eq!(snap.num_servers(), 1);
         assert!((snap.servers[0].cpu_util - 0.5).abs() < 1e-9);
+    }
+
+    /// A collector whose first heartbeat ack is cut off mid-frame (what a
+    /// `truncate` fault does to a reply); later connections behave.
+    fn collector_with_one_torn_ack() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for (n, conn) in listener.incoming().enumerate() {
+                let Ok(mut w) = conn else { break };
+                let mut r = BufReader::new(w.try_clone().unwrap());
+                let _register: Option<ClientMsg> = read_msg(&mut r).unwrap();
+                write_msg(&mut w, &ServerMsg::Ack).unwrap();
+                let _heartbeat: Option<ClientMsg> = read_msg(&mut r).unwrap();
+                if n == 0 {
+                    w.write_all(b"{\"type\":\"a").unwrap();
+                } else {
+                    write_msg(&mut w, &ServerMsg::Ack).unwrap();
+                }
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn torn_ack_is_a_transient_failure_and_is_retried() {
+        let addr = collector_with_one_torn_ack();
+        let mut plain = CollectorClient::register(addr, spec("n", ServerClass::GpuP100)).unwrap();
+        let err = plain.heartbeat(0.3, 0).unwrap_err();
+        assert!(is_transient(&err), "a torn reply is the transport's fault: {err}");
+
+        let addr = collector_with_one_torn_ack();
+        let mut c = CollectorClient::register_with_retry(
+            addr,
+            spec("n", ServerClass::GpuP100),
+            RetryPolicy::fast(3),
+        )
+        .unwrap();
+        c.heartbeat(0.3, 0).expect("reconnects past the torn ack");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Wire protocol of the Cluster Resource Collector: newline-delimited JSON.
 
 use crate::spec::ServerSpec;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::io::{BufRead, Write};
 
-/// Client → server messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+/// Client → server messages: one object, tagged by `"type"`.
+#[derive(Clone, Debug, PartialEq)]
 pub enum ClientMsg {
     /// First message after connecting: "every new server that joins the
     /// cluster notifies the Cluster Resource Collector with details about
@@ -18,14 +17,67 @@ pub enum ClientMsg {
     Leave { hostname: String },
 }
 
-/// Server → client messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+impl ToJson for ClientMsg {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            ClientMsg::Register { spec } => o.field("type", "register").field("spec", spec),
+            ClientMsg::Heartbeat { hostname, cpu_util, gpus_busy } => o
+                .field("type", "heartbeat")
+                .field("hostname", hostname)
+                .field("cpu_util", cpu_util)
+                .field("gpus_busy", gpus_busy),
+            ClientMsg::Leave { hostname } => o.field("type", "leave").field("hostname", hostname),
+        }
+        .end();
+    }
+}
+
+impl FromJson for ClientMsg {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        match o.field::<String>("type")?.as_str() {
+            "register" => Ok(ClientMsg::Register { spec: o.field("spec")? }),
+            "heartbeat" => Ok(ClientMsg::Heartbeat {
+                hostname: o.field("hostname")?,
+                cpu_util: o.field("cpu_util")?,
+                gpus_busy: o.field("gpus_busy")?,
+            }),
+            "leave" => Ok(ClientMsg::Leave { hostname: o.field("hostname")? }),
+            other => Err(JsonError::unknown_variant(other)),
+        }
+    }
+}
+
+/// Server → client messages: one object, tagged by `"type"`.
+#[derive(Clone, Debug, PartialEq)]
 pub enum ServerMsg {
     /// Registration accepted.
     Ack,
     /// Malformed or out-of-order message.
     Error { reason: String },
+}
+
+impl ToJson for ServerMsg {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            ServerMsg::Ack => o.field("type", "ack"),
+            ServerMsg::Error { reason } => o.field("type", "error").field("reason", reason),
+        }
+        .end();
+    }
+}
+
+impl FromJson for ServerMsg {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        match o.field::<String>("type")?.as_str() {
+            "ack" => Ok(ServerMsg::Ack),
+            "error" => Ok(ServerMsg::Error { reason: o.field("reason")? }),
+            other => Err(JsonError::unknown_variant(other)),
+        }
+    }
 }
 
 /// Upper bound on a single wire frame (one JSON line), applied by
@@ -84,18 +136,27 @@ impl From<WireError> for std::io::Error {
 }
 
 /// Writes one message as a JSON line.
-pub fn write_msg<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let mut line = serde_json::to_string(msg)?;
+pub fn write_msg<T: ToJson>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
+    let mut line = json::to_string(msg)?;
     line.push('\n');
     w.write_all(line.as_bytes())?;
     w.flush()
 }
 
+/// A complete frame as text. A frame that is not UTF-8 cannot be JSON: it
+/// becomes the one-character line U+FFFD, which every parser rejects, so
+/// corruption still surfaces as a (malformed) frame rather than killing
+/// the connection — and, unlike a lossy decode (three bytes out per bad
+/// byte in), the line a parser sees never outgrows the frame bound.
+fn frame_text(frame: Vec<u8>) -> String {
+    String::from_utf8(frame).unwrap_or_else(|_| char::REPLACEMENT_CHARACTER.to_string())
+}
+
 /// Reads one newline-terminated line of at most `limit` bytes (exclusive of
 /// the newline). `Ok(None)` on clean EOF; a final unterminated line is
-/// returned as-is, matching `read_line`. Bytes are converted lossily, so a
-/// line corrupted into invalid UTF-8 still surfaces as a (malformed) frame
-/// rather than killing the connection.
+/// returned as-is, matching `read_line`. A frame that is not UTF-8 comes
+/// back as the one-character line U+FFFD — malformed to every parser, and
+/// never longer than the bytes read.
 pub fn read_line_bounded(
     r: &mut impl BufRead,
     limit: usize,
@@ -104,11 +165,7 @@ pub fn read_line_bounded(
     loop {
         let chunk = r.fill_buf().map_err(WireError::Io)?;
         if chunk.is_empty() {
-            return if frame.is_empty() {
-                Ok(None)
-            } else {
-                Ok(Some(String::from_utf8_lossy(&frame).into_owned()))
-            };
+            return Ok((!frame.is_empty()).then(|| frame_text(frame)));
         }
         match chunk.iter().position(|&b| b == b'\n') {
             Some(pos) => {
@@ -117,7 +174,7 @@ pub fn read_line_bounded(
                 }
                 frame.extend_from_slice(&chunk[..pos]);
                 r.consume(pos + 1);
-                return Ok(Some(String::from_utf8_lossy(&frame).into_owned()));
+                return Ok(Some(frame_text(frame)));
             }
             None => {
                 let n = chunk.len();
@@ -187,13 +244,11 @@ impl LineReader {
                 Err(e) => return Err(WireError::Io(e)),
             };
             if chunk.is_empty() {
-                return if self.buf.is_empty() {
-                    Ok(LinePoll::Eof)
+                return Ok(if self.buf.is_empty() {
+                    LinePoll::Eof
                 } else {
-                    let line = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    Ok(LinePoll::Line(line))
-                };
+                    LinePoll::Line(frame_text(std::mem::take(&mut self.buf)))
+                });
             }
             match chunk.iter().position(|&b| b == b'\n') {
                 Some(pos) => {
@@ -202,9 +257,7 @@ impl LineReader {
                     }
                     self.buf.extend_from_slice(&chunk[..pos]);
                     r.consume(pos + 1);
-                    let line = String::from_utf8_lossy(&self.buf).into_owned();
-                    self.buf.clear();
-                    return Ok(LinePoll::Line(line));
+                    return Ok(LinePoll::Line(frame_text(std::mem::take(&mut self.buf))));
                 }
                 None => {
                     let n = chunk.len();
@@ -221,14 +274,14 @@ impl LineReader {
 
 /// Reads one JSON-line message of at most `limit` bytes; `Ok(None)` on
 /// clean EOF, [`WireError::Malformed`] on a complete-but-unparseable frame.
-pub fn read_msg_bounded<T: for<'de> Deserialize<'de>>(
+pub fn read_msg_bounded<T: FromJson>(
     r: &mut impl BufRead,
     limit: usize,
 ) -> Result<Option<T>, WireError> {
     let Some(line) = read_line_bounded(r, limit)? else {
         return Ok(None);
     };
-    serde_json::from_str(line.trim_end())
+    json::from_str(line.trim_end())
         .map(Some)
         .map_err(|e| WireError::Malformed { detail: e.to_string() })
 }
@@ -237,9 +290,7 @@ pub fn read_msg_bounded<T: for<'de> Deserialize<'de>>(
 /// on clean EOF. Malformed and over-long frames surface as
 /// `InvalidData` `io::Error`s (see [`read_msg_bounded`] for the structured
 /// form).
-pub fn read_msg<T: for<'de> Deserialize<'de>>(
-    r: &mut impl BufRead,
-) -> std::io::Result<Option<T>> {
+pub fn read_msg<T: FromJson>(r: &mut impl BufRead) -> std::io::Result<Option<T>> {
     read_msg_bounded(r, MAX_FRAME_BYTES).map_err(std::io::Error::from)
 }
 
@@ -259,6 +310,35 @@ mod tests {
         let mut r = BufReader::new(Cursor::new(buf));
         let got: ClientMsg = read_msg(&mut r).unwrap().unwrap();
         assert_eq!(got, msg);
+    }
+
+    #[test]
+    fn every_message_round_trips_with_its_type_tag() {
+        let spec = ServerSpec::preset(ServerClass::GpuP100, "n1");
+        let client = [
+            (ClientMsg::Register { spec }, r#"{"type":"register","spec":{"class":"GpuP100","#),
+            (
+                ClientMsg::Heartbeat { hostname: "n1".into(), cpu_util: 0.25, gpus_busy: 1 },
+                r#"{"type":"heartbeat","hostname":"n1","cpu_util":0.25,"gpus_busy":1}"#,
+            ),
+            (ClientMsg::Leave { hostname: "n1".into() }, r#"{"type":"leave","hostname":"n1"}"#),
+        ];
+        for (msg, prefix) in client {
+            let line = json::to_string(&msg).unwrap();
+            assert!(line.starts_with(prefix), "{line}");
+            assert_eq!(json::from_str::<ClientMsg>(&line).unwrap(), msg);
+        }
+        let server = [
+            (ServerMsg::Ack, r#"{"type":"ack"}"#),
+            (ServerMsg::Error { reason: "a\tb".into() }, r#"{"type":"error","reason":"a\tb"}"#),
+        ];
+        for (msg, line) in server {
+            assert_eq!(json::to_string(&msg).unwrap(), line);
+            assert_eq!(json::from_str::<ServerMsg>(line).unwrap(), msg);
+        }
+        // A heartbeat load figure that is not a number cannot be sent.
+        let nan = ClientMsg::Heartbeat { hostname: "n1".into(), cpu_util: f64::NAN, gpus_busy: 0 };
+        assert!(write_msg(&mut Vec::new(), &nan).is_err());
     }
 
     #[test]
@@ -308,6 +388,26 @@ mod tests {
         // The malformed line was consumed; the next frame parses fine.
         let second: ClientMsg = read_msg(&mut r).unwrap().unwrap();
         assert!(matches!(second, ClientMsg::Leave { .. }));
+    }
+
+    #[test]
+    fn non_utf8_frame_never_outgrows_the_bound() {
+        // Lossy decoding would hand the parser 3x the wire bytes.
+        let mut bytes = vec![0xffu8; 600];
+        bytes.push(b'\n');
+        bytes.extend_from_slice(&[0xfe; 600]);
+        let mut r = BufReader::with_capacity(64, Cursor::new(bytes.clone()));
+        for _ in 0..2 {
+            let line = read_line_bounded(&mut r, 1024).unwrap().expect("a frame");
+            assert_eq!(line, "\u{fffd}");
+        }
+        assert!(read_line_bounded(&mut r, 1024).unwrap().is_none());
+        let mut r = BufReader::with_capacity(64, Cursor::new(bytes));
+        let mut lr = LineReader::bounded(1024);
+        for _ in 0..2 {
+            assert_eq!(lr.poll(&mut r).unwrap(), LinePoll::Line("\u{fffd}".into()));
+        }
+        assert_eq!(lr.poll(&mut r).unwrap(), LinePoll::Eof);
     }
 
     #[test]

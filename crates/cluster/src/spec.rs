@@ -1,9 +1,9 @@
 //! Server hardware descriptions, mirroring the paper's CloudLab testbed.
 
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// The three server classes of §IV-A1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServerClass {
     /// 2× 8-core Intel E5-2630 (v3-era), 128 GB RAM. CPU-only.
     CpuE5_2630,
@@ -13,8 +13,23 @@ pub enum ServerClass {
     GpuP100,
 }
 
+impl ToJson for ServerClass {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.unit_variant(self);
+    }
+}
+
+impl FromJson for ServerClass {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        json::read_unit_variant(
+            v,
+            &[ServerClass::CpuE5_2630, ServerClass::CpuE5_2650, ServerClass::GpuP100],
+        )
+    }
+}
+
 /// Full hardware description of one server.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServerSpec {
     pub class: ServerClass,
     pub hostname: String,
@@ -34,6 +49,41 @@ pub struct ServerSpec {
     pub disk_bps: f64,
     /// Network bandwidth, bytes/s.
     pub net_bps: f64,
+}
+
+impl ToJson for ServerSpec {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("class", &self.class)
+            .field("hostname", &self.hostname)
+            .field("cpu_cores", &self.cpu_cores)
+            .field("cpu_flops", &self.cpu_flops)
+            .field("ram_bytes", &self.ram_bytes)
+            .field("gpus", &self.gpus)
+            .field("gpu_flops", &self.gpu_flops)
+            .field("gpu_mem_bytes", &self.gpu_mem_bytes)
+            .field("disk_bps", &self.disk_bps)
+            .field("net_bps", &self.net_bps)
+            .end();
+    }
+}
+
+impl FromJson for ServerSpec {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            class: o.field("class")?,
+            hostname: o.field("hostname")?,
+            cpu_cores: o.field("cpu_cores")?,
+            cpu_flops: o.field("cpu_flops")?,
+            ram_bytes: o.field("ram_bytes")?,
+            gpus: o.field("gpus")?,
+            gpu_flops: o.field("gpu_flops")?,
+            gpu_mem_bytes: o.field("gpu_mem_bytes")?,
+            disk_bps: o.field("disk_bps")?,
+            net_bps: o.field("net_bps")?,
+        })
+    }
 }
 
 impl ServerSpec {
@@ -133,10 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let s = ServerSpec::preset(ServerClass::GpuP100, "node-1");
-        let j = serde_json::to_string(&s).unwrap();
-        let s2: ServerSpec = serde_json::from_str(&j).unwrap();
-        assert_eq!(s2, s);
+    fn json_round_trip() {
+        for class in [ServerClass::CpuE5_2630, ServerClass::CpuE5_2650, ServerClass::GpuP100] {
+            let s = ServerSpec::preset(class, "node-1");
+            let j = json::to_string(&s).unwrap();
+            assert_eq!(json::from_str::<ServerSpec>(&j).unwrap(), s);
+        }
+        assert!(json::from_str::<ServerClass>("\"gpu_p100\"").is_err());
     }
 }

@@ -3,10 +3,10 @@
 
 use crate::equations::{available_flops, available_ram};
 use crate::spec::{ServerClass, ServerSpec};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// One server's spec plus its current load.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServerStatus {
     pub spec: ServerSpec,
     /// CPU busy fraction in `[0,1]`.
@@ -17,9 +17,32 @@ pub struct ServerStatus {
     /// recently: the spec and load figures are last-known-good, not live.
     /// Stale servers still count toward capacity (the paper's collector
     /// treats missing heartbeats as stale data, not departure) — consumers
-    /// that want to exclude them can filter on this flag.
-    #[serde(default)]
+    /// that want to exclude them can filter on this flag. May be absent on
+    /// the wire (reads as `false`).
     pub stale: bool,
+}
+
+impl ToJson for ServerStatus {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("spec", &self.spec)
+            .field("cpu_util", &self.cpu_util)
+            .field("gpus_busy", &self.gpus_busy)
+            .field("stale", &self.stale)
+            .end();
+    }
+}
+
+impl FromJson for ServerStatus {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            spec: o.field("spec")?,
+            cpu_util: o.field("cpu_util")?,
+            gpus_busy: o.field("gpus_busy")?,
+            stale: o.field::<Option<bool>>("stale")?.unwrap_or(false),
+        })
+    }
 }
 
 impl ServerStatus {
@@ -38,9 +61,22 @@ impl ServerStatus {
 pub const CLUSTER_FEATURE_DIM: usize = 8;
 
 /// Snapshot of the whole training cluster.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterState {
     pub servers: Vec<ServerStatus>,
+}
+
+impl ToJson for ClusterState {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object().field("servers", &self.servers).end();
+    }
+}
+
+impl FromJson for ClusterState {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { servers: o.field("servers")? })
+    }
 }
 
 impl ClusterState {

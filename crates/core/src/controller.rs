@@ -105,9 +105,9 @@ pub use crate::protocol::{
 use crate::observe::ObservationSink;
 use crate::offline::PredictDdl;
 use crate::protocol::{
-    observe_rejected_from_line, observe_rejected_line, overload_from_line, overload_line,
-    reload_rejected_from_line, reload_rejected_line, shard_moved_from_line, ObserveReply,
-    ReloadReply, RouteShard, RouteTable,
+    frame_too_long_line, metrics_line, observe_rejected_from_line, observe_rejected_line,
+    overload_from_line, overload_line, reload_rejected_from_line, reload_rejected_line,
+    shard_moved_from_line, stats_line, ObserveReply, ReloadReply, RouteShard, RouteTable,
 };
 use crate::reload::{LiveSystem, ReloadManager, ReloadOutcome};
 use crate::request::{Prediction, PredictionRequest, RequestError};
@@ -120,6 +120,7 @@ use pddl_cluster::retry::{
     ShedReason,
 };
 use pddl_faults::{Direction, FaultPlan, FaultyRead, FaultyWrite};
+use pddl_telemetry::json::{self, ToJson};
 use pddl_telemetry::trace::{flight_recorder, stage_id, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, Snapshot, SpanStatus, TraceContext};
 use std::collections::{HashMap, VecDeque};
@@ -603,12 +604,7 @@ fn reader_loop(
             Err(WireError::FrameTooLong { limit }) => {
                 // Line sync is lost: reply (best effort) and drop the peer.
                 m.oversize_frames.inc();
-                let response = WireResponse::Err {
-                    error: RequestError::InvalidParams(format!(
-                        "frame exceeds {limit} bytes"
-                    )),
-                };
-                let _ = write_shared(&writer, &serde_json::to_string(&response)?);
+                let _ = write_shared(&writer, &frame_too_long_line(limit));
                 break;
             }
             // LineReader does not parse, so Malformed cannot occur here;
@@ -629,7 +625,7 @@ fn reader_loop(
                 served.fetch_add(1, Ordering::Relaxed);
                 let response =
                     WireResponse::Err { error: RequestError::InvalidParams(detail) };
-                write_shared(&writer, &serde_json::to_string(&response)?)?;
+                write_shared(&writer, &encode_reply(&response))?;
                 continue;
             }
         };
@@ -681,16 +677,7 @@ fn reader_loop(
             // overload.
             ParsedFrame::Stats => {
                 m.stats_requests.inc();
-                let out = match config.shard_id {
-                    Some(shard) => format!(
-                        "{{\"status\":\"stats\",\"shard\":{shard},\"snapshot\":{}}}",
-                        pddl_telemetry::snapshot().to_json()
-                    ),
-                    None => format!(
-                        "{{\"status\":\"stats\",\"snapshot\":{}}}",
-                        pddl_telemetry::snapshot().to_json()
-                    ),
-                };
+                let out = stats_line(config.shard_id, &pddl_telemetry::snapshot());
                 write_shared(&writer, &out)?;
             }
             // A bare controller answers the route-table op with its own
@@ -758,11 +745,7 @@ fn reader_loop(
             }
             ParsedFrame::Metrics => {
                 m.metrics_requests.inc();
-                let expo = pddl_telemetry::expo::prometheus_global();
-                let mut out = String::with_capacity(expo.len() + 40);
-                out.push_str("{\"status\":\"metrics\",\"exposition\":");
-                pddl_telemetry::push_json_string(&mut out, &expo);
-                out.push('}');
+                let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
                 write_shared(&writer, &out)?;
             }
             // Batch requests: a JSON *array* of prediction requests. One
@@ -823,9 +806,7 @@ fn reader_loop(
                         }
                         served.fetch_add(responses.len() as u64, Ordering::Relaxed);
                         let s0 = Instant::now();
-                        let Ok(out) = serde_json::to_string(&responses) else {
-                            return;
-                        };
+                        let out = encode_reply(&responses);
                         let _ = write_shared(&writer_j, &out);
                         finish_traced(ctx, req_start_us, s0.elapsed(), errored, slow_ms);
                         let elapsed = t0.elapsed();
@@ -898,15 +879,13 @@ fn reader_loop(
                         m.requests_total.inc();
                         let (resp, errored) = predict_one(&system, &env.req, m, ctx);
                         let s0 = Instant::now();
-                        let Ok(out) = serde_json::to_string(&ResponseEnvelope {
+                        let out = encode_reply(&ResponseEnvelope {
                             client: env.client,
                             id: env.id,
                             trace: env.trace,
                             shard: config.shard_id,
                             resp,
-                        }) else {
-                            return;
-                        };
+                        });
                         cache.put(key, out.clone());
                         served.fetch_add(1, Ordering::Relaxed);
                         let _ = write_shared(&writer_j, &out);
@@ -940,9 +919,7 @@ fn reader_loop(
                         let (response, errored) = predict_one(&system, &req, m, ctx);
                         served.fetch_add(1, Ordering::Relaxed);
                         let s0 = Instant::now();
-                        let Ok(out) = serde_json::to_string(&response) else {
-                            return;
-                        };
+                        let out = encode_reply(&response);
                         let _ = write_shared(&writer_j, &out);
                         finish_traced(ctx, req_start_us, s0.elapsed(), errored, slow_ms);
                         let elapsed = t0.elapsed();
@@ -972,6 +949,16 @@ fn reader_loop(
         }
     }
     Ok(())
+}
+
+/// Renders one reply line. A reply only fails to encode when the model
+/// produced a non-finite number; the peer then gets a typed error line
+/// in place of silence (it is blocked on this reply).
+fn encode_reply(reply: &impl ToJson) -> String {
+    json::to_string(reply).unwrap_or_else(|e| {
+        let error = RequestError::InvalidParams(format!("response not encodable: {e}"));
+        json::to_string(&WireResponse::Err { error }).expect("strings always encode")
+    })
 }
 
 /// Runs one prediction, recording ok/err counters and — when traced —
@@ -1213,10 +1200,7 @@ impl ControllerClient {
         &mut self,
         version: Option<u64>,
     ) -> std::io::Result<Result<ReloadReply, String>> {
-        let line = match version {
-            Some(v) => format!("{{\"op\":\"reload\",\"version\":{v}}}"),
-            None => "{\"op\":\"reload\"}".to_string(),
-        };
+        let line = json::object(|o| o.field("op", "reload").optional("version", &version))?;
         let resp = self.round_trip(&line)?;
         if let Some(reason) = reload_rejected_from_line(&resp) {
             return Ok(Err(reason));
@@ -1230,16 +1214,18 @@ impl ControllerClient {
     /// predicted from — `{"op":"observe"}` on the wire. The outer `Result`
     /// is transport failure; the inner one is the server's verdict:
     /// `Ok(reply)` when the observation was folded into the controller's
-    /// [`ObservationSink`], `Err(reason)` when it was rejected (non-finite
-    /// runtime, or the live model could not re-predict the request).
+    /// [`ObservationSink`], `Err(reason)` when it was rejected (non-positive
+    /// runtime, or the live model could not re-predict the request). A
+    /// non-finite `actual_secs` has no JSON spelling and fails here, as
+    /// `InvalidData`, before anything is sent.
     pub fn observe(
         &mut self,
         req: &PredictionRequest,
         actual_secs: f64,
     ) -> std::io::Result<Result<ObserveReply, String>> {
-        let mut line = String::from("{\"op\":\"observe\",\"req\":");
-        line.push_str(&serde_json::to_string(req)?);
-        line.push_str(&format!(",\"actual_secs\":{actual_secs:?}}}"));
+        let line = json::object(|o| {
+            o.field("op", "observe").field("req", req).field("actual_secs", &actual_secs)
+        })?;
         let resp = self.round_trip(&line)?;
         if let Some(reason) = observe_rejected_from_line(&resp) {
             return Ok(Err(reason));
@@ -1279,7 +1265,7 @@ impl ControllerClient {
         if let Some(policy) = self.retry {
             return self.predict_resilient(req, policy, None);
         }
-        let line = serde_json::to_string(req)?;
+        let line = json::to_string(req)?;
         let resp = self.round_trip(&line)?;
         if let Some(e) = overload_from_line(&resp) {
             // The server shed the request (transient, retryable); the
@@ -1293,7 +1279,7 @@ impl ControllerClient {
             client_metrics().shard_moved.inc();
             return Err(e);
         }
-        let wire: WireResponse = serde_json::from_str(resp.trim_end())?;
+        let wire: WireResponse = json::from_str(resp.trim_end())?;
         Ok(match wire {
             WireResponse::Ok { prediction } => Ok(prediction),
             WireResponse::Err { error } => Err(error),
@@ -1321,7 +1307,7 @@ impl ControllerClient {
             trace: trace.map(TraceHeader::from),
             req: req.clone(),
         };
-        let line = serde_json::to_string(&envelope)?;
+        let line = json::to_string(&envelope)?;
         // Mix the request id into the jitter stream so concurrent requests
         // back off on decorrelated schedules.
         let mut backoff = Backoff::new(RetryPolicy {
@@ -1351,7 +1337,7 @@ impl ControllerClient {
                         let _ = self.route_table();
                         last_err = e;
                     } else {
-                        match serde_json::from_str::<ResponseEnvelope>(resp.trim_end()) {
+                        match json::from_str::<ResponseEnvelope>(resp.trim_end()) {
                             Ok(renv) if renv.client == self.session && renv.id == id => {
                                 self.last_shard = renv.shard.or(self.last_shard);
                                 return Ok(match renv.resp {
@@ -1409,7 +1395,7 @@ impl ControllerClient {
         &mut self,
         reqs: &[PredictionRequest],
     ) -> std::io::Result<Vec<Result<Prediction, RequestError>>> {
-        let line = serde_json::to_string(&reqs.to_vec())?;
+        let line = json::to_string(reqs)?;
         let resp = self.round_trip(&line)?;
         if let Some(e) = overload_from_line(&resp) {
             // A shed batch is one overload frame, not an array; the whole
@@ -1417,7 +1403,7 @@ impl ControllerClient {
             client_metrics().overloads.inc();
             return Err(e);
         }
-        let wire: Vec<WireResponse> = serde_json::from_str(resp.trim_end())?;
+        let wire: Vec<WireResponse> = json::from_str(resp.trim_end())?;
         Ok(wire
             .into_iter()
             .map(|w| match w {
@@ -1450,7 +1436,7 @@ impl ControllerClient {
             trace: Some(TraceHeader::from(trace)),
             req: req.clone(),
         };
-        let line = serde_json::to_string(&envelope)?;
+        let line = json::to_string(&envelope)?;
         let resp = self.round_trip(&line)?;
         if let Some(e) = overload_from_line(&resp) {
             cm.overloads.inc();
@@ -1460,7 +1446,7 @@ impl ControllerClient {
             cm.shard_moved.inc();
             return Err(e);
         }
-        let renv: ResponseEnvelope = serde_json::from_str(resp.trim_end())?;
+        let renv: ResponseEnvelope = json::from_str(resp.trim_end())?;
         if renv.client != self.session || renv.id != id {
             cm.mismatches.inc();
             self.conn = None;

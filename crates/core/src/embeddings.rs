@@ -16,15 +16,29 @@ use crate::registry::GhnRegistry;
 use pddl_ghn::EmbeddingSet;
 use pddl_graph::CompGraph;
 use pddl_telemetry::{Counter, Gauge};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The embeddings generator: GHN registry + per-dataset embedding atlas.
-#[derive(Serialize, Deserialize)]
 pub struct EmbeddingsGenerator {
     atlas: HashMap<String, EmbeddingSet>,
+}
+
+impl ToJson for EmbeddingsGenerator {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("atlas", &self.atlas)
+            .end();
+    }
+}
+
+impl FromJson for EmbeddingsGenerator {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { atlas: o.field("atlas")? })
+    }
 }
 
 impl Default for EmbeddingsGenerator {

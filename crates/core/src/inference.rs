@@ -11,13 +11,12 @@ use pddl_cluster::{ClusterState, CLUSTER_FEATURE_DIM};
 use pddl_regress::{Regression, Regressor, StandardScaler};
 use pddl_tensor::Matrix;
 use pddl_zoo::dataset::dataset_by_name;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Number of workload scalars appended after embedding + cluster features.
 pub const WORKLOAD_FEATS: usize = 3;
 
 /// Inference-engine configuration.
-#[derive(Serialize, Deserialize)]
 pub struct InferenceConfig {
     /// Regression model (the paper's PR/LR/SVR/MLP choices).
     pub regression: Regression,
@@ -25,6 +24,22 @@ pub struct InferenceConfig {
     /// orders of magnitude across the zoo; the log target keeps the
     /// *relative* error (the paper's metric) uniform across that range.
     pub log_target: bool,
+}
+
+impl ToJson for InferenceConfig {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("regression", &self.regression)
+            .field("log_target", &self.log_target)
+            .end();
+    }
+}
+
+impl FromJson for InferenceConfig {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { regression: o.field("regression")?, log_target: o.field("log_target")? })
+    }
 }
 
 impl Default for InferenceConfig {
@@ -50,11 +65,31 @@ pub struct EngineSample {
 }
 
 /// The fitted inference engine.
-#[derive(Serialize, Deserialize)]
 pub struct InferenceEngine {
     cfg: InferenceConfig,
     scaler: Option<StandardScaler>,
     embed_dim: usize,
+}
+
+impl ToJson for InferenceEngine {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("cfg", &self.cfg)
+            .field("scaler", &self.scaler)
+            .field("embed_dim", &self.embed_dim)
+            .end();
+    }
+}
+
+impl FromJson for InferenceEngine {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            cfg: o.field("cfg")?,
+            scaler: o.field("scaler")?,
+            embed_dim: o.field("embed_dim")?,
+        })
+    }
 }
 
 impl InferenceEngine {

@@ -122,7 +122,6 @@ pub mod embeddings;
 pub mod inference;
 pub mod observe;
 pub mod offline;
-pub mod persist;
 pub mod protocol;
 pub mod registry;
 pub mod reload;

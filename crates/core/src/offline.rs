@@ -18,7 +18,7 @@ use pddl_ghn::train::TrainConfig;
 use pddl_regress::{Kernel, Regression};
 use pddl_telemetry::trace::{flight_recorder, stage_handle, stages, StageHandle};
 use pddl_telemetry::{tlog, Counter, Histogram, Level, Span, SpanStatus, TraceContext};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -331,7 +331,7 @@ impl OfflineTrainer {
 }
 
 /// Wall-clock breakdown of offline training (reported in Fig. 13).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TrainCost {
     /// GHN meta-training wall-clock seconds (one GHN per dataset).
     pub ghn_secs: f64,
@@ -339,6 +339,27 @@ pub struct TrainCost {
     pub embed_secs: f64,
     /// Regressor-fitting wall-clock seconds.
     pub fit_secs: f64,
+}
+
+impl ToJson for TrainCost {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("ghn_secs", &self.ghn_secs)
+            .field("embed_secs", &self.embed_secs)
+            .field("fit_secs", &self.fit_secs)
+            .end();
+    }
+}
+
+impl FromJson for TrainCost {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            ghn_secs: o.field("ghn_secs")?,
+            embed_secs: o.field("embed_secs")?,
+            fit_secs: o.field("fit_secs")?,
+        })
+    }
 }
 
 impl TrainCost {
@@ -349,7 +370,6 @@ impl TrainCost {
 }
 
 /// The assembled, trained PredictDDL system.
-#[derive(Serialize, Deserialize)]
 pub struct PredictDdl {
     /// Per-dataset GHNs (the paper's reusable offline assets).
     pub registry: GhnRegistry,
@@ -364,10 +384,35 @@ pub struct PredictDdl {
     /// introduced") without re-collecting the old measurements.
     pub records: Vec<TraceRecord>,
     /// Service-level embedding cache keyed by `(dataset, graph hash)`.
-    /// Runtime state, not part of the trained model: rebuilt empty on
-    /// deserialization.
-    #[serde(skip, default)]
+    /// Runtime state, not part of the trained model: never written, and
+    /// rebuilt empty on decode.
     pub cache: EmbeddingCache,
+}
+
+impl ToJson for PredictDdl {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("registry", &self.registry)
+            .field("embeddings", &self.embeddings)
+            .field("engine", &self.engine)
+            .field("train_cost", &self.train_cost)
+            .field("records", &self.records)
+            .end();
+    }
+}
+
+impl FromJson for PredictDdl {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            registry: o.field("registry")?,
+            embeddings: o.field("embeddings")?,
+            engine: o.field("engine")?,
+            train_cost: o.field("train_cost")?,
+            records: o.field("records")?,
+            cache: EmbeddingCache::default(),
+        })
+    }
 }
 
 impl PredictDdl {

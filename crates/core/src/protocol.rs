@@ -7,21 +7,22 @@
 //! [`crate::controller`] owns the serving loop that speaks them and
 //! `pddl-router` forwards them between processes. `PROTOCOL.md` at the
 //! repository root is the operator-facing reference: it documents every
-//! op in [`WIRE_OPS`] with a captured transcript, and a grep-driven
-//! doc-coverage gate (`scripts/offline_check.sh gate-protocol-docs`)
-//! fails the build when an op listed here is missing from that file.
+//! op in [`WIRE_OPS`] with complete request and reply lines, and the
+//! tier-1 test `protocol_docs` (`tests/protocol_docs.rs`) replays every
+//! one of them through this module, so neither side can drift.
 //!
 //! ## Frame taxonomy
 //!
-//! A request line is classified by [`parse_frame`] into one of:
+//! A request line is parsed once and classified by shape — see
+//! [`parse_frame`] — into one of:
 //!
 //! * a bare [`PredictionRequest`] object (`predict`);
 //! * a JSON array of requests (`predict_batch`);
 //! * a [`RequestEnvelope`] with a `(client, id)` identity and optional
 //!   [`TraceHeader`] (`predict_envelope` — the idempotent-retry path);
-//! * a control op: `{"op":"stats"}`, `{"op":"trace"}`, `{"op":"metrics"}`
-//!   or `{"op":"route_table"}`, answered inline by the connection reader
-//!   so they stay available during overload.
+//! * a control op — any object with an `"op"` key: `stats`, `trace`,
+//!   `metrics`, `route_table`, `reload`, `observe` — answered inline by
+//!   the connection reader so they stay available during overload.
 //!
 //! ## Typed error lines
 //!
@@ -35,21 +36,23 @@
 //! Both map onto transient [`std::io::Error`]s that
 //! [`pddl_cluster::retry::is_transient`] approves for retry.
 
-use crate::request::PredictionRequest;
+use crate::request::{PredictionRequest, RequestError};
 use pddl_cluster::retry::{
     overloaded_error_with_reason, shard_moved_error, ShedReason,
 };
-use pddl_telemetry::{push_json_string, JsonValue, TraceContext};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{
+    self, Fields, FromJson, JsonError, JsonValue, JsonWriter, ObjectWriter, ToJson,
+};
+use pddl_telemetry::{Snapshot, TraceContext};
 
 /// Every operation the controller-plane wire protocol carries, in the
 /// order PROTOCOL.md documents them. The first three are the prediction
 /// frame shapes (no `"op"` tag on the wire — they are distinguished
 /// structurally); the middle five are the `{"op":…}` control frames; the
 /// last three are the Cluster Resource Collector's registration protocol
-/// (see [`pddl_cluster::protocol`]). The doc-coverage gate in
-/// `scripts/offline_check.sh` greps this list and requires a
-/// ``### `<op>` `` heading in PROTOCOL.md for each entry.
+/// (see [`pddl_cluster::protocol`]). `tests/protocol_docs.rs` requires a
+/// ``### `<op>` `` section in PROTOCOL.md for each entry, holding at
+/// least one complete request line and one complete reply line.
 pub const WIRE_OPS: &[&str] = &[
     "predict",
     "predict_batch",
@@ -65,9 +68,8 @@ pub const WIRE_OPS: &[&str] = &[
     "leave",
 ];
 
-/// Wire response.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "status", rename_all = "snake_case")]
+/// Wire response: one object, tagged by `"status"` (`ok` / `err`).
+#[derive(Clone, Debug)]
 pub enum WireResponse {
     /// Successful prediction.
     Ok {
@@ -81,11 +83,35 @@ pub enum WireResponse {
     },
 }
 
+impl ToJson for WireResponse {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            WireResponse::Ok { prediction } => {
+                o.field("status", "ok").field("prediction", prediction)
+            }
+            WireResponse::Err { error } => o.field("status", "err").field("error", error),
+        }
+        .end();
+    }
+}
+
+impl FromJson for WireResponse {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        match o.field::<String>("status")?.as_str() {
+            "ok" => Ok(WireResponse::Ok { prediction: o.field("prediction")? }),
+            "err" => Ok(WireResponse::Err { error: o.field("error")? }),
+            other => Err(JsonError::unknown_variant(other)),
+        }
+    }
+}
+
 /// A prediction request wrapped with a client-chosen identity, enabling
 /// idempotent retry: the controller caches the response under
 /// `(client, id)` and serves it again verbatim if the same identity
 /// reappears (e.g. after the original reply was lost in transit).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RequestEnvelope {
     /// Client session token (unique per [`crate::ControllerClient`]
     /// instance).
@@ -96,40 +122,83 @@ pub struct RequestEnvelope {
     /// traced (sampling applies only to context-free requests) and the
     /// same ids are echoed on the response. Absent on the wire for
     /// clients that predate tracing.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceHeader>,
     /// The wrapped request.
     pub req: PredictionRequest,
 }
 
+impl ToJson for RequestEnvelope {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("client", &self.client)
+            .field("id", &self.id)
+            .optional("trace", &self.trace)
+            .field("req", &self.req)
+            .end();
+    }
+}
+
+impl FromJson for RequestEnvelope {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            client: o.field("client")?,
+            id: o.field("id")?,
+            trace: o.field("trace")?,
+            req: o.field("req")?,
+        })
+    }
+}
+
 /// The response to a [`RequestEnvelope`], echoing its identity so the
 /// client can match replies to requests across retries and reject frames
 /// corrupted in transit.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ResponseEnvelope {
     /// Echo of the request's client token.
     pub client: u64,
     /// Echo of the request's id.
     pub id: u64,
     /// Echo of the request's trace context, if it carried one.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub trace: Option<TraceHeader>,
     /// Id of the controller shard that computed this response. Absent
     /// from unsharded controllers (no `--shard-id`) and from responses
     /// predating the fleet protocol; surfaced by
     /// [`crate::ControllerClient::last_shard`].
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shard: Option<u64>,
     /// The actual response.
     pub resp: WireResponse,
 }
 
+impl ToJson for ResponseEnvelope {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("client", &self.client)
+            .field("id", &self.id)
+            .optional("trace", &self.trace)
+            .optional("shard", &self.shard)
+            .field("resp", &self.resp)
+            .end();
+    }
+}
+
+impl FromJson for ResponseEnvelope {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            client: o.field("client")?,
+            id: o.field("id")?,
+            trace: o.field("trace")?,
+            shard: o.field("shard")?,
+            resp: o.field("resp")?,
+        })
+    }
+}
+
 /// Wire form of a [`TraceContext`], carried as the optional `trace` field
-/// of the request/response envelopes. Ids stay plain u64s here —
-/// serde_json round-trips them exactly; only the hand-rolled trace dump
-/// (parsed with the in-tree f64-backed [`pddl_telemetry::JsonValue`])
-/// needs hex strings.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+/// of the request/response envelopes. Ids are plain u64s — the codec
+/// keeps all 64 bits; the trace dump's hex strings are for human readers.
+#[derive(Clone, Copy, Debug)]
 pub struct TraceHeader {
     /// Logical request id, stable across retries and reconnects.
     pub trace_id: u64,
@@ -137,6 +206,27 @@ pub struct TraceHeader {
     pub span_id: u64,
     /// Enclosing span id (0 when the client's span is the root).
     pub parent_id: u64,
+}
+
+impl ToJson for TraceHeader {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("trace_id", &self.trace_id)
+            .field("span_id", &self.span_id)
+            .field("parent_id", &self.parent_id)
+            .end();
+    }
+}
+
+impl FromJson for TraceHeader {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            trace_id: o.field("trace_id")?,
+            span_id: o.field("span_id")?,
+            parent_id: o.field("parent_id")?,
+        })
+    }
 }
 
 impl From<TraceContext> for TraceHeader {
@@ -149,48 +239,6 @@ impl From<TraceHeader> for TraceContext {
     fn from(h: TraceHeader) -> TraceContext {
         TraceContext { trace_id: h.trace_id, span_id: h.span_id, parent_id: h.parent_id }
     }
-}
-
-/// Control operations multiplexed onto the request stream. Tried before
-/// [`PredictionRequest`] parsing; the `op` tag cannot collide with a
-/// prediction request's fields.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
-#[allow(dead_code)] // constructed only through the derived Deserialize
-enum ControlOp {
-    /// Return a JSON snapshot of the telemetry registry.
-    Stats,
-    /// Return the flight recorder's retained traces.
-    Trace,
-    /// Return the registry as Prometheus text exposition.
-    Metrics,
-    /// Return the serving plane's route table (see [`RouteTable`]). A
-    /// bare controller answers with its one-shard identity table; the
-    /// router answers with the live fleet membership.
-    RouteTable,
-    /// Hot-swap the serving model from the checkpoint registry (to
-    /// `version`, or the registry's latest when absent). Success answers
-    /// with a [`ReloadReply`] line; a failed validation probe (or a
-    /// controller without a registry) answers with the typed
-    /// [`reload_rejected_line`] and keeps the old model live.
-    Reload {
-        /// Target registry version; `None` selects the latest.
-        #[serde(default, skip_serializing_if = "Option::is_none")]
-        version: Option<u64>,
-    },
-    /// Feed one completed job back into the continual-refit loop: the
-    /// workload/cluster it ran as (`req`) and the wall-clock seconds it
-    /// actually took. The controller re-predicts against the live model,
-    /// folds the residual into the observation sink's online calibration
-    /// and drift detector, and answers with an [`ObserveReply`] line (or
-    /// the typed [`observe_rejected_line`] if the request cannot be
-    /// predicted).
-    Observe {
-        /// The workload + cluster the observation was measured on.
-        req: Box<PredictionRequest>,
-        /// Measured training time, seconds. Must be positive and finite.
-        actual_secs: f64,
-    },
 }
 
 /// One classified request frame (see [`parse_frame`]).
@@ -229,38 +277,89 @@ pub enum ParsedFrame {
 /// Classifies one request line into a [`ParsedFrame`]. This is the
 /// controller's entire peer-facing parser: it must return `Err` — never
 /// panic — for arbitrary bytes (enforced by `tests/wire_fuzz.rs`).
+///
+/// The line is parsed once; the shape of the document then picks the one
+/// typed decode that runs: an array is a batch, an object with an `op`
+/// key is a control op, an object with `client`, `id` and `req` is an
+/// envelope, and anything else must be a bare request. None of those
+/// keys is a [`PredictionRequest`] field, so the classes cannot overlap.
 pub fn parse_frame(line: &str) -> Result<ParsedFrame, String> {
-    if let Ok(op) = serde_json::from_str::<ControlOp>(line) {
-        return Ok(match op {
-            ControlOp::Stats => ParsedFrame::Stats,
-            ControlOp::Trace => ParsedFrame::Trace,
-            ControlOp::Metrics => ParsedFrame::Metrics,
-            ControlOp::RouteTable => ParsedFrame::RouteTable,
-            ControlOp::Reload { version } => ParsedFrame::Reload { version },
-            ControlOp::Observe { req, actual_secs } => {
-                ParsedFrame::Observe { req, actual_secs }
-            }
-        });
-    }
-    if line.trim_start().starts_with('[') {
-        return match serde_json::from_str::<Vec<PredictionRequest>>(line) {
-            Ok(reqs) => Ok(ParsedFrame::Batch(reqs)),
-            Err(e) => Err(format!("malformed batch request: {e}")),
-        };
-    }
-    if let Ok(env) = serde_json::from_str::<RequestEnvelope>(line) {
-        return Ok(ParsedFrame::Enveloped(env));
-    }
-    match serde_json::from_str::<PredictionRequest>(line) {
-        Ok(req) => Ok(ParsedFrame::Single(Box::new(req))),
-        Err(e) => Err(format!("malformed request: {e}")),
-    }
+    let doc = json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
+    let has = |key: &str| doc.get(key).is_some();
+    let (what, frame) = if doc.as_array().is_some() {
+        ("batch request", FromJson::read_json(&doc).map(ParsedFrame::Batch))
+    } else if has("op") {
+        ("control op", doc.fields().and_then(control_frame))
+    } else if has("client") && has("id") && has("req") {
+        ("request envelope", FromJson::read_json(&doc).map(ParsedFrame::Enveloped))
+    } else {
+        ("request", FromJson::read_json(&doc).map(ParsedFrame::Single))
+    };
+    frame.map_err(|e| format!("malformed {what}: {e}"))
 }
 
-/// Renders the typed overload reply. Hand-rolled (no serde) so the exact
-/// wire shape is fixed and the in-process benchmark path stays free of
-/// JSON machinery; `reason` is one of `queue_full`, `deadline`,
-/// `connection_limit`, `draining`.
+/// Decodes an `{"op":…}` frame. An `observe` without `actual_secs` reads
+/// as NaN, which the controller answers with the typed
+/// `non_positive_runtime` rejection rather than a parse error.
+fn control_frame(o: Fields) -> Result<ParsedFrame, JsonError> {
+    Ok(match o.field::<String>("op")?.as_str() {
+        "stats" => ParsedFrame::Stats,
+        "trace" => ParsedFrame::Trace,
+        "metrics" => ParsedFrame::Metrics,
+        "route_table" => ParsedFrame::RouteTable,
+        "reload" => ParsedFrame::Reload { version: o.field("version")? },
+        "observe" => ParsedFrame::Observe {
+            req: o.field("req")?,
+            actual_secs: o.field::<Option<f64>>("actual_secs")?.unwrap_or(f64::NAN),
+        },
+        other => return Err(JsonError::Shape(format!("unknown op `{other}`"))),
+    })
+}
+
+/// Renders a control-plane line. Everything built here holds integers,
+/// booleans, strings and pre-rendered JSON, so encoding cannot fail.
+fn line(fields: impl for<'a> FnOnce(ObjectWriter<'a>) -> ObjectWriter<'a>) -> String {
+    json::object(fields).expect("control-plane lines hold no floats")
+}
+
+/// The fields of a `{"status":"<status>",…}` reply line.
+fn reply_fields<'a>(doc: &'a JsonValue, status: &str) -> Result<Fields<'a>, JsonError> {
+    let o = doc.fields()?;
+    if o.get("status").and_then(JsonValue::as_str) != Some(status) {
+        return Err(JsonError::Shape(format!("response is not a {status} payload")));
+    }
+    Ok(o)
+}
+
+/// Renders the error reply to a frame that outgrew `limit` bytes without
+/// a newline; line sync is lost, so the sender closes the connection next.
+pub fn frame_too_long_line(limit: usize) -> String {
+    let error = RequestError::InvalidParams(format!("frame exceeds {limit} bytes"));
+    json::to_string(&WireResponse::Err { error }).expect("strings always encode")
+}
+
+/// Renders the `{"op":"stats"}` reply: the answering process's telemetry
+/// snapshot, stamped with its shard id when it has one.
+pub fn stats_line(shard: Option<u64>, snapshot: &Snapshot) -> String {
+    line(|o| {
+        o.field("status", "stats")
+            .optional("shard", &shard)
+            .field_with("snapshot", |w| w.raw(&snapshot.to_json()))
+    })
+}
+
+/// Renders the `{"op":"metrics"}` reply around a Prometheus exposition.
+pub fn metrics_line(exposition: &str) -> String {
+    line(|o| o.field("status", "metrics").field("exposition", exposition))
+}
+
+/// Renders a terminal `{"error":"<kind>","reason":…}` rejection line.
+fn rejected_line(kind: &str, reason: &str) -> String {
+    line(|o| o.field("error", kind).field("reason", reason))
+}
+
+/// Renders the typed overload reply; `reason` is one of `queue_full`,
+/// `deadline`, `connection_limit`, `draining`.
 pub fn overload_line(retry_after_ms: u64, reason: &str) -> String {
     format!("{{\"error\":\"overloaded\",\"retry_after_ms\":{retry_after_ms},\"reason\":\"{reason}\"}}")
 }
@@ -318,9 +417,6 @@ pub fn shard_moved_from_line(resp: &str) -> Option<std::io::Error> {
 /// Reply to a successful `{"op":"reload"}`: the version now live, the
 /// version it replaced (equal when the target was already live — the
 /// reload was a no-op), and the live slot's swap epoch.
-///
-/// Rendered and parsed by hand (no serde at runtime) like the other
-/// control-plane lines, so the CLI and offline harness can speak it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReloadReply {
     /// Registry version now live.
@@ -332,31 +428,37 @@ pub struct ReloadReply {
     pub epoch: u64,
 }
 
+impl ToJson for ReloadReply {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("status", "reload")
+            .field("version", &self.version)
+            .field("previous", &self.previous)
+            .field("epoch", &self.epoch)
+            .end();
+    }
+}
+
+impl FromJson for ReloadReply {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = reply_fields(v, "reload")?;
+        Ok(Self {
+            version: o.field("version")?,
+            previous: o.field("previous")?,
+            epoch: o.field("epoch")?,
+        })
+    }
+}
+
 impl ReloadReply {
     /// Renders the `{"status":"reload",…}` response line.
     pub fn to_line(&self) -> String {
-        format!(
-            "{{\"status\":\"reload\",\"version\":{},\"previous\":{},\"epoch\":{}}}",
-            self.version, self.previous, self.epoch
-        )
+        json::to_string(self).expect("a control-plane reply holds no floats")
     }
 
     /// Parses a `{"status":"reload",…}` response line.
     pub fn from_line(line: &str) -> Result<ReloadReply, String> {
-        let doc = JsonValue::parse(line.trim_end()).map_err(|e| e.to_string())?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("reload") {
-            return Err("response is not a reload payload".to_string());
-        }
-        let field = |k: &str| {
-            doc.get(k)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("reload reply missing '{k}'"))
-        };
-        Ok(ReloadReply {
-            version: field("version")?,
-            previous: field("previous")?,
-            epoch: field("epoch")?,
-        })
+        json::from_str(line.trim_end()).map_err(|e| e.to_string())
     }
 }
 
@@ -367,11 +469,7 @@ impl ReloadReply {
 /// reply is terminal for the attempt, not transient like the overload
 /// shed.
 pub fn reload_rejected_line(reason: &str) -> String {
-    let mut out = String::with_capacity(40 + reason.len());
-    out.push_str("{\"error\":\"reload_rejected\",\"reason\":");
-    push_json_string(&mut out, reason);
-    out.push('}');
-    out
+    rejected_line("reload_rejected", reason)
 }
 
 /// Classifies a response line as a typed `reload_rejected` reply,
@@ -397,9 +495,6 @@ pub fn reload_rejected_from_line(resp: &str) -> Option<String> {
 /// observation count, how many drift events have fired, the standardized
 /// residual of *this* observation against the live model, and whether it
 /// tripped the drift detector.
-///
-/// Rendered and parsed by hand (no serde at runtime) like the other
-/// control-plane lines, so the CLI and offline harness can speak it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObserveReply {
     /// Observations accepted by this controller's sink (lifetime).
@@ -413,40 +508,43 @@ pub struct ObserveReply {
     pub drifted: bool,
 }
 
+impl ToJson for ObserveReply {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("status", "observe")
+            .field("observations", &self.observations)
+            .field("drift_events", &self.drift_events)
+            .field("residual_z", &self.residual_z)
+            .field("drifted", &self.drifted)
+            .end();
+    }
+}
+
+impl FromJson for ObserveReply {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = reply_fields(v, "observe")?;
+        Ok(Self {
+            observations: o.field("observations")?,
+            drift_events: o.field("drift_events")?,
+            residual_z: o.field("residual_z")?,
+            drifted: o.field("drifted")?,
+        })
+    }
+}
+
 impl ObserveReply {
     /// Renders the `{"status":"observe",…}` response line. The residual
-    /// uses the shortest round-trip f64 form, so `from_line` recovers the
-    /// exact value.
+    /// is written in its shortest round-trip form, so `from_line`
+    /// recovers the exact value. A non-finite residual (the live model
+    /// predicted an infinite runtime) has no JSON spelling and renders as
+    /// the typed `non_finite_residual` rejection instead.
     pub fn to_line(&self) -> String {
-        format!(
-            "{{\"status\":\"observe\",\"observations\":{},\"drift_events\":{},\"residual_z\":{:?},\"drifted\":{}}}",
-            self.observations, self.drift_events, self.residual_z, self.drifted
-        )
+        json::to_string(self).unwrap_or_else(|_| observe_rejected_line("non_finite_residual"))
     }
 
     /// Parses a `{"status":"observe",…}` response line.
     pub fn from_line(line: &str) -> Result<ObserveReply, String> {
-        let doc = JsonValue::parse(line.trim_end()).map_err(|e| e.to_string())?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("observe") {
-            return Err("response is not an observe payload".to_string());
-        }
-        let int = |k: &str| {
-            doc.get(k)
-                .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("observe reply missing '{k}'"))
-        };
-        Ok(ObserveReply {
-            observations: int("observations")?,
-            drift_events: int("drift_events")?,
-            residual_z: doc
-                .get("residual_z")
-                .and_then(|v| v.as_f64())
-                .ok_or("observe reply missing 'residual_z'")?,
-            drifted: doc
-                .get("drifted")
-                .and_then(|v| v.as_bool())
-                .ok_or("observe reply missing 'drifted'")?,
-        })
+        json::from_str(line.trim_end()).map_err(|e| e.to_string())
     }
 }
 
@@ -456,11 +554,7 @@ impl ObserveReply {
 /// dataset, infeasible cluster). The observation is dropped; the model is
 /// unchanged. Terminal for the attempt, not transient.
 pub fn observe_rejected_line(reason: &str) -> String {
-    let mut out = String::with_capacity(42 + reason.len());
-    out.push_str("{\"error\":\"observe_rejected\",\"reason\":");
-    push_json_string(&mut out, reason);
-    out.push('}');
-    out
+    rejected_line("observe_rejected", reason)
 }
 
 /// Classifies a response line as a typed `observe_rejected` reply,
@@ -494,10 +588,28 @@ pub struct RouteShard {
     pub healthy: bool,
 }
 
+impl ToJson for RouteShard {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("id", &self.id)
+            .field("addr", &self.addr)
+            .field("healthy", &self.healthy)
+            .end();
+    }
+}
+
+impl FromJson for RouteShard {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            id: o.field("id")?,
+            addr: o.field("addr")?,
+            healthy: o.field::<Option<bool>>("healthy")?.unwrap_or(true),
+        })
+    }
+}
+
 /// The serving plane's membership, answered for `{"op":"route_table"}`.
-///
-/// Rendered and parsed by hand (no serde at runtime) so the route table
-/// stays introspectable from the offline benchmark harness and the CLI.
 /// The `epoch` increments on every membership change (shard added,
 /// removed, or marked unhealthy); in-flight requests finish against the
 /// shard they were routed to under their admission epoch.
@@ -514,72 +626,39 @@ pub struct RouteTable {
     pub shards: Vec<RouteShard>,
 }
 
+impl ToJson for RouteTable {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("status", "route_table")
+            .field("epoch", &self.epoch)
+            .field("vnodes", &self.vnodes)
+            .optional("shard", &self.shard)
+            .field("shards", &self.shards)
+            .end();
+    }
+}
+
+impl FromJson for RouteTable {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = reply_fields(v, "route_table")?;
+        Ok(Self {
+            epoch: o.field("epoch")?,
+            vnodes: o.field("vnodes")?,
+            shard: o.field("shard")?,
+            shards: o.field("shards")?,
+        })
+    }
+}
+
 impl RouteTable {
     /// Renders the `{"status":"route_table",…}` response line.
     pub fn to_line(&self) -> String {
-        let mut out = String::with_capacity(64 + self.shards.len() * 48);
-        out.push_str("{\"status\":\"route_table\",\"epoch\":");
-        out.push_str(&self.epoch.to_string());
-        out.push_str(",\"vnodes\":");
-        out.push_str(&self.vnodes.to_string());
-        if let Some(shard) = self.shard {
-            out.push_str(",\"shard\":");
-            out.push_str(&shard.to_string());
-        }
-        out.push_str(",\"shards\":[");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&s.id.to_string());
-            out.push_str(",\"addr\":");
-            push_json_string(&mut out, &s.addr);
-            out.push_str(",\"healthy\":");
-            out.push_str(if s.healthy { "true" } else { "false" });
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json::to_string(self).expect("a control-plane reply holds no floats")
     }
 
     /// Parses a `{"status":"route_table",…}` response line.
     pub fn from_line(line: &str) -> Result<RouteTable, String> {
-        let doc = JsonValue::parse(line.trim_end()).map_err(|e| e.to_string())?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("route_table") {
-            return Err("response is not a route_table payload".to_string());
-        }
-        let epoch = doc
-            .get("epoch")
-            .and_then(|v| v.as_u64())
-            .ok_or("route_table missing 'epoch'")?;
-        let vnodes = doc
-            .get("vnodes")
-            .and_then(|v| v.as_u64())
-            .ok_or("route_table missing 'vnodes'")? as u32;
-        let shard = doc.get("shard").and_then(|v| v.as_u64());
-        let mut shards = Vec::new();
-        let list = doc
-            .get("shards")
-            .and_then(|v| v.as_array())
-            .ok_or("route_table missing 'shards'")?;
-        for entry in list {
-            let id = entry
-                .get("id")
-                .and_then(|v| v.as_u64())
-                .ok_or("route_table shard missing 'id'")?;
-            let addr = entry
-                .get("addr")
-                .and_then(|v| v.as_str())
-                .ok_or("route_table shard missing 'addr'")?
-                .to_string();
-            let healthy = entry
-                .get("healthy")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true);
-            shards.push(RouteShard { id, addr, healthy });
-        }
-        Ok(RouteTable { epoch, vnodes, shard, shards })
+        json::from_str(line.trim_end()).map_err(|e| e.to_string())
     }
 }
 
@@ -670,7 +749,7 @@ mod tests {
         );
         let line = format!(
             "{{\"op\":\"observe\",\"actual_secs\":123.5,\"req\":{}}}",
-            serde_json::to_string(&req).unwrap()
+            json::to_string(&req).unwrap()
         );
         match parse_frame(&line) {
             Ok(ParsedFrame::Observe { req, actual_secs }) => {

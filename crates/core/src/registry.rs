@@ -9,11 +9,11 @@ use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, SynthGenerator, TrainReport};
 use pddl_ghn::train::TrainConfig;
 use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 
 /// One GHN per dataset.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct GhnRegistry {
     ghns: HashMap<String, Ghn>,
     /// GHN architecture used for every dataset's model.
@@ -21,6 +21,29 @@ pub struct GhnRegistry {
     /// Meta-training schedule used for every dataset's model.
     pub train_config: TrainConfig,
     seed: u64,
+}
+
+impl ToJson for GhnRegistry {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("ghns", &self.ghns)
+            .field("ghn_config", &self.ghn_config)
+            .field("train_config", &self.train_config)
+            .field("seed", &self.seed)
+            .end();
+    }
+}
+
+impl FromJson for GhnRegistry {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            ghns: o.field("ghns")?,
+            ghn_config: o.field("ghn_config")?,
+            train_config: o.field("train_config")?,
+            seed: o.field("seed")?,
+        })
+    }
 }
 
 impl GhnRegistry {

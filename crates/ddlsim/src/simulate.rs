@@ -8,7 +8,6 @@ use pddl_cluster::{ClusterState, ServerStatus};
 use pddl_tensor::Rng;
 use pddl_telemetry::{Counter, Histogram};
 use pddl_zoo::ModelSpec;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Simulator metric handles, resolved once. The simulator is the trace
@@ -32,7 +31,7 @@ fn metrics() -> &'static Metrics {
 }
 
 /// Simulator parameters (the "physics" of the synthetic testbed).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
     /// NFS server aggregate throughput, bytes/s (datasets live on NFS,
     /// §IV-A3).

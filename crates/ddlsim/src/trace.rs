@@ -6,10 +6,10 @@ use crate::simulate::{SimConfig, Simulator};
 use crate::workload::Workload;
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_zoo::model_names;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// One collected measurement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     pub workload: Workload,
     /// Server class the cluster was built from.
@@ -19,6 +19,31 @@ pub struct TraceRecord {
     pub time_secs: f64,
     /// Noise-free expectation (kept for diagnostics; predictors never see it).
     pub expected_secs: f64,
+}
+
+impl ToJson for TraceRecord {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("workload", &self.workload)
+            .field("server_class", &self.server_class)
+            .field("num_servers", &self.num_servers)
+            .field("time_secs", &self.time_secs)
+            .field("expected_secs", &self.expected_secs)
+            .end();
+    }
+}
+
+impl FromJson for TraceRecord {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            workload: o.field("workload")?,
+            server_class: o.field("server_class")?,
+            num_servers: o.field("num_servers")?,
+            time_secs: o.field("time_secs")?,
+            expected_secs: o.field("expected_secs")?,
+        })
+    }
 }
 
 impl TraceRecord {
@@ -110,16 +135,16 @@ pub fn generate_trace(cfg: &TraceConfig) -> Vec<TraceRecord> {
 pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
     records
         .iter()
-        .map(|r| serde_json::to_string(r).expect("trace serializes"))
+        .map(|r| json::to_string(r).expect("simulated times are finite"))
         .collect::<Vec<_>>()
         .join("\n")
 }
 
 /// Parses a JSON-lines trace.
-pub fn trace_from_jsonl(s: &str) -> Result<Vec<TraceRecord>, serde_json::Error> {
+pub fn trace_from_jsonl(s: &str) -> Result<Vec<TraceRecord>, JsonError> {
     s.lines()
         .filter(|l| !l.trim().is_empty())
-        .map(serde_json::from_str)
+        .map(json::from_str)
         .collect()
 }
 

@@ -4,11 +4,11 @@
 use pddl_zoo::dataset::{dataset_by_name, DatasetDesc};
 use pddl_zoo::{ModelSpec, ZooModel};
 use pddl_graph::CompGraph;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::sync::Arc;
 
 /// A deep-learning training workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Workload {
     /// Model-zoo name (e.g. `"resnet18"`).
     pub model: String,
@@ -20,6 +20,29 @@ pub struct Workload {
     pub batch_size: usize,
     /// Training epochs.
     pub epochs: usize,
+}
+
+impl ToJson for Workload {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("model", &self.model)
+            .field("dataset", &self.dataset)
+            .field("batch_size", &self.batch_size)
+            .field("epochs", &self.epochs)
+            .end();
+    }
+}
+
+impl FromJson for Workload {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            model: o.field("model")?,
+            dataset: o.field("dataset")?,
+            batch_size: o.field("batch_size")?,
+            epochs: o.field("epochs")?,
+        })
+    }
 }
 
 impl Workload {

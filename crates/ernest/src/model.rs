@@ -3,10 +3,10 @@
 use crate::features::{ernest_features, ERNEST_DIM};
 use crate::nnls::nnls;
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// One Ernest training observation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ErnestSample {
     /// Dataset scale fraction of the run.
     pub scale: f64,
@@ -16,9 +16,22 @@ pub struct ErnestSample {
 }
 
 /// Fitted Ernest model `t = θ·φ(s, m)` with `θ ≥ 0`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ErnestModel {
     pub theta: Vec<f32>,
+}
+
+impl ToJson for ErnestModel {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object().field("theta", &self.theta).end();
+    }
+}
+
+impl FromJson for ErnestModel {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { theta: o.field("theta")? })
+    }
 }
 
 impl ErnestModel {
@@ -116,7 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_round_trip() {
         let model = ErnestModel::fit(&samples(&[
             (0.25, 1),
             (0.25, 2),
@@ -124,8 +137,8 @@ mod tests {
             (1.0, 8),
             (1.0, 2),
         ]));
-        let s = serde_json::to_string(&model).unwrap();
-        let m2: ErnestModel = serde_json::from_str(&s).unwrap();
+        let s = pddl_telemetry::json::to_string(&model).unwrap();
+        let m2: ErnestModel = pddl_telemetry::json::from_str(&s).unwrap();
         assert_eq!(m2.theta, model.theta);
     }
 }

@@ -1,9 +1,9 @@
 //! GHN hyperparameters.
 
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Configuration of a GHN-2 instance.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GhnConfig {
     /// Node-state / embedding dimensionality `d`. The paper quotes a
     /// fixed-size output of e.g. 32.
@@ -19,6 +19,33 @@ pub struct GhnConfig {
     pub normalize: bool,
     /// Hidden width of the decoder head.
     pub decoder_hidden: usize,
+}
+
+impl ToJson for GhnConfig {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("hidden_dim", &self.hidden_dim)
+            .field("t_passes", &self.t_passes)
+            .field("s_max", &self.s_max)
+            .field("mlp_hidden", &self.mlp_hidden)
+            .field("normalize", &self.normalize)
+            .field("decoder_hidden", &self.decoder_hidden)
+            .end();
+    }
+}
+
+impl FromJson for GhnConfig {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            hidden_dim: o.field("hidden_dim")?,
+            t_passes: o.field("t_passes")?,
+            s_max: o.field("s_max")?,
+            mlp_hidden: o.field("mlp_hidden")?,
+            normalize: o.field("normalize")?,
+            decoder_hidden: o.field("decoder_hidden")?,
+        })
+    }
 }
 
 impl Default for GhnConfig {
@@ -58,10 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_round_trip() {
         let c = GhnConfig::default();
-        let s = serde_json::to_string(&c).unwrap();
-        let c2: GhnConfig = serde_json::from_str(&s).unwrap();
+        let s = pddl_telemetry::json::to_string(&c).unwrap();
+        let c2: GhnConfig = pddl_telemetry::json::from_str(&s).unwrap();
         assert_eq!(c2.hidden_dim, c.hidden_dim);
         assert_eq!(c2.s_max, c.s_max);
     }

@@ -3,7 +3,7 @@
 //! distance between a pair of vectors ... indicates the similarity of the
 //! corresponding DNN architectures").
 
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Cosine similarity of two equal-length vectors; 0 for degenerate inputs.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
@@ -24,10 +24,26 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 /// A collection of named architecture embeddings supporting nearest-match
 /// lookup (PredictDDL "finds the closest match based on the cosine
 /// similarity in case there is no exact match").
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EmbeddingSet {
     names: Vec<String>,
     vectors: Vec<Vec<f32>>,
+}
+
+impl ToJson for EmbeddingSet {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("names", &self.names)
+            .field("vectors", &self.vectors)
+            .end();
+    }
+}
+
+impl FromJson for EmbeddingSet {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { names: o.field("names")?, vectors: o.field("vectors")? })
+    }
 }
 
 impl EmbeddingSet {
@@ -162,11 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn json_round_trip() {
         let mut set = EmbeddingSet::new();
         set.insert("m", vec![0.25, -0.5]);
-        let s = serde_json::to_string(&set).unwrap();
-        let set2: EmbeddingSet = serde_json::from_str(&s).unwrap();
+        let s = pddl_telemetry::json::to_string(&set).unwrap();
+        let set2: EmbeddingSet = pddl_telemetry::json::from_str(&s).unwrap();
         assert_eq!(set2.get("m").unwrap(), set.get("m").unwrap());
     }
 }

@@ -12,7 +12,7 @@ use crate::config::GhnConfig;
 use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore, Tape, Var};
 use pddl_graph::{features, one_hot_features, CompGraph, OpKind, ShortestPaths};
 use pddl_tensor::{vecmat_acc, Activation as TensorAct, Matrix, Rng};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::sync::OnceLock;
 
 /// Cached telemetry handles (resolved once; recording is lock-free).
@@ -65,7 +65,7 @@ impl Schedule {
 }
 
 /// The GHN-2 model. All weights live in the owned [`ParamStore`].
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Ghn {
     pub cfg: GhnConfig,
     pub ps: ParamStore,
@@ -74,6 +74,35 @@ pub struct Ghn {
     msg_sp: Mlp,
     gru: GruCell,
     decoder: Mlp,
+}
+
+impl ToJson for Ghn {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("cfg", &self.cfg)
+            .field("ps", &self.ps)
+            .field("embed", &self.embed)
+            .field("msg", &self.msg)
+            .field("msg_sp", &self.msg_sp)
+            .field("gru", &self.gru)
+            .field("decoder", &self.decoder)
+            .end();
+    }
+}
+
+impl FromJson for Ghn {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            cfg: o.field("cfg")?,
+            ps: o.field("ps")?,
+            embed: o.field("embed")?,
+            msg: o.field("msg")?,
+            msg_sp: o.field("msg_sp")?,
+            gru: o.field("gru")?,
+            decoder: o.field("decoder")?,
+        })
+    }
 }
 
 impl Ghn {

@@ -12,10 +12,10 @@ use crate::synth::SynthGenerator;
 use pddl_autodiff::{Adam, Optimizer, Tape};
 use pddl_graph::CompGraph;
 use pddl_tensor::{Matrix, Rng};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Meta-training hyperparameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Number of synthetic architectures in the meta-training set.
     pub num_graphs: usize,
@@ -29,6 +29,33 @@ pub struct TrainConfig {
     pub clip_norm: f32,
     /// RNG seed for shuffling.
     pub seed: u64,
+}
+
+impl ToJson for TrainConfig {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("num_graphs", &self.num_graphs)
+            .field("epochs", &self.epochs)
+            .field("batch_size", &self.batch_size)
+            .field("lr", &self.lr)
+            .field("clip_norm", &self.clip_norm)
+            .field("seed", &self.seed)
+            .end();
+    }
+}
+
+impl FromJson for TrainConfig {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            num_graphs: o.field("num_graphs")?,
+            epochs: o.field("epochs")?,
+            batch_size: o.field("batch_size")?,
+            lr: o.field("lr")?,
+            clip_norm: o.field("clip_norm")?,
+            seed: o.field("seed")?,
+        })
+    }
 }
 
 impl Default for TrainConfig {

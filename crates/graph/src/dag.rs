@@ -1,7 +1,7 @@
 //! The computational-graph DAG itself.
 
 use crate::op::{node_activation_elems, node_flops, node_params, NodeAttrs, OpKind};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -9,12 +9,29 @@ use std::fmt;
 pub type NodeId = usize;
 
 /// One primitive operation in the graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Node {
     pub kind: OpKind,
     pub attrs: NodeAttrs,
     /// Human-readable label for debugging/visualization (e.g. "layer3.conv2").
     pub label: String,
+}
+
+impl ToJson for Node {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("kind", &self.kind)
+            .field("attrs", &self.attrs)
+            .field("label", &self.label)
+            .end();
+    }
+}
+
+impl FromJson for Node {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { kind: o.field("kind")?, attrs: o.field("attrs")?, label: o.field("label")? })
+    }
 }
 
 /// Structural problems detected by [`CompGraph::validate`].
@@ -57,7 +74,7 @@ impl std::error::Error for GraphError {}
 ///
 /// [`topo_order`]: CompGraph::topo_order
 /// [`validate`]: CompGraph::validate
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompGraph {
     /// Architecture name, e.g. `"resnet18"`.
     pub name: String,
@@ -66,6 +83,37 @@ pub struct CompGraph {
     out_edges: Vec<Vec<NodeId>>,
     /// Reverse adjacency: `in_edges[v]` lists u with u → v.
     in_edges: Vec<Vec<NodeId>>,
+}
+
+impl ToJson for CompGraph {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("name", &self.name)
+            .field("nodes", &self.nodes)
+            .field("out_edges", &self.out_edges)
+            .field("in_edges", &self.in_edges)
+            .end();
+    }
+}
+
+impl FromJson for CompGraph {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let g = Self {
+            name: o.field("name")?,
+            nodes: o.field("nodes")?,
+            out_edges: o.field("out_edges")?,
+            in_edges: o.field("in_edges")?,
+        };
+        // The adjacency lists arrive from outside; every method indexes
+        // them by node id, so a decoded graph must be as well-formed as
+        // one built through `add_node` / `add_edge`.
+        if g.adjacency_is_consistent() {
+            Ok(g)
+        } else {
+            Err(JsonError::Shape("adjacency lists do not match the node list".into()))
+        }
+    }
 }
 
 impl CompGraph {
@@ -95,6 +143,28 @@ impl CompGraph {
             self.out_edges[from].push(to);
             self.in_edges[to].push(from);
         }
+    }
+
+    /// One adjacency row per node, every endpoint in range, and
+    /// `in_edges` exactly the transpose of `out_edges`.
+    fn adjacency_is_consistent(&self) -> bool {
+        let n = self.nodes.len();
+        let indexable =
+            |adj: &[Vec<NodeId>]| adj.len() == n && adj.iter().flatten().all(|&v| v < n);
+        if !indexable(&self.out_edges) || !indexable(&self.in_edges) {
+            return false;
+        }
+        let mut transpose = vec![Vec::new(); n];
+        for (u, outs) in self.out_edges.iter().enumerate() {
+            for &v in outs {
+                transpose[v].push(u);
+            }
+        }
+        self.in_edges.iter().zip(&transpose).all(|(ins, expect)| {
+            let mut ins = ins.clone();
+            ins.sort_unstable();
+            ins == *expect
+        })
     }
 
     /// Convenience: adds a node wired from a single predecessor.
@@ -332,11 +402,11 @@ impl CompGraph {
 
     /// JSON serialization (the on-disk format for traces and registries).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("CompGraph serializes")
+        json::to_string(self).expect("a graph holds no floats")
     }
 
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+    pub fn from_json(s: &str) -> Result<Self, JsonError> {
+        json::from_str(s)
     }
 }
 
@@ -476,6 +546,26 @@ mod tests {
         assert_eq!(g2.num_nodes(), g.num_nodes());
         assert_eq!(g2.num_edges(), g.num_edges());
         assert_eq!(g2.nodes(), g.nodes());
+        assert_eq!(g2.fingerprint(), g.fingerprint());
+        assert_eq!(g2.to_json(), s);
+    }
+
+    #[test]
+    fn decode_rejects_adjacency_that_would_index_out_of_bounds() {
+        let good = small_graph().to_json();
+        assert!(good.contains(r#""in_edges":[[],[0],[1],[2,0],[3]]"#), "{good}");
+        for (from, to) in [
+            // a row missing, an endpoint past the node list, an edge
+            // with no mirror, a mirror with no edge
+            (r#""in_edges":[[],[0],[1],[2,0],[3]]"#, r#""in_edges":[[],[0],[1],[2,0]]"#),
+            (r#""out_edges":[[1,3]"#, r#""out_edges":[[1,9]"#),
+            (r#""out_edges":[[1,3]"#, r#""out_edges":[[1,3,4]"#),
+            (r#""in_edges":[[]"#, r#""in_edges":[[4]"#),
+        ] {
+            assert!(good.contains(from));
+            let err = CompGraph::from_json(&good.replace(from, to)).unwrap_err();
+            assert!(err.to_string().contains("adjacency"), "{err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Primitive operation vocabulary and per-node analytic costs.
 
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// The primitive-operation vocabulary.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// convolution, concatenation, summation, averaging, pooling, bias addition,
 /// batch normalization), plus the activations needed to express the
 /// torchvision families in `pddl-zoo`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Graph input (image tensor).
     Input,
@@ -137,7 +137,7 @@ impl OpKind {
 /// Spatial resolution is recorded at the node **output**; feature maps are
 /// assumed square (`spatial × spatial`), which matches every workload in the
 /// paper (CIFAR-10 32×32, Tiny-ImageNet 64×64).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NodeAttrs {
     /// Input channels (or input features for Dense).
     pub c_in: usize,
@@ -151,6 +151,45 @@ pub struct NodeAttrs {
     pub groups: usize,
     /// Output spatial resolution (H = W). 1 after global pooling / for Dense.
     pub spatial: usize,
+}
+
+impl ToJson for OpKind {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.unit_variant(self);
+    }
+}
+
+impl FromJson for OpKind {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        json::read_unit_variant(v, &Self::ALL)
+    }
+}
+
+impl ToJson for NodeAttrs {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("c_in", &self.c_in)
+            .field("c_out", &self.c_out)
+            .field("kernel", &self.kernel)
+            .field("stride", &self.stride)
+            .field("groups", &self.groups)
+            .field("spatial", &self.spatial)
+            .end();
+    }
+}
+
+impl FromJson for NodeAttrs {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            c_in: o.field("c_in")?,
+            c_out: o.field("c_out")?,
+            kernel: o.field("kernel")?,
+            stride: o.field("stride")?,
+            groups: o.field("groups")?,
+            spatial: o.field("spatial")?,
+        })
+    }
 }
 
 impl Default for NodeAttrs {

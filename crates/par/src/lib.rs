@@ -2,11 +2,9 @@
 //!
 //! A `std`-only fork-join work pool for the PredictDDL hot paths: batch
 //! prediction fan-out, trace generation, hyperparameter grid search, and
-//! per-dataset GHN training. No crates.io dependencies — the pool is built
-//! on [`std::thread::scope`], atomics, and nothing else, so it works in
-//! network-less build containers where `rayon` cannot resolve (and where
-//! the offline type-check stubs would silently degrade `rayon` to serial
-//! iteration).
+//! per-dataset GHN training. No crates.io dependencies — like the rest of
+//! the workspace, the pool is built on [`std::thread::scope`], atomics,
+//! and nothing else, so it builds and runs in network-less containers.
 //!
 //! ## Determinism contract
 //!

@@ -26,9 +26,8 @@
 //!   assert "open() lands on the newest verifiable version" across many
 //!   seeds without flaky timing games.
 //!
-//! The crate is plain `std` (it reuses `pddl-telemetry`'s hand-rolled JSON
-//! parser for manifests), so its test suite runs under the offline harness
-//! (`scripts/offline_check.sh test-registry`).
+//! The crate is plain `std` (it reuses `pddl-telemetry`'s JSON parser for
+//! manifests).
 //!
 //! # Example
 //!

@@ -9,10 +9,9 @@
 
 use crate::Regressor;
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Distance metric for neighbor lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Distance {
     Euclidean,
     /// 1 − cosine similarity (the paper's similarity measure).
@@ -20,7 +19,7 @@ pub enum Distance {
 }
 
 /// k-NN regressor with optional inverse-distance weighting.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KnnRegressor {
     pub k: usize,
     pub distance: Distance,

@@ -48,7 +48,7 @@ pub use split::train_test_split;
 pub use svr::{Kernel, Svr};
 
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Common interface: fit on `x` (rows = samples) against targets `y`, then
 /// predict new rows.
@@ -60,7 +60,6 @@ pub trait Regressor {
 /// The paper's four regression-model choices, as one pluggable enum
 /// ("PredictDDL also allows users to directly specify their preferred
 /// regression model").
-#[derive(Serialize, Deserialize)]
 pub enum Regression {
     /// Generalized linear regression (LR in Fig. 10).
     Linear(LinearRegression),
@@ -72,6 +71,37 @@ pub enum Regression {
     /// Multi-layer perceptron (MLP in Fig. 10).
     Mlp(MlpRegressor),
 }
+
+impl ToJson for Regression {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            Regression::Linear(m) => o.field("Linear", m),
+            Regression::Polynomial { expand, model } => o.field_with("Polynomial", |w| {
+                w.object().field("expand", expand).field("model", model).end()
+            }),
+            Regression::Svr(m) => o.field("Svr", m),
+            Regression::Mlp(m) => o.field("Mlp", m),
+        }
+        .end();
+    }
+}
+
+impl FromJson for Regression {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        Ok(match v.variant()? {
+            ("Linear", m) => Regression::Linear(FromJson::read_json(m)?),
+            ("Polynomial", fields) => {
+                let o = fields.fields()?;
+                Regression::Polynomial { expand: o.field("expand")?, model: o.field("model")? }
+            }
+            ("Svr", m) => Regression::Svr(FromJson::read_json(m)?),
+            ("Mlp", m) => Regression::Mlp(FromJson::read_json(m)?),
+            (other, _) => return Err(JsonError::unknown_variant(other)),
+        })
+    }
+}
+
 
 impl Regression {
     /// Paper-default: second-order polynomial regression with light ridge.
@@ -170,6 +200,42 @@ mod tests {
             let err = metrics::rmse(&pred, &y);
             assert!(err < tol, "{} rmse {err} > {tol}", model.name());
         }
+    }
+
+    /// One JSON round trip per variant, fitted and unfitted: the reloaded
+    /// model predicts bit-identically and re-renders to the same bytes.
+    #[test]
+    fn every_variant_round_trips_json_bit_exactly() {
+        use pddl_telemetry::json;
+        let mut rng = Rng::new(3);
+        let x = Matrix::rand_normal(40, 3, 1.0, &mut rng);
+        let y: Vec<f32> = (0..40).map(|i| x[(i, 0)] - 2.0 * x[(i, 1)] * x[(i, 2)]).collect();
+        let variants = || {
+            [
+                Regression::linear(),
+                Regression::polynomial(2, 1e-3),
+                Regression::polynomial_squares(3, 1e-2),
+                Regression::svr(Kernel::Linear, 1.0, 0.1),
+                Regression::svr(Kernel::Rbf { gamma: 0.25 }, 10.0, 0.05),
+                Regression::mlp(3, 40, 0.02, 9),
+            ]
+        };
+        for (unfitted, mut model) in variants().into_iter().zip(variants()) {
+            let blank = json::to_string(&unfitted).unwrap();
+            let back: Regression = json::from_str(&blank).unwrap();
+            assert_eq!(json::to_string(&back).unwrap(), blank, "{} unfitted", model.name());
+
+            model.fit(&x, &y);
+            let text = json::to_string(&model).unwrap();
+            let back: Regression = json::from_str(&text).unwrap();
+            assert_eq!(back.name(), model.name());
+            let bits = |m: &Regression| -> Vec<u32> {
+                m.predict(&x).iter().map(|p| p.to_bits()).collect()
+            };
+            assert_eq!(bits(&back), bits(&model), "{} predictions drifted", model.name());
+            assert_eq!(json::to_string(&back).unwrap(), text, "{} re-render", model.name());
+        }
+        assert!(json::from_str::<Regression>(r#"{"Forest":{}}"#).is_err());
     }
 
     #[test]

@@ -3,14 +3,27 @@
 use crate::Regressor;
 use pddl_tensor::linalg::{lstsq, solve_spd};
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// OLS linear regression with intercept, solved by Householder QR
 /// (numerically stable for the ill-conditioned polynomial design matrices).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LinearRegression {
     /// `[intercept, w_1 … w_d]` after fitting.
     pub coef: Vec<f32>,
+}
+
+impl ToJson for LinearRegression {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object().field("coef", &self.coef).end();
+    }
+}
+
+impl FromJson for LinearRegression {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { coef: o.field("coef")? })
+    }
 }
 
 impl LinearRegression {
@@ -39,10 +52,26 @@ impl Regressor for LinearRegression {
 
 /// Ridge regression `(XᵀX + λI)β = Xᵀy` via Cholesky; the intercept column
 /// is not penalized.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Ridge {
     pub lambda: f32,
     pub coef: Vec<f32>,
+}
+
+impl ToJson for Ridge {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("lambda", &self.lambda)
+            .field("coef", &self.coef)
+            .end();
+    }
+}
+
+impl FromJson for Ridge {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { lambda: o.field("lambda")?, coef: o.field("coef")? })
+    }
 }
 
 impl Ridge {

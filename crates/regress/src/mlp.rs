@@ -8,10 +8,9 @@ use crate::scale::StandardScaler;
 use crate::Regressor;
 use pddl_autodiff::{layers::Activation, Adam, Mlp, Optimizer, ParamStore, Tape};
 use pddl_tensor::{Matrix, Rng};
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Single-hidden-layer MLP regressor.
-#[derive(Serialize, Deserialize)]
 pub struct MlpRegressor {
     pub hidden: usize,
     pub epochs: usize,
@@ -20,13 +19,62 @@ pub struct MlpRegressor {
     state: Option<Fitted>,
 }
 
-#[derive(Serialize, Deserialize)]
+impl ToJson for MlpRegressor {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("hidden", &self.hidden)
+            .field("epochs", &self.epochs)
+            .field("lr", &self.lr)
+            .field("seed", &self.seed)
+            .field("state", &self.state)
+            .end();
+    }
+}
+
+impl FromJson for MlpRegressor {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            hidden: o.field("hidden")?,
+            epochs: o.field("epochs")?,
+            lr: o.field("lr")?,
+            seed: o.field("seed")?,
+            state: o.field("state")?,
+        })
+    }
+}
+
 struct Fitted {
     ps: ParamStore,
     net: Mlp,
     x_scaler: StandardScaler,
     y_mean: f32,
     y_std: f32,
+}
+
+impl ToJson for Fitted {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("ps", &self.ps)
+            .field("net", &self.net)
+            .field("x_scaler", &self.x_scaler)
+            .field("y_mean", &self.y_mean)
+            .field("y_std", &self.y_std)
+            .end();
+    }
+}
+
+impl FromJson for Fitted {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            ps: o.field("ps")?,
+            net: o.field("net")?,
+            x_scaler: o.field("x_scaler")?,
+            y_mean: o.field("y_mean")?,
+            y_std: o.field("y_std")?,
+        })
+    }
 }
 
 impl MlpRegressor {

@@ -15,7 +15,8 @@
 //! over the window in a *canonical* order (sorted by the raw bit patterns
 //! of the observation), so the refit result is bit-identical for any
 //! insertion order of the same window contents — the property pinned by
-//! the `window_refit_is_order_independent` proptest.
+//! the `window_refit_is_order_independent` property in
+//! `tests/properties.rs`.
 //!
 //! Telemetry: `refit.updates`, `refit.refits` and (from the drift module)
 //! `refit.drift_events` counters are visible in `{"op":"metrics"}`

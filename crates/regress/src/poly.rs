@@ -7,15 +7,31 @@
 //! pairwise interactions).
 
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Polynomial expansion transformer. Degrees 1–3 are supported; degree 2 is
 /// what the paper evaluates.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PolyFeatures {
     pub degree: usize,
     /// Include pairwise/triple interaction terms (not just powers).
     pub interactions: bool,
+}
+
+impl ToJson for PolyFeatures {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("degree", &self.degree)
+            .field("interactions", &self.interactions)
+            .end();
+    }
+}
+
+impl FromJson for PolyFeatures {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { degree: o.field("degree")?, interactions: o.field("interactions")? })
+    }
 }
 
 impl PolyFeatures {

@@ -1,13 +1,29 @@
 //! Feature standardization (zero mean, unit variance per column).
 
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Column-wise standard scaler.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StandardScaler {
     mean: Vec<f32>,
     std: Vec<f32>,
+}
+
+impl ToJson for StandardScaler {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("mean", &self.mean)
+            .field("std", &self.std)
+            .end();
+    }
+}
+
+impl FromJson for StandardScaler {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self { mean: o.field("mean")?, std: o.field("std")? })
+    }
 }
 
 impl StandardScaler {

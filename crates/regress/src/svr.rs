@@ -14,15 +14,38 @@
 
 use crate::Regressor;
 use pddl_tensor::Matrix;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Kernel functions for [`Svr`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Kernel {
     Linear,
     /// `exp(−γ‖a−b‖²)`.
     Rbf { gamma: f32 },
 }
+
+impl ToJson for Kernel {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Kernel::Linear => w.string("Linear"),
+            Kernel::Rbf { gamma } => w
+                .object()
+                .field_with("Rbf", |w| w.object().field("gamma", gamma).end())
+                .end(),
+        }
+    }
+}
+
+impl FromJson for Kernel {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        match v.variant()? {
+            ("Linear", _) => Ok(Kernel::Linear),
+            ("Rbf", fields) => Ok(Kernel::Rbf { gamma: fields.fields()?.field("gamma")? }),
+            (other, _) => Err(JsonError::unknown_variant(other)),
+        }
+    }
+}
+
 
 impl Kernel {
     fn eval(&self, a: &[f32], b: &[f32]) -> f32 {
@@ -38,7 +61,7 @@ impl Kernel {
 
 /// ε-SVR model. Hyperparameters follow the paper's grid-search ranges
 /// (`C ∈ [1, 10³]`, `γ ∈ [0.05, 0.5]`, `ε ∈ [0.05, 0.2]`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Svr {
     pub kernel: Kernel,
     pub c: f32,
@@ -49,6 +72,35 @@ pub struct Svr {
     pub tol: f32,
     beta: Vec<f32>,
     support: Matrix,
+}
+
+impl ToJson for Svr {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("kernel", &self.kernel)
+            .field("c", &self.c)
+            .field("epsilon", &self.epsilon)
+            .field("max_iter", &self.max_iter)
+            .field("tol", &self.tol)
+            .field("beta", &self.beta)
+            .field("support", &self.support)
+            .end();
+    }
+}
+
+impl FromJson for Svr {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            kernel: o.field("kernel")?,
+            c: o.field("c")?,
+            epsilon: o.field("epsilon")?,
+            max_iter: o.field("max_iter")?,
+            tol: o.field("tol")?,
+            beta: o.field("beta")?,
+            support: o.field("support")?,
+        })
+    }
 }
 
 impl Svr {

@@ -49,7 +49,10 @@ use crate::ring::HashRing;
 use pddl_cluster::protocol::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
 use pddl_telemetry::trace::{flight_recorder, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
-use predictddl::protocol::{overload_line, shard_moved_line, RouteShard, RouteTable};
+use predictddl::protocol::{
+    frame_too_long_line, metrics_line, overload_line, shard_moved_line, stats_line, RouteShard,
+    RouteTable,
+};
 use predictddl::serve::WaitGroup;
 use predictddl::{
     parse_frame, reload_rejected_from_line, reload_rejected_line, ParsedFrame, ReloadReply,
@@ -510,12 +513,7 @@ fn conn_loop(
             Ok(LinePoll::Eof) => break,
             Ok(LinePoll::Pending) => continue,
             Err(WireError::FrameTooLong { limit }) => {
-                let _ = write_line(
-                    &mut client_writer,
-                    &format!(
-                        "{{\"status\":\"err\",\"error\":{{\"invalid_params\":\"frame exceeds {limit} bytes\"}}}}"
-                    ),
-                );
+                let _ = write_line(&mut client_writer, &frame_too_long_line(limit));
                 break;
             }
             Err(WireError::Malformed { .. }) => break,
@@ -528,10 +526,7 @@ fn conn_loop(
         match parse_frame(&line) {
             Ok(ParsedFrame::Stats) => {
                 m.stats_requests.inc();
-                let out = format!(
-                    "{{\"status\":\"stats\",\"snapshot\":{}}}",
-                    pddl_telemetry::snapshot().to_json()
-                );
+                let out = stats_line(None, &pddl_telemetry::snapshot());
                 write_line(&mut client_writer, &out)?;
             }
             Ok(ParsedFrame::Trace) => {
@@ -540,11 +535,7 @@ fn conn_loop(
             }
             Ok(ParsedFrame::Metrics) => {
                 m.metrics_requests.inc();
-                let expo = pddl_telemetry::expo::prometheus_global();
-                let mut out = String::with_capacity(expo.len() + 40);
-                out.push_str("{\"status\":\"metrics\",\"exposition\":");
-                pddl_telemetry::push_json_string(&mut out, &expo);
-                out.push('}');
+                let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
                 write_line(&mut client_writer, &out)?;
             }
             Ok(ParsedFrame::RouteTable) => {

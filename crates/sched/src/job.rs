@@ -1,13 +1,12 @@
 //! Scheduler job descriptions.
 
 use pddl_ddlsim::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job within one queue.
 pub type JobId = usize;
 
 /// A training job submitted to the scheduler.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SchedJob {
     pub id: JobId,
     pub workload: Workload,

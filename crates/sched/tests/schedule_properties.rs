@@ -1,5 +1,7 @@
 //! Property tests over schedule validity: whatever the policy and
 //! estimator, the produced schedule must be *physically consistent*.
+//! Seeded loops on the in-tree [`Rng`]: a failure names the seed that
+//! replays it (see [`for_each_case`]).
 
 use pddl_cluster::ServerClass;
 use pddl_ddlsim::{SimConfig, Simulator, Workload};
@@ -7,8 +9,11 @@ use pddl_sched::policy::Policy;
 use pddl_sched::{
     DeadlineAware, FcfsFixed, NaiveEstimator, QueueSimulator, SchedJob, SpjfBackfill,
 };
+use pddl_tensor::rng::for_each_case;
 use pddl_tensor::Rng;
-use proptest::prelude::*;
+
+/// Cases per property.
+const CASES: u64 = 12;
 
 const MODELS: [&str; 5] = ["resnet18", "vgg16", "squeezenet1_1", "alexnet", "mobilenet_v2"];
 
@@ -54,11 +59,10 @@ fn assert_valid(trace: &pddl_sched::ScheduleTrace, jobs: &[SchedJob], capacity: 
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn schedules_are_physically_consistent(seed in any::<u64>(), n in 1usize..7, capacity in 4usize..16) {
+#[test]
+fn schedules_are_physically_consistent() {
+    for_each_case(CASES, |rng| {
+        let (seed, n, capacity) = (rng.next_u64(), rng.range(1, 7), rng.range(4, 16));
         let sim = Simulator::new(SimConfig::default());
         let q = QueueSimulator::new(capacity, ServerClass::GpuP100, &sim);
         let jobs = random_jobs(n, seed);
@@ -72,10 +76,13 @@ proptest! {
             let trace = q.run(&jobs, p.as_ref(), &est);
             assert_valid(&trace, &jobs, capacity);
         }
-    }
+    });
+}
 
-    #[test]
-    fn makespan_never_beats_total_work_over_capacity(seed in any::<u64>(), n in 2usize..6) {
+#[test]
+fn makespan_never_beats_total_work_over_capacity() {
+    for_each_case(CASES, |rng| {
+        let (seed, n) = (rng.next_u64(), rng.range(2, 6));
         // Lower bound: makespan ≥ Σ(serial work)/capacity under any policy.
         let capacity = 8;
         let sim = Simulator::new(SimConfig::default());
@@ -84,11 +91,11 @@ proptest! {
         let est = NaiveEstimator { assumed_secs: 60.0 };
         let trace = q.run(&jobs, &SpjfBackfill, &est);
         let total_server_secs = trace.metrics.server_seconds;
-        prop_assert!(
+        assert!(
             trace.metrics.makespan + 1e-6 >= total_server_secs / capacity as f64 * 0.99,
             "makespan {} below work bound {}",
             trace.metrics.makespan,
             total_server_secs / capacity as f64
         );
-    }
+    });
 }

@@ -15,8 +15,10 @@
 //! * [`expo`] — Prometheus-style text exposition of the registry,
 //!   served via `{"op":"metrics"}`.
 //!
-//! Built entirely on `std` — no `tracing`, no `prometheus`, no serde — so
-//! every crate in the workspace can depend on it without weight.
+//! Built entirely on `std`, so every crate in the workspace can depend on
+//! it without weight — which is also why the workspace's one JSON codec
+//! ([`json`]: the [`JsonValue`] tree and the `ToJson` / `FromJson` traits
+//! behind every wire frame and checkpoint) lives here.
 //!
 //! ## Hot-path cost
 //!
@@ -25,8 +27,8 @@
 //! [`Counter::inc`] is one relaxed `fetch_add`, a [`Histogram`] record is a
 //! handful of relaxed atomic RMWs, and a [`Span`] enter/exit adds two
 //! `Instant` reads on top. Cache the handle (`OnceLock` static or a struct
-//! field) on hot paths; `crates/bench` has a micro-benchmark demonstrating
-//! the cost.
+//! field) on hot paths; the repo benchmark's `telemetry.trace_overhead_ratio`
+//! reports what the instrumentation costs end to end.
 //!
 //! ## Example
 //!
@@ -62,7 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod expo;
-mod json;
+pub mod json;
 mod log;
 mod metrics;
 mod snapshot;

@@ -463,9 +463,8 @@ mod tests {
         assert_eq!(h.quantile(1.0), h.summarize().max);
     }
 
-    /// Hand-rolled property test (proptest is unavailable offline):
-    /// quantiles are monotone in q and bounded by [min, max] for random
-    /// observation sets.
+    /// Seeded property loop: quantiles are monotone in q and bounded by
+    /// [min, max] for random observation sets.
     #[test]
     fn quantile_monotonicity_property() {
         let mut state = 0x9E3779B97F4A7C15u64;

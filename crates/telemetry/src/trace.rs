@@ -34,7 +34,7 @@
 //! races and the worst case is one garbled *telemetry* event — never a
 //! memory-safety issue (all fields are plain atomics).
 
-use crate::json::{push_json_string, JsonValue};
+use crate::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use crate::metrics::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -455,8 +455,10 @@ impl FlightRecorder {
     }
 
     /// Tail-sampling promotion: copies `trace_id`'s spans out of the ring
-    /// into the retained set under `verdict`. Re-promoting a retained
-    /// trace merges any new spans (keyed by span id) and keeps the first
+    /// into the retained set under `verdict`, one event per span id: a
+    /// retried attempt re-records the stages it repeats under the same
+    /// derived ids, and only the earliest of each is kept. Re-promoting a
+    /// retained trace merges any new spans (same key) and keeps the first
     /// verdict — a retried request stays one trace. Once the retained set
     /// is full, promotions of *new* traces become a cheap counter bump
     /// (no scan, no eviction) so shed storms stay cheap and the first
@@ -471,7 +473,9 @@ impl FlightRecorder {
                 return;
             }
         }
-        let spans = self.spans_for(trace_id);
+        let mut spans = self.spans_for(trace_id);
+        let mut seen = std::collections::HashSet::new();
+        spans.retain(|ev| seen.insert(ev.span_id));
         let mut r = self.retained.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = r.traces.iter_mut().find(|t| t.trace_id == trace_id) {
             for ev in spans {
@@ -515,46 +519,30 @@ impl FlightRecorder {
         self.suppressed.load(Ordering::Relaxed)
     }
 
-    /// Renders the retained set as the `{"op":"trace"}` wire reply:
-    /// `{"status":"trace","suppressed":N,"retained":[...]}`. Ids are
-    /// zero-padded hex strings (u64 ids do not survive f64 JSON numbers).
+    /// Renders the retained set as the `{"op":"trace"}` wire reply (see
+    /// [`render_trace_dump`]).
     pub fn retained_json(&self) -> String {
-        let traces = self.retained();
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"status\":\"trace\",\"suppressed\":");
-        out.push_str(&self.suppressed().to_string());
-        out.push_str(",\"retained\":[");
-        for (i, t) in traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"trace_id\":\"");
-            out.push_str(&format!("{:016x}", t.trace_id));
-            out.push_str("\",\"verdict\":");
-            push_json_string(&mut out, t.verdict);
-            out.push_str(",\"spans\":[");
-            for (j, s) in t.spans.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"span_id\":\"");
-                out.push_str(&format!("{:016x}", s.span_id));
-                out.push_str("\",\"parent_id\":\"");
-                out.push_str(&format!("{:016x}", s.parent_id));
-                out.push_str("\",\"stage\":");
-                push_json_string(&mut out, s.stage);
-                out.push_str(",\"start_us\":");
-                out.push_str(&s.start_us.to_string());
-                out.push_str(",\"dur_ns\":");
-                out.push_str(&s.dur_ns.to_string());
-                out.push_str(",\"status\":");
-                push_json_string(&mut out, s.status.as_str());
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let traces: Vec<ParsedTrace> = self
+            .retained()
+            .iter()
+            .map(|t| ParsedTrace {
+                trace_id: t.trace_id,
+                verdict: t.verdict.to_string(),
+                spans: t
+                    .spans
+                    .iter()
+                    .map(|s| ParsedSpan {
+                        span_id: s.span_id,
+                        parent_id: s.parent_id,
+                        stage: s.stage.to_string(),
+                        start_us: s.start_us,
+                        dur_ns: s.dur_ns,
+                        status: s.status.as_str().to_string(),
+                    })
+                    .collect(),
+            })
+            .collect();
+        render_trace_dump(self.suppressed(), &traces)
     }
 
     /// Empties the ring and the retained set (handles stay valid). For
@@ -606,60 +594,86 @@ pub struct ParsedTrace {
     pub spans: Vec<ParsedSpan>,
 }
 
-fn hex_id(v: &JsonValue, key: &str) -> Result<u64, String> {
-    let s = v
-        .get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing '{key}' id string"))?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad '{key}' id {s:?}: {e}"))
+/// A span or trace id on the wire: a zero-padded hex string, so a dump
+/// reads the same in a log line, a waterfall and a debugger.
+struct HexId(u64);
+
+impl ToJson for HexId {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(&format!("{:016x}", self.0));
+    }
+}
+
+impl FromJson for HexId {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let s = v.as_str().ok_or_else(|| JsonError::expected("an id string", v))?;
+        u64::from_str_radix(s, 16)
+            .map(HexId)
+            .map_err(|e| JsonError::Shape(format!("bad id {s:?}: {e}")))
+    }
+}
+
+impl ToJson for ParsedSpan {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("span_id", &HexId(self.span_id))
+            .field("parent_id", &HexId(self.parent_id))
+            .field("stage", &self.stage)
+            .field("start_us", &self.start_us)
+            .field("dur_ns", &self.dur_ns)
+            .field("status", &self.status)
+            .end();
+    }
+}
+
+impl FromJson for ParsedSpan {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            span_id: o.field::<HexId>("span_id")?.0,
+            parent_id: o.field::<HexId>("parent_id")?.0,
+            stage: o.field("stage")?,
+            start_us: o.field("start_us")?,
+            dur_ns: o.field("dur_ns")?,
+            status: o.field("status")?,
+        })
+    }
+}
+
+impl ToJson for ParsedTrace {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("trace_id", &HexId(self.trace_id))
+            .field("verdict", &self.verdict)
+            .field("spans", &self.spans)
+            .end();
+    }
+}
+
+impl FromJson for ParsedTrace {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            trace_id: o.field::<HexId>("trace_id")?.0,
+            verdict: o.field("verdict")?,
+            spans: o.field("spans")?,
+        })
+    }
+}
+
+/// Renders the `{"op":"trace"}` wire reply:
+/// `{"status":"trace","suppressed":N,"retained":[...]}`.
+pub fn render_trace_dump(suppressed: u64, traces: &[ParsedTrace]) -> String {
+    json::object(|o| {
+        o.field("status", "trace").field("suppressed", &suppressed).field("retained", traces)
+    })
+    .expect("a trace dump holds no floats")
 }
 
 /// Parses the retained-trace list from a `{"status":"trace",...}` reply
-/// (the inverse of [`FlightRecorder::retained_json`]).
+/// (the inverse of [`render_trace_dump`]).
 pub fn parse_trace_dump(v: &JsonValue) -> Result<Vec<ParsedTrace>, String> {
-    let retained = match v.get("retained") {
-        Some(JsonValue::Array(a)) => a,
-        _ => return Err("missing 'retained' array".into()),
-    };
-    let mut out = Vec::with_capacity(retained.len());
-    for t in retained {
-        let trace_id = hex_id(t, "trace_id")?;
-        let verdict = t
-            .get("verdict")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing 'verdict'")?
-            .to_string();
-        let spans_v = match t.get("spans") {
-            Some(JsonValue::Array(a)) => a,
-            _ => return Err("missing 'spans' array".into()),
-        };
-        let mut spans = Vec::with_capacity(spans_v.len());
-        for s in spans_v {
-            let field = |k: &str| -> Result<u64, String> {
-                s.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("span missing '{k}'"))
-            };
-            spans.push(ParsedSpan {
-                span_id: hex_id(s, "span_id")?,
-                parent_id: hex_id(s, "parent_id")?,
-                stage: s
-                    .get("stage")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("span missing 'stage'")?
-                    .to_string(),
-                start_us: field("start_us")?,
-                dur_ns: field("dur_ns")?,
-                status: s
-                    .get("status")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("span missing 'status'")?
-                    .to_string(),
-            });
-        }
-        out.push(ParsedTrace { trace_id, verdict, spans });
-    }
-    Ok(out)
+    v.fields().and_then(|o| o.field("retained")).map_err(|e| e.to_string())
 }
 
 /// Renders retained traces as a fixed-width per-stage waterfall, one
@@ -789,6 +803,21 @@ mod tests {
         let mut ids: Vec<u64> = t.spans.iter().map(|s| s.span_id).collect();
         ids.dedup();
         assert_eq!(ids.len(), 3, "span ids unique after merge");
+    }
+
+    #[test]
+    fn first_promotion_keeps_one_event_per_span_id() {
+        // Both attempts of a retried request land in the ring before
+        // anything promotes the trace (the soak tier's shape).
+        let r = FlightRecorder::new(32, 4);
+        let ctx = TraceContext::root(7);
+        r.record_stage(ctx, stages::FRAME_READ, 10, ms(1), SpanStatus::Ok);
+        r.record_stage(ctx, stages::FRAME_READ, 60, ms(1), SpanStatus::Ok);
+        r.record_stage(ctx, stages::REGRESS, 61, ms(1), SpanStatus::Ok);
+        r.promote(7, "slow");
+        let spans = &r.retained()[0].spans;
+        assert_eq!(spans.len(), 2, "one event per span id: {spans:?}");
+        assert_eq!(spans[0].start_us, 10, "the earliest attempt's event is the one kept");
     }
 
     #[test]

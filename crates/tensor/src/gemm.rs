@@ -46,7 +46,6 @@
 
 use crate::kernels::{self, Kernels};
 use pddl_par::WorkPool;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -77,7 +76,7 @@ const PAR_MC: usize = 32;
 const PAR_NC: usize = 128;
 
 /// Elementwise activation fused into the GEMM epilogue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Activation {
     /// No activation (plain affine output).
     Identity,

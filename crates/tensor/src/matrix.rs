@@ -5,16 +5,41 @@ use crate::gemm::{self, Activation, Layout, PackBuffer};
 use crate::kernels;
 use crate::rng::Rng;
 use pddl_par::WorkPool;
-use serde::{Deserialize, Serialize};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 /// Dense row-major matrix of `f32`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl ToJson for Matrix {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data)
+            .end();
+    }
+}
+
+impl FromJson for Matrix {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let (rows, cols): (usize, usize) = (o.field("rows")?, o.field("cols")?);
+        let data: Vec<f32> = o.field("data")?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(JsonError::Shape(format!(
+                "matrix is {rows}x{cols} but carries {} values",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
 }
 
 impl Matrix {

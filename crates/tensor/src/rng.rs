@@ -149,6 +149,27 @@ impl Rng {
     }
 }
 
+/// Seeded property loop — the workspace's stand-in for a property-testing
+/// crate. Runs `property` on `cases` generators with fixed, distinct seeds
+/// (every run draws the same cases); when one fails, the panic is re-raised
+/// with the case's seed in its message, so `property(&mut Rng::new(seed))`
+/// replays exactly that case.
+pub fn for_each_case(cases: u64, property: impl Fn(&mut Rng)) {
+    let mut state = 0;
+    for case in 0..cases {
+        let seed = splitmix64(&mut state);
+        let run = std::panic::AssertUnwindSafe(|| property(&mut Rng::new(seed)));
+        if let Err(payload) = std::panic::catch_unwind(run) {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("panicked");
+            panic!("case {case} of {cases}, Rng::new({seed:#x}): {msg}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +181,34 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn for_each_case_replays_from_the_reported_seed() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let runs = AtomicU64::new(0);
+        for_each_case(12, |_| {
+            runs.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 12);
+
+        // A property that fails on its third case: the re-raised message
+        // names a seed whose generator reproduces that case's first draw.
+        let draws = std::sync::Mutex::new(Vec::new());
+        let failing = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_case(12, |rng| {
+                let mut seen = draws.lock().unwrap();
+                seen.push(rng.next_u64());
+                assert!(seen.len() < 3, "third case fails");
+            })
+        }));
+        let payload = failing.expect_err("the failure propagates");
+        let msg = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.starts_with("case 2 of 12, Rng::new(0x") && msg.ends_with("third case fails"));
+        let hex = &msg[msg.find("0x").unwrap() + 2..msg.find(')').unwrap()];
+        let seed = u64::from_str_radix(hex, 16).unwrap();
+        let draws = draws.into_inner().unwrap_or_else(|e| e.into_inner());
+        assert_eq!(Rng::new(seed).next_u64(), draws[2]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Equivalence, determinism, and allocation-reuse suite for the blocked
 //! packed GEMM core.
 //!
-//! Uses the in-tree seeded `Rng` for randomized sweeps (instead of the
-//! `proptest` crate) so the whole file runs in offline containers via
-//! `scripts/offline_check.sh test-tensor` as well as in networked CI.
+//! Randomized sweeps draw from the in-tree seeded `Rng`.
 //!
 //! Tolerance policy (see `crates/tensor/src/gemm.rs`): blocked results
 //! are compared to `matmul_reference` at ≤ 1e-5 *relative* error — the

@@ -5,10 +5,8 @@
 //! class count) and the simulator's data-loading cost (bytes on disk, number
 //! of examples). Figures match Section IV-A3 of the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// Metadata for a training dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DatasetDesc {
     /// Canonical name used as the GHN-registry key ("cifar10", …).
     pub name: &'static str,

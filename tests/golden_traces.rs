@@ -13,8 +13,7 @@
 //! `PDDL_REGEN_GOLDEN=1 cargo test --test golden_traces` and review the
 //! fixture diff like any other code change.
 //!
-//! Fixtures are parsed with `pddl_telemetry::JsonValue` (the in-tree JSON
-//! parser), so this test runs even where serde_json is stubbed out.
+//! Fixtures are parsed with `pddl_telemetry::JsonValue`.
 
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{SimConfig, Simulator, Workload};

@@ -322,7 +322,10 @@ fn reap_round() {
                 .expect("connect");
             loop {
                 match c.predict(&req) {
-                    Ok(outcome) => break outcome.expect("tiny-system predict"),
+                    Ok(outcome) => {
+                        outcome.expect("tiny-system predict");
+                        break;
+                    }
                     // A 4-slot core may shed even 5 clients; retry.
                     Err(e) if overload_retry_hint(&e).is_some() => {
                         std::thread::sleep(Duration::from_millis(2))
@@ -330,6 +333,10 @@ fn reap_round() {
                     Err(e) => panic!("predict: {e}"),
                 };
             }
+            // The connection itself, so all five stay open until the drop
+            // below (returning the prediction closed each one on the spot,
+            // and the live count raced the readers' exit).
+            c
         })
         .collect();
     assert!(controller.live_connections() >= 5);

@@ -1,190 +1,211 @@
-//! Property-based tests (proptest) over cross-crate invariants.
+//! Property-based tests over cross-crate invariants: seeded loops on the
+//! in-tree [`Rng`]. Every property draws its inputs from the generator
+//! [`for_each_case`] hands it, and a failure names the seed that replays
+//! the case.
 
 use pddl_cluster::protocol::{read_line_bounded, WireError};
 use pddl_cluster::{ClusterState, ServerClass};
-use pddl_faults::FaultPlan;
-use pddl_par::{PushError, TaskQueue};
-use predictddl::parse_frame;
-use std::io::BufReader;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use pddl_ddlsim::{SimConfig, Simulator, Workload};
+use pddl_faults::FaultPlan;
 use pddl_ghn::{cosine_similarity, Ghn, GhnConfig};
 use pddl_graph::{CompGraph, NodeAttrs, OpKind};
+use pddl_par::{PushError, TaskQueue};
 use pddl_regress::poly::PolyFeatures;
 use pddl_regress::split::train_test_split;
 use pddl_regress::{batch_ridge, DriftConfig, OnlineRidge, PageHinkley};
 use pddl_tensor::linalg::qr;
+use pddl_tensor::rng::for_each_case;
 use pddl_tensor::{Matrix, Rng};
-use proptest::prelude::*;
+use predictddl::parse_frame;
+use std::io::BufReader;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Random small DAG built layer-by-layer (always valid).
-fn arb_graph() -> impl Strategy<Value = CompGraph> {
-    (2usize..10, any::<u64>()).prop_map(|(layers, seed)| {
-        let mut rng = Rng::new(seed);
-        let mut g = CompGraph::new("prop");
-        let mut prev = g.add_node(OpKind::Input, NodeAttrs::elementwise(3, 16), "in");
-        let mut frontier = vec![prev];
-        for i in 0..layers {
-            let kind = *rng.pick(&[
-                OpKind::Conv,
-                OpKind::Relu,
-                OpKind::BatchNorm,
-                OpKind::MaxPool,
-                OpKind::DepthwiseConv,
-            ]);
-            let c = 4 << rng.below(4);
-            let attrs = match kind {
-                OpKind::Conv => NodeAttrs::conv(c, c, 3, 1, 16),
-                OpKind::DepthwiseConv => NodeAttrs::group_conv(c, c, 3, 1, c, 16),
-                _ => NodeAttrs::elementwise(c, 16),
-            };
-            let src = frontier[rng.below(frontier.len())];
-            prev = g.chain(src, kind, attrs, format!("n{i}"));
-            frontier.push(prev);
-        }
-        let _ = g.chain(prev, OpKind::Output, NodeAttrs::elementwise(8, 16), "out");
-        g
-    })
+/// Cases per property (the refit block below runs 32).
+const CASES: u64 = 24;
+
+/// Uniform `f64` in `[lo, hi)`.
+fn f64_in(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.next_f64()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Random small DAG built layer-by-layer (always valid).
+fn arb_graph(rng: &mut Rng) -> CompGraph {
+    let layers = rng.range(2, 10);
+    let mut g = CompGraph::new("prop");
+    let mut prev = g.add_node(OpKind::Input, NodeAttrs::elementwise(3, 16), "in");
+    let mut frontier = vec![prev];
+    for i in 0..layers {
+        let kind = *rng.pick(&[
+            OpKind::Conv,
+            OpKind::Relu,
+            OpKind::BatchNorm,
+            OpKind::MaxPool,
+            OpKind::DepthwiseConv,
+        ]);
+        let c = 4 << rng.below(4);
+        let attrs = match kind {
+            OpKind::Conv => NodeAttrs::conv(c, c, 3, 1, 16),
+            OpKind::DepthwiseConv => NodeAttrs::group_conv(c, c, 3, 1, c, 16),
+            _ => NodeAttrs::elementwise(c, 16),
+        };
+        let src = frontier[rng.below(frontier.len())];
+        prev = g.chain(src, kind, attrs, format!("n{i}"));
+        frontier.push(prev);
+    }
+    let _ = g.chain(prev, OpKind::Output, NodeAttrs::elementwise(8, 16), "out");
+    g
+}
 
-    /// QR reconstruction holds for random matrices.
-    #[test]
-    fn qr_reconstructs_random_matrices(seed in any::<u64>(), m in 3usize..12, extra in 0usize..6) {
+/// QR reconstruction holds for random matrices.
+#[test]
+fn qr_reconstructs_random_matrices() {
+    for_each_case(CASES, |rng| {
+        let m = rng.range(3, 12);
         let n = (m - 2).max(1);
-        let _ = extra;
-        let mut rng = Rng::new(seed);
-        let a = Matrix::rand_normal(m, n, 1.0, &mut rng);
+        let a = Matrix::rand_normal(m, n, 1.0, rng);
         let (q, r) = qr(&a);
         let recon = q.matmul(&r);
-        prop_assert!((&recon - &a).max_abs() < 1e-3);
-    }
+        assert!((&recon - &a).max_abs() < 1e-3);
+    });
+}
 
-    /// Polynomial expansion always has the closed-form width.
-    #[test]
-    fn poly_dim_formula_holds(d in 1usize..8, rows in 1usize..5, seed in any::<u64>()) {
-        let mut rng = Rng::new(seed);
-        let x = Matrix::rand_normal(rows, d, 1.0, &mut rng);
+/// Polynomial expansion always has the closed-form width.
+#[test]
+fn poly_dim_formula_holds() {
+    for_each_case(CASES, |rng| {
+        let (d, rows) = (rng.range(1, 8), rng.range(1, 5));
+        let x = Matrix::rand_normal(rows, d, 1.0, rng);
         for degree in 1..=3usize {
             let p = PolyFeatures::new(degree, true);
             let t = p.transform(&x);
-            prop_assert_eq!(t.cols(), p.out_dim(d));
-            prop_assert_eq!(t.rows(), rows);
+            assert_eq!(t.cols(), p.out_dim(d));
+            assert_eq!(t.rows(), rows);
         }
-    }
+    });
+}
 
-    /// Random generated DAGs validate, topo-sort, and embed to finite
-    /// fixed-size vectors; cosine self-similarity is 1.
-    #[test]
-    fn random_graphs_embed_cleanly(g in arb_graph()) {
-        prop_assert_eq!(g.validate(), Ok(()));
+/// Random generated DAGs validate, topo-sort, and embed to finite
+/// fixed-size vectors; cosine self-similarity is 1.
+#[test]
+fn random_graphs_embed_cleanly() {
+    for_each_case(CASES, |rng| {
+        let g = arb_graph(rng);
+        assert_eq!(g.validate(), Ok(()));
         let order = g.topo_order().unwrap();
-        prop_assert_eq!(order.len(), g.num_nodes());
+        assert_eq!(order.len(), g.num_nodes());
         let mut rng = Rng::new(1234);
         let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
         let e = ghn.embed_graph(&g);
-        prop_assert_eq!(e.len(), GhnConfig::tiny().hidden_dim);
-        prop_assert!(e.iter().all(|x| x.is_finite()));
-        prop_assert!((cosine_similarity(&e, &e) - 1.0).abs() < 1e-5);
-    }
+        assert_eq!(e.len(), GhnConfig::tiny().hidden_dim);
+        assert!(e.iter().all(|x| x.is_finite()));
+        assert!((cosine_similarity(&e, &e) - 1.0).abs() < 1e-5);
+    });
+}
 
-    /// Train/test splits always partition the index set.
-    #[test]
-    fn splits_partition(n in 2usize..500, frac in 0.1f64..0.9, seed in any::<u64>()) {
+/// Train/test splits always partition the index set.
+#[test]
+fn splits_partition() {
+    for_each_case(CASES, |rng| {
+        let (n, frac, seed) = (rng.range(2, 500), f64_in(rng, 0.1, 0.9), rng.next_u64());
         let (tr, te) = train_test_split(n, frac, seed);
-        prop_assert!(!tr.is_empty() && !te.is_empty());
+        assert!(!tr.is_empty() && !te.is_empty());
         let mut all: Vec<usize> = tr.iter().chain(&te).copied().collect();
         all.sort_unstable();
         all.dedup();
-        prop_assert_eq!(all.len(), n);
-    }
+        assert_eq!(all.len(), n);
+    });
+}
 
-    /// Simulator output is positive, finite, and monotone in epochs.
-    #[test]
-    fn simulator_monotone_in_epochs(
-        epochs in 1usize..8,
-        servers in 1usize..12,
-        model_idx in 0usize..5,
-    ) {
+/// Simulator output is positive, finite, and monotone in epochs.
+#[test]
+fn simulator_monotone_in_epochs() {
+    for_each_case(CASES, |rng| {
+        let (epochs, servers) = (rng.range(1, 8), rng.range(1, 12));
         let models = ["resnet18", "vgg16", "squeezenet1_1", "alexnet", "mobilenet_v2"];
+        let model = *rng.pick(&models);
         let sim = Simulator::new(SimConfig::default());
         let cluster = ClusterState::homogeneous(ServerClass::GpuP100, servers);
         let t1 = sim
-            .expected_time(&Workload::new(models[model_idx], "cifar10", 64, epochs), &cluster)
+            .expected_time(&Workload::new(model, "cifar10", 64, epochs), &cluster)
             .unwrap();
         let t2 = sim
-            .expected_time(&Workload::new(models[model_idx], "cifar10", 64, epochs + 1), &cluster)
+            .expected_time(&Workload::new(model, "cifar10", 64, epochs + 1), &cluster)
             .unwrap();
-        prop_assert!(t1.is_finite() && t1 > 0.0);
-        prop_assert!(t2 > t1, "more epochs must take longer: {} vs {}", t1, t2);
-    }
+        assert!(t1.is_finite() && t1 > 0.0);
+        assert!(t2 > t1, "more epochs must take longer: {} vs {}", t1, t2);
+    });
+}
 
-    /// Cluster feature vectors are always finite and fixed-width.
-    #[test]
-    fn cluster_features_always_finite(n in 1usize..30, class_idx in 0usize..3) {
-        let class = [ServerClass::CpuE5_2630, ServerClass::CpuE5_2650, ServerClass::GpuP100][class_idx];
+/// Cluster feature vectors are always finite and fixed-width.
+#[test]
+fn cluster_features_always_finite() {
+    for_each_case(CASES, |rng| {
+        let n = rng.range(1, 30);
+        let class =
+            *rng.pick(&[ServerClass::CpuE5_2630, ServerClass::CpuE5_2650, ServerClass::GpuP100]);
         let f = ClusterState::homogeneous(class, n).feature_vector();
-        prop_assert!(f.iter().all(|x| x.is_finite()));
-    }
+        assert!(f.iter().all(|x| x.is_finite()));
+    });
+}
 
-    /// Arbitrary peer bytes through the bounded reader and the frame
-    /// parser produce structured outcomes only: no panics, and no line
-    /// longer than the limit ever escapes.
-    #[test]
-    fn wire_layer_survives_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
-        cap in 8usize..256,
-    ) {
+/// Arbitrary peer bytes through the bounded reader and the frame
+/// parser produce structured outcomes only: no panics, and no line
+/// longer than the limit ever escapes.
+#[test]
+fn wire_layer_survives_arbitrary_bytes() {
+    for_each_case(CASES, |rng| {
+        let bytes: Vec<u8> = (0..rng.below(2048)).map(|_| rng.next_u64() as u8).collect();
+        let cap = rng.range(8, 256);
         let mut reader = BufReader::with_capacity(cap, bytes.as_slice());
         loop {
             match read_line_bounded(&mut reader, 512) {
                 Ok(None) => break,
                 Ok(Some(line)) => {
-                    prop_assert!(line.len() <= 512, "over-limit line escaped");
+                    assert!(line.len() <= 512, "over-limit line escaped");
                     let _ = parse_frame(&line);
                 }
                 Err(WireError::FrameTooLong { limit }) => {
-                    prop_assert_eq!(limit, 512);
+                    assert_eq!(limit, 512);
                     break;
                 }
                 Err(WireError::Malformed { .. }) => continue,
                 Err(WireError::Io(e)) => panic!("in-memory reader raised io error: {e}"),
             }
         }
-    }
+    });
+}
 
-    /// Fault-plan specs survive parse → to_spec → parse exactly, so a
-    /// schedule logged from a failing run can be replayed verbatim.
-    #[test]
-    fn fault_plan_spec_round_trips(
-        seed in any::<u64>(),
-        p_delay in 0.0f64..0.2,
-        p_reset in 0.0f64..0.2,
-        p_truncate in 0.0f64..0.2,
-        p_garbage in 0.0f64..0.2,
-        p_drop in 0.0f64..0.2,
-        max_delay_ms in 1u64..50,
-    ) {
-        let plan = FaultPlan { seed, p_delay, max_delay_ms, p_reset, p_truncate, p_garbage, p_drop };
+/// Fault-plan specs survive parse → to_spec → parse exactly, so a
+/// schedule logged from a failing run can be replayed verbatim.
+#[test]
+fn fault_plan_spec_round_trips() {
+    for_each_case(CASES, |rng| {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            p_delay: f64_in(rng, 0.0, 0.2),
+            max_delay_ms: rng.range(1, 50) as u64,
+            p_reset: f64_in(rng, 0.0, 0.2),
+            p_truncate: f64_in(rng, 0.0, 0.2),
+            p_garbage: f64_in(rng, 0.0, 0.2),
+            p_drop: f64_in(rng, 0.0, 0.2),
+        };
         let round = FaultPlan::parse(&plan.to_spec()).unwrap();
-        prop_assert_eq!(plan, round);
-    }
+        assert_eq!(plan, round);
+    });
+}
 
-    /// Bounded admission queue, N producers → 1 consumer, under seeded
-    /// interleavings: items from each producer are popped in push order
-    /// (sheds leave gaps, never reorderings), nothing is lost or
-    /// duplicated (`popped + shed == submitted`), and the queue never
-    /// holds more than its capacity.
-    #[test]
-    fn task_queue_preserves_fifo_per_producer(
-        seed in any::<u64>(),
-        capacity in 1usize..6,
-        producers in 1usize..4,
-        per_producer in 1usize..48,
-    ) {
+/// Bounded admission queue, N producers → 1 consumer, under seeded
+/// interleavings: items from each producer are popped in push order
+/// (sheds leave gaps, never reorderings), nothing is lost or
+/// duplicated (`popped + shed == submitted`), and the queue never
+/// holds more than its capacity.
+#[test]
+fn task_queue_preserves_fifo_per_producer() {
+    for_each_case(CASES, |rng| {
+        let seed = rng.next_u64();
+        let (capacity, producers, per_producer) =
+            (rng.range(1, 6), rng.range(1, 4), rng.range(1, 48));
         let q = Arc::new(TaskQueue::bounded(capacity));
         let shed = Arc::new(AtomicU64::new(0));
         let popped: Vec<(usize, usize)> = std::thread::scope(|s| {
@@ -231,35 +252,36 @@ proptest! {
             consumer.join().unwrap()
         });
 
-        prop_assert_eq!(
+        assert_eq!(
             popped.len() as u64 + shed.load(Ordering::Relaxed),
             (producers * per_producer) as u64,
             "popped + shed must equal submitted"
         );
-        prop_assert!(q.peak() <= capacity, "high-water mark over capacity");
-        prop_assert_eq!(q.pop(), None, "closed + drained queue must report empty");
+        assert!(q.peak() <= capacity, "high-water mark over capacity");
+        assert_eq!(q.pop(), None, "closed + drained queue must report empty");
         // Per-producer order: the popped subsequence of each producer's
         // items must be strictly increasing in push index.
         for p in 0..producers {
             let seq: Vec<usize> =
                 popped.iter().filter(|(q_p, _)| *q_p == p).map(|&(_, i)| i).collect();
-            prop_assert!(
+            assert!(
                 seq.windows(2).all(|w| w[0] < w[1]),
-                "producer {} popped out of order: {:?}", p, seq
+                "producer {} popped out of order: {:?}",
+                p,
+                seq
             );
         }
-    }
+    });
+}
 
-    /// The same conservation bound with competing consumers: every
-    /// admitted item is dispatched to exactly one consumer.
-    #[test]
-    fn task_queue_dispatches_exactly_once(
-        seed in any::<u64>(),
-        capacity in 1usize..6,
-        producers in 1usize..4,
-        consumers in 2usize..4,
-        per_producer in 1usize..48,
-    ) {
+/// The same conservation bound with competing consumers: every
+/// admitted item is dispatched to exactly one consumer.
+#[test]
+fn task_queue_dispatches_exactly_once() {
+    for_each_case(CASES, |rng| {
+        let seed = rng.next_u64();
+        let (capacity, producers, consumers, per_producer) =
+            (rng.range(1, 6), rng.range(1, 4), rng.range(2, 4), rng.range(1, 48));
         let q = Arc::new(TaskQueue::bounded(capacity));
         let shed = Arc::new(AtomicU64::new(0));
         let popped: Vec<(usize, usize)> = std::thread::scope(|s| {
@@ -306,7 +328,7 @@ proptest! {
             takers.into_iter().flat_map(|h| h.join().unwrap()).collect()
         });
 
-        prop_assert_eq!(
+        assert_eq!(
             popped.len() as u64 + shed.load(Ordering::Relaxed),
             (producers * per_producer) as u64,
             "popped + shed must equal submitted"
@@ -314,9 +336,9 @@ proptest! {
         let mut unique = popped.clone();
         unique.sort_unstable();
         unique.dedup();
-        prop_assert_eq!(unique.len(), popped.len(), "an item was dispatched twice");
-        prop_assert!(q.peak() <= capacity, "high-water mark over capacity");
-    }
+        assert_eq!(unique.len(), popped.len(), "an item was dispatched twice");
+        assert!(q.peak() <= capacity, "high-water mark over capacity");
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -325,18 +347,15 @@ proptest! {
 
 use pddl_router::{HashRing, DEFAULT_VNODES};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Lookups are total (every key owned while any shard exists) and a
-    /// pure function of the membership *set* — the order shards were
-    /// added, and any interleaved add/remove churn that lands on the
-    /// same set, must not change a single placement.
-    #[test]
-    fn ring_lookup_total_and_order_independent(
-        seed in any::<u64>(),
-        mut shards in proptest::collection::vec(0u64..64, 1..8),
-    ) {
+/// Lookups are total (every key owned while any shard exists) and a
+/// pure function of the membership *set* — the order shards were
+/// added, and any interleaved add/remove churn that lands on the
+/// same set, must not change a single placement.
+#[test]
+fn ring_lookup_total_and_order_independent() {
+    for_each_case(CASES, |rng| {
+        let seed = rng.next_u64();
+        let mut shards: Vec<u64> = (0..rng.range(1, 8)).map(|_| rng.below(64) as u64).collect();
         shards.sort_unstable();
         shards.dedup();
         let built = HashRing::with_shards(DEFAULT_VNODES, &shards);
@@ -355,26 +374,27 @@ proptest! {
         for _ in 0..512 {
             key = key.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let owner = built.lookup(key);
-            prop_assert!(owner.is_some(), "key {key} unowned on a non-empty ring");
-            prop_assert!(
+            assert!(owner.is_some(), "key {key} unowned on a non-empty ring");
+            assert!(
                 shards.contains(&owner.unwrap()),
                 "key {key} owned by a shard outside the membership"
             );
-            prop_assert_eq!(
-                owner, churned.lookup(key),
+            assert_eq!(
+                owner,
+                churned.lookup(key),
                 "placement depends on membership history, not just the set"
             );
         }
-    }
+    });
+}
 
-    /// Resizing N -> N+1 moves at most ~K/(N+1) keys (the consistent-
-    /// hashing bound, with slack for vnode share variance), every moved
-    /// key lands on the new shard, and nothing else changes owner.
-    #[test]
-    fn ring_resize_moves_bounded_and_only_onto_new_shard(
-        seed in any::<u64>(),
-        n in 1usize..8,
-    ) {
+/// Resizing N -> N+1 moves at most ~K/(N+1) keys (the consistent-
+/// hashing bound, with slack for vnode share variance), every moved
+/// key lands on the new shard, and nothing else changes owner.
+#[test]
+fn ring_resize_moves_bounded_and_only_onto_new_shard() {
+    for_each_case(CASES, |rng| {
+        let (seed, n) = (rng.next_u64(), rng.range(1, 8));
         let shards: Vec<u64> = (0..n as u64).collect();
         let before = HashRing::with_shards(DEFAULT_VNODES, &shards);
         let mut after = before.clone();
@@ -388,7 +408,7 @@ proptest! {
             key = key.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let (a, b) = (before.lookup(key).unwrap(), after.lookup(key).unwrap());
             if a != b {
-                prop_assert_eq!(
+                assert_eq!(
                     b, new_shard,
                     "key {} moved {} -> {}: movement must only target the new shard",
                     key, a, b
@@ -400,12 +420,16 @@ proptest! {
         // allow 50% slack for vnode share variance plus sampling noise.
         // A modulo rehash moves ~K*n/(n+1) and fails this immediately.
         let bound = K * 3 / (2 * (n + 1)) + 32;
-        prop_assert!(
+        assert!(
             moved <= bound,
             "resize {} -> {} moved {}/{} keys, bound {}",
-            n, n + 1, moved, K, bound
+            n,
+            n + 1,
+            moved,
+            K,
+            bound
         );
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -427,106 +451,115 @@ fn prop_root(tag: &str) -> PathBuf {
     d
 }
 
-fn arb_manifest() -> impl Strategy<Value = Manifest> {
-    let artifact = ("[a-z._-]{1,24}", any::<u64>(), any::<u64>())
-        .prop_map(|(name, len, fnv1a)| ArtifactEntry { name, len, fnv1a });
-    let probe = (".{0,32}", any::<u64>())
-        .prop_map(|(key, bits)| ProbeRecord { key, seconds_bits: bits });
-    (
-        any::<u64>(),
-        any::<u64>(),
-        ".{0,40}",
-        proptest::collection::vec(artifact, 0..5),
-        proptest::collection::vec(probe, 0..5),
-    )
-        .prop_map(|(version, created_unix, label, artifacts, probes)| Manifest {
-            format: FORMAT_VERSION,
-            version,
-            created_unix,
-            label,
-            artifacts,
-            probes,
+/// Up to `max_len` characters of the kinds a JSON string has to survive:
+/// plain ASCII, quotes and backslashes, control characters, and non-ASCII
+/// from two-byte up to astral-plane scalars.
+fn arb_string(rng: &mut Rng, max_len: usize) -> String {
+    const AWKWARD: [char; 12] =
+        ['"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '世', '\u{ffff}', '😀'];
+    (0..rng.below(max_len + 1))
+        .map(|_| match rng.below(3) {
+            0 => *rng.pick(&AWKWARD),
+            _ => (0x20 + rng.below(0x5f) as u8) as char,
         })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn arb_manifest(rng: &mut Rng) -> Manifest {
+    let artifacts = (0..rng.below(5))
+        .map(|_| ArtifactEntry {
+            name: (0..rng.range(1, 25)).map(|_| *rng.pick(b"abcxyz._-") as char).collect(),
+            len: rng.next_u64(),
+            fnv1a: rng.next_u64(),
+        })
+        .collect();
+    let probes = (0..rng.below(5))
+        .map(|_| ProbeRecord { key: arb_string(rng, 32), seconds_bits: rng.next_u64() })
+        .collect();
+    Manifest {
+        format: FORMAT_VERSION,
+        version: rng.next_u64(),
+        created_unix: rng.next_u64(),
+        label: arb_string(rng, 40),
+        artifacts,
+        probes,
+    }
+}
 
-    /// The manifest renderer and parser are exact inverses for any
-    /// manifest — arbitrary labels (quotes, backslashes, control chars,
-    /// non-ASCII), full-range u64 hashes, and any f64 bit pattern in the
-    /// probes survive the JSON round trip bit-for-bit.
-    #[test]
-    fn manifest_json_round_trips_exactly(manifest in arb_manifest()) {
+/// The manifest renderer and parser are exact inverses for any
+/// manifest — arbitrary labels (quotes, backslashes, control chars,
+/// non-ASCII), full-range u64 hashes, and any f64 bit pattern in the
+/// probes survive the JSON round trip bit-for-bit.
+#[test]
+fn manifest_json_round_trips_exactly() {
+    for_each_case(CASES, |rng| {
+        let manifest = arb_manifest(rng);
         let rendered = manifest.to_json();
         let parsed = Manifest::from_json(&rendered)
-            .map_err(|e| TestCaseError::fail(format!("rendered manifest rejected: {e}")))?;
-        prop_assert_eq!(&parsed, &manifest);
+            .unwrap_or_else(|e| panic!("rendered manifest rejected: {e}"));
+        assert_eq!(&parsed, &manifest);
         // Rendering is deterministic: parse → render is a fixed point.
-        prop_assert_eq!(parsed.to_json(), rendered);
-    }
+        assert_eq!(parsed.to_json(), rendered);
+    });
+}
 
-    /// Retention keeps exactly the newest `retain` versions plus every
-    /// pinned one, and the survivors stay fully readable. The pinned
-    /// version is never collected no matter how many publishes follow.
-    #[test]
-    fn retention_never_collects_pinned_or_live(
-        publishes in 1usize..10,
-        retain in 1usize..4,
-        pin_after in 0usize..4,
-    ) {
+/// Retention keeps exactly the newest `retain` versions plus every
+/// pinned one, and the survivors stay fully readable. The pinned
+/// version is never collected no matter how many publishes follow.
+#[test]
+fn retention_never_collects_pinned_or_live() {
+    for_each_case(CASES, |rng| {
+        let (publishes, retain, pin_after) = (rng.range(1, 10), rng.range(1, 4), rng.below(4));
         let root = prop_root("retain");
-        let (reg, _) = Registry::open(&root, retain)
-            .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
+        let (reg, _) = Registry::open(&root, retain).unwrap_or_else(|e| panic!("open: {e}"));
         let art = [("system.json".to_string(), b"{\"p\":1}".to_vec())];
         let mut published = Vec::new();
         let mut pinned = None;
         for i in 0..publishes {
-            let v = reg.publish(&format!("p{i}"), &art, &[])
-                .map_err(|e| TestCaseError::fail(format!("publish: {e}")))?;
+            let v = reg
+                .publish(&format!("p{i}"), &art, &[])
+                .unwrap_or_else(|e| panic!("publish: {e}"));
             published.push(v);
             if i == pin_after.min(publishes - 1) {
-                reg.pin(v).map_err(|e| TestCaseError::fail(format!("pin: {e}")))?;
+                reg.pin(v).unwrap_or_else(|e| panic!("pin: {e}"));
                 pinned = Some(v);
             }
         }
         let live = reg.versions();
         let pinned = pinned.expect("one version was pinned");
-        prop_assert!(live.contains(&pinned), "pinned version was collected");
-        let newest: Vec<u64> =
-            published.iter().rev().take(retain).copied().collect();
+        assert!(live.contains(&pinned), "pinned version was collected");
+        let newest: Vec<u64> = published.iter().rev().take(retain).copied().collect();
         for v in &newest {
-            prop_assert!(live.contains(v), "version {} in the retention window was collected", v);
+            assert!(live.contains(v), "version {} in the retention window was collected", v);
         }
         // Nothing outside the window survives except the pinned version.
         for v in &live {
-            prop_assert!(
+            assert!(
                 newest.contains(v) || *v == pinned,
-                "version {} survived outside the retention window unpinned", v
+                "version {} survived outside the retention window unpinned",
+                v
             );
         }
         // Survivors stay readable and content-verified.
         for v in &live {
-            prop_assert_eq!(
-                reg.read_artifact(*v, "system.json")
-                    .map_err(|e| TestCaseError::fail(format!("read: {e}")))?,
+            assert_eq!(
+                reg.read_artifact(*v, "system.json").unwrap_or_else(|e| panic!("read: {e}")),
                 art[0].1.clone()
             );
         }
         std::fs::remove_dir_all(&root).ok();
-    }
+    });
+}
 
-    /// Concurrent publishers over one root never collide: every publish
-    /// gets a unique version number, numbering is gapless across the
-    /// union, and each writer's own sequence is strictly monotonic.
-    #[test]
-    fn concurrent_publishes_are_unique_and_monotonic(
-        writers in 2usize..5,
-        per_writer in 1usize..5,
-    ) {
+/// Concurrent publishers over one root never collide: every publish
+/// gets a unique version number, numbering is gapless across the
+/// union, and each writer's own sequence is strictly monotonic.
+#[test]
+fn concurrent_publishes_are_unique_and_monotonic() {
+    for_each_case(CASES, |rng| {
+        let (writers, per_writer) = (rng.range(2, 5), rng.range(1, 5));
         let root = prop_root("concurrent");
-        let (reg, _) = Registry::open(&root, 0)
-            .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
+        let (reg, _) = Registry::open(&root, 0).unwrap_or_else(|e| panic!("open: {e}"));
         let reg = Arc::new(reg);
         let handles: Vec<_> = (0..writers)
             .map(|w| {
@@ -547,15 +580,22 @@ proptest! {
             .collect();
         let per_thread: Vec<Vec<u64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for seq in &per_thread {
-            prop_assert!(seq.windows(2).all(|w| w[0] < w[1]), "a writer saw non-monotonic versions");
+            assert!(seq.windows(2).all(|w| w[0] < w[1]), "a writer saw non-monotonic versions");
         }
         let mut all: Vec<u64> = per_thread.into_iter().flatten().collect();
         all.sort_unstable();
         let expected: Vec<u64> = (1..=(writers * per_writer) as u64).collect();
-        prop_assert_eq!(all, expected, "version numbers must be unique and gapless");
+        assert_eq!(all, expected, "version numbers must be unique and gapless");
         std::fs::remove_dir_all(&root).ok();
-    }
+    });
 }
+
+// ---------------------------------------------------------------------------
+// Continual refit (pddl-regress): the online model and drift detector.
+// ---------------------------------------------------------------------------
+
+/// Cases per refit property.
+const REFIT_CASES: u64 = 32;
 
 /// Seeded regression dataset: `n` points of `d` standard-normal features
 /// with a linear ground truth plus small noise.
@@ -583,20 +623,15 @@ fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The continual-refit loop's Sherman–Morrison chain IS the
-    /// closed-form ridge solve: feeding any permutation of a dataset
-    /// through `OnlineRidge` lands within 1e-8 of `batch_ridge` on the
-    /// same points — the incremental model is never an approximation.
-    #[test]
-    fn online_ridge_equals_batch_for_random_orders(
-        seed in any::<u64>(),
-        order_seed in any::<u64>(),
-        n in 20usize..80,
-        d in 2usize..5,
-    ) {
+/// The continual-refit loop's Sherman–Morrison chain IS the
+/// closed-form ridge solve: feeding any permutation of a dataset
+/// through `OnlineRidge` lands within 1e-8 of `batch_ridge` on the
+/// same points — the incremental model is never an approximation.
+#[test]
+fn online_ridge_equals_batch_for_random_orders() {
+    for_each_case(REFIT_CASES, |rng| {
+        let (seed, order_seed) = (rng.next_u64(), rng.next_u64());
+        let (n, d) = (rng.range(20, 80), rng.range(2, 5));
         let (xs, ys) = refit_data(seed, n, d);
         let idx = shuffled_indices(n, order_seed);
         let mut online = OnlineRidge::new(d, 1e-3, n + 1);
@@ -608,27 +643,29 @@ proptest! {
             fed_ys.push(ys[i]);
         }
         let batch = batch_ridge(&fed_xs, &fed_ys, 1e-3);
-        prop_assert_eq!(online.coefficients().len(), batch.len());
+        assert_eq!(online.coefficients().len(), batch.len());
         for (a, b) in online.coefficients().iter().zip(batch.iter()) {
             let scale = b.abs().max(1.0);
-            prop_assert!(
+            assert!(
                 (a - b).abs() / scale <= 1e-8,
-                "SM {} vs batch {} after {} obs", a, b, n
+                "SM {} vs batch {} after {} obs",
+                a,
+                b,
+                n
             );
         }
-    }
+    });
+}
 
-    /// The canonical-order window refit erases feeding order entirely:
-    /// two models fed the same multiset in different orders refit to
-    /// bit-identical coefficients (the determinism contract behind the
-    /// sched tier's golden fixtures).
-    #[test]
-    fn window_refit_is_order_independent(
-        seed in any::<u64>(),
-        order_seed in any::<u64>(),
-        n in 10usize..60,
-        d in 2usize..5,
-    ) {
+/// The canonical-order window refit erases feeding order entirely:
+/// two models fed the same multiset in different orders refit to
+/// bit-identical coefficients (the determinism contract behind the
+/// sched tier's golden fixtures).
+#[test]
+fn window_refit_is_order_independent() {
+    for_each_case(REFIT_CASES, |rng| {
+        let (seed, order_seed) = (rng.next_u64(), rng.next_u64());
+        let (n, d) = (rng.range(10, 60), rng.range(2, 5));
         let (xs, ys) = refit_data(seed, n, d);
         let mut forward = OnlineRidge::new(d, 1e-3, n + 1);
         for (x, y) in xs.iter().zip(&ys) {
@@ -643,22 +680,25 @@ proptest! {
         permuted.translate_targets_and_refit(0.0, 0);
         let fwd: Vec<u64> = forward.coefficients().iter().map(|c| c.to_bits()).collect();
         let per: Vec<u64> = permuted.coefficients().iter().map(|c| c.to_bits()).collect();
-        prop_assert_eq!(fwd, per, "refit must be bit-identical across orders");
-    }
+        assert_eq!(fwd, per, "refit must be bit-identical across orders");
+    });
+}
 
-    /// Page–Hinkley with default margins never false-fires on a
-    /// stationary standard-normal residual stream, whatever the seed —
-    /// drift events in the sched tier always mean a real shift.
-    #[test]
-    fn page_hinkley_never_fires_without_drift(seed in any::<u64>()) {
-        let mut rng = Rng::new(seed);
+/// Page–Hinkley with default margins never false-fires on a
+/// stationary standard-normal residual stream, whatever the seed —
+/// drift events in the sched tier always mean a real shift.
+#[test]
+fn page_hinkley_never_fires_without_drift() {
+    for_each_case(REFIT_CASES, |rng| {
         let mut ph = PageHinkley::new(DriftConfig::default());
         for _ in 0..2000 {
             let z = rng.normal() as f64;
-            prop_assert!(
+            assert!(
                 ph.observe(z).is_none(),
-                "false fire at obs {} (statistic {})", ph.observations(), ph.statistic()
+                "false fire at obs {} (statistic {})",
+                ph.observations(),
+                ph.statistic()
             );
         }
-    }
+    });
 }

@@ -25,9 +25,6 @@
 //! byte — no float parsing anywhere, so every last ulp is covered. On an
 //! intentional engine change, regenerate with
 //! `PDDL_REGEN_GOLDEN=1 cargo test --test sched` and review the diff.
-//!
-//! The tier is serde-free (engine + fixtures are pure std), so it runs
-//! for real under `scripts/offline_check.sh test-sched`.
 
 use pddl_regress::{batch_ridge, OnlineRidge};
 use pddl_sched::{

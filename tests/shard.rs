@@ -32,6 +32,7 @@ use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
 use pddl_faults::FAULT_PLAN_ENV;
 use pddl_router::{routing_key, Router, RouterConfig};
+use pddl_telemetry::json;
 use predictddl::{
     Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig,
 };
@@ -78,20 +79,38 @@ fn patient_policy(seed: u64) -> RetryPolicy {
 }
 
 /// The tiny system, trained once per process and replicated through its
-/// serde round trip ([`predictddl::PredictDdl`] is not `Clone`; training
+/// JSON round trip ([`predictddl::PredictDdl`] is not `Clone`; training
 /// is deterministic, so a re-train would be bit-identical anyway — this
 /// just keeps the tier fast on one core).
 fn tiny_system() -> predictddl::PredictDdl {
     static BLOB: std::sync::OnceLock<String> = std::sync::OnceLock::new();
     let blob = BLOB.get_or_init(|| {
-        serde_json::to_string(&OfflineTrainer::tiny().train_full()).expect("serialize system")
+        json::to_string(&OfflineTrainer::tiny().train_full()).expect("serialize system")
     });
-    serde_json::from_str(blob).expect("deserialize system")
+    json::from_str(blob).expect("deserialize system")
 }
 
 /// `n` identical shard replicas with `shard_id` 0..n — any shard's
 /// answer is THE answer.
 fn spawn_fleet(n: usize) -> (Vec<Option<Controller>>, Vec<SocketAddr>) {
+    spawn_fleet_under(n, None)
+}
+
+/// [`spawn_fleet`], optionally with the shards wearing a wire-fault plan.
+/// A controller reads `PDDL_FAULT_PLAN` from the process-wide environment
+/// as it starts, and this file's tests run on parallel threads — so every
+/// fleet, faulted or not, is spawned under one lock: a chaos test's plan
+/// reaches its own shards and nobody else's.
+fn spawn_fleet_under(
+    n: usize,
+    fault_plan: Option<&str>,
+) -> (Vec<Option<Controller>>, Vec<SocketAddr>) {
+    static SPAWNING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    drop(tiny_system()); // the first call trains: do that outside the lock
+    let _one_at_a_time = SPAWNING.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(spec) = fault_plan {
+        std::env::set_var(FAULT_PLAN_ENV, spec);
+    }
     let shards: Vec<Option<Controller>> = (0..n)
         .map(|i| {
             Some(
@@ -100,6 +119,7 @@ fn spawn_fleet(n: usize) -> (Vec<Option<Controller>>, Vec<SocketAddr>) {
             )
         })
         .collect();
+    std::env::remove_var(FAULT_PLAN_ENV);
     let addrs = shards.iter().map(|c| c.as_ref().unwrap().addr()).collect();
     (shards, addrs)
 }
@@ -347,9 +367,8 @@ fn chaos_fleet_converges_under_seeded_faults() {
     let seed = 0x5AAD_F417u64;
     // The shards (not the router) run the seeded wire-fault plan — the
     // same spec `--fault-plan` takes, so failures replay exactly.
-    std::env::set_var(FAULT_PLAN_ENV, format!("seed={seed},delay=0.05:2,reset=0.02,drop=0.02"));
-    let (_shards, addrs) = spawn_fleet(2);
-    std::env::remove_var(FAULT_PLAN_ENV);
+    let plan = format!("seed={seed},delay=0.05:2,reset=0.02,drop=0.02");
+    let (_shards, addrs) = spawn_fleet_under(2, Some(&plan));
     let router = Router::serve("127.0.0.1:0", &addrs, router_config()).expect("bind router");
 
     let fleet = CLIENTS.min(4);

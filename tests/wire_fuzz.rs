@@ -8,10 +8,14 @@
 //! cases per seed, three seeds.
 
 use pddl_cluster::protocol::{read_line_bounded, read_msg_bounded, ClientMsg, WireError};
-use pddl_cluster::{ClusterState, ServerClass};
+use pddl_cluster::{ClusterState, ServerClass, MAX_FRAME_BYTES};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultRng;
-use predictddl::{parse_frame, ParsedFrame, PredictionRequest, RequestEnvelope, TraceHeader};
+use pddl_telemetry::json;
+use predictddl::{
+    parse_frame, ParsedFrame, PredictionRequest, RequestEnvelope, RequestError, ResponseEnvelope,
+    TraceHeader, WireResponse,
+};
 use std::io::BufReader;
 
 const CASES_PER_SEED: usize = 10_000;
@@ -45,7 +49,7 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
         }
         // A valid frame with a few corrupted bytes.
         2 => {
-            let mut buf = serde_json::to_string(&sample_request(rng)).unwrap().into_bytes();
+            let mut buf = json::to_string(&sample_request(rng)).unwrap().into_bytes();
             for _ in 0..1 + rng.below(4) {
                 let i = rng.below(buf.len() as u64) as usize;
                 buf[i] = rng.byte();
@@ -55,14 +59,14 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
         }
         // A valid frame cut off mid-token (no terminator: EOF mid-frame).
         3 => {
-            let full = serde_json::to_string(&sample_request(rng)).unwrap().into_bytes();
+            let full = json::to_string(&sample_request(rng)).unwrap().into_bytes();
             let cut = 1 + rng.below(full.len() as u64 - 1) as usize;
             full[..cut].to_vec()
         }
         // Two frames spliced at random cut points.
         4 => {
-            let a = serde_json::to_string(&sample_request(rng)).unwrap().into_bytes();
-            let b = serde_json::to_string(&sample_request(rng)).unwrap().into_bytes();
+            let a = json::to_string(&sample_request(rng)).unwrap().into_bytes();
+            let b = json::to_string(&sample_request(rng)).unwrap().into_bytes();
             let ca = rng.below(a.len() as u64) as usize;
             let cb = rng.below(b.len() as u64) as usize;
             let mut buf = a[..ca].to_vec();
@@ -166,10 +170,10 @@ fn valid_frames_always_classify() {
     let mut rng = FaultRng::new(0xF00D);
     for _ in 0..500 {
         let req = sample_request(&mut rng);
-        let single = serde_json::to_string(&req).unwrap();
+        let single = json::to_string(&req).unwrap();
         assert!(matches!(parse_frame(&single), Ok(ParsedFrame::Single(_))), "{single}");
 
-        let batch = serde_json::to_string(&vec![req.clone(), req.clone()]).unwrap();
+        let batch = json::to_string(&vec![req.clone(), req.clone()]).unwrap();
         assert!(matches!(parse_frame(&batch), Ok(ParsedFrame::Batch(b)) if b.len() == 2));
 
         // Alternate bare and trace-carrying envelopes: both wire shapes
@@ -180,7 +184,7 @@ fn valid_frames_always_classify() {
             parent_id: 0,
         });
         let env = RequestEnvelope { client: rng.next_u64(), id: rng.next_u64(), trace, req };
-        let enveloped = serde_json::to_string(&env).unwrap();
+        let enveloped = json::to_string(&env).unwrap();
         match parse_frame(&enveloped) {
             Ok(ParsedFrame::Enveloped(e)) => {
                 assert_eq!((e.client, e.id), (env.client, env.id));
@@ -197,4 +201,71 @@ fn valid_frames_always_classify() {
     assert!(matches!(parse_frame("{\"op\":\"metrics\"}"), Ok(ParsedFrame::Metrics)));
     assert!(parse_frame("not json").is_err());
     assert!(parse_frame("[{\"bad\":1}]").is_err());
+}
+
+/// The deepest frame the reader will hand to the parser — `MAX_FRAME_BYTES`
+/// of open brackets — must come back as an error from a reader thread's
+/// stack, not overflow it. Every nesting flavour, at and around the bound.
+#[test]
+fn deep_nesting_at_the_frame_bound_is_rejected_not_overflowed() {
+    let hostile: Vec<String> = vec![
+        "[".repeat(MAX_FRAME_BYTES),
+        "{\"a\":".repeat(MAX_FRAME_BYTES / 5),
+        "[{\"op\":".repeat(MAX_FRAME_BYTES / 7),
+        format!("{{\"op\":\"observe\",\"req\":{}", "[".repeat(MAX_FRAME_BYTES - 64)),
+        format!("{}1{}", "[".repeat(json::MAX_DEPTH + 1), "]".repeat(json::MAX_DEPTH + 1)),
+    ];
+    // The controller's reader threads run on the default thread stack;
+    // a quarter of that is ample for a capped descent and far too small
+    // for an uncapped one.
+    let verdicts = std::thread::Builder::new()
+        .stack_size(512 * 1024)
+        .spawn(move || hostile.iter().map(|line| parse_frame(line)).collect::<Vec<_>>())
+        .unwrap()
+        .join()
+        .expect("parse_frame overflowed the stack");
+    for verdict in verdicts {
+        let err = verdict.expect_err("hostile nesting must not classify");
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+    // A line over the frame bound never reaches the parser at all.
+    let mut over = vec![b'['; MAX_FRAME_BYTES + 1];
+    over.push(b'\n');
+    let mut reader = BufReader::new(over.as_slice());
+    assert!(matches!(
+        read_line_bounded(&mut reader, MAX_FRAME_BYTES),
+        Err(WireError::FrameTooLong { .. })
+    ));
+}
+
+/// Session tokens, request ids and trace ids are full-width u64s (the
+/// client mints them from a nanosecond clock and a golden-ratio stride);
+/// every bit must survive the request and the response direction.
+#[test]
+fn u64_max_identities_round_trip_exactly() {
+    let mut rng = FaultRng::new(5);
+    let ids = [u64::MAX, u64::MAX - 1, (1 << 53) + 1, 1 << 63, 0x9E37_79B9_7F4A_7C15];
+    for (i, &id) in ids.iter().enumerate() {
+        let client = ids[(i + 1) % ids.len()];
+        let trace = TraceHeader { trace_id: id, span_id: client, parent_id: u64::MAX };
+        let env =
+            RequestEnvelope { client, id, trace: Some(trace), req: sample_request(&mut rng) };
+        let line = json::to_string(&env).unwrap();
+        assert!(line.contains(&format!("\"id\":{id},")), "{line}");
+        let Ok(ParsedFrame::Enveloped(back)) = parse_frame(&line) else {
+            panic!("envelope misclassified: {line}");
+        };
+        assert_eq!((back.client, back.id), (client, id));
+        let t = back.trace.expect("trace header survives");
+        assert_eq!((t.trace_id, t.span_id, t.parent_id), (id, client, u64::MAX));
+
+        let resp = WireResponse::Err { error: RequestError::UnknownModel("x".into()) };
+        let renv = ResponseEnvelope { client, id, trace: Some(trace), shard: Some(id), resp };
+        let reply = json::to_string(&renv).unwrap();
+        assert!(reply.contains(&format!("\"shard\":{id},")), "{reply}");
+        let back: ResponseEnvelope = json::from_str(&reply).unwrap();
+        assert_eq!((back.client, back.id, back.shard), (client, id, Some(id)));
+        assert_eq!(back.trace.map(|t| t.trace_id), Some(id));
+        assert_eq!(json::to_string(&back).unwrap(), reply);
+    }
 }
