@@ -5,7 +5,7 @@
 //! this repository actually runs — GHN message/GRU products from 1×32 row
 //! vectors up to 128×128 hidden batches, and the regressor design-matrix
 //! sizes — plus two end-to-end numbers: a real zoo architecture through
-//! `embed_with_schedule` (scalar reference loops vs the batched path) and
+//! `embed_with_schedule` (scalar reference loops vs the inference path) and
 //! the wall-clock of GHN meta-training epochs on the fused tape.
 //!
 //! Since the microkernel layer dispatches at runtime, every shape is also

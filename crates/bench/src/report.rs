@@ -316,7 +316,8 @@ pub struct GemmCase {
 }
 
 /// End-to-end GHN inference: one `embed_with_schedule` call on a real zoo
-/// architecture, scalar reference loops vs the batched GEMM path.
+/// architecture, scalar per-edge reference loops vs the inference path
+/// (`batched_us` is that path's key in the pinned report schema).
 #[derive(Clone, Debug)]
 pub struct EmbedE2e {
     pub model: String,

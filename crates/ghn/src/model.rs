@@ -3,28 +3,22 @@
 //! Two execution paths share one set of weights:
 //! * [`Ghn::embed_traced`] records onto an autodiff [`Tape`] for
 //!   meta-training;
-//! * [`Ghn::embed_graph`] is the allocation-lean inference path used by the
-//!   PredictDDL Embeddings Generator (no tape, raw matrix math).
+//! * [`Ghn::embed_graph`] is the inference path used by the PredictDDL
+//!   Embeddings Generator (no tape, one message per node per sweep).
 //!
-//! A unit test asserts both paths produce identical embeddings.
+//! Unit tests assert both paths produce the same embeddings.
 
 use crate::config::GhnConfig;
 use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore, Tape, Var};
-use pddl_graph::{features, one_hot_features, CompGraph, OpKind, ShortestPaths};
-use pddl_tensor::{vecmat_acc, Activation as TensorAct, Matrix, Rng};
+use pddl_graph::{features, one_hot_features, virtual_edges, CompGraph, OpKind};
+use pddl_tensor::{vecmat_acc, vecmat_bias_act, Activation as TensorAct, Matrix, Rng};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::sync::OnceLock;
 
-/// Cached telemetry handles (resolved once; recording is lock-free).
-struct GhnMetrics {
-    embed_latency: &'static pddl_telemetry::Histogram,
-}
-
-fn metrics() -> &'static GhnMetrics {
-    static M: OnceLock<GhnMetrics> = OnceLock::new();
-    M.get_or_init(|| GhnMetrics {
-        embed_latency: pddl_telemetry::histogram("ghn.embed"),
-    })
+/// The `ghn.embed` histogram, resolved once: a sample per inference embed.
+fn embed_latency() -> &'static pddl_telemetry::Histogram {
+    static H: OnceLock<&'static pddl_telemetry::Histogram> = OnceLock::new();
+    H.get_or_init(|| pddl_telemetry::histogram("ghn.embed"))
 }
 
 /// Decoder targets: [norm-log-FLOPs, norm-log-params, norm-depth, op-histogram…].
@@ -40,27 +34,35 @@ pub fn decoder_targets(g: &CompGraph) -> Vec<f32> {
     t
 }
 
-/// Per-graph propagation schedule, precomputed once per architecture:
-/// topological order plus virtual-edge source lists in both directions.
+/// Per-graph propagation schedule: topological order plus virtual-edge
+/// source lists in both directions, each ascending by source id — the
+/// order messages are summed in, and so part of the embedding's bits.
 pub struct Schedule {
-    pub topo: Vec<usize>,
-    /// `virtual_fw[v]` = (u, s_vu) with 1 < s(u→v) ≤ s_max.
-    pub virtual_fw: Vec<Vec<(usize, u32)>>,
-    /// `virtual_bw[v]` = (u, s_vu) over the reversed graph.
-    pub virtual_bw: Vec<Vec<(usize, u32)>>,
+    topo: Vec<usize>,
+    virtual_fw: Vec<Vec<(usize, u32)>>,
+    virtual_bw: Vec<Vec<(usize, u32)>>,
 }
 
 impl Schedule {
     pub fn new(g: &CompGraph, s_max: u32) -> Self {
-        let topo = g
-            .topo_order()
-            .expect("GHN requires an acyclic computational graph");
-        let fw = ShortestPaths::forward(g);
-        let bw = ShortestPaths::backward(g);
-        let n = g.num_nodes();
-        let virtual_fw = (0..n).map(|v| fw.virtual_sources(v, s_max)).collect();
-        let virtual_bw = (0..n).map(|v| bw.virtual_sources(v, s_max)).collect();
+        let topo = g.topo_order().expect("GHN requires an acyclic computational graph");
+        let [virtual_fw, virtual_bw] = virtual_edges(g, s_max);
         Self { topo, virtual_fw, virtual_bw }
+    }
+
+    /// Node ids in topological order: the forward sweep.
+    pub fn topo(&self) -> &[usize] {
+        &self.topo
+    }
+
+    /// `(u, s_vu)` with `1 < s(u→v) ≤ s_max`.
+    pub fn virtual_fw(&self, v: usize) -> &[(usize, u32)] {
+        &self.virtual_fw[v]
+    }
+
+    /// `(u, s_vu)` over the reversed graph.
+    pub fn virtual_bw(&self, v: usize) -> &[(usize, u32)] {
+        &self.virtual_bw[v]
     }
 }
 
@@ -160,12 +162,12 @@ impl Ghn {
 
         for _t in 0..self.cfg.t_passes {
             // π = fw: traverse topologically; neighbors = predecessors.
-            for &v in &sched.topo {
-                self.update_node(tape, g, &mut h, v, true, &sched.virtual_fw[v]);
+            for &v in sched.topo() {
+                self.update_node(tape, g, &mut h, v, true, sched.virtual_fw(v));
             }
             // π = bw: reverse order; neighbors = successors.
-            for &v in sched.topo.iter().rev() {
-                self.update_node(tape, g, &mut h, v, false, &sched.virtual_bw[v]);
+            for &v in sched.topo().iter().rev() {
+                self.update_node(tape, g, &mut h, v, false, sched.virtual_bw(v));
             }
             if self.cfg.normalize {
                 for hv in h.iter_mut() {
@@ -218,52 +220,118 @@ impl Ghn {
     // Fast path (inference)
     // ------------------------------------------------------------------
 
-    /// Computes the architecture embedding without recording a tape.
+    /// Computes the architecture embedding without recording a tape. One
+    /// `ghn.embed` sample per call, schedule included.
     pub fn embed_graph(&self, g: &CompGraph) -> Vec<f32> {
-        let _t = metrics().embed_latency.start_timer();
-        let sched = Schedule::new(g, self.cfg.s_max);
-        self.embed_with_schedule(g, &sched)
+        let _t = embed_latency().start_timer();
+        self.embed(g, &Schedule::new(g, self.cfg.s_max))
     }
 
-    /// Fast-path embedding with a precomputed schedule. Per-node updates
-    /// stay in the paper's sequential (Gauss–Seidel) order; within each
-    /// update the neighbor/virtual message MLPs are batched into GEMMs.
+    /// [`Self::embed_graph`] with a precomputed schedule (one `ghn.embed`
+    /// sample of its own).
     pub fn embed_with_schedule(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
-        let _t = metrics().embed_latency.start_timer();
-        let n = g.num_nodes();
-        let d = self.cfg.hidden_dim;
-        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-        // h1 = feats · W + b
-        let h1 = feats
-            .matmul(self.ps.get(self.embed.w))
-            .add_row_broadcast(self.ps.get(self.embed.b));
-        let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
-        let mut m = vec![0.0f32; d];
+        let _t = embed_latency().start_timer();
+        self.embed(g, sched)
+    }
+
+    /// The inference embed. Node updates stay in the paper's sequential
+    /// (Gauss–Seidel) order, and each node's two messages are computed
+    /// once, right after its update: whoever reads them in the same sweep
+    /// comes later in that sweep's order (predecessors and ≤ `s_max`-hop
+    /// ancestors forward, successors and descendants backward), and the
+    /// next sweep overwrites them before it reads them. A reader only sums
+    /// rows — neighbours in adjacency order, then virtual sources by id.
+    fn embed(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
+        let (n, d, mlp_hidden) = (g.num_nodes(), self.cfg.hidden_dim, self.cfg.mlp_hidden);
+        // All a call needs, in one buffer: the states and the two message
+        // tables (n×d each), then the rows of one node update.
+        let mut workspace = vec![0.0f32; 3 * n * d + 4 * d + mlp_hidden];
+        let (h, rest) = workspace.split_at_mut(n * d);
+        let (msg, rest) = rest.split_at_mut(n * d);
+        let (msg_sp, rest) = rest.split_at_mut(n * d);
+        let (m, rest) = rest.split_at_mut(d);
+        let (hid, gates) = rest.split_at_mut(mlp_hidden);
+
+        // h1 = feats · W + b, row by row on this thread: a request never
+        // fans out over the pool, whatever the size of its graph.
+        let (w, b) = (self.ps.get(self.embed.w), self.ps.get(self.embed.b));
+        let feats = one_hot_features(g);
+        for (x, hv) in feats.chunks_exact(features::FEATURE_DIM).zip(h.chunks_exact_mut(d)) {
+            vecmat_bias_act(x, w, b, TensorAct::Identity, hv);
+        }
 
         for _t in 0..self.cfg.t_passes {
-            for &v in &sched.topo {
-                self.fast_update(g, &mut h, &mut m, v, true, &sched.virtual_fw[v]);
+            let mut update = |v: usize, neighbors: &[usize], virtuals: &[(usize, u32)]| {
+                m.fill(0.0);
+                for &u in neighbors {
+                    for (mi, &o) in m.iter_mut().zip(&msg[u * d..(u + 1) * d]) {
+                        *mi += o;
+                    }
+                }
+                for &(u, s) in virtuals {
+                    let inv = 1.0 / s as f32;
+                    for (mi, &o) in m.iter_mut().zip(&msg_sp[u * d..(u + 1) * d]) {
+                        *mi += inv * o;
+                    }
+                }
+                let hv = &mut h[v * d..(v + 1) * d];
+                self.gru_row(m, hv, gates);
+                self.message_row(&self.msg, hv, hid, &mut msg[v * d..(v + 1) * d]);
+                self.message_row(&self.msg_sp, hv, hid, &mut msg_sp[v * d..(v + 1) * d]);
+            };
+            for &v in sched.topo() {
+                update(v, g.predecessors(v), sched.virtual_fw(v));
             }
-            for &v in sched.topo.iter().rev() {
-                self.fast_update(g, &mut h, &mut m, v, false, &sched.virtual_bw[v]);
+            for &v in sched.topo().iter().rev() {
+                update(v, g.successors(v), sched.virtual_bw(v));
             }
             if self.cfg.normalize {
-                for hv in h.iter_mut() {
-                    l2_normalize(hv);
-                }
+                h.chunks_exact_mut(d).for_each(l2_normalize);
             }
         }
-        // Mean pooling over nodes.
-        let mut pooled = vec![0.0f32; d];
-        for hv in &h {
-            for (p, &x) in pooled.iter_mut().zip(hv) {
-                *p += x;
+        // The row products above, as `gemm` counts them: the embedding
+        // layer once, then two MLPs of two layers per node update.
+        let updates = 2 * self.cfg.t_passes * n;
+        let flops = 2 * n * features::FEATURE_DIM * d + updates * 8 * d * mlp_hidden;
+        pddl_tensor::gemm::record_products(1 + 4 * updates as u64, flops as u64);
+
+        mean_pool(h.chunks_exact(d), d)
+    }
+
+    /// One message MLP on one node state, through `hid`.
+    fn message_row(&self, mlp: &Mlp, x: &[f32], hid: &mut [f32], out: &mut [f32]) {
+        let [l0, l1] = mlp.layers.as_slice() else {
+            panic!("message MLPs are [d, mlp_hidden, d]");
+        };
+        vecmat_bias_act(x, self.ps.get(l0.w), self.ps.get(l0.b), mlp.hidden_act.fused(), hid);
+        vecmat_bias_act(hid, self.ps.get(l1.w), self.ps.get(l1.b), TensorAct::Identity, out);
+    }
+
+    /// GRU step `h ← GRU(x, h)` in place, mirroring `GruCell::forward`:
+    /// each gate starts from its bias and accumulates the two products.
+    /// `gates` holds the three gate rows (3·d).
+    fn gru_row(&self, x: &[f32], h: &mut [f32], gates: &mut [f32]) {
+        let gru = &self.gru;
+        let d = h.len();
+        let (z, rest) = gates.split_at_mut(d);
+        let (r, hh) = rest.split_at_mut(d);
+        let gate = |out: &mut [f32], b, w, u, state: &[f32], act: TensorAct| {
+            out.copy_from_slice(self.ps.get(b).row(0));
+            vecmat_acc(x, self.ps.get(w), out);
+            vecmat_acc(state, self.ps.get(u), out);
+            for o in out {
+                *o = act.apply(*o);
             }
+        };
+        gate(z, gru.bz, gru.wz, gru.uz, h, TensorAct::Sigmoid);
+        gate(r, gru.br, gru.wr, gru.ur, h, TensorAct::Sigmoid);
+        for (ri, &hi) in r.iter_mut().zip(h.iter()) {
+            *ri *= hi;
         }
-        for p in &mut pooled {
-            *p /= n as f32;
+        gate(hh, gru.bh, gru.wh, gru.uh, r, TensorAct::Tanh);
+        for ((hi, &zi), &hhi) in h.iter_mut().zip(z.iter()).zip(hh.iter()) {
+            *hi += zi * (hhi - *hi);
         }
-        pooled
     }
 
     /// Scalar (unbatched, unblocked) embedding used as the ground truth in
@@ -280,11 +348,11 @@ impl Ghn {
         let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
         let mut m = vec![0.0f32; d];
         for _t in 0..self.cfg.t_passes {
-            for &v in &sched.topo {
-                self.fast_update_reference(g, &mut h, &mut m, v, true, &sched.virtual_fw[v]);
+            for &v in sched.topo() {
+                self.fast_update_reference(g, &mut h, &mut m, v, true, sched.virtual_fw(v));
             }
-            for &v in sched.topo.iter().rev() {
-                self.fast_update_reference(g, &mut h, &mut m, v, false, &sched.virtual_bw[v]);
+            for &v in sched.topo().iter().rev() {
+                self.fast_update_reference(g, &mut h, &mut m, v, false, sched.virtual_bw(v));
             }
             if self.cfg.normalize {
                 for hv in h.iter_mut() {
@@ -292,16 +360,7 @@ impl Ghn {
                 }
             }
         }
-        let mut pooled = vec![0.0f32; d];
-        for hv in &h {
-            for (p, &x) in pooled.iter_mut().zip(hv) {
-                *p += x;
-            }
-        }
-        for p in &mut pooled {
-            *p /= n as f32;
-        }
-        pooled
+        mean_pool(h.iter().map(Vec::as_slice), d)
     }
 
     fn fast_update_reference(
@@ -374,56 +433,6 @@ impl Ghn {
         (0..d).map(|i| h[i] + z[i] * (hh[i] - h[i])).collect()
     }
 
-    fn fast_update(
-        &self,
-        g: &CompGraph,
-        h: &mut [Vec<f32>],
-        m: &mut [f32],
-        v: usize,
-        forward: bool,
-        virtual_sources: &[(usize, u32)],
-    ) {
-        m.fill(0.0);
-        let neighbors: &[usize] = if forward { g.predecessors(v) } else { g.successors(v) };
-        // Batch all neighbors through the message MLP in one GEMM chain,
-        // then row-sum; same for virtual sources with their 1/s weights.
-        if !neighbors.is_empty() {
-            let xs = stack_rows(h, neighbors.iter().copied());
-            let out = self.mlp_batch(&self.msg, &xs);
-            for r in 0..out.rows() {
-                for (mi, &o) in m.iter_mut().zip(out.row(r)) {
-                    *mi += o;
-                }
-            }
-        }
-        if !virtual_sources.is_empty() {
-            let xs = stack_rows(h, virtual_sources.iter().map(|&(u, _)| u));
-            let out = self.mlp_batch(&self.msg_sp, &xs);
-            for (r, &(_, s)) in virtual_sources.iter().enumerate() {
-                let inv = 1.0 / s as f32;
-                for (mi, &o) in m.iter_mut().zip(out.row(r)) {
-                    *mi += inv * o;
-                }
-            }
-        }
-        let hv = &h[v];
-        let new = self.gru_fast(m, hv);
-        h[v] = new;
-    }
-
-    /// Batched MLP forward through the fused GEMM epilogues (bias and the
-    /// hidden ReLU ride the matmul; no intermediate `x·W` matrices).
-    fn mlp_batch(&self, mlp: &Mlp, xs: &Matrix) -> Matrix {
-        let last = mlp.layers.len() - 1;
-        let mut cur = xs.clone();
-        for (i, layer) in mlp.layers.iter().enumerate() {
-            let b = self.ps.get(layer.b);
-            let act = if i < last { mlp.hidden_act.fused() } else { TensorAct::Identity };
-            cur = cur.matmul_bias_act(self.ps.get(layer.w), b, act);
-        }
-        cur
-    }
-
     /// Raw-matrix MLP forward on a single row.
     fn mlp_fast(&self, mlp: &Mlp, x: &[f32]) -> Vec<f32> {
         let mut cur = x.to_vec();
@@ -450,138 +459,25 @@ impl Ghn {
         cur
     }
 
-    /// Raw GRU step on single rows, mirroring `GruCell::forward`. The gate
-    /// products run through [`vecmat_acc`] — unit-stride axpy rows, no
-    /// data-dependent branch (the old `vi == 0.0` skip defeated
-    /// vectorization and made latency depend on the input's sparsity).
-    fn gru_fast(&self, x: &[f32], h: &[f32]) -> Vec<f32> {
-        let d = self.cfg.hidden_dim;
-        let sigmoid = |t: f32| 1.0 / (1.0 + (-t).exp());
-
-        let mut z = self.ps.get(self.gru.bz).row(0).to_vec();
-        vecmat_acc(x, self.ps.get(self.gru.wz), &mut z);
-        vecmat_acc(h, self.ps.get(self.gru.uz), &mut z);
-        for zi in &mut z {
-            *zi = sigmoid(*zi);
-        }
-
-        let mut r = self.ps.get(self.gru.br).row(0).to_vec();
-        vecmat_acc(x, self.ps.get(self.gru.wr), &mut r);
-        vecmat_acc(h, self.ps.get(self.gru.ur), &mut r);
-        for ri in &mut r {
-            *ri = sigmoid(*ri);
-        }
-
-        let rh: Vec<f32> = r.iter().zip(h).map(|(ri, hi)| ri * hi).collect();
-        let mut hh = self.ps.get(self.gru.bh).row(0).to_vec();
-        vecmat_acc(x, self.ps.get(self.gru.wh), &mut hh);
-        vecmat_acc(&rh, self.ps.get(self.gru.uh), &mut hh);
-        for hi in &mut hh {
-            *hi = hi.tanh();
-        }
-
-        (0..d).map(|i| h[i] + z[i] * (hh[i] - h[i])).collect()
-    }
-
-    /// Batched GRU step: `x` and `h` are `n×d`; one fused two-operand
-    /// affine per gate for all rows at once.
-    fn gru_batch(&self, x: &Matrix, h: &Matrix) -> Matrix {
-        let mut z = x.matmul_bias(self.ps.get(self.gru.wz), self.ps.get(self.gru.bz));
-        h.matmul_acc_act(self.ps.get(self.gru.uz), &mut z, TensorAct::Sigmoid);
-        let mut r = x.matmul_bias(self.ps.get(self.gru.wr), self.ps.get(self.gru.br));
-        h.matmul_acc_act(self.ps.get(self.gru.ur), &mut r, TensorAct::Sigmoid);
-        let rh = r.hadamard(h);
-        let mut hh = x.matmul_bias(self.ps.get(self.gru.wh), self.ps.get(self.gru.bh));
-        rh.matmul_acc_act(self.ps.get(self.gru.uh), &mut hh, TensorAct::Tanh);
-
-        let mut out = h.clone();
-        for ((o, &zi), &hi) in out
-            .as_mut_slice()
-            .iter_mut()
-            .zip(z.as_slice())
-            .zip(hh.as_slice())
-        {
-            *o += zi * (hi - *o);
-        }
-        out
-    }
-
     /// Fast decoder on a raw embedding (diagnostics / tests).
     pub fn decode_fast(&self, embedding: &[f32]) -> Vec<f32> {
         self.mlp_fast(&self.decoder, embedding)
     }
-
-    /// **Synchronous** (Jacobi-style) embedding: all nodes read the
-    /// *previous* sweep's states and update simultaneously, instead of the
-    /// paper-faithful sequential (Gauss–Seidel) order that mimics forward/
-    /// backward execution. Synchronous sweeps are embarrassingly parallel
-    /// and make a useful ablation of how much the execution-order prior
-    /// buys; they converge slower per sweep (information travels one hop
-    /// per sweep instead of the whole graph).
-    pub fn embed_graph_sync(&self, g: &CompGraph, sweeps: usize) -> Vec<f32> {
-        let _t = metrics().embed_latency.start_timer();
-        let n = g.num_nodes();
-        let d = self.cfg.hidden_dim;
-        let sched = Schedule::new(g, self.cfg.s_max);
-        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-        let mut h = feats.matmul_bias(self.ps.get(self.embed.w), self.ps.get(self.embed.b));
-
-        for sweep in 0..sweeps {
-            // Alternate direction per sweep to mirror fw/bw coverage.
-            let forward = sweep % 2 == 0;
-            // Jacobi: every node reads the previous sweep's states, so each
-            // state goes through the message MLPs exactly once per sweep —
-            // two n×d batched forwards replace the old per-edge calls.
-            let msg_all = self.mlp_batch(&self.msg, &h);
-            let msg_sp_all = self.mlp_batch(&self.msg_sp, &h);
-            let mut m = Matrix::zeros(n, d);
-            for v in 0..n {
-                let neighbors: &[usize] =
-                    if forward { g.predecessors(v) } else { g.successors(v) };
-                let row = m.row_mut(v);
-                for &u in neighbors {
-                    for (mi, &o) in row.iter_mut().zip(msg_all.row(u)) {
-                        *mi += o;
-                    }
-                }
-                let virtuals =
-                    if forward { &sched.virtual_fw[v] } else { &sched.virtual_bw[v] };
-                for &(u, s) in virtuals {
-                    let inv = 1.0 / s as f32;
-                    for (mi, &o) in row.iter_mut().zip(msg_sp_all.row(u)) {
-                        *mi += inv * o;
-                    }
-                }
-            }
-            h = self.gru_batch(&m, &h);
-            if self.cfg.normalize {
-                for v in 0..n {
-                    l2_normalize(h.row_mut(v));
-                }
-            }
-        }
-        let mut pooled = vec![0.0f32; d];
-        for v in 0..n {
-            for (p, &x) in pooled.iter_mut().zip(h.row(v)) {
-                *p += x;
-            }
-        }
-        for p in &mut pooled {
-            *p /= n as f32;
-        }
-        pooled
-    }
 }
 
-/// Stacks the selected state rows into a dense matrix (one GEMM operand).
-fn stack_rows(h: &[Vec<f32>], idx: impl ExactSizeIterator<Item = usize>) -> Matrix {
-    let rows = idx.len();
-    let cols = h[0].len();
-    let mut data = Vec::with_capacity(rows * cols);
-    for u in idx {
-        data.extend_from_slice(&h[u]);
+/// Mean of the node states: the pooled embedding.
+fn mean_pool<'a>(states: impl ExactSizeIterator<Item = &'a [f32]>, d: usize) -> Vec<f32> {
+    let n = states.len();
+    let mut pooled = vec![0.0f32; d];
+    for hv in states {
+        for (p, &x) in pooled.iter_mut().zip(hv) {
+            *p += x;
+        }
     }
-    Matrix::from_vec(rows, cols, data)
+    for p in &mut pooled {
+        *p /= n as f32;
+    }
+    pooled
 }
 
 fn l2_normalize(v: &mut [f32]) {
@@ -625,23 +521,123 @@ mod tests {
         }
     }
 
+    /// The embed this core replaced, kept as its oracle: every message is
+    /// recomputed for every edge from the current `h` (no memo to go
+    /// stale), a node's sources stacked and pushed through the batched
+    /// GEMM entry points — the blocked microkernel from 16 rows up.
+    fn embed_per_edge(ghn: &Ghn, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
+        let (n, d) = (g.num_nodes(), ghn.cfg.hidden_dim);
+        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
+        let mut h = feats
+            .matmul(ghn.ps.get(ghn.embed.w))
+            .add_row_broadcast(ghn.ps.get(ghn.embed.b));
+        let messages = |mlp: &Mlp, h: &Matrix, sources: Vec<usize>| {
+            let last = mlp.layers.len() - 1;
+            let mut cur = h.gather_rows(&sources);
+            for (i, layer) in mlp.layers.iter().enumerate() {
+                let act = if i < last { mlp.hidden_act.fused() } else { TensorAct::Identity };
+                cur = cur.matmul_bias_act(ghn.ps.get(layer.w), ghn.ps.get(layer.b), act);
+            }
+            cur
+        };
+        let mut gates = vec![0.0f32; 3 * d];
+        for _ in 0..ghn.cfg.t_passes {
+            for forward in [true, false] {
+                let mut order = sched.topo().to_vec();
+                if !forward {
+                    order.reverse();
+                }
+                for v in order {
+                    let (neighbors, virtuals) = if forward {
+                        (g.predecessors(v), sched.virtual_fw(v))
+                    } else {
+                        (g.successors(v), sched.virtual_bw(v))
+                    };
+                    let mut m = vec![0.0f32; d];
+                    let out = messages(&ghn.msg, &h, neighbors.to_vec());
+                    for r in 0..out.rows() {
+                        for (mi, &o) in m.iter_mut().zip(out.row(r)) {
+                            *mi += o;
+                        }
+                    }
+                    let out = messages(&ghn.msg_sp, &h, virtuals.iter().map(|&(u, _)| u).collect());
+                    for (r, &(_, s)) in virtuals.iter().enumerate() {
+                        let inv = 1.0 / s as f32;
+                        for (mi, &o) in m.iter_mut().zip(out.row(r)) {
+                            *mi += inv * o;
+                        }
+                    }
+                    ghn.gru_row(&m, h.row_mut(v), &mut gates);
+                }
+            }
+            if ghn.cfg.normalize {
+                for v in 0..n {
+                    l2_normalize(h.row_mut(v));
+                }
+            }
+        }
+        mean_pool(h.as_slice().chunks_exact(d), d)
+    }
+
+    /// Memo ≡ per-edge recompute by bits, and ≤ 1e-4 from the scalar
+    /// reference. Returns the graph's largest virtual fan-in.
+    fn check_against_oracles(ghn: &Ghn, g: &CompGraph) -> usize {
+        let sched = Schedule::new(g, ghn.cfg.s_max);
+        let memo = ghn.embed_with_schedule(g, &sched);
+        let per_edge = embed_per_edge(ghn, g, &sched);
+        assert!(
+            memo.iter().map(|x| x.to_bits()).eq(per_edge.iter().map(|x| x.to_bits())),
+            "{}: memoised {memo:?} vs per-edge {per_edge:?}",
+            g.name
+        );
+        let scalar = ghn.embed_with_schedule_reference(g, &sched);
+        for (a, b) in memo.iter().zip(&scalar) {
+            assert!((a - b).abs() <= 1e-4, "{}: memoised {a} vs scalar {b}", g.name);
+        }
+        (0..g.num_nodes())
+            .map(|v| sched.virtual_fw(v).len().max(sched.virtual_bw(v).len()))
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn memoised_messages_equal_per_edge_recompute_bit_for_bit() {
+        let synth = crate::SynthGenerator::new(pddl_zoo::CIFAR10, 3).sample_many(64);
+        let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(31));
+        let mut widest = 0;
+        for ds in pddl_zoo::dataset::ALL_DATASETS {
+            for name in pddl_zoo::model_names() {
+                let g = pddl_zoo::build_model(name, ds).expect("zoo model");
+                widest = widest.max(check_against_oracles(&ghn, &g));
+            }
+        }
+        for g in &synth {
+            check_against_oracles(&ghn, g);
+        }
+        // From 16 sources up the per-edge oracle's batch takes the blocked
+        // microkernel, not the row kernel the memo was computed with.
+        assert!(widest >= 16, "widest virtual fan-in in the zoo is {widest}");
+
+        // Two rounds: the states are normalised between them, so a message
+        // kept from the first round would be stale in the second.
+        let cfg = GhnConfig { t_passes: 2, ..GhnConfig::default() };
+        let ghn = Ghn::new(cfg, &mut Rng::new(32));
+        let deep = pddl_zoo::build_model("densenet121", &pddl_zoo::CIFAR10).expect("zoo model");
+        for g in synth.iter().chain([&deep]) {
+            check_against_oracles(&ghn, g);
+        }
+    }
+
     #[test]
     fn batched_fast_path_matches_scalar_reference() {
-        // The GEMM-batched inference path and the per-element scalar loops
-        // sum in different orders; they must agree to fp tolerance on
-        // every node state that reaches the pooled embedding.
+        // The inference path and the per-element scalar loops round
+        // differently (FMA, zero-skip); they must agree to fp tolerance
+        // on every node state that reaches the pooled embedding.
         let mut rng = Rng::new(23);
         let mut cfg = GhnConfig::tiny();
         cfg.t_passes = 2;
         let ghn = Ghn::new(cfg, &mut rng);
-        let g = toy_graph();
-        let sched = Schedule::new(&g, ghn.cfg.s_max);
-        let batched = ghn.embed_with_schedule(&g, &sched);
-        let scalar = ghn.embed_with_schedule_reference(&g, &sched);
-        assert_eq!(batched.len(), scalar.len());
-        for (a, b) in batched.iter().zip(&scalar) {
-            assert!((a - b).abs() <= 1e-4, "batched {a} vs scalar {b}");
-        }
+        check_against_oracles(&ghn, &toy_graph());
     }
 
     #[test]
@@ -723,40 +719,6 @@ mod tests {
         let _ = g.chain(prev, OpKind::Output, NodeAttrs::elementwise(8, 8), "out");
         let e = ghn.embed_graph(&g);
         assert!(e.iter().all(|x| x.is_finite() && x.abs() < 10.0), "{e:?}");
-    }
-
-    #[test]
-    fn synchronous_mode_produces_valid_embeddings() {
-        let mut rng = Rng::new(21);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
-        let g = toy_graph();
-        let e = ghn.embed_graph_sync(&g, 4);
-        assert_eq!(e.len(), GhnConfig::tiny().hidden_dim);
-        assert!(e.iter().all(|x| x.is_finite()));
-        // Deterministic.
-        assert_eq!(e, ghn.embed_graph_sync(&g, 4));
-        // Distinguishes graphs.
-        let mut g2 = CompGraph::new("other");
-        let a = g2.add_node(OpKind::Input, NodeAttrs::elementwise(3, 16), "in");
-        let b = g2.chain(a, OpKind::Dense, NodeAttrs::dense(768, 10), "fc");
-        let _ = g2.chain(b, OpKind::Output, NodeAttrs::elementwise(10, 1), "out");
-        let e2 = ghn.embed_graph_sync(&g2, 4);
-        let diff: f32 = e.iter().zip(&e2).map(|(x, y)| (x - y).abs()).sum();
-        assert!(diff > 1e-3);
-    }
-
-    #[test]
-    fn sync_and_sequential_agree_in_direction() {
-        // Same weights, different update schedules: embeddings differ but
-        // should point the same way (high cosine) on a small graph once
-        // enough sweeps have run.
-        let mut rng = Rng::new(22);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
-        let g = toy_graph();
-        let seq = ghn.embed_graph(&g);
-        let syn = ghn.embed_graph_sync(&g, 6);
-        let cos = crate::embed::cosine_similarity(&seq, &syn);
-        assert!(cos > 0.5, "schedules diverged: cos {cos}");
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub use dag::{CompGraph, GraphError, Node, NodeId};
 pub use dot::to_dot;
 pub use features::one_hot_features;
 pub use op::{NodeAttrs, OpKind};
-pub use paths::ShortestPaths;
+pub use paths::{virtual_edges, ShortestPaths};

@@ -1,4 +1,4 @@
-//! All-pairs shortest-path distances for GHN-2 virtual edges.
+//! Shortest-path distances for GHN-2 virtual edges.
 //!
 //! Eq. (4) of the paper extends message passing with *virtual edges*: node
 //! `v` additionally receives `MLP_sp(h_u)/s_vu` from every node `u` whose
@@ -12,7 +12,50 @@ use std::collections::VecDeque;
 /// Unreachable marker in the distance matrix.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// Dense all-pairs shortest-path table over a graph's directed edges.
+/// Virtual-edge sources `(u, s)` of every node, ascending by `u`, as
+/// `[forward, backward]`: one breadth-first search per node over the
+/// forward edges, cut at depth `s_max`. A node `v` first reached from `u`
+/// at depth `s > 1` is a forward pair `u → v` and, read the other way, a
+/// backward pair over the reversed graph, so one traversal fills both
+/// directions. Each list equals [`ShortestPaths::virtual_sources`] over
+/// the table of its direction.
+pub fn virtual_edges(g: &CompGraph, s_max: u32) -> [Vec<Vec<(NodeId, u32)>>; 2] {
+    let n = g.num_nodes();
+    let (mut fw, mut bw) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    // `reached_from[v] == u`: the search from `u` has seen `v`.
+    let mut reached_from = vec![usize::MAX; n];
+    let (mut frontier, mut next) = (Vec::new(), Vec::new());
+    for u in 0..n {
+        reached_from[u] = u;
+        frontier.clear();
+        frontier.push(u);
+        for depth in 1..=s_max {
+            next.clear();
+            for &x in &frontier {
+                for &v in g.successors(x) {
+                    if reached_from[v] != u {
+                        reached_from[v] = u;
+                        next.push(v);
+                        if depth > 1 {
+                            // `u` ascends, so `fw[v]` is filled in order.
+                            fw[v].push((u, depth));
+                            bw[u].push((v, depth));
+                        }
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        bw[u].sort_unstable();
+    }
+    [fw, bw]
+}
+
+/// Dense all-pairs shortest-path table over a graph's directed edges: the
+/// definition [`virtual_edges`] is tested against.
 #[derive(Clone, Debug)]
 pub struct ShortestPaths {
     n: usize,
@@ -124,6 +167,11 @@ mod tests {
         // Node c (id 3): a at distance 2 (in is at distance 1 via skip).
         let vs = sp.virtual_sources(3, 3);
         assert_eq!(vs, vec![(1, 2)]);
+        // The bounded search finds the same pairs, and their mirror images.
+        let [fw, bw] = virtual_edges(&g, 3);
+        assert_eq!(fw[2], [(0, 2)]);
+        assert_eq!(fw[3], [(1, 2)]);
+        assert_eq!(bw[0], [(2, 2), (4, 2)]);
     }
 
     #[test]
@@ -135,5 +183,7 @@ mod tests {
         let capped = sp.virtual_sources(4, 2);
         assert!(capped.len() <= all.len());
         assert!(capped.iter().all(|&(_, d)| d <= 2));
+        assert_eq!(virtual_edges(&g, 10)[0][4], all);
+        assert_eq!(virtual_edges(&g, 2)[0][4], capped);
     }
 }

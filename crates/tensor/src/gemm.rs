@@ -205,6 +205,16 @@ fn gemm_metrics() -> &'static GemmMetrics {
     })
 }
 
+/// Adds `calls` products totalling `flops` (`2·m·n·k` each) to
+/// `tensor.gemm_calls` / `tensor.gemm_flops`. `gemm` counts itself; a
+/// caller of the uncounted row products ([`crate::vecmat_bias_act`])
+/// reports a whole batch of them here in one call.
+pub fn record_products(calls: u64, flops: u64) {
+    let metrics = gemm_metrics();
+    metrics.calls.add(calls);
+    metrics.flops.add(flops);
+}
+
 /// Core dispatch: `out (m×n) (+)= op(A)·op(B)`, then `+ bias`, then
 /// `act`, choosing between the direct small-product kernels, the serial
 /// blocked path, and pool-parallel macro-tiles. The kernel set (scalar /
@@ -230,9 +240,7 @@ pub(crate) fn gemm(
     pool: Option<&WorkPool>,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    let metrics = gemm_metrics();
-    metrics.calls.inc();
-    metrics.flops.add((2 * m * n * k) as u64);
+    record_products(1, (2 * m * n * k) as u64);
     if m == 0 || n == 0 {
         return;
     }
@@ -266,7 +274,7 @@ pub(crate) fn gemm(
 /// and ReLU go through the dispatched kernels (both are exact elementwise
 /// ops, so every backend produces identical bits); the transcendental
 /// activations stay scalar.
-fn epilogue(
+pub(crate) fn epilogue(
     kern: &'static Kernels,
     out: &mut [f32],
     m: usize,

@@ -81,9 +81,9 @@ pub(crate) struct Kernels {
     /// `y[i] += a * x[i]` over the common prefix.
     pub axpy: fn(f32, &[f32], &mut [f32]),
     /// Whole vector·matrix accumulate: `out[j] += Σ_p v[p]·w[p*n+j]`
-    /// with `n = out.len()` and `w` row-major. The axpy loop nest runs
-    /// *inside* the backend so a tiny product (a GHN node update) pays
-    /// one indirect call instead of one per weight row.
+    /// with `n = out.len()` and `w` row-major, bit for bit one `axpy` per
+    /// weight row. The loop nest runs *inside* the backend so a tiny
+    /// product (a GHN node update) pays one indirect call, not one per row.
     pub vecmat: fn(&[f32], &[f32], &mut [f32]),
     /// Dot product with the 8-lane partial-sum accumulation structure.
     pub dot: fn(&[f32], &[f32]) -> f32,
@@ -354,15 +354,55 @@ mod avx2 {
         }
     }
 
-    /// The axpy sweep over every weight row inside one feature region, so
-    /// `axpy_impl` inlines and the indirect call amortizes over the whole
-    /// product.
+    /// Whole product with the output held in registers across the depth
+    /// loop, in blocks of 64, 32 or 8 columns: per element the FMA
+    /// sequence of an [`axpy_impl`] sweep over the weight rows (so the same
+    /// bits) without its load and store of `out` per row.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn vecmat_impl(v: &[f32], w: &[f32], out: &mut [f32]) {
         let n = out.len();
-        for (p, &vp) in v.iter().enumerate() {
-            axpy_impl(vp, &w[p * n..(p + 1) * n], out);
+        assert!(w.len() >= v.len() * n, "vecmat weight slice too short");
+        let mut j = 0;
+        while n - j >= 8 {
+            j += match n - j {
+                64.. => vecmat_block::<8>(v, w, j, out),
+                32.. => vecmat_block::<4>(v, w, j, out),
+                _ => vecmat_block::<1>(v, w, j, out),
+            };
         }
+        // Column remainder: multiply, then add, as in the axpy tail.
+        for (c, o) in out.iter_mut().enumerate().skip(j) {
+            for (p, &vp) in v.iter().enumerate() {
+                *o += vp * w[p * n + c];
+            }
+        }
+    }
+
+    /// Columns `j .. j + 8·L` of [`vecmat_impl`], in `L` accumulators that
+    /// the constant trip counts keep in registers; returns the `8·L` done.
+    ///
+    /// # Safety
+    /// Needs avx2 + fma, `j + 8·L ≤ out.len()` and
+    /// `w.len() ≥ v.len() · out.len()`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn vecmat_block<const L: usize>(v: &[f32], w: &[f32], j: usize, out: &mut [f32]) -> usize {
+        let n = out.len();
+        let op = out.as_mut_ptr().add(j);
+        let mut acc = [_mm256_setzero_ps(); L];
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_ps(op.add(8 * l));
+        }
+        for (p, &vp) in v.iter().enumerate() {
+            let va = _mm256_set1_ps(vp);
+            let wp = w.as_ptr().add(p * n + j);
+            for (l, a) in acc.iter_mut().enumerate() {
+                *a = _mm256_fmadd_ps(va, _mm256_loadu_ps(wp.add(8 * l)), *a);
+            }
+        }
+        for (l, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(op.add(8 * l), *a);
+        }
+        8 * L
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -647,6 +687,27 @@ mod tests {
         scalar::vecmat(&v, &w, &mut out_ref);
         for (a, b) in out_simd.iter().zip(&out_ref) {
             assert!((a - b).abs() <= 1e-5 * b.abs().max(1.0), "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn vecmat_equals_the_axpy_sweep_bit_for_bit() {
+        // Every block width of the register kernel (64, 32, 8 columns)
+        // and its column remainder, on a non-zero initial `out`.
+        let kern = active();
+        for n in [7, 8, 24, 32, 33, 64, 72, 96] {
+            for k in [1, 28, 32, 48] {
+                let v: Vec<f32> = (0..k).map(|i| (i as f32 * 0.29).cos()).collect();
+                let w: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.13).sin()).collect();
+                let mut out: Vec<f32> = (0..n).map(|j| (j as f32 * 0.41).sin()).collect();
+                let mut swept = out.clone();
+                (kern.vecmat)(&v, &w, &mut out);
+                for (p, &vp) in v.iter().enumerate() {
+                    (kern.axpy)(vp, &w[p * n..(p + 1) * n], &mut swept);
+                }
+                let bits = |x: &[f32]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&swept), "n = {n}, k = {k}");
+            }
         }
     }
 

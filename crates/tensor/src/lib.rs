@@ -30,5 +30,5 @@ pub mod rng;
 
 pub use gemm::{Activation, PackBuffer};
 pub use kernels::{backend, set_force_scalar, KernelBackend};
-pub use matrix::{vecmat_acc, Matrix};
+pub use matrix::{vecmat_acc, vecmat_bias_act, Matrix};
 pub use rng::Rng;

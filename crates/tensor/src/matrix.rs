@@ -577,6 +577,19 @@ pub fn vecmat_acc(v: &[f32], w: &Matrix, out: &mut [f32]) {
     (kernels::active().vecmat)(v, w.as_slice(), out);
 }
 
+/// `out = act(v · w + bias)` for one row: what [`Matrix::matmul_bias_act`]
+/// computes for each row of its left operand, bit for bit (accumulate over
+/// `k` from zero, then bias, then activation), into the caller's buffer.
+/// Counts nothing — see [`gemm::record_products`].
+pub fn vecmat_bias_act(v: &[f32], w: &Matrix, bias: &Matrix, act: Activation, out: &mut [f32]) {
+    assert_eq!(v.len(), w.rows(), "vecmat_bias_act inner dim mismatch");
+    assert_eq!((out.len(), bias.shape()), (w.cols(), (1, w.cols())), "vecmat_bias_act width mismatch");
+    let kern = kernels::active();
+    out.fill(0.0);
+    (kern.vecmat)(v, &w.data, out);
+    gemm::epilogue(kern, out, 1, out.len(), Some(&bias.data), act);
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
     #[inline]
