@@ -297,6 +297,63 @@ mod tests {
         assert_eq!(tape.shape(y), (3, 7));
     }
 
+    /// `uses` applications of one `Linear`, chained, against the same chain
+    /// through `uses` copies of it in a second store: the shared leaf's
+    /// gradient is the copies' gradients added last use first, bit for bit.
+    fn shared_leaf_sums_single_use_gradients(rows: usize) {
+        const USES: usize = 4;
+        let mut rng = Rng::new(21);
+        let mut shared = ParamStore::new();
+        let lin = Linear::new(&mut shared, "l", 4, 4, &mut rng);
+        *shared.get_mut(lin.b) = Matrix::rand_normal(1, 4, 0.3, &mut rng);
+        let mut separate = ParamStore::new();
+        let copies: Vec<Linear> = (0..USES)
+            .map(|i| {
+                let copy = Linear::new(&mut separate, &format!("c{i}"), 4, 4, &mut rng);
+                *separate.get_mut(copy.w) = shared.get(lin.w).clone();
+                *separate.get_mut(copy.b) = shared.get(lin.b).clone();
+                copy
+            })
+            .collect();
+        let x = Matrix::rand_normal(rows, 4, 1.0, &mut rng);
+        let t = Matrix::rand_normal(rows, 4, 1.0, &mut rng);
+        let run = |ps: &ParamStore, layers: Vec<&Linear>| {
+            let mut tape = Tape::new(ps);
+            let mut y = tape.constant(x.clone());
+            for layer in layers {
+                y = layer.forward(&mut tape, y);
+                y = tape.tanh(y);
+            }
+            let tv = tape.constant(t.clone());
+            let loss = tape.mse_loss(y, tv);
+            (tape.param_leaves(), tape.backward(loss))
+        };
+        let (leaves, got) = run(&shared, vec![&lin; USES]);
+        assert_eq!(leaves, 2, "one leaf for w, one for b");
+        let (leaves, parts) = run(&separate, copies.iter().collect());
+        assert_eq!(leaves, 2 * USES);
+        let pick_w = |l: &Linear| l.w;
+        let pick_b = |l: &Linear| l.b;
+        for pick in [pick_w, pick_b] {
+            let mut want = parts.get(pick(&copies[USES - 1])).unwrap().clone();
+            for copy in copies[..USES - 1].iter().rev() {
+                want.add_scaled(parts.get(pick(copy)).unwrap(), 1.0);
+            }
+            let got = got.get(pick(&lin)).unwrap();
+            assert!(
+                got.as_slice().iter().map(|v| v.to_bits()).eq(want.as_slice().iter().map(|v| v.to_bits())),
+                "rows={rows}: shared {got:?} vs summed copies {want:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_layer_used_k_times_is_two_leaves_and_the_sum_of_k_gradients() {
+        // One row: the GHN's per-node shape. Three: the GEMM shape.
+        shared_leaf_sums_single_use_gradients(1);
+        shared_leaf_sums_single_use_gradients(3);
+    }
+
     #[test]
     fn mlp_forward_and_dims() {
         let mut rng = Rng::new(2);

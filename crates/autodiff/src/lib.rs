@@ -7,7 +7,8 @@
 //!
 //! * a [`ParamStore`] owns the persistent, trainable parameter matrices;
 //! * every forward pass records operations onto a fresh [`Tape`], producing
-//!   [`Var`] handles;
+//!   [`Var`] handles — one leaf per parameter, however many layers' calls
+//!   read it;
 //! * [`Tape::backward`] replays the tape in reverse, producing a
 //!   [`Gradients`] map keyed by [`ParamId`];
 //! * optimizers ([`optim::Sgd`], [`optim::Adam`]) consume the gradients and

@@ -221,11 +221,13 @@ struct Node {
 pub struct Tape<'p> {
     params: &'p ParamStore,
     nodes: Vec<Node>,
+    /// The leaf already recorded for each parameter, by [`ParamId`].
+    leaves: Vec<Option<Var>>,
 }
 
 impl<'p> Tape<'p> {
     pub fn new(params: &'p ParamStore) -> Self {
-        Self { params, nodes: Vec::with_capacity(256) }
+        Self { params, nodes: Vec::with_capacity(256), leaves: vec![None; params.len()] }
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> Var {
@@ -257,10 +259,23 @@ impl<'p> Tape<'p> {
         self.push(Op::Const, m)
     }
 
-    /// Records a parameter leaf; its gradient lands in [`Gradients`].
+    /// The leaf bound to parameter `id`, recorded (one copy of the value)
+    /// the first time it is asked for; its gradient lands in [`Gradients`].
+    /// Every use of a parameter shares the leaf, so their gradients meet
+    /// in its slot in reverse tape order.
     pub fn param(&mut self, id: ParamId) -> Var {
+        if let Some(leaf) = self.leaves[id.0] {
+            return leaf;
+        }
         let value = self.params.get(id).clone();
-        self.push(Op::Param(id), value)
+        let leaf = self.push(Op::Param(id), value);
+        self.leaves[id.0] = Some(leaf);
+        leaf
+    }
+
+    /// Number of parameter leaves recorded: at most one per parameter.
+    pub fn param_leaves(&self) -> usize {
+        self.leaves.iter().flatten().count()
     }
 
     pub fn add(&mut self, a: Var, b: Var) -> Var {
@@ -1006,6 +1021,20 @@ mod tests {
         let g = grads.get(w).unwrap();
         assert!((g[(0, 0)] - 4.0).abs() < 1e-5, "{g:?}");
         assert!((g[(0, 1)] + 8.0).abs() < 1e-5, "{g:?}");
+    }
+
+    #[test]
+    fn asking_for_a_parameter_twice_records_one_leaf() {
+        let mut ps = ParamStore::new();
+        let w = ps.register("w", Matrix::ones(2, 2));
+        let b = ps.register("b", Matrix::ones(1, 2));
+        let mut tape = Tape::new(&ps);
+        let first = tape.param(w);
+        assert_eq!((tape.len(), tape.param_leaves()), (1, 1));
+        assert_eq!(tape.param(w), first);
+        assert_eq!((tape.len(), tape.param_leaves()), (1, 1));
+        assert_ne!(tape.param(b), first);
+        assert_eq!((tape.len(), tape.param_leaves()), (2, 2));
     }
 
     #[test]
