@@ -544,10 +544,9 @@ impl<'p> Tape<'p> {
                         g.zip(y, |gi, yi| gi * act.grad_from_output(yi))
                     };
                     let gx = dpre.matmul_nt(&self.nodes[*w].value);
-                    let gw = self.nodes[*x].value.t_matmul(&dpre);
                     let gb = dpre.sum_rows();
                     accumulate(&mut grads, *x, gx);
-                    accumulate(&mut grads, *w, gw);
+                    accumulate_t_matmul(&mut grads, *w, &self.nodes[*x].value, &dpre);
                     accumulate(&mut grads, *b, gb);
                 }
                 Op::Affine2 { x, w, h, u, b, act } => {
@@ -558,14 +557,12 @@ impl<'p> Tape<'p> {
                         g.zip(y, |gi, yi| gi * act.grad_from_output(yi))
                     };
                     let gx = dpre.matmul_nt(&self.nodes[*w].value);
-                    let gw = self.nodes[*x].value.t_matmul(&dpre);
                     let gh = dpre.matmul_nt(&self.nodes[*u].value);
-                    let gu = self.nodes[*h].value.t_matmul(&dpre);
                     let gb = dpre.sum_rows();
                     accumulate(&mut grads, *x, gx);
-                    accumulate(&mut grads, *w, gw);
+                    accumulate_t_matmul(&mut grads, *w, &self.nodes[*x].value, &dpre);
                     accumulate(&mut grads, *h, gh);
-                    accumulate(&mut grads, *u, gu);
+                    accumulate_t_matmul(&mut grads, *u, &self.nodes[*h].value, &dpre);
                     accumulate(&mut grads, *b, gb);
                 }
                 Op::Scale(a, alpha) => {
@@ -742,6 +739,26 @@ fn accumulate(grads: &mut [Option<Matrix>], idx: usize, g: Matrix) {
     match &mut grads[idx] {
         Some(acc) => acc.add_scaled(&g, 1.0),
         slot @ None => *slot = Some(g),
+    }
+}
+
+/// Routes the weight gradient `xᵀ·d` of an affine node to the weight's
+/// slot. A one-row `x` against a slot that already holds a sum — every use
+/// of a shared leaf after the first — is the rank-1 update
+/// `acc[i][j] += x[i]·d[j]` in place: multiply, round, add, which is what
+/// a depth-1 [`Matrix::t_matmul`] followed by [`accumulate`] computes on
+/// every kernel backend, without the temporary.
+fn accumulate_t_matmul(grads: &mut [Option<Matrix>], idx: usize, x: &Matrix, d: &Matrix) {
+    match &mut grads[idx] {
+        Some(acc) if x.rows() == 1 => {
+            assert_eq!(acc.shape(), (x.cols(), d.cols()), "weight gradient shape mismatch");
+            for (acc_row, &xi) in acc.as_mut_slice().chunks_exact_mut(d.cols()).zip(x.row(0)) {
+                for (a, &dj) in acc_row.iter_mut().zip(d.row(0)) {
+                    *a += xi * dj;
+                }
+            }
+        }
+        _ => accumulate(grads, idx, x.t_matmul(d)),
     }
 }
 
@@ -1035,6 +1052,27 @@ mod tests {
         assert_eq!((tape.len(), tape.param_leaves()), (1, 1));
         assert_ne!(tape.param(b), first);
         assert_eq!((tape.len(), tape.param_leaves()), (2, 2));
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn rank_one_update_in_place_equals_t_matmul_then_add() {
+        let mut rng = Rng::new(51);
+        let mut x = Matrix::rand_normal(1, 6, 1.0, &mut rng);
+        x.as_mut_slice()[2] = 0.0; // a ReLU output: products of either zero sign
+        let d = Matrix::rand_normal(1, 5, 1.0, &mut rng);
+        let held = Matrix::rand_normal(6, 5, 1.0, &mut rng);
+        let mut want = held.clone();
+        want.add_scaled(&x.t_matmul(&d), 1.0);
+        let mut grads = vec![Some(held), None];
+        accumulate_t_matmul(&mut grads, 0, &x, &d);
+        assert_eq!(bits(grads[0].as_ref().unwrap()), bits(&want));
+        // An empty slot takes the product itself.
+        accumulate_t_matmul(&mut grads, 1, &x, &d);
+        assert_eq!(bits(grads[1].as_ref().unwrap()), bits(&x.t_matmul(&d)));
     }
 
     #[test]
