@@ -176,6 +176,8 @@ enum Op {
     },
     /// `alpha * a`.
     Scale(usize, f32),
+    /// `Σ alpha_k · a_k` over same-shaped parents, summed left to right.
+    WeightedSum(Vec<(usize, f32)>),
     /// Sigmoid.
     Sigmoid(usize),
     /// Tanh.
@@ -307,6 +309,19 @@ impl<'p> Tape<'p> {
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
         let v = self.nodes[a.0].value.scale(alpha);
         self.push(Op::Scale(a.0, alpha), v)
+    }
+
+    /// `Σ alpha_k · part_k` as one node: the value and the gradients of
+    /// the [`Tape::scale`] / [`Tape::add`] chain it stands for, in the
+    /// chain's order — the sum runs left to right, and the backward pass
+    /// hands each part `g · alpha_k`, last part first.
+    pub fn weighted_sum(&mut self, parts: &[(Var, f32)]) -> Var {
+        let (&(first, alpha), rest) = parts.split_first().expect("weighted_sum of no parts");
+        let mut v = self.nodes[first.0].value.scale(alpha);
+        for &(part, alpha) in rest {
+            v.add_scaled(&self.nodes[part.0].value, alpha);
+        }
+        self.push(Op::WeightedSum(parts.iter().map(|&(p, alpha)| (p.0, alpha)).collect()), v)
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
@@ -568,6 +583,11 @@ impl<'p> Tape<'p> {
                 Op::Scale(a, alpha) => {
                     let ga = g.scale(*alpha);
                     accumulate(&mut grads, *a, ga);
+                }
+                Op::WeightedSum(parts) => {
+                    for &(p, alpha) in parts.iter().rev() {
+                        accumulate(&mut grads, p, g.scale(alpha));
+                    }
                 }
                 Op::Sigmoid(a) => {
                     // y' = y (1 - y), using the stored output value.
@@ -1073,6 +1093,39 @@ mod tests {
         // An empty slot takes the product itself.
         accumulate_t_matmul(&mut grads, 1, &x, &d);
         assert_eq!(bits(grads[1].as_ref().unwrap()), bits(&x.t_matmul(&d)));
+    }
+
+    #[test]
+    fn weighted_sum_equals_the_scale_add_chain_bit_for_bit() {
+        let mut rng = Rng::new(52);
+        let mut ps = ParamStore::new();
+        let ids: Vec<ParamId> = (0..3)
+            .map(|i| ps.register(format!("p{i}"), Matrix::rand_normal(2, 7, 1.0, &mut rng)))
+            .collect();
+        let t = Matrix::rand_normal(2, 7, 1.0, &mut rng);
+        // The GHN's message sum: unit weights, then 1/s ones; p0 read twice.
+        let third = 1.0 / 3.0;
+        let run = |fused: bool| {
+            let mut tape = Tape::new(&ps);
+            let p: Vec<Var> = ids.iter().map(|&id| tape.param(id)).collect();
+            let sum = if fused {
+                tape.weighted_sum(&[(p[0], 1.0), (p[1], 1.0), (p[2], 0.5), (p[0], third)])
+            } else {
+                let (c, d) = (tape.scale(p[2], 0.5), tape.scale(p[0], third));
+                let ab = tape.add(p[0], p[1]);
+                let abc = tape.add(ab, c);
+                tape.add(abc, d)
+            };
+            let y = tape.tanh(sum);
+            let tv = tape.constant(t.clone());
+            let loss = tape.mse_loss(y, tv);
+            (bits(tape.value(sum)), tape.backward(loss))
+        };
+        let ((fused_value, fused), (chain_value, chain)) = (run(true), run(false));
+        assert_eq!(fused_value, chain_value);
+        for &id in &ids {
+            assert_eq!(bits(fused.get(id).unwrap()), bits(chain.get(id).unwrap()), "{}", ps.name(id));
+        }
     }
 
     #[test]

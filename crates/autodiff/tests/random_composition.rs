@@ -18,6 +18,7 @@ enum Step {
     MatmulSquare, // multiply by a fixed random square matrix
     AddConst,
     MulConst,
+    WeightedSum(i8), // the input twice and a fixed random matrix
 }
 
 fn apply(step: Step, tape: &mut Tape, x: Var, dim: usize, rng: &mut Rng) -> Var {
@@ -41,11 +42,16 @@ fn apply(step: Step, tape: &mut Tape, x: Var, dim: usize, rng: &mut Rng) -> Var 
             let m = tape.constant(Matrix::rand_normal(r, c, 0.5, rng));
             tape.mul(x, m)
         }
+        Step::WeightedSum(s) => {
+            let (r, c) = tape.shape(x);
+            let m = tape.constant(Matrix::rand_normal(r, c, 0.5, rng));
+            tape.weighted_sum(&[(x, s as f32 / 4.0 + 1.5), (m, 0.5), (x, -0.25)])
+        }
     }
 }
 
 fn arb_step(rng: &mut Rng) -> Step {
-    match rng.below(8) {
+    match rng.below(9) {
         0 => Step::Tanh,
         1 => Step::Sigmoid,
         2 => Step::Relu,
@@ -53,7 +59,8 @@ fn arb_step(rng: &mut Rng) -> Step {
         4 => Step::RowNorm,
         5 => Step::MatmulSquare,
         6 => Step::AddConst,
-        _ => Step::MulConst,
+        7 => Step::MulConst,
+        _ => Step::WeightedSum(rng.range(0, 8) as i8 - 4),
     }
 }
 

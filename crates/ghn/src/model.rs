@@ -189,24 +189,18 @@ impl Ghn {
         virtual_sources: &[(usize, u32)],
     ) {
         let neighbors: &[usize] = if forward { g.predecessors(v) } else { g.successors(v) };
-        let mut parts: Vec<Var> = Vec::with_capacity(neighbors.len() + virtual_sources.len());
+        let mut parts: Vec<(Var, f32)> =
+            Vec::with_capacity(neighbors.len() + virtual_sources.len());
         for &u in neighbors {
-            parts.push(self.msg.forward(tape, h[u]));
+            parts.push((self.msg.forward(tape, h[u]), 1.0));
         }
         for &(u, s) in virtual_sources {
-            let m = self.msg_sp.forward(tape, h[u]);
-            parts.push(tape.scale(m, 1.0 / s as f32));
+            parts.push((self.msg_sp.forward(tape, h[u]), 1.0 / s as f32));
         }
-        let m_v = match parts.len() {
-            0 => tape.constant(Matrix::zeros(1, self.cfg.hidden_dim)),
-            1 => parts[0],
-            _ => {
-                let mut acc = parts[0];
-                for &p in &parts[1..] {
-                    acc = tape.add(acc, p);
-                }
-                acc
-            }
+        let m_v = if parts.is_empty() {
+            tape.constant(Matrix::zeros(1, self.cfg.hidden_dim))
+        } else {
+            tape.weighted_sum(&parts)
         };
         h[v] = self.gru.forward(tape, m_v, h[v]);
     }
