@@ -10,7 +10,7 @@
 //!   [`Var`] handles — one leaf per parameter, however many layers' calls
 //!   read it;
 //! * [`Tape::backward`] replays the tape in reverse, producing a
-//!   [`Gradients`] map keyed by [`ParamId`];
+//!   [`Gradients`] table with one slot per [`ParamId`];
 //! * optimizers ([`optim::Sgd`], [`optim::Adam`]) consume the gradients and
 //!   update the store.
 //!

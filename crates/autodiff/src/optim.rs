@@ -2,7 +2,17 @@
 
 use crate::tape::{Gradients, ParamId, ParamStore};
 use pddl_tensor::Matrix;
-use std::collections::HashMap;
+
+/// Per-parameter optimizer state by [`ParamId`], grown to the store's size
+/// and zero-filled the first time a parameter's gradient arrives.
+type Slots = Vec<Option<Matrix>>;
+
+fn slot<'a>(slots: &'a mut Slots, id: ParamId, like: &Matrix) -> &'a mut Matrix {
+    if slots.len() <= id.0 {
+        slots.resize(id.0 + 1, None);
+    }
+    slots[id.0].get_or_insert_with(|| Matrix::zeros(like.rows(), like.cols()))
+}
 
 /// Common optimizer interface: apply one step from a set of gradients.
 pub trait Optimizer {
@@ -14,27 +24,24 @@ pub trait Optimizer {
 pub struct Sgd {
     pub lr: f32,
     pub momentum: f32,
-    velocity: HashMap<ParamId, Matrix>,
+    velocity: Slots,
 }
 
 impl Sgd {
     pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, velocity: HashMap::new() }
+        Self { lr, momentum: 0.0, velocity: Slots::new() }
     }
 
     pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: HashMap::new() }
+        Self { lr, momentum, velocity: Slots::new() }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut ParamStore, grads: &Gradients) {
-        for (&id, g) in grads.iter() {
+        for (id, g) in grads.iter() {
             if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(id)
-                    .or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
+                let v = slot(&mut self.velocity, id, g);
                 // v = μv + g; w -= lr v
                 let mut nv = v.scale(self.momentum);
                 nv.add_scaled(g, 1.0);
@@ -57,8 +64,8 @@ pub struct Adam {
     pub eps: f32,
     pub weight_decay: f32,
     t: u64,
-    m: HashMap<ParamId, Matrix>,
-    v: HashMap<ParamId, Matrix>,
+    m: Slots,
+    v: Slots,
 }
 
 impl Adam {
@@ -70,8 +77,8 @@ impl Adam {
             eps: 1e-8,
             weight_decay: 0.0,
             t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
+            m: Slots::new(),
+            v: Slots::new(),
         }
     }
 
@@ -87,10 +94,9 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (&id, g) in grads.iter() {
-            let (r, c) = g.shape();
-            let m = self.m.entry(id).or_insert_with(|| Matrix::zeros(r, c));
-            let v = self.v.entry(id).or_insert_with(|| Matrix::zeros(r, c));
+        for (id, g) in grads.iter() {
+            let m = slot(&mut self.m, id, g);
+            let v = slot(&mut self.v, id, g);
             let w = params.get_mut(id);
             let (b1, b2, eps, lr, wd) =
                 (self.beta1, self.beta2, self.eps, self.lr, self.weight_decay);

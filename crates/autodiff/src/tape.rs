@@ -2,7 +2,6 @@
 
 use pddl_tensor::{Activation, Matrix, Rng};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
-use std::collections::HashMap;
 
 /// Handle to a persistent trainable parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,28 +106,30 @@ impl ParamStore {
     }
 }
 
-/// Gradients of a scalar loss with respect to store parameters.
+/// Gradients of a scalar loss with respect to store parameters: one slot
+/// per [`ParamId`], empty for a parameter the loss did not reach.
 #[derive(Clone, Debug, Default)]
 pub struct Gradients {
-    by_param: HashMap<ParamId, Matrix>,
+    by_param: Vec<Option<Matrix>>,
 }
 
 impl Gradients {
     pub fn get(&self, id: ParamId) -> Option<&Matrix> {
-        self.by_param.get(&id)
+        self.by_param.get(id.0)?.as_ref()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&ParamId, &Matrix)> {
-        self.by_param.iter()
-    }
-
-    /// Global L2 norm over all parameter gradients.
-    pub fn global_norm(&self) -> f32 {
+    /// The parameters that received a gradient, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ParamId, &Matrix)> {
         self.by_param
-            .values()
-            .map(|g| g.sq_norm())
-            .sum::<f32>()
-            .sqrt()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, g)| Some((ParamId(i), g.as_ref()?)))
+    }
+
+    /// Global L2 norm over all parameter gradients, summed in id order —
+    /// the same bits on every run, so a clip that fires is reproducible.
+    pub fn global_norm(&self) -> f32 {
+        self.iter().map(|(_, g)| g.sq_norm()).sum::<f32>().sqrt()
     }
 
     /// Scales all gradients so the global norm is at most `max_norm`
@@ -138,7 +139,7 @@ impl Gradients {
         let norm = self.global_norm();
         if norm > max_norm && norm > 0.0 {
             let s = max_norm / norm;
-            for g in self.by_param.values_mut() {
+            for g in self.by_param.iter_mut().flatten() {
                 g.map_inplace(|x| x * s);
             }
         }
@@ -508,7 +509,7 @@ impl<'p> Tape<'p> {
         );
         let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         grads[loss.0] = Some(Matrix::ones(1, 1));
-        let mut out = Gradients::default();
+        let mut out = Gradients { by_param: vec![None; self.params.len()] };
 
         for i in (0..self.nodes.len()).rev() {
             let g = match grads[i].take() {
@@ -517,12 +518,8 @@ impl<'p> Tape<'p> {
             };
             match &self.nodes[i].op {
                 Op::Const => {}
-                Op::Param(id) => {
-                    out.by_param
-                        .entry(*id)
-                        .and_modify(|acc| acc.add_scaled(&g, 1.0))
-                        .or_insert(g);
-                }
+                // The parameter's only leaf: every use has added to `g`.
+                Op::Param(id) => out.by_param[id.0] = Some(g),
                 Op::Add(a, b) => {
                     accumulate(&mut grads, *a, g.clone());
                     accumulate(&mut grads, *b, g);
@@ -1152,6 +1149,22 @@ mod tests {
         assert!(grads.global_norm() > 1.0);
         grads.clip_global_norm(1.0);
         assert!((grads.global_norm() - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn gradients_iterate_in_id_order_and_skip_unreached_parameters() {
+        let mut ps = ParamStore::new();
+        let ids: Vec<ParamId> =
+            (0..4).map(|i| ps.register(format!("p{i}"), Matrix::filled(1, 1, i as f32))).collect();
+        let mut tape = Tape::new(&ps);
+        // Recorded out of id order; p1 never reaches the loss.
+        let (c, a, d) = (tape.param(ids[2]), tape.param(ids[0]), tape.param(ids[3]));
+        let loss = tape.weighted_sum(&[(c, 1.0), (a, 2.0), (d, 3.0)]);
+        let grads = tape.backward(loss);
+        let seen: Vec<(ParamId, f32)> = grads.iter().map(|(id, g)| (id, g[(0, 0)])).collect();
+        assert_eq!(seen, [(ids[0], 2.0), (ids[2], 1.0), (ids[3], 3.0)]);
+        assert!(grads.get(ids[1]).is_none());
+        assert_eq!(grads.global_norm(), 14.0f32.sqrt());
     }
 
     #[test]

@@ -201,6 +201,23 @@ mod tests {
     }
 
     #[test]
+    fn clipped_training_is_reproducible() {
+        // A clip that fires on every step: the bits of the global norm
+        // reach every weight, so its summation order must not vary.
+        let run = || {
+            let mut ghn = Ghn::new(GhnConfig::tiny(), &mut Rng::new(3));
+            let mut gen = SynthGenerator::new(CIFAR10, 5);
+            let cfg = TrainConfig { clip_norm: 0.01, ..TrainConfig::tiny() };
+            GhnTrainer::new(cfg).train(&mut ghn, &mut gen);
+            let ps = &ghn.ps;
+            ps.ids()
+                .flat_map(|id| ps.get(id).as_slice().iter().map(|x| x.to_bits()))
+                .collect::<Vec<u32>>()
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
     fn trained_ghn_generalizes_to_heldout() {
         let mut rng = Rng::new(4);
         let mut ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
