@@ -796,13 +796,24 @@ pub fn gradient_check(
     f: impl Fn(&mut Tape) -> Var,
     max_coords: usize,
 ) -> f32 {
+    gradient_check_with_step(params, f, max_coords, 1e-2)
+}
+
+/// [`gradient_check`] with the finite-difference step `eps` chosen by the
+/// caller: a loss with strong curvature (row normalisation of small
+/// states) needs a smaller one than the default `1e-2`.
+pub fn gradient_check_with_step(
+    params: &mut ParamStore,
+    f: impl Fn(&mut Tape) -> Var,
+    max_coords: usize,
+    eps: f32,
+) -> f32 {
     // Analytic gradients.
     let analytic = {
         let mut tape = Tape::new(params);
         let loss = f(&mut tape);
         tape.backward(loss)
     };
-    let eps = 1e-2f32;
     let mut diff_sq = 0.0f64;
     let mut num_sq = 0.0f64;
     let mut exact_sq = 0.0f64;

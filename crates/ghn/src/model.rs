@@ -159,43 +159,54 @@ impl Ghn {
         let h1 = self.embed.forward(tape, h0);
         // Per-node 1×d state variables, updated sequentially.
         let mut h: Vec<Var> = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
+        // Per node, its `msg` and `msg_sp` message of the current state.
+        let mut messages: Vec<[Option<Var>; 2]> = vec![[None; 2]; n];
 
         for _t in 0..self.cfg.t_passes {
             // π = fw: traverse topologically; neighbors = predecessors.
             for &v in sched.topo() {
-                self.update_node(tape, g, &mut h, v, true, sched.virtual_fw(v));
+                let (neighbors, virtuals) = (g.predecessors(v), sched.virtual_fw(v));
+                self.update_node(tape, &mut h, &mut messages, v, neighbors, virtuals);
             }
             // π = bw: reverse order; neighbors = successors.
             for &v in sched.topo().iter().rev() {
-                self.update_node(tape, g, &mut h, v, false, sched.virtual_bw(v));
+                let (neighbors, virtuals) = (g.successors(v), sched.virtual_bw(v));
+                self.update_node(tape, &mut h, &mut messages, v, neighbors, virtuals);
             }
             if self.cfg.normalize {
                 for hv in h.iter_mut() {
                     *hv = tape.row_l2_norm(*hv);
                 }
+                messages.fill([None; 2]);
             }
         }
         h
     }
 
     /// One sequential node update: Eq. (4) message + GRU state transition.
+    /// A source's message is recorded once, by the first reader to ask
+    /// after the source's state last changed, and shared by the readers
+    /// that follow: the value each reads is the same function of the same
+    /// `h[u]`, and their gradients meet in the shared `Var`'s slot before
+    /// one backward pass through the MLP.
     fn update_node(
         &self,
         tape: &mut Tape,
-        g: &CompGraph,
         h: &mut [Var],
+        messages: &mut [[Option<Var>; 2]],
         v: usize,
-        forward: bool,
+        neighbors: &[usize],
         virtual_sources: &[(usize, u32)],
     ) {
-        let neighbors: &[usize] = if forward { g.predecessors(v) } else { g.successors(v) };
         let mut parts: Vec<(Var, f32)> =
             Vec::with_capacity(neighbors.len() + virtual_sources.len());
         for &u in neighbors {
-            parts.push((self.msg.forward(tape, h[u]), 1.0));
+            let m = *messages[u][0].get_or_insert_with(|| self.msg.forward(tape, h[u]));
+            parts.push((m, 1.0));
         }
         for &(u, s) in virtual_sources {
-            parts.push((self.msg_sp.forward(tape, h[u]), 1.0 / s as f32));
+            let m = *messages[u][1].get_or_insert_with(|| self.msg_sp.forward(tape, h[u]));
+            parts.push((m, 1.0 / s as f32));
         }
         let m_v = if parts.is_empty() {
             tape.constant(Matrix::zeros(1, self.cfg.hidden_dim))
@@ -203,6 +214,7 @@ impl Ghn {
             tape.weighted_sum(&parts)
         };
         h[v] = self.gru.forward(tape, m_v, h[v]);
+        messages[v] = [None; 2];
     }
 
     /// Traced decoder output (1×TARGET_DIM) for the meta-training loss.
@@ -620,6 +632,130 @@ mod tests {
         for g in synth.iter().chain([&deep]) {
             check_against_oracles(&ghn, g);
         }
+    }
+
+    /// The traced embed [`Ghn::embed_traced`] replaced, kept as its oracle:
+    /// a message MLP recorded for every edge from the current `h` (nothing
+    /// shared, so nothing to go stale), summed by a `scale` / `add` chain.
+    fn embed_traced_per_edge(ghn: &Ghn, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Var {
+        let n = g.num_nodes();
+        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
+        let h0 = tape.constant(feats);
+        let h1 = ghn.embed.forward(tape, h0);
+        let mut h: Vec<Var> = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
+        for _ in 0..ghn.cfg.t_passes {
+            for forward in [true, false] {
+                let mut order = sched.topo().to_vec();
+                if !forward {
+                    order.reverse();
+                }
+                for v in order {
+                    let (neighbors, virtuals) = if forward {
+                        (g.predecessors(v), sched.virtual_fw(v))
+                    } else {
+                        (g.successors(v), sched.virtual_bw(v))
+                    };
+                    let mut parts: Vec<Var> = Vec::new();
+                    for &u in neighbors {
+                        parts.push(ghn.msg.forward(tape, h[u]));
+                    }
+                    for &(u, s) in virtuals {
+                        let m = ghn.msg_sp.forward(tape, h[u]);
+                        parts.push(tape.scale(m, 1.0 / s as f32));
+                    }
+                    let m_v = match parts.split_first() {
+                        None => tape.constant(Matrix::zeros(1, ghn.cfg.hidden_dim)),
+                        Some((&first, rest)) => rest.iter().fold(first, |acc, &p| tape.add(acc, p)),
+                    };
+                    h[v] = ghn.gru.forward(tape, m_v, h[v]);
+                }
+            }
+            if ghn.cfg.normalize {
+                for hv in h.iter_mut() {
+                    *hv = tape.row_l2_norm(*hv);
+                }
+            }
+        }
+        let all = tape.concat_rows(&h);
+        tape.mean_rows(all)
+    }
+
+    /// Decoder loss of one graph and its gradients, through either embed.
+    fn traced_loss(
+        ghn: &Ghn,
+        g: &CompGraph,
+        embed: impl Fn(&mut Tape, &Schedule) -> Var,
+    ) -> (f32, pddl_autodiff::Gradients) {
+        let sched = Schedule::new(g, ghn.cfg.s_max);
+        let mut tape = Tape::new(&ghn.ps);
+        let emb = embed(&mut tape, &sched);
+        let pred = ghn.decode_traced(&mut tape, emb);
+        let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(g)));
+        let loss = tape.mse_loss(pred, target);
+        (tape.scalar(loss), tape.backward(loss))
+    }
+
+    #[test]
+    fn memoised_traced_messages_equal_per_edge_recording() {
+        let mut graphs = crate::SynthGenerator::new(pddl_zoo::CIFAR10, 3).sample_many(64);
+        for name in ["densenet121", "resnet18"] {
+            graphs.push(pddl_zoo::build_model(name, &pddl_zoo::CIFAR10).expect("zoo model"));
+        }
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Two rounds: the states are normalised between them, so a message
+        // kept from the first round would be stale in the second.
+        for t_passes in [1, 2] {
+            let cfg = GhnConfig { t_passes, ..GhnConfig::default() };
+            let ghn = Ghn::new(cfg, &mut Rng::new(33));
+            let decoder: Vec<_> = ghn.decoder.layers.iter().flat_map(|l| [l.w, l.b]).collect();
+            for g in &graphs {
+                let (loss, memo) = traced_loss(&ghn, g, |tape, s| ghn.embed_traced(tape, g, s));
+                let (want, per_edge) =
+                    traced_loss(&ghn, g, |tape, s| embed_traced_per_edge(&ghn, tape, g, s));
+                // The forward pass is the same function of the same bits …
+                assert_eq!(loss.to_bits(), want.to_bits(), "{}: loss {loss} vs {want}", g.name);
+                for id in ghn.ps.ids() {
+                    let (a, b) = (memo.get(id).expect("reached"), per_edge.get(id).expect("reached"));
+                    if decoder.contains(&id) {
+                        // … so what sits above the shared messages is too.
+                        assert_eq!(bits(a), bits(b), "{}: {}", g.name, ghn.ps.name(id));
+                    }
+                    // Below them the readers' gradients are summed before
+                    // the MLP's backward instead of after: same sum, other
+                    // association.
+                    let diff = (a - b).sq_norm().sqrt();
+                    let rel = diff / b.sq_norm().sqrt().max(f32::MIN_POSITIVE);
+                    assert!(rel <= 1e-5, "{} T={t_passes}: {} off by {rel}", g.name, ghn.ps.name(id));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_loss_gradient_matches_finite_differences_with_shared_sources() {
+        // In the toy graph `in` is a virtual source of r1, c2, s and out,
+        // and c1 feeds both r1 and s: every message is read more than once.
+        let g = toy_graph();
+        let cfg = GhnConfig { t_passes: 2, ..GhnConfig::tiny() };
+        let ghn = Ghn::new(cfg, &mut Rng::new(34));
+        let sched = Schedule::new(&g, cfg.s_max);
+        let reads_input = |v: usize| sched.virtual_fw(v).iter().any(|&(u, _)| u == 0);
+        assert!((0..g.num_nodes()).filter(|&v| reads_input(v)).count() >= 3);
+        let mut ps = ghn.ps.clone();
+        // The states are small at initialisation and normalised after every
+        // round: too much curvature for the default step of 1e-2.
+        let err = pddl_autodiff::gradient_check_with_step(
+            &mut ps,
+            |tape| {
+                let emb = ghn.embed_traced(tape, &g, &sched);
+                let pred = ghn.decode_traced(tape, emb);
+                let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(&g)));
+                tape.mse_loss(pred, target)
+            },
+            6,
+            1e-3,
+        );
+        assert!(err < 2e-2, "gradcheck err={err}");
     }
 
     #[test]
