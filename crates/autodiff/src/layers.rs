@@ -340,10 +340,8 @@ mod tests {
                 want.add_scaled(parts.get(pick(copy)).unwrap(), 1.0);
             }
             let got = got.get(pick(&lin)).unwrap();
-            assert!(
-                got.as_slice().iter().map(|v| v.to_bits()).eq(want.as_slice().iter().map(|v| v.to_bits())),
-                "rows={rows}: shared {got:?} vs summed copies {want:?}"
-            );
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "rows={rows}: shared {got:?} vs copies {want:?}");
         }
     }
 

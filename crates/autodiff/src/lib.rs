@@ -23,4 +23,6 @@ pub mod tape;
 
 pub use layers::{GruCell, Linear, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use tape::{gradient_check, gradient_check_with_step, Gradients, ParamId, ParamStore, Tape, Var};
+pub use tape::{
+    gradient_check, gradient_check_with_step, Gradients, ParamId, ParamStore, Tape, Var,
+};

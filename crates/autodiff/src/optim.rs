@@ -3,8 +3,8 @@
 use crate::tape::{Gradients, ParamId, ParamStore};
 use pddl_tensor::Matrix;
 
-/// Per-parameter optimizer state by [`ParamId`], grown to the store's size
-/// and zero-filled the first time a parameter's gradient arrives.
+/// Per-parameter optimizer state by [`ParamId`]: a slot is made, zero-filled
+/// in the gradient's shape, the first time that parameter's gradient arrives.
 type Slots = Vec<Option<Matrix>>;
 
 fn slot<'a>(slots: &'a mut Slots, id: ParamId, like: &Matrix) -> &'a mut Matrix {

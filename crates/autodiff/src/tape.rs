@@ -1132,7 +1132,8 @@ mod tests {
         let ((fused_value, fused), (chain_value, chain)) = (run(true), run(false));
         assert_eq!(fused_value, chain_value);
         for &id in &ids {
-            assert_eq!(bits(fused.get(id).unwrap()), bits(chain.get(id).unwrap()), "{}", ps.name(id));
+            let (fused, chain) = (fused.get(id).unwrap(), chain.get(id).unwrap());
+            assert_eq!(bits(fused), bits(chain), "{}", ps.name(id));
         }
     }
 

@@ -69,6 +69,7 @@ fn main() {
     println!("\nspeedup A charges PredictDDL for GHN meta-training on every batch;");
     println!("speedup B treats the per-dataset GHN as a preexisting offline asset");
     println!("(the paper's framing — it is 'trained only once for a particular");
-    println!("dataset'). The paper's 2.6×/5.1×/7.7×/10.3× lie between the two");
-    println!("accountings; the reproduced claim is the *growth* with batch size.");
+    println!("dataset'). Paper: 2.6×/5.1×/7.7×/10.3×. PredictDDL's cost is measured");
+    println!("wall-clock and Ernest's collection simulated testbed seconds, so the");
+    println!("reproduced claim is the *growth* with batch size, not the factor.");
 }

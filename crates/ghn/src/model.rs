@@ -680,7 +680,14 @@ mod tests {
         tape.mean_rows(all)
     }
 
-    /// Decoder loss of one graph and its gradients, through either embed.
+    /// The meta-training loss of one graph from its traced embedding.
+    fn decoder_loss(ghn: &Ghn, tape: &mut Tape, g: &CompGraph, emb: Var) -> Var {
+        let pred = ghn.decode_traced(tape, emb);
+        let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(g)));
+        tape.mse_loss(pred, target)
+    }
+
+    /// That loss and its gradients, through either embed.
     fn traced_loss(
         ghn: &Ghn,
         g: &CompGraph,
@@ -689,9 +696,7 @@ mod tests {
         let sched = Schedule::new(g, ghn.cfg.s_max);
         let mut tape = Tape::new(&ghn.ps);
         let emb = embed(&mut tape, &sched);
-        let pred = ghn.decode_traced(&mut tape, emb);
-        let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(g)));
-        let loss = tape.mse_loss(pred, target);
+        let loss = decoder_loss(ghn, &mut tape, g, emb);
         (tape.scalar(loss), tape.backward(loss))
     }
 
@@ -715,7 +720,8 @@ mod tests {
                 // The forward pass is the same function of the same bits …
                 assert_eq!(loss.to_bits(), want.to_bits(), "{}: loss {loss} vs {want}", g.name);
                 for id in ghn.ps.ids() {
-                    let (a, b) = (memo.get(id).expect("reached"), per_edge.get(id).expect("reached"));
+                    let a = memo.get(id).expect("every parameter is reached");
+                    let b = per_edge.get(id).expect("every parameter is reached");
                     if decoder.contains(&id) {
                         // … so what sits above the shared messages is too.
                         assert_eq!(bits(a), bits(b), "{}: {}", g.name, ghn.ps.name(id));
@@ -725,7 +731,8 @@ mod tests {
                     // association.
                     let diff = (a - b).sq_norm().sqrt();
                     let rel = diff / b.sq_norm().sqrt().max(f32::MIN_POSITIVE);
-                    assert!(rel <= 1e-5, "{} T={t_passes}: {} off by {rel}", g.name, ghn.ps.name(id));
+                    let name = ghn.ps.name(id);
+                    assert!(rel <= 1e-5, "{} T={t_passes}: {name} off by {rel}", g.name);
                 }
             }
         }
@@ -748,9 +755,7 @@ mod tests {
             &mut ps,
             |tape| {
                 let emb = ghn.embed_traced(tape, &g, &sched);
-                let pred = ghn.decode_traced(tape, emb);
-                let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(&g)));
-                tape.mse_loss(pred, target)
+                decoder_loss(&ghn, tape, &g, emb)
             },
             6,
             1e-3,

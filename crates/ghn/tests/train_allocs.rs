@@ -56,8 +56,8 @@ fn one_step_on_the_benchmark_batch_requests_under_20_mb() {
         REQUESTED.with(Cell::get) - before
     };
     let step = requested(2) - requested(1);
-    // A weight copy per layer call was 152.6 MB here, a message MLP per
-    // edge another 16.
+    // 10.9 MB measured; 152.6 MB while every layer call cloned its weights
+    // into a fresh leaf and every edge recorded a message MLP of its own.
     assert!(step <= 20_000_000, "one step requested {step} bytes");
 }
 
