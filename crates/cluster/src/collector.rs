@@ -5,13 +5,14 @@
 //! cluster and launches a pool of threads to collect details about available
 //! compute and memory resources."
 //!
-//! [`CollectorServer`] binds a TCP listener, runs one accept thread, and
-//! hands each accepted connection to a collector thread from a dynamically
-//! grown pool (one per joined server — heartbeat connections are long-lived,
-//! so a fixed-size pool would starve once the cluster outgrew it; the
-//! paper's pool likewise scales with the servers being collected from).
-//! Collector threads parse JSON-line messages and update a shared inventory
-//! behind a `std::sync::RwLock` (a guard poisoned by a panicking collector
+//! [`CollectorServer`] runs a [`Handler`] behind the shared [`Listener`]
+//! ([`crate::wire`]): one accept thread, one collector thread per joined
+//! server (heartbeat connections are long-lived, so a fixed-size pool
+//! would starve once the cluster outgrew it; the paper's pool likewise
+//! scales with the servers being collected from), capped at 1,024
+//! connections and awaited when the handle drops. Collector threads parse
+//! JSON-line messages and update a shared inventory behind a
+//! `std::sync::RwLock` (a guard poisoned by a panicking collector
 //! thread is recovered, not propagated: one bad connection must not take
 //! the inventory down). [`CollectorServer::snapshot`] produces
 //! the [`ClusterState`] consumed by the Inference Engine.
@@ -22,26 +23,24 @@
 //! over-long frames, a closed connection) — never a dead collector thread.
 //! Servers whose heartbeats lapse beyond the stale window keep serving
 //! last-known-good specs from [`CollectorServer::snapshot`], flagged
-//! [`ServerStatus::stale`], instead of erroring. When `PDDL_FAULT_PLAN` is
-//! set (see `pddl-faults`), every accepted connection is wrapped in
-//! deterministic fault injectors so integration tests and the CLI can run
-//! identical chaos schedules.
+//! [`ServerStatus::stale`], instead of erroring. A collector bound with a
+//! fault plan (see `pddl-faults`) wraps every accepted connection in
+//! deterministic fault injectors, so integration tests run identical
+//! chaos schedules.
 
-use crate::protocol::{
-    read_msg_bounded, write_msg, ClientMsg, ServerMsg, WireError, MAX_FRAME_BYTES,
-};
+use crate::protocol::{ClientMsg, ServerMsg, WireError, MAX_FRAME_BYTES};
 use crate::retry::{is_transient, Backoff, RetryPolicy};
 use crate::spec::ServerSpec;
 use crate::state::{ClusterState, ServerStatus};
-use pddl_faults::{Direction, FaultPlan, FaultyRead, FaultyWrite};
+use crate::wire::{Flow, Handler, LineConn, Listener, Writer};
+use pddl_faults::FaultPlan;
+use pddl_telemetry::json;
 use pddl_telemetry::trace::{flight_recorder, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockWriteGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One registered server plus collector-side bookkeeping that must not
@@ -57,14 +56,12 @@ struct Inventory {
 }
 
 /// Collector metric handles, resolved once (heartbeat-path updates stay
-/// lock-free).
+/// lock-free). The connection metrics are the listener's.
 struct Metrics {
     heartbeats: &'static Counter,
     registrations: &'static Counter,
     leaves: &'static Counter,
     rejected_msgs: &'static Counter,
-    oversize_frames: &'static Counter,
-    disconnects: &'static Counter,
     servers_joined: &'static Gauge,
     stale_servers: &'static Gauge,
     lock_wait: &'static Histogram,
@@ -77,8 +74,6 @@ fn metrics() -> &'static Metrics {
         registrations: pddl_telemetry::counter("collector.registrations"),
         leaves: pddl_telemetry::counter("collector.leaves"),
         rejected_msgs: pddl_telemetry::counter("collector.rejected_msgs"),
-        oversize_frames: pddl_telemetry::counter("collector.oversize_frames"),
-        disconnects: pddl_telemetry::counter("collector.disconnects"),
         servers_joined: pddl_telemetry::gauge("collector.servers_joined"),
         stale_servers: pddl_telemetry::gauge("collector.stale_servers"),
         lock_wait: pddl_telemetry::histogram("collector.inventory_lock_wait"),
@@ -101,86 +96,45 @@ fn write_inventory<'a>(
 /// stale (last-known-good data, not live).
 pub const DEFAULT_STALE_AFTER: Duration = Duration::from_secs(30);
 
-/// The collector service handle. Dropping it shuts the service down.
+/// Simultaneously connected servers a collector admits — the same cap the
+/// controller and the router default to. A connection past it is answered
+/// with a [`ServerMsg::Error`] and closed.
+const MAX_CONNECTIONS: usize = 1024;
+
+/// The collector service handle. Dropping it shuts the service down: no
+/// new connections, and every collector thread is waited out.
 pub struct CollectorServer {
-    addr: SocketAddr,
     inventory: Arc<RwLock<Inventory>>,
-    shutdown: Arc<AtomicBool>,
-    stale_after_ms: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
+    stale_after_ms: AtomicU64,
+    listener: Listener,
 }
 
 impl CollectorServer {
-    /// Binds to `addr` (use port 0 for an ephemeral port). `initial_pool`
-    /// pre-sizes the handler-thread bookkeeping; the pool grows with the
-    /// number of connected servers, since heartbeat connections are
-    /// long-lived.
-    ///
-    /// If `PDDL_FAULT_PLAN` is set, every accepted connection is wrapped in
-    /// that plan's deterministic fault injectors; an unparseable plan is an
-    /// `InvalidInput` error (misconfigured chaos must not silently become
-    /// no chaos).
-    pub fn bind(addr: &str, initial_pool: usize) -> std::io::Result<Self> {
-        let fault_plan = FaultPlan::from_env()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+    /// Binds to `addr` (use port 0 for an ephemeral port). With a
+    /// `fault_plan`, every accepted connection is wrapped in that plan's
+    /// deterministic fault injectors.
+    pub fn bind(addr: &str, fault_plan: Option<FaultPlan>) -> std::io::Result<Self> {
+        Self::bind_capped(addr, fault_plan, MAX_CONNECTIONS)
+    }
+
+    fn bind_capped(
+        addr: &str,
+        fault_plan: Option<FaultPlan>,
+        max_connections: usize,
+    ) -> std::io::Result<Self> {
         let inventory = Arc::new(RwLock::new(Inventory::default()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stale_after_ms =
-            Arc::new(AtomicU64::new(DEFAULT_STALE_AFTER.as_millis() as u64));
-        let _ = initial_pool; // sizing hint only; the pool grows on demand
-        if let Some(plan) = &fault_plan {
-            tlog!(Level::Warn, "collector", "fault injection active", plan = plan.to_spec());
-        }
-
-        // Accept thread: one detached collector thread per connection.
-        // Handlers exit when their client disconnects (clean EOF or error);
-        // connections still open when the server drops finish with their
-        // client, which matches the collector's process-lifetime role.
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let inv = Arc::clone(&inventory);
-            std::thread::spawn(move || {
-                let mut next_conn: u64 = 0;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            stream.set_nonblocking(false).ok();
-                            let conn = next_conn;
-                            next_conn += 1;
-                            let inv = Arc::clone(&inv);
-                            std::thread::spawn(move || {
-                                let halves = split_stream(stream, fault_plan.as_ref(), conn);
-                                if let Ok((reader, writer)) = halves {
-                                    if handle_connection(reader, writer, &inv).is_err() {
-                                        metrics().disconnects.inc();
-                                    }
-                                }
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-        };
-
+        let handler = Collecting { inventory: Arc::clone(&inventory) };
+        let listener = Listener::serve(addr, max_connections, "collector", fault_plan, handler)?;
         Ok(Self {
-            addr: local,
             inventory,
-            shutdown,
-            stale_after_ms,
-            accept_thread: Some(accept_thread),
+            stale_after_ms: AtomicU64::new(DEFAULT_STALE_AFTER.as_millis() as u64),
+            listener,
         })
     }
 
     /// The bound address (for clients connecting to an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Overrides the heartbeat-lapse window after which snapshot entries
@@ -225,56 +179,34 @@ impl CollectorServer {
     }
 }
 
-impl Drop for CollectorServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
+/// Renders one reply. A [`ServerMsg`] holds no floats, so it always
+/// encodes.
+fn line(msg: &ServerMsg) -> String {
+    json::to_string(msg).expect("a ServerMsg holds only strings")
 }
 
-/// Splits a stream into boxed read/write halves, wearing the fault plan's
-/// injectors when one is active.
-fn split_stream(
-    stream: TcpStream,
-    plan: Option<&FaultPlan>,
-    conn: u64,
-) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-    let writer = stream.try_clone()?;
-    Ok(match plan {
-        Some(p) => (
-            Box::new(FaultyRead::new(stream, p.schedule(conn, Direction::Read))),
-            Box::new(FaultyWrite::new(writer, p.schedule(conn, Direction::Write))),
-        ),
-        None => (Box::new(stream), Box::new(writer)),
-    })
+/// The collector as a [`Handler`]: every frame is one [`ClientMsg`]
+/// against the shared inventory.
+struct Collecting {
+    inventory: Arc<RwLock<Inventory>>,
 }
 
-fn handle_connection(
-    reader: Box<dyn Read + Send>,
-    mut writer: Box<dyn Write + Send>,
-    inv: &RwLock<Inventory>,
-) -> std::io::Result<()> {
-    let m = metrics();
-    let mut reader = BufReader::new(reader);
-    loop {
-        let msg = match read_msg_bounded::<ClientMsg>(&mut reader, MAX_FRAME_BYTES) {
-            Ok(Some(msg)) => msg,
-            Ok(None) => break, // clean EOF; keep the entry (stale, not gone)
-            Err(WireError::Malformed { detail }) => {
+impl Handler for Collecting {
+    type Conn = ();
+
+    fn open(&self, _local: SocketAddr) {}
+
+    fn frame(&self, _conn: &mut (), frame: String, out: &Writer) -> std::io::Result<Flow> {
+        let m = metrics();
+        let inv = &self.inventory;
+        let msg = match json::from_str::<ClientMsg>(frame.trim_end()) {
+            Ok(msg) => msg,
+            Err(e) => {
                 // The stream is still line-synchronized: reply and go on.
                 m.rejected_msgs.inc();
-                write_msg(&mut writer, &ServerMsg::Error { reason: format!("malformed frame: {detail}") })?;
-                continue;
+                out.send(&line(&ServerMsg::Error { reason: format!("malformed frame: {e}") }))?;
+                return Ok(Flow::Continue);
             }
-            Err(e @ WireError::FrameTooLong { .. }) => {
-                // Line sync is lost; reply if possible and drop the peer.
-                m.oversize_frames.inc();
-                let _ = write_msg(&mut writer, &ServerMsg::Error { reason: e.to_string() });
-                break;
-            }
-            Err(WireError::Io(e)) => return Err(e),
         };
         match msg {
             ClientMsg::Register { spec } => {
@@ -289,7 +221,7 @@ fn handle_connection(
                 m.registrations.inc();
                 m.servers_joined.set(joined as i64);
                 tlog!(Level::Info, "collector", "server joined", hostname = hostname, joined = joined);
-                write_msg(&mut writer, &ServerMsg::Ack)?;
+                out.send(&line(&ServerMsg::Ack))?;
             }
             ClientMsg::Heartbeat { hostname, cpu_util, gpus_busy } => {
                 let mut guard = write_inventory(inv, m);
@@ -307,23 +239,19 @@ fn handle_connection(
                             hostname = hostname,
                             cpu_util = cpu_util,
                         );
-                        write_msg(&mut writer, &ServerMsg::Ack)?;
+                        out.send(&line(&ServerMsg::Ack))?;
                     }
                     Some(_) => {
                         drop(guard);
                         m.rejected_msgs.inc();
-                        write_msg(
-                            &mut writer,
-                            &ServerMsg::Error { reason: "utilization out of [0,1]".into() },
-                        )?;
+                        let reason = "utilization out of [0,1]".into();
+                        out.send(&line(&ServerMsg::Error { reason }))?;
                     }
                     None => {
                         drop(guard);
                         m.rejected_msgs.inc();
-                        write_msg(
-                            &mut writer,
-                            &ServerMsg::Error { reason: format!("unknown host {hostname}") },
-                        )?;
+                        let reason = format!("unknown host {hostname}");
+                        out.send(&line(&ServerMsg::Error { reason }))?;
                     }
                 }
             }
@@ -335,14 +263,22 @@ fn handle_connection(
                 m.leaves.inc();
                 m.servers_joined.set(joined as i64);
                 tlog!(Level::Info, "collector", "server left", hostname = hostname, joined = joined);
-                write_msg(&mut writer, &ServerMsg::Ack)?;
-                break;
+                out.send(&line(&ServerMsg::Ack))?;
+                return Ok(Flow::Close);
             }
         }
+        // A connection that ends without Leave keeps its entry (the paper's
+        // collector treats missing heartbeats as stale data, not departure).
+        Ok(Flow::Continue)
     }
-    // Abrupt disconnect without Leave: keep the entry (the paper's
-    // collector treats missing heartbeats as stale data, not departure).
-    Ok(())
+
+    fn connection_limit_line(&self) -> String {
+        line(&ServerMsg::Error { reason: "connection limit reached".into() })
+    }
+
+    fn frame_too_long_line(&self, limit: usize) -> String {
+        line(&ServerMsg::Error { reason: WireError::FrameTooLong { limit }.to_string() })
+    }
 }
 
 /// Client-side metric handles.
@@ -361,8 +297,7 @@ fn client_metrics() -> &'static ClientMetrics {
 
 /// Client half: runs on each cluster node and reports to the collector.
 pub struct CollectorClient {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+    conn: LineConn,
     spec: ServerSpec,
     addr: SocketAddr,
     retry: Option<RetryPolicy>,
@@ -373,9 +308,7 @@ impl CollectorClient {
     /// Connects and registers the given spec. No retries: a transport
     /// failure surfaces immediately (see [`Self::register_with_retry`]).
     pub fn register(addr: SocketAddr, spec: ServerSpec) -> std::io::Result<Self> {
-        let mut client = Self::connect(addr, spec, None)?;
-        client.send_register()?;
-        Ok(client)
+        Self::connect(addr, spec, None)
     }
 
     /// Connects and registers under `policy`: capped jittered exponential
@@ -390,9 +323,7 @@ impl CollectorClient {
     ) -> std::io::Result<Self> {
         let mut backoff = Backoff::new(policy);
         loop {
-            let attempt = Self::connect(addr, spec.clone(), Some(policy))
-                .and_then(|mut c| c.send_register().map(|()| c));
-            match attempt {
+            match Self::connect(addr, spec.clone(), Some(policy)) {
                 Ok(client) => return Ok(client),
                 Err(e) if is_transient(&e) => match backoff.next_delay() {
                     Some(delay) => {
@@ -406,23 +337,22 @@ impl CollectorClient {
         }
     }
 
+    /// One attempt: dial, then register on the fresh connection.
     fn connect(
         addr: SocketAddr,
         spec: ServerSpec,
         retry: Option<RetryPolicy>,
     ) -> std::io::Result<Self> {
-        let stream = match retry {
-            Some(policy) => {
-                let s = TcpStream::connect_timeout(&addr, policy.attempt_timeout)?;
-                s.set_read_timeout(Some(policy.attempt_timeout))?;
-                s.set_write_timeout(Some(policy.attempt_timeout))?;
-                s
-            }
-            None => TcpStream::connect(addr)?,
-        };
-        let writer = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        Ok(Self { writer, reader, spec, addr, retry, exchanges: 0 })
+        let mut client = Self { conn: Self::dial(addr, retry)?, spec, addr, retry, exchanges: 0 };
+        client.send_register()?;
+        Ok(client)
+    }
+
+    /// Dials the collector with the policy's per-attempt deadline on
+    /// connect, reads and writes (no deadlines without a policy).
+    fn dial(addr: SocketAddr, retry: Option<RetryPolicy>) -> std::io::Result<LineConn> {
+        let timeout = retry.map(|policy| policy.attempt_timeout);
+        LineConn::connect(addr, timeout, timeout)
     }
 
     /// Records one collector wire exchange as a `collect` span. All of a
@@ -442,12 +372,20 @@ impl CollectorClient {
         rec.record_span(ctx.child(self.exchanges), stages::COLLECT, start, el, status);
     }
 
-    fn send_register(&mut self) -> std::io::Result<()> {
+    /// One wire exchange — `msg` out, the collector's verdict back —
+    /// recorded as a `collect` span.
+    fn exchange(&mut self, msg: &ClientMsg) -> std::io::Result<()> {
         let t0 = Instant::now();
-        let out = write_msg(&mut self.writer, &ClientMsg::Register { spec: self.spec.clone() })
+        let out = json::to_string(msg)
+            .map_err(std::io::Error::from)
+            .and_then(|frame| self.conn.send(&frame))
             .and_then(|()| self.expect_ack());
         self.record_collect(t0, out.is_ok());
         out
+    }
+
+    fn send_register(&mut self) -> std::io::Result<()> {
+        self.exchange(&ClientMsg::Register { spec: self.spec.clone() })
     }
 
     /// Sends a load report. Under a retry policy, transport failures
@@ -458,7 +396,8 @@ impl CollectorClient {
     pub fn heartbeat(&mut self, cpu_util: f64, gpus_busy: usize) -> std::io::Result<()> {
         let mut backoff = self.retry.map(Backoff::new);
         loop {
-            match self.try_heartbeat(cpu_util, gpus_busy) {
+            let hostname = self.spec.hostname.clone();
+            match self.exchange(&ClientMsg::Heartbeat { hostname, cpu_util, gpus_busy }) {
                 Ok(()) => return Ok(()),
                 Err(e) if is_transient(&e) => {
                     let delay = match backoff.as_mut().and_then(Backoff::next_delay) {
@@ -476,65 +415,37 @@ impl CollectorClient {
         }
     }
 
-    fn try_heartbeat(&mut self, cpu_util: f64, gpus_busy: usize) -> std::io::Result<()> {
-        let t0 = Instant::now();
-        let out = write_msg(
-            &mut self.writer,
-            &ClientMsg::Heartbeat {
-                hostname: self.spec.hostname.clone(),
-                cpu_util,
-                gpus_busy,
-            },
-        )
-        .and_then(|()| self.expect_ack());
-        self.record_collect(t0, out.is_ok());
-        out
-    }
-
     /// Re-dials the collector and re-registers on the fresh connection.
     fn reconnect(&mut self) -> std::io::Result<()> {
-        let fresh = Self::connect(self.addr, self.spec.clone(), self.retry)?;
-        self.writer = fresh.writer;
-        self.reader = fresh.reader;
+        self.conn = Self::dial(self.addr, self.retry)?;
         self.send_register()
     }
 
     /// Gracefully leaves the cluster.
     pub fn leave(mut self) -> std::io::Result<()> {
-        let t0 = Instant::now();
-        let out = write_msg(
-            &mut self.writer,
-            &ClientMsg::Leave { hostname: self.spec.hostname.clone() },
-        )
-        .and_then(|()| self.expect_ack());
-        self.record_collect(t0, out.is_ok());
-        out
+        self.exchange(&ClientMsg::Leave { hostname: self.spec.hostname.clone() })
     }
 
     fn expect_ack(&mut self) -> std::io::Result<()> {
-        let reply = match read_msg_bounded::<ServerMsg>(&mut self.reader, MAX_FRAME_BYTES) {
+        let Some(reply) = self.conn.recv_bounded(MAX_FRAME_BYTES)? else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "collector closed connection",
+            ));
+        };
+        match json::from_str(reply.trim_end()) {
+            Ok(ServerMsg::Ack) => Ok(()),
+            Ok(ServerMsg::Error { reason }) => {
+                Err(std::io::Error::new(std::io::ErrorKind::InvalidData, reason))
+            }
             // A reply frame torn or corrupted in transit is a transport
             // failure, not the collector's verdict: the stream can no
             // longer be trusted, so surface it as a (transient) abort and
             // let the retry loop reconnect — `InvalidData` stays reserved
-            // for the collector's own `Error` reply below.
-            Err(WireError::Malformed { detail }) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    format!("collector reply corrupted in transit: {detail}"),
-                ))
-            }
-            other => other?,
-        };
-        match reply {
-            Some(ServerMsg::Ack) => Ok(()),
-            Some(ServerMsg::Error { reason }) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                reason,
-            )),
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "collector closed connection",
+            // for the collector's own `Error` reply above.
+            Err(e) => Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                format!("collector reply corrupted in transit: {e}"),
             )),
         }
     }
@@ -543,8 +454,11 @@ impl CollectorClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_msg;
+    use crate::protocol::{read_msg, write_msg};
     use crate::spec::ServerClass;
+    use crate::wire::SHUTDOWN_POLL;
+    use std::io::{BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn spec(name: &str, class: ServerClass) -> ServerSpec {
         ServerSpec::preset(class, name)
@@ -552,7 +466,7 @@ mod tests {
 
     #[test]
     fn register_and_snapshot() {
-        let server = CollectorServer::bind("127.0.0.1:0", 2).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let c1 = CollectorClient::register(server.addr(), spec("a", ServerClass::GpuP100)).unwrap();
         let c2 = CollectorClient::register(server.addr(), spec("b", ServerClass::CpuE5_2630)).unwrap();
         let snap = server.snapshot();
@@ -564,7 +478,7 @@ mod tests {
 
     #[test]
     fn heartbeat_updates_utilization() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let mut c = CollectorClient::register(server.addr(), spec("n", ServerClass::CpuE5_2650)).unwrap();
         c.heartbeat(0.4, 0).unwrap();
         let snap = server.snapshot();
@@ -573,7 +487,7 @@ mod tests {
 
     #[test]
     fn leave_removes_server() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let c = CollectorClient::register(server.addr(), spec("n", ServerClass::CpuE5_2650)).unwrap();
         assert_eq!(server.num_registered(), 1);
         c.leave().unwrap();
@@ -584,7 +498,7 @@ mod tests {
 
     #[test]
     fn invalid_heartbeat_rejected() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let mut c = CollectorClient::register(server.addr(), spec("n", ServerClass::GpuP100)).unwrap();
         let err = c.heartbeat(2.0, 0).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -592,7 +506,7 @@ mod tests {
 
     #[test]
     fn abrupt_disconnect_keeps_entry() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         {
             let _c = CollectorClient::register(server.addr(), spec("n", ServerClass::GpuP100)).unwrap();
             // dropped without leave()
@@ -603,7 +517,7 @@ mod tests {
 
     #[test]
     fn lapsed_heartbeats_flag_stale_but_keep_serving() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         server.set_stale_after(Duration::from_millis(30));
         let mut c = CollectorClient::register(server.addr(), spec("n", ServerClass::GpuP100)).unwrap();
         c.heartbeat(0.2, 1).unwrap();
@@ -622,7 +536,7 @@ mod tests {
     #[test]
     fn malformed_frame_gets_error_reply_and_connection_survives() {
         use std::io::{BufRead, Write};
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut w = stream.try_clone().unwrap();
         let mut r = std::io::BufReader::new(stream);
@@ -642,7 +556,7 @@ mod tests {
     #[test]
     fn oversize_frame_closes_connection_with_error() {
         use std::io::{BufRead, Write};
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut w = stream.try_clone().unwrap();
         let mut r = std::io::BufReader::new(stream);
@@ -669,7 +583,7 @@ mod tests {
         };
         let server_thread = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(60));
-            CollectorServer::bind(&addr.to_string(), 1).unwrap()
+            CollectorServer::bind(&addr.to_string(), None).unwrap()
         });
         let c = CollectorClient::register_with_retry(
             addr,
@@ -728,7 +642,7 @@ mod tests {
 
     #[test]
     fn heartbeat_reconnects_after_midstream_disconnect() {
-        let server = CollectorServer::bind("127.0.0.1:0", 1).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         // Kill the first proxied connection after two server replies: the
         // register ack and the first heartbeat ack.
         let proxy = flaky_proxy(server.addr(), 2);
@@ -787,8 +701,44 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_server_hangs_up_on_idle_clients() {
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
+        let mut c =
+            CollectorClient::register(server.addr(), spec("n", ServerClass::GpuP100)).unwrap();
+        c.heartbeat(0.1, 0).unwrap();
+        let t0 = Instant::now();
+        drop(server);
+        assert!(t0.elapsed() < 2 * SHUTDOWN_POLL, "drop waited {:?}", t0.elapsed());
+        // The collector thread is gone with the handle: nobody acks.
+        c.heartbeat(0.2, 0).expect_err("a dropped collector must not keep acking");
+    }
+
+    #[test]
+    fn connection_past_the_cap_gets_a_typed_error_and_is_closed() {
+        let (total, shed) = (
+            pddl_telemetry::counter("collector.connections_total"),
+            pddl_telemetry::counter("collector.connections_shed"),
+        );
+        let (total0, shed0) = (total.get(), shed.get());
+        let server = CollectorServer::bind_capped("127.0.0.1:0", None, 1).unwrap();
+        let _first =
+            CollectorClient::register(server.addr(), spec("a", ServerClass::GpuP100)).unwrap();
+        assert!(pddl_telemetry::gauge("collector.active_connections").get() >= 1);
+        // The second peer only listens: the verdict arrives unprompted.
+        let mut second = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+        match read_msg(&mut second).unwrap().expect("a typed line before the close") {
+            ServerMsg::Error { reason } => assert!(reason.contains("connection limit"), "{reason}"),
+            ServerMsg::Ack => panic!("a connection past the cap was admitted"),
+        }
+        let closed = read_msg::<ServerMsg>(&mut second).unwrap().is_none();
+        assert!(closed, "the typed line is followed by EOF");
+        assert_eq!(server.num_registered(), 1);
+        assert!(total.get() >= total0 + 2 && shed.get() > shed0);
+    }
+
+    #[test]
     fn many_concurrent_clients() {
-        let server = CollectorServer::bind("127.0.0.1:0", 4).unwrap();
+        let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let addr = server.addr();
         let handles: Vec<_> = (0..12)
             .map(|i| {

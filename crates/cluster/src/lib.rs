@@ -1,14 +1,15 @@
 //! Cluster resource modeling for PredictDDL.
 //!
-//! Covers three pieces of the paper:
+//! Covers four pieces of the paper:
 //! * **§IV-A1 testbed specs** — the three CloudLab server classes
 //!   ([`spec::ServerSpec`] presets) used in every experiment;
 //! * **§III-C Inference Engine inputs** — the cluster-description feature
 //!   vector (number of servers, CPUs, GPUs, RAM, cores, FLOPS) and the
 //!   partial-load transformations of Eq. (1)–(2) ([`equations`]);
 //! * **§III-F Cluster Resource Collector** — a real client/server inventory
-//!   service over TCP with one accept thread and a worker pool
-//!   ([`collector`]).
+//!   service over TCP ([`collector`]);
+//! * **§III-D/III-F the listener** — the one connection core every TCP
+//!   server and client in the workspace runs on ([`wire`]).
 
 pub mod collector;
 pub mod equations;
@@ -16,6 +17,7 @@ pub mod protocol;
 pub mod retry;
 pub mod spec;
 pub mod state;
+pub mod wire;
 
 pub use collector::{CollectorClient, CollectorServer, DEFAULT_STALE_AFTER};
 pub use equations::{available_flops, available_ram, per_core};

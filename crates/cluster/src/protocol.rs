@@ -1,6 +1,7 @@
 //! Wire protocol of the Cluster Resource Collector: newline-delimited JSON.
 
 use crate::spec::ServerSpec;
+use crate::wire::write_line;
 use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::io::{BufRead, Write};
 
@@ -135,12 +136,10 @@ impl From<WireError> for std::io::Error {
     }
 }
 
-/// Writes one message as a JSON line.
+/// Writes one message as a JSON line (one frame, one write: see
+/// [`write_line`]).
 pub fn write_msg<T: ToJson>(w: &mut impl Write, msg: &T) -> std::io::Result<()> {
-    let mut line = json::to_string(msg)?;
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
-    w.flush()
+    write_line(w, &json::to_string(msg)?)
 }
 
 /// A complete frame as text. A frame that is not UTF-8 cannot be JSON: it

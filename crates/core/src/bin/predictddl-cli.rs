@@ -105,10 +105,10 @@ options:
   --shard-id       serve: echo this shard id in stats/envelope replies
                    (set when the controller is one shard behind pddl-router)
   --json           trace: print the raw dump document instead of a waterfall
-  --fault-plan     inject deterministic wire faults (sets PDDL_FAULT_PLAN;
-                   see the pddl-faults crate and TESTING.md for the spec)
+  --fault-plan     serve: inject deterministic wire faults (see the
+                   pddl-faults crate and TESTING.md for the spec)
   PDDL_LOG=<spec>  structured JSON logs, e.g. PDDL_LOG=info,controller=debug
-  PDDL_FAULT_PLAN  same as --fault-plan, honored by serve and the collector";
+  PDDL_FAULT_PLAN  same as --fault-plan (which wins), read once by serve";
 
 type Flags = HashMap<String, String>;
 
@@ -338,14 +338,14 @@ fn install_shutdown_handler() {
 fn install_shutdown_handler() {}
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    if let Some(spec) = flags.get("fault-plan") {
-        // Validate before serving so a typo fails fast with the parser's
-        // message instead of a generic bind error.
-        pddl_faults::FaultPlan::parse(spec)?;
-        std::env::set_var(pddl_faults::FAULT_PLAN_ENV, spec);
-    }
     let addr = flags.get("addr").map_or("127.0.0.1:7077", |s| s.as_str());
-    let mut config = ServeConfig::default();
+    // The flag wins over the environment; either way a typo fails here,
+    // with the parser's message, before anything is served.
+    let fault_plan = match flags.get("fault-plan") {
+        Some(spec) => Some(pddl_faults::FaultPlan::parse(spec)?),
+        None => pddl_faults::FaultPlan::from_env()?,
+    };
+    let mut config = ServeConfig { fault_plan, ..ServeConfig::default() };
     if let Some(v) = flags.get("workers") {
         config.workers = v.parse().map_err(|_| "--workers must be an integer")?;
     }

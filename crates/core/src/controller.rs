@@ -71,7 +71,9 @@
 //! ## Bounded serving core
 //!
 //! Connections are accepted by a single acceptor thread and read by cheap
-//! per-connection reader threads (capped at `max_connections`), but the
+//! per-connection reader threads (capped at `max_connections`): that part
+//! is the [`pddl_cluster::wire::Listener`] the router and the collector
+//! also run on, and the controller is the [`Handler`] behind it. The
 //! *work* runs on a fixed pool of worker threads consuming a bounded FIFO
 //! admission queue ([`crate::serve::ServePool`]). A full queue sheds the
 //! request immediately with a typed
@@ -95,8 +97,8 @@
 //! remembers recent responses per identity, so a client retrying after a
 //! lost reply gets the original response back instead of a recomputation —
 //! the dedup behind [`ControllerClient::connect_resilient`]'s exactly-once
-//! semantics. When `PDDL_FAULT_PLAN` is set (see [`pddl_faults`]), every
-//! accepted connection wears deterministic fault injectors.
+//! semantics. Under a [`ServeConfig::fault_plan`] (see [`pddl_faults`]),
+//! every accepted connection wears deterministic fault injectors.
 
 pub use crate::protocol::{
     parse_frame, ParsedFrame, RequestEnvelope, ResponseEnvelope, TraceHeader, WireResponse,
@@ -111,28 +113,24 @@ use crate::protocol::{
 };
 use crate::reload::{LiveSystem, ReloadManager, ReloadOutcome};
 use crate::request::{Prediction, PredictionRequest, RequestError};
-use crate::serve::{
-    JobOutcome, Latch, OpenOnDrop, ServeConfig, ServePool, SubmitError, WaitGroup,
-};
-use pddl_cluster::protocol::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
+use crate::serve::{JobOutcome, Latch, OpenOnDrop, ServeConfig, ServePool, SubmitError};
 use pddl_cluster::retry::{
     is_transient, overload_retry_hint, shard_moved_retry_hint, Backoff, RetryPolicy,
     ShedReason,
 };
-use pddl_faults::{Direction, FaultPlan, FaultyRead, FaultyWrite};
+use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
 use pddl_telemetry::trace::{flight_recorder, stage_id, stages};
-use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, Snapshot, SpanStatus, TraceContext};
+use pddl_telemetry::{tlog, Counter, Histogram, Level, Snapshot, SpanStatus, TraceContext};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 /// Controller-side metric handles, resolved once (increments stay
-/// lock-free on the request path).
+/// lock-free on the request path). The connection metrics
+/// (`controller.connections_total` and friends) are the listener's.
 struct Metrics {
     requests_total: &'static Counter,
     requests_ok: &'static Counter,
@@ -150,12 +148,7 @@ struct Metrics {
     shed_draining: &'static Counter,
     batch_requests: &'static Counter,
     malformed_frames: &'static Counter,
-    oversize_frames: &'static Counter,
-    disconnects: &'static Counter,
     dedup_hits: &'static Counter,
-    connections_total: &'static Counter,
-    connections_shed: &'static Counter,
-    active_connections: &'static Gauge,
     request_latency: &'static Histogram,
 }
 
@@ -178,12 +171,7 @@ fn metrics() -> &'static Metrics {
         shed_draining: pddl_telemetry::counter("controller.shed.draining"),
         batch_requests: pddl_telemetry::counter("controller.batch_requests"),
         malformed_frames: pddl_telemetry::counter("controller.malformed_frames"),
-        oversize_frames: pddl_telemetry::counter("controller.oversize_frames"),
-        disconnects: pddl_telemetry::counter("controller.disconnects"),
         dedup_hits: pddl_telemetry::counter("controller.request_dedups"),
-        connections_total: pddl_telemetry::counter("controller.connections_total"),
-        connections_shed: pddl_telemetry::counter("controller.connections_shed"),
-        active_connections: pddl_telemetry::gauge("controller.active_connections"),
         request_latency: pddl_telemetry::histogram("controller.request_latency"),
     })
 }
@@ -231,12 +219,6 @@ impl ResponseCache {
     }
 }
 
-/// How often reader threads surface from a blocking read to poll the
-/// shutdown flag (via a socket read timeout). Bounds drain latency; slow
-/// enough that fault-plan schedules advance only modestly on idle
-/// connections.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(250);
-
 /// [`overload_line`] plus accounting: every shed is attributed to its
 /// cause under `controller.shed.<reason>`, so a dashboard (or the load
 /// generator's report) can tell a full queue from expired deadlines.
@@ -254,11 +236,8 @@ fn shed_line(retry_after_ms: u64, reason: ShedReason) -> String {
 
 /// A running prediction service. Dropping the handle drains and stops it.
 pub struct Controller {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    listener: Listener,
     requests_served: Arc<AtomicU64>,
-    accept_thread: Option<JoinHandle<()>>,
-    readers: Arc<WaitGroup>,
     pool: Arc<ServePool>,
     live: Arc<LiveSystem>,
     sink: Arc<ObservationSink>,
@@ -280,9 +259,8 @@ impl Controller {
     /// `controller.active_connections` returns to zero on an idle server
     /// with no accept traffic required.
     ///
-    /// If `PDDL_FAULT_PLAN` is set, every accepted connection is wrapped
-    /// in that plan's deterministic fault injectors; an unparseable plan
-    /// is an `InvalidInput` error.
+    /// With a [`ServeConfig::fault_plan`], every accepted connection is
+    /// wrapped in that plan's deterministic fault injectors.
     pub fn serve_with(
         addr: &str,
         system: PredictDdl,
@@ -303,120 +281,39 @@ impl Controller {
         config: ServeConfig,
         reload: Option<Arc<ReloadManager>>,
     ) -> std::io::Result<Self> {
-        let fault_plan = FaultPlan::from_env()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let requests_served = Arc::new(AtomicU64::new(0));
-        let cache = Arc::new(ResponseCache::default());
         let sink = Arc::new(ObservationSink::new());
         let pool = Arc::new(ServePool::start(config));
-        let readers = Arc::new(WaitGroup::new());
+        let handler = Serving {
+            live: Arc::clone(&live),
+            reload,
+            sink: Arc::clone(&sink),
+            served: Arc::clone(&requests_served),
+            cache: Arc::new(ResponseCache::default()),
+            pool: Arc::clone(&pool),
+            config,
+        };
+        let listener = Listener::serve(
+            addr,
+            config.max_connections,
+            "controller",
+            config.fault_plan,
+            handler,
+        )?;
         tlog!(
             Level::Info,
             "controller",
             "listening",
-            addr = local.to_string(),
+            addr = listener.addr().to_string(),
             workers = pool.workers() as u64,
             queue_depth = pool.queue_capacity() as u64,
         );
-        if let Some(plan) = &fault_plan {
-            tlog!(Level::Warn, "controller", "fault injection active", plan = plan.to_spec());
-        }
-
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let served = Arc::clone(&requests_served);
-            let pool = Arc::clone(&pool);
-            let readers = Arc::clone(&readers);
-            let live = Arc::clone(&live);
-            let reload = reload.clone();
-            let sink = Arc::clone(&sink);
-            std::thread::spawn(move || {
-                let m = metrics();
-                let mut next_conn: u64 = 0;
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            m.connections_total.inc();
-                            if readers.count() >= config.max_connections {
-                                // Connection-level shed: typed reply,
-                                // close, no reader thread spawned.
-                                m.connections_shed.inc();
-                                let mut stream = stream;
-                                stream.set_nonblocking(false).ok();
-                                let _ = write_line(
-                                    &mut stream,
-                                    &shed_line(config.retry_after_ms, ShedReason::ConnectionLimit),
-                                );
-                                continue;
-                            }
-                            stream.set_nonblocking(false).ok();
-                            // Readers surface from blocking reads on this
-                            // cadence to poll the shutdown flag.
-                            stream.set_read_timeout(Some(SHUTDOWN_POLL)).ok();
-                            m.active_connections.inc();
-                            readers.add();
-                            tlog!(
-                                Level::Debug,
-                                "controller",
-                                "connection accepted",
-                                peer = peer.to_string(),
-                            );
-                            let conn = next_conn;
-                            next_conn += 1;
-                            let live = Arc::clone(&live);
-                            let reload = reload.clone();
-                            let sink = Arc::clone(&sink);
-                            let served = Arc::clone(&served);
-                            let cache = Arc::clone(&cache);
-                            let pool = Arc::clone(&pool);
-                            let readers = Arc::clone(&readers);
-                            let shutdown = Arc::clone(&shutdown);
-                            std::thread::spawn(move || {
-                                let outcome = split_stream(stream, fault_plan.as_ref(), conn)
-                                    .and_then(|(r, w)| {
-                                        reader_loop(
-                                            r, w, &live, reload.as_ref(), &sink, &served,
-                                            &cache, &pool, &shutdown, config, local,
-                                        )
-                                    });
-                                if outcome.is_err() {
-                                    // Mid-request disconnect or transport
-                                    // death: reap the connection, keep the
-                                    // service alive.
-                                    metrics().disconnects.inc();
-                                }
-                                metrics().active_connections.dec();
-                                readers.done();
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-        };
-
-        Ok(Self {
-            addr: local,
-            shutdown,
-            requests_served,
-            accept_thread: Some(accept_thread),
-            readers,
-            pool,
-            live,
-            sink,
-        })
+        Ok(Self { listener, requests_served, pool, live, sink })
     }
 
     /// The address the listener is bound to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// Registry version currently serving (`0` when not registry-backed).
@@ -440,7 +337,7 @@ impl Controller {
     /// Reader threads currently attached to live connections. Returns to
     /// zero once every client disconnects, with no accept traffic needed.
     pub fn live_connections(&self) -> usize {
-        self.readers.count()
+        self.listener.connections()
     }
 
     /// The feedback inlet behind `{"op":"observe"}` — runtime
@@ -462,11 +359,7 @@ impl Drop for Controller {
         // Graceful drain: stop accepting, wait out the readers (they
         // observe the flag within one SHUTDOWN_POLL), flush the admission
         // queue, then leave a final stats line in the log.
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.readers.wait();
+        self.listener.shutdown();
         self.pool.shutdown();
         // Drain-time trace dump: the retained set outlives the server
         // handle (the recorder is process-wide), but logging it here puts
@@ -493,39 +386,6 @@ impl Drop for Controller {
     }
 }
 
-/// Splits a stream into boxed read/write halves, wearing the fault plan's
-/// injectors when one is active.
-fn split_stream(
-    stream: TcpStream,
-    plan: Option<&FaultPlan>,
-    conn: u64,
-) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-    let writer = stream.try_clone()?;
-    Ok(match plan {
-        Some(p) => (
-            Box::new(FaultyRead::new(stream, p.schedule(conn, Direction::Read))),
-            Box::new(FaultyWrite::new(writer, p.schedule(conn, Direction::Write))),
-        ),
-        None => (Box::new(stream), Box::new(writer)),
-    })
-}
-
-fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
-
-/// The shared (reader ∪ worker) writer half of one connection. The
-/// per-frame latch hand-off means lock contention is nil: at most one of
-/// the two sides wants the writer at a time.
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-fn write_shared(w: &SharedWriter, line: &str) -> std::io::Result<()> {
-    let mut guard = w.lock().unwrap_or_else(|e| e.into_inner());
-    write_line(&mut *guard, line)
-}
-
 /// Submits `work` to the pool and blocks until it has written its
 /// response (signalled through a [`Latch`], opened by a drop guard even
 /// if the handler panics). The reader never polls the next frame until
@@ -536,7 +396,7 @@ fn write_shared(w: &SharedWriter, line: &str) -> std::io::Result<()> {
 /// up.
 fn submit_and_wait(
     pool: &ServePool,
-    writer: &SharedWriter,
+    writer: &Writer,
     retry_after_ms: u64,
     trace: Option<TraceContext>,
     work: Box<dyn FnOnce(JobOutcome) + Send>,
@@ -554,10 +414,10 @@ fn submit_and_wait(
         // The pool records the shed span and promotes the trace on both
         // rejection paths; only the wire reply happens here.
         Err(SubmitError::Full) => {
-            write_shared(writer, &shed_line(retry_after_ms, ShedReason::QueueFull))
+            writer.send(&shed_line(retry_after_ms, ShedReason::QueueFull))
         }
         Err(SubmitError::Closed) => {
-            let _ = write_shared(writer, &shed_line(retry_after_ms, ShedReason::Draining));
+            let _ = writer.send(&shed_line(retry_after_ms, ShedReason::Draining));
             Err(std::io::Error::new(
                 std::io::ErrorKind::ConnectionAborted,
                 "serving pool draining",
@@ -566,55 +426,47 @@ fn submit_and_wait(
     }
 }
 
-/// Per-connection reader: frames the byte stream, answers control ops and
-/// protocol errors inline, and funnels every prediction frame through the
-/// bounded pool. Returns on clean EOF, shutdown, or transport death.
-#[allow(clippy::too_many_arguments)]
-fn reader_loop(
-    reader: Box<dyn Read + Send>,
-    writer: Box<dyn Write + Send>,
-    live: &Arc<LiveSystem>,
-    reload: Option<&Arc<ReloadManager>>,
-    sink: &Arc<ObservationSink>,
-    served: &Arc<AtomicU64>,
-    cache: &Arc<ResponseCache>,
-    pool: &ServePool,
-    shutdown: &AtomicBool,
+/// The controller as a [`Handler`]: frames the listener hands over are
+/// classified, control ops and protocol errors are answered inline, and
+/// every prediction frame goes through the bounded pool.
+struct Serving {
+    live: Arc<LiveSystem>,
+    reload: Option<Arc<ReloadManager>>,
+    sink: Arc<ObservationSink>,
+    served: Arc<AtomicU64>,
+    cache: Arc<ResponseCache>,
+    pool: Arc<ServePool>,
     config: ServeConfig,
+}
+
+/// What one connection's reader remembers between frames.
+struct ConnState {
     local: SocketAddr,
-) -> std::io::Result<()> {
-    let m = metrics();
-    let mut reader = BufReader::new(reader);
-    let mut lines = LineReader::bounded(MAX_FRAME_BYTES);
-    let writer: SharedWriter = Arc::new(Mutex::new(writer));
-    let rec = flight_recorder();
-    let accepted_us = rec.now_us();
-    let mut accept_marked = false;
-    let mut work_frames: u64 = 0;
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            break; // drain: stop reading new requests
-        }
-        let line = match lines.poll(&mut reader) {
-            Ok(LinePoll::Line(line)) => line,
-            Ok(LinePoll::Eof) => break,
-            // The read timed out (SHUTDOWN_POLL): partial frame is kept,
-            // loop back to check the shutdown flag.
-            Ok(LinePoll::Pending) => continue,
-            Err(WireError::FrameTooLong { limit }) => {
-                // Line sync is lost: reply (best effort) and drop the peer.
-                m.oversize_frames.inc();
-                let _ = write_shared(&writer, &frame_too_long_line(limit));
-                break;
-            }
-            // LineReader does not parse, so Malformed cannot occur here;
-            // treat it like an over-long frame rather than panicking.
-            Err(WireError::Malformed { .. }) => break,
-            Err(WireError::Io(e)) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
+    accepted_us: u64,
+    accept_marked: bool,
+    work_frames: u64,
+}
+
+impl Handler for Serving {
+    type Conn = ConnState;
+
+    fn open(&self, local: SocketAddr) -> ConnState {
+        let accepted_us = flight_recorder().now_us();
+        ConnState { local, accepted_us, accept_marked: false, work_frames: 0 }
+    }
+
+    fn connection_limit_line(&self) -> String {
+        shed_line(self.config.retry_after_ms, ShedReason::ConnectionLimit)
+    }
+
+    fn frame_too_long_line(&self, limit: usize) -> String {
+        frame_too_long_line(limit)
+    }
+
+    fn frame(&self, conn: &mut ConnState, line: String, writer: &Writer) -> std::io::Result<Flow> {
+        let m = metrics();
+        let rec = flight_recorder();
+        let config = self.config;
         let decode_t0 = Instant::now();
         let frame = match parse_frame(&line) {
             Ok(frame) => frame,
@@ -622,15 +474,14 @@ fn reader_loop(
                 m.malformed_frames.inc();
                 m.requests_total.inc();
                 m.requests_err.inc();
-                served.fetch_add(1, Ordering::Relaxed);
+                self.served.fetch_add(1, Ordering::Relaxed);
                 let response =
                     WireResponse::Err { error: RequestError::InvalidParams(detail) };
-                write_shared(&writer, &encode_reply(&response))?;
-                continue;
+                writer.send(&encode_reply(&response))?;
+                return Ok(Flow::Continue);
             }
         };
         let decode = decode_t0.elapsed();
-        let retry_after = config.retry_after_ms;
         // Trace decision: an explicit client context always traces;
         // otherwise every `trace_sample`-th work frame on this connection
         // gets a server-minted root (0 disables sampling). Control ops
@@ -646,8 +497,8 @@ fn reader_loop(
                 env.trace.map(TraceContext::from)
             }
             _ => {
-                let n = work_frames;
-                work_frames += 1;
+                let n = conn.work_frames;
+                conn.work_frames += 1;
                 (config.trace_sample > 0 && n.is_multiple_of(config.trace_sample))
                     .then(|| TraceContext::root(next_sampled_trace_id()))
             }
@@ -657,17 +508,17 @@ fn reader_loop(
         let req_start_us = rec.now_us().saturating_sub(decode.as_micros() as u64);
         if let Some(ctx) = ctx {
             m.traced_requests.inc();
-            if !accept_marked {
+            if !conn.accept_marked {
                 // Zero-length marker anchoring the waterfall at the
                 // moment this connection was accepted.
                 rec.record_stage(
                     ctx,
                     stages::ACCEPT,
-                    accepted_us,
+                    conn.accepted_us,
                     Duration::ZERO,
                     SpanStatus::Ok,
                 );
-                accept_marked = true;
+                conn.accept_marked = true;
             }
             rec.record_stage(ctx, stages::FRAME_READ, req_start_us, decode, SpanStatus::Ok);
         }
@@ -678,7 +529,7 @@ fn reader_loop(
             ParsedFrame::Stats => {
                 m.stats_requests.inc();
                 let out = stats_line(config.shard_id, &pddl_telemetry::snapshot());
-                write_shared(&writer, &out)?;
+                writer.send(&out)?;
             }
             // A bare controller answers the route-table op with its own
             // one-entry identity table at epoch 0: clients can always ask
@@ -692,15 +543,15 @@ fn reader_loop(
                     shard: config.shard_id,
                     shards: vec![RouteShard {
                         id,
-                        addr: local.to_string(),
+                        addr: conn.local.to_string(),
                         healthy: true,
                     }],
                 };
-                write_shared(&writer, &table.to_line())?;
+                writer.send(&table.to_line())?;
             }
             ParsedFrame::Trace => {
                 m.trace_requests.inc();
-                write_shared(&writer, &rec.retained_json())?;
+                writer.send(&rec.retained_json())?;
             }
             // Reload: answered inline like the other control ops (an
             // overloaded or draining pool cannot block a rollback). The
@@ -708,7 +559,7 @@ fn reader_loop(
             // before the swap finish on the old model.
             ParsedFrame::Reload { version } => {
                 m.reload_requests.inc();
-                let out = match reload {
+                let out = match &self.reload {
                     Some(mgr) => match mgr.reload(version) {
                         Ok(ReloadOutcome::Swapped { version, previous, epoch }) => {
                             ReloadReply { version, previous, epoch }.to_line()
@@ -720,7 +571,7 @@ fn reader_loop(
                     },
                     None => reload_rejected_line("no_registry"),
                 };
-                write_shared(&writer, &out)?;
+                writer.send(&out)?;
             }
             // Observe: the continual-refit feedback inlet, answered inline
             // like the other control ops (drift detection must keep
@@ -732,101 +583,81 @@ fn reader_loop(
                 let out = if !(actual_secs.is_finite() && actual_secs > 0.0) {
                     observe_rejected_line("non_positive_runtime")
                 } else {
-                    match live.pin().predict(&req) {
+                    match self.live.pin().predict(&req) {
                         Ok(pred) if pred.seconds > 0.0 => {
                             let servers = req.cluster.servers.len();
-                            sink.record(pred.seconds, actual_secs, servers).to_line()
+                            self.sink.record(pred.seconds, actual_secs, servers).to_line()
                         }
                         Ok(_) => observe_rejected_line("non_positive_prediction"),
                         Err(e) => observe_rejected_line(&format!("prediction_failed: {e}")),
                     }
                 };
-                write_shared(&writer, &out)?;
+                writer.send(&out)?;
             }
             ParsedFrame::Metrics => {
                 m.metrics_requests.inc();
                 let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
-                write_shared(&writer, &out)?;
+                writer.send(&out)?;
             }
             // Batch requests: a JSON *array* of prediction requests. One
             // queue slot per batch; the per-request work still fans out
             // across the work pool via [`PredictDdl::predict_many`].
-            ParsedFrame::Batch(reqs) => {
-                let system = live.pin();
-                let served = Arc::clone(served);
-                let writer_j = Arc::clone(&writer);
-                let slow_ms = config.trace_slow_ms;
-                submit_and_wait(
-                    pool,
-                    &writer,
-                    retry_after,
-                    ctx,
-                    Box::new(move |outcome| {
-                        let m = metrics();
-                        if outcome == JobOutcome::Expired {
-                            expire_traced(ctx, req_start_us);
-                            let _ = write_shared(
-                                &writer_j,
-                                &shed_line(retry_after, ShedReason::Deadline),
-                            );
-                            return;
-                        }
-                        let t0 = Instant::now();
-                        m.batch_requests.inc();
-                        m.requests_total.add(reqs.len() as u64);
-                        let results = system.predict_many(&reqs);
-                        let dispatch_el = t0.elapsed();
-                        let mut errored = false;
-                        let responses: Vec<WireResponse> = results
-                            .into_iter()
-                            .map(|r| match r {
-                                Ok(prediction) => {
-                                    m.requests_ok.inc();
-                                    WireResponse::Ok { prediction }
-                                }
-                                Err(error) => {
-                                    m.requests_err.inc();
-                                    errored = true;
-                                    WireResponse::Err { error }
-                                }
-                            })
-                            .collect();
-                        if let Some(c) = ctx {
-                            // One dispatch span for the whole batch; the
-                            // per-request fan-out happens inside
-                            // predict_many and is not traced separately.
-                            let rec = flight_recorder();
-                            let start = rec
-                                .now_us()
-                                .saturating_sub(dispatch_el.as_micros() as u64);
-                            let d = c.child(stage_id(stages::DISPATCH).wrapping_add(1));
-                            let status =
-                                if errored { SpanStatus::Error } else { SpanStatus::Ok };
-                            rec.record_span(d, stages::DISPATCH, start, dispatch_el, status);
-                        }
-                        served.fetch_add(responses.len() as u64, Ordering::Relaxed);
-                        let s0 = Instant::now();
-                        let out = encode_reply(&responses);
-                        let _ = write_shared(&writer_j, &out);
-                        finish_traced(ctx, req_start_us, s0.elapsed(), errored, slow_ms);
-                        let elapsed = t0.elapsed();
-                        m.request_latency.record_duration(elapsed);
-                        tlog!(
-                            Level::Debug,
-                            "controller.request",
-                            "served batch",
-                            batch_size = responses.len() as u64,
-                            latency_us = elapsed.as_micros() as u64,
-                        );
-                    }),
-                )?;
-            }
+            ParsedFrame::Batch(reqs) => self.work(
+                ctx,
+                req_start_us,
+                writer,
+                None,
+                move |system, m| {
+                    m.batch_requests.inc();
+                    m.requests_total.add(reqs.len() as u64);
+                    let t0 = Instant::now();
+                    let results = system.predict_many(&reqs);
+                    let dispatch_el = t0.elapsed();
+                    let mut errored = false;
+                    let responses: Vec<WireResponse> = results
+                        .into_iter()
+                        .map(|r| match r {
+                            Ok(prediction) => {
+                                m.requests_ok.inc();
+                                WireResponse::Ok { prediction }
+                            }
+                            Err(error) => {
+                                m.requests_err.inc();
+                                errored = true;
+                                WireResponse::Err { error }
+                            }
+                        })
+                        .collect();
+                    if let Some(c) = ctx {
+                        // One dispatch span for the whole batch; the
+                        // per-request fan-out happens inside
+                        // predict_many and is not traced separately.
+                        let rec = flight_recorder();
+                        let start =
+                            rec.now_us().saturating_sub(dispatch_el.as_micros() as u64);
+                        let d = c.child(stage_id(stages::DISPATCH).wrapping_add(1));
+                        let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
+                        rec.record_span(d, stages::DISPATCH, start, dispatch_el, status);
+                    }
+                    let answered = responses.len() as u64;
+                    (responses, answered, errored)
+                },
+                |responses, elapsed| {
+                    tlog!(
+                        Level::Debug,
+                        "controller.request",
+                        "served batch",
+                        batch_size = responses.len() as u64,
+                        latency_us = elapsed.as_micros() as u64,
+                    );
+                },
+            )?,
             // Id-wrapped single request: the reader consults the response
             // cache first, so a retried request replays the original
             // response without consuming a queue slot.
             ParsedFrame::Enveloped(env) => {
                 let key = (env.client, env.id);
-                if let Some(cached) = cache.get(key) {
+                if let Some(cached) = self.cache.get(key) {
                     m.dedup_hits.inc();
                     tlog!(
                         Level::Debug,
@@ -836,7 +667,7 @@ fn reader_loop(
                         id = env.id,
                     );
                     let replay_t0 = Instant::now();
-                    write_shared(&writer, &cached)?;
+                    writer.send(&cached)?;
                     if let Some(c) = ctx {
                         // The replay is its own deterministic span: a
                         // re-promotion merges it into the retained trace
@@ -851,104 +682,115 @@ fn reader_loop(
                             SpanStatus::CacheHit,
                         );
                     }
-                    continue;
+                    return Ok(Flow::Continue);
                 }
-                let system = live.pin();
-                let served = Arc::clone(served);
-                let cache = Arc::clone(cache);
-                let writer_j = Arc::clone(&writer);
-                let slow_ms = config.trace_slow_ms;
-                submit_and_wait(
-                    pool,
-                    &writer,
-                    retry_after,
+                self.work(
                     ctx,
-                    Box::new(move |outcome| {
-                        let m = metrics();
-                        if outcome == JobOutcome::Expired {
-                            // Not cached: the client's retry should get a
-                            // real execution, not a replayed shed.
-                            expire_traced(ctx, req_start_us);
-                            let _ = write_shared(
-                                &writer_j,
-                                &shed_line(retry_after, ShedReason::Deadline),
-                            );
-                            return;
-                        }
-                        let t0 = Instant::now();
+                    req_start_us,
+                    writer,
+                    Some(key),
+                    move |system, m| {
                         m.requests_total.inc();
-                        let (resp, errored) = predict_one(&system, &env.req, m, ctx);
-                        let s0 = Instant::now();
-                        let out = encode_reply(&ResponseEnvelope {
+                        let (resp, errored) = predict_one(system, &env.req, m, ctx);
+                        let reply = ResponseEnvelope {
                             client: env.client,
                             id: env.id,
                             trace: env.trace,
                             shard: config.shard_id,
                             resp,
-                        });
-                        cache.put(key, out.clone());
-                        served.fetch_add(1, Ordering::Relaxed);
-                        let _ = write_shared(&writer_j, &out);
-                        finish_traced(ctx, req_start_us, s0.elapsed(), errored, slow_ms);
-                        m.request_latency.record_duration(t0.elapsed());
-                    }),
-                )?;
+                        };
+                        (reply, 1, errored)
+                    },
+                    |_, _| {},
+                )?
             }
-            ParsedFrame::Single(req) => {
-                let system = live.pin();
-                let served = Arc::clone(served);
-                let writer_j = Arc::clone(&writer);
-                let slow_ms = config.trace_slow_ms;
-                submit_and_wait(
-                    pool,
-                    &writer,
-                    retry_after,
-                    ctx,
-                    Box::new(move |outcome| {
-                        let m = metrics();
-                        if outcome == JobOutcome::Expired {
-                            expire_traced(ctx, req_start_us);
-                            let _ = write_shared(
-                                &writer_j,
-                                &shed_line(retry_after, ShedReason::Deadline),
-                            );
-                            return;
-                        }
-                        let t0 = Instant::now();
-                        m.requests_total.inc();
-                        let (response, errored) = predict_one(&system, &req, m, ctx);
-                        served.fetch_add(1, Ordering::Relaxed);
-                        let s0 = Instant::now();
-                        let out = encode_reply(&response);
-                        let _ = write_shared(&writer_j, &out);
-                        finish_traced(ctx, req_start_us, s0.elapsed(), errored, slow_ms);
-                        let elapsed = t0.elapsed();
-                        m.request_latency.record_duration(elapsed);
-                        match &response {
-                            WireResponse::Ok { .. } => {
-                                tlog!(
-                                    Level::Debug,
-                                    "controller.request",
-                                    "served",
-                                    latency_us = elapsed.as_micros() as u64,
-                                );
-                            }
-                            WireResponse::Err { error } => {
-                                tlog!(
-                                    Level::Warn,
-                                    "controller.request",
-                                    "request failed",
-                                    error = error.to_string(),
-                                    latency_us = elapsed.as_micros() as u64,
-                                );
-                            }
-                        }
-                    }),
-                )?;
-            }
+            ParsedFrame::Single(req) => self.work(
+                ctx,
+                req_start_us,
+                writer,
+                None,
+                move |system, m| {
+                    m.requests_total.inc();
+                    let (response, errored) = predict_one(system, &req, m, ctx);
+                    (response, 1, errored)
+                },
+                |response, elapsed| match response {
+                    WireResponse::Ok { .. } => {
+                        tlog!(
+                            Level::Debug,
+                            "controller.request",
+                            "served",
+                            latency_us = elapsed.as_micros() as u64,
+                        );
+                    }
+                    WireResponse::Err { error } => {
+                        tlog!(
+                            Level::Warn,
+                            "controller.request",
+                            "request failed",
+                            error = error.to_string(),
+                            latency_us = elapsed.as_micros() as u64,
+                        );
+                    }
+                },
+            )?,
         }
+        Ok(Flow::Continue)
     }
-    Ok(())
+}
+
+impl Serving {
+    /// The one path every prediction frame takes: pin the live system,
+    /// queue behind the pool, and — on a worker — answer. The three frame
+    /// kinds differ only in `compute` (what they predict and count: it
+    /// returns the reply, how many requests it answers, and whether any
+    /// failed) and `log`; expiry, timing, encoding, the dedup cache
+    /// (`dedup`, enveloped frames only), the write and the trace tail are
+    /// spelled once, here.
+    fn work<R: ToJson>(
+        &self,
+        ctx: Option<TraceContext>,
+        req_start_us: u64,
+        writer: &Writer,
+        dedup: Option<(u64, u64)>,
+        compute: impl FnOnce(&PredictDdl, &Metrics) -> (R, u64, bool) + Send + 'static,
+        log: impl FnOnce(&R, Duration) + Send + 'static,
+    ) -> std::io::Result<()> {
+        let system = self.live.pin();
+        let served = Arc::clone(&self.served);
+        let cache = Arc::clone(&self.cache);
+        let writer_j = writer.clone();
+        let ServeConfig { retry_after_ms, trace_slow_ms, .. } = self.config;
+        submit_and_wait(
+            &self.pool,
+            writer,
+            retry_after_ms,
+            ctx,
+            Box::new(move |outcome| {
+                let m = metrics();
+                if outcome == JobOutcome::Expired {
+                    // Never cached: the client's retry should get a real
+                    // execution, not a replayed shed.
+                    expire_traced(ctx, req_start_us);
+                    let _ = writer_j.send(&shed_line(retry_after_ms, ShedReason::Deadline));
+                    return;
+                }
+                let t0 = Instant::now();
+                let (reply, answered, errored) = compute(&system, m);
+                served.fetch_add(answered, Ordering::Relaxed);
+                let s0 = Instant::now();
+                let out = encode_reply(&reply);
+                if let Some(key) = dedup {
+                    cache.put(key, out.clone());
+                }
+                let _ = writer_j.send(&out);
+                finish_traced(ctx, req_start_us, s0.elapsed(), errored, trace_slow_ms);
+                let elapsed = t0.elapsed();
+                m.request_latency.record_duration(elapsed);
+                log(&reply, elapsed);
+            }),
+        )
+    }
 }
 
 /// Renders one reply line. A reply only fails to encode when the model
@@ -1079,14 +921,9 @@ fn session_token() -> u64 {
         ^ ((std::process::id() as u64) << 32)
 }
 
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
 /// Blocking client for the controller protocol.
 pub struct ControllerClient {
-    conn: Option<Conn>,
+    conn: Option<LineConn>,
     addr: SocketAddr,
     timeout: Option<Duration>,
     retry: Option<RetryPolicy>,
@@ -1234,21 +1071,14 @@ impl ControllerClient {
     }
 
     /// Opens the TCP connection if none is live.
-    fn ensure_conn(&mut self) -> std::io::Result<&mut Conn> {
+    fn ensure_conn(&mut self) -> std::io::Result<&mut LineConn> {
         if self.conn.is_none() {
-            let stream = match self.timeout {
-                Some(t) => {
-                    let s = TcpStream::connect_timeout(&self.addr, t).inspect_err(|_| {
-                        client_metrics().timeouts.inc();
-                    })?;
-                    s.set_read_timeout(Some(t))?;
-                    s.set_write_timeout(Some(t))?;
-                    s
+            let conn = LineConn::connect(self.addr, self.timeout, self.timeout);
+            self.conn = Some(conn.inspect_err(|_| {
+                if self.timeout.is_some() {
+                    client_metrics().timeouts.inc();
                 }
-                None => TcpStream::connect(self.addr)?,
-            };
-            let writer = stream.try_clone()?;
-            self.conn = Some(Conn { writer, reader: BufReader::new(stream) });
+            })?);
         }
         self.conn.as_mut().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotConnected, "connection unavailable")
@@ -1519,19 +1349,7 @@ impl ControllerClient {
             }
             e
         };
-        let conn = self.ensure_conn().map_err(io)?;
-        conn.writer.write_all(line.as_bytes()).map_err(io)?;
-        conn.writer.write_all(b"\n").map_err(io)?;
-        conn.writer.flush().map_err(io)?;
-        let mut resp = String::new();
-        conn.reader.read_line(&mut resp).map_err(io)?;
-        if resp.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "controller closed connection",
-            ));
-        }
-        Ok(resp)
+        self.ensure_conn().map_err(io)?.exchange(line).map_err(io)
     }
 }
 

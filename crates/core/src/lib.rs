@@ -105,9 +105,10 @@
 //! route table and retry.
 //!
 //! Frames are bounded at [`pddl_cluster::MAX_FRAME_BYTES`]; malformed
-//! frames get typed error replies; and when `PDDL_FAULT_PLAN` is set the
-//! listener injects deterministic wire faults for chaos testing (see the
-//! [`pddl_faults`] crate and `TESTING.md`).
+//! frames get typed error replies; and under a
+//! [`ServeConfig::fault_plan`] the listener injects deterministic wire
+//! faults for chaos testing (see the [`pddl_faults`] crate and
+//! `TESTING.md`).
 //!
 //! Logging verbosity is controlled by the `PDDL_LOG` environment variable
 //! (see [`pddl_telemetry`] for the `level[,target=level]*` filter syntax,

@@ -24,6 +24,7 @@
 //! [`pddl_telemetry::Gauge::set_max`]), and `controller.queue_wait`
 //! (histogram of time spent queued).
 
+use pddl_faults::FaultPlan;
 use pddl_par::{PushError, TaskQueue};
 use pddl_telemetry::trace::{flight_recorder, stage_handle, stages, StageHandle};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
@@ -68,6 +69,11 @@ pub struct ServeConfig {
     /// route table; `None` (the default) leaves the wire shapes exactly
     /// as they were before sharding existed.
     pub shard_id: Option<u64>,
+    /// Wire-fault plan every accepted connection wears (`None`, the
+    /// default, serves fault-free). The library never reads
+    /// `PDDL_FAULT_PLAN` itself: `predictddl-cli serve` does, once, and
+    /// passes the plan here.
+    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for ServeConfig {
@@ -81,6 +87,7 @@ impl Default for ServeConfig {
             trace_sample: 1,
             trace_slow_ms: 0,
             shard_id: None,
+            fault_plan: None,
         }
     }
 }
@@ -308,54 +315,6 @@ fn worker_loop(queue: &TaskQueue<Job>, deadline: Duration) {
     }
 }
 
-/// Counts live threads and lets one waiter block until all are done —
-/// how the controller waits out its per-connection reader threads during
-/// drain without holding `JoinHandle`s (the accounting is load-
-/// independent: each reader checks itself out as it exits).
-#[derive(Default)]
-pub struct WaitGroup {
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl WaitGroup {
-    /// An empty group.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, usize> {
-        self.count.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Checks one member in.
-    pub fn add(&self) {
-        *self.lock() += 1;
-    }
-
-    /// Checks one member out, waking waiters at zero.
-    pub fn done(&self) {
-        let mut count = self.lock();
-        *count = count.saturating_sub(1);
-        if *count == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    /// Current membership (racy; for admission checks and telemetry).
-    pub fn count(&self) -> usize {
-        *self.lock()
-    }
-
-    /// Blocks until the count reaches zero.
-    pub fn wait(&self) {
-        let mut count = self.lock();
-        while *count > 0 {
-            count = self.zero.wait(count).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// A one-shot completion latch: the reader thread submits a job with a
 /// clone, then [`Latch::wait`]s; the job [`Latch::open`]s it when the
 /// response has been written. That hand-off is what serializes responses
@@ -538,25 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn waitgroup_blocks_until_all_done() {
-        let wg = Arc::new(WaitGroup::new());
-        for _ in 0..4 {
-            wg.add();
-        }
-        assert_eq!(wg.count(), 4);
-        let waiter = {
-            let wg = Arc::clone(&wg);
-            std::thread::spawn(move || wg.wait())
-        };
-        for _ in 0..4 {
-            std::thread::sleep(Duration::from_millis(5));
-            wg.done();
-        }
-        waiter.join().unwrap();
-        assert_eq!(wg.count(), 0);
-    }
-
-    #[test]
     fn config_defaults_are_sane() {
         let c = ServeConfig::default();
         assert!(c.workers >= 2);
@@ -566,6 +506,7 @@ mod tests {
         assert!(c.retry_after_ms > 0);
         assert_eq!(c.trace_sample, 1, "tracing on by default");
         assert_eq!(c.trace_slow_ms, 0, "latency trigger off by default");
+        assert!(c.fault_plan.is_none(), "fault-free unless a plan is passed in");
     }
 
     #[test]

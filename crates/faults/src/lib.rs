@@ -14,10 +14,12 @@
 //! byte-for-byte, so a soak-test failure log names everything needed to
 //! replay it (see `TESTING.md`).
 //!
-//! The controller and the cluster resource collector consult
-//! [`FaultPlan::from_env`] (`PDDL_FAULT_PLAN`) when they start serving and
-//! wrap every accepted connection when a plan is set, so integration tests
-//! and the CLI can run identical chaos schedules.
+//! The controller and the cluster resource collector are handed a plan
+//! when they start serving (`ServeConfig::fault_plan`, the second argument
+//! of `CollectorServer::bind`) and wrap every accepted connection in it;
+//! the CLI gets its plan from `--fault-plan` or [`FaultPlan::from_env`]
+//! (`PDDL_FAULT_PLAN`). Integration tests and the CLI therefore run
+//! identical chaos schedules, and no library code reads the environment.
 //!
 //! Every injected fault is counted in `pddl-telemetry`
 //! (`faults.injected_delays`, `faults.injected_resets`,

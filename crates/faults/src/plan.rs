@@ -5,17 +5,18 @@
 use crate::rng::FaultRng;
 use crate::stream::{Direction, FaultSchedule};
 
-/// Environment variable holding the active fault-plan spec. When set (and
-/// parseable), the controller and collector wrap every accepted connection
-/// in [`crate::FaultyRead`]/[`crate::FaultyWrite`].
+/// Environment variable `predictddl-cli serve` reads its fault-plan spec
+/// from when `--fault-plan` is absent ([`FaultPlan::from_env`]). Libraries
+/// never read it: servers take their plan as an argument.
 pub const FAULT_PLAN_ENV: &str = "PDDL_FAULT_PLAN";
 
 /// A seed-deterministic schedule of wire faults.
 ///
-/// Probabilities are per read/write operation on a wrapped stream and are
-/// consulted in a fixed order (delay, reset, truncate, garbage, drop), so
-/// the injected-fault sequence is a pure function of `(seed, connection,
-/// direction, operation index)`.
+/// Probabilities are per read/write operation on a wrapped stream (a
+/// server sends each reply frame as one write, so one reply is one write
+/// operation) and are consulted in a fixed order (delay, reset, truncate,
+/// garbage, drop), so the injected-fault sequence is a pure function of
+/// `(seed, connection, direction, operation index)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Base seed; every connection derives its own stream from it.

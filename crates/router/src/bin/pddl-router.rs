@@ -13,11 +13,11 @@
 //! for structured JSON logs on stderr; see `OPERATIONS.md` for the full
 //! fleet runbook.
 
+use pddl_cluster::wire::LineConn;
 use pddl_router::{Router, RouterConfig};
 use predictddl::RouteTable;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -175,17 +175,11 @@ fn cmd_inspect(flags: &Flags) -> Result<(), String> {
         .parse()
         .map_err(|_| format!("--addr '{addr}' is not a socket address"))?;
     let timeout = Duration::from_millis(timeout_ms.max(1));
-    let stream = TcpStream::connect_timeout(&sock, timeout)
-        .map_err(|e| format!("connect to {addr}: {e}"))?;
-    stream.set_read_timeout(Some(timeout)).map_err(|e| e.to_string())?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    writer
-        .write_all(b"{\"op\":\"route_table\"}\n")
-        .and_then(|()| writer.flush())
+    let line = LineConn::connect(sock, Some(timeout), Some(timeout))
+        .map_err(|e| format!("connect to {addr}: {e}"))?
+        .exchange("{\"op\":\"route_table\"}")
         .map_err(|e| e.to_string())?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).map_err(|e| e.to_string())?;
-    let table = RouteTable::from_line(line.trim_end())?;
+    let table = RouteTable::from_line(&line)?;
     println!("route table at {addr}: epoch {}, {} vnodes/shard", table.epoch, table.vnodes);
     if let Some(sid) = table.shard {
         println!("  (answered by shard {sid} directly — identity table)");

@@ -46,20 +46,18 @@
 
 use crate::key::{frame_key, line_key};
 use crate::ring::HashRing;
-use pddl_cluster::protocol::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
+use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer, SHUTDOWN_POLL};
 use pddl_telemetry::trace::{flight_recorder, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
 use predictddl::protocol::{
     frame_too_long_line, metrics_line, overload_line, shard_moved_line, stats_line, RouteShard,
     RouteTable,
 };
-use predictddl::serve::WaitGroup;
 use predictddl::{
     parse_frame, reload_rejected_from_line, reload_rejected_line, ParsedFrame, ReloadReply,
 };
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::hash_map::{Entry, HashMap};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -105,7 +103,8 @@ impl Default for RouterConfig {
     }
 }
 
-/// Router-side metric handles, resolved once.
+/// Router-side metric handles, resolved once. The connection metrics
+/// (`router.connections_total` and friends) are the listener's.
 struct Metrics {
     requests_total: &'static Counter,
     forwarded: &'static Counter,
@@ -118,14 +117,10 @@ struct Metrics {
     metrics_requests: &'static Counter,
     route_table_requests: &'static Counter,
     reload_fanouts: &'static Counter,
-    connections_total: &'static Counter,
-    connections_shed: &'static Counter,
-    disconnects: &'static Counter,
     probe_cycles: &'static Counter,
     probe_failures: &'static Counter,
     shard_deaths: &'static Counter,
     shard_revivals: &'static Counter,
-    active_connections: &'static Gauge,
     healthy_shards: &'static Gauge,
     membership_epoch: &'static Gauge,
     forward_latency: &'static Histogram,
@@ -145,23 +140,15 @@ fn metrics() -> &'static Metrics {
         metrics_requests: pddl_telemetry::counter("router.metrics_requests"),
         route_table_requests: pddl_telemetry::counter("router.route_table_requests"),
         reload_fanouts: pddl_telemetry::counter("router.reload_fanouts"),
-        connections_total: pddl_telemetry::counter("router.connections_total"),
-        connections_shed: pddl_telemetry::counter("router.connections_shed"),
-        disconnects: pddl_telemetry::counter("router.disconnects"),
         probe_cycles: pddl_telemetry::counter("router.probe_cycles"),
         probe_failures: pddl_telemetry::counter("router.probe_failures"),
         shard_deaths: pddl_telemetry::counter("router.shard_deaths"),
         shard_revivals: pddl_telemetry::counter("router.shard_revivals"),
-        active_connections: pddl_telemetry::gauge("router.active_connections"),
         healthy_shards: pddl_telemetry::gauge("router.healthy_shards"),
         membership_epoch: pddl_telemetry::gauge("router.membership_epoch"),
         forward_latency: pddl_telemetry::histogram("router.forward_latency"),
     })
 }
-
-/// Shutdown-flag poll cadence for blocking reads (mirrors the
-/// controller's drain behavior).
-const SHUTDOWN_POLL: Duration = Duration::from_millis(250);
 
 struct MemberShard {
     id: u64,
@@ -319,112 +306,57 @@ impl Membership {
 
 /// A running router. Dropping the handle stops it.
 pub struct Router {
-    addr: SocketAddr,
+    listener: Listener,
     membership: Arc<Membership>,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    probe_stop: Arc<AtomicBool>,
     probe_thread: Option<JoinHandle<()>>,
-    readers: Arc<WaitGroup>,
 }
 
 impl Router {
     /// Starts a router on `addr` (port 0 = ephemeral) fronting `shards`
-    /// (assigned ids `0..shards.len()` in order). Spawns one acceptor
-    /// and one health-prober thread; each client connection gets a cheap
-    /// forwarding thread.
+    /// (assigned ids `0..shards.len()` in order): a
+    /// [`Listener`] whose every client connection gets a cheap forwarding
+    /// thread, plus one health-prober thread. The router itself runs
+    /// fault-free; chaos lives on the shard sockets.
     pub fn serve(
         addr: &str,
         shards: &[SocketAddr],
         config: RouterConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let membership = Arc::new(Membership::new(config.vnodes.max(1), shards));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let readers = Arc::new(WaitGroup::new());
+        let handler = Routing { membership: Arc::clone(&membership), config };
+        let listener = Listener::serve(addr, config.max_connections, "router", None, handler)?;
         tlog!(
             Level::Info,
             "router",
             "listening",
-            addr = local.to_string(),
+            addr = listener.addr().to_string(),
             shards = shards.len() as u64,
             vnodes = config.vnodes.max(1) as u64,
         );
 
-        let accept_thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let membership = Arc::clone(&membership);
-            let readers = Arc::clone(&readers);
-            std::thread::spawn(move || {
-                let m = metrics();
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            m.connections_total.inc();
-                            if readers.count() >= config.max_connections {
-                                m.connections_shed.inc();
-                                let mut stream = stream;
-                                stream.set_nonblocking(false).ok();
-                                let _ = write_line(
-                                    &mut stream,
-                                    &overload_line(config.retry_after_ms, "connection_limit"),
-                                );
-                                continue;
-                            }
-                            stream.set_nonblocking(false).ok();
-                            stream.set_read_timeout(Some(SHUTDOWN_POLL)).ok();
-                            m.active_connections.inc();
-                            readers.add();
-                            let membership = Arc::clone(&membership);
-                            let shutdown = Arc::clone(&shutdown);
-                            let readers = Arc::clone(&readers);
-                            std::thread::spawn(move || {
-                                if conn_loop(stream, &membership, config, &shutdown).is_err()
-                                {
-                                    metrics().disconnects.inc();
-                                }
-                                metrics().active_connections.dec();
-                                readers.done();
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-        };
-
+        let probe_stop = Arc::new(AtomicBool::new(false));
         let probe_thread = {
-            let shutdown = Arc::clone(&shutdown);
+            let stop = Arc::clone(&probe_stop);
             let membership = Arc::clone(&membership);
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
+                while !stop.load(Ordering::Relaxed) {
                     probe_all(&membership, config);
                     // Sleep in slices so shutdown stays responsive.
                     let deadline = Instant::now() + config.probe_interval;
-                    while Instant::now() < deadline && !shutdown.load(Ordering::Relaxed) {
+                    while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
                         std::thread::sleep(Duration::from_millis(20));
                     }
                 }
             })
         };
 
-        Ok(Self {
-            addr: local,
-            membership,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            probe_thread: Some(probe_thread),
-            readers,
-        })
+        Ok(Self { listener, membership, probe_stop, probe_thread: Some(probe_thread) })
     }
 
     /// The address the router listens on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.addr()
     }
 
     /// The live route table (what `{"op":"route_table"}` answers).
@@ -458,94 +390,68 @@ impl Router {
 
 impl Drop for Router {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.probe_stop.store(true, Ordering::Relaxed);
+        self.listener.shutdown();
         if let Some(t) = self.probe_thread.take() {
             let _ = t.join();
         }
-        self.readers.wait();
         tlog!(Level::Info, "router", "stopped", epoch = self.membership.epoch());
     }
 }
 
-fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
-
-struct ShardConn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-fn connect_shard(addr: SocketAddr, config: RouterConfig) -> std::io::Result<ShardConn> {
-    let stream = TcpStream::connect_timeout(&addr, config.probe_timeout.max(SHUTDOWN_POLL))?;
-    stream.set_read_timeout(Some(config.forward_timeout))?;
-    stream.set_write_timeout(Some(config.forward_timeout))?;
-    let writer = stream.try_clone()?;
-    Ok(ShardConn { writer, reader: BufReader::new(stream) })
-}
-
-/// One client connection: frame lines, answer control ops locally,
-/// forward work frames to their routed shard.
-fn conn_loop(
-    stream: TcpStream,
-    membership: &Membership,
+/// The router as a [`Handler`]: control ops are answered from the
+/// router's own state, every other frame is forwarded to its shard.
+struct Routing {
+    membership: Arc<Membership>,
     config: RouterConfig,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    let m = metrics();
-    let mut client_writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut lines = LineReader::bounded(MAX_FRAME_BYTES);
-    // Lazy per-shard connections, owned by this client connection so
-    // per-connection request order is preserved end to end.
-    let mut conns: HashMap<u64, ShardConn> = HashMap::new();
-    loop {
-        if shutdown.load(Ordering::Relaxed) {
-            break;
-        }
-        let line = match lines.poll(&mut reader) {
-            Ok(LinePoll::Line(line)) => line,
-            Ok(LinePoll::Eof) => break,
-            Ok(LinePoll::Pending) => continue,
-            Err(WireError::FrameTooLong { limit }) => {
-                let _ = write_line(&mut client_writer, &frame_too_long_line(limit));
-                break;
-            }
-            Err(WireError::Malformed { .. }) => break,
-            Err(WireError::Io(e)) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
+}
+
+/// Lazy per-shard connections, owned by one client connection so
+/// per-connection request order is preserved end to end.
+type ShardLegs = HashMap<u64, LineConn>;
+
+impl Handler for Routing {
+    type Conn = ShardLegs;
+
+    fn open(&self, _local: SocketAddr) -> ShardLegs {
+        HashMap::new()
+    }
+
+    fn connection_limit_line(&self) -> String {
+        overload_line(self.config.retry_after_ms, "connection_limit")
+    }
+
+    fn frame_too_long_line(&self, limit: usize) -> String {
+        frame_too_long_line(limit)
+    }
+
+    fn frame(&self, legs: &mut ShardLegs, line: String, client: &Writer) -> std::io::Result<Flow> {
+        let m = metrics();
+        let (membership, config) = (&*self.membership, self.config);
         m.requests_total.inc();
         match parse_frame(&line) {
             Ok(ParsedFrame::Stats) => {
                 m.stats_requests.inc();
                 let out = stats_line(None, &pddl_telemetry::snapshot());
-                write_line(&mut client_writer, &out)?;
+                client.send(&out)?;
             }
             Ok(ParsedFrame::Trace) => {
                 m.trace_requests.inc();
-                write_line(&mut client_writer, &flight_recorder().retained_json())?;
+                client.send(&flight_recorder().retained_json())?;
             }
             Ok(ParsedFrame::Metrics) => {
                 m.metrics_requests.inc();
                 let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
-                write_line(&mut client_writer, &out)?;
+                client.send(&out)?;
             }
             Ok(ParsedFrame::RouteTable) => {
                 m.route_table_requests.inc();
-                write_line(&mut client_writer, &membership.table().to_line())?;
+                client.send(&membership.table().to_line())?;
             }
             Ok(ParsedFrame::Reload { .. }) => {
                 m.reload_fanouts.inc();
-                let out = fan_reload(&line, membership, &mut conns, config);
-                write_line(&mut client_writer, &out)?;
+                let out = fan_reload(&line, membership, legs, config);
+                client.send(&out)?;
             }
             Ok(frame) => {
                 let key = frame_key(&frame).unwrap_or_else(|| line_key(&line));
@@ -553,33 +459,51 @@ fn conn_loop(
                     ParsedFrame::Enveloped(env) => env.trace.map(TraceContext::from),
                     _ => None,
                 };
-                forward(
-                    &line,
-                    key,
-                    trace,
-                    membership,
-                    &mut conns,
-                    &mut client_writer,
-                    config,
-                )?;
+                forward(&line, key, trace, membership, legs, client, config)?;
             }
             Err(_) => {
                 // Forward malformed lines too: the shard answers with
                 // the same typed error it would on a direct connection.
                 m.malformed_pass.inc();
-                forward(
-                    &line,
-                    line_key(&line),
-                    None,
-                    membership,
-                    &mut conns,
-                    &mut client_writer,
-                    config,
-                )?;
+                forward(&line, line_key(&line), None, membership, legs, client, config)?;
             }
         }
+        Ok(Flow::Continue)
     }
-    Ok(())
+}
+
+/// How one exchange with a shard failed — which decides whether the
+/// request may be retried elsewhere (see the module docs).
+enum LegError {
+    /// The shard could not be connected: the request never reached it.
+    Connect(std::io::Error),
+    /// The write or the read failed after connecting: the request may
+    /// have executed. The leg is already dropped.
+    Exchange(std::io::Error),
+}
+
+/// Sends `line` down this connection's leg to shard `sid` (dialling it on
+/// first use) and reads the shard's reply.
+fn shard_exchange(
+    legs: &mut ShardLegs,
+    sid: u64,
+    addr: SocketAddr,
+    config: RouterConfig,
+    line: &str,
+) -> Result<String, LegError> {
+    let leg = match legs.entry(sid) {
+        Entry::Occupied(leg) => leg.into_mut(),
+        Entry::Vacant(slot) => {
+            let connect_timeout = config.probe_timeout.max(SHUTDOWN_POLL);
+            let timeout = Some(config.forward_timeout);
+            let dialled = LineConn::connect(addr, Some(connect_timeout), timeout);
+            slot.insert(dialled.map_err(LegError::Connect)?)
+        }
+    };
+    leg.exchange(line).map_err(|e| {
+        legs.remove(&sid);
+        LegError::Exchange(e)
+    })
 }
 
 /// Records the router's `route` span for a traced forwarded request.
@@ -598,8 +522,8 @@ fn forward(
     key: u64,
     trace: Option<TraceContext>,
     membership: &Membership,
-    conns: &mut HashMap<u64, ShardConn>,
-    client: &mut TcpStream,
+    legs: &mut ShardLegs,
+    client: &Writer,
     config: RouterConfig,
 ) -> std::io::Result<()> {
     let m = metrics();
@@ -611,62 +535,36 @@ fn forward(
             // "unrouteable" parses as Unknown — still transient).
             m.unrouteable.inc();
             record_route_span(trace, t0, SpanStatus::Error);
-            return write_line(client, &overload_line(config.retry_after_ms, "unrouteable"));
+            return client.send(&overload_line(config.retry_after_ms, "unrouteable"));
         };
-        if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(sid) {
-            match connect_shard(addr, config) {
-                Ok(c) => {
-                    slot.insert(c);
-                }
-                Err(_) => {
-                    // The request never reached the shard — safe to
-                    // re-route transparently after absorbing the death.
-                    membership.mark(sid, false);
-                    reroutes += 1;
-                    m.reroutes.inc();
-                    if reroutes > config.max_reroutes {
-                        m.shard_moved_replies.inc();
-                        record_route_span(trace, t0, SpanStatus::Error);
-                        return write_line(
-                            client,
-                            &shard_moved_line(membership.epoch(), config.retry_after_ms),
-                        );
-                    }
-                    continue;
-                }
-            }
-        }
-        let Some(conn) = conns.get_mut(&sid) else { continue };
-        let exchange = write_line(&mut conn.writer, line).and_then(|()| {
-            let mut resp = String::new();
-            conn.reader.read_line(&mut resp)?;
-            if resp.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "shard closed connection",
-                ));
-            }
-            Ok(resp)
-        });
-        match exchange {
+        match shard_exchange(legs, sid, addr, config, line) {
             Ok(resp) => {
                 m.forwarded.inc();
                 m.forward_latency.record_duration(t0.elapsed());
                 record_route_span(trace, t0, SpanStatus::Ok);
-                return write_line(client, resp.trim_end());
+                return client.send(&resp);
             }
-            Err(_) => {
+            Err(LegError::Connect(_)) => {
+                // The request never reached the shard — safe to
+                // re-route transparently after absorbing the death.
+                membership.mark(sid, false);
+                reroutes += 1;
+                m.reroutes.inc();
+                if reroutes > config.max_reroutes {
+                    m.shard_moved_replies.inc();
+                    record_route_span(trace, t0, SpanStatus::Error);
+                    return client
+                        .send(&shard_moved_line(membership.epoch(), config.retry_after_ms));
+                }
+            }
+            Err(LegError::Exchange(_)) => {
                 // The frame (fully or partially) reached the shard: it
                 // may have executed, so no transparent retry. Absorb
                 // the death, answer the typed re-route signal.
-                conns.remove(&sid);
                 let epoch = membership.mark(sid, false).unwrap_or_else(|| membership.epoch());
                 m.shard_moved_replies.inc();
                 record_route_span(trace, t0, SpanStatus::Error);
-                return write_line(
-                    client,
-                    &shard_moved_line(epoch, config.retry_after_ms),
-                );
+                return client.send(&shard_moved_line(epoch, config.retry_after_ms));
             }
         }
     }
@@ -685,7 +583,7 @@ fn forward(
 fn fan_reload(
     line: &str,
     membership: &Membership,
-    conns: &mut HashMap<u64, ShardConn>,
+    legs: &mut ShardLegs,
     config: RouterConfig,
 ) -> String {
     let targets: Vec<(u64, SocketAddr)> = membership
@@ -699,33 +597,9 @@ fn fan_reload(
     }
     let mut agreed: Option<ReloadReply> = None;
     for (sid, addr) in targets {
-        if let std::collections::hash_map::Entry::Vacant(slot) = conns.entry(sid) {
-            match connect_shard(addr, config) {
-                Ok(c) => {
-                    slot.insert(c);
-                }
-                Err(e) => {
-                    membership.mark(sid, false);
-                    return reload_rejected_line(&format!("shard {sid} unreachable: {e}"));
-                }
-            }
-        }
-        let Some(conn) = conns.get_mut(&sid) else { continue };
-        let exchange = write_line(&mut conn.writer, line).and_then(|()| {
-            let mut resp = String::new();
-            conn.reader.read_line(&mut resp)?;
-            if resp.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "shard closed connection",
-                ));
-            }
-            Ok(resp)
-        });
-        let resp = match exchange {
+        let resp = match shard_exchange(legs, sid, addr, config, line) {
             Ok(resp) => resp,
-            Err(e) => {
-                conns.remove(&sid);
+            Err(LegError::Connect(e) | LegError::Exchange(e)) => {
                 membership.mark(sid, false);
                 return reload_rejected_line(&format!("shard {sid} unreachable: {e}"));
             }
@@ -772,18 +646,9 @@ fn probe_all(membership: &Membership, config: RouterConfig) {
 
 /// True when the shard answers a stats probe within `timeout`.
 fn probe_one(addr: SocketAddr, timeout: Duration) -> bool {
-    let probe = || -> std::io::Result<bool> {
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let mut writer = stream.try_clone()?;
-        write_line(&mut writer, "{\"op\":\"stats\"}")?;
-        let mut reader = BufReader::new(stream);
-        let mut resp = String::new();
-        reader.read_line(&mut resp)?;
-        Ok(resp.contains("\"status\":\"stats\""))
-    };
-    probe().unwrap_or(false)
+    LineConn::connect(addr, Some(timeout), Some(timeout))
+        .and_then(|mut shard| shard.exchange("{\"op\":\"stats\"}"))
+        .is_ok_and(|resp| resp.contains("\"status\":\"stats\""))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use pddl_ddlsim::{SimConfig, Simulator, Workload};
 
 fn main() {
     println!("=== Cluster Resource Collector demo ===");
-    let server = CollectorServer::bind("127.0.0.1:0", 4).expect("bind collector");
+    let server = CollectorServer::bind("127.0.0.1:0", None).expect("bind collector");
     println!("collector listening on {}\n", server.addr());
 
     // Join a heterogeneous cluster: 3 GPU nodes, 2 fast CPU nodes, 1 slow.

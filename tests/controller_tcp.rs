@@ -145,3 +145,29 @@ fn malformed_line_gets_typed_error() {
     assert!(line.contains("err"), "{line}");
     assert!(line.contains("malformed"), "{line}");
 }
+
+/// A frame is one write on a `TCP_NODELAY` socket, at both ends. When it
+/// was two writes on a Nagle socket the newline waited for the peer's
+/// delayed ACK on each leg and every round trip cost ~88 ms; a warm
+/// loopback prediction is a fraction of a millisecond, so the bound sits
+/// a wide margin from either.
+#[test]
+fn warm_round_trip_is_not_held_back_by_nagle() {
+    let controller = serve_tiny();
+    let mut client = ControllerClient::connect(controller.addr()).unwrap();
+    let req = PredictionRequest::zoo(
+        Workload::new("resnet18", "cifar10", 128, 2),
+        ClusterState::homogeneous(ServerClass::GpuP100, 4),
+    );
+    client.predict(&req).unwrap().unwrap(); // resolve the model, fill the caches
+    let mut round_trips: Vec<std::time::Duration> = (0..50)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            client.predict(&req).unwrap().unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < std::time::Duration::from_millis(10), "median round trip {median:?}");
+}

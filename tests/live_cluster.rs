@@ -8,7 +8,7 @@ use predictddl::{OfflineTrainer, PredictionRequest};
 #[test]
 fn collector_snapshot_drives_prediction() {
     // Stand up the collector and join four GPU nodes.
-    let server = CollectorServer::bind("127.0.0.1:0", 2).unwrap();
+    let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
     let mut clients = Vec::new();
     for i in 0..4 {
         let spec = ServerSpec::preset(ServerClass::GpuP100, format!("gpu-{i}"));
@@ -37,7 +37,7 @@ fn collector_snapshot_drives_prediction() {
 
 #[test]
 fn utilization_changes_flow_into_features() {
-    let server = CollectorServer::bind("127.0.0.1:0", 2).unwrap();
+    let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
     let mut clients = Vec::new();
     for i in 0..3 {
         let spec = ServerSpec::preset(ServerClass::CpuE5_2630, format!("cpu-{i}"));
@@ -54,7 +54,7 @@ fn utilization_changes_flow_into_features() {
 
 #[test]
 fn departed_node_shrinks_the_cluster_seen_by_the_simulator() {
-    let server = CollectorServer::bind("127.0.0.1:0", 2).unwrap();
+    let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
     let mut clients = Vec::new();
     for i in 0..3 {
         let spec = ServerSpec::preset(ServerClass::GpuP100, format!("gpu-{i}"));

@@ -33,7 +33,7 @@
 use pddl_cluster::retry::overload_retry_hint;
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
-use pddl_faults::FAULT_PLAN_ENV;
+use pddl_faults::FaultPlan;
 use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -372,12 +372,13 @@ fn plan_spec(seed: u64) -> String {
 /// bit-identical replies when sheds interleave with injected resets,
 /// truncations, and drops.
 fn fault_round(seed: u64, truth: &Truth) {
-    let spec = plan_spec(seed);
-    std::env::set_var(FAULT_PLAN_ENV, &spec);
+    let config = ServeConfig {
+        fault_plan: Some(FaultPlan::parse(&plan_spec(seed)).expect("plan spec")),
+        ..tiny_serving()
+    };
     let controller =
-        Controller::serve_with("127.0.0.1:0", OfflineTrainer::tiny().train_full(), tiny_serving())
+        Controller::serve_with("127.0.0.1:0", OfflineTrainer::tiny().train_full(), config)
             .expect("bind under fault plan");
-    std::env::remove_var(FAULT_PLAN_ENV);
     let addr = controller.addr();
 
     let fleet = CLIENTS.min(6);

@@ -8,8 +8,9 @@
 //! [`WIRE_OPS`] needs a `` ### `op` `` section holding at least one of
 //! each — the doc-coverage gate.
 //!
-//! The no-`unwrap()` gate on the peer-facing parsers lives here too: both
-//! gates read the repository's own files with `include_str!`, so they run
+//! Two source gates live here too — no `unwrap()` in the peer-facing
+//! parsers, and no socket code outside the one connection core. All of
+//! them read the repository's own files with `include_str!`, so they run
 //! wherever `cargo test` runs.
 
 use pddl_cluster::protocol::{ClientMsg, ServerMsg};
@@ -220,19 +221,52 @@ fn every_wire_op_is_documented_with_a_request_and_a_reply() {
     }
 }
 
-/// The peer-facing parsers must stay panic-free: an `unwrap()` outside
-/// the `#[cfg(test)]` module of the frame reader, the frame classifier
-/// or the JSON codec fails this gate — return the typed error instead.
+/// `needles` that occur in `src` before its `#[cfg(test)]` module, as
+/// `file:line: needle`.
+fn non_test_hits(file: &str, src: &str, needles: &[&str]) -> Vec<String> {
+    let non_test = src.split("#[cfg(test)]").next().unwrap_or(src);
+    let hits = non_test.lines().enumerate().flat_map(|(i, line)| {
+        let found = needles.iter().filter(move |n| line.contains(**n));
+        found.map(move |n| format!("{file}:{}: {n}", i + 1))
+    });
+    hits.collect()
+}
+
+/// The peer-facing code must stay panic-free: an `unwrap()` outside the
+/// `#[cfg(test)]` module of the frame reader, the connection core, the
+/// frame classifier or the JSON codec fails this gate — return the typed
+/// error instead.
 #[test]
 fn peer_facing_parsers_contain_no_unwrap() {
     for (file, src) in [
         ("crates/cluster/src/protocol.rs", include_str!("../crates/cluster/src/protocol.rs")),
+        ("crates/cluster/src/wire.rs", include_str!("../crates/cluster/src/wire.rs")),
         ("crates/core/src/protocol.rs", include_str!("../crates/core/src/protocol.rs")),
         ("crates/telemetry/src/json.rs", include_str!("../crates/telemetry/src/json.rs")),
     ] {
-        let non_test = src.split("#[cfg(test)]").next().unwrap_or(src);
-        for (i, line) in non_test.lines().enumerate() {
-            assert!(!line.contains("unwrap()"), "{file}:{}: unwrap() in non-test code", i + 1);
-        }
+        let hits = non_test_hits(file, src, &["unwrap()"]);
+        assert!(hits.is_empty(), "unwrap() in non-test code: {hits:?}");
+    }
+}
+
+/// There is one accept loop, one dial site and one place that sets socket
+/// options — `pddl_cluster::wire`. A service or binary that binds, dials,
+/// clones or tunes a socket itself has forked the connection core: make
+/// it a `Handler` behind the `Listener`, or use a `LineConn`.
+#[test]
+fn sockets_are_opened_only_by_the_connection_core() {
+    const SOCKET_CODE: [&str; 5] =
+        ["TcpListener", "TcpStream::connect", "set_read_timeout", "try_clone", "set_nodelay"];
+    for (file, src) in [
+        ("crates/core/src/controller.rs", include_str!("../crates/core/src/controller.rs")),
+        ("crates/router/src/router.rs", include_str!("../crates/router/src/router.rs")),
+        ("crates/cluster/src/collector.rs", include_str!("../crates/cluster/src/collector.rs")),
+        (
+            "crates/router/src/bin/pddl-router.rs",
+            include_str!("../crates/router/src/bin/pddl-router.rs"),
+        ),
+    ] {
+        let hits = non_test_hits(file, src, &SOCKET_CODE);
+        assert!(hits.is_empty(), "socket code outside pddl_cluster::wire: {hits:?}");
     }
 }

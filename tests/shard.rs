@@ -28,9 +28,9 @@
 //! Requires a network-enabled environment (CI), like the load tier.
 
 use pddl_cluster::retry::{overload_retry_hint, shard_moved_retry_hint};
-use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
+use pddl_cluster::{ClusterState, RetryPolicy, ServerClass, MAX_FRAME_BYTES};
 use pddl_ddlsim::Workload;
-use pddl_faults::FAULT_PLAN_ENV;
+use pddl_faults::FaultPlan;
 use pddl_router::{routing_key, Router, RouterConfig};
 use pddl_telemetry::json;
 use predictddl::{
@@ -97,29 +97,16 @@ fn spawn_fleet(n: usize) -> (Vec<Option<Controller>>, Vec<SocketAddr>) {
 }
 
 /// [`spawn_fleet`], optionally with the shards wearing a wire-fault plan.
-/// A controller reads `PDDL_FAULT_PLAN` from the process-wide environment
-/// as it starts, and this file's tests run on parallel threads — so every
-/// fleet, faulted or not, is spawned under one lock: a chaos test's plan
-/// reaches its own shards and nobody else's.
 fn spawn_fleet_under(
     n: usize,
-    fault_plan: Option<&str>,
+    fault_plan: Option<FaultPlan>,
 ) -> (Vec<Option<Controller>>, Vec<SocketAddr>) {
-    static SPAWNING: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    drop(tiny_system()); // the first call trains: do that outside the lock
-    let _one_at_a_time = SPAWNING.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(spec) = fault_plan {
-        std::env::set_var(FAULT_PLAN_ENV, spec);
-    }
     let shards: Vec<Option<Controller>> = (0..n)
         .map(|i| {
-            Some(
-                Controller::serve_with("127.0.0.1:0", tiny_system(), shard_config(i as u64))
-                    .expect("bind shard"),
-            )
+            let config = ServeConfig { fault_plan, ..shard_config(i as u64) };
+            Some(Controller::serve_with("127.0.0.1:0", tiny_system(), config).expect("bind shard"))
         })
         .collect();
-    std::env::remove_var(FAULT_PLAN_ENV);
     let addrs = shards.iter().map(|c| c.as_ref().unwrap().addr()).collect();
     (shards, addrs)
 }
@@ -367,8 +354,9 @@ fn chaos_fleet_converges_under_seeded_faults() {
     let seed = 0x5AAD_F417u64;
     // The shards (not the router) run the seeded wire-fault plan — the
     // same spec `--fault-plan` takes, so failures replay exactly.
-    let plan = format!("seed={seed},delay=0.05:2,reset=0.02,drop=0.02");
-    let (_shards, addrs) = spawn_fleet_under(2, Some(&plan));
+    let plan = FaultPlan::parse(&format!("seed={seed},delay=0.05:2,reset=0.02,drop=0.02"))
+        .expect("plan spec");
+    let (_shards, addrs) = spawn_fleet_under(2, Some(plan));
     let router = Router::serve("127.0.0.1:0", &addrs, router_config()).expect("bind router");
 
     let fleet = CLIENTS.min(4);
@@ -432,4 +420,27 @@ fn shard_moved_is_typed_and_transient() {
             }
         }
     }
+}
+
+#[test]
+fn router_cuts_off_an_over_long_frame_with_the_typed_line() {
+    let counter = || pddl_telemetry::snapshot().counter("router.oversize_frames").unwrap_or(0);
+    let (_shards, addrs) = spawn_fleet(1);
+    let router = Router::serve("127.0.0.1:0", &addrs, router_config()).expect("bind router");
+    let before = counter();
+
+    let stream = std::net::TcpStream::connect(router.addr()).expect("connect");
+    // One byte past the bound, no newline: the router has read every byte
+    // when the bound trips, so it closes with a clean FIN behind its reply.
+    (&stream).write_all(&vec![b'['; MAX_FRAME_BYTES + 1]).expect("hostile frame");
+    let mut replies = BufReader::new(stream).lines();
+    let reply = replies.next().expect("a reply before the close").expect("read");
+    assert_eq!(reply, predictddl::protocol::frame_too_long_line(MAX_FRAME_BYTES));
+    assert!(replies.next().is_none(), "line sync is lost: the connection must be closed");
+    assert!(counter() > before, "router.oversize_frames did not move");
+
+    // The router itself is unharmed.
+    let mut client = ControllerClient::connect_with_timeout(router.addr(), Duration::from_secs(10))
+        .expect("connect");
+    client.predict(&workload_matrix().remove(0)).expect("round trip").expect("prediction");
 }

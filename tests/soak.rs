@@ -24,11 +24,11 @@ use pddl_cluster::{
     ClusterState, CollectorClient, CollectorServer, RetryPolicy, ServerClass, ServerSpec,
 };
 use pddl_ddlsim::Workload;
-use pddl_faults::{Direction, FaultPlan, FaultyWrite, FAULT_PLAN_ENV};
+use pddl_faults::{Direction, FaultPlan, FaultyWrite};
 use pddl_telemetry::trace::flight_recorder;
 use pddl_telemetry::TraceContext;
 use std::io::Write;
-use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest};
+use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
@@ -102,11 +102,14 @@ fn soak_round(seed: u64, truth: &[(PredictionRequest, Result<u64, String>)]) {
     };
     assert_eq!(run(&spec), run(&spec), "fault schedule not reproducible");
 
-    std::env::set_var(FAULT_PLAN_ENV, &spec);
-    let controller = Controller::serve("127.0.0.1:0", OfflineTrainer::tiny().train_full())
-        .expect("bind under fault plan");
+    let config = ServeConfig {
+        fault_plan: Some(FaultPlan::parse(&spec).expect("plan spec")),
+        ..ServeConfig::default()
+    };
+    let controller =
+        Controller::serve_with("127.0.0.1:0", OfflineTrainer::tiny().train_full(), config)
+            .expect("bind under fault plan");
     let addr = controller.addr();
-    std::env::remove_var(FAULT_PLAN_ENV);
 
     let idle_connections = gauge("controller.active_connections");
     flight_recorder().reset();
@@ -182,10 +185,8 @@ fn soak_round(seed: u64, truth: &[(PredictionRequest, Result<u64, String>)]) {
 /// Collector under the same chaos: heartbeats retry through resets and
 /// dropped acks, and the inventory converges to the full fleet.
 fn collector_round(seed: u64) {
-    let spec = plan_spec(seed);
-    std::env::set_var(FAULT_PLAN_ENV, &spec);
-    let server = CollectorServer::bind("127.0.0.1:0", 4).expect("bind collector");
-    std::env::remove_var(FAULT_PLAN_ENV);
+    let plan = FaultPlan::parse(&plan_spec(seed)).expect("plan spec");
+    let server = CollectorServer::bind("127.0.0.1:0", Some(plan)).expect("bind collector");
     let addr = server.addr();
 
     std::thread::scope(|s| {

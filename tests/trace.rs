@@ -24,7 +24,7 @@
 
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
-use pddl_faults::FAULT_PLAN_ENV;
+use pddl_faults::FaultPlan;
 use pddl_telemetry::trace::{
     flight_recorder, parse_trace_dump, render_waterfall, stage_id, stages, ParsedTrace,
 };
@@ -155,20 +155,18 @@ fn chaos_policy(seed: u64) -> RetryPolicy {
 /// span ids).
 fn shed_round(seed: u64, trace_ids: &[u64]) -> BTreeSet<u64> {
     flight_recorder().reset();
-    let spec = plan_spec(seed);
-    std::env::set_var(FAULT_PLAN_ENV, &spec);
     let config = ServeConfig {
         // Zero deadline expires every admitted job: deterministic sheds,
         // so retention does not depend on load timing. A 1ms retry hint
         // keeps the clients' (futile) retry budgets cheap to drain.
         request_deadline: Duration::ZERO,
         retry_after_ms: 1,
+        fault_plan: Some(FaultPlan::parse(&plan_spec(seed)).expect("plan spec")),
         ..ServeConfig::default()
     };
     let controller =
         Controller::serve_with("127.0.0.1:0", OfflineTrainer::tiny().train_full(), config)
             .expect("bind under fault plan");
-    std::env::remove_var(FAULT_PLAN_ENV);
 
     let mut client = ControllerClient::connect_resilient(controller.addr(), chaos_policy(seed))
         .expect("resilient connect");
@@ -215,11 +213,13 @@ fn trace_dump_stays_valid_json_under_wire_faults() {
     let _g = recorder_lock().lock().unwrap_or_else(|e| e.into_inner());
     flight_recorder().reset();
 
-    let spec = plan_spec(0xD1CE);
-    std::env::set_var(FAULT_PLAN_ENV, &spec);
-    let controller = Controller::serve("127.0.0.1:0", OfflineTrainer::tiny().train_full())
-        .expect("bind under fault plan");
-    std::env::remove_var(FAULT_PLAN_ENV);
+    let config = ServeConfig {
+        fault_plan: Some(FaultPlan::parse(&plan_spec(0xD1CE)).expect("plan spec")),
+        ..ServeConfig::default()
+    };
+    let controller =
+        Controller::serve_with("127.0.0.1:0", OfflineTrainer::tiny().train_full(), config)
+            .expect("bind under fault plan");
 
     let mut client = ControllerClient::connect_resilient(controller.addr(), chaos_policy(3))
         .expect("resilient connect");
