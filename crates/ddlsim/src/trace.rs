@@ -106,29 +106,37 @@ impl TraceConfig {
 /// sizes) are skipped, exactly as failed testbed runs would be.
 pub fn generate_trace(cfg: &TraceConfig) -> Vec<TraceRecord> {
     let sim = Simulator::new(cfg.sim);
+    // Whatever outlives the fan-out is allocated on this thread: the zoo's
+    // per-process table entries (each pair resolved here, before its
+    // configurations fan out) and the records' strings; a worker hands back
+    // two numbers. Pool workers are short-lived threads, and what one leaves
+    // in its allocator arena is inherited by whichever worker comes next —
+    // the resident set of everything after (GHN training above all) would
+    // differ by several MB between identical runs.
     let mut jobs = Vec::new();
     for model in &cfg.models {
         for (dataset, class) in &cfg.dataset_clusters {
+            let _ = Workload::standard(model, dataset).resolve();
             for &n in &cfg.server_counts {
                 for &b in &cfg.batch_sizes {
-                    jobs.push((model.clone(), dataset.clone(), *class, n, b));
+                    jobs.push((Workload::new(model, dataset, b, cfg.epochs), *class, n));
                 }
             }
         }
     }
-    pddl_par::par_filter_map(&jobs, |(model, dataset, class, n, b)| {
-        let w = Workload::new(model, dataset, *b, cfg.epochs);
+    let timed = pddl_par::par_map(&jobs, |(w, class, n)| {
         let cluster = ClusterState::homogeneous(*class, *n);
-        let expected = sim.expected_time(&w, &cluster).ok()?;
-        let time = sim.measure(&w, &cluster, 0).ok()?;
-        Some(TraceRecord {
-            workload: w,
-            server_class: *class,
-            num_servers: *n,
-            time_secs: time,
-            expected_secs: expected,
+        let expected = sim.expected_time(w, &cluster).ok()?;
+        let time = sim.measure(w, &cluster, 0).ok()?;
+        Some((time, expected))
+    });
+    jobs.into_iter()
+        .zip(timed)
+        .filter_map(|((workload, server_class, num_servers), timed)| {
+            let (time_secs, expected_secs) = timed?;
+            Some(TraceRecord { workload, server_class, num_servers, time_secs, expected_secs })
         })
-    })
+        .collect()
 }
 
 /// Serializes a trace to JSON lines.
