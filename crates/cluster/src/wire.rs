@@ -262,21 +262,45 @@ fn accept_loop<H: Handler>(
     });
 }
 
+/// One accepted socket, shared by the connection's read and write halves:
+/// both go through `&TcpStream`, so a connection costs one descriptor (a
+/// duplicated handle per connection would reach a 1,024-descriptor limit
+/// at half the 1,024-connection cap). The socket closes when the last half
+/// drops.
+struct Shared(Arc<TcpStream>);
+
+impl Read for Shared {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&*self.0).flush()
+    }
+}
+
 /// Splits a stream into boxed read/write halves, wearing the fault plan's
 /// injectors when one is active.
 fn split_stream(
     stream: TcpStream,
     plan: Option<&FaultPlan>,
     conn: u64,
-) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
-    let writer = stream.try_clone()?;
-    Ok(match plan {
+) -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
+    let stream = Arc::new(stream);
+    let (reader, writer) = (Shared(Arc::clone(&stream)), Shared(stream));
+    match plan {
         Some(p) => (
-            Box::new(FaultyRead::new(stream, p.schedule(conn, Direction::Read))),
+            Box::new(FaultyRead::new(reader, p.schedule(conn, Direction::Read))),
             Box::new(FaultyWrite::new(writer, p.schedule(conn, Direction::Write))),
         ),
-        None => (Box::new(stream), Box::new(writer)),
-    })
+        None => (Box::new(reader), Box::new(writer)),
+    }
 }
 
 /// One connection's reader: frames the byte stream and hands every
@@ -288,7 +312,7 @@ fn serve_conn<H: Handler>(
     core: &Core,
     handler: &H,
 ) -> std::io::Result<()> {
-    let (reader, writer) = split_stream(stream, core.fault_plan.as_ref(), conn)?;
+    let (reader, writer) = split_stream(stream, core.fault_plan.as_ref(), conn);
     let mut reader = BufReader::new(reader);
     let out = Writer(Arc::new(Mutex::new(writer)));
     let mut lines = LineReader::bounded(MAX_FRAME_BYTES);

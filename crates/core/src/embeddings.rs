@@ -15,6 +15,7 @@
 use crate::registry::GhnRegistry;
 use pddl_ghn::EmbeddingSet;
 use pddl_graph::CompGraph;
+use pddl_telemetry::hash::Fnv1a;
 use pddl_telemetry::{Counter, Gauge};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
@@ -297,11 +298,9 @@ impl EmbeddingCache {
     /// so one dataset's keys do not pile onto the fingerprint's shard
     /// distribution alone.
     fn shard_index(&self, key: &CacheKey) -> usize {
-        let mut mix = key.1 ^ 0x9e3779b97f4a7c15;
-        for b in key.0.bytes() {
-            mix = (mix ^ b as u64).wrapping_mul(0x100000001b3);
-        }
-        (mix % self.shards.len() as u64) as usize
+        let mut mix = Fnv1a::with_basis(key.1 ^ 0x9e3779b97f4a7c15);
+        mix.bytes(key.0.as_bytes());
+        (mix.finish() % self.shards.len() as u64) as usize
     }
 
     /// Returns the dataset's embedding of `graph`, computing it with the

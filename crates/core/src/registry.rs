@@ -9,6 +9,7 @@ use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, SynthGenerator, TrainReport};
 use pddl_ghn::train::TrainConfig;
 use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
+use pddl_telemetry::hash::fnv1a;
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 
@@ -92,9 +93,10 @@ impl GhnRegistry {
         let key = normalize(dataset);
         let desc = dataset_by_name(&key)
             .ok_or_else(|| format!("no descriptor for dataset '{dataset}'"))?;
-        let mut rng = Rng::new(seed ^ fnv(&key));
+        let stream = seed ^ fnv1a(key.as_bytes());
+        let mut rng = Rng::new(stream);
         let mut ghn = Ghn::new(ghn_config, &mut rng);
-        let mut gen = SynthGenerator::new(desc.clone(), seed ^ fnv(&key) ^ 0x6e6e);
+        let mut gen = SynthGenerator::new(desc.clone(), stream ^ 0x6e6e);
         let report = GhnTrainer::new(train_config).train(&mut ghn, &mut gen);
         Ok((key, ghn, report))
     }
@@ -107,15 +109,6 @@ impl GhnRegistry {
 
 fn normalize(dataset: &str) -> String {
     dataset.to_ascii_lowercase()
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

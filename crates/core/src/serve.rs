@@ -1,6 +1,5 @@
 //! Bounded serving core: the fixed worker pool and admission queue behind
-//! the controller's listener (and behind `pddl-loadgen`'s in-process
-//! benchmark transport).
+//! the controller's listener.
 //!
 //! Admission control in one sentence: requests are *shed, not buffered*.
 //! [`ServePool::try_submit`] either admits a job into a bounded FIFO queue
@@ -320,25 +319,25 @@ fn worker_loop(queue: &TaskQueue<Job>, deadline: Duration) {
 /// response has been written. That hand-off is what serializes responses
 /// per connection while the pool runs many connections' jobs in parallel.
 #[derive(Default)]
-pub struct Latch {
+pub(crate) struct Latch {
     opened: Mutex<bool>,
     cv: Condvar,
 }
 
 impl Latch {
     /// A closed latch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Opens the latch, releasing every waiter. Idempotent.
-    pub fn open(&self) {
+    pub(crate) fn open(&self) {
         *self.opened.lock().unwrap_or_else(|e| e.into_inner()) = true;
         self.cv.notify_all();
     }
 
     /// Blocks until the latch is opened.
-    pub fn wait(&self) {
+    pub(crate) fn wait(&self) {
         let mut opened = self.opened.lock().unwrap_or_else(|e| e.into_inner());
         while !*opened {
             opened = self.cv.wait(opened).unwrap_or_else(|e| e.into_inner());
@@ -348,7 +347,7 @@ impl Latch {
 
 /// Opens a latch when dropped — the job-side guard that releases the
 /// waiting reader even if the handler panics mid-response.
-pub struct OpenOnDrop(pub Arc<Latch>);
+pub(crate) struct OpenOnDrop(pub(crate) Arc<Latch>);
 
 impl Drop for OpenOnDrop {
     fn drop(&mut self) {

@@ -6,6 +6,7 @@ use crate::workload::Workload;
 use pddl_cluster::equations::available_flops;
 use pddl_cluster::{ClusterState, ServerStatus};
 use pddl_tensor::Rng;
+use pddl_telemetry::hash::fnv1a;
 use pddl_telemetry::{Counter, Histogram};
 use pddl_zoo::ModelSpec;
 use std::sync::OnceLock;
@@ -107,9 +108,9 @@ impl Simulator {
         run_id: u64,
     ) -> Result<f64, SimError> {
         let expected = self.expected_time(w, cluster)?;
-        let mut rng = Rng::new(
-            self.cfg.seed ^ hash_str(&w.key()) ^ (cluster.num_servers() as u64) << 32 ^ run_id,
-        );
+        let workload = fnv1a(w.key().as_bytes());
+        let mut rng =
+            Rng::new(self.cfg.seed ^ workload ^ (cluster.num_servers() as u64) << 32 ^ run_id);
         Ok(expected * rng.lognormal_factor(self.cfg.noise_sigma) as f64)
     }
 
@@ -199,16 +200,6 @@ fn device_of(s: &ServerStatus) -> (f64, Device) {
     } else {
         (available_flops(&s.spec, s.cpu_util).max(1e9), Device::Cpu)
     }
-}
-
-fn hash_str(s: &str) -> u64 {
-    // FNV-1a; stable across runs (unlike `DefaultHasher` guarantees).
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

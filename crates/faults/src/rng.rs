@@ -2,6 +2,8 @@
 //! workspace's `pddl_tensor::Rng` so this crate stays leaf-level (telemetry
 //! only) and any transport crate can wear it without a tensor dependency.
 
+use pddl_telemetry::hash::splitmix64;
+
 /// xoshiro256** seeded through SplitMix64, as recommended by the xoshiro
 /// authors so that low-entropy seeds (0, 1, 2 …) still produce well-mixed
 /// initial state.
@@ -14,13 +16,7 @@ impl FaultRng {
     /// Seeds the generator; equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut next = || splitmix64(&mut sm);
         Self { s: [next(), next(), next(), next()] }
     }
 

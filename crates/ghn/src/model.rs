@@ -340,105 +340,6 @@ impl Ghn {
         }
     }
 
-    /// Scalar (unbatched, unblocked) embedding used as the ground truth in
-    /// equivalence tests and as the baseline in `pddl-tensorbench`. Follows
-    /// the exact sequential schedule of [`Self::embed_with_schedule`] but
-    /// pushes every row through the per-element `mlp_fast` loops.
-    pub fn embed_with_schedule_reference(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
-        let n = g.num_nodes();
-        let d = self.cfg.hidden_dim;
-        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-        let w = self.ps.get(self.embed.w);
-        let b = self.ps.get(self.embed.b);
-        let h1 = feats.matmul_reference(w).add_row_broadcast(b);
-        let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
-        let mut m = vec![0.0f32; d];
-        for _t in 0..self.cfg.t_passes {
-            for &v in sched.topo() {
-                self.fast_update_reference(g, &mut h, &mut m, v, true, sched.virtual_fw(v));
-            }
-            for &v in sched.topo().iter().rev() {
-                self.fast_update_reference(g, &mut h, &mut m, v, false, sched.virtual_bw(v));
-            }
-            if self.cfg.normalize {
-                for hv in h.iter_mut() {
-                    l2_normalize(hv);
-                }
-            }
-        }
-        mean_pool(h.iter().map(Vec::as_slice), d)
-    }
-
-    fn fast_update_reference(
-        &self,
-        g: &CompGraph,
-        h: &mut [Vec<f32>],
-        m: &mut [f32],
-        v: usize,
-        forward: bool,
-        virtual_sources: &[(usize, u32)],
-    ) {
-        m.fill(0.0);
-        let neighbors: &[usize] = if forward { g.predecessors(v) } else { g.successors(v) };
-        for &u in neighbors {
-            let out = self.mlp_fast(&self.msg, &h[u]);
-            for (mi, o) in m.iter_mut().zip(&out) {
-                *mi += o;
-            }
-        }
-        for &(u, s) in virtual_sources {
-            let out = self.mlp_fast(&self.msg_sp, &h[u]);
-            let inv = 1.0 / s as f32;
-            for (mi, o) in m.iter_mut().zip(&out) {
-                *mi += inv * o;
-            }
-        }
-        let hv = &h[v];
-        let new = self.gru_fast_reference(m, hv);
-        h[v] = new;
-    }
-
-    /// The pre-blocking scalar GRU step (zero-skip axpy loops), kept as
-    /// the measured baseline for `pddl-tensorbench`.
-    fn gru_fast_reference(&self, x: &[f32], h: &[f32]) -> Vec<f32> {
-        let d = self.cfg.hidden_dim;
-        let lin = |w: &Matrix, v: &[f32], acc: &mut [f32]| {
-            for (r, &vi) in v.iter().enumerate() {
-                if vi == 0.0 {
-                    continue;
-                }
-                for (a, &wij) in acc.iter_mut().zip(w.row(r)) {
-                    *a += vi * wij;
-                }
-            }
-        };
-        let sigmoid = |t: f32| 1.0 / (1.0 + (-t).exp());
-
-        let mut z = self.ps.get(self.gru.bz).row(0).to_vec();
-        lin(self.ps.get(self.gru.wz), x, &mut z);
-        lin(self.ps.get(self.gru.uz), h, &mut z);
-        for zi in &mut z {
-            *zi = sigmoid(*zi);
-        }
-
-        let mut r = self.ps.get(self.gru.br).row(0).to_vec();
-        lin(self.ps.get(self.gru.wr), x, &mut r);
-        lin(self.ps.get(self.gru.ur), h, &mut r);
-        for ri in &mut r {
-            *ri = sigmoid(*ri);
-        }
-
-        let rh: Vec<f32> = r.iter().zip(h).map(|(ri, hi)| ri * hi).collect();
-        let mut hh = self.ps.get(self.gru.bh).row(0).to_vec();
-        lin(self.ps.get(self.gru.wh), x, &mut hh);
-        lin(self.ps.get(self.gru.uh), &rh, &mut hh);
-        for hi in &mut hh {
-            *hi = hi.tanh();
-        }
-
-        (0..d).map(|i| h[i] + z[i] * (hh[i] - h[i])).collect()
-    }
-
     /// Raw-matrix MLP forward on a single row.
     fn mlp_fast(&self, mlp: &Mlp, x: &[f32]) -> Vec<f32> {
         let mut cur = x.to_vec();
@@ -583,6 +484,105 @@ mod tests {
             }
         }
         mean_pool(h.as_slice().chunks_exact(d), d)
+    }
+
+    impl Ghn {
+        /// Scalar (unbatched, unblocked) embedding, the ≤ 1e-4 oracle. Follows
+        /// the exact sequential schedule of [`Ghn::embed_with_schedule`] but
+        /// pushes every row through the per-element `mlp_fast` loops.
+        fn embed_with_schedule_reference(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
+            let n = g.num_nodes();
+            let d = self.cfg.hidden_dim;
+            let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
+            let w = self.ps.get(self.embed.w);
+            let b = self.ps.get(self.embed.b);
+            let h1 = feats.matmul_reference(w).add_row_broadcast(b);
+            let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
+            let mut m = vec![0.0f32; d];
+            for _t in 0..self.cfg.t_passes {
+                for &v in sched.topo() {
+                    self.fast_update_reference(g, &mut h, &mut m, v, true, sched.virtual_fw(v));
+                }
+                for &v in sched.topo().iter().rev() {
+                    self.fast_update_reference(g, &mut h, &mut m, v, false, sched.virtual_bw(v));
+                }
+                if self.cfg.normalize {
+                    for hv in h.iter_mut() {
+                        l2_normalize(hv);
+                    }
+                }
+            }
+            mean_pool(h.iter().map(Vec::as_slice), d)
+        }
+
+        fn fast_update_reference(
+            &self,
+            g: &CompGraph,
+            h: &mut [Vec<f32>],
+            m: &mut [f32],
+            v: usize,
+            forward: bool,
+            virtual_sources: &[(usize, u32)],
+        ) {
+            m.fill(0.0);
+            let neighbors: &[usize] = if forward { g.predecessors(v) } else { g.successors(v) };
+            for &u in neighbors {
+                let out = self.mlp_fast(&self.msg, &h[u]);
+                for (mi, o) in m.iter_mut().zip(&out) {
+                    *mi += o;
+                }
+            }
+            for &(u, s) in virtual_sources {
+                let out = self.mlp_fast(&self.msg_sp, &h[u]);
+                let inv = 1.0 / s as f32;
+                for (mi, o) in m.iter_mut().zip(&out) {
+                    *mi += inv * o;
+                }
+            }
+            let hv = &h[v];
+            let new = self.gru_fast_reference(m, hv);
+            h[v] = new;
+        }
+
+        /// The pre-blocking scalar GRU step (zero-skip axpy loops).
+        fn gru_fast_reference(&self, x: &[f32], h: &[f32]) -> Vec<f32> {
+            let d = self.cfg.hidden_dim;
+            let lin = |w: &Matrix, v: &[f32], acc: &mut [f32]| {
+                for (r, &vi) in v.iter().enumerate() {
+                    if vi == 0.0 {
+                        continue;
+                    }
+                    for (a, &wij) in acc.iter_mut().zip(w.row(r)) {
+                        *a += vi * wij;
+                    }
+                }
+            };
+            let sigmoid = |t: f32| 1.0 / (1.0 + (-t).exp());
+
+            let mut z = self.ps.get(self.gru.bz).row(0).to_vec();
+            lin(self.ps.get(self.gru.wz), x, &mut z);
+            lin(self.ps.get(self.gru.uz), h, &mut z);
+            for zi in &mut z {
+                *zi = sigmoid(*zi);
+            }
+
+            let mut r = self.ps.get(self.gru.br).row(0).to_vec();
+            lin(self.ps.get(self.gru.wr), x, &mut r);
+            lin(self.ps.get(self.gru.ur), h, &mut r);
+            for ri in &mut r {
+                *ri = sigmoid(*ri);
+            }
+
+            let rh: Vec<f32> = r.iter().zip(h).map(|(ri, hi)| ri * hi).collect();
+            let mut hh = self.ps.get(self.gru.bh).row(0).to_vec();
+            lin(self.ps.get(self.gru.wh), x, &mut hh);
+            lin(self.ps.get(self.gru.uh), &rh, &mut hh);
+            for hi in &mut hh {
+                *hi = hi.tanh();
+            }
+
+            (0..d).map(|i| h[i] + z[i] * (hh[i] - h[i])).collect()
+        }
     }
 
     /// Memo ≡ per-edge recompute by bits, and ≤ 1e-4 from the scalar

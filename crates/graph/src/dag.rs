@@ -1,6 +1,7 @@
 //! The computational-graph DAG itself.
 
 use crate::op::{node_activation_elems, node_flops, node_params, NodeAttrs, OpKind};
+use pddl_telemetry::hash::Fnv1a;
 use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::VecDeque;
 use std::fmt;
@@ -374,30 +375,24 @@ impl CompGraph {
     /// artifacts such as GHN embeddings. Not a cryptographic hash; the
     /// value is stable across processes and platforms.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut fold = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        fold(self.nodes.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64_le(self.nodes.len() as u64);
         for n in &self.nodes {
-            fold(n.kind.index() as u64);
-            fold(n.attrs.c_in as u64);
-            fold(n.attrs.c_out as u64);
-            fold(n.attrs.kernel as u64);
-            fold(n.attrs.stride as u64);
-            fold(n.attrs.groups as u64);
-            fold(n.attrs.spatial as u64);
+            h.u64_le(n.kind.index() as u64);
+            h.u64_le(n.attrs.c_in as u64);
+            h.u64_le(n.attrs.c_out as u64);
+            h.u64_le(n.attrs.kernel as u64);
+            h.u64_le(n.attrs.stride as u64);
+            h.u64_le(n.attrs.groups as u64);
+            h.u64_le(n.attrs.spatial as u64);
         }
         for (u, outs) in self.out_edges.iter().enumerate() {
             for &v in outs {
-                fold(u as u64);
-                fold(v as u64);
+                h.u64_le(u as u64);
+                h.u64_le(v as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// JSON serialization (the on-disk format for traces and registries).

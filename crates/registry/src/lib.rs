@@ -63,14 +63,7 @@ pub use writer::{atomic_write, CrashPlan, CrashPoint};
 /// FNV-1a 64-bit content hash — the same construction the router uses for
 /// routing keys, chosen here for the manifest because it is trivially
 /// reimplementable by any reader of the on-disk format.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use pddl_telemetry::hash::fnv1a;
 
 #[cfg(test)]
 mod tests {

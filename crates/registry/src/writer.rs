@@ -13,6 +13,7 @@
 //! seeded-schedule style as `pddl-faults`: the same seed always produces
 //! the same debris, so "open() recovers in 100% of seeds" is a plain loop.
 
+use pddl_telemetry::hash::splitmix64;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -119,15 +120,15 @@ impl CrashPlan {
     /// Picks the crash point this plan injects for `artifacts`.
     pub fn pick(&self, artifacts: &[(String, Vec<u8>)]) -> CrashPoint {
         let mut s = self.seed;
-        let kind = splitmix(&mut s) % 5;
+        let kind = splitmix64(&mut s) % 5;
         let n = artifacts.len().max(1);
-        let artifact = (splitmix(&mut s) as usize) % n;
+        let artifact = (splitmix64(&mut s) as usize) % n;
         let len = artifacts.get(artifact).map(|(_, b)| b.len()).unwrap_or(0);
         let cut = |s: &mut u64, len: usize| {
             if len == 0 {
                 0
             } else {
-                (splitmix(s) as usize) % len
+                (splitmix64(s) as usize) % len
             }
         };
         match kind {
@@ -149,14 +150,6 @@ impl CrashPlan {
             },
         }
     }
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Writes `bytes` truncated at `keep` to `path` without the atomic dance —

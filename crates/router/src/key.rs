@@ -8,34 +8,25 @@
 //! key deliberately ignores request identity (`client`/`id`) and trace
 //! context: retries of the same workload land on the same shard.
 
+use pddl_telemetry::hash::{fnv1a, Fnv1a};
 use predictddl::{ParsedFrame, PredictionRequest};
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// The consistent-hash key of one prediction request: a stable 64-bit
 /// hash of the architecture name, dataset, batch size, epochs, and the
 /// cluster's feature vector (the paper's arch-hash × cluster-spec key).
 /// Identical workloads hash identically across processes and runs.
 pub fn routing_key(req: &PredictionRequest) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv_bytes(h, req.model_name().as_bytes());
-    h = fnv_bytes(h, &[0]); // field separator: "ab"+"c" != "a"+"bc"
-    h = fnv_bytes(h, req.dataset.as_bytes());
-    h = fnv_bytes(h, &[0]);
-    h = fnv_bytes(h, &(req.batch_size as u64).to_le_bytes());
-    h = fnv_bytes(h, &(req.epochs as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.bytes(req.model_name().as_bytes());
+    h.bytes(&[0]); // field separator: "ab"+"c" != "a"+"bc"
+    h.bytes(req.dataset.as_bytes());
+    h.bytes(&[0]);
+    h.u64_le(req.batch_size as u64);
+    h.u64_le(req.epochs as u64);
     for f in req.cluster.feature_vector() {
-        h = fnv_bytes(h, &f.to_bits().to_le_bytes());
+        h.u64_le(f.to_bits());
     }
-    h
+    h.finish()
 }
 
 /// The routing key of one classified wire frame, when it has one.
@@ -64,7 +55,7 @@ pub fn frame_key(frame: &ParsedFrame) -> Option<u64> {
 /// it would on a direct connection), and byte-hashing keeps the
 /// placement deterministic.
 pub fn line_key(line: &str) -> u64 {
-    fnv_bytes(FNV_OFFSET, line.trim_end().as_bytes())
+    fnv1a(line.trim_end().as_bytes())
 }
 
 #[cfg(test)]

@@ -21,17 +21,10 @@
 //! mean, which is enough for a prediction fleet whose per-key cost is
 //! roughly uniform.
 
+use pddl_telemetry::hash::mix64;
+
 /// Default virtual nodes per shard.
 pub const DEFAULT_VNODES: u32 = 64;
-
-/// SplitMix64 finalizer — the same mixer the trace layer uses for span
-/// derivation; cheap and well distributed.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Position of one `(shard, vnode)` pair on the ring.
 fn point(shard: u64, vnode: u32) -> u64 {

@@ -64,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod expo;
+pub mod hash;
 pub mod json;
 mod log;
 mod metrics;

@@ -34,6 +34,7 @@
 //! races and the worst case is one garbled *telemetry* event — never a
 //! memory-safety issue (all fields are plain atomics).
 
+use crate::hash::mix64;
 use crate::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use crate::metrics::Histogram;
 use std::collections::VecDeque;
@@ -76,14 +77,6 @@ pub mod stages {
     pub const RELOAD: &str = "reload";
 }
 
-/// SplitMix64 finalizer: cheap, well-distributed id derivation.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// Identity of one span within one trace, carried across the wire.
 ///
 /// `trace_id` names the logical request and survives retries and
@@ -103,7 +96,7 @@ impl TraceContext {
     /// Mints the root context for a trace. The root span id is derived
     /// from the trace id, so equal trace ids yield equal span trees.
     pub fn root(trace_id: u64) -> TraceContext {
-        TraceContext { trace_id, span_id: mix(trace_id), parent_id: 0 }
+        TraceContext { trace_id, span_id: mix64(trace_id), parent_id: 0 }
     }
 
     /// Derives a deterministic child context: the same parent and `seq`
@@ -111,7 +104,7 @@ impl TraceContext {
     pub fn child(&self, seq: u64) -> TraceContext {
         TraceContext {
             trace_id: self.trace_id,
-            span_id: mix(self.span_id ^ seq.wrapping_mul(0x9E3779B97F4A7C15)),
+            span_id: mix64(self.span_id ^ seq.wrapping_mul(0x9E3779B97F4A7C15)),
             parent_id: self.span_id,
         }
     }

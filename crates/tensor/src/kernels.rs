@@ -21,9 +21,8 @@
 //! ## Overrides and observability
 //!
 //! `PDDL_FORCE_SCALAR=1` in the environment pins the scalar backend at
-//! startup; [`set_force_scalar`] flips it at runtime (how `tensorbench
-//! --compare` and the dispatch-matrix tests measure both paths in one
-//! process). The active backend is mirrored into the telemetry registry
+//! startup; [`set_force_scalar`] flips it at runtime (how the
+//! dispatch-matrix tests run both paths in one process). The active backend is mirrored into the telemetry registry
 //! as `tensor.kernel.<name>` 0/1 info-gauges, which flow into
 //! `{"op":"stats"}` and the Prometheus exposition unchanged.
 //!
@@ -147,8 +146,8 @@ pub fn backend() -> KernelBackend {
 }
 
 /// Forces (or releases) the scalar fallback at runtime, overriding the
-/// detected backend. Used by the dual-run CI legs, `tensorbench
-/// --compare`, and the dispatch-matrix tests; `PDDL_FORCE_SCALAR=1` sets
+/// detected backend. Used by the dual-run CI legs and the
+/// dispatch-matrix tests; `PDDL_FORCE_SCALAR=1` sets
 /// the same override at startup. Updates the `tensor.kernel.*` gauges.
 pub fn set_force_scalar(on: bool) {
     let _ = native(); // ensure detection ran so backend() below is the truth

@@ -267,8 +267,7 @@ impl Matrix {
 
     /// The kernel this crate shipped before the blocked core — transpose
     /// the RHS once, then one dot product per output element. Kept serial
-    /// and unblocked as the oracle for the equivalence tests and the
-    /// baseline `tensorbench` measures against.
+    /// and unblocked as the oracle for the equivalence tests.
     pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
         self.assert_inner(other);
         let (m, k, n) = (self.rows, self.cols, other.cols);

@@ -6,6 +6,8 @@
 //! `u64` seed. The core is xoshiro256** seeded through SplitMix64, the
 //! construction recommended by the xoshiro authors.
 
+use pddl_telemetry::hash::splitmix64;
+
 /// A seeded xoshiro256** generator.
 ///
 /// Not cryptographically secure; statistical quality is more than sufficient
@@ -13,15 +15,6 @@
 #[derive(Clone, Debug)]
 pub struct Rng {
     s: [u64; 4],
-}
-
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl Rng {

@@ -9,9 +9,10 @@
 //! each — the doc-coverage gate.
 //!
 //! Two source gates live here too — no `unwrap()` in the peer-facing
-//! parsers, and no socket code outside the one connection core. All of
-//! them read the repository's own files with `include_str!`, so they run
-//! wherever `cargo test` runs.
+//! parsers, and no socket code outside the one connection core — and one
+//! reference gate: a binary, example, test, bench or `BENCH_*.json` that
+//! the prose docs name exists in the tree. All of them read the
+//! repository's own files, so they run wherever `cargo test` runs.
 
 use pddl_cluster::protocol::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
@@ -26,6 +27,8 @@ use predictddl::{
     parse_frame, ObserveReply, ParsedFrame, ReloadReply, ResponseEnvelope, RouteTable,
     WireResponse, WIRE_OPS,
 };
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
 const PROTOCOL_MD: &str = include_str!("../PROTOCOL.md");
 
@@ -269,4 +272,120 @@ fn sockets_are_opened_only_by_the_connection_core() {
         let hits = non_test_hits(file, src, &SOCKET_CODE);
         assert!(hits.is_empty(), "socket code outside pddl_cluster::wire: {hits:?}");
     }
+    // The core itself spends one descriptor per connection: both halves
+    // go through the one socket (`crates/cluster/tests/descriptors.rs`).
+    let wire = include_str!("../crates/cluster/src/wire.rs");
+    let hits = non_test_hits("crates/cluster/src/wire.rs", wire, &["try_clone"]);
+    assert!(hits.is_empty(), "a second descriptor per connection: {hits:?}");
+}
+
+/// Cargo's target kinds, with the flag that selects one and the directory
+/// cargo discovers them in.
+const TARGET_KINDS: [(&str, &str, &str); 4] = [
+    ("bin", "--bin ", "src/bin"),
+    ("example", "--example ", "examples"),
+    ("test", "--test ", "tests"),
+    ("bench", "--bench ", "benches"),
+];
+
+/// Every package name under `crates/`, and every target name by kind: the
+/// manifests' `[[bin]]` / `[[example]]` / `[[test]]` / `[[bench]]` entries
+/// plus the files cargo discovers that no entry claims by `path`.
+fn workspace_targets(root: &Path) -> (BTreeSet<String>, BTreeMap<&'static str, BTreeSet<String>>) {
+    let mut packages = BTreeSet::new();
+    let mut targets: BTreeMap<_, BTreeSet<String>> =
+        TARGET_KINDS.iter().map(|&(kind, _, _)| (kind, BTreeSet::new())).collect();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = krate.expect("crates/ entry").path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else { continue };
+        let (mut section, mut claimed) = ("", Vec::new());
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if let Some((key, value)) = line.split_once('=') {
+                let value = value.trim().trim_matches('"');
+                let kind = section.strip_prefix("[[").and_then(|s| s.strip_suffix("]]"));
+                match (key.trim(), kind.and_then(|kind| targets.get_mut(kind))) {
+                    ("name", Some(names)) => drop(names.insert(value.to_string())),
+                    ("name", None) if section == "[package]" => {
+                        packages.insert(value.to_string());
+                    }
+                    ("path", Some(_)) => claimed.push(dir.join(value)),
+                    _ => {}
+                }
+            }
+        }
+        for (kind, _, sub) in TARGET_KINDS {
+            let Ok(files) = std::fs::read_dir(dir.join(sub)) else { continue };
+            for file in files.map(|f| f.expect("target file").path()) {
+                if file.extension().is_some_and(|e| e == "rs") && !claimed.contains(&file) {
+                    let stem = file.file_stem().expect("stem").to_string_lossy().into_owned();
+                    targets.get_mut(kind).expect("kind").insert(stem);
+                }
+            }
+        }
+    }
+    (packages, targets)
+}
+
+/// The `[A-Za-z0-9_-]+` name `s` starts with (empty for a placeholder
+/// such as `<name>`, `*` or `{a,b}`).
+fn leading_name(s: &str) -> &str {
+    let end = s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '-'));
+    &s[..end.unwrap_or(s.len())]
+}
+
+/// The prose names only things that exist: every `--bin X` / `--example X`
+/// / `--test X` / `--bench X` is a target of that kind, every `pddl-<name>`
+/// a package or a binary, every `BENCH_<name>.json` a file at the root,
+/// and `cargo bench` / a `benches/` directory is mentioned only while the
+/// workspace has a bench target. A retired tool fails here until the last
+/// paragraph that tells a reader to run it is gone.
+#[test]
+fn docs_name_only_targets_and_files_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (packages, targets) = workspace_targets(&root);
+    let mut stale = Vec::new();
+    for doc in [
+        "README.md",
+        "ARCHITECTURE.md",
+        "DESIGN.md",
+        "OPERATIONS.md",
+        "TESTING.md",
+        "EXPERIMENTS.md",
+        "PROTOCOL.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (i, line) in text.lines().enumerate() {
+            let mut check = |ok: bool, what: String| {
+                if !ok {
+                    stale.push(format!("{doc}:{}: {what}", i + 1));
+                }
+            };
+            for (kind, flag, _) in TARGET_KINDS {
+                for (at, _) in line.match_indices(flag) {
+                    let name = leading_name(&line[at + flag.len()..]);
+                    check(name.is_empty() || targets[kind].contains(name), format!("{flag}{name}"));
+                }
+            }
+            for (at, _) in line.match_indices("pddl-") {
+                let name = leading_name(&line[at..]);
+                let word_start = !line[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '-');
+                let known = packages.contains(name) || targets["bin"].contains(name);
+                check(!word_start || name == "pddl-" || known, name.to_string());
+            }
+            for (at, _) in line.match_indices("BENCH_") {
+                let name = leading_name(&line[at..]);
+                if name != "BENCH_" && line[at + name.len()..].starts_with(".json") {
+                    let file = format!("{name}.json");
+                    check(root.join(&file).is_file(), file);
+                }
+            }
+            for needle in ["cargo bench", "benches/"] {
+                check(!line.contains(needle) || !targets["bench"].is_empty(), needle.to_string());
+            }
+        }
+    }
+    assert!(stale.is_empty(), "docs name things that are not in the tree: {stale:#?}");
 }
