@@ -372,24 +372,34 @@ mod tests {
         let live = Arc::new(LiveSystem::new(a, 1));
         let b = Arc::new(b);
         let stop = Arc::new(AtomicBool::new(false));
+        // The writer's 200 swaps take less time than a thread takes to
+        // start: it waits here until every reader has pinned once.
+        let pinned = Arc::new(std::sync::Barrier::new(5));
 
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let live = Arc::clone(&live);
                 let stop = Arc::clone(&stop);
+                let pinned = Arc::clone(&pinned);
                 std::thread::spawn(move || {
                     let mut pins = 0usize;
-                    while !stop.load(Ordering::Acquire) {
+                    loop {
                         let sys = live.pin();
                         let n = sys.records.len();
                         assert!(n == len_a || n == len_b, "torn view: {n} records");
                         pins += 1;
+                        if pins == 1 {
+                            pinned.wait();
+                        }
+                        if stop.load(Ordering::Acquire) {
+                            break pins;
+                        }
                     }
-                    pins
                 })
             })
             .collect();
 
+        pinned.wait();
         for i in 0..200 {
             let (sys, ver) = if i % 2 == 0 {
                 (Arc::clone(&b), 2)
