@@ -247,20 +247,53 @@ impl Ghn {
     /// ancestors forward, successors and descendants backward), and the
     /// next sweep overwrites them before it reads them. A reader only sums
     /// rows — neighbours in adjacency order, then virtual sources by id.
+    ///
+    /// Weights that multiply the same row sit side by side in the
+    /// workspace — `[Wz|Wr|Wh]`, `[Uz|Ur]` and the two message MLPs' first
+    /// layers — so a node update is five wide row products, not ten narrow
+    /// ones. A column's multiply-adds run in the same order wherever it
+    /// sits, so the bits are those of the separate products (for widths
+    /// that are a multiple of the SIMD lane count, as every shipped
+    /// configuration's are). Packed per call: training mutates `ps`
+    /// between calls, and a copy made here cannot go stale.
     fn embed(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
         let (n, d, mlp_hidden) = (g.num_nodes(), self.cfg.hidden_dim, self.cfg.mlp_hidden);
+        let (ps, gru) = (&self.ps, &self.gru);
+        let ([msg_in, msg_out], [sp_in, sp_out]) = (self.msg.layers.as_slice(), self.msg_sp.layers.as_slice())
+        else {
+            panic!("message MLPs are [d, mlp_hidden, d]");
+        };
+        assert_eq!(self.msg.hidden_act, self.msg_sp.hidden_act, "message MLPs share one hidden activation");
+        let hidden_act = self.msg.hidden_act.fused();
+
         // All a call needs, in one buffer: the states and the two message
-        // tables (n×d each), then the rows of one node update.
-        let mut workspace = vec![0.0f32; 3 * n * d + 4 * d + mlp_hidden];
-        let (h, rest) = workspace.split_at_mut(n * d);
-        let (msg, rest) = rest.split_at_mut(n * d);
-        let (msg_sp, rest) = rest.split_at_mut(n * d);
-        let (m, rest) = rest.split_at_mut(d);
-        let (hid, gates) = rest.split_at_mut(mlp_hidden);
+        // tables (n×d each), the rows of one node update, the packed weights.
+        let rows = 4 * d + 2 * mlp_hidden;
+        let packed = d * 3 * d + 3 * d + d * 2 * d + d * 2 * mlp_hidden + 2 * mlp_hidden;
+        let mut workspace = vec![0.0f32; 3 * n * d + rows + packed];
+        let mut rest = workspace.as_mut_slice();
+        let mut carve = |len: usize| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            head
+        };
+        let (h, msg, msg_sp) = (carve(n * d), carve(n * d), carve(n * d));
+        let (m, gates, hid) = (carve(d), carve(3 * d), carve(2 * mlp_hidden));
+        let (wx, bx, uzr) = (carve(d * 3 * d), carve(3 * d), carve(d * 2 * d));
+        let (w_in, b_in) = (carve(d * 2 * mlp_hidden), carve(2 * mlp_hidden));
+        Matrix::hstack_into(&[ps.get(gru.wz), ps.get(gru.wr), ps.get(gru.wh)], wx);
+        Matrix::hstack_into(&[ps.get(gru.bz), ps.get(gru.br), ps.get(gru.bh)], bx);
+        Matrix::hstack_into(&[ps.get(gru.uz), ps.get(gru.ur)], uzr);
+        Matrix::hstack_into(&[ps.get(msg_in.w), ps.get(sp_in.w)], w_in);
+        Matrix::hstack_into(&[ps.get(msg_in.b), ps.get(sp_in.b)], b_in);
+        let (wx, bx, uzr, w_in, b_in) = (&*wx, &*bx, &*uzr, &*w_in, &*b_in);
+        let uh = ps.get(gru.uh).as_slice();
+        let (msg_w, msg_b) = (ps.get(msg_out.w).as_slice(), ps.get(msg_out.b).as_slice());
+        let (sp_w, sp_b) = (ps.get(sp_out.w).as_slice(), ps.get(sp_out.b).as_slice());
 
         // h1 = feats · W + b, row by row on this thread: a request never
         // fans out over the pool, whatever the size of its graph.
-        let (w, b) = (self.ps.get(self.embed.w), self.ps.get(self.embed.b));
+        let (w, b) = (ps.get(self.embed.w).as_slice(), ps.get(self.embed.b).as_slice());
         let feats = one_hot_features(g);
         for (x, hv) in feats.chunks_exact(features::FEATURE_DIM).zip(h.chunks_exact_mut(d)) {
             vecmat_bias_act(x, w, b, TensorAct::Identity, hv);
@@ -280,10 +313,33 @@ impl Ghn {
                         *mi += inv * o;
                     }
                 }
+                // GRU step `h ← GRU(m, h)` in place, mirroring
+                // `GruCell::forward`: each gate starts from its bias and
+                // accumulates first its `m` product, then its state product.
                 let hv = &mut h[v * d..(v + 1) * d];
-                self.gru_row(m, hv, gates);
-                self.message_row(&self.msg, hv, hid, &mut msg[v * d..(v + 1) * d]);
-                self.message_row(&self.msg_sp, hv, hid, &mut msg_sp[v * d..(v + 1) * d]);
+                gates.copy_from_slice(bx);
+                vecmat_acc(m, wx, gates);
+                let (zr, hh) = gates.split_at_mut(2 * d);
+                vecmat_acc(hv, uzr, zr);
+                for o in zr.iter_mut() {
+                    *o = TensorAct::Sigmoid.apply(*o);
+                }
+                let (z, r) = zr.split_at_mut(d);
+                for (ri, &hi) in r.iter_mut().zip(hv.iter()) {
+                    *ri *= hi;
+                }
+                vecmat_acc(r, uh, hh);
+                for o in hh.iter_mut() {
+                    *o = TensorAct::Tanh.apply(*o);
+                }
+                for ((hi, &zi), &hhi) in hv.iter_mut().zip(z.iter()).zip(hh.iter()) {
+                    *hi += zi * (hhi - *hi);
+                }
+                // Both message MLPs on the new state.
+                vecmat_bias_act(hv, w_in, b_in, hidden_act, hid);
+                let (hid_msg, hid_sp) = hid.split_at(mlp_hidden);
+                vecmat_bias_act(hid_msg, msg_w, msg_b, TensorAct::Identity, &mut msg[v * d..(v + 1) * d]);
+                vecmat_bias_act(hid_sp, sp_w, sp_b, TensorAct::Identity, &mut msg_sp[v * d..(v + 1) * d]);
             };
             for &v in sched.topo() {
                 update(v, g.predecessors(v), sched.virtual_fw(v));
@@ -302,42 +358,6 @@ impl Ghn {
         pddl_tensor::gemm::record_products(1 + 4 * updates as u64, flops as u64);
 
         mean_pool(h.chunks_exact(d), d)
-    }
-
-    /// One message MLP on one node state, through `hid`.
-    fn message_row(&self, mlp: &Mlp, x: &[f32], hid: &mut [f32], out: &mut [f32]) {
-        let [l0, l1] = mlp.layers.as_slice() else {
-            panic!("message MLPs are [d, mlp_hidden, d]");
-        };
-        vecmat_bias_act(x, self.ps.get(l0.w), self.ps.get(l0.b), mlp.hidden_act.fused(), hid);
-        vecmat_bias_act(hid, self.ps.get(l1.w), self.ps.get(l1.b), TensorAct::Identity, out);
-    }
-
-    /// GRU step `h ← GRU(x, h)` in place, mirroring `GruCell::forward`:
-    /// each gate starts from its bias and accumulates the two products.
-    /// `gates` holds the three gate rows (3·d).
-    fn gru_row(&self, x: &[f32], h: &mut [f32], gates: &mut [f32]) {
-        let gru = &self.gru;
-        let d = h.len();
-        let (z, rest) = gates.split_at_mut(d);
-        let (r, hh) = rest.split_at_mut(d);
-        let gate = |out: &mut [f32], b, w, u, state: &[f32], act: TensorAct| {
-            out.copy_from_slice(self.ps.get(b).row(0));
-            vecmat_acc(x, self.ps.get(w), out);
-            vecmat_acc(state, self.ps.get(u), out);
-            for o in out {
-                *o = act.apply(*o);
-            }
-        };
-        gate(z, gru.bz, gru.wz, gru.uz, h, TensorAct::Sigmoid);
-        gate(r, gru.br, gru.wr, gru.ur, h, TensorAct::Sigmoid);
-        for (ri, &hi) in r.iter_mut().zip(h.iter()) {
-            *ri *= hi;
-        }
-        gate(hh, gru.bh, gru.wh, gru.uh, r, TensorAct::Tanh);
-        for ((hi, &zi), &hhi) in h.iter_mut().zip(z.iter()).zip(hh.iter()) {
-            *hi += zi * (hhi - *hi);
-        }
     }
 
     /// Raw-matrix MLP forward on a single row.
@@ -487,6 +507,33 @@ mod tests {
     }
 
     impl Ghn {
+        /// The GRU step of [`Ghn::embed`] from the unpacked matrices, gate
+        /// by gate, for the per-edge oracle. `gates` holds the three gate
+        /// rows (3·d).
+        fn gru_row(&self, x: &[f32], h: &mut [f32], gates: &mut [f32]) {
+            let gru = &self.gru;
+            let d = h.len();
+            let (z, rest) = gates.split_at_mut(d);
+            let (r, hh) = rest.split_at_mut(d);
+            let gate = |out: &mut [f32], b, w, u, state: &[f32], act: TensorAct| {
+                out.copy_from_slice(self.ps.get(b).row(0));
+                vecmat_acc(x, self.ps.get(w).as_slice(), out);
+                vecmat_acc(state, self.ps.get(u).as_slice(), out);
+                for o in out {
+                    *o = act.apply(*o);
+                }
+            };
+            gate(z, gru.bz, gru.wz, gru.uz, h, TensorAct::Sigmoid);
+            gate(r, gru.br, gru.wr, gru.ur, h, TensorAct::Sigmoid);
+            for (ri, &hi) in r.iter_mut().zip(h.iter()) {
+                *ri *= hi;
+            }
+            gate(hh, gru.bh, gru.wh, gru.uh, r, TensorAct::Tanh);
+            for ((hi, &zi), &hhi) in h.iter_mut().zip(z.iter()).zip(hh.iter()) {
+                *hi += zi * (hhi - *hi);
+            }
+        }
+
         /// Scalar (unbatched, unblocked) embedding, the ≤ 1e-4 oracle. Follows
         /// the exact sequential schedule of [`Ghn::embed_with_schedule`] but
         /// pushes every row through the per-element `mlp_fast` loops.

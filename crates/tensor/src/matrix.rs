@@ -507,16 +507,24 @@ impl Matrix {
         let rows = parts[0].rows;
         let cols: usize = parts.iter().map(|p| p.cols).sum();
         let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            let mut offset = 0;
-            for p in parts {
-                assert_eq!(p.rows, rows, "hstack height mismatch");
-                out.data[r * cols + offset..r * cols + offset + p.cols]
-                    .copy_from_slice(p.row(r));
-                offset += p.cols;
-            }
-        }
+        Matrix::hstack_into(parts, &mut out.data);
         out
+    }
+
+    /// [`Matrix::hstack`] into the caller's row-major buffer, which must
+    /// hold exactly `rows × Σ cols` elements.
+    pub fn hstack_into(parts: &[&Matrix], out: &mut [f32]) {
+        let rows = parts.first().map_or(0, |p| p.rows);
+        let cols: usize = parts.iter().map(|p| p.cols).sum();
+        assert_eq!(out.len(), rows * cols, "hstack_into buffer size mismatch");
+        let mut offset = 0;
+        for p in parts {
+            assert_eq!(p.rows, rows, "hstack height mismatch");
+            for r in 0..rows {
+                out[r * cols + offset..][..p.cols].copy_from_slice(p.row(r));
+            }
+            offset += p.cols;
+        }
     }
 
     /// Extracts rows `[start, end)` as a new matrix.
@@ -566,27 +574,27 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
-/// `out += v · w` for a length-`k` row vector `v` and a `k×n` matrix `w`,
-/// accumulated as unit-stride axpy rows. The allocation-free per-node
-/// path the GHN's sequential GRU update runs on (one node's state is a
-/// plain `&[f32]`, not worth a 1×k `Matrix` round trip).
-pub fn vecmat_acc(v: &[f32], w: &Matrix, out: &mut [f32]) {
-    assert_eq!(v.len(), w.rows(), "vecmat_acc inner dim mismatch");
-    assert_eq!(out.len(), w.cols(), "vecmat_acc output dim mismatch");
-    (kernels::active().vecmat)(v, w.as_slice(), out);
+/// `out += v · w` for a length-`k` row vector `v` and a row-major `k×n`
+/// weight slice `w` (`n = out.len()`), accumulated as unit-stride axpy
+/// rows. The allocation-free per-node path the GHN's sequential GRU
+/// update runs on: a node's state is a plain `&[f32]`, and its weights
+/// may be several matrices packed side by side in a workspace.
+pub fn vecmat_acc(v: &[f32], w: &[f32], out: &mut [f32]) {
+    assert_eq!(w.len(), v.len() * out.len(), "vecmat_acc weight size mismatch");
+    (kernels::active().vecmat)(v, w, out);
 }
 
 /// `out = act(v · w + bias)` for one row: what [`Matrix::matmul_bias_act`]
 /// computes for each row of its left operand, bit for bit (accumulate over
 /// `k` from zero, then bias, then activation), into the caller's buffer.
 /// Counts nothing — see [`gemm::record_products`].
-pub fn vecmat_bias_act(v: &[f32], w: &Matrix, bias: &Matrix, act: Activation, out: &mut [f32]) {
-    assert_eq!(v.len(), w.rows(), "vecmat_bias_act inner dim mismatch");
-    assert_eq!((out.len(), bias.shape()), (w.cols(), (1, w.cols())), "vecmat_bias_act width mismatch");
+pub fn vecmat_bias_act(v: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
+    assert_eq!(w.len(), v.len() * out.len(), "vecmat_bias_act weight size mismatch");
+    assert_eq!(bias.len(), out.len(), "vecmat_bias_act width mismatch");
     let kern = kernels::active();
     out.fill(0.0);
-    (kern.vecmat)(v, &w.data, out);
-    gemm::epilogue(kern, out, 1, out.len(), Some(&bias.data), act);
+    (kern.vecmat)(v, w, out);
+    gemm::epilogue(kern, out, 1, out.len(), Some(bias), act);
 }
 
 impl Index<(usize, usize)> for Matrix {

@@ -315,7 +315,7 @@ fn vecmat_acc_matches_row_vector_matmul() {
     for (e, &p) in expect.iter_mut().zip(prod.as_slice()) {
         *e += p;
     }
-    pddl_tensor::vecmat_acc(&v, &w, &mut out);
+    pddl_tensor::vecmat_acc(&v, w.as_slice(), &mut out);
     for (got, want) in out.iter().zip(&expect) {
         assert!((got - want).abs() <= 1e-5 * want.abs().max(1.0));
     }
