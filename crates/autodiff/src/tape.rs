@@ -326,12 +326,12 @@ impl<'p> Tape<'p> {
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.nodes[a.0].value.map(pddl_tensor::activation::sigmoid);
         self.push(Op::Sigmoid(a.0), v)
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.tanh());
+        let v = self.nodes[a.0].value.map(pddl_tensor::activation::tanh);
         self.push(Op::Tanh(a.0), v)
     }
 

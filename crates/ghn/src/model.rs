@@ -321,17 +321,13 @@ impl Ghn {
                 vecmat_acc(m, wx, gates);
                 let (zr, hh) = gates.split_at_mut(2 * d);
                 vecmat_acc(hv, uzr, zr);
-                for o in zr.iter_mut() {
-                    *o = TensorAct::Sigmoid.apply(*o);
-                }
+                TensorAct::Sigmoid.apply_row(zr);
                 let (z, r) = zr.split_at_mut(d);
                 for (ri, &hi) in r.iter_mut().zip(hv.iter()) {
                     *ri *= hi;
                 }
                 vecmat_acc(r, uh, hh);
-                for o in hh.iter_mut() {
-                    *o = TensorAct::Tanh.apply(*o);
-                }
+                TensorAct::Tanh.apply_row(hh);
                 for ((hi, &zi), &hhi) in hv.iter_mut().zip(z.iter()).zip(hh.iter()) {
                     *hi += zi * (hhi - *hi);
                 }

@@ -44,6 +44,7 @@
 //! [`Matrix::matmul_bias_act`]: crate::Matrix::matmul_bias_act
 //! [`Matrix::matmul_reference`]: crate::Matrix::matmul_reference
 
+use crate::activation;
 use crate::kernels::{self, Kernels};
 use pddl_par::WorkPool;
 use std::cell::RefCell;
@@ -95,8 +96,24 @@ impl Activation {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Tanh => activation::tanh(x),
+            Activation::Sigmoid => activation::sigmoid(x),
+        }
+    }
+
+    /// Applies the activation to a row in place through the dispatched
+    /// row kernels: the bits of [`Activation::apply`] on each element,
+    /// whichever backend is active.
+    pub fn apply_row(self, row: &mut [f32]) {
+        self.apply_row_with(kernels::active(), row);
+    }
+
+    fn apply_row_with(self, kern: &'static Kernels, row: &mut [f32]) {
+        match self {
+            Activation::Identity => {}
+            Activation::Relu => (kern.relu)(row),
+            Activation::Tanh => (kern.tanh)(row),
+            Activation::Sigmoid => (kern.sigmoid)(row),
         }
     }
 
@@ -270,10 +287,10 @@ pub(crate) fn gemm(
     epilogue(kern, out, m, n, bias, act);
 }
 
-/// Fused `+bias` / activation pass over the finished output. Bias add
-/// and ReLU go through the dispatched kernels (both are exact elementwise
-/// ops, so every backend produces identical bits); the transcendental
-/// activations stay scalar.
+/// Fused `+bias` / activation pass over the finished output, through the
+/// dispatched row kernels. Every one of them is exact or written without
+/// FMA ([`crate::activation`]), so given the same sums every backend
+/// produces identical bits.
 pub(crate) fn epilogue(
     kern: &'static Kernels,
     out: &mut [f32],
@@ -289,15 +306,7 @@ pub(crate) fn epilogue(
         if let Some(bias) = bias {
             (kern.bias_add)(row, bias);
         }
-        match act {
-            Activation::Identity => {}
-            Activation::Relu => (kern.relu)(row),
-            _ => {
-                for x in row.iter_mut() {
-                    *x = act.apply(*x);
-                }
-            }
-        }
+        act.apply_row_with(kern, row);
     }
 }
 

@@ -5,7 +5,8 @@
 //! never emits AVX or FMA instructions. This module supplies explicit
 //! implementations of the hot inner loops — the `MR×NR` microkernel, the
 //! axpy/dot primitives behind the small-product kernels and
-//! [`crate::vecmat_acc`], and the vectorizable epilogue ops — for:
+//! [`crate::vecmat_acc`], and the epilogue ops (bias, ReLU, and the
+//! `sigmoid` / `tanh` of [`crate::activation`]) — for:
 //!
 //! * **AVX2 + FMA** (x86_64), selected when `is_x86_feature_detected!`
 //!   confirms both features at first use;
@@ -33,7 +34,10 @@
 //! their results are *not* bit-identical to scalar — the dispatch-matrix
 //! tests assert ≤ 1e-5 relative error for those backends and exact bits
 //! for scalar. Within one backend, results remain bit-identical across
-//! runs and pool sizes (the macro-tile partition is shape-only).
+//! runs and pool sizes (the macro-tile partition is shape-only). The
+//! `sigmoid` / `tanh` row kernels are the exception that needs no
+//! tolerance: [`crate::activation`] is written without FMA, so every
+//! backend returns the bits of its scalar function.
 
 use crate::gemm::{MR, NR};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,6 +94,12 @@ pub(crate) struct Kernels {
     pub bias_add: fn(&mut [f32], &[f32]),
     /// `row[i] = max(row[i], 0)` (exact regardless of backend).
     pub relu: fn(&mut [f32]),
+    /// `row[i] = sigmoid(row[i])`, the bits of [`crate::activation::sigmoid`]
+    /// on every backend.
+    pub sigmoid: fn(&mut [f32]),
+    /// `row[i] = tanh(row[i])`, the bits of [`crate::activation::tanh`] on
+    /// every backend.
+    pub tanh: fn(&mut [f32]),
 }
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
@@ -186,6 +196,8 @@ pub(crate) mod scalar {
         dot,
         bias_add,
         relu,
+        sigmoid: crate::activation::sigmoid_row,
+        tanh: crate::activation::tanh_row,
     };
 
     /// The register tile: `MR×NR` accumulators updated by `kc` rank-1
@@ -274,6 +286,8 @@ mod avx2 {
         dot,
         bias_add,
         relu,
+        sigmoid,
+        tanh,
     };
 
     // Safe entry points: each wraps one `#[target_feature]` function.
@@ -302,6 +316,14 @@ mod avx2 {
 
     fn relu(row: &mut [f32]) {
         unsafe { relu_impl(row) }
+    }
+
+    fn sigmoid(row: &mut [f32]) {
+        unsafe { crate::activation::avx2::sigmoid_row(row) }
+    }
+
+    fn tanh(row: &mut [f32]) {
+        unsafe { crate::activation::avx2::tanh_row(row) }
     }
 
     /// 4×16 tile as 8 `__m256` accumulators (4 rows × 2 half-rows): per
@@ -488,6 +510,8 @@ mod neon {
         dot,
         bias_add,
         relu,
+        sigmoid: crate::activation::sigmoid_row,
+        tanh: crate::activation::tanh_row,
     };
 
     // SAFETY throughout: NEON is mandatory on aarch64, so the intrinsics

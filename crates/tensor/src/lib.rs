@@ -22,6 +22,7 @@
 //! * all randomness goes through [`rng::Rng`], a seeded xoshiro256**, so every
 //!   experiment in the workspace is reproducible bit-for-bit.
 
+pub mod activation;
 pub mod gemm;
 pub mod kernels;
 pub mod linalg;
