@@ -267,20 +267,16 @@ impl Ghn {
         let hidden_act = self.msg.hidden_act.fused();
 
         // All a call needs, in one buffer: the states and the two message
-        // tables (n×d each), the rows of one node update, the packed weights.
-        let rows = 4 * d + 2 * mlp_hidden;
-        let packed = d * 3 * d + 3 * d + d * 2 * d + d * 2 * mlp_hidden + 2 * mlp_hidden;
-        let mut workspace = vec![0.0f32; 3 * n * d + rows + packed];
+        // tables, the rows of one node update, the packed weights and biases.
+        let (wide, hid2) = (3 * d, 2 * mlp_hidden);
+        let sizes = [n * d, n * d, n * d, d, wide, hid2, d * wide, wide, d * 2 * d, d * hid2, hid2];
+        let mut workspace = vec![0.0f32; sizes.iter().sum()];
         let mut rest = workspace.as_mut_slice();
-        let mut carve = |len: usize| {
+        let [h, msg, msg_sp, m, gates, hid, wx, bx, uzr, w_in, b_in] = sizes.map(|len| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
             head
-        };
-        let (h, msg, msg_sp) = (carve(n * d), carve(n * d), carve(n * d));
-        let (m, gates, hid) = (carve(d), carve(3 * d), carve(2 * mlp_hidden));
-        let (wx, bx, uzr) = (carve(d * 3 * d), carve(3 * d), carve(d * 2 * d));
-        let (w_in, b_in) = (carve(d * 2 * mlp_hidden), carve(2 * mlp_hidden));
+        });
         Matrix::hstack_into(&[ps.get(gru.wz), ps.get(gru.wr), ps.get(gru.wh)], wx);
         Matrix::hstack_into(&[ps.get(gru.bz), ps.get(gru.br), ps.get(gru.bh)], bx);
         Matrix::hstack_into(&[ps.get(gru.uz), ps.get(gru.ur)], uzr);

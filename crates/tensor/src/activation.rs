@@ -39,9 +39,22 @@ const ROUND_MAGIC: f32 = 12_582_912.0;
 const LN2_HI: f32 = 355.0 / 512.0;
 const LN2_LO: f32 = -0.000_212_194_44;
 /// `exp(r) ≈ 1 + r + r²·P(r)`, highest power first.
-const EXP_POLY: [f32; 6] = [0.000_198_756_91, 0.001_398_199_9, 0.008_333_452, 0.041_665_796, 0.166_666_66, 0.5];
+const EXP_POLY: [f32; 6] = [
+    0.000_198_756_91,
+    0.001_398_199_9,
+    0.008_333_452,
+    0.041_665_796,
+    0.166_666_66,
+    0.5,
+];
 /// `tanh(a) ≈ a + a³·P(a²)` for `a < TANH_SMALL`, highest power first.
-const TANH_POLY: [f32; 5] = [-0.005_704_988_7, 0.020_639_088, -0.053_739_715, 0.133_314_42, -0.333_332_8];
+const TANH_POLY: [f32; 5] = [
+    -0.005_704_988_7,
+    0.020_639_088,
+    -0.053_739_715,
+    0.133_314_42,
+    -0.333_332_8,
+];
 const TANH_SMALL: f32 = 0.625;
 const ONE_BITS: u32 = 0x3F80_0000;
 const SIGN_BIT: u32 = 0x8000_0000;
@@ -121,7 +134,10 @@ pub(crate) mod avx2 {
         let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
         let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
         let magic = _mm256_set1_ps(ROUND_MAGIC);
-        let t = _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)), magic);
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(std::f32::consts::LOG2_E)),
+            magic,
+        );
         let n = _mm256_sub_ps(t, magic);
         let r = _mm256_sub_ps(
             _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI))),
@@ -131,8 +147,14 @@ pub(crate) mod avx2 {
         for &c in &EXP_POLY[1..] {
             p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
         }
-        let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r), _mm256_set1_ps(1.0));
-        let scale = _mm256_add_epi32(_mm256_slli_epi32::<23>(_mm256_castps_si256(t)), _mm256_set1_epi32(ONE_BITS as i32));
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let scale = _mm256_add_epi32(
+            _mm256_slli_epi32::<23>(_mm256_castps_si256(t)),
+            _mm256_set1_epi32(ONE_BITS as i32),
+        );
         _mm256_mul_ps(y, _mm256_castsi256_ps(scale))
     }
 
@@ -156,7 +178,13 @@ pub(crate) mod avx2 {
         }
         let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), a), a);
         let one = _mm256_set1_ps(1.0);
-        let large = _mm256_sub_ps(one, _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(exp8(_mm256_add_ps(a, a)), one)));
+        let large = _mm256_sub_ps(
+            one,
+            _mm256_div_ps(
+                _mm256_set1_ps(2.0),
+                _mm256_add_ps(exp8(_mm256_add_ps(a, a)), one),
+            ),
+        );
         // Ordered `<`: false for NaN, which then takes the `exp` branch as
         // in the scalar function.
         let is_small = _mm256_cmp_ps::<_CMP_LT_OQ>(a, _mm256_set1_ps(TANH_SMALL));
@@ -169,7 +197,9 @@ pub(crate) mod avx2 {
         let mut lanes = row.chunks_exact_mut(8);
         for lane in &mut lanes {
             // SAFETY: `lane` is exactly eight contiguous `f32`s.
-            unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), sigmoid8(_mm256_loadu_ps(lane.as_ptr()))) };
+            unsafe {
+                _mm256_storeu_ps(lane.as_mut_ptr(), sigmoid8(_mm256_loadu_ps(lane.as_ptr())))
+            };
         }
         super::sigmoid_row(lanes.into_remainder());
     }
@@ -194,10 +224,26 @@ mod tests {
     /// switch, the `exp` clamp, subnormals, zeros and infinities.
     fn probes() -> Vec<f32> {
         let mut xs: Vec<f32> = (-120_000..=120_000).map(|i| i as f32 * 2.5e-4).collect();
-        for a in [0.0f32, 0.625, 87.0, 88.0, 100.0, 1e-20, f32::MIN_POSITIVE, 1e-40, 1e-45, f32::MAX, f32::INFINITY] {
+        for a in [
+            0.0f32,
+            0.625,
+            87.0,
+            88.0,
+            100.0,
+            1e-20,
+            f32::MIN_POSITIVE,
+            1e-40,
+            1e-45,
+            f32::MAX,
+            f32::INFINITY,
+        ] {
             for x in [a, -a] {
                 // Each edge with its two neighbours.
-                xs.extend([x, f32::from_bits(x.to_bits().wrapping_sub(1)), f32::from_bits(x.to_bits() + 1)]);
+                xs.extend([
+                    x,
+                    f32::from_bits(x.to_bits().wrapping_sub(1)),
+                    f32::from_bits(x.to_bits() + 1),
+                ]);
             }
         }
         xs.retain(|x| !x.is_nan());
@@ -212,7 +258,10 @@ mod tests {
     #[test]
     fn row_kernels_equal_the_scalar_functions_bit_for_bit_at_every_row_length() {
         let xs = probes();
-        for (act, scalar) in [(Activation::Sigmoid, sigmoid as fn(f32) -> f32), (Activation::Tanh, tanh)] {
+        for (act, scalar) in [
+            (Activation::Sigmoid, sigmoid as fn(f32) -> f32),
+            (Activation::Tanh, tanh),
+        ] {
             // Row lengths 1..=17 put every probe in every lane and in the
             // lane remainder.
             for len in 1..=17 {
@@ -221,7 +270,10 @@ mod tests {
                     act.apply_row(&mut row);
                     let want: Vec<f32> = chunk.iter().map(|&x| scalar(x)).collect();
                     assert_eq!(bits(&row), bits(&want), "{act:?} on {chunk:?}");
-                    assert_eq!(bits(&want), bits(&chunk.iter().map(|&x| act.apply(x)).collect::<Vec<_>>()));
+                    assert_eq!(
+                        bits(&want),
+                        bits(&chunk.iter().map(|&x| act.apply(x)).collect::<Vec<_>>())
+                    );
                 }
             }
         }
@@ -232,7 +284,8 @@ mod tests {
         let (mut worst_sigmoid, mut worst_tanh) = (0.0f64, 0.0f64);
         for x in probes() {
             let x64 = f64::from(x);
-            worst_sigmoid = worst_sigmoid.max((f64::from(sigmoid(x)) - 1.0 / (1.0 + (-x64).exp())).abs());
+            worst_sigmoid =
+                worst_sigmoid.max((f64::from(sigmoid(x)) - 1.0 / (1.0 + (-x64).exp())).abs());
             worst_tanh = worst_tanh.max((f64::from(tanh(x)) - x64.tanh()).abs());
         }
         println!("worst absolute error: sigmoid {worst_sigmoid:.2e}, tanh {worst_tanh:.2e}");
@@ -246,7 +299,10 @@ mod tests {
         assert_eq!(sigmoid(-0.0), 0.5);
         assert_eq!(tanh(0.0).to_bits(), 0.0f32.to_bits());
         assert_eq!(tanh(-0.0).to_bits(), (-0.0f32).to_bits());
-        assert_eq!((sigmoid(f32::INFINITY), sigmoid(f32::NEG_INFINITY) < 1e-37), (1.0, true));
+        assert_eq!(
+            (sigmoid(f32::INFINITY), sigmoid(f32::NEG_INFINITY) < 1e-37),
+            (1.0, true)
+        );
         assert_eq!((tanh(f32::INFINITY), tanh(f32::NEG_INFINITY)), (1.0, -1.0));
         for x in probes() {
             let (s, t) = (sigmoid(x), tanh(x));
@@ -268,7 +324,11 @@ mod tests {
                     row[at] = nan;
                     act.apply_row(&mut row);
                     for (i, y) in row.iter().enumerate() {
-                        assert_eq!(y.is_nan(), i == at, "{act:?}: NaN at {at}, lane {i} reads {y}");
+                        assert_eq!(
+                            y.is_nan(),
+                            i == at,
+                            "{act:?}: NaN at {at}, lane {i} reads {y}"
+                        );
                     }
                 }
             }
