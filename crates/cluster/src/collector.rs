@@ -28,13 +28,12 @@
 //! deterministic fault injectors, so integration tests run identical
 //! chaos schedules.
 
-use crate::protocol::{ClientMsg, ServerMsg, WireError, MAX_FRAME_BYTES};
 use crate::retry::{is_transient, Backoff, RetryPolicy};
 use crate::spec::ServerSpec;
 use crate::state::{ClusterState, ServerStatus};
-use crate::wire::{Flow, Handler, LineConn, Listener, Writer};
+use crate::wire::{Flow, Handler, LineConn, Listener, WireError, Writer};
 use pddl_faults::FaultPlan;
-use pddl_telemetry::json;
+use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use pddl_telemetry::trace::{flight_recorder, stages};
 use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
 use std::collections::HashMap;
@@ -42,6 +41,82 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
+
+/// Client → server messages: one object, tagged by `"type"`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ClientMsg {
+    /// First message after connecting: "every new server that joins the
+    /// cluster notifies the Cluster Resource Collector with details about
+    /// the underlying system and hardware resources" (§III-F).
+    Register { spec: ServerSpec },
+    /// Periodic load report.
+    Heartbeat { hostname: String, cpu_util: f64, gpus_busy: usize },
+    /// Graceful departure.
+    Leave { hostname: String },
+}
+
+impl ToJson for ClientMsg {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            ClientMsg::Register { spec } => o.field("type", "register").field("spec", spec),
+            ClientMsg::Heartbeat { hostname, cpu_util, gpus_busy } => o
+                .field("type", "heartbeat")
+                .field("hostname", hostname)
+                .field("cpu_util", cpu_util)
+                .field("gpus_busy", gpus_busy),
+            ClientMsg::Leave { hostname } => o.field("type", "leave").field("hostname", hostname),
+        }
+        .end();
+    }
+}
+
+impl FromJson for ClientMsg {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        match o.field::<String>("type")?.as_str() {
+            "register" => Ok(ClientMsg::Register { spec: o.field("spec")? }),
+            "heartbeat" => Ok(ClientMsg::Heartbeat {
+                hostname: o.field("hostname")?,
+                cpu_util: o.field("cpu_util")?,
+                gpus_busy: o.field("gpus_busy")?,
+            }),
+            "leave" => Ok(ClientMsg::Leave { hostname: o.field("hostname")? }),
+            other => Err(JsonError::unknown_variant(other)),
+        }
+    }
+}
+
+/// Server → client messages: one object, tagged by `"type"`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ServerMsg {
+    /// Registration accepted.
+    Ack,
+    /// Malformed or out-of-order message.
+    Error { reason: String },
+}
+
+impl ToJson for ServerMsg {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            ServerMsg::Ack => o.field("type", "ack"),
+            ServerMsg::Error { reason } => o.field("type", "error").field("reason", reason),
+        }
+        .end();
+    }
+}
+
+impl FromJson for ServerMsg {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        match o.field::<String>("type")?.as_str() {
+            "ack" => Ok(ServerMsg::Ack),
+            "error" => Ok(ServerMsg::Error { reason: o.field("reason")? }),
+            other => Err(JsonError::unknown_variant(other)),
+        }
+    }
+}
 
 /// One registered server plus collector-side bookkeeping that must not
 /// travel over the wire (liveness is an `Instant`, not data).
@@ -378,8 +453,8 @@ impl CollectorClient {
         let t0 = Instant::now();
         let out = json::to_string(msg)
             .map_err(std::io::Error::from)
-            .and_then(|frame| self.conn.send(&frame))
-            .and_then(|()| self.expect_ack());
+            .and_then(|frame| self.conn.exchange(&frame))
+            .and_then(|reply| ack(&reply));
         self.record_collect(t0, out.is_ok());
         out
     }
@@ -425,43 +500,98 @@ impl CollectorClient {
     pub fn leave(mut self) -> std::io::Result<()> {
         self.exchange(&ClientMsg::Leave { hostname: self.spec.hostname.clone() })
     }
+}
 
-    fn expect_ack(&mut self) -> std::io::Result<()> {
-        let Some(reply) = self.conn.recv_bounded(MAX_FRAME_BYTES)? else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "collector closed connection",
-            ));
-        };
-        match json::from_str(reply.trim_end()) {
-            Ok(ServerMsg::Ack) => Ok(()),
-            Ok(ServerMsg::Error { reason }) => {
-                Err(std::io::Error::new(std::io::ErrorKind::InvalidData, reason))
-            }
-            // A reply frame torn or corrupted in transit is a transport
-            // failure, not the collector's verdict: the stream can no
-            // longer be trusted, so surface it as a (transient) abort and
-            // let the retry loop reconnect — `InvalidData` stays reserved
-            // for the collector's own `Error` reply above.
-            Err(e) => Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionAborted,
-                format!("collector reply corrupted in transit: {e}"),
-            )),
+/// The collector's verdict on one message.
+fn ack(reply: &str) -> std::io::Result<()> {
+    match json::from_str(reply) {
+        Ok(ServerMsg::Ack) => Ok(()),
+        Ok(ServerMsg::Error { reason }) => {
+            Err(std::io::Error::new(std::io::ErrorKind::InvalidData, reason))
         }
+        // A reply frame torn or corrupted in transit is a transport
+        // failure, not the collector's verdict: the stream can no longer
+        // be trusted, so surface it as a (transient) abort and let the
+        // retry loop reconnect — `InvalidData` stays reserved for the
+        // collector's own `Error` reply above.
+        Err(e) => Err(std::io::Error::new(
+            std::io::ErrorKind::ConnectionAborted,
+            format!("collector reply corrupted in transit: {e}"),
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{read_msg, write_msg};
     use crate::spec::ServerClass;
-    use crate::wire::SHUTDOWN_POLL;
-    use std::io::{BufReader, Write};
+    use crate::wire::{write_line, LinePoll, LineReader, MAX_FRAME_BYTES, SHUTDOWN_POLL};
+    use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
 
     fn spec(name: &str, class: ServerClass) -> ServerSpec {
         ServerSpec::preset(class, name)
+    }
+
+    fn encode(msg: &impl ToJson) -> String {
+        json::to_string(msg).unwrap()
+    }
+
+    #[test]
+    fn every_message_round_trips_with_its_type_tag() {
+        let spec = ServerSpec::preset(ServerClass::GpuP100, "n1");
+        let client = [
+            (ClientMsg::Register { spec }, r#"{"type":"register","spec":{"class":"GpuP100","#),
+            (
+                ClientMsg::Heartbeat { hostname: "n1".into(), cpu_util: 0.25, gpus_busy: 1 },
+                r#"{"type":"heartbeat","hostname":"n1","cpu_util":0.25,"gpus_busy":1}"#,
+            ),
+            (ClientMsg::Leave { hostname: "n1".into() }, r#"{"type":"leave","hostname":"n1"}"#),
+        ];
+        for (msg, prefix) in client {
+            let line = encode(&msg);
+            assert!(line.starts_with(prefix), "{line}");
+            assert_eq!(json::from_str::<ClientMsg>(&line).unwrap(), msg);
+        }
+        let server = [
+            (ServerMsg::Ack, r#"{"type":"ack"}"#),
+            (ServerMsg::Error { reason: "a\tb".into() }, r#"{"type":"error","reason":"a\tb"}"#),
+        ];
+        for (msg, line) in server {
+            assert_eq!(encode(&msg), line);
+            assert_eq!(json::from_str::<ServerMsg>(line).unwrap(), msg);
+        }
+        // A heartbeat load figure that is not a number cannot be sent.
+        let nan = ClientMsg::Heartbeat { hostname: "n1".into(), cpu_util: f64::NAN, gpus_busy: 0 };
+        assert!(json::to_string(&nan).is_err());
+    }
+
+    /// The next frame a collector connection would hand its handler,
+    /// parsed as a [`ClientMsg`].
+    fn next_msg(lines: &mut LineReader, r: &mut impl BufRead) -> Result<ClientMsg, JsonError> {
+        match lines.poll(r).unwrap() {
+            LinePoll::Line(line) => json::from_str(&line),
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_frame_keeps_stream_synchronized() {
+        let leave = ClientMsg::Leave { hostname: "a".into() };
+        let bytes = format!("{{\"type\":\"nonsense\"}}\n{}\n", encode(&leave));
+        let mut r = BufReader::new(bytes.as_bytes());
+        let mut lines = LineReader::bounded(MAX_FRAME_BYTES);
+        assert!(next_msg(&mut lines, &mut r).is_err());
+        // The malformed line was consumed; the next frame parses fine.
+        assert_eq!(next_msg(&mut lines, &mut r).unwrap(), leave);
+    }
+
+    #[test]
+    fn invalid_utf8_is_malformed_not_fatal() {
+        let mut r = BufReader::new(&b"\xff\xfe\xfd\n"[..]);
+        let mut lines = LineReader::bounded(MAX_FRAME_BYTES);
+        assert!(next_msg(&mut lines, &mut r).is_err());
+        assert_eq!(lines.poll(&mut r).unwrap(), LinePoll::Eof);
     }
 
     #[test]
@@ -535,27 +665,19 @@ mod tests {
 
     #[test]
     fn malformed_frame_gets_error_reply_and_connection_survives() {
-        use std::io::{BufRead, Write};
         let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut w = stream.try_clone().unwrap();
-        let mut r = std::io::BufReader::new(stream);
-        w.write_all(b"completely bogus\n").unwrap();
-        w.flush().unwrap();
-        let mut line = String::new();
-        r.read_line(&mut line).unwrap();
+        let mut conn = LineConn::connect(server.addr(), None, None).unwrap();
+        let line = conn.exchange("completely bogus").unwrap();
         assert!(line.contains("error"), "{line}");
         // Same connection still works for a real registration.
-        write_msg(&mut w, &ClientMsg::Register { spec: spec("z", ServerClass::GpuP100) }).unwrap();
-        let mut ack = String::new();
-        r.read_line(&mut ack).unwrap();
+        let register = ClientMsg::Register { spec: spec("z", ServerClass::GpuP100) };
+        let ack = conn.exchange(&encode(&register)).unwrap();
         assert!(ack.contains("ack"), "{ack}");
         assert_eq!(server.num_registered(), 1);
     }
 
     #[test]
     fn oversize_frame_closes_connection_with_error() {
-        use std::io::{BufRead, Write};
         let server = CollectorServer::bind("127.0.0.1:0", None).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut w = stream.try_clone().unwrap();
@@ -666,17 +788,19 @@ mod tests {
     fn collector_with_one_torn_ack() -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let ack = encode(&ServerMsg::Ack);
         std::thread::spawn(move || {
             for (n, conn) in listener.incoming().enumerate() {
                 let Ok(mut w) = conn else { break };
                 let mut r = BufReader::new(w.try_clone().unwrap());
-                let _register: Option<ClientMsg> = read_msg(&mut r).unwrap();
-                write_msg(&mut w, &ServerMsg::Ack).unwrap();
-                let _heartbeat: Option<ClientMsg> = read_msg(&mut r).unwrap();
+                let mut frame = String::new();
+                r.read_line(&mut frame).unwrap(); // register
+                write_line(&mut w, &ack).unwrap();
+                r.read_line(&mut frame).unwrap(); // heartbeat
                 if n == 0 {
                     w.write_all(b"{\"type\":\"a").unwrap();
                 } else {
-                    write_msg(&mut w, &ServerMsg::Ack).unwrap();
+                    write_line(&mut w, &ack).unwrap();
                 }
             }
         });
@@ -725,12 +849,13 @@ mod tests {
             CollectorClient::register(server.addr(), spec("a", ServerClass::GpuP100)).unwrap();
         assert!(pddl_telemetry::gauge("collector.active_connections").get() >= 1);
         // The second peer only listens: the verdict arrives unprompted.
-        let mut second = BufReader::new(TcpStream::connect(server.addr()).unwrap());
-        match read_msg(&mut second).unwrap().expect("a typed line before the close") {
+        let mut second = LineConn::connect(server.addr(), None, None).unwrap();
+        let verdict = second.recv().expect("a typed line before the close");
+        match json::from_str(&verdict).unwrap() {
             ServerMsg::Error { reason } => assert!(reason.contains("connection limit"), "{reason}"),
             ServerMsg::Ack => panic!("a connection past the cap was admitted"),
         }
-        let closed = read_msg::<ServerMsg>(&mut second).unwrap().is_none();
+        let closed = second.recv().unwrap_err().kind() == std::io::ErrorKind::UnexpectedEof;
         assert!(closed, "the typed line is followed by EOF");
         assert_eq!(server.num_registered(), 1);
         assert!(total.get() >= total0 + 2 && shed.get() > shed0);

@@ -13,15 +13,14 @@
 
 pub mod collector;
 pub mod equations;
-pub mod protocol;
 pub mod retry;
 pub mod spec;
 pub mod state;
 pub mod wire;
 
-pub use collector::{CollectorClient, CollectorServer, DEFAULT_STALE_AFTER};
+pub use collector::{ClientMsg, CollectorClient, CollectorServer, ServerMsg, DEFAULT_STALE_AFTER};
 pub use equations::{available_flops, available_ram, per_core};
-pub use protocol::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
+pub use wire::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
 pub use retry::{
     is_transient, overload_reason, overload_retry_hint, overloaded_error,
     overloaded_error_with_reason, shard_moved_epoch, shard_moved_error,

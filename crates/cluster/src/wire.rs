@@ -1,16 +1,19 @@
 //! The one connection core: every TCP server in the workspace is a
-//! [`Handler`] behind a [`Listener`], every TCP client a [`LineConn`], and
-//! every frame leaves through [`write_line`].
+//! [`Handler`] behind a [`Listener`], every TCP client a [`LineConn`],
+//! every frame leaves through [`write_line`] and arrives through a
+//! [`LineReader`].
 //!
 //! The paper's Controller "has a listener to receive and forward incoming
 //! requests" and its Cluster Resource Collector speaks the same
 //! newline-delimited JSON (§III-D, §III-F). What the three services —
-//! controller, router, collector — share is therefore all here, once:
-//! bind, the non-blocking accept loop and its shutdown flag, the
-//! connection cap, socket options (`TCP_NODELAY`, the [`SHUTDOWN_POLL`]
-//! read timeout), fault-plan wrapping by accept-order connection number,
-//! the bounded polled frame reader, connection metrics, and the drain on
-//! drop. A service sees **lines and a [`Writer`]**, never a socket.
+//! controller, router, collector — and their clients share is therefore
+//! all here, once: bind, the non-blocking accept loop and its shutdown
+//! flag, the connection cap, socket options (`TCP_NODELAY`, the
+//! [`SHUTDOWN_POLL`] read timeout), fault-plan wrapping by accept-order
+//! connection number, the bounded polled frame reader (both directions:
+//! a server's requests and a client's replies are cut off at
+//! [`MAX_FRAME_BYTES`]), connection metrics, and the drain on drop. A
+//! service sees **lines and a [`Writer`]**, never a socket.
 //!
 //! ## Metrics
 //!
@@ -21,10 +24,9 @@
 //! that ended in a transport or handler error) and
 //! `{prefix}.oversize_frames`.
 
-use crate::protocol::{read_line_bounded, LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
 use pddl_faults::{Direction, FaultPlan, FaultyRead, FaultyWrite};
 use pddl_telemetry::{tlog, Counter, Gauge, Level};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -52,6 +54,127 @@ pub fn write_line(w: &mut impl Write, line: &str) -> std::io::Result<()> {
     frame.push(b'\n');
     w.write_all(&frame)?;
     w.flush()
+}
+
+/// Upper bound on a single wire frame (one JSON line, newline excluded),
+/// in both directions. A peer that never sends a newline can buffer at
+/// most this much before the read fails with [`WireError::FrameTooLong`].
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// Structured frame-read failures, so callers can tell a hostile frame
+/// from a dead transport.
+#[derive(Debug)]
+pub enum WireError {
+    /// The frame exceeded the length bound before a newline was seen. The
+    /// connection is no longer line-synchronized and should be closed.
+    FrameTooLong {
+        /// The bound that was exceeded.
+        limit: usize,
+    },
+    /// The underlying transport failed.
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::FrameTooLong { limit } => {
+                write!(f, "wire frame exceeds {limit} bytes without a newline")
+            }
+            WireError::Io(e) => write!(f, "wire transport error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Io(io) => io,
+            too_long => std::io::Error::new(ErrorKind::InvalidData, too_long.to_string()),
+        }
+    }
+}
+
+/// One step of a [`LineReader`] poll.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LinePoll {
+    /// A complete newline-terminated line (newline stripped), or a final
+    /// unterminated line at EOF.
+    Line(String),
+    /// Clean EOF with no buffered bytes.
+    Eof,
+    /// The read timed out (`WouldBlock` / `TimedOut`) with no complete
+    /// line yet. Partial bytes stay buffered; call [`LineReader::poll`]
+    /// again.
+    Pending,
+}
+
+/// The one frame reader: a resumable, bounded line reader for sockets
+/// with read timeouts. Every server connection and every [`LineConn`]
+/// reads through one.
+///
+/// The partial frame lives in the reader, not on the caller's stack, so
+/// a timed-out read — routine on a socket with `set_read_timeout`, where
+/// the serving core's reader threads use it to poll the shutdown flag —
+/// loses nothing: it returns [`LinePoll::Pending`] and the next poll
+/// resumes where it left off. A peer that never sends a newline fails
+/// with [`WireError::FrameTooLong`] once `limit` bytes are buffered.
+#[derive(Debug)]
+pub struct LineReader {
+    buf: Vec<u8>,
+    limit: usize,
+}
+
+impl LineReader {
+    /// A reader that bounds each line at `limit` bytes (newline excluded).
+    pub fn bounded(limit: usize) -> Self {
+        Self { buf: Vec::new(), limit }
+    }
+
+    /// Attempts to complete one line from `r`. A timed-out read
+    /// (`WouldBlock`, `TimedOut`) yields [`LinePoll::Pending`] with the
+    /// partial frame retained, an `Interrupted` one is retried; other I/O
+    /// errors are fatal.
+    ///
+    /// A frame that is not UTF-8 cannot be JSON: it comes back as the
+    /// one-character line U+FFFD, which every parser rejects, so
+    /// corruption surfaces as a malformed frame rather than killing the
+    /// connection — and, unlike a lossy decode (three bytes out per bad
+    /// byte in), the line a parser sees never outgrows the bound.
+    pub fn poll(&mut self, r: &mut impl BufRead) -> Result<LinePoll, WireError> {
+        loop {
+            let chunk = match r.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) => match e.kind() {
+                    ErrorKind::Interrupted => continue,
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => return Ok(LinePoll::Pending),
+                    _ => return Err(WireError::Io(e)),
+                },
+            };
+            if chunk.is_empty() {
+                return Ok(if self.buf.is_empty() { LinePoll::Eof } else { self.take_line() });
+            }
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let n = newline.unwrap_or(chunk.len());
+            if self.buf.len().saturating_add(n) > self.limit {
+                return Err(WireError::FrameTooLong { limit: self.limit });
+            }
+            self.buf.extend_from_slice(&chunk[..n]);
+            r.consume(n + usize::from(newline.is_some()));
+            if newline.is_some() {
+                return Ok(self.take_line());
+            }
+        }
+    }
+
+    fn take_line(&mut self) -> LinePoll {
+        let frame = std::mem::take(&mut self.buf);
+        LinePoll::Line(
+            String::from_utf8(frame).unwrap_or_else(|_| char::REPLACEMENT_CHARACTER.to_string()),
+        )
+    }
 }
 
 /// The write half of one served connection, shared between the reader
@@ -225,7 +348,7 @@ fn accept_loop<H: Handler>(
                     // Only the shutdown flag ends this loop: an acceptor
                     // that quit on ECONNABORTED or EMFILE would leave a
                     // server that looks alive and answers nobody.
-                    if e.kind() != std::io::ErrorKind::WouldBlock {
+                    if e.kind() != ErrorKind::WouldBlock {
                         tlog!(Level::Warn, core.prefix, "accept failed", error = e.to_string());
                     }
                     std::thread::sleep(ACCEPT_POLL);
@@ -330,9 +453,6 @@ fn serve_conn<H: Handler>(
                 let _ = out.send(&handler.frame_too_long_line(limit));
                 break;
             }
-            // LineReader does not parse, so Malformed cannot occur here;
-            // treat it like an over-long frame rather than panicking.
-            Err(WireError::Malformed { .. }) => break,
             Err(WireError::Io(e)) => return Err(e),
         };
         if line.trim().is_empty() {
@@ -346,11 +466,13 @@ fn serve_conn<H: Handler>(
 }
 
 /// The client side of a line connection: dial, set the socket up, then
-/// send lines and read replies.
+/// send lines and read replies — bounded at [`MAX_FRAME_BYTES`] like the
+/// requests a server reads.
 pub struct LineConn {
     // One socket: replies are read through the buffer, frames are written
     // through `&TcpStream` underneath it.
     stream: BufReader<TcpStream>,
+    replies: LineReader,
 }
 
 impl LineConn {
@@ -370,7 +492,8 @@ impl LineConn {
         stream.set_read_timeout(io_timeout)?;
         stream.set_write_timeout(io_timeout)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream: BufReader::new(stream) })
+        let replies = LineReader::bounded(MAX_FRAME_BYTES);
+        Ok(Self { stream: BufReader::new(stream), replies })
     }
 
     /// Sends one line (see [`write_line`]).
@@ -378,25 +501,20 @@ impl LineConn {
         write_line(&mut self.stream.get_ref(), line)
     }
 
-    /// Reads one reply line of any length, trailing whitespace stripped.
-    /// A peer that closed without replying is `UnexpectedEof`.
+    /// Reads one reply line, trailing whitespace stripped. A peer that
+    /// closed without replying is `UnexpectedEof`, a read past the
+    /// `io_timeout` `TimedOut`, and a reply longer than
+    /// [`MAX_FRAME_BYTES`] `InvalidData` — it is cut off, not buffered.
     pub fn recv(&mut self) -> std::io::Result<String> {
-        let mut reply = String::new();
-        self.stream.read_line(&mut reply)?;
-        if reply.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed connection",
-            ));
-        }
-        reply.truncate(reply.trim_end().len());
-        Ok(reply)
-    }
-
-    /// Reads one reply line of at most `limit` bytes
-    /// ([`read_line_bounded`]); `Ok(None)` on clean EOF.
-    pub fn recv_bounded(&mut self, limit: usize) -> Result<Option<String>, WireError> {
-        read_line_bounded(&mut self.stream, limit)
+        let (kind, what) = match self.replies.poll(&mut self.stream)? {
+            LinePoll::Line(mut reply) => {
+                reply.truncate(reply.trim_end().len());
+                return Ok(reply);
+            }
+            LinePoll::Eof => (ErrorKind::UnexpectedEof, "peer closed connection"),
+            LinePoll::Pending => (ErrorKind::TimedOut, "reply timed out"),
+        };
+        Err(std::io::Error::new(kind, what))
     }
 
     /// Sends `line` and reads the reply: [`Self::send`] then
@@ -555,6 +673,33 @@ mod tests {
     }
 
     #[test]
+    fn replies_are_bounded_like_requests() {
+        // A reply of exactly the bound arrives (the echo server reads the
+        // request under the same bound)...
+        let server = echo("wiretest.replies", 8, None);
+        let longest = "y".repeat(MAX_FRAME_BYTES);
+        assert_eq!(dial(&server).exchange(&longest).unwrap(), longest);
+        // ...one byte more with no newline is refused, not buffered: the
+        // peer keeps the connection open, so only the bound can end the
+        // read before the 5 s timeout.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&vec![b'x'; MAX_FRAME_BYTES + 1]).unwrap();
+            // Hold the socket until the client hangs up.
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        let mut conn = LineConn::connect(addr, None, Some(Duration::from_secs(5))).unwrap();
+        let t0 = Instant::now();
+        let err = conn.recv().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(t0.elapsed() < Duration::from_secs(4), "the bound did not end the read");
+        drop(conn);
+        peer.join().unwrap();
+    }
+
+    #[test]
     fn exchange_with_a_peer_that_closes_without_replying_is_unexpected_eof() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -568,5 +713,106 @@ mod tests {
         let err = conn.exchange("anyone?").unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert_eq!(peer.join().unwrap(), "anyone?\n");
+    }
+
+    /// Every line `lr` polls out of `r` until EOF, riding out `Pending`s.
+    fn poll_all(
+        lr: &mut LineReader,
+        r: &mut impl BufRead,
+    ) -> Result<Vec<String>, WireError> {
+        let mut lines = Vec::new();
+        loop {
+            match lr.poll(r)? {
+                LinePoll::Line(l) => lines.push(l),
+                LinePoll::Eof => return Ok(lines),
+                LinePoll::Pending => continue,
+            }
+        }
+    }
+
+    #[test]
+    fn overlong_frame_rejected_with_structured_error() {
+        // A "peer" that drips bytes without ever sending a newline must be
+        // cut off at the bound, not buffered indefinitely.
+        let mut r = BufReader::with_capacity(64, std::io::Cursor::new(vec![b'x'; 4096]));
+        let got = LineReader::bounded(1024).poll(&mut r);
+        assert!(matches!(got, Err(WireError::FrameTooLong { limit: 1024 })), "{got:?}");
+    }
+
+    #[test]
+    fn frame_at_limit_is_accepted() {
+        let mut r = BufReader::with_capacity(3, &b"aaaaaaaa\nbbbbbbbbb\n"[..]);
+        let mut lr = LineReader::bounded(8);
+        assert_eq!(lr.poll(&mut r).unwrap(), LinePoll::Line("aaaaaaaa".into()));
+        assert!(matches!(lr.poll(&mut r), Err(WireError::FrameTooLong { limit: 8 })));
+    }
+
+    #[test]
+    fn non_utf8_frame_never_outgrows_the_bound() {
+        // Lossy decoding would hand the parser 3x the wire bytes.
+        let mut bytes = vec![0xffu8; 600];
+        bytes.push(b'\n');
+        bytes.extend_from_slice(&[0xfe; 600]);
+        let mut r = BufReader::with_capacity(64, bytes.as_slice());
+        let lines = poll_all(&mut LineReader::bounded(1024), &mut r).unwrap();
+        assert_eq!(lines, ["\u{fffd}", "\u{fffd}"]);
+    }
+
+    /// Fails every other `fill_buf` with `WouldBlock`, like a socket whose
+    /// read timeout keeps firing mid-frame; the wrapped reader's capacity
+    /// sets the chunk size. (`tests/wire_fuzz.rs` drives the same shape
+    /// with fuzzed bytes.)
+    struct Choppy<R> {
+        inner: R,
+        block: bool,
+    }
+
+    impl<R: BufRead> Read for Choppy<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.inner.read(buf)
+        }
+    }
+
+    impl<R: BufRead> BufRead for Choppy<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.block = !self.block;
+            if self.block {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.inner.consume(amt);
+        }
+    }
+
+    fn choppy(data: &[u8], chunk: usize) -> Choppy<BufReader<&[u8]>> {
+        Choppy { inner: BufReader::with_capacity(chunk, data), block: false }
+    }
+
+    #[test]
+    fn line_reader_survives_wouldblock_mid_frame() {
+        // A reader that kept the partial frame on its stack would lose it
+        // at each timeout; LineReader hands back the lines an untimed read
+        // does.
+        let mut r = choppy(b"hello world\nsecond line\n", 4);
+        let lines = poll_all(&mut LineReader::bounded(1024), &mut r).unwrap();
+        assert_eq!(lines, ["hello world", "second line"]);
+    }
+
+    #[test]
+    fn line_reader_enforces_limit_across_polls() {
+        let mut r = choppy(&[b'x'; 256], 16);
+        let err = poll_all(&mut LineReader::bounded(64), &mut r).unwrap_err();
+        assert!(matches!(err, WireError::FrameTooLong { limit: 64 }), "{err:?}");
+    }
+
+    #[test]
+    fn line_reader_final_unterminated_line_at_eof() {
+        let mut r = BufReader::new(&b"tail without newline"[..]);
+        let mut lr = LineReader::bounded(1024);
+        assert_eq!(lr.poll(&mut r).unwrap(), LinePoll::Line("tail without newline".into()));
+        assert_eq!(lr.poll(&mut r).unwrap(), LinePoll::Eof);
     }
 }

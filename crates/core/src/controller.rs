@@ -121,7 +121,9 @@ use pddl_cluster::retry::{
 use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
 use pddl_telemetry::trace::{flight_recorder, stage_id, stages};
-use pddl_telemetry::{tlog, Counter, Histogram, Level, Snapshot, SpanStatus, TraceContext};
+use pddl_telemetry::{
+    tlog, Counter, Histogram, JsonValue, Level, Snapshot, SpanStatus, TraceContext,
+};
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -946,8 +948,9 @@ impl ControllerClient {
 
     /// Connects with `timeout` applied to the TCP connect and to every
     /// subsequent read and write. Timed-out requests surface as
-    /// `TimedOut`/`WouldBlock` errors and are counted in the
-    /// `controller_client.timeouts` counter.
+    /// `TimedOut` errors (a stalled write as `WouldBlock`), are counted in
+    /// the `controller_client.timeouts` counter, and drop the connection:
+    /// the next call dials afresh rather than read the late reply.
     pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> std::io::Result<Self> {
         let mut client = Self::disconnected(addr, Some(timeout), None);
         client.ensure_conn()?;
@@ -1072,17 +1075,15 @@ impl ControllerClient {
 
     /// Opens the TCP connection if none is live.
     fn ensure_conn(&mut self) -> std::io::Result<&mut LineConn> {
-        if self.conn.is_none() {
-            let conn = LineConn::connect(self.addr, self.timeout, self.timeout);
-            self.conn = Some(conn.inspect_err(|_| {
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => LineConn::connect(self.addr, self.timeout, self.timeout).inspect_err(|_| {
                 if self.timeout.is_some() {
                     client_metrics().timeouts.inc();
                 }
-            })?);
-        }
-        self.conn.as_mut().ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::NotConnected, "connection unavailable")
-        })
+            })?,
+        };
+        Ok(self.conn.insert(conn))
     }
 
     /// Sends one request and waits for the response. Under
@@ -1093,40 +1094,57 @@ impl ControllerClient {
         req: &PredictionRequest,
     ) -> std::io::Result<Result<Prediction, RequestError>> {
         if let Some(policy) = self.retry {
-            return self.predict_resilient(req, policy, None);
+            return self.enveloped(req, None, policy);
         }
-        let line = json::to_string(req)?;
-        let resp = self.round_trip(&line)?;
-        if let Some(e) = overload_from_line(&resp) {
-            // The server shed the request (transient, retryable); the
-            // connection stays open. Plain clients surface the error.
-            client_metrics().overloads.inc();
-            return Err(e);
-        }
-        if let Some(e) = shard_moved_from_line(&resp) {
-            // Router re-route signal; plain clients surface it (resilient
-            // clients refresh the route table and retry).
-            client_metrics().shard_moved.inc();
-            return Err(e);
-        }
-        let wire: WireResponse = json::from_str(resp.trim_end())?;
-        Ok(match wire {
-            WireResponse::Ok { prediction } => Ok(prediction),
-            WireResponse::Err { error } => Err(error),
-        })
+        let resp = self.round_trip(&json::to_string(req)?)?;
+        Ok(outcome(json::from_str(&resp)?))
     }
 
-    /// The enveloped, retrying predict path. A response is accepted only
-    /// if it parses as a [`ResponseEnvelope`] echoing this exact
-    /// `(session, id)` — anything else (corrupt frame, stale reply on a
-    /// resynchronized stream, the controller's un-id'd malformed-frame
-    /// error) drops the connection and retries. Replays hit the
-    /// controller's response cache, so results arrive exactly once.
-    fn predict_resilient(
+    /// Sends a batch of requests as one JSON-array line and waits for the
+    /// JSON array of per-request responses (request order is preserved).
+    /// Server-side the batch fans out across the work pool. Batch frames
+    /// are not id-wrapped; under an unreliable transport, prefer repeated
+    /// [`Self::predict`] calls on a resilient client. A shed batch is one
+    /// overload line, not an array: the whole batch is retryable as a
+    /// unit.
+    pub fn predict_batch(
+        &mut self,
+        reqs: &[PredictionRequest],
+    ) -> std::io::Result<Vec<Result<Prediction, RequestError>>> {
+        let resp = self.round_trip(&json::to_string(reqs)?)?;
+        let wire: Vec<WireResponse> = json::from_str(&resp)?;
+        Ok(wire.into_iter().map(outcome).collect())
+    }
+
+    /// [`Self::predict`] under an explicit trace context: the request is
+    /// id-wrapped with `trace` in its header, so the controller records
+    /// the full pipeline span tree under the caller's root span and the
+    /// response echoes the ids back. On a resilient client every retry
+    /// reuses the same context — the deterministic span derivation merges
+    /// the attempts into one retained trace; a plain client makes one
+    /// attempt.
+    pub fn predict_with_trace(
         &mut self,
         req: &PredictionRequest,
-        policy: RetryPolicy,
+        trace: TraceContext,
+    ) -> std::io::Result<Result<Prediction, RequestError>> {
+        let one_attempt = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        self.enveloped(req, Some(trace), self.retry.unwrap_or(one_attempt))
+    }
+
+    /// The enveloped predict path: one `(session, id)` identity for up to
+    /// `policy.max_attempts` attempts. A response is accepted only if it
+    /// parses as a [`ResponseEnvelope`] echoing that identity — anything
+    /// else (corrupt frame, stale reply on a resynchronized stream, the
+    /// controller's un-id'd malformed-frame error) drops the connection
+    /// and counts as a failed attempt, as do transient errors. Replays
+    /// hit the controller's response cache, so results arrive exactly
+    /// once.
+    fn enveloped(
+        &mut self,
+        req: &PredictionRequest,
         trace: Option<TraceContext>,
+        policy: RetryPolicy,
     ) -> std::io::Result<Result<Prediction, RequestError>> {
         let cm = client_metrics();
         let id = self.next_id;
@@ -1144,177 +1162,64 @@ impl ControllerClient {
             jitter_seed: policy.jitter_seed ^ id.wrapping_mul(0xA24B_AED4_963E_E407),
             ..policy
         });
-        let mut last_err: std::io::Error;
         loop {
             let was_connected = self.conn.is_some();
-            match self.round_trip(&line) {
-                Ok(resp) => {
-                    if let Some(e) = overload_from_line(&resp) {
-                        // Typed shed: the server kept the connection open,
-                        // so back off (honoring its retry_after hint
-                        // below) without reconnecting.
-                        cm.overloads.inc();
-                        last_err = e;
-                    } else if let Some(e) = shard_moved_from_line(&resp) {
-                        // The routed shard died before answering. The
-                        // router has already absorbed the death (the
-                        // reply carries the new epoch), so refresh the
-                        // cached route table — best effort; the retry
-                        // itself is what must land — and go again: the
-                        // retry routes to the replacement shard, whose
-                        // dedup cache keeps the result exactly-once.
-                        cm.shard_moved.inc();
-                        let _ = self.route_table();
-                        last_err = e;
-                    } else {
-                        match json::from_str::<ResponseEnvelope>(resp.trim_end()) {
-                            Ok(renv) if renv.client == self.session && renv.id == id => {
-                                self.last_shard = renv.shard.or(self.last_shard);
-                                return Ok(match renv.resp {
-                                    WireResponse::Ok { prediction } => Ok(prediction),
-                                    WireResponse::Err { error } => Err(error),
-                                });
-                            }
-                            _ => {
-                                // Corrupted or mismatched reply: the stream
-                                // can no longer be trusted to be in sync.
-                                cm.mismatches.inc();
-                                self.conn = None;
-                                last_err = std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    "response did not echo the request identity",
-                                );
-                            }
-                        }
+            let err = match self.round_trip(&line) {
+                Ok(resp) => match json::from_str::<ResponseEnvelope>(&resp) {
+                    Ok(renv) if renv.client == self.session && renv.id == id => {
+                        self.last_shard = renv.shard.or(self.last_shard);
+                        return Ok(outcome(renv.resp));
                     }
-                }
-                Err(e) if is_transient(&e) => {
-                    self.conn = None;
-                    last_err = e;
-                }
+                    _ => {
+                        // Corrupted or mismatched reply: the stream can no
+                        // longer be trusted to be in sync.
+                        cm.mismatches.inc();
+                        self.conn = None;
+                        invalid_data("response did not echo the request identity".to_string())
+                    }
+                },
+                Err(e) if is_transient(&e) => e,
                 Err(e) => return Err(e),
+            };
+            let Some(delay) = backoff.next_delay() else { return Err(err) };
+            cm.retries.inc();
+            // Count a reconnect only when the connection was actually lost
+            // (an overload shed keeps it open).
+            if was_connected && self.conn.is_none() {
+                cm.reconnects.inc();
             }
-            match backoff.next_delay() {
-                Some(delay) => {
-                    cm.retries.inc();
-                    // Count a reconnect only when the connection was
-                    // actually lost (an overload shed keeps it open).
-                    if was_connected && self.conn.is_none() {
-                        cm.reconnects.inc();
-                    }
-                    // The server's pacing hint is a floor under the
-                    // jittered backoff, capped by the policy so a bogus
-                    // hint cannot stall the client.
-                    let floor = overload_retry_hint(&last_err)
-                        .or_else(|| shard_moved_retry_hint(&last_err))
-                        .map(|h| h.min(policy.max_delay))
-                        .unwrap_or(Duration::ZERO);
-                    std::thread::sleep(delay.max(floor));
-                }
-                None => return Err(last_err),
+            let moved = shard_moved_retry_hint(&err);
+            if moved.is_some() {
+                // The routed shard died before answering and the router
+                // has absorbed the death (the reply carries the new
+                // epoch): refresh the cached route table — best effort;
+                // the retry itself is what must land, on the replacement
+                // shard, whose dedup cache keeps the result exactly-once.
+                let _ = self.route_table();
             }
+            // The server's pacing hint is a floor under the jittered
+            // backoff, capped by the policy so a bogus hint cannot stall
+            // the client.
+            let floor = overload_retry_hint(&err).or(moved).map_or(Duration::ZERO, |h| {
+                h.min(policy.max_delay)
+            });
+            std::thread::sleep(delay.max(floor));
         }
-    }
-
-    /// Sends a batch of requests as one JSON-array line and waits for the
-    /// JSON array of per-request responses (request order is preserved).
-    /// Server-side the batch fans out across the work pool. Batch frames
-    /// are not id-wrapped; under an unreliable transport, prefer repeated
-    /// [`Self::predict`] calls on a resilient client.
-    pub fn predict_batch(
-        &mut self,
-        reqs: &[PredictionRequest],
-    ) -> std::io::Result<Vec<Result<Prediction, RequestError>>> {
-        let line = json::to_string(reqs)?;
-        let resp = self.round_trip(&line)?;
-        if let Some(e) = overload_from_line(&resp) {
-            // A shed batch is one overload frame, not an array; the whole
-            // batch is retryable as a unit.
-            client_metrics().overloads.inc();
-            return Err(e);
-        }
-        let wire: Vec<WireResponse> = json::from_str(resp.trim_end())?;
-        Ok(wire
-            .into_iter()
-            .map(|w| match w {
-                WireResponse::Ok { prediction } => Ok(prediction),
-                WireResponse::Err { error } => Err(error),
-            })
-            .collect())
-    }
-
-    /// [`Self::predict`] under an explicit trace context: the request is
-    /// id-wrapped with `trace` in its header, so the controller records
-    /// the full pipeline span tree under the caller's root span and the
-    /// response echoes the ids back. On a resilient client every retry
-    /// reuses the same context — the deterministic span derivation merges
-    /// the attempts into one retained trace.
-    pub fn predict_with_trace(
-        &mut self,
-        req: &PredictionRequest,
-        trace: TraceContext,
-    ) -> std::io::Result<Result<Prediction, RequestError>> {
-        if let Some(policy) = self.retry {
-            return self.predict_resilient(req, policy, Some(trace));
-        }
-        let cm = client_metrics();
-        let id = self.next_id;
-        self.next_id += 1;
-        let envelope = RequestEnvelope {
-            client: self.session,
-            id,
-            trace: Some(TraceHeader::from(trace)),
-            req: req.clone(),
-        };
-        let line = json::to_string(&envelope)?;
-        let resp = self.round_trip(&line)?;
-        if let Some(e) = overload_from_line(&resp) {
-            cm.overloads.inc();
-            return Err(e);
-        }
-        if let Some(e) = shard_moved_from_line(&resp) {
-            cm.shard_moved.inc();
-            return Err(e);
-        }
-        let renv: ResponseEnvelope = json::from_str(resp.trim_end())?;
-        if renv.client != self.session || renv.id != id {
-            cm.mismatches.inc();
-            self.conn = None;
-            return Err(invalid_data(
-                "response did not echo the request identity".to_string(),
-            ));
-        }
-        self.last_shard = renv.shard.or(self.last_shard);
-        Ok(match renv.resp {
-            WireResponse::Ok { prediction } => Ok(prediction),
-            WireResponse::Err { error } => Err(error),
-        })
     }
 
     /// Fetches the flight recorder's retained traces (`{"op":"trace"}` on
     /// the wire) as the parsed dump document; decode the trace list with
     /// [`pddl_telemetry::trace::parse_trace_dump`].
-    pub fn trace_dump(&mut self) -> std::io::Result<pddl_telemetry::JsonValue> {
-        let resp = self.round_trip("{\"op\":\"trace\"}")?;
-        let doc = pddl_telemetry::JsonValue::parse(resp.trim_end())
-            .map_err(invalid_data)?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("trace") {
-            return Err(invalid_data("response is not a trace payload".to_string()));
-        }
-        Ok(doc)
+    pub fn trace_dump(&mut self) -> std::io::Result<JsonValue> {
+        self.control("trace")
     }
 
     /// Fetches the controller's metrics as Prometheus text exposition
     /// (`{"op":"metrics"}` on the wire).
     pub fn metrics_text(&mut self) -> std::io::Result<String> {
-        let resp = self.round_trip("{\"op\":\"metrics\"}")?;
-        let doc = pddl_telemetry::JsonValue::parse(resp.trim_end())
-            .map_err(invalid_data)?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("metrics") {
-            return Err(invalid_data("response is not a metrics payload".to_string()));
-        }
+        let doc = self.control("metrics")?;
         doc.get("exposition")
-            .and_then(|v| v.as_str())
+            .and_then(JsonValue::as_str)
             .map(str::to_string)
             .ok_or_else(|| invalid_data("metrics response missing 'exposition'".to_string()))
     }
@@ -1322,15 +1227,10 @@ impl ControllerClient {
     /// Requests a live telemetry snapshot from the controller
     /// (`{"op":"stats"}` on the wire).
     pub fn stats(&mut self) -> std::io::Result<Snapshot> {
-        let resp = self.round_trip("{\"op\":\"stats\"}")?;
-        let doc = pddl_telemetry::JsonValue::parse(resp.trim_end())
-            .map_err(invalid_data)?;
-        if doc.get("status").and_then(|s| s.as_str()) != Some("stats") {
-            return Err(invalid_data("response is not a stats payload".to_string()));
-        }
+        let doc = self.control("stats")?;
         // Sharded controllers stamp their id on the stats line; surface
         // it instead of silently dropping the unknown field.
-        if let Some(shard) = doc.get("shard").and_then(|v| v.as_u64()) {
+        if let Some(shard) = doc.get("shard").and_then(JsonValue::as_u64) {
             self.last_shard = Some(shard);
         }
         let snapshot = doc.get("snapshot").ok_or_else(|| {
@@ -1339,17 +1239,52 @@ impl ControllerClient {
         Snapshot::from_value(snapshot).map_err(invalid_data)
     }
 
-    /// Writes one line, reads one line; counts requests and timeouts.
+    /// Sends `{"op":"<op>"}` and parses its `{"status":"<op>",…}` reply.
+    fn control(&mut self, op: &str) -> std::io::Result<JsonValue> {
+        let resp = self.round_trip(&format!("{{\"op\":\"{op}\"}}"))?;
+        let doc = JsonValue::parse(&resp).map_err(invalid_data)?;
+        if doc.get("status").and_then(JsonValue::as_str) != Some(op) {
+            return Err(invalid_data(format!("response is not a {op} payload")));
+        }
+        Ok(doc)
+    }
+
+    /// The one reply path: writes one line, reads one line, counts the
+    /// request, and classifies the reply once. A typed overload or
+    /// `shard_moved` line becomes its transient error (counted; the
+    /// connection stays open). Any transport error drops the connection,
+    /// so a reply that arrives after a timeout is never read as the
+    /// answer to the next request.
     fn round_trip(&mut self, line: &str) -> std::io::Result<String> {
         let m = client_metrics();
         m.requests.inc();
-        let io = |e: std::io::Error| {
-            if matches!(e.kind(), std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock) {
-                m.timeouts.inc();
+        let resp = match self.ensure_conn().and_then(|conn| conn.exchange(line)) {
+            Ok(resp) => resp,
+            Err(e) => {
+                use std::io::ErrorKind::{TimedOut, WouldBlock};
+                if matches!(e.kind(), TimedOut | WouldBlock) {
+                    m.timeouts.inc();
+                }
+                self.conn = None;
+                return Err(e);
             }
-            e
         };
-        self.ensure_conn().map_err(io)?.exchange(line).map_err(io)
+        if let Some(e) = overload_from_line(&resp) {
+            m.overloads.inc();
+            return Err(e);
+        }
+        if let Some(e) = shard_moved_from_line(&resp) {
+            m.shard_moved.inc();
+            return Err(e);
+        }
+        Ok(resp)
+    }
+}
+
+fn outcome(wire: WireResponse) -> Result<Prediction, RequestError> {
+    match wire {
+        WireResponse::Ok { prediction } => Ok(prediction),
+        WireResponse::Err { error } => Err(error),
     }
 }
 

@@ -50,7 +50,7 @@ use pddl_telemetry::{Snapshot, TraceContext};
 /// frame shapes (no `"op"` tag on the wire — they are distinguished
 /// structurally); the middle five are the `{"op":…}` control frames; the
 /// last three are the Cluster Resource Collector's registration protocol
-/// (see [`pddl_cluster::protocol`]). `tests/protocol_docs.rs` requires a
+/// (see [`pddl_cluster::ClientMsg`]). `tests/protocol_docs.rs` requires a
 /// ``### `<op>` `` section in PROTOCOL.md for each entry, holding at
 /// least one complete request line and one complete reply line.
 pub const WIRE_OPS: &[&str] = &[
@@ -358,32 +358,49 @@ fn rejected_line(kind: &str, reason: &str) -> String {
     line(|o| o.field("error", kind).field("reason", reason))
 }
 
+/// The document of a typed `{"error":"<kind>",…}` line, if `resp` is
+/// one — the one recogniser behind every `*_from_line` classifier.
+fn typed_error(resp: &str, kind: &str) -> Option<JsonValue> {
+    let trimmed = resp.trim_end();
+    // Fast path: only a typed error line has a string-valued `error` key
+    // (a prediction error's is an object), so every other reply is
+    // rejected without a parse.
+    if !trimmed.contains("\"error\":\"") {
+        return None;
+    }
+    let doc = JsonValue::parse(trimmed).ok()?;
+    (doc.get("error")?.as_str()? == kind).then_some(doc)
+}
+
+/// The `u64` at `key` of a typed error line, 0 when absent.
+fn int(doc: &JsonValue, key: &str) -> u64 {
+    doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+}
+
+/// The `reason` of a typed rejection line, `unknown` when absent.
+fn rejected_from_line(resp: &str, kind: &str) -> Option<String> {
+    let doc = typed_error(resp, kind)?;
+    Some(doc.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown").to_string())
+}
+
 /// Renders the typed overload reply; `reason` is one of `queue_full`,
 /// `deadline`, `connection_limit`, `draining`.
 pub fn overload_line(retry_after_ms: u64, reason: &str) -> String {
-    format!("{{\"error\":\"overloaded\",\"retry_after_ms\":{retry_after_ms},\"reason\":\"{reason}\"}}")
+    line(|o| {
+        o.field("error", "overloaded")
+            .field("retry_after_ms", &retry_after_ms)
+            .field("reason", reason)
+    })
 }
 
 /// Classifies a response line as a typed overload reply, mapping it to
 /// the transient [`pddl_cluster::retry::Overloaded`] error the resilient
 /// retry loop understands.
 pub fn overload_from_line(resp: &str) -> Option<std::io::Error> {
-    let trimmed = resp.trim_end();
-    // Fast path: every overload reply carries this exact key/value.
-    if !trimmed.contains("\"error\":\"overloaded\"") {
-        return None;
-    }
-    let doc = JsonValue::parse(trimmed).ok()?;
-    if doc.get("error")?.as_str()? != "overloaded" {
-        return None;
-    }
-    let ms = doc.get("retry_after_ms").and_then(|v| v.as_u64()).unwrap_or(0);
-    let reason = doc
-        .get("reason")
-        .and_then(|v| v.as_str())
-        .map(ShedReason::parse)
-        .unwrap_or(ShedReason::Unknown);
-    Some(overloaded_error_with_reason(ms, reason))
+    let doc = typed_error(resp, "overloaded")?;
+    let reason = doc.get("reason").and_then(JsonValue::as_str);
+    let reason = reason.map_or(ShedReason::Unknown, ShedReason::parse);
+    Some(overloaded_error_with_reason(int(&doc, "retry_after_ms"), reason))
 }
 
 /// Renders the typed re-route reply the router sends when the shard a
@@ -391,7 +408,11 @@ pub fn overload_from_line(resp: &str) -> Option<std::io::Error> {
 /// epoch *after* the death was absorbed, so a client that refreshes its
 /// route table can tell whether it already saw the new topology.
 pub fn shard_moved_line(epoch: u64, retry_after_ms: u64) -> String {
-    format!("{{\"error\":\"shard_moved\",\"epoch\":{epoch},\"retry_after_ms\":{retry_after_ms}}}")
+    line(|o| {
+        o.field("error", "shard_moved")
+            .field("epoch", &epoch)
+            .field("retry_after_ms", &retry_after_ms)
+    })
 }
 
 /// Classifies a response line as a typed `shard_moved` reply, mapping it
@@ -401,17 +422,8 @@ pub fn shard_moved_line(epoch: u64, retry_after_ms: u64) -> String {
 /// the routed shard died without answering, and the dedup cache on the
 /// replacement shard absorbs any replay the shard did answer).
 pub fn shard_moved_from_line(resp: &str) -> Option<std::io::Error> {
-    let trimmed = resp.trim_end();
-    if !trimmed.contains("\"error\":\"shard_moved\"") {
-        return None;
-    }
-    let doc = JsonValue::parse(trimmed).ok()?;
-    if doc.get("error")?.as_str()? != "shard_moved" {
-        return None;
-    }
-    let epoch = doc.get("epoch").and_then(|v| v.as_u64()).unwrap_or(0);
-    let ms = doc.get("retry_after_ms").and_then(|v| v.as_u64()).unwrap_or(0);
-    Some(shard_moved_error(epoch, ms))
+    let doc = typed_error(resp, "shard_moved")?;
+    Some(shard_moved_error(int(&doc, "epoch"), int(&doc, "retry_after_ms")))
 }
 
 /// Reply to a successful `{"op":"reload"}`: the version now live, the
@@ -475,20 +487,7 @@ pub fn reload_rejected_line(reason: &str) -> String {
 /// Classifies a response line as a typed `reload_rejected` reply,
 /// returning the rejection reason.
 pub fn reload_rejected_from_line(resp: &str) -> Option<String> {
-    let trimmed = resp.trim_end();
-    if !trimmed.contains("\"error\":\"reload_rejected\"") {
-        return None;
-    }
-    let doc = JsonValue::parse(trimmed).ok()?;
-    if doc.get("error")?.as_str()? != "reload_rejected" {
-        return None;
-    }
-    Some(
-        doc.get("reason")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown")
-            .to_string(),
-    )
+    rejected_from_line(resp, "reload_rejected")
 }
 
 /// Reply to a successful `{"op":"observe"}`: the sink's lifetime
@@ -560,20 +559,7 @@ pub fn observe_rejected_line(reason: &str) -> String {
 /// Classifies a response line as a typed `observe_rejected` reply,
 /// returning the rejection reason.
 pub fn observe_rejected_from_line(resp: &str) -> Option<String> {
-    let trimmed = resp.trim_end();
-    if !trimmed.contains("\"error\":\"observe_rejected\"") {
-        return None;
-    }
-    let doc = JsonValue::parse(trimmed).ok()?;
-    if doc.get("error")?.as_str()? != "observe_rejected" {
-        return None;
-    }
-    Some(
-        doc.get("reason")
-            .and_then(|v| v.as_str())
-            .unwrap_or("unknown")
-            .to_string(),
-    )
+    rejected_from_line(resp, "observe_rejected")
 }
 
 /// One shard entry in a [`RouteTable`].

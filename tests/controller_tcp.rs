@@ -146,6 +146,55 @@ fn malformed_line_gets_typed_error() {
     assert!(line.contains("malformed"), "{line}");
 }
 
+/// A plain client whose request timed out must not read that request's
+/// late reply as the answer to its next one: the timed-out connection is
+/// dropped, and the next call dials afresh. The peer answers
+/// `{"op":"reload","version":v}` with version `v`, and holds its first
+/// answer until the client has given up on it.
+#[test]
+fn a_late_reply_is_not_read_as_the_next_answer() {
+    use predictddl::{parse_frame, ParsedFrame, ReloadReply};
+    use std::io::{BufRead, BufReader, Write};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        std::thread::scope(|s| {
+            // The held connection, then the one the client dials after it.
+            for mut held in [Some(held), None] {
+                let (mut stream, _) = listener.accept().unwrap();
+                s.spawn(move || {
+                    let frames = BufReader::new(stream.try_clone().unwrap()).lines();
+                    for frame in frames.map_while(Result::ok) {
+                        let Ok(ParsedFrame::Reload { version: Some(v) }) = parse_frame(&frame)
+                        else {
+                            panic!("not a versioned reload: {frame}");
+                        };
+                        if let Some(held) = held.take() {
+                            held.recv().unwrap();
+                        }
+                        let reply = ReloadReply { version: v, previous: 0, epoch: v }.to_line();
+                        if stream.write_all(format!("{reply}\n").as_bytes()).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+    });
+
+    let timeout = std::time::Duration::from_millis(250);
+    let mut client = ControllerClient::connect_with_timeout(addr, timeout).unwrap();
+    let late = client.reload(Some(1)).expect_err("the first answer is held past the timeout");
+    assert_eq!(late.kind(), std::io::ErrorKind::TimedOut, "{late}");
+    release.send(()).unwrap();
+    let second = client.reload(Some(2)).unwrap().expect("a reload reply");
+    assert_eq!(second.version, 2, "read request 1's late reply as the answer to request 2");
+    drop(client);
+    peer.join().unwrap();
+}
+
 /// A frame is one write on a `TCP_NODELAY` socket, at both ends. When it
 /// was two writes on a Nagle socket the newline waited for the peer's
 /// delayed ACK on each leg and every round trip cost ~88 ms; a warm

@@ -3,7 +3,6 @@
 //! [`for_each_case`] hands it, and a failure names the seed that replays
 //! the case.
 
-use pddl_cluster::protocol::{read_line_bounded, WireError};
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{SimConfig, Simulator, Workload};
 use pddl_faults::FaultPlan;
@@ -16,8 +15,6 @@ use pddl_regress::{batch_ridge, DriftConfig, OnlineRidge, PageHinkley};
 use pddl_tensor::linalg::qr;
 use pddl_tensor::rng::for_each_case;
 use pddl_tensor::{Matrix, Rng};
-use predictddl::parse_frame;
-use std::io::BufReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -146,33 +143,6 @@ fn cluster_features_always_finite() {
             *rng.pick(&[ServerClass::CpuE5_2630, ServerClass::CpuE5_2650, ServerClass::GpuP100]);
         let f = ClusterState::homogeneous(class, n).feature_vector();
         assert!(f.iter().all(|x| x.is_finite()));
-    });
-}
-
-/// Arbitrary peer bytes through the bounded reader and the frame
-/// parser produce structured outcomes only: no panics, and no line
-/// longer than the limit ever escapes.
-#[test]
-fn wire_layer_survives_arbitrary_bytes() {
-    for_each_case(CASES, |rng| {
-        let bytes: Vec<u8> = (0..rng.below(2048)).map(|_| rng.next_u64() as u8).collect();
-        let cap = rng.range(8, 256);
-        let mut reader = BufReader::with_capacity(cap, bytes.as_slice());
-        loop {
-            match read_line_bounded(&mut reader, 512) {
-                Ok(None) => break,
-                Ok(Some(line)) => {
-                    assert!(line.len() <= 512, "over-limit line escaped");
-                    let _ = parse_frame(&line);
-                }
-                Err(WireError::FrameTooLong { limit }) => {
-                    assert_eq!(limit, 512);
-                    break;
-                }
-                Err(WireError::Malformed { .. }) => continue,
-                Err(WireError::Io(e)) => panic!("in-memory reader raised io error: {e}"),
-            }
-        }
     });
 }
 

@@ -8,13 +8,14 @@
 //! [`WIRE_OPS`] needs a `` ### `op` `` section holding at least one of
 //! each — the doc-coverage gate.
 //!
-//! Two source gates live here too — no `unwrap()` in the peer-facing
-//! parsers, and no socket code outside the one connection core — and one
-//! reference gate: a binary, example, test, bench or `BENCH_*.json` that
-//! the prose docs name exists in the tree. All of them read the
-//! repository's own files, so they run wherever `cargo test` runs.
+//! Three source gates live here too — no `unwrap()` in the peer-facing
+//! parsers, no socket code outside the one connection core, and no frame
+//! reading outside its one `LineReader` — and one reference gate: a
+//! binary, example, test, bench or `BENCH_*.json` that the prose docs
+//! name exists in the tree. All of them read the repository's own files,
+//! so they run wherever `cargo test` runs.
 
-use pddl_cluster::protocol::{ClientMsg, ServerMsg};
+use pddl_cluster::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
 use pddl_telemetry::trace::{parse_trace_dump, render_trace_dump};
 use pddl_telemetry::{JsonValue, Snapshot};
@@ -28,7 +29,7 @@ use predictddl::{
     WireResponse, WIRE_OPS,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const PROTOCOL_MD: &str = include_str!("../PROTOCOL.md");
 
@@ -236,14 +237,14 @@ fn non_test_hits(file: &str, src: &str, needles: &[&str]) -> Vec<String> {
 }
 
 /// The peer-facing code must stay panic-free: an `unwrap()` outside the
-/// `#[cfg(test)]` module of the frame reader, the connection core, the
-/// frame classifier or the JSON codec fails this gate — return the typed
-/// error instead.
+/// `#[cfg(test)]` module of the connection core and its frame reader,
+/// the collector's message parser, the frame classifier or the JSON codec
+/// fails this gate — return the typed error instead.
 #[test]
 fn peer_facing_parsers_contain_no_unwrap() {
     for (file, src) in [
-        ("crates/cluster/src/protocol.rs", include_str!("../crates/cluster/src/protocol.rs")),
         ("crates/cluster/src/wire.rs", include_str!("../crates/cluster/src/wire.rs")),
+        ("crates/cluster/src/collector.rs", include_str!("../crates/cluster/src/collector.rs")),
         ("crates/core/src/protocol.rs", include_str!("../crates/core/src/protocol.rs")),
         ("crates/telemetry/src/json.rs", include_str!("../crates/telemetry/src/json.rs")),
     ] {
@@ -277,6 +278,44 @@ fn sockets_are_opened_only_by_the_connection_core() {
     let wire = include_str!("../crates/cluster/src/wire.rs");
     let hits = non_test_hits("crates/cluster/src/wire.rs", wire, &["try_clone"]);
     assert!(hits.is_empty(), "a second descriptor per connection: {hits:?}");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    let mut files = Vec::new();
+    for path in entries.map(|e| e.expect("dir entry").path()) {
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// There is one frame reader — `LineReader` in `pddl_cluster::wire`,
+/// bounded at `MAX_FRAME_BYTES`, behind every server connection and every
+/// `LineConn`. A `fill_buf(` or `read_line(` in the non-test code of any
+/// other file under `crates/*/src` is a second framing implementation
+/// with its own idea of the bound (or none): read through a `LineConn`,
+/// or be a `Handler`.
+#[test]
+fn frames_are_read_only_by_the_line_reader() {
+    const FRAMING: [&str; 2] = ["fill_buf(", "read_line("];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut framing = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        for file in rust_files(&krate.expect("crates/ entry").path().join("src")) {
+            let name = file.strip_prefix(&root).expect("under the root").display().to_string();
+            let src = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{name}: {e}"));
+            framing.extend(non_test_hits(&name, &src, &FRAMING));
+        }
+    }
+    let (core, elsewhere): (Vec<_>, Vec<_>) =
+        framing.into_iter().partition(|hit| hit.starts_with("crates/cluster/src/wire.rs:"));
+    assert!(!core.is_empty(), "the walk never found LineReader's own fill_buf");
+    assert!(elsewhere.is_empty(), "frame reading outside pddl_cluster::wire: {elsewhere:?}");
 }
 
 /// Cargo's target kinds, with the flag that selects one and the directory

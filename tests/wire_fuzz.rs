@@ -1,14 +1,17 @@
 //! Seeded wire-layer fuzzing: arbitrary, truncated, and corrupted bytes
-//! fed into the bounded frame reader and both request parsers must come
-//! back as structured errors (or clean parses) — never a panic, never an
-//! unbounded buffer.
+//! fed into the frame reader every server and client runs
+//! ([`LineReader`]) and both peer-facing parsers must come back as
+//! structured errors (or clean parses) — never a panic, never an
+//! unbounded buffer — and read timeouts between chunks must not change a
+//! single line.
 //!
 //! The generator is a [`pddl_faults::FaultRng`], so every failure is
 //! reproducible from the seed printed in the assertion message. 10 000
 //! cases per seed, three seeds.
 
-use pddl_cluster::protocol::{read_line_bounded, read_msg_bounded, ClientMsg, WireError};
-use pddl_cluster::{ClusterState, ServerClass, MAX_FRAME_BYTES};
+use pddl_cluster::{
+    ClientMsg, ClusterState, LinePoll, LineReader, ServerClass, WireError, MAX_FRAME_BYTES,
+};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultRng;
 use pddl_telemetry::json;
@@ -16,7 +19,7 @@ use predictddl::{
     parse_frame, ParsedFrame, PredictionRequest, RequestEnvelope, RequestError, ResponseEnvelope,
     TraceHeader, WireResponse,
 };
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 
 const CASES_PER_SEED: usize = 10_000;
 const SEEDS: [u64; 3] = [1, 42, 0xDEAD_BEEF];
@@ -37,9 +40,12 @@ fn sample_request(rng: &mut FaultRng) -> PredictionRequest {
 /// One adversarial byte buffer. Mixes pure noise, printable noise, and
 /// mutations (bit flips, truncations, splices) of well-formed frames.
 fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
-    match rng.below(6) {
+    match rng.below(7) {
         // Pure random bytes, newlines included by chance.
         0 => (0..rng.below(256)).map(|_| rng.byte()).collect(),
+        // Up to two frame bounds of noise: now and then a run of it
+        // outgrows the bound.
+        6 => (0..rng.below(2 * LIMIT as u64)).map(|_| rng.byte()).collect(),
         // Random printable ASCII line.
         1 => {
             let mut buf: Vec<u8> =
@@ -85,50 +91,92 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
     }
 }
 
-/// Drains a byte buffer through the bounded reader exactly as a connection
-/// handler would, feeding every extracted line to both parsers. Returns on
-/// EOF or the first structured error; panics only if a parser panics —
-/// which is the bug class this test exists to catch.
-fn drain(bytes: &[u8], buf_cap: usize, seed: u64, case: usize) {
-    let mut reader = BufReader::with_capacity(buf_cap, bytes);
+/// What a reader made of a byte stream: every line it handed out, then
+/// how it stopped — `None` at EOF, `Some(limit)` on an over-long frame.
+type Polled = (Vec<String>, Option<usize>);
+
+/// Polls `r` to the end the way a connection does: a timed-out read
+/// (`Pending`) is polled again, every line is handed on.
+fn poll_to_end(r: &mut impl BufRead) -> Polled {
+    let mut lines = LineReader::bounded(LIMIT);
+    let mut out = Vec::new();
     loop {
-        match read_line_bounded(&mut reader, LIMIT) {
-            Ok(None) => break,
-            Ok(Some(line)) => {
-                assert!(
-                    line.len() <= LIMIT,
-                    "seed {seed} case {case}: line over limit ({} bytes)",
-                    line.len()
-                );
-                // Both peer-facing parsers must classify or reject.
-                let _ = parse_frame(&line);
-            }
-            Err(WireError::FrameTooLong { .. }) => break,
-            Err(WireError::Malformed { .. }) => continue,
-            Err(WireError::Io(e)) => panic!("seed {seed} case {case}: io error {e}"),
-        }
-    }
-    // The typed-message reader takes the same bytes without panicking.
-    let mut reader = BufReader::with_capacity(buf_cap, bytes);
-    loop {
-        match read_msg_bounded::<ClientMsg>(&mut reader, LIMIT) {
-            Ok(None) => break,
-            Ok(Some(_)) => continue,
-            Err(_) => break,
+        match lines.poll(r) {
+            Ok(LinePoll::Line(line)) => out.push(line),
+            Ok(LinePoll::Pending) => continue,
+            Ok(LinePoll::Eof) => return (out, None),
+            Err(WireError::FrameTooLong { limit }) => return (out, Some(limit)),
+            Err(WireError::Io(e)) => panic!("in-memory reader raised io error: {e}"),
         }
     }
 }
 
+/// Fails every other `fill_buf` with `WouldBlock`, like a socket whose
+/// read timeout keeps firing mid-frame (the wire unit tests' reader).
+struct Choppy<R> {
+    inner: R,
+    block: bool,
+}
+
+impl<R: BufRead> Read for Choppy<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl<R: BufRead> BufRead for Choppy<R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.block = !self.block;
+        if self.block {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.inner.consume(amt);
+    }
+}
+
+/// Every seeded case with the reader capacity it is read at; tiny
+/// capacities exercise `fill_buf` boundary handling.
+fn seeded_cases() -> impl Iterator<Item = (u64, usize, Vec<u8>, usize)> {
+    SEEDS.into_iter().flat_map(|seed| {
+        let mut rng = FaultRng::new(seed);
+        (0..CASES_PER_SEED).map(move |case| {
+            let bytes = gen_case(&mut rng);
+            (seed, case, bytes, 8 + rng.below(120) as usize)
+        })
+    })
+}
+
+/// Drains every case through the bounded reader exactly as a connection
+/// does, feeding every extracted line to both peer-facing parsers — the
+/// controller's and the collector's. Panics only if a parser panics or a
+/// line escapes the bound — the bug classes this test exists to catch.
 #[test]
 fn arbitrary_bytes_never_panic_the_wire_layer() {
-    for seed in SEEDS {
-        let mut rng = FaultRng::new(seed);
-        for case in 0..CASES_PER_SEED {
-            let bytes = gen_case(&mut rng);
-            // Tiny buffer capacities exercise fill_buf boundary handling.
-            let cap = 8 + rng.below(120) as usize;
-            drain(&bytes, cap, seed, case);
+    for (seed, case, bytes, cap) in seeded_cases() {
+        let (lines, too_long) = poll_to_end(&mut BufReader::with_capacity(cap, bytes.as_slice()));
+        for line in &lines {
+            assert!(line.len() <= LIMIT, "seed {seed} case {case}: line over limit");
+            let _ = parse_frame(line);
+            let _ = json::from_str::<ClientMsg>(line);
         }
+        assert!(too_long.is_none_or(|limit| limit == LIMIT), "seed {seed} case {case}");
+    }
+}
+
+/// The same inputs with a timed-out read before every chunk: the reader
+/// keeps its partial frame across `Pending`, so the lines — and where an
+/// over-long frame stops the read — equal an uninterrupted read's.
+#[test]
+fn wouldblock_between_chunks_changes_no_line() {
+    for (seed, case, bytes, cap) in seeded_cases() {
+        let plain = poll_to_end(&mut BufReader::with_capacity(cap, bytes.as_slice()));
+        let inner = BufReader::with_capacity(cap, bytes.as_slice());
+        let choppy = poll_to_end(&mut Choppy { inner, block: false });
+        assert_eq!(choppy, plain, "seed {seed} case {case}");
     }
 }
 
@@ -157,11 +205,8 @@ fn overlong_frames_get_structured_rejection() {
         if rng.below(2) == 0 {
             bytes.push(b'\n');
         }
-        let mut reader = BufReader::with_capacity(32, bytes.as_slice());
-        match read_line_bounded(&mut reader, LIMIT) {
-            Err(WireError::FrameTooLong { limit }) => assert_eq!(limit, LIMIT),
-            other => panic!("case {case}: expected FrameTooLong, got {other:?}"),
-        }
+        let polled = poll_to_end(&mut BufReader::with_capacity(32, bytes.as_slice()));
+        assert_eq!(polled, (vec![], Some(LIMIT)), "case {case}");
     }
 }
 
@@ -233,7 +278,7 @@ fn deep_nesting_at_the_frame_bound_is_rejected_not_overflowed() {
     over.push(b'\n');
     let mut reader = BufReader::new(over.as_slice());
     assert!(matches!(
-        read_line_bounded(&mut reader, MAX_FRAME_BYTES),
+        LineReader::bounded(MAX_FRAME_BYTES).poll(&mut reader),
         Err(WireError::FrameTooLong { .. })
     ));
 }
