@@ -82,16 +82,6 @@ impl FromJson for Activation {
 }
 
 impl Activation {
-    #[allow(dead_code)]
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Identity => x,
-        }
-    }
-
     /// The tensor-crate activation this maps to in fused GEMM epilogues.
     /// This enum stays the persisted config surface; the tensor enum is
     /// the compute-side type.

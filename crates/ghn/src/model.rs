@@ -1,12 +1,17 @@
 //! The GHN-2 network: embedding layer → GatedGNN → readout → decoder.
 //!
-//! Two execution paths share one set of weights:
-//! * [`Ghn::embed_traced`] records onto an autodiff [`Tape`] for
-//!   meta-training;
-//! * [`Ghn::embed_graph`] is the inference path used by the PredictDDL
-//!   Embeddings Generator (no tape, one message per node per sweep).
+//! The GatedGNN's message passing is written once, as one sweep generic
+//! over a crate-private backend that holds the node states and runs the
+//! three steps the sweep asks for: make a message, fold a node's messages
+//! into its GRU update, normalise. Two backends share one set of weights:
+//! * `Var` rows on an autodiff [`Tape`] — [`Ghn::embed_traced`] and
+//!   [`Ghn::node_states_traced`], for meta-training;
+//! * f32 rows in one per-call workspace — [`Ghn::embed_graph`], the
+//!   inference path used by the PredictDDL Embeddings Generator.
 //!
-//! Unit tests assert both paths produce the same embeddings.
+//! The sweep alone decides the schedule, the message memo and the order
+//! of every sum. Unit tests hold the two backends to 1e-4 of each other,
+//! and each to the oracles it replaced.
 
 use crate::config::GhnConfig;
 use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore, Tape, Var};
@@ -137,6 +142,42 @@ impl Ghn {
         self.ps.num_scalars()
     }
 
+    /// The GatedGNN (Eq. (3)/(4)) on backend `b`'s states: `t_passes`
+    /// rounds of a forward sweep in topological order (neighbours are the
+    /// predecessors, virtual sources `virtual_fw`) and a backward sweep in
+    /// reverse (successors, `virtual_bw`), each followed by an
+    /// L2-normalisation of every state when `normalize` is set. Node
+    /// updates are sequential (Gauss–Seidel): a node's message sum is its
+    /// neighbours' `msg` in adjacency order, then its virtual sources'
+    /// `msg_sp` by id, weighted `1/s`; the GRU folds it into the state.
+    ///
+    /// The message memo: a source's message is made by the first reader
+    /// after the source's state last changed and shared by the readers
+    /// that follow, which read the same function of the same `h[u]`. Its
+    /// GRU update and a normalisation drop it. On the tape the readers'
+    /// gradients meet in the shared `Var`'s slot before one backward pass
+    /// through the MLP.
+    fn sweep<B: Backend>(&self, b: &mut B, g: &CompGraph, sched: &Schedule) {
+        let mut memo: Vec<[Option<B::Msg>; 2]> = vec![[None; 2]; g.num_nodes()];
+        for _t in 0..self.cfg.t_passes {
+            let fw = sched.topo().iter().map(|&v| (v, g.predecessors(v), sched.virtual_fw(v)));
+            let bw = sched.topo().iter().rev().map(|&v| (v, g.successors(v), sched.virtual_bw(v)));
+            for (v, neighbors, virtuals) in fw.chain(bw) {
+                let virtual_sources = virtuals.iter().map(|&(u, s)| (u, 1, 1.0 / s as f32));
+                for (u, k, weight) in neighbors.iter().map(|&u| (u, 0, 1.0)).chain(virtual_sources) {
+                    let m = memo[u][k].unwrap_or_else(|| b.message(k, u, &mut memo[u]));
+                    b.gather(k, u, m, weight);
+                }
+                b.update(v);
+                memo[v] = [None; 2];
+            }
+            if self.cfg.normalize {
+                b.normalize();
+                memo.fill([None; 2]);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Traced path (meta-training)
     // ------------------------------------------------------------------
@@ -157,64 +198,10 @@ impl Ghn {
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
         let h0 = tape.constant(feats);
         let h1 = self.embed.forward(tape, h0);
-        // Per-node 1×d state variables, updated sequentially.
-        let mut h: Vec<Var> = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
-        // Per node, its `msg` and `msg_sp` message of the current state.
-        let mut messages: Vec<[Option<Var>; 2]> = vec![[None; 2]; n];
-
-        for _t in 0..self.cfg.t_passes {
-            // π = fw: traverse topologically; neighbors = predecessors.
-            for &v in sched.topo() {
-                let (neighbors, virtuals) = (g.predecessors(v), sched.virtual_fw(v));
-                self.update_node(tape, &mut h, &mut messages, v, neighbors, virtuals);
-            }
-            // π = bw: reverse order; neighbors = successors.
-            for &v in sched.topo().iter().rev() {
-                let (neighbors, virtuals) = (g.successors(v), sched.virtual_bw(v));
-                self.update_node(tape, &mut h, &mut messages, v, neighbors, virtuals);
-            }
-            if self.cfg.normalize {
-                for hv in h.iter_mut() {
-                    *hv = tape.row_l2_norm(*hv);
-                }
-                messages.fill([None; 2]);
-            }
-        }
-        h
-    }
-
-    /// One sequential node update: Eq. (4) message + GRU state transition.
-    /// A source's message is recorded once, by the first reader to ask
-    /// after the source's state last changed, and shared by the readers
-    /// that follow: the value each reads is the same function of the same
-    /// `h[u]`, and their gradients meet in the shared `Var`'s slot before
-    /// one backward pass through the MLP.
-    fn update_node(
-        &self,
-        tape: &mut Tape,
-        h: &mut [Var],
-        messages: &mut [[Option<Var>; 2]],
-        v: usize,
-        neighbors: &[usize],
-        virtual_sources: &[(usize, u32)],
-    ) {
-        let mut parts: Vec<(Var, f32)> =
-            Vec::with_capacity(neighbors.len() + virtual_sources.len());
-        for &u in neighbors {
-            let m = *messages[u][0].get_or_insert_with(|| self.msg.forward(tape, h[u]));
-            parts.push((m, 1.0));
-        }
-        for &(u, s) in virtual_sources {
-            let m = *messages[u][1].get_or_insert_with(|| self.msg_sp.forward(tape, h[u]));
-            parts.push((m, 1.0 / s as f32));
-        }
-        let m_v = if parts.is_empty() {
-            tape.constant(Matrix::zeros(1, self.cfg.hidden_dim))
-        } else {
-            tape.weighted_sum(&parts)
-        };
-        h[v] = self.gru.forward(tape, m_v, h[v]);
-        messages[v] = [None; 2];
+        let h = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
+        let mut rows = TapeRows { ghn: self, tape, h, parts: Vec::new() };
+        self.sweep(&mut rows, g, sched);
+        rows.h
     }
 
     /// Traced decoder output (1×TARGET_DIM) for the meta-training loss.
@@ -240,147 +227,205 @@ impl Ghn {
         self.embed(g, sched)
     }
 
-    /// The inference embed. Node updates stay in the paper's sequential
-    /// (Gauss–Seidel) order, and each node's two messages are computed
-    /// once, right after its update: whoever reads them in the same sweep
-    /// comes later in that sweep's order (predecessors and ≤ `s_max`-hop
-    /// ancestors forward, successors and descendants backward), and the
-    /// next sweep overwrites them before it reads them. A reader only sums
-    /// rows — neighbours in adjacency order, then virtual sources by id.
-    ///
-    /// Weights that multiply the same row sit side by side in the
-    /// workspace — `[Wz|Wr|Wh]`, `[Uz|Ur]` and the two message MLPs' first
-    /// layers — so a node update is five wide row products, not ten narrow
-    /// ones. A column's multiply-adds run in the same order wherever it
-    /// sits, so the bits are those of the separate products (for widths
-    /// that are a multiple of the SIMD lane count, as every shipped
-    /// configuration's are). Packed per call: training mutates `ps`
-    /// between calls, and a copy made here cannot go stale.
+    /// The inference embed: the sweep over [`F32Rows`] — the states, the
+    /// message table, the rows of one node update and the packed weights,
+    /// carved from one per-call workspace — then the mean of the states.
+    /// Packed per call: training mutates `ps` between calls, and a copy
+    /// made here cannot go stale.
     fn embed(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
-        let (n, d, mlp_hidden) = (g.num_nodes(), self.cfg.hidden_dim, self.cfg.mlp_hidden);
+        let (n, d, hid2) = (g.num_nodes(), self.cfg.hidden_dim, 2 * self.cfg.mlp_hidden);
         let (ps, gru) = (&self.ps, &self.gru);
-        let ([msg_in, msg_out], [sp_in, sp_out]) = (self.msg.layers.as_slice(), self.msg_sp.layers.as_slice())
-        else {
-            panic!("message MLPs are [d, mlp_hidden, d]");
-        };
-        assert_eq!(self.msg.hidden_act, self.msg_sp.hidden_act, "message MLPs share one hidden activation");
-        let hidden_act = self.msg.hidden_act.fused();
-
-        // All a call needs, in one buffer: the states and the two message
-        // tables, the rows of one node update, the packed weights and biases.
-        let (wide, hid2) = (3 * d, 2 * mlp_hidden);
-        let sizes = [n * d, n * d, n * d, d, wide, hid2, d * wide, wide, d * 2 * d, d * hid2, hid2];
+        let sizes = [n * d, 2 * n * d, d, 3 * d, hid2, d * 3 * d, 3 * d, d * 2 * d, d * hid2, hid2];
         let mut workspace = vec![0.0f32; sizes.iter().sum()];
         let mut rest = workspace.as_mut_slice();
-        let [h, msg, msg_sp, m, gates, hid, wx, bx, uzr, w_in, b_in] = sizes.map(|len| {
+        let [h, msgs, m, gates, hid, wx, bx, uzr, w_in, b_in] = sizes.map(|len| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
             head
         });
+        let [msg, sp] = [&self.msg, &self.msg_sp].map(|mlp| mlp.layers.as_slice());
+        assert_eq!(self.msg.hidden_act, self.msg_sp.hidden_act, "message MLPs share one hidden activation");
         Matrix::hstack_into(&[ps.get(gru.wz), ps.get(gru.wr), ps.get(gru.wh)], wx);
         Matrix::hstack_into(&[ps.get(gru.bz), ps.get(gru.br), ps.get(gru.bh)], bx);
         Matrix::hstack_into(&[ps.get(gru.uz), ps.get(gru.ur)], uzr);
-        Matrix::hstack_into(&[ps.get(msg_in.w), ps.get(sp_in.w)], w_in);
-        Matrix::hstack_into(&[ps.get(msg_in.b), ps.get(sp_in.b)], b_in);
-        let (wx, bx, uzr, w_in, b_in) = (&*wx, &*bx, &*uzr, &*w_in, &*b_in);
-        let uh = ps.get(gru.uh).as_slice();
-        let (msg_w, msg_b) = (ps.get(msg_out.w).as_slice(), ps.get(msg_out.b).as_slice());
-        let (sp_w, sp_b) = (ps.get(sp_out.w).as_slice(), ps.get(sp_out.b).as_slice());
+        Matrix::hstack_into(&[ps.get(msg[0].w), ps.get(sp[0].w)], w_in);
+        Matrix::hstack_into(&[ps.get(msg[0].b), ps.get(sp[0].b)], b_in);
 
         // h1 = feats · W + b, row by row on this thread: a request never
-        // fans out over the pool, whatever the size of its graph.
+        // fans out over the pool, whatever the size of its graph. A feature
+        // row is a one-hot op kind, then the shape scalars. The one-hot
+        // zeros add ±0 to a sum that is +0 before the hot entry and
+        // non-zero or +0 after it, so starting at the hot weight row gives
+        // the bits of the whole product for any finite `W`.
         let (w, b) = (ps.get(self.embed.w).as_slice(), ps.get(self.embed.b).as_slice());
-        let feats = one_hot_features(g);
-        for (x, hv) in feats.chunks_exact(features::FEATURE_DIM).zip(h.chunks_exact_mut(d)) {
-            vecmat_bias_act(x, w, b, TensorAct::Identity, hv);
+        for (x, hv) in one_hot_features(g).chunks_exact(features::FEATURE_DIM).zip(h.chunks_exact_mut(d)) {
+            let hot = x[..OpKind::COUNT].iter().position(|&xi| xi != 0.0).unwrap_or(0);
+            vecmat_acc(&x[hot..=hot], &w[hot * d..(hot + 1) * d], hv);
+            vecmat_acc(&x[OpKind::COUNT..], &w[OpKind::COUNT * d..], hv);
+            hv.iter_mut().zip(b).for_each(|(o, &bi)| *o += bi);
         }
 
-        for _t in 0..self.cfg.t_passes {
-            let mut update = |v: usize, neighbors: &[usize], virtuals: &[(usize, u32)]| {
-                m.fill(0.0);
-                for &u in neighbors {
-                    for (mi, &o) in m.iter_mut().zip(&msg[u * d..(u + 1) * d]) {
-                        *mi += o;
-                    }
-                }
-                for &(u, s) in virtuals {
-                    let inv = 1.0 / s as f32;
-                    for (mi, &o) in m.iter_mut().zip(&msg_sp[u * d..(u + 1) * d]) {
-                        *mi += inv * o;
-                    }
-                }
-                // GRU step `h ← GRU(m, h)` in place, mirroring
-                // `GruCell::forward`: each gate starts from its bias and
-                // accumulates first its `m` product, then its state product.
-                let hv = &mut h[v * d..(v + 1) * d];
-                gates.copy_from_slice(bx);
-                vecmat_acc(m, wx, gates);
-                let (zr, hh) = gates.split_at_mut(2 * d);
-                vecmat_acc(hv, uzr, zr);
-                TensorAct::Sigmoid.apply_row(zr);
-                let (z, r) = zr.split_at_mut(d);
-                for (ri, &hi) in r.iter_mut().zip(hv.iter()) {
-                    *ri *= hi;
-                }
-                vecmat_acc(r, uh, hh);
-                TensorAct::Tanh.apply_row(hh);
-                for ((hi, &zi), &hhi) in hv.iter_mut().zip(z.iter()).zip(hh.iter()) {
-                    *hi += zi * (hhi - *hi);
-                }
-                // Both message MLPs on the new state.
-                vecmat_bias_act(hv, w_in, b_in, hidden_act, hid);
-                let (hid_msg, hid_sp) = hid.split_at(mlp_hidden);
-                vecmat_bias_act(hid_msg, msg_w, msg_b, TensorAct::Identity, &mut msg[v * d..(v + 1) * d]);
-                vecmat_bias_act(hid_sp, sp_w, sp_b, TensorAct::Identity, &mut msg_sp[v * d..(v + 1) * d]);
-            };
-            for &v in sched.topo() {
-                update(v, g.predecessors(v), sched.virtual_fw(v));
-            }
-            for &v in sched.topo().iter().rev() {
-                update(v, g.successors(v), sched.virtual_bw(v));
-            }
-            if self.cfg.normalize {
-                h.chunks_exact_mut(d).for_each(l2_normalize);
-            }
-        }
-        // The row products above, as `gemm` counts them: the embedding
-        // layer once, then two MLPs of two layers per node update.
-        let updates = 2 * self.cfg.t_passes * n;
-        let flops = 2 * n * features::FEATURE_DIM * d + updates * 8 * d * mlp_hidden;
-        pddl_tensor::gemm::record_products(1 + 4 * updates as u64, flops as u64);
-
-        mean_pool(h.chunks_exact(d), d)
+        let gru = [&*wx, bx, uzr, ps.get(gru.uh).as_slice()];
+        let second = [&msg[1], &sp[1]].map(|l| [ps.get(l.w).as_slice(), ps.get(l.b).as_slice()]);
+        let msg_layers = (self.msg.hidden_act.fused(), [&*w_in, b_in], second);
+        let mut rows = F32Rows { h, msgs, m, gates, hid, gru, msg_layers, made: 0 };
+        self.sweep(&mut rows, g, sched);
+        // The row products that ran, as `gemm` counts them: the embedding
+        // layer once (from each row's hot entry on), then two MLPs of two
+        // layers per source made.
+        let flops = 2 * n * (1 + features::FEATURE_DIM - OpKind::COUNT) * d + rows.made * 4 * d * hid2;
+        pddl_tensor::gemm::record_products(1 + 4 * rows.made as u64, flops as u64);
+        mean_pool(rows.h.chunks_exact(d), d)
     }
 
-    /// Raw-matrix MLP forward on a single row.
-    fn mlp_fast(&self, mlp: &Mlp, x: &[f32]) -> Vec<f32> {
-        let mut cur = x.to_vec();
-        let last = mlp.layers.len() - 1;
-        for (i, layer) in mlp.layers.iter().enumerate() {
-            let w = self.ps.get(layer.w);
-            let b = self.ps.get(layer.b);
-            let mut out = b.row(0).to_vec();
-            for (r, &xi) in cur.iter().enumerate() {
-                if xi == 0.0 {
-                    continue;
-                }
-                for (o, &wij) in out.iter_mut().zip(w.row(r)) {
-                    *o += xi * wij;
-                }
-            }
-            if i < last {
-                for o in &mut out {
-                    *o = o.max(0.0); // hidden activation is ReLU
-                }
-            }
-            cur = out;
-        }
-        cur
-    }
-
-    /// Fast decoder on a raw embedding (diagnostics / tests).
+    /// Fast decoder on a raw embedding (diagnostics / tests): the row
+    /// products of [`Self::decode_traced`], without a tape.
     pub fn decode_fast(&self, embedding: &[f32]) -> Vec<f32> {
-        self.mlp_fast(&self.decoder, embedding)
+        let [first, second] = self.decoder.layers.as_slice() else { panic!("GHN MLPs have two layers") };
+        let (mut hid, mut out) = (vec![0.0; first.out_dim], vec![0.0; second.out_dim]);
+        let [first, second] = [first, second].map(|l| [self.ps.get(l.w).as_slice(), self.ps.get(l.b).as_slice()]);
+        mlp_rows((self.decoder.hidden_act.fused(), first, [second]), embedding, &mut hid, &mut out);
+        out
+    }
+}
+
+/// What the sweep asks of the states it runs on. It decides what runs and
+/// in which order; a backend only runs it.
+trait Backend {
+    /// What the memo keeps of a made message: the `Var` on the tape;
+    /// nothing in f32 rows, where message `k` of `u` has a row of its own.
+    type Msg: Copy;
+    /// Makes message `k` of source `u` — MLP 0 `msg` (edges), 1 `msg_sp`
+    /// (virtual edges) on `h[u]` — and keeps it in `u`'s memo `slots`,
+    /// with whatever else was made alongside it.
+    fn message(&mut self, k: usize, u: usize, slots: &mut [Option<Self::Msg>; 2]) -> Self::Msg;
+    /// Adds `weight ·` message `k` of `u` (`msg`) to the pending sum `m_v`.
+    fn gather(&mut self, k: usize, u: usize, msg: Self::Msg, weight: f32);
+    /// `h[v] ← GRU(m_v, h[v])`; the next sum starts from zero.
+    fn update(&mut self, v: usize);
+    /// L2-normalises every state.
+    fn normalize(&mut self);
+}
+
+/// The training backend: each state a 1×d `Var`, each step recorded on
+/// the tape (`Mlp::forward`, `Tape::weighted_sum`, `GruCell::forward`,
+/// `Tape::row_l2_norm`) for one backward pass.
+struct TapeRows<'a, 'p> {
+    ghn: &'a Ghn,
+    tape: &'a mut Tape<'p>,
+    h: Vec<Var>,
+    parts: Vec<(Var, f32)>,
+}
+
+impl Backend for TapeRows<'_, '_> {
+    type Msg = Var;
+
+    fn message(&mut self, k: usize, u: usize, slots: &mut [Option<Var>; 2]) -> Var {
+        *slots[k].insert([&self.ghn.msg, &self.ghn.msg_sp][k].forward(self.tape, self.h[u]))
+    }
+
+    fn gather(&mut self, _k: usize, _u: usize, msg: Var, weight: f32) {
+        self.parts.push((msg, weight));
+    }
+
+    fn update(&mut self, v: usize) {
+        let m_v = match self.parts.as_slice() {
+            [] => self.tape.constant(Matrix::zeros(1, self.ghn.cfg.hidden_dim)),
+            parts => self.tape.weighted_sum(parts),
+        };
+        self.h[v] = self.ghn.gru.forward(self.tape, m_v, self.h[v]);
+        self.parts.clear();
+    }
+
+    fn normalize(&mut self) {
+        self.h.iter_mut().for_each(|hv| *hv = self.tape.row_l2_norm(*hv));
+    }
+}
+
+/// The inference backend: the states, a table of both messages per node
+/// (message `k` of `u` is row `2u + k`, so the memo only marks it made) and
+/// the rows of one node update. Weights that multiply the same row sit side
+/// by side — `[Wz|Wr|Wh]`, `[Uz|Ur]` and the two message MLPs' first
+/// layers — so a GRU step is three row products, not six, and a source's
+/// two messages three, not four. A column's multiply-adds run in the same
+/// order wherever it sits, so the bits are those of the separate products
+/// (for widths that are a multiple of the SIMD lane count, as every
+/// shipped configuration's are).
+struct F32Rows<'a> {
+    h: &'a mut [f32],
+    msgs: &'a mut [f32],
+    m: &'a mut [f32],
+    gates: &'a mut [f32],
+    hid: &'a mut [f32],
+    /// `[Wz|Wr|Wh]`, `[bz|br|bh]`, `[Uz|Ur]`, `Uh`.
+    gru: [&'a [f32]; 4],
+    /// `msg` and `msg_sp`, first layers packed `[msg|msg_sp]`.
+    msg_layers: RowMlps<'a, 2>,
+    /// Sources whose messages were made.
+    made: usize,
+}
+
+impl Backend for F32Rows<'_> {
+    type Msg = ();
+
+    /// Makes both of `u`'s messages, whichever was asked for: their first
+    /// layers are one packed row product, which on the SIMD lanes takes
+    /// about the time of one of them alone. Nearly every source has both
+    /// read before its next update.
+    fn message(&mut self, _k: usize, u: usize, slots: &mut [Option<()>; 2]) {
+        let d = self.m.len();
+        let (x, out) = (&self.h[u * d..(u + 1) * d], &mut self.msgs[2 * u * d..(2 * u + 2) * d]);
+        mlp_rows(self.msg_layers, x, self.hid, out);
+        *slots = [Some(()); 2];
+        self.made += 1;
+    }
+
+    fn gather(&mut self, k: usize, u: usize, _: (), weight: f32) {
+        let (d, row) = (self.m.len(), 2 * u + k);
+        self.m.iter_mut().zip(&self.msgs[row * d..(row + 1) * d]).for_each(|(mi, &o)| *mi += weight * o);
+    }
+
+    /// The GRU step in place, mirroring `GruCell::forward`: each gate
+    /// starts from its bias and accumulates first its `m` product, then
+    /// its state product.
+    fn update(&mut self, v: usize) {
+        let (d, [wx, bx, uzr, uh]) = (self.m.len(), self.gru);
+        let hv = &mut self.h[v * d..(v + 1) * d];
+        self.gates.copy_from_slice(bx);
+        vecmat_acc(self.m, wx, self.gates);
+        let (zr, hh) = self.gates.split_at_mut(2 * d);
+        vecmat_acc(hv, uzr, zr);
+        TensorAct::Sigmoid.apply_row(zr);
+        let (z, r) = zr.split_at_mut(d);
+        for (ri, &hi) in r.iter_mut().zip(hv.iter()) {
+            *ri *= hi;
+        }
+        vecmat_acc(r, uh, hh);
+        TensorAct::Tanh.apply_row(hh);
+        for ((hi, &zi), &hhi) in hv.iter_mut().zip(z.iter()).zip(hh.iter()) {
+            *hi += zi * (hhi - *hi);
+        }
+        self.m.fill(0.0);
+    }
+
+    fn normalize(&mut self) {
+        self.h.chunks_exact_mut(self.m.len()).for_each(l2_normalize);
+    }
+}
+
+/// `N` two-layer MLPs of equal widths as [`mlp_rows`] runs them: their one
+/// hidden activation, their first layers' weights and biases packed side
+/// by side (one layer is its own packing), their output layers'.
+type RowMlps<'a, const N: usize> = (TensorAct, [&'a [f32]; 2], [[&'a [f32]; 2]; N]);
+
+/// `N` MLPs on one row `x`, side by side: the row products of
+/// `Mlp::forward`. The first layers run as one product into `hid`, then
+/// each output layer from its share of `hid` into its share of `out`.
+fn mlp_rows<const N: usize>((act, [w, b], second): RowMlps<N>, x: &[f32], hid: &mut [f32], out: &mut [f32]) {
+    vecmat_bias_act(x, w, b, act, hid);
+    let shares = hid.chunks_exact(hid.len() / N).zip(out.chunks_exact_mut(out.len() / N));
+    for ([w, b], (hid, out)) in second.into_iter().zip(shares) {
+        vecmat_bias_act(hid, w, b, TensorAct::Identity, out);
     }
 }
 
@@ -426,17 +471,45 @@ mod tests {
 
     #[test]
     fn traced_and_fast_paths_agree() {
-        let mut rng = Rng::new(7);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
-        let g = toy_graph();
-        let sched = Schedule::new(&g, ghn.cfg.s_max);
-        let fast = ghn.embed_with_schedule(&g, &sched);
-        let mut tape = Tape::new(&ghn.ps);
-        let traced = ghn.embed_traced(&mut tape, &g, &sched);
-        let tv = tape.value(traced);
-        assert_eq!(tv.cols(), fast.len());
-        for (a, b) in tv.row(0).iter().zip(&fast) {
-            assert!((a - b).abs() < 1e-4, "traced {a} vs fast {b}");
+        let agree = |ghn: &Ghn, g: &CompGraph| {
+            let sched = Schedule::new(g, ghn.cfg.s_max);
+            let fast = ghn.embed_with_schedule(g, &sched);
+            let mut tape = Tape::new(&ghn.ps);
+            let traced = ghn.embed_traced(&mut tape, g, &sched);
+            let tv = tape.value(traced);
+            assert_eq!(tv.cols(), fast.len());
+            for (a, b) in tv.row(0).iter().zip(&fast) {
+                let t = ghn.cfg.t_passes;
+                assert!((a - b).abs() < 1e-4, "{} T={t}: traced {a} vs fast {b}", g.name);
+            }
+        };
+        agree(&Ghn::new(GhnConfig::tiny(), &mut Rng::new(7)), &toy_graph());
+        let mut graphs = crate::SynthGenerator::new(pddl_zoo::CIFAR10, 7).sample_many(8);
+        for name in ["alexnet", "resnet18", "densenet121", "mobilenet_v2"] {
+            graphs.push(pddl_zoo::build_model(name, &pddl_zoo::CIFAR10).expect("zoo model"));
+        }
+        for t_passes in [1, 2] {
+            let ghn = Ghn::new(GhnConfig { t_passes, ..GhnConfig::default() }, &mut Rng::new(7));
+            for g in &graphs {
+                agree(&ghn, g);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_fast_follows_the_decoders_hidden_activation() {
+        let mut ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(13));
+        let e = ghn.embed_graph(&toy_graph());
+        assert!(e.iter().any(|&x| x < 0.0), "an input the activations tell apart");
+        for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
+            ghn.decoder.hidden_act = act;
+            let fast = ghn.decode_fast(&e);
+            let mut tape = Tape::new(&ghn.ps);
+            let x = tape.constant(Matrix::from_vec(1, e.len(), e.clone()));
+            let traced = ghn.decode_traced(&mut tape, x);
+            for (a, b) in tape.value(traced).row(0).iter().zip(&fast) {
+                assert!((a - b).abs() <= 1e-5, "{act:?}: traced {a} vs fast {b}");
+            }
         }
     }
 
@@ -524,6 +597,33 @@ mod tests {
             for ((hi, &zi), &hhi) in h.iter_mut().zip(z.iter()).zip(hh.iter()) {
                 *hi += zi * (hhi - *hi);
             }
+        }
+
+        /// Raw-matrix MLP forward on a single row: per-element zero-skip
+        /// axpy loops, the scalar oracle of the row kernels.
+        fn mlp_fast(&self, mlp: &Mlp, x: &[f32]) -> Vec<f32> {
+            let mut cur = x.to_vec();
+            let last = mlp.layers.len() - 1;
+            for (i, layer) in mlp.layers.iter().enumerate() {
+                let w = self.ps.get(layer.w);
+                let b = self.ps.get(layer.b);
+                let mut out = b.row(0).to_vec();
+                for (r, &xi) in cur.iter().enumerate() {
+                    if xi == 0.0 {
+                        continue;
+                    }
+                    for (o, &wij) in out.iter_mut().zip(w.row(r)) {
+                        *o += xi * wij;
+                    }
+                }
+                if i < last {
+                    for o in &mut out {
+                        *o = mlp.hidden_act.fused().apply(*o);
+                    }
+                }
+                cur = out;
+            }
+            cur
         }
 
         /// Scalar (unbatched, unblocked) embedding, the ≤ 1e-4 oracle. Follows
