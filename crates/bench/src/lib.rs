@@ -1,18 +1,31 @@
-//! Shared experiment harness for the figure-reproduction binaries.
-//!
-//! Each `src/bin/figNN_*.rs` binary regenerates one figure of the paper's
-//! evaluation (Section IV). This library holds the common plumbing: the
-//! standard trace, the Table II workload list, pooled-Ernest fitting, and
-//! ratio bookkeeping.
+//! The experiment runner behind `pddl-experiments`: every figure of the
+//! paper's evaluation (Section IV) and every extension experiment is a
+//! function in [`figures`] that returns its [`Table`]s. They share one
+//! lazily built [`Context`] — one trace, one 80/20 split, one trained
+//! system — so the default GHN is meta-trained once per dataset (§III-G)
+//! however many figures read it.
 
+pub mod figures;
 pub mod report;
+pub mod table;
+
+pub use figures::FIGURES;
+pub use table::{Cell, Table};
 
 use pddl_cluster::ServerClass;
 use pddl_ddlsim::{generate_trace, TraceConfig, TraceRecord};
-use pddl_ernest::model::{ErnestModel, ErnestSample};
+use pddl_ghn::train::TrainConfig;
+use pddl_ghn::GhnConfig;
 use pddl_regress::split::train_test_split;
+use pddl_regress::{Regressor, StandardScaler};
+use pddl_tensor::Matrix;
+use predictddl::registry::GhnRegistry;
 use predictddl::{OfflineTrainer, PredictDdl};
-use std::collections::HashMap;
+use std::cell::OnceCell;
+
+/// The seed of the shared split and system (Fig. 9's, so the headline
+/// keeps its digits).
+pub const SEED: u64 = 0x916;
 
 /// Table II of the paper: the eleven evaluation workloads.
 /// (`MobileNet-V3` → the large variant; `SqueezeNet-1` → 1_0.)
@@ -35,20 +48,12 @@ pub fn table2_workloads() -> Vec<(&'static str, &'static str)> {
 /// The standard experiment corpus: the full 31-model × {CIFAR-10 on GPUs,
 /// Tiny-ImageNet on CPUs} × 1–20 servers trace (paper §IV-A2's 2,000-point
 /// collection).
-pub fn standard_trace() -> Vec<TraceRecord> {
+fn standard_trace() -> Vec<TraceRecord> {
     generate_trace(&TraceConfig::default())
 }
 
-/// A trace restricted to one dataset.
-pub fn dataset_trace(dataset: &str) -> Vec<TraceRecord> {
-    let mut cfg = TraceConfig::default();
-    cfg.dataset_clusters
-        .retain(|(d, _)| d.eq_ignore_ascii_case(dataset));
-    generate_trace(&cfg)
-}
-
 /// Splits a trace into train/test record sets by the given train fraction.
-pub fn split_records(
+pub(crate) fn split_records(
     records: &[TraceRecord],
     train_fraction: f64,
     seed: u64,
@@ -60,93 +65,157 @@ pub fn split_records(
     )
 }
 
-/// The standard PredictDDL training configuration used by the figure
-/// harness (full-size GHN, paper-default polynomial regression).
-pub fn standard_trainer(seed: u64) -> OfflineTrainer {
-    OfflineTrainer { seed, ..OfflineTrainer::default() }
-}
-
-/// Trains the standard system on the given records, logging progress.
-pub fn train_system(records: &[TraceRecord], seed: u64) -> PredictDdl {
-    eprintln!(
-        "[harness] offline-training PredictDDL on {} records ...",
-        records.len()
-    );
-    let system = standard_trainer(seed).train_from_records(records);
-    eprintln!(
-        "[harness]   GHN {:.1}s | embeddings {:.1}s | regressor {:.2}s",
-        system.train_cost.ghn_secs, system.train_cost.embed_secs, system.train_cost.fit_secs
-    );
-    system
-}
-
-/// Fits one pooled Ernest model per dataset over the training records —
-/// the black-box baseline of Fig. 9 ("the black box approach ... averages
-/// the measurements of the collected training samples").
-pub fn pooled_ernest(train: &[TraceRecord]) -> HashMap<String, ErnestModel> {
-    let mut per_dataset: HashMap<String, Vec<ErnestSample>> = HashMap::new();
-    for r in train {
-        per_dataset
-            .entry(r.workload.dataset.to_ascii_lowercase())
-            .or_default()
-            .push(ErnestSample {
-                scale: 1.0,
-                machines: r.num_servers,
-                time_secs: r.time_secs,
-            });
-    }
-    per_dataset
-        .into_iter()
-        .map(|(ds, samples)| (ds.clone(), ErnestModel::fit(&samples)))
-        .collect()
-}
-
-/// Prediction ratios (pred/actual) for the test records of one workload.
-pub fn workload_ratios(
-    test: &[TraceRecord],
-    model: &str,
-    dataset: &str,
-    mut predict: impl FnMut(&TraceRecord) -> f64,
-) -> Vec<f64> {
-    test.iter()
-        .filter(|r| {
-            r.workload.model == model && r.workload.dataset.eq_ignore_ascii_case(dataset)
-        })
-        .map(|r| predict(r) / r.time_secs)
-        .collect()
+/// The records of one dataset.
+pub(crate) fn on(records: &[TraceRecord], dataset: &str) -> Vec<TraceRecord> {
+    records.iter().filter(|r| r.workload.dataset == dataset).cloned().collect()
 }
 
 /// Mean of |ratio − 1| over a slice of ratios.
-pub fn mean_abs_err(ratios: &[f64]) -> f64 {
-    if ratios.is_empty() {
-        return f64::NAN;
-    }
-    ratios.iter().map(|r| (r - 1.0).abs()).sum::<f64>() / ratios.len() as f64
+pub(crate) fn mean_abs_err(ratios: &[f64]) -> f64 {
+    mean(&ratios.iter().map(|r| (r - 1.0).abs()).collect::<Vec<_>>())
 }
 
-pub fn mean(ratios: &[f64]) -> f64 {
-    if ratios.is_empty() {
+/// Arithmetic mean (NaN for an empty slice).
+pub(crate) fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
         return f64::NAN;
     }
-    ratios.iter().sum::<f64>() / ratios.len() as f64
+    values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Formats the standard figure table header.
-pub fn print_header(cols: &[&str]) {
-    let mut line = format!("{:<28}", cols[0]);
-    for c in &cols[1..] {
-        line += &format!("{c:>14}");
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len().min(100)));
+/// `Predicted/Actual` for each record.
+pub(crate) fn ratios<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+    mut predict: impl FnMut(&TraceRecord) -> f64,
+) -> Vec<f64> {
+    records.into_iter().map(|r| predict(r) / r.time_secs).collect()
+}
+
+/// A system's `Predicted/Actual` for each record (NaN where it cannot
+/// predict).
+pub(crate) fn system_ratios<'a>(
+    system: &PredictDdl,
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+) -> Vec<f64> {
+    ratios(records, |r| {
+        system.predict_workload(&r.workload, &r.cluster()).map_or(f64::NAN, |p| p.seconds)
+    })
 }
 
 /// Server class used for a dataset in the standard trace.
-pub fn class_for_dataset(dataset: &str) -> ServerClass {
-    if dataset.eq_ignore_ascii_case("cifar10") {
-        ServerClass::GpuP100
-    } else {
-        ServerClass::CpuE5_2630
+pub(crate) fn class_for_dataset(dataset: &str) -> ServerClass {
+    let classes = TraceConfig::default().dataset_clusters;
+    classes.into_iter().find(|(d, _)| d == dataset).expect("a dataset of the standard trace").1
+}
+
+/// A regression over trace records outside the PredictDDL pipeline: the
+/// train records' `features`, standardised, against `log10` (or raw)
+/// seconds.
+pub(crate) struct Design<F> {
+    features: F,
+    scaler: StandardScaler,
+    log_target: bool,
+    /// The standardised train features, one row per record.
+    pub x: Matrix,
+    /// The train targets.
+    pub y: Vec<f32>,
+}
+
+impl<F: Fn(&TraceRecord) -> Vec<f32>> Design<F> {
+    /// Builds the design matrix of `train`.
+    pub fn new(train: &[TraceRecord], features: F, log_target: bool) -> Self {
+        let mut x = Matrix::zeros(train.len(), features(&train[0]).len());
+        for (i, r) in train.iter().enumerate() {
+            x.set_row(i, &features(r));
+        }
+        let y = train.iter().map(|r| r.time_secs);
+        let y = y.map(|t| if log_target { t.log10() as f32 } else { t as f32 }).collect();
+        let scaler = StandardScaler::fit(&x);
+        Self { x: scaler.transform(&x), y, features, scaler, log_target }
+    }
+
+    /// `model`'s predicted seconds for one record.
+    pub fn predict(&self, model: &dyn Regressor, r: &TraceRecord) -> f64 {
+        let f = (self.features)(r);
+        let row = self.scaler.transform(&Matrix::from_vec(1, f.len(), f));
+        let p = model.predict(&row)[0] as f64;
+        if self.log_target { 10f64.powf(p) } else { p }
+    }
+
+    /// Fits `model` on the design, then returns its `Predicted/Actual` on
+    /// `test`.
+    pub fn fit_ratios(&self, model: &mut dyn Regressor, test: &[TraceRecord]) -> Vec<f64> {
+        model.fit(&self.x, &self.y);
+        ratios(test, |r| self.predict(model, r))
+    }
+}
+
+/// What every figure shares, each part built on first use: the standard
+/// trace, its 80/20 split at [`SEED`], and the system trained on that
+/// split, whose registry holds the default GHN of each dataset.
+#[derive(Default)]
+pub struct Context {
+    trace: OnceCell<Vec<TraceRecord>>,
+    split: OnceCell<(Vec<TraceRecord>, Vec<TraceRecord>)>,
+    system: OnceCell<PredictDdl>,
+    ghn_trainings: std::cell::Cell<usize>,
+}
+
+impl Context {
+    /// The standard trace.
+    pub(crate) fn trace(&self) -> &[TraceRecord] {
+        self.trace.get_or_init(standard_trace)
+    }
+
+    /// The shared split of the trace: 80 % train, 20 % test.
+    pub(crate) fn split(&self) -> (&[TraceRecord], &[TraceRecord]) {
+        let (train, test) = self.split.get_or_init(|| split_records(self.trace(), 0.8, SEED));
+        (train, test)
+    }
+
+    /// The shared split's records of one dataset.
+    pub(crate) fn split_on(&self, dataset: &str) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+        let (train, test) = self.split();
+        (on(train, dataset), on(test, dataset))
+    }
+
+    /// The standard system, trained on the train side of the split.
+    pub(crate) fn system(&self) -> &PredictDdl {
+        self.system.get_or_init(|| self.train_with(self.split().0, GhnConfig::default()))
+    }
+
+    /// A system fitted on `records` over the shared default GHNs: only the
+    /// regressor is trained.
+    pub(crate) fn refit(&self, records: &[TraceRecord]) -> PredictDdl {
+        self.fit(records, GhnConfig::default(), self.system().registry.clone())
+    }
+
+    /// A system on `records` with its own GHN of configuration `ghn`.
+    pub(crate) fn train_with(&self, records: &[TraceRecord], ghn: GhnConfig) -> PredictDdl {
+        self.fit(records, ghn, GhnRegistry::new(ghn, TrainConfig::default(), SEED))
+    }
+
+    /// Trains what `registry` lacks, then the regressor; counts the GHNs.
+    fn fit(&self, records: &[TraceRecord], ghn: GhnConfig, registry: GhnRegistry) -> PredictDdl {
+        let trainer = OfflineTrainer { seed: SEED, ghn_config: ghn, ..OfflineTrainer::default() };
+        let before = registry.datasets().count();
+        let system = trainer.train_from_records_reusing(records, registry);
+        self.count_ghns(system.registry.datasets().count() - before, system.train_cost.ghn_secs);
+        system
+    }
+
+    /// Records (and logs) `n` GHN meta-trainings that took `secs`.
+    pub(crate) fn count_ghns(&self, n: usize, secs: f64) {
+        if n > 0 {
+            self.ghn_trainings.set(self.ghn_trainings.get() + n);
+            let total = self.ghn_trainings();
+            eprintln!("[experiments] meta-trained {n} GHN(s) in {secs:.1}s ({total} so far)");
+        }
+    }
+
+    /// GHN meta-trainings so far.
+    pub fn ghn_trainings(&self) -> usize {
+        self.ghn_trainings.get()
     }
 }
 
@@ -164,7 +233,7 @@ mod tests {
 
     #[test]
     fn split_preserves_counts() {
-        let records = dataset_trace("cifar10");
+        let records = generate_trace(&TraceConfig::small());
         let (tr, te) = split_records(&records, 0.8, 1);
         assert_eq!(tr.len() + te.len(), records.len());
     }
@@ -173,5 +242,14 @@ mod tests {
     fn mean_abs_err_of_perfect_ratios_is_zero() {
         assert_eq!(mean_abs_err(&[1.0, 1.0]), 0.0);
         assert!((mean_abs_err(&[1.2, 0.8]) - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tables_address_cells_by_row_and_column() {
+        let mut t = Table::new("t", &["row", "a", "b"]);
+        t.row("x", [Cell::pct(0.7534), Cell::times(22.61, 1)]);
+        assert_eq!(t.cell("x", "a").to_string(), "75.3%");
+        assert_eq!(t.cell("x", "b").to_string(), "22.6×");
+        assert!(t.to_string().contains("75.3%"));
     }
 }

@@ -1,0 +1,44 @@
+//! The experiments that train no GHN, run through the runner's own figure
+//! functions and pinned to the digits EXPERIMENTS.md prints for them; and
+//! the runner's refusal of anything but figure names.
+
+use pddl_bench::figures::{diag_oracle, fig01_02_blackbox_graybox};
+use pddl_bench::{Context, FIGURES};
+use std::process::Command;
+
+fn printed(table: &pddl_bench::Table, row: &str, column: &str) -> String {
+    table.cell(row, column).to_string()
+}
+
+#[test]
+fn blackbox_graybox_matches_experiments_md() {
+    let ctx = Context::default();
+    let t = &fig01_02_blackbox_graybox(&ctx)[0];
+    let columns = ["black RMSE", "gray RMSE", "improvement"];
+    let row = |label: &str| columns.map(|c| printed(t, label, c));
+    assert_eq!(row("Fig. 1 vgg16"), ["31.6s", "7.8s", "75.3%"]);
+    assert_eq!(row("Fig. 2 mobilenet_v3_large"), ["35.6s", "26.5s", "25.5%"]);
+    assert_eq!(ctx.ghn_trainings(), 0);
+}
+
+#[test]
+fn diag_oracle_matches_experiments_md() {
+    let ctx = Context::default();
+    let t = &diag_oracle(&ctx)[0];
+    let errs = ["PR-squares", "PR-full", "LR"].map(|r| printed(t, r, "|ratio-1|"));
+    assert_eq!(errs, ["19.6%", "7.4%", "31.8%"]);
+    assert_eq!(ctx.ghn_trainings(), 0);
+}
+
+#[test]
+fn runner_accepts_only_figure_names() {
+    let runner = env!("CARGO_BIN_EXE_pddl-experiments");
+    let run = |arg: &str| Command::new(runner).arg(arg).output().expect("runner starts");
+    let out = run("fig99_nonexistent");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for (name, _) in FIGURES {
+        assert!(stderr.contains(name), "usage lists {name}: {stderr}");
+    }
+    assert_eq!(run("--scale").status.code(), Some(2), "no flags");
+}

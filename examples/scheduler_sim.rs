@@ -4,7 +4,7 @@
 //! and a perfect-information oracle.
 //!
 //! ```sh
-//! cargo run --release -p predictddl --example scheduler_sim
+//! cargo run --release -p pddl-sched --example scheduler_sim
 //! ```
 
 use pddl_cluster::ServerClass;
