@@ -28,7 +28,6 @@
 //! A loopback round trip is ~0.2–0.3 ms; a p50 near 88 ms means a frame
 //! is being written in two pieces again or `TCP_NODELAY` got lost.
 
-use pddl_bench::report::summarize;
 use pddl_cluster::retry::{overload_reason, RetryPolicy, ShedReason};
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::Workload;
@@ -152,7 +151,7 @@ impl Tally {
 
     fn print(mut self, name: &str, secs: f64) {
         let n = self.latencies_us.len();
-        let latency = summarize(&mut self.latencies_us);
+        let [p50, p95, p99] = summarize(&mut self.latencies_us);
         for (metric, value) in [
             ("completed", self.completed),
             ("shed", self.shed()),
@@ -169,14 +168,27 @@ impl Tally {
             "{name}.throughput_rps req/s {:.1}",
             self.completed as f64 / secs
         );
-        for (metric, value) in [
-            ("latency_p50_us", latency.p50_us),
-            ("latency_p95_us", latency.p95_us),
-            ("latency_p99_us", latency.p99_us),
-        ] {
+        let latency = [("latency_p50_us", p50), ("latency_p95_us", p95), ("latency_p99_us", p99)];
+        for (metric, value) in latency {
             println!("{name}.{metric} us {value} n={n}");
         }
     }
+}
+
+/// Nearest-rank percentile (`p` in `[0, 1]`) over an ascending-sorted slice.
+fn percentile(sorted_us: &[u64], p: f64) -> u64 {
+    if sorted_us.is_empty() {
+        return 0;
+    }
+    let rank = ((p * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
+    sorted_us[rank - 1]
+}
+
+/// Exact p50 / p95 / p99 of a latency sample, computed from the full
+/// sorted sample (sorts in place), not a sketch.
+fn summarize(latencies_us: &mut [u64]) -> [u64; 3] {
+    latencies_us.sort_unstable();
+    [0.50, 0.95, 0.99].map(|p| percentile(latencies_us, p))
 }
 
 /// Drives `fleet` clients, `requests` round trips each, against `addr`;
@@ -275,5 +287,29 @@ fn flag<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
             eprintln!("error: --{key}: cannot parse '{v}'\n{USAGE}");
             std::process::exit(2);
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_are_exact_nearest_rank() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sorted, 0.50), 50);
+        assert_eq!(percentile(&sorted, 0.95), 95);
+        assert_eq!(percentile(&sorted, 0.99), 99);
+        assert_eq!(percentile(&sorted, 1.0), 100);
+        assert_eq!(percentile(&[], 0.5), 0);
+        assert_eq!(percentile(&[7], 0.99), 7);
+    }
+
+    #[test]
+    fn summarize_sorts_before_ranking() {
+        let mut xs = vec![30, 10, 20];
+        assert_eq!(summarize(&mut xs), [20, 30, 30]);
+        assert_eq!(xs, [10, 20, 30]);
+        assert_eq!(summarize(&mut []), [0, 0, 0]);
     }
 }

@@ -16,6 +16,7 @@ use pddl_ghn::train::TrainConfig;
 use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, SynthGenerator};
 use pddl_regress::gridsearch::{grid_search_mlp, grid_search_svr};
 use pddl_regress::{Distance, KnnRegressor, Regression, Regressor};
+use pddl_sched::{run_engine, runtime_table, ArrivalSpec, CostShift, EngineConfig, PolicyKind};
 use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
 use pddl_zoo::{ZooModel, CIFAR10};
@@ -28,7 +29,7 @@ use std::time::Instant;
 pub type Figure = (&'static str, fn(&Context) -> Vec<Table>);
 
 /// Every figure, in the order `all` runs them.
-pub const FIGURES: [Figure; 12] = [
+pub const FIGURES: [Figure; 14] = [
     ("fig01_02_blackbox_graybox", fig01_02_blackbox_graybox),
     ("fig06_feature_ablation", fig06_feature_ablation),
     ("fig09_vs_ernest", fig09_vs_ernest),
@@ -40,6 +41,8 @@ pub const FIGURES: [Figure; 12] = [
     ("exp_ghn_ablation", exp_ghn_ablation),
     ("exp_config_search", exp_config_search),
     ("exp_noise_sensitivity", exp_noise_sensitivity),
+    ("exp_sched_policies", exp_sched_policies),
+    ("exp_sched_predictddl", exp_sched_predictddl),
     ("diag_oracle", diag_oracle),
 ];
 
@@ -473,6 +476,162 @@ pub fn exp_noise_sensitivity(ctx: &Context) -> Vec<Table> {
         let to_true = vs_noisy.iter().zip(&test).map(|(q, r)| q * r.time_secs / r.expected_secs);
         let vs_true: Vec<f64> = to_true.collect();
         t.row(format!("{sigma:.2}"), [&vs_noisy, &vs_true].map(|r| Cell::pct(mean_abs_err(r))));
+    }
+    vec![t]
+}
+
+/// The scheduling scenarios' job count and seed, on the engine's default
+/// pool of 64 P100s.
+const SCHED_JOBS: usize = 100_000;
+const SCHED_SEED: u64 = 91;
+
+/// The burst scenario: bursty arrivals, 70 % of jobs with a deadline, and
+/// the same arrival stream (same seed) under every policy, so a policy
+/// comparison is paired, not sampled.
+fn burst(policy: PolicyKind) -> EngineConfig {
+    let mut cfg = EngineConfig::new(policy, SCHED_JOBS, SCHED_SEED);
+    cfg.arrivals = ArrivalSpec::BurstLoad {
+        rho_base: 0.5,
+        rho_burst: 2.5,
+        period_runtimes: 4.0,
+        burst_fraction: 0.25,
+    };
+    cfg.deadline_fraction = 0.7;
+    cfg
+}
+
+/// Extension (§VI future work): the four engine policies on the burst
+/// scenario, and a 2.5× cost-model shift at the arrival midpoint under
+/// FIFO — the live predictor detects and refits through it while a frozen
+/// clone of the same bootstrap fit keeps predicting the old regime.
+pub fn exp_sched_policies(_: &Context) -> Vec<Table> {
+    let mut policies = Table::new(
+        format!("Burst scenario: {SCHED_JOBS} jobs, 64 P100s, seed {SCHED_SEED}, paired arrivals"),
+        &[
+            "policy",
+            "completed",
+            "missed %",
+            "utilization",
+            "mean wait",
+            "p99 wait",
+            "peak queue",
+            "drift fires",
+        ],
+    );
+    for policy in [
+        PolicyKind::Fifo,
+        PolicyKind::SjfPredicted,
+        PolicyKind::DeadlineAware,
+        PolicyKind::AutoscalePredicted,
+    ] {
+        let m = run_engine(&burst(policy)).metrics;
+        let cells = [
+            Cell::plain(m.completed as f64, 0),
+            Cell::plain(m.missed_pct(), 3),
+            Cell::plain(m.utilization, 3),
+            Cell::secs(m.mean_wait, 3),
+            Cell::secs(m.p99_wait, 3),
+            Cell::plain(m.peak_queue as f64, 0),
+            Cell::plain(m.drift_events as f64, 0),
+        ];
+        policies.row(policy.name(), cells);
+    }
+    let mut cfg = EngineConfig::new(PolicyKind::Fifo, SCHED_JOBS, SCHED_SEED);
+    cfg.arrivals = ArrivalSpec::PoissonLoad { rho: 0.45 };
+    cfg.shifts = vec![CostShift { at_fraction: 0.5, factor: 2.5 }];
+    cfg.post_shift_skip = SCHED_JOBS / 40;
+    let t = run_engine(&cfg);
+    let (m, a) = (&t.metrics, &t.accuracy);
+    let mut shift = Table::new(
+        "Cost shift 2.5× at the arrival midpoint, FIFO at ρ = 0.45 (floors: one fire, \
+         recovery ≤ 1.5, frozen/online ≥ 3)",
+        &[
+            "policy",
+            "drift fires",
+            "refits",
+            "online pre",
+            "online post",
+            "frozen pre",
+            "frozen post",
+            "recovery",
+            "frozen/online",
+        ],
+    );
+    let cells = [
+        Cell::plain(m.drift_events as f64, 0),
+        Cell::plain(m.refits as f64, 0),
+        Cell::pct(a.pre_shift_online),
+        Cell::pct(a.post_shift_online),
+        Cell::pct(a.pre_shift_frozen),
+        Cell::pct(a.post_shift_frozen),
+        Cell::ratio(a.recovery_ratio),
+        Cell::ratio(a.frozen_vs_online),
+    ];
+    shift.row("fifo", cells);
+    let mut curve = Table::new(
+        "Cost shift: mean |pred/actual − 1| by launch time",
+        &["bucket end", "online", "frozen", "jobs"],
+    );
+    for b in &a.curve {
+        let cells = [
+            Cell::pct(b.online_err),
+            Cell::pct(b.frozen_err),
+            Cell::plain(b.jobs as f64, 0),
+        ];
+        curve.row(format!("{:.0} s", b.t_end), cells);
+    }
+    vec![policies, shift, curve]
+}
+
+/// Extension (§VI future work): deadline-aware scheduling on PredictDDL's
+/// predictions. The burst scenario under FIFO, then deadline-aware with
+/// the live predictor bootstrapped on simulated measurements, then on the
+/// shared system's predicted seconds for every job class and allocation.
+/// The jobs are one-epoch runs and the trace holds only ten-epoch ones,
+/// so the system is asked both ways: for one epoch, and for ten with the
+/// answer divided by ten. `frozen err` is the bootstrap fit's error on
+/// the run's jobs, `online err` the continually refit predictor's.
+pub fn exp_sched_predictddl(ctx: &Context) -> Vec<Table> {
+    let system = ctx.system();
+    let predicted = |epochs: usize| {
+        let mut cfg = burst(PolicyKind::DeadlineAware);
+        cfg.prior = Some(runtime_table(|w, cluster| {
+            let w = Workload { epochs, ..w.clone() };
+            let p = system.predict_workload(&w, cluster).expect("CIFAR-10 on P100s");
+            p.seconds / epochs as f64
+        }));
+        cfg
+    };
+    let runs = [
+        ("fifo, measured", burst(PolicyKind::Fifo)),
+        ("deadline_aware, measured", burst(PolicyKind::DeadlineAware)),
+        ("deadline_aware, PDDL 1 epoch", predicted(1)),
+        ("deadline_aware, PDDL 10 ep. / 10", predicted(10)),
+    ];
+    let mut t = Table::new(
+        format!("Prediction-driven scheduling: burst scenario, {SCHED_JOBS} jobs on 64 P100s"),
+        &[
+            "policy, bootstrap",
+            "missed %",
+            "mean wait",
+            "server-seconds",
+            "frozen err",
+            "online err",
+            "drift fires",
+        ],
+    );
+    for (label, cfg) in runs {
+        let trace = run_engine(&cfg);
+        let (m, a) = (&trace.metrics, &trace.accuracy);
+        let cells = [
+            Cell::plain(m.missed_pct(), 3),
+            Cell::secs(m.mean_wait, 3),
+            Cell::plain(m.server_seconds, 0),
+            Cell::pct(a.pre_shift_frozen),
+            Cell::pct(a.pre_shift_online),
+            Cell::plain(m.drift_events as f64, 0),
+        ];
+        t.row(label, cells);
     }
     vec![t]
 }

@@ -1,12 +1,11 @@
 //! The experiment runner behind `pddl-experiments`: every figure of the
-//! paper's evaluation (Section IV) and every extension experiment is a
-//! function in [`figures`] that returns its [`Table`]s. They share one
-//! lazily built [`Context`] — one trace, one 80/20 split, one trained
-//! system — so the default GHN is meta-trained once per dataset (§III-G)
-//! however many figures read it.
+//! paper's evaluation (Section IV) and every extension experiment,
+//! scheduling included, is a function in [`figures`] that returns its
+//! [`Table`]s. They share one lazily built [`Context`] — one trace, one
+//! 80/20 split, one trained system — so the default GHN is meta-trained
+//! once per dataset (§III-G) however many figures read it.
 
 pub mod figures;
-pub mod report;
 pub mod table;
 
 pub use figures::FIGURES;

@@ -2,7 +2,7 @@
 //! functions and pinned to the digits EXPERIMENTS.md prints for them; and
 //! the runner's refusal of anything but figure names.
 
-use pddl_bench::figures::{diag_oracle, fig01_02_blackbox_graybox};
+use pddl_bench::figures::{diag_oracle, exp_sched_policies, fig01_02_blackbox_graybox};
 use pddl_bench::{Context, FIGURES};
 use std::process::Command;
 
@@ -27,6 +27,32 @@ fn diag_oracle_matches_experiments_md() {
     let t = &diag_oracle(&ctx)[0];
     let errs = ["PR-squares", "PR-full", "LR"].map(|r| printed(t, r, "|ratio-1|"));
     assert_eq!(errs, ["19.6%", "7.4%", "31.8%"]);
+    assert_eq!(ctx.ghn_trainings(), 0);
+}
+
+/// Both scheduling scenarios at full size (10⁵ jobs each, seed 91): the
+/// digits EXPERIMENTS.md prints, and the floors they demonstrate.
+#[test]
+fn sched_policies_match_experiments_md() {
+    let ctx = Context::default();
+    let tables = exp_sched_policies(&ctx);
+    let (burst, shift) = (&tables[0], &tables[1]);
+    let policies = ["fifo", "sjf_predicted", "deadline_aware", "autoscale_predicted"];
+    let column = |c: &str| policies.map(|p| printed(burst, p, c));
+    assert_eq!(column("missed %"), ["99.330", "17.946", "0.111", "99.940"]);
+    assert_eq!(column("utilization"), ["0.963", "0.968", "0.490", "0.965"]);
+    assert_eq!(column("p99 wait"), ["5434.326s", "101996.524s", "10.406s", "304.029s"]);
+    // No burst run has a shift; the one sjf_predicted fire is a false one.
+    assert_eq!(column("drift fires"), ["0", "1", "0", "0"]);
+    assert_eq!(column("completed"), ["100000"; 4], "every burst run drains");
+    let missed = |p: &str| burst.cell(p, "missed %").value;
+    assert!(missed("deadline_aware") < missed("fifo"));
+
+    let columns = ["drift fires", "refits", "recovery", "frozen/online"];
+    let row = columns.map(|c| printed(shift, "fifo", c));
+    assert_eq!(row, ["1", "1", "1.033", "20.203"], "one shift, one fire");
+    assert!(shift.cell("fifo", "recovery").value <= 1.5, "online recovers");
+    assert!(shift.cell("fifo", "frozen/online").value >= 3.0, "frozen rots");
     assert_eq!(ctx.ghn_trainings(), 0);
 }
 

@@ -4,41 +4,26 @@
 //! required cluster resources for completing critical model training tasks
 //! before a deadline").
 //!
-//! The crate provides:
-//! * a [`estimator::RuntimeEstimator`] abstraction over runtime predictors
-//!   (PredictDDL, an oracle wrapping the simulator, and a naive
-//!   constant-work heuristic);
-//! * allocation [`policy`]s that consume estimates: FCFS with fixed
-//!   allocation, deadline-aware smallest-feasible sizing, and
-//!   shortest-predicted-job-first with backfill;
-//! * a discrete-event [`simulator`] that runs a job queue against a finite
-//!   server pool, charging *actual* (simulated-testbed) runtimes while the
-//!   policy only ever sees *predictions* — so estimator error shows up as
-//!   missed deadlines and idle servers, exactly as in production;
-//! * the continual-refit loop at production scale: seeded [`arrivals`]
-//!   (Poisson/burst), a [`live::LivePredictor`] that folds every completed
-//!   job back into an online ridge model with Page–Hinkley drift
-//!   detection, and the heap-based [`engine`] that runs 10⁵–10⁶ jobs with
-//!   deadline SLOs, mid-run cost-model shifts, and policies (FIFO,
-//!   SJF-by-prediction, deadline-aware right-sizing,
-//!   autoscale-by-prediction) driven by the live predictor — all
-//!   bit-deterministic for a fixed seed.
+//! One discrete-event [`engine`] runs 10⁵–10⁶ jobs with deadline SLOs,
+//! seeded [`arrivals`] (Poisson/burst) and mid-run cost-model shifts under
+//! four policies (FIFO, SJF-by-prediction, deadline-aware right-sizing,
+//! autoscale-by-prediction). Jobs run for their *actual* (simulated
+//! testbed) durations while the policies only ever see *predictions* from
+//! a [`live::LivePredictor`], which folds every completed job back into an
+//! online ridge model with Page–Hinkley drift detection — so estimator
+//! error shows up as missed deadlines and idle servers, exactly as in
+//! production. The predictor bootstraps on simulated measurements or on a
+//! caller's table of predicted seconds (PredictDDL's, in
+//! `pddl-experiments exp_sched_predictddl`). Every run is
+//! bit-deterministic for a fixed seed.
 
 pub mod arrivals;
 pub mod engine;
-pub mod estimator;
-pub mod job;
 pub mod live;
-pub mod policy;
-pub mod simulator;
 
 pub use arrivals::ArrivalProcess;
 pub use engine::{
-    run_engine, AccuracyBucket, AccuracySummary, ArrivalSpec, AutoscaleConfig, CostShift,
+    run_engine, runtime_table, AccuracyBucket, AccuracySummary, ArrivalSpec, CostShift,
     DriftRecord, EngineConfig, EngineMetrics, EngineTrace, PolicyKind,
 };
-pub use estimator::{NaiveEstimator, OracleEstimator, PredictDdlEstimator, RuntimeEstimator};
-pub use job::{JobId, SchedJob};
-pub use live::{LiveConfig, LivePredictor};
-pub use policy::{DeadlineAware, FcfsFixed, Policy, SpjfBackfill};
-pub use simulator::{QueueSimulator, ScheduleMetrics, ScheduleTrace};
+pub use live::LivePredictor;

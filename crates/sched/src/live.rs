@@ -9,7 +9,7 @@
 //! refits in canonical order. A `frozen` predictor (the paper's fit-once
 //! baseline) is the same object with updates disabled: it keeps predicting
 //! from the bootstrap fit while the world moves on, which is exactly the
-//! comparison `BENCH_sched.json` pins.
+//! comparison `pddl-experiments exp_sched_policies` prints.
 
 use pddl_regress::{DriftConfig, DriftEvent, OnlineRidge, PageHinkley, ResidualScale};
 use std::collections::VecDeque;
@@ -18,22 +18,11 @@ use std::collections::VecDeque;
 /// (a drift fire reads at most [`DriftEvent::run_length`] of them).
 const RECENT_RESIDUALS: usize = 64;
 
-/// Configuration for a [`LivePredictor`].
-#[derive(Clone, Copy, Debug)]
-pub struct LiveConfig {
-    /// Ridge penalty λ on the log-space model.
-    pub lambda: f64,
-    /// Sliding-window capacity backing drift refits.
-    pub window: usize,
-    /// Page–Hinkley parameters on standardized log-residuals.
-    pub drift: DriftConfig,
-}
+/// Ridge penalty λ on the log-space model.
+const LAMBDA: f64 = 1e-3;
 
-impl Default for LiveConfig {
-    fn default() -> Self {
-        Self { lambda: 1e-3, window: 4096, drift: DriftConfig::default() }
-    }
-}
+/// Sliding-window capacity backing drift refits.
+const WINDOW: usize = 4096;
 
 /// Per-class runtime curve features in log space: each workload class `c`
 /// owns three slots `[1, ln n, 1/n]`, so the model is an independent
@@ -62,12 +51,13 @@ pub struct LivePredictor {
 }
 
 impl LivePredictor {
-    /// New predictor over `classes` workload classes.
-    pub fn new(classes: usize, cfg: LiveConfig) -> Self {
+    /// New predictor over `classes` workload classes, with Page–Hinkley
+    /// at its defaults on standardized log-residuals.
+    pub fn new(classes: usize) -> Self {
         assert!(classes >= 1);
         Self {
-            model: OnlineRidge::new(3 * classes, cfg.lambda, cfg.window),
-            detector: PageHinkley::new(cfg.drift),
+            model: OnlineRidge::new(3 * classes, LAMBDA, WINDOW),
+            detector: PageHinkley::new(DriftConfig::default()),
             scale: ResidualScale::default(),
             recent: VecDeque::with_capacity(RECENT_RESIDUALS),
             classes,
@@ -98,11 +88,6 @@ impl LivePredictor {
         let mut f = self.clone();
         f.frozen = true;
         f
-    }
-
-    /// Whether this predictor ignores observations.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
     }
 
     /// Predicted runtime in seconds for one job.
@@ -169,11 +154,6 @@ impl LivePredictor {
     pub fn drift_events(&self) -> u64 {
         self.detector.events()
     }
-
-    /// Current drift statistic (diagnostics).
-    pub fn drift_statistic(&self) -> f64 {
-        self.detector.statistic()
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +169,7 @@ mod tests {
     }
 
     fn pretrained(rng: &mut Rng) -> LivePredictor {
-        let mut p = LivePredictor::new(2, LiveConfig::default());
+        let mut p = LivePredictor::new(2);
         let mut samples = Vec::new();
         for class in 0..2 {
             for servers in [1usize, 2, 4, 8, 16] {

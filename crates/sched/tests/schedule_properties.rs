@@ -1,101 +1,94 @@
 //! Property tests over schedule validity: whatever the policy and
-//! estimator, the produced schedule must be *physically consistent*.
+//! configuration, an engine run must be *physically consistent*.
 //! Seeded loops on the in-tree [`Rng`]: a failure names the seed that
-//! replays it (see [`for_each_case`]).
+//! replays it (see [`for_each_case`]). That no launch overcommits the pool
+//! or starts a job before its arrival is the engine's own `debug_assert!`,
+//! live in every debug run of these loops.
 
-use pddl_cluster::ServerClass;
-use pddl_ddlsim::{SimConfig, Simulator, Workload};
-use pddl_sched::policy::Policy;
-use pddl_sched::{
-    DeadlineAware, FcfsFixed, NaiveEstimator, QueueSimulator, SchedJob, SpjfBackfill,
-};
+use pddl_ddlsim::{SimConfig, Simulator};
+use pddl_sched::{run_engine, runtime_table, ArrivalSpec, CostShift, EngineConfig, PolicyKind};
 use pddl_tensor::rng::for_each_case;
 use pddl_tensor::Rng;
 
 /// Cases per property.
 const CASES: u64 = 12;
 
-const MODELS: [&str; 5] = ["resnet18", "vgg16", "squeezenet1_1", "alexnet", "mobilenet_v2"];
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Fifo,
+    PolicyKind::SjfPredicted,
+    PolicyKind::DeadlineAware,
+    PolicyKind::AutoscalePredicted,
+];
 
-fn random_jobs(n: usize, seed: u64) -> Vec<SchedJob> {
-    let mut rng = Rng::new(seed);
-    (0..n)
-        .map(|i| {
-            let model = MODELS[rng.below(MODELS.len())];
-            let submit = rng.uniform(0.0, 60.0) as f64;
-            let mut j = SchedJob::new(i, Workload::new(model, "cifar10", 128, 1), submit);
-            if rng.chance(0.5) {
-                j = j.with_deadline(submit + rng.uniform(30.0, 400.0) as f64);
-            }
-            let min = 1 + rng.below(3);
-            j.with_server_range(min, min + rng.below(6))
-        })
-        .collect()
+/// A small random configuration: few jobs, a pool from 1 to 40 servers
+/// (below, at and above the widest allocation), either arrival shape, and
+/// sometimes a shift or a bootstrap prior.
+fn random_config(rng: &mut Rng, policy: PolicyKind) -> EngineConfig {
+    let mut cfg = EngineConfig::new(policy, rng.range(1, 300), rng.next_u64());
+    cfg.servers = rng.range(1, 41);
+    cfg.deadline_fraction = rng.uniform(0.0, 1.0) as f64;
+    cfg.pretrain_per_pair = rng.range(1, 4);
+    let rho = rng.uniform(0.2, 1.5) as f64;
+    cfg.arrivals = if rng.chance(0.5) {
+        ArrivalSpec::PoissonLoad { rho }
+    } else {
+        ArrivalSpec::BurstLoad {
+            rho_base: rho,
+            rho_burst: 3.0 * rho,
+            period_runtimes: 4.0,
+            burst_fraction: rng.uniform(0.1, 0.5) as f64,
+        }
+    };
+    if rng.chance(0.5) {
+        cfg.shifts = vec![CostShift { at_fraction: rng.uniform(0.2, 0.8) as f64, factor: 2.0 }];
+    }
+    if rng.chance(0.25) {
+        let skew = rng.uniform(0.5, 2.0) as f64;
+        let sim = Simulator::new(SimConfig::default());
+        cfg.prior = Some(runtime_table(|w, c| skew * sim.expected_time(w, c).unwrap()));
+    }
+    cfg
 }
 
-/// Checks physical consistency of a trace against its job set and capacity.
-fn assert_valid(trace: &pddl_sched::ScheduleTrace, jobs: &[SchedJob], capacity: usize) {
-    assert_eq!(trace.outcomes.len(), jobs.len(), "lost jobs");
-    for o in &trace.outcomes {
-        let job = jobs.iter().find(|j| j.id == o.id).unwrap();
-        assert!(o.start + 1e-9 >= job.submit_time, "job {} started early", o.id);
-        assert!(o.finish > o.start, "non-positive runtime");
-        assert!(o.servers >= 1 && o.servers <= job.max_servers.max(1));
-    }
-    // Capacity: at every start event, the sum of overlapping allocations
-    // must not exceed the pool.
-    for o in &trace.outcomes {
-        let t = o.start + 1e-6;
-        let in_use: usize = trace
-            .outcomes
-            .iter()
-            .filter(|x| x.start <= t && t < x.finish)
-            .map(|x| x.servers)
-            .sum();
-        assert!(
-            in_use <= capacity,
-            "overcommit at t={t}: {in_use} > {capacity}"
-        );
-    }
-}
-
+/// Every job drains, the pool is never billed for more than it had, and
+/// waits are ordered and non-negative.
 #[test]
 fn schedules_are_physically_consistent() {
     for_each_case(CASES, |rng| {
-        let (seed, n, capacity) = (rng.next_u64(), rng.range(1, 7), rng.range(4, 16));
-        let sim = Simulator::new(SimConfig::default());
-        let q = QueueSimulator::new(capacity, ServerClass::GpuP100, &sim);
-        let jobs = random_jobs(n, seed);
-        let est = NaiveEstimator { assumed_secs: 60.0 };
-        let policies: Vec<Box<dyn Policy>> = vec![
-            Box::new(FcfsFixed { servers_per_job: 4 }),
-            Box::new(DeadlineAware),
-            Box::new(SpjfBackfill),
-        ];
-        for p in policies {
-            let trace = q.run(&jobs, p.as_ref(), &est);
-            assert_valid(&trace, &jobs, capacity);
+        let seed = rng.next_u64();
+        for policy in POLICIES {
+            let cfg = random_config(&mut Rng::new(seed), policy);
+            let m = run_engine(&cfg).metrics;
+            let what = format!("{} on {} servers", policy.name(), cfg.servers);
+            assert_eq!(m.completed, m.submitted, "{what}: lost jobs");
+            assert_eq!(m.submitted, cfg.jobs as u64, "{what}");
+            assert!(m.server_seconds <= m.capacity_seconds, "{what}: {m:?}");
+            let waits = [0.0, m.p50_wait, m.p95_wait, m.p99_wait];
+            assert!(waits.windows(2).all(|w| w[0] <= w[1]), "{what}: waits {waits:?}");
+            assert!(m.mean_wait >= 0.0, "{what}: mean wait {}", m.mean_wait);
         }
     });
 }
 
+/// Lower bound: under any policy, the work done fits in makespan × the
+/// largest pool the run ever had.
 #[test]
 fn makespan_never_beats_total_work_over_capacity() {
     for_each_case(CASES, |rng| {
-        let (seed, n) = (rng.next_u64(), rng.range(2, 6));
-        // Lower bound: makespan ≥ Σ(serial work)/capacity under any policy.
-        let capacity = 8;
-        let sim = Simulator::new(SimConfig::default());
-        let q = QueueSimulator::new(capacity, ServerClass::GpuP100, &sim);
-        let jobs = random_jobs(n, seed);
-        let est = NaiveEstimator { assumed_secs: 60.0 };
-        let trace = q.run(&jobs, &SpjfBackfill, &est);
-        let total_server_secs = trace.metrics.server_seconds;
-        assert!(
-            trace.metrics.makespan + 1e-6 >= total_server_secs / capacity as f64 * 0.99,
-            "makespan {} below work bound {}",
-            trace.metrics.makespan,
-            total_server_secs / capacity as f64
-        );
+        let seed = rng.next_u64();
+        for policy in POLICIES {
+            let cfg = random_config(&mut Rng::new(seed), policy);
+            let m = run_engine(&cfg).metrics;
+            let bound = m.makespan * m.peak_capacity as f64 * (1.0 + 1e-12);
+            assert!(
+                bound >= m.server_seconds,
+                "{} on {} servers: makespan {} × capacity {} below work {}",
+                policy.name(),
+                cfg.servers,
+                m.makespan,
+                m.peak_capacity,
+                m.server_seconds
+            );
+        }
     });
 }

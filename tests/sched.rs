@@ -1,7 +1,8 @@
 //! The sched tier: the continual-refit loop under the large-scale
-//! discrete-event engine, pinned end to end.
+//! discrete-event engine, pinned end to end. A `pddl-sched` test target.
 //!
-//! Four contracts, each load-bearing for `BENCH_sched.json`:
+//! Four contracts, each load-bearing for the scheduling tables that
+//! `pddl-experiments exp_sched_policies` prints:
 //!
 //! 1. **Determinism** — a fixed `EngineConfig` yields bit-identical
 //!    metrics across repeat runs *and* across concurrent OS threads (the
@@ -34,7 +35,7 @@ use pddl_tensor::Rng;
 use std::path::PathBuf;
 
 /// The three policies the golden fixtures pin (autoscale is exercised by
-/// the engine's own tests and the committed benchmark; keeping it out of
+/// the engine's own tests and `exp_sched_policies`; keeping it out of
 /// the fixtures halves regeneration churn when tuning autoscale knobs).
 const GOLDEN_POLICIES: [PolicyKind; 3] =
     [PolicyKind::Fifo, PolicyKind::SjfPredicted, PolicyKind::DeadlineAware];
