@@ -333,6 +333,56 @@ mod tests {
         assert!(!a.is_empty(), "hostile plan injected nothing in 200 ops");
     }
 
+    /// The first 1 000 decisions of one seeded plan with every fault kind
+    /// enabled, hashed: each operation's outcome, the event log and every
+    /// byte that reached a peer. Connections alternate write and read
+    /// halves, and a half that dies hands on to the next connection. The
+    /// constant pins the schedule to its generator's exact bit stream.
+    #[test]
+    fn first_thousand_decisions_keep_their_bits() {
+        use pddl_telemetry::hash::Fnv1a;
+        let plan = FaultPlan {
+            seed: 0x5EED,
+            p_delay: 0.02,
+            max_delay_ms: 1,
+            p_reset: 0.02,
+            p_truncate: 0.05,
+            p_garbage: 0.3,
+            p_drop: 0.1,
+        };
+        let mut h = Fnv1a::new();
+        let mut decisions = 0;
+        let mut conn = 0u64;
+        while decisions < 1000 {
+            if conn.is_multiple_of(2) {
+                let mut w = FaultyWrite::new(Vec::new(), plan.schedule(conn, Direction::Write));
+                while decisions < 1000 && !w.sched.is_dead() {
+                    let payload: Vec<u8> =
+                        (0..1 + decisions % 23).map(|i| (i * 7 + decisions) as u8).collect();
+                    let sent = w.write(&payload).map_err(|e| e.kind());
+                    h.bytes(format!("{sent:?}").as_bytes());
+                    decisions += 1;
+                }
+                h.bytes(&w.inner);
+                h.bytes(format!("{:?}", w.log()).as_bytes());
+            } else {
+                let data: Vec<u8> = (0..4096u32).map(|i| (i * 13) as u8).collect();
+                let sched = plan.schedule(conn, Direction::Read);
+                let mut r = FaultyRead::new(std::io::Cursor::new(data), sched);
+                while decisions < 1000 && !r.sched.is_dead() {
+                    let mut buf = [0u8; 19];
+                    let n = r.read(&mut buf).map_err(|e| e.kind());
+                    h.bytes(format!("{n:?}").as_bytes());
+                    h.bytes(&buf);
+                    decisions += 1;
+                }
+                h.bytes(format!("{:?}", r.log()).as_bytes());
+            }
+            conn += 1;
+        }
+        assert_eq!(h.finish(), 0x63d2_d13b_74f0_cf63, "fault schedule bits moved");
+    }
+
     #[test]
     fn different_seeds_differ() {
         let a = drive_writes(&hostile_plan(1), 0, 200);
