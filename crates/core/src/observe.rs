@@ -3,72 +3,48 @@
 //! A deployment that only ever *predicts* never learns that the cluster
 //! changed. [`ObservationSink`] is the controller's feedback inlet: each
 //! completed job is reported with the request it was predicted from and
-//! the wall-clock seconds it actually took. The sink re-predicts against
-//! the pinned live model, feeds the log-space residual through a
-//! [`PageHinkley`] drift detector (standardized by a robust
-//! [`ResidualScale`]), and maintains an [`OnlineRidge`] *calibration*
-//! model — a rank-1-updated map from (model prediction, cluster size) to
-//! observed runtime that [`ObservationSink::calibrate`] can apply on top
-//! of raw predictions once enough observations have accumulated.
+//! the wall-clock seconds it actually took. The sink feeds the log-space
+//! residual against the live model's prediction into a
+//! [`pddl_regress::RefitLoop`] — drift detection and recovery — whose model
+//! is a *calibration*: a map from (model prediction, cluster size) to
+//! observed runtime that [`ObservationSink::calibrate`] applies on top of
+//! raw predictions once enough observations have accumulated.
 //!
 //! The `refit.updates` / `refit.refits` / `refit.drift_events` telemetry
 //! counters increment inside the regress primitives, so a serving
 //! controller's `{"op":"metrics"}` exposition shows the loop working.
 
 use crate::protocol::ObserveReply;
-use pddl_regress::{DriftConfig, OnlineRidge, PageHinkley, ResidualScale};
-use std::collections::VecDeque;
+use pddl_regress::RefitLoop;
 use std::sync::Mutex;
 
 /// Observations required before [`ObservationSink::calibrate`] starts
 /// correcting predictions (below this it returns them unchanged).
 const CALIBRATION_WARMUP: u64 = 16;
 
-/// Recent residuals retained for shift-magnitude estimation on a drift
-/// fire (at most [`pddl_regress::DriftEvent::run_length`] are read).
-const RECENT_RESIDUALS: usize = 64;
+/// Observations the calibration's drift refits read.
+const WINDOW: usize = 2048;
 
-struct SinkInner {
-    /// Log-space calibration: features `[ln predicted, ln servers]`,
-    /// target `ln actual`.
-    calib: OnlineRidge,
-    detector: PageHinkley,
-    scale: ResidualScale,
-    recent: VecDeque<f64>,
-    observations: u64,
-    drift_events: u64,
-}
-
-/// Thread-safe accumulator for served-prediction feedback.
+/// Thread-safe accumulator for served-prediction feedback. The loop's
+/// features are `[ln predicted, ln servers]`, its target `ln actual`.
 pub struct ObservationSink {
-    inner: Mutex<SinkInner>,
+    calib: Mutex<RefitLoop>,
 }
 
 impl Default for ObservationSink {
     fn default() -> Self {
-        Self::with_config(1e-3, 2048, DriftConfig::default())
+        Self { calib: Mutex::new(RefitLoop::new(2, WINDOW)) }
     }
 }
 
 impl ObservationSink {
-    /// Sink with default configuration (see [`ObservationSink::default`]).
+    /// An empty sink (see [`ObservationSink::default`]).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sink with explicit ridge penalty, sliding-window capacity, and
-    /// drift parameters.
-    pub fn with_config(lambda: f64, window: usize, drift: DriftConfig) -> Self {
-        Self {
-            inner: Mutex::new(SinkInner {
-                calib: OnlineRidge::new(2, lambda, window),
-                detector: PageHinkley::new(drift),
-                scale: ResidualScale::default(),
-                recent: VecDeque::with_capacity(RECENT_RESIDUALS),
-                observations: 0,
-                drift_events: 0,
-            }),
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, RefitLoop> {
+        self.calib.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Folds one completed job in. `predicted_secs` is the live model's
@@ -76,39 +52,13 @@ impl ObservationSink {
     /// `servers` the cluster size it ran on. Both times must be positive
     /// and finite (the controller rejects before calling).
     pub fn record(&self, predicted_secs: f64, actual_secs: f64, servers: usize) -> ObserveReply {
-        let mut s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut calib = self.lock();
         let x = [predicted_secs.ln(), (servers.max(1) as f64).ln()];
         let y = actual_secs.ln();
-        let r = y - predicted_secs.ln();
-        let z = s.scale.standardize(r);
-        let event = s.detector.observe(z);
-        if s.recent.len() == RECENT_RESIDUALS {
-            s.recent.pop_front();
-        }
-        s.recent.push_back(r);
-        s.scale.absorb(r);
-        s.calib.observe(&x, y);
-        if let Some(e) = event {
-            s.drift_events += 1;
-            // An abrupt cost shift fires within a few observations — too
-            // few to refit from post-shift data alone. Estimate its log
-            // magnitude from the post-shift residual run (in excess of
-            // the healthy residual mean) and translate the calibration's
-            // history onto the new level before the canonical refit.
-            let run = (e.run_length as usize).clamp(1, s.recent.len());
-            let run_mean = s.recent.iter().rev().take(run).sum::<f64>() / run as f64;
-            let dy = run_mean - s.scale.mean();
-            s.calib.translate_targets_and_refit(dy, run);
-            s.recent.clear();
-            // Post-shift noise need not match pre-shift noise; standardizing
-            // by the stale σ would slowly re-fire the detector on residual
-            // spread the new regime considers healthy. Re-bootstrap.
-            s.scale = ResidualScale::default();
-        }
-        s.observations += 1;
+        let (z, event) = calib.observe(&x, y, y - x[0]);
         ObserveReply {
-            observations: s.observations,
-            drift_events: s.drift_events,
+            observations: calib.observations(),
+            drift_events: calib.drift_events(),
             residual_z: z,
             drifted: event.is_some(),
         }
@@ -119,23 +69,23 @@ impl ObservationSink {
     /// cluster size. Identity until `CALIBRATION_WARMUP` (16)
     /// observations have accumulated.
     pub fn calibrate(&self, predicted_secs: f64, servers: usize) -> f64 {
-        let s = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let calib = self.lock();
         // NaN and non-positive predictions pass through uncorrected.
-        if s.observations < CALIBRATION_WARMUP || predicted_secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if calib.observations() < CALIBRATION_WARMUP || predicted_secs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return predicted_secs;
         }
         let x = [predicted_secs.ln(), (servers.max(1) as f64).ln()];
-        s.calib.predict(&x).exp()
+        calib.predict(&x).exp()
     }
 
     /// Observations accepted (lifetime).
     pub fn observations(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).observations
+        self.lock().observations()
     }
 
     /// Drift events fired (lifetime).
     pub fn drift_events(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).drift_events
+        self.lock().drift_events()
     }
 }
 

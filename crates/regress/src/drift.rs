@@ -13,34 +13,25 @@
 //!
 //! After firing the detector resets, which gives the
 //! fires-exactly-once-per-shift behavior the sched tier pins: the
-//! triggered recovery refit ([`crate::OnlineRidge::translate_targets_and_refit`]
-//! or [`crate::OnlineRidge::retain_recent_and_refit`]) restores small
+//! recovery refit [`crate::RefitLoop`] triggers
+//! ([`crate::OnlineRidge::translate_targets_and_refit`]) restores small
 //! residuals, so a reset detector stays quiet until the *next* genuine
 //! shift. Every fire increments the `refit.drift_events` telemetry
 //! counter.
 
 use crate::online::refit_metrics;
 
-/// Page–Hinkley parameters. Defaults are tuned for standardized residuals
-/// (`z ~ N(0,1)` in control): δ = 0.5 sits above the natural fluctuation
-/// of `|z|` around its mean, and λ = 15 demands a sustained multi-σ
-/// excursion — unreachable by chance on a zero-drift stream, crossed in a
-/// few observations when a real cost-model shift multiplies runtimes.
-#[derive(Clone, Copy, Debug)]
-pub struct DriftConfig {
-    /// Margin δ subtracted from each deviation; tolerated drift magnitude.
-    pub delta: f64,
-    /// Fire threshold λ on `m_t − min(m_t)`.
-    pub threshold: f64,
-    /// Observations (since the last reset) before the detector may fire.
-    pub warmup: u64,
-}
+/// Margin δ subtracted from each deviation of `|z|`: it sits above the
+/// natural fluctuation of `|z|` around its mean for `z ~ N(0,1)`.
+pub const DELTA: f64 = 0.5;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self { delta: 0.5, threshold: 15.0, warmup: 32 }
-    }
-}
+/// Fire threshold λ on `m_t − min(m_t)`: a sustained multi-σ excursion,
+/// unreachable by chance on a zero-drift stream and crossed in a few
+/// observations when a real cost-model shift multiplies runtimes.
+pub const THRESHOLD: f64 = 15.0;
+
+/// Observations (since the last reset) before the detector may fire.
+pub const WARMUP: u64 = 32;
 
 /// A detected change point, with enough context to size the recovery
 /// window: `run_length` counts the observations since the statistic's
@@ -51,8 +42,6 @@ pub struct DriftEvent {
     pub observation: u64,
     /// Statistic value `m_t − min(m_t)` at the fire point.
     pub statistic: f64,
-    /// Threshold λ that was crossed.
-    pub threshold: f64,
     /// Observations since the statistic's minimum — the estimated length
     /// of the post-shift segment (sizes the recovery refit, e.g. how many
     /// recent residuals estimate the shift magnitude fed to
@@ -61,9 +50,8 @@ pub struct DriftEvent {
 }
 
 /// Sequential Page–Hinkley change detector on standardized residuals.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PageHinkley {
-    cfg: DriftConfig,
     /// Observations since the last reset.
     n: u64,
     /// Lifetime observations (never reset; used for event indices).
@@ -80,17 +68,10 @@ pub struct PageHinkley {
 }
 
 impl PageHinkley {
-    pub fn new(cfg: DriftConfig) -> Self {
-        Self {
-            cfg,
-            n: 0,
-            total: 0,
-            mean: 0.0,
-            mt: 0.0,
-            min_mt: 0.0,
-            since_min: 0,
-            events: 0,
-        }
+    /// A detector with no observations, at [`DELTA`], [`THRESHOLD`] and
+    /// [`WARMUP`].
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Feeds one standardized residual. Returns a [`DriftEvent`] when the
@@ -101,7 +82,7 @@ impl PageHinkley {
         self.n += 1;
         self.total += 1;
         self.mean += (v - self.mean) / self.n as f64;
-        self.mt += v - self.mean - self.cfg.delta;
+        self.mt += v - self.mean - DELTA;
         if self.mt < self.min_mt {
             self.min_mt = self.mt;
             self.since_min = 0;
@@ -109,13 +90,12 @@ impl PageHinkley {
             self.since_min += 1;
         }
         let stat = self.mt - self.min_mt;
-        if self.n > self.cfg.warmup && stat > self.cfg.threshold {
+        if self.n > WARMUP && stat > THRESHOLD {
             self.events += 1;
             refit_metrics().drift_events.inc();
             let event = DriftEvent {
                 observation: self.total,
                 statistic: stat,
-                threshold: self.cfg.threshold,
                 run_length: self.since_min.max(1),
             };
             self.reset_window();
@@ -125,7 +105,7 @@ impl PageHinkley {
     }
 
     /// Clears the test state (not the lifetime counters), as after a fire.
-    pub fn reset_window(&mut self) {
+    fn reset_window(&mut self) {
         self.n = 0;
         self.mean = 0.0;
         self.mt = 0.0;
@@ -221,7 +201,7 @@ mod tests {
     fn never_fires_on_stationary_standard_normals() {
         for seed in 0..8u64 {
             let mut rng = Rng::new(0x5EED ^ seed);
-            let mut ph = PageHinkley::new(DriftConfig::default());
+            let mut ph = PageHinkley::new();
             for _ in 0..5000 {
                 let z = rng.normal() as f64;
                 assert!(
@@ -236,7 +216,7 @@ mod tests {
     #[test]
     fn fires_once_per_shift_and_resets() {
         let mut rng = Rng::new(42);
-        let mut ph = PageHinkley::new(DriftConfig::default());
+        let mut ph = PageHinkley::new();
         let mut events = Vec::new();
         // In control, then a 12σ sustained shift, then back in control
         // (as after a successful refit), then a second shift.
@@ -264,7 +244,7 @@ mod tests {
     #[test]
     fn detects_shift_quickly_after_long_quiet_period() {
         let mut rng = Rng::new(7);
-        let mut ph = PageHinkley::new(DriftConfig::default());
+        let mut ph = PageHinkley::new();
         for _ in 0..10_000 {
             assert!(ph.observe(rng.normal() as f64).is_none());
         }
@@ -295,12 +275,12 @@ mod tests {
 
     #[test]
     fn event_reports_lifetime_observation_index() {
-        let mut ph = PageHinkley::new(DriftConfig { delta: 0.1, threshold: 2.0, warmup: 4 });
+        let mut ph = PageHinkley::new();
         for _ in 0..100 {
             ph.observe(0.0);
         }
         let e = (0..20).find_map(|_| ph.observe(50.0)).expect("must fire");
-        assert!(e.observation > 100);
-        assert_eq!(e.threshold, 2.0);
+        assert_eq!(e.observation, 101);
+        assert!(e.statistic > THRESHOLD);
     }
 }

@@ -19,10 +19,13 @@
 //! C ∈ [1, 10³], γ ∈ [0.05, 0.5], ε ∈ [0.05, 0.2]), and error metrics.
 //!
 //! Beyond the paper's one-shot offline fit, the crate also carries the
-//! continual-refit loop (§VI future work): [`online::OnlineRidge`] applies
-//! rank-1 Sherman–Morrison updates per completed job with a sliding-window
-//! full-refit fallback, and [`drift::PageHinkley`] watches standardized
-//! residuals for cluster cost-model shifts.
+//! continual-refit loop (§VI future work), once, as [`refit::RefitLoop`]:
+//! [`online::OnlineRidge`] applies rank-1 Sherman–Morrison updates per
+//! completed job with a sliding-window full-refit fallback,
+//! [`drift::PageHinkley`] watches standardized residuals for cluster
+//! cost-model shifts, and on a fire the loop translates the window onto
+//! the new level and refits. The serving inlet and the scheduling engine
+//! both run it.
 
 pub mod drift;
 pub mod gridsearch;
@@ -32,13 +35,15 @@ pub mod metrics;
 pub mod mlp;
 pub mod online;
 pub mod poly;
+pub mod refit;
 pub mod scale;
 pub mod split;
 pub mod svr;
 
-pub use drift::{DriftConfig, DriftEvent, PageHinkley, ResidualScale};
+pub use drift::{DriftEvent, PageHinkley, ResidualScale};
 pub use knn::{Distance, KnnRegressor};
 pub use online::{batch_ridge, OnlineRidge};
+pub use refit::RefitLoop;
 pub use linear::{LinearRegression, Ridge};
 pub use metrics::{mean_relative_error, rmse};
 pub use mlp::MlpRegressor;

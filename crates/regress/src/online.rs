@@ -7,7 +7,8 @@
 //! observation, no re-solve), while a bounded sliding window of raw
 //! observations supports a full re-fit ([`OnlineRidge::refit`]) whenever
 //! the drift detector ([`crate::drift::PageHinkley`]) decides the world
-//! changed and the accumulated history is now a liability.
+//! changed and the accumulated history is now a liability. The loop that
+//! ties the two together is [`crate::RefitLoop`].
 //!
 //! Determinism contract: all arithmetic is f64 with a fixed operation
 //! order. A fixed observation sequence produces bit-identical coefficients
@@ -309,17 +310,6 @@ impl OnlineRidge {
         refit_metrics().refits.inc();
     }
 
-    /// Shrinks the window to its most recent `keep` observations (the
-    /// post-shift segment a [`crate::drift::DriftEvent`] identifies) and
-    /// refits on what remains. `keep` is clamped to at least 1.
-    pub fn retain_recent_and_refit(&mut self, keep: usize) {
-        let keep = keep.max(1);
-        while self.window.len() > keep {
-            self.window.pop_front();
-        }
-        self.refit();
-    }
-
     /// Adds `dy` to every buffered target *except* the most recent
     /// `skip_recent` observations, then refits over the full window.
     ///
@@ -454,25 +444,6 @@ mod tests {
         let batch = batch_ridge(&ref_x, &ref_y, 1e-3);
         let err = max_rel_err(online.coefficients(), &batch);
         assert!(err <= 1e-8, "post-refit chain diverged: rel err {err:e}");
-    }
-
-    #[test]
-    fn retain_recent_drops_stale_history() {
-        let mut online = OnlineRidge::new(1, 1e-4, 256);
-        // Old regime: y = x; new regime: y = 3x.
-        for i in 0..100 {
-            let x = (i % 10) as f64 / 10.0 + 0.1;
-            online.observe(&[x], x);
-        }
-        for i in 0..20 {
-            let x = (i % 10) as f64 / 10.0 + 0.1;
-            online.observe(&[x], 3.0 * x);
-        }
-        online.retain_recent_and_refit(20);
-        let pred = online.predict(&[0.5]);
-        assert!((pred - 1.5).abs() < 0.05, "expected new-regime fit, got {pred}");
-        assert_eq!(online.window_len(), 20);
-        assert_eq!(online.refits(), 1);
     }
 
     #[test]

@@ -417,7 +417,7 @@ pub fn run_engine(cfg: &EngineConfig) -> EngineTrace {
     }
     let mut live = LivePredictor::new(classes);
     live.pretrain(&boot);
-    let frozen = live.freeze();
+    let frozen = live.clone(); // the fit-once baseline: never fed
 
     // ---- Event loop state ----
     let n_jobs = jobs.len();

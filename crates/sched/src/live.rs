@@ -1,27 +1,17 @@
 //! The live, continually-refit runtime predictor that drives the
 //! large-scale engine's policies.
 //!
-//! [`LivePredictor`] wraps [`pddl_regress::OnlineRidge`] in log space over
-//! per-workload-class curve features, runs every completed job through the
-//! [`pddl_regress::PageHinkley`] drift detector, and — when the detector
-//! fires — estimates the shift's log magnitude from the post-shift
-//! residual run, translates the window's history onto the new level, and
-//! refits in canonical order. A `frozen` predictor (the paper's fit-once
-//! baseline) is the same object with updates disabled: it keeps predicting
-//! from the bootstrap fit while the world moves on, which is exactly the
-//! comparison `pddl-experiments exp_sched_policies` prints.
+//! [`LivePredictor`] runs a [`pddl_regress::RefitLoop`] in log space over
+//! per-workload-class curve features: every completed job's prequential
+//! residual goes through the loop's drift detection and recovery. A clone
+//! taken after pretraining and never fed is the paper's fit-once baseline:
+//! it keeps predicting from the bootstrap fit while the world moves on,
+//! which is exactly the comparison `pddl-experiments exp_sched_policies`
+//! prints.
 
-use pddl_regress::{DriftConfig, DriftEvent, OnlineRidge, PageHinkley, ResidualScale};
-use std::collections::VecDeque;
+use pddl_regress::{DriftEvent, RefitLoop};
 
-/// Recent prequential residuals retained for shift-magnitude estimation
-/// (a drift fire reads at most [`DriftEvent::run_length`] of them).
-const RECENT_RESIDUALS: usize = 64;
-
-/// Ridge penalty λ on the log-space model.
-const LAMBDA: f64 = 1e-3;
-
-/// Sliding-window capacity backing drift refits.
+/// Observations the model's drift refits read.
 const WINDOW: usize = 4096;
 
 /// Per-class runtime curve features in log space: each workload class `c`
@@ -41,29 +31,15 @@ fn class_features(class: usize, classes: usize, servers: usize) -> Vec<f64> {
 /// A runtime predictor that learns from every completed job.
 #[derive(Clone, Debug)]
 pub struct LivePredictor {
-    model: OnlineRidge,
-    detector: PageHinkley,
-    scale: ResidualScale,
-    recent: VecDeque<f64>,
+    refit: RefitLoop,
     classes: usize,
-    frozen: bool,
-    observed: u64,
 }
 
 impl LivePredictor {
-    /// New predictor over `classes` workload classes, with Page–Hinkley
-    /// at its defaults on standardized log-residuals.
+    /// New predictor over `classes` workload classes.
     pub fn new(classes: usize) -> Self {
         assert!(classes >= 1);
-        Self {
-            model: OnlineRidge::new(3 * classes, LAMBDA, WINDOW),
-            detector: PageHinkley::new(DriftConfig::default()),
-            scale: ResidualScale::default(),
-            recent: VecDeque::with_capacity(RECENT_RESIDUALS),
-            classes,
-            frozen: false,
-            observed: 0,
-        }
+        Self { refit: RefitLoop::new(3 * classes, WINDOW), classes }
     }
 
     /// Bootstrap fit from a batch of `(class, servers, actual_secs)`
@@ -71,88 +47,44 @@ impl LivePredictor {
     /// Seeds the residual-scale estimate from the fitted model so the
     /// drift detector standardizes against healthy noise from the start.
     pub fn pretrain(&mut self, samples: &[(usize, usize, f64)]) {
-        for &(class, servers, secs) in samples {
-            let x = class_features(class, self.classes, servers);
-            self.model.observe(&x, secs.max(1e-9).ln());
-        }
-        for &(class, servers, secs) in samples {
-            let x = class_features(class, self.classes, servers);
-            let r = secs.max(1e-9).ln() - self.model.predict(&x);
-            self.scale.absorb(r);
-        }
-    }
-
-    /// A frozen copy of this predictor: same coefficients forever, no
-    /// drift detection — the paper's fit-once baseline.
-    pub fn freeze(&self) -> Self {
-        let mut f = self.clone();
-        f.frozen = true;
-        f
+        let samples: Vec<(Vec<f64>, f64)> = samples
+            .iter()
+            .map(|&(class, servers, secs)| {
+                (class_features(class, self.classes, servers), secs.max(1e-9).ln())
+            })
+            .collect();
+        self.refit.pretrain(&samples);
     }
 
     /// Predicted runtime in seconds for one job.
     pub fn predict_secs(&self, class: usize, servers: usize) -> f64 {
         let x = class_features(class, self.classes, servers);
-        self.model.predict(&x).exp()
+        self.refit.predict(&x).exp()
     }
 
-    /// Feeds one completed job back. Computes the prequential residual
-    /// (against the model *before* this update), runs drift detection on
-    /// its standardized value, and folds the observation in. On a drift
-    /// fire, the shift's log magnitude is estimated as the mean of the
-    /// post-shift residual run (in excess of the healthy residual mean),
-    /// the pre-shift window history is translated onto the new level, and
-    /// the model refits — one-step adaptation, because an abrupt shift
-    /// fires the detector within a few samples, far too few to refit the
-    /// per-class curves from post-shift data alone. Returns the drift
-    /// event, if any. No-op when frozen.
+    /// Feeds one completed job back: its prequential residual (against the
+    /// model *before* this update) goes through the refit loop's drift
+    /// detection and recovery. Returns the drift event, if any.
     pub fn observe(&mut self, class: usize, servers: usize, actual_secs: f64) -> Option<DriftEvent> {
-        if self.frozen {
-            return None;
-        }
-        self.observed += 1;
         let x = class_features(class, self.classes, servers);
         let y = actual_secs.max(1e-9).ln();
-        let r = y - self.model.predict(&x);
-        let z = self.scale.standardize(r);
-        let event = self.detector.observe(z);
-        if self.recent.len() == RECENT_RESIDUALS {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(r);
-        self.scale.absorb(r);
-        self.model.observe(&x, y);
-        if let Some(e) = event {
-            let run = (e.run_length as usize).clamp(1, self.recent.len());
-            let run_mean =
-                self.recent.iter().rev().take(run).sum::<f64>() / run as f64;
-            let dy = run_mean - self.scale.mean();
-            self.model.translate_targets_and_refit(dy, run);
-            self.recent.clear();
-            // The old noise estimate belongs to the old regime: a
-            // prediction-driven policy reallocates jobs after the shift,
-            // which widens the residual spread, and standardizing the new
-            // spread by the stale (smaller) σ would slowly re-fire the
-            // detector on model-misspecification bias. Re-bootstrap the
-            // scale from post-recovery residuals instead.
-            self.scale = ResidualScale::default();
-        }
-        event
+        let r = y - self.refit.predict(&x);
+        self.refit.observe(&x, y, r).1
     }
 
     /// Observations accepted (lifetime, excluding pretraining).
     pub fn observed(&self) -> u64 {
-        self.observed
+        self.refit.observations()
     }
 
     /// Window refits performed by the underlying model.
     pub fn refits(&self) -> u64 {
-        self.model.refits()
+        self.refit.refits()
     }
 
     /// Drift events fired by the detector.
     pub fn drift_events(&self) -> u64 {
-        self.detector.events()
+        self.refit.drift_events()
     }
 }
 
@@ -200,7 +132,7 @@ mod tests {
     fn recovers_after_cost_shift_while_frozen_degrades() {
         let mut rng = Rng::new(5);
         let mut live = pretrained(&mut rng);
-        let frozen = live.freeze();
+        let frozen = live.clone();
         // Healthy stream, then a 2.5× cost shift.
         for i in 0..500 {
             let class = i % 2;
@@ -233,19 +165,5 @@ mod tests {
         frozen_err /= n;
         assert!(live_err < 0.15, "live err {live_err}");
         assert!(frozen_err > 3.0 * live_err, "frozen {frozen_err} vs live {live_err}");
-    }
-
-    #[test]
-    fn frozen_never_updates_or_fires() {
-        let mut rng = Rng::new(9);
-        let live = pretrained(&mut rng);
-        let mut frozen = live.freeze();
-        let before = frozen.predict_secs(0, 4).to_bits();
-        for _ in 0..200 {
-            assert!(frozen.observe(0, 4, 1e6).is_none());
-        }
-        assert_eq!(frozen.predict_secs(0, 4).to_bits(), before);
-        assert_eq!(frozen.drift_events(), 0);
-        assert_eq!(frozen.observed(), 0);
     }
 }

@@ -11,7 +11,7 @@ use pddl_graph::{CompGraph, NodeAttrs, OpKind};
 use pddl_par::{PushError, TaskQueue};
 use pddl_regress::poly::PolyFeatures;
 use pddl_regress::split::train_test_split;
-use pddl_regress::{batch_ridge, DriftConfig, OnlineRidge, PageHinkley};
+use pddl_regress::{batch_ridge, OnlineRidge, PageHinkley};
 use pddl_tensor::linalg::qr;
 use pddl_tensor::rng::for_each_case;
 use pddl_tensor::{Matrix, Rng};
@@ -660,7 +660,7 @@ fn window_refit_is_order_independent() {
 #[test]
 fn page_hinkley_never_fires_without_drift() {
     for_each_case(REFIT_CASES, |rng| {
-        let mut ph = PageHinkley::new(DriftConfig::default());
+        let mut ph = PageHinkley::new();
         for _ in 0..2000 {
             let z = rng.normal() as f64;
             assert!(
