@@ -1,7 +1,7 @@
 //! Capped, jittered exponential backoff shared by the wire-layer clients
 //! (the collector client here and the controller client in `predictddl`).
 
-use pddl_faults::FaultRng;
+use pddl_telemetry::rng::Rng;
 use std::time::Duration;
 
 /// Retry budget and pacing for one logical request.
@@ -49,13 +49,13 @@ impl RetryPolicy {
 pub struct Backoff {
     policy: RetryPolicy,
     failures: u32,
-    rng: FaultRng,
+    rng: Rng,
 }
 
 impl Backoff {
     /// A fresh backoff under `policy`.
     pub fn new(policy: RetryPolicy) -> Self {
-        let rng = FaultRng::new(policy.jitter_seed);
+        let rng = Rng::new(policy.jitter_seed);
         Self { policy, failures: 0, rng }
     }
 
@@ -75,7 +75,7 @@ impl Backoff {
             .saturating_mul(1u32 << exp)
             .min(self.policy.max_delay);
         let nanos = raw.as_nanos().min(u64::MAX as u128) as u64;
-        let jittered = nanos / 2 + self.rng.below(nanos / 2 + 1);
+        let jittered = nanos / 2 + self.rng.below((nanos / 2 + 1) as usize) as u64;
         Some(Duration::from_nanos(jittered))
     }
 

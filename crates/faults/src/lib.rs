@@ -27,15 +27,14 @@
 //! `faults.dropped_writes`) and is therefore visible in the controller's
 //! `{"op":"stats"}` snapshot.
 //!
-//! Built on `std` plus `pddl-telemetry` only, so every transport crate in
-//! the workspace can wear it without weight.
+//! Built on `std` plus `pddl-telemetry` only (whose `rng::Rng` drives every
+//! schedule), so every transport crate in the workspace can wear it
+//! without weight.
 
 #![warn(missing_docs)]
 
 mod plan;
-mod rng;
 mod stream;
 
 pub use plan::{FaultPlan, FAULT_PLAN_ENV};
-pub use rng::FaultRng;
 pub use stream::{Direction, FaultEvent, FaultKind, FaultSchedule, FaultyRead, FaultyWrite};

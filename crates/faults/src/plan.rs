@@ -2,8 +2,8 @@
 //! from a compact spec string so the same chaos schedule can be named on a
 //! CLI flag, an env var, or in a test.
 
-use crate::rng::FaultRng;
 use crate::stream::{Direction, FaultSchedule};
+use pddl_telemetry::rng::Rng;
 
 /// Environment variable `predictddl-cli serve` reads its fault-plan spec
 /// from when `--fault-plan` is absent ([`FaultPlan::from_env`]). Libraries
@@ -149,7 +149,7 @@ impl FaultPlan {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(conn.wrapping_mul(0xD134_2543_DE82_EF95))
             ^ dir_salt;
-        FaultSchedule::new(*self, FaultRng::new(seed))
+        FaultSchedule::new(*self, Rng::new(seed))
     }
 }
 

@@ -2,7 +2,7 @@
 //! transport.
 
 use crate::plan::FaultPlan;
-use crate::rng::FaultRng;
+use pddl_telemetry::rng::Rng;
 use pddl_telemetry::Counter;
 use std::io::{Read, Write};
 use std::sync::OnceLock;
@@ -66,7 +66,7 @@ fn metrics() -> &'static Metrics {
 #[derive(Clone, Debug)]
 pub struct FaultSchedule {
     plan: FaultPlan,
-    rng: FaultRng,
+    rng: Rng,
     op: u64,
     dead: bool,
     log: Vec<FaultEvent>,
@@ -86,7 +86,7 @@ enum Decision {
 impl FaultSchedule {
     /// A schedule driven by `rng` under `plan`'s probabilities. Prefer
     /// [`FaultPlan::schedule`], which derives the RNG deterministically.
-    pub fn new(plan: FaultPlan, rng: FaultRng) -> Self {
+    pub fn new(plan: FaultPlan, rng: Rng) -> Self {
         Self { plan, rng, op: 0, dead: false, log: Vec::new() }
     }
 
@@ -149,12 +149,12 @@ impl FaultSchedule {
         if data.is_empty() {
             return 0;
         }
-        let n = 1 + self.rng.below(4.min(data.len() as u64));
+        let n = 1 + self.rng.below(4.min(data.len()));
         for _ in 0..n {
-            let i = self.rng.below(data.len() as u64) as usize;
+            let i = self.rng.below(data.len());
             data[i] = self.rng.byte();
         }
-        n as usize
+        n
     }
 }
 
@@ -257,7 +257,7 @@ impl<W: Write> Write for FaultyWrite<W> {
             Decision::Truncate if !buf.is_empty() => {
                 // Send a strict prefix, then kill the stream: the peer sees
                 // a frame cut off mid-line followed by a reset.
-                let keep = (self.sched.rng.below(buf.len() as u64) as usize).min(buf.len() - 1);
+                let keep = self.sched.rng.below(buf.len()).min(buf.len() - 1);
                 self.sched.record(FaultKind::TruncatedWrite(keep));
                 m.truncated_writes.inc();
                 let r = if keep > 0 { self.inner.write_all(&buf[..keep]) } else { Ok(()) };

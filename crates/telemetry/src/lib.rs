@@ -18,7 +18,9 @@
 //! Built entirely on `std`, so every crate in the workspace can depend on
 //! it without weight — which is also why the workspace's one JSON codec
 //! ([`json`]: the [`JsonValue`] tree and the `ToJson` / `FromJson` traits
-//! behind every wire frame and checkpoint) lives here.
+//! behind every wire frame and checkpoint), its hashes ([`hash`]) and its
+//! one seeded generator ([`rng::Rng`], re-exported as `pddl_tensor::Rng`)
+//! live here.
 //!
 //! ## Hot-path cost
 //!
@@ -68,6 +70,7 @@ pub mod hash;
 pub mod json;
 mod log;
 mod metrics;
+pub mod rng;
 mod snapshot;
 mod span;
 pub mod trace;

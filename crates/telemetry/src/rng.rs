@@ -1,12 +1,15 @@
 //! Deterministic pseudo-random number generation.
 //!
 //! Every stochastic component in the workspace (weight initialization,
-//! train/test splits, simulator noise, synthetic architecture sampling) draws
-//! from this generator so that experiments are reproducible from a single
-//! `u64` seed. The core is xoshiro256** seeded through SplitMix64, the
-//! construction recommended by the xoshiro authors.
+//! train/test splits, simulator noise, synthetic architecture sampling,
+//! injected wire faults, retry jitter, fuzz cases) draws from this one
+//! generator so that runs are reproducible from a single `u64` seed. The
+//! core is xoshiro256** seeded through SplitMix64 ([`splitmix64`]), the
+//! construction recommended by the xoshiro authors. It lives here, std-only
+//! beside the hash it seeds from, so that crates below the tensor layer
+//! (`pddl-faults`, the wire clients) share it; `pddl_tensor` re-exports it.
 
-use pddl_telemetry::hash::splitmix64;
+use crate::hash::splitmix64;
 
 /// A seeded xoshiro256** generator.
 ///
@@ -73,8 +76,9 @@ impl Rng {
         lo + (hi - lo) * self.next_f32()
     }
 
-    /// Uniform integer in `[0, n)`. Uses Lemire's multiply-shift reduction;
-    /// the modulo bias is negligible for the range sizes used here.
+    /// Uniform integer in `[0, n)`, `n > 0`. Uses Lemire's multiply-shift
+    /// reduction on the full 64-bit draw; the modulo bias is negligible for
+    /// the range sizes used here.
     #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         debug_assert!(n > 0, "below(0) is meaningless");
@@ -86,6 +90,12 @@ impl Rng {
     pub fn range(&mut self, lo: usize, hi: usize) -> usize {
         debug_assert!(lo < hi);
         lo + self.below(hi - lo)
+    }
+
+    /// One uniform byte: the top eight bits of the next draw.
+    #[inline]
+    pub fn byte(&mut self) -> u8 {
+        (self.next_u64() >> 56) as u8
     }
 
     /// Bernoulli draw with probability `p`.
@@ -229,6 +239,41 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.05, "var={var}");
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = Rng::new(42);
+        let mut b = Rng::new(42);
+        for _ in 0..1000 {
+            assert_eq!(a.next_u64().to_be_bytes()[0], b.byte());
+            assert_eq!(a.next_f64().to_bits(), b.next_f64().to_bits());
+            assert_eq!(a.below(1000), b.below(1000));
+        }
+    }
+
+    #[test]
+    fn f64_in_unit_interval() {
+        let mut r = Rng::new(7);
+        for _ in 0..10_000 {
+            let x = r.next_f64();
+            assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    /// `below` is the multiply-shift of the full 64-bit draw for any bound
+    /// up to `usize::MAX` (the retry jitter draws nanosecond bounds).
+    #[test]
+    fn below_respects_bound() {
+        let mut r = Rng::new(9);
+        let mut twin = Rng::new(9);
+        for n in [1usize, 2, 3, 10, 1000, 1 << 40, usize::MAX] {
+            for _ in 0..200 {
+                let v = r.below(n);
+                assert!(v < n);
+                assert_eq!(v, ((twin.next_u64() as u128 * n as u128) >> 64) as usize);
+            }
+        }
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!   NEON implementations ([`kernels`]), with the scalar loops kept as
 //!   the portable fallback and equivalence oracle;
 //! * all randomness goes through [`rng::Rng`], a seeded xoshiro256**, so every
-//!   experiment in the workspace is reproducible bit-for-bit.
+//!   experiment in the workspace is reproducible bit-for-bit (it lives in
+//!   `pddl_telemetry::rng`, re-exported here as `pddl_tensor::rng`).
 
 pub mod activation;
 pub mod gemm;
 pub mod kernels;
 pub mod linalg;
 pub mod matrix;
-pub mod rng;
+pub use pddl_telemetry::rng;
 
 pub use gemm::{Activation, PackBuffer};
 pub use kernels::{backend, set_force_scalar, KernelBackend};

@@ -5,7 +5,7 @@
 //! unbounded buffer — and read timeouts between chunks must not change a
 //! single line.
 //!
-//! The generator is a [`pddl_faults::FaultRng`], so every failure is
+//! The generator is the workspace's one [`pddl_tensor::Rng`], so every failure is
 //! reproducible from the seed printed in the assertion message. 10 000
 //! cases per seed, three seeds.
 
@@ -13,8 +13,8 @@ use pddl_cluster::{
     ClientMsg, ClusterState, LinePoll, LineReader, ServerClass, WireError, MAX_FRAME_BYTES,
 };
 use pddl_ddlsim::Workload;
-use pddl_faults::FaultRng;
 use pddl_telemetry::json;
+use pddl_tensor::Rng;
 use predictddl::{
     parse_frame, ParsedFrame, PredictionRequest, RequestEnvelope, RequestError, ResponseEnvelope,
     TraceHeader, WireResponse,
@@ -28,24 +28,24 @@ const SEEDS: [u64; 3] = [1, 42, 0xDEAD_BEEF];
 /// generator can exceed it cheaply.
 const LIMIT: usize = 1024;
 
-fn sample_request(rng: &mut FaultRng) -> PredictionRequest {
+fn sample_request(rng: &mut Rng) -> PredictionRequest {
     let models = ["resnet18", "vgg16", "mobilenet_v2", "alexnet"];
-    let model = models[rng.below(models.len() as u64) as usize];
+    let model = models[rng.below(models.len())];
     PredictionRequest::zoo(
-        Workload::new(model, "cifar10", 32 << rng.below(4), 1 + rng.below(8) as usize),
-        ClusterState::homogeneous(ServerClass::GpuP100, 1 + rng.below(16) as usize),
+        Workload::new(model, "cifar10", 32 << rng.below(4), 1 + rng.below(8)),
+        ClusterState::homogeneous(ServerClass::GpuP100, 1 + rng.below(16)),
     )
 }
 
 /// One adversarial byte buffer. Mixes pure noise, printable noise, and
 /// mutations (bit flips, truncations, splices) of well-formed frames.
-fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
+fn gen_case(rng: &mut Rng) -> Vec<u8> {
     match rng.below(7) {
         // Pure random bytes, newlines included by chance.
         0 => (0..rng.below(256)).map(|_| rng.byte()).collect(),
         // Up to two frame bounds of noise: now and then a run of it
         // outgrows the bound.
-        6 => (0..rng.below(2 * LIMIT as u64)).map(|_| rng.byte()).collect(),
+        6 => (0..rng.below(2 * LIMIT)).map(|_| rng.byte()).collect(),
         // Random printable ASCII line.
         1 => {
             let mut buf: Vec<u8> =
@@ -57,7 +57,7 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
         2 => {
             let mut buf = json::to_string(&sample_request(rng)).unwrap().into_bytes();
             for _ in 0..1 + rng.below(4) {
-                let i = rng.below(buf.len() as u64) as usize;
+                let i = rng.below(buf.len());
                 buf[i] = rng.byte();
             }
             buf.push(b'\n');
@@ -66,15 +66,15 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
         // A valid frame cut off mid-token (no terminator: EOF mid-frame).
         3 => {
             let full = json::to_string(&sample_request(rng)).unwrap().into_bytes();
-            let cut = 1 + rng.below(full.len() as u64 - 1) as usize;
+            let cut = 1 + rng.below(full.len() - 1);
             full[..cut].to_vec()
         }
         // Two frames spliced at random cut points.
         4 => {
             let a = json::to_string(&sample_request(rng)).unwrap().into_bytes();
             let b = json::to_string(&sample_request(rng)).unwrap().into_bytes();
-            let ca = rng.below(a.len() as u64) as usize;
-            let cb = rng.below(b.len() as u64) as usize;
+            let ca = rng.below(a.len());
+            let cb = rng.below(b.len());
             let mut buf = a[..ca].to_vec();
             buf.extend_from_slice(&b[cb..]);
             buf.push(b'\n');
@@ -82,7 +82,7 @@ fn gen_case(rng: &mut FaultRng) -> Vec<u8> {
         }
         // Deep but in-bounds noise right up against the frame limit.
         _ => {
-            let len = LIMIT - 1 - rng.below(32) as usize;
+            let len = LIMIT - 1 - rng.below(32);
             let mut buf: Vec<u8> = (0..len).map(|_| rng.byte()).collect();
             buf.retain(|&b| b != b'\n');
             buf.push(b'\n');
@@ -142,10 +142,10 @@ impl<R: BufRead> BufRead for Choppy<R> {
 /// capacities exercise `fill_buf` boundary handling.
 fn seeded_cases() -> impl Iterator<Item = (u64, usize, Vec<u8>, usize)> {
     SEEDS.into_iter().flat_map(|seed| {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::new(seed);
         (0..CASES_PER_SEED).map(move |case| {
             let bytes = gen_case(&mut rng);
-            (seed, case, bytes, 8 + rng.below(120) as usize)
+            (seed, case, bytes, 8 + rng.below(120))
         })
     })
 }
@@ -183,7 +183,7 @@ fn wouldblock_between_chunks_changes_no_line() {
 #[test]
 fn fuzz_is_seed_deterministic() {
     let gen_all = |seed: u64| -> Vec<Vec<u8>> {
-        let mut rng = FaultRng::new(seed);
+        let mut rng = Rng::new(seed);
         (0..64).map(|_| gen_case(&mut rng)).collect()
     };
     assert_eq!(gen_all(99), gen_all(99));
@@ -192,9 +192,9 @@ fn fuzz_is_seed_deterministic() {
 
 #[test]
 fn overlong_frames_get_structured_rejection() {
-    let mut rng = FaultRng::new(7);
+    let mut rng = Rng::new(7);
     for case in 0..200 {
-        let len = LIMIT + 1 + rng.below(4 * LIMIT as u64) as usize;
+        let len = LIMIT + 1 + rng.below(4 * LIMIT);
         let mut bytes: Vec<u8> = (0..len)
             .map(|_| match rng.byte() {
                 b'\n' => b'x',
@@ -212,7 +212,7 @@ fn overlong_frames_get_structured_rejection() {
 
 #[test]
 fn valid_frames_always_classify() {
-    let mut rng = FaultRng::new(0xF00D);
+    let mut rng = Rng::new(0xF00D);
     for _ in 0..500 {
         let req = sample_request(&mut rng);
         let single = json::to_string(&req).unwrap();
@@ -288,7 +288,7 @@ fn deep_nesting_at_the_frame_bound_is_rejected_not_overflowed() {
 /// every bit must survive the request and the response direction.
 #[test]
 fn u64_max_identities_round_trip_exactly() {
-    let mut rng = FaultRng::new(5);
+    let mut rng = Rng::new(5);
     let ids = [u64::MAX, u64::MAX - 1, (1 << 53) + 1, 1 << 63, 0x9E37_79B9_7F4A_7C15];
     for (i, &id) in ids.iter().enumerate() {
         let client = ids[(i + 1) % ids.len()];
