@@ -10,10 +10,11 @@
 //!
 //! Three source gates live here too — no `unwrap()` in the peer-facing
 //! parsers, no socket code outside the one connection core, and no frame
-//! reading outside its one `LineReader` — and one reference gate: a
+//! reading outside its one `LineReader` — and two reference gates: a
 //! binary, example, test, bench or `BENCH_*.json` that the prose docs
-//! name exists in the tree. All of them read the repository's own files,
-//! so they run wherever `cargo test` runs.
+//! name exists in the tree, and every metric name the code registers is
+//! listed in OPERATIONS.md's metric catalogue. All of them read the
+//! repository's own files, so they run wherever `cargo test` runs.
 
 use pddl_cluster::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
@@ -32,6 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const PROTOCOL_MD: &str = include_str!("../PROTOCOL.md");
+const OPERATIONS_MD: &str = include_str!("../OPERATIONS.md");
 
 /// The collector-channel ops; every other section is the serving channel.
 const COLLECTOR_OPS: [&str; 3] = ["register", "heartbeat", "leave"];
@@ -427,4 +429,71 @@ fn docs_name_only_targets_and_files_that_exist() {
         }
     }
     assert!(stale.is_empty(), "docs name things that are not in the tree: {stale:#?}");
+}
+
+/// `name` with every `{a,b}` group expanded: `shed.{x,y}` is `shed.x`
+/// and `shed.y`.
+fn expand_groups(name: &str) -> Vec<String> {
+    match (name.find('{'), name.find('}')) {
+        (Some(open), Some(close)) if open < close => name[open + 1..close]
+            .split(',')
+            .flat_map(|m| expand_groups(&format!("{}{m}{}", &name[..open], &name[close + 1..])))
+            .collect(),
+        _ => vec![name.to_string()],
+    }
+}
+
+/// OPERATIONS.md's "Metric catalogue" table: each row's prefix and every
+/// `` `name` `` its row lists, groups expanded.
+fn metric_catalogue() -> BTreeMap<&'static str, BTreeSet<String>> {
+    let section = OPERATIONS_MD.split("### Metric catalogue").nth(1).expect("the catalogue section");
+    let mut rows: BTreeMap<_, BTreeSet<String>> = BTreeMap::new();
+    for line in section.lines().take_while(|l| !l.starts_with('#')) {
+        let Some((prefix, cells)) = line.strip_prefix("| `").and_then(|r| r.split_once("` |")) else {
+            continue;
+        };
+        let names = cells.split('`').skip(1).step_by(2).flat_map(expand_groups);
+        rows.entry(prefix).or_default().extend(names);
+    }
+    rows
+}
+
+/// Every metric is listed in its prefix's row of OPERATIONS.md's "Metric
+/// catalogue": each string literal the non-test, non-comment code under
+/// `crates/*/src` passes to `counter(`, `gauge(`, `histogram(` or
+/// `Span::enter(` (a span records into the histogram of its name). Names
+/// built at run time — the connection core's per-server prefix, the trace
+/// stages, the kernel gauges — are the catalogue prose's to explain.
+#[test]
+fn every_registered_metric_is_in_the_catalogue() {
+    const CALLS: [&str; 4] = ["counter(\"", "gauge(\"", "histogram(\"", "Span::enter(\""];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let catalogue = metric_catalogue();
+    let (mut registered, mut missing) = (0, Vec::new());
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        for file in rust_files(&krate.expect("crates/ entry").path().join("src")) {
+            let name = file.strip_prefix(&root).expect("under the root").display().to_string();
+            let src = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let non_test = src.split("#[cfg(test)]").next().unwrap_or(&src);
+            for (i, line) in non_test.lines().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                for call in CALLS {
+                    for (at, _) in line.match_indices(call) {
+                        let rest = &line[at + call.len()..];
+                        let metric = &rest[..rest.find('"').expect("a one-line literal")];
+                        let row = catalogue.iter().filter(|(p, _)| metric.starts_with(*p));
+                        let row = row.max_by_key(|(p, _)| p.len());
+                        registered += 1;
+                        if !row.is_some_and(|(p, names)| names.contains(&metric[p.len()..])) {
+                            missing.push(format!("{name}:{}: {metric}", i + 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(registered > 100, "the walk found only {registered} metric registrations");
+    assert!(missing.is_empty(), "metrics missing from OPERATIONS.md's catalogue: {missing:#?}");
 }
