@@ -16,7 +16,7 @@
 
 use crate::protocol::ObserveReply;
 use pddl_regress::RefitLoop;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Observations required before [`ObservationSink::calibrate`] starts
 /// correcting predictions (below this it returns them unchanged).
@@ -43,7 +43,7 @@ impl ObservationSink {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RefitLoop> {
+    fn lock(&self) -> MutexGuard<'_, RefitLoop> {
         self.calib.lock().unwrap_or_else(|e| e.into_inner())
     }
 

@@ -23,15 +23,15 @@ use crate::online::refit_metrics;
 
 /// Margin δ subtracted from each deviation of `|z|`: it sits above the
 /// natural fluctuation of `|z|` around its mean for `z ~ N(0,1)`.
-pub const DELTA: f64 = 0.5;
+const DELTA: f64 = 0.5;
 
 /// Fire threshold λ on `m_t − min(m_t)`: a sustained multi-σ excursion,
 /// unreachable by chance on a zero-drift stream and crossed in a few
 /// observations when a real cost-model shift multiplies runtimes.
-pub const THRESHOLD: f64 = 15.0;
+const THRESHOLD: f64 = 15.0;
 
 /// Observations (since the last reset) before the detector may fire.
-pub const WARMUP: u64 = 32;
+const WARMUP: u64 = 32;
 
 /// A detected change point, with enough context to size the recovery
 /// window: `run_length` counts the observations since the statistic's
@@ -68,8 +68,8 @@ pub struct PageHinkley {
 }
 
 impl PageHinkley {
-    /// A detector with no observations, at [`DELTA`], [`THRESHOLD`] and
-    /// [`WARMUP`].
+    /// A detector with no observations, at this module's fixed margin δ,
+    /// threshold λ and warm-up.
     pub fn new() -> Self {
         Self::default()
     }

@@ -2,7 +2,7 @@
 //!
 //! [`RefitLoop`] owns an [`OnlineRidge`], a [`PageHinkley`] detector, the
 //! [`ResidualScale`] that standardizes its input and a ring of the last
-//! [`RECENT_RESIDUALS`] residuals. Both callers feed it: the serving
+//! 64 residuals. Both callers feed it: the serving
 //! inlet's `ObservationSink` (`{"op":"observe"}`, a log-space calibration
 //! model) and the scheduling engine's `LivePredictor` (per-class runtime
 //! curves). Each computes the residual itself and the loop does the rest:
@@ -14,11 +14,11 @@ use crate::online::OnlineRidge;
 use std::collections::VecDeque;
 
 /// Ridge penalty λ on the loop's model.
-pub const LAMBDA: f64 = 1e-3;
+const LAMBDA: f64 = 1e-3;
 
 /// Recent residuals retained for shift-magnitude estimation on a drift
 /// fire (at most [`DriftEvent::run_length`] of them are read).
-pub const RECENT_RESIDUALS: usize = 64;
+const RECENT_RESIDUALS: usize = 64;
 
 /// An online ridge model with drift detection and one-step recovery.
 #[derive(Clone, Debug)]
