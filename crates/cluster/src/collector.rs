@@ -34,8 +34,7 @@ use crate::state::{ClusterState, ServerStatus};
 use crate::wire::{Flow, Handler, LineConn, Listener, WireError, Writer};
 use pddl_faults::FaultPlan;
 use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
-use pddl_telemetry::trace::{flight_recorder, stages};
-use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
+use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, Stage, TraceContext};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -440,11 +439,8 @@ impl CollectorClient {
         self.spec.hostname.hash(&mut h);
         let ctx = TraceContext::root(h.finish());
         self.exchanges += 1;
-        let rec = flight_recorder();
-        let el = t0.elapsed();
-        let start = rec.now_us().saturating_sub(el.as_micros() as u64);
         let status = if ok { SpanStatus::Ok } else { SpanStatus::Error };
-        rec.record_span(ctx.child(self.exchanges), stages::COLLECT, start, el, status);
+        Stage::Collect.record_as(Some(ctx.child(self.exchanges)), t0.elapsed(), status);
     }
 
     /// One wire exchange — `msg` out, the collector's verdict back —

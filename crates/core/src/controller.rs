@@ -59,11 +59,13 @@
 //! such requests are always traced and the header is echoed on the
 //! [`ResponseEnvelope`]. Requests without a header are sampled: every
 //! `trace_sample`-th work frame per connection gets a server-minted root
-//! context (0 disables). A traced request records one child span per
-//! pipeline stage — accept marker, frame decode, queue wait (in
-//! [`crate::serve`]), worker dispatch, embedding-cache probe (hit/miss),
-//! GHN forward pass on a miss, regression, response serialization — into
-//! the process-wide lock-free flight recorder. Traces that end badly
+//! context (0 disables). Every request times each pipeline stage once —
+//! frame decode, queue wait (in [`crate::serve`]), worker dispatch,
+//! embedding-cache probe (hit/miss), GHN forward pass on a miss,
+//! regression, response serialization — into that stage's
+//! `trace.stage.<name>` histogram; a traced request also records each
+//! (plus an accept marker) as a child span in the process-wide lock-free
+//! flight recorder. Traces that end badly
 //! (shed, expired, application error) or slowly (`trace_slow_ms`) are
 //! tail-promoted into the bounded retained set served by `{"op":"trace"}`
 //! and rendered by the CLI `trace` subcommand.
@@ -120,9 +122,9 @@ use pddl_cluster::retry::{
 };
 use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
-use pddl_telemetry::trace::{flight_recorder, stage_id, stages};
 use pddl_telemetry::{
-    tlog, Counter, Histogram, JsonValue, Level, Snapshot, SpanStatus, TraceContext,
+    flight_recorder, tlog, Counter, Histogram, JsonValue, Level, Snapshot, SpanStatus, Stage,
+    TraceContext,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -467,9 +469,8 @@ impl Handler for Serving {
 
     fn frame(&self, conn: &mut ConnState, line: String, writer: &Writer) -> std::io::Result<Flow> {
         let m = metrics();
-        let rec = flight_recorder();
         let config = self.config;
-        let decode_t0 = Instant::now();
+        let arrived = Instant::now();
         let frame = match parse_frame(&line) {
             Ok(frame) => frame,
             Err(detail) => {
@@ -483,7 +484,7 @@ impl Handler for Serving {
                 return Ok(Flow::Continue);
             }
         };
-        let decode = decode_t0.elapsed();
+        let decode = arrived.elapsed();
         // Trace decision: an explicit client context always traces;
         // otherwise every `trace_sample`-th work frame on this connection
         // gets a server-minted root (0 disables sampling). Control ops
@@ -505,25 +506,22 @@ impl Handler for Serving {
                     .then(|| TraceContext::root(next_sampled_trace_id()))
             }
         };
-        // Start of this request for the root span: now, minus the frame
-        // decode we just did.
-        let req_start_us = rec.now_us().saturating_sub(decode.as_micros() as u64);
         if let Some(ctx) = ctx {
             m.traced_requests.inc();
             if !conn.accept_marked {
                 // Zero-length marker anchoring the waterfall at the
                 // moment this connection was accepted.
-                rec.record_stage(
-                    ctx,
-                    stages::ACCEPT,
+                flight_recorder().record(
+                    Stage::Accept,
+                    Some(Stage::Accept.child_of(ctx)),
                     conn.accepted_us,
                     Duration::ZERO,
                     SpanStatus::Ok,
                 );
                 conn.accept_marked = true;
             }
-            rec.record_stage(ctx, stages::FRAME_READ, req_start_us, decode, SpanStatus::Ok);
         }
+        Stage::FrameRead.record(ctx, decode, SpanStatus::Ok);
         match frame {
             // Control ops: answered inline by the reader, never queued or
             // shed — stats, traces, and metrics stay observable *during*
@@ -553,7 +551,7 @@ impl Handler for Serving {
             }
             ParsedFrame::Trace => {
                 m.trace_requests.inc();
-                writer.send(&rec.retained_json())?;
+                writer.send(&flight_recorder().retained_json())?;
             }
             // Reload: answered inline like the other control ops (an
             // overloaded or draining pool cannot block a rollback). The
@@ -606,7 +604,7 @@ impl Handler for Serving {
             // across the work pool via [`PredictDdl::predict_many`].
             ParsedFrame::Batch(reqs) => self.work(
                 ctx,
-                req_start_us,
+                arrived,
                 writer,
                 None,
                 move |system, m| {
@@ -630,17 +628,11 @@ impl Handler for Serving {
                             }
                         })
                         .collect();
-                    if let Some(c) = ctx {
-                        // One dispatch span for the whole batch; the
-                        // per-request fan-out happens inside
-                        // predict_many and is not traced separately.
-                        let rec = flight_recorder();
-                        let start =
-                            rec.now_us().saturating_sub(dispatch_el.as_micros() as u64);
-                        let d = c.child(stage_id(stages::DISPATCH).wrapping_add(1));
-                        let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
-                        rec.record_span(d, stages::DISPATCH, start, dispatch_el, status);
-                    }
+                    // One dispatch span for the whole batch; the
+                    // per-request fan-out happens inside predict_many and
+                    // is not traced separately.
+                    let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
+                    Stage::Dispatch.record(ctx, dispatch_el, status);
                     let answered = responses.len() as u64;
                     (responses, answered, errored)
                 },
@@ -670,25 +662,15 @@ impl Handler for Serving {
                     );
                     let replay_t0 = Instant::now();
                     writer.send(&cached)?;
-                    if let Some(c) = ctx {
-                        // The replay is its own deterministic span: a
-                        // re-promotion merges it into the retained trace
-                        // without duplicating the original pipeline spans.
-                        let el = replay_t0.elapsed();
-                        let start = rec.now_us().saturating_sub(el.as_micros() as u64);
-                        rec.record_stage(
-                            c,
-                            stages::DEDUP_REPLAY,
-                            start,
-                            el,
-                            SpanStatus::CacheHit,
-                        );
-                    }
+                    // The replay is its own deterministic span: a
+                    // re-promotion merges it into the retained trace
+                    // without duplicating the original pipeline spans.
+                    Stage::DedupReplay.record(ctx, replay_t0.elapsed(), SpanStatus::CacheHit);
                     return Ok(Flow::Continue);
                 }
                 self.work(
                     ctx,
-                    req_start_us,
+                    arrived,
                     writer,
                     Some(key),
                     move |system, m| {
@@ -708,7 +690,7 @@ impl Handler for Serving {
             }
             ParsedFrame::Single(req) => self.work(
                 ctx,
-                req_start_us,
+                arrived,
                 writer,
                 None,
                 move |system, m| {
@@ -747,12 +729,13 @@ impl Serving {
     /// kinds differ only in `compute` (what they predict and count: it
     /// returns the reply, how many requests it answers, and whether any
     /// failed) and `log`; expiry, timing, encoding, the dedup cache
-    /// (`dedup`, enveloped frames only), the write and the trace tail are
-    /// spelled once, here.
+    /// (`dedup`, enveloped frames only), the write and the request's
+    /// trailing stages are spelled once, here. `arrived` is when the
+    /// frame came off the socket: the root `request` span starts there.
     fn work<R: ToJson>(
         &self,
         ctx: Option<TraceContext>,
-        req_start_us: u64,
+        arrived: Instant,
         writer: &Writer,
         dedup: Option<(u64, u64)>,
         compute: impl FnOnce(&PredictDdl, &Metrics) -> (R, u64, bool) + Send + 'static,
@@ -773,7 +756,7 @@ impl Serving {
                 if outcome == JobOutcome::Expired {
                     // Never cached: the client's retry should get a real
                     // execution, not a replayed shed.
-                    expire_traced(ctx, req_start_us);
+                    expire(ctx, arrived);
                     let _ = writer_j.send(&shed_line(retry_after_ms, ShedReason::Deadline));
                     return;
                 }
@@ -786,7 +769,7 @@ impl Serving {
                     cache.put(key, out.clone());
                 }
                 let _ = writer_j.send(&out);
-                finish_traced(ctx, req_start_us, s0.elapsed(), errored, trace_slow_ms);
+                finish(ctx, arrived, s0.elapsed(), errored, trace_slow_ms);
                 let elapsed = t0.elapsed();
                 m.request_latency.record_duration(elapsed);
                 log(&reply, elapsed);
@@ -805,27 +788,21 @@ fn encode_reply(reply: &impl ToJson) -> String {
     })
 }
 
-/// Runs one prediction, recording ok/err counters and — when traced —
-/// the dispatch span wrapping the inference-stage children recorded by
-/// [`PredictDdl::predict_traced`]. Returns the response plus whether it
-/// was an error (the tail-sampling trigger).
+/// Runs one prediction, recording ok/err counters and the `dispatch`
+/// stage wrapping the inference stages recorded by
+/// [`PredictDdl::predict_traced`] (its children when traced). Returns
+/// the response plus whether it was an error (the tail-sampling trigger).
 fn predict_one(
     system: &PredictDdl,
     req: &PredictionRequest,
     m: &Metrics,
     ctx: Option<TraceContext>,
 ) -> (WireResponse, bool) {
-    let dispatch = ctx.map(|c| c.child(stage_id(stages::DISPATCH).wrapping_add(1)));
     let t0 = Instant::now();
-    let result = system.predict_traced(req, dispatch);
+    let result = system.predict_traced(req, ctx.map(|c| Stage::Dispatch.child_of(c)));
     let errored = result.is_err();
-    if let Some(d) = dispatch {
-        let el = t0.elapsed();
-        let rec = flight_recorder();
-        let start = rec.now_us().saturating_sub(el.as_micros() as u64);
-        let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
-        rec.record_span(d, stages::DISPATCH, start, el, status);
-    }
+    let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
+    Stage::Dispatch.record(ctx, t0.elapsed(), status);
     let resp = match result {
         Ok(prediction) => {
             m.requests_ok.inc();
@@ -839,41 +816,38 @@ fn predict_one(
     (resp, errored)
 }
 
-/// Records the trailing spans of one traced request — `serialize` (whose
-/// window ends now) and the root `request` span from frame arrival to
-/// response write — then applies the tail-sampling verdicts: promote on
-/// application error, or as `slow` past the `trace_slow_ms` threshold.
-fn finish_traced(
+/// Records the trailing stages of one request — `serialize` (whose
+/// window ends now) and the root `request` from frame arrival to response
+/// write — then applies the tail-sampling verdicts to a traced one:
+/// promote on application error, or as `slow` past the `trace_slow_ms`
+/// threshold.
+fn finish(
     ctx: Option<TraceContext>,
-    req_start_us: u64,
+    arrived: Instant,
     serialize: Duration,
     errored: bool,
     slow_ms: u64,
 ) {
-    let Some(ctx) = ctx else { return };
-    let rec = flight_recorder();
-    let end = rec.now_us();
-    let s_start = end.saturating_sub(serialize.as_micros() as u64);
-    rec.record_stage(ctx, stages::SERIALIZE, s_start, serialize, SpanStatus::Ok);
-    let total = Duration::from_micros(end.saturating_sub(req_start_us));
+    Stage::Serialize.record(ctx, serialize, SpanStatus::Ok);
+    let total = arrived.elapsed();
     let status = if errored { SpanStatus::Error } else { SpanStatus::Ok };
-    rec.record_span(ctx, stages::REQUEST, req_start_us, total, status);
+    Stage::Request.record_as(ctx, total, status);
+    let Some(ctx) = ctx else { return };
     if errored {
-        rec.promote(ctx.trace_id, "error");
+        flight_recorder().promote(ctx.trace_id, "error");
     } else if slow_ms > 0 && total.as_millis() as u64 >= slow_ms {
-        rec.promote(ctx.trace_id, "slow");
+        flight_recorder().promote(ctx.trace_id, "slow");
     }
 }
 
-/// Records the root span of a traced request that expired in the queue,
-/// then re-promotes so the root merges into the already-retained trace
-/// (the pool promoted `shed` when it observed the expiry).
-fn expire_traced(ctx: Option<TraceContext>, req_start_us: u64) {
-    let Some(ctx) = ctx else { return };
-    let rec = flight_recorder();
-    let total = Duration::from_micros(rec.now_us().saturating_sub(req_start_us));
-    rec.record_span(ctx, stages::REQUEST, req_start_us, total, SpanStatus::Expired);
-    rec.promote(ctx.trace_id, "shed");
+/// Records the root `request` of a request that expired in the queue,
+/// then re-promotes a traced one so the root merges into the already-
+/// retained trace (the pool promoted `shed` when it observed the expiry).
+fn expire(ctx: Option<TraceContext>, arrived: Instant) {
+    Stage::Request.record_as(ctx, arrived.elapsed(), SpanStatus::Expired);
+    if let Some(ctx) = ctx {
+        flight_recorder().promote(ctx.trace_id, "shed");
+    }
 }
 
 /// Server-minted trace ids for sampled (context-free) requests. The top

@@ -15,109 +15,17 @@ use pddl_cluster::ClusterState;
 use pddl_ddlsim::{generate_trace, TraceConfig, TraceRecord, Workload};
 use pddl_ghn::GhnConfig;
 use pddl_ghn::train::TrainConfig;
-use pddl_regress::{Kernel, Regression};
-use pddl_telemetry::trace::{flight_recorder, stage_handle, stages, StageHandle};
-use pddl_telemetry::{tlog, Counter, Histogram, Level, Span, SpanStatus, TraceContext};
+use pddl_regress::Regression;
+use pddl_telemetry::{tlog, Counter, Level, SpanStatus, Stage, TraceContext};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Inference-path metric handles, resolved once (the predict path stays
-/// lock-free).
-struct InferenceMetrics {
-    predictions: &'static Counter,
-    embed_latency: &'static Histogram,
-    regress_latency: &'static Histogram,
-}
-
-fn inference_metrics() -> &'static InferenceMetrics {
-    static METRICS: OnceLock<InferenceMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| InferenceMetrics {
-        predictions: pddl_telemetry::counter("inference.predictions"),
-        embed_latency: pddl_telemetry::histogram("inference.embed_latency"),
-        regress_latency: pddl_telemetry::histogram("inference.regress_latency"),
-    })
-}
-
-/// Predict-path stage handles, resolved once so traced inference records
-/// spans without touching the stage-intern lock.
-struct PredictStages {
-    embed_cache: StageHandle,
-    ghn_embed: StageHandle,
-    regress: StageHandle,
-}
-
-fn predict_stages() -> &'static PredictStages {
-    static STAGES: OnceLock<PredictStages> = OnceLock::new();
-    STAGES.get_or_init(|| PredictStages {
-        embed_cache: stage_handle(stages::EMBED_CACHE),
-        ghn_embed: stage_handle(stages::GHN_EMBED),
-        regress: stage_handle(stages::REGRESS),
-    })
-}
-
-/// Serializable choice of regression model (the `Regression` enum itself
-/// holds fitted state and is not `Clone`).
-#[derive(Clone, Copy, Debug)]
-pub enum RegressionSpec {
-    /// Ordinary least squares on the raw features.
-    Linear,
-    /// Second-order polynomial with full pairwise interactions.
-    Polynomial {
-        /// Polynomial degree.
-        degree: usize,
-        /// Ridge regularization strength.
-        lambda: f32,
-    },
-    /// Second-order polynomial with squares only — the default over the
-    /// wide embedding feature space (full interactions would exceed the
-    /// trace's sample count).
-    PolynomialSquares {
-        /// Polynomial degree.
-        degree: usize,
-        /// Ridge regularization strength.
-        lambda: f32,
-    },
-    /// Support-vector regression; `rbf_gamma: None` selects the linear kernel.
-    Svr {
-        /// RBF kernel width; `None` selects the linear kernel.
-        rbf_gamma: Option<f32>,
-        /// Regularization strength.
-        c: f32,
-        /// Epsilon-insensitive tube width.
-        epsilon: f32,
-    },
-    /// Single-hidden-layer perceptron regressor.
-    Mlp {
-        /// Hidden-layer width.
-        hidden: usize,
-        /// Training epochs.
-        epochs: usize,
-        /// Learning rate.
-        lr: f32,
-    },
-}
-
-impl RegressionSpec {
-    /// Instantiates the (unfitted) regression model this spec describes.
-    pub fn build(&self, seed: u64) -> Regression {
-        match *self {
-            RegressionSpec::Linear => Regression::linear(),
-            RegressionSpec::Polynomial { degree, lambda } => Regression::polynomial(degree, lambda),
-            RegressionSpec::PolynomialSquares { degree, lambda } => {
-                Regression::polynomial_squares(degree, lambda)
-            }
-            RegressionSpec::Svr { rbf_gamma, c, epsilon } => {
-                let kernel = match rbf_gamma {
-                    Some(gamma) => Kernel::Rbf { gamma },
-                    None => Kernel::Linear,
-                };
-                Regression::svr(kernel, c, epsilon)
-            }
-            RegressionSpec::Mlp { hidden, epochs, lr } => Regression::mlp(hidden, epochs, lr, seed),
-        }
-    }
+/// Predictions served, resolved once (the predict path stays lock-free).
+fn predictions() -> &'static Counter {
+    static PREDICTIONS: OnceLock<&'static Counter> = OnceLock::new();
+    PREDICTIONS.get_or_init(|| pddl_telemetry::counter("inference.predictions"))
 }
 
 /// Offline-training configuration.
@@ -128,8 +36,9 @@ pub struct OfflineTrainer {
     pub ghn_train: TrainConfig,
     /// Execution-trace sweep to train the regressor on.
     pub trace: TraceConfig,
-    /// Which regression model to fit on the trace.
-    pub regression: RegressionSpec,
+    /// The (unfitted) regression model to fit on the trace; each
+    /// training fits a clone of it.
+    pub regression: Regression,
     /// Fit the regressor on `log(time)` instead of raw seconds.
     pub log_target: bool,
     /// Master RNG seed; every sub-seed derives deterministically from it.
@@ -142,7 +51,7 @@ impl Default for OfflineTrainer {
             ghn_config: GhnConfig::default(),
             ghn_train: TrainConfig::default(),
             trace: TraceConfig::default(),
-            regression: RegressionSpec::Polynomial { degree: 2, lambda: 1e-2 },
+            regression: Regression::polynomial(2, 1e-2),
             log_target: true,
             seed: 0xACC0,
         }
@@ -156,7 +65,7 @@ impl OfflineTrainer {
             ghn_config: GhnConfig::tiny(),
             ghn_train: TrainConfig::tiny(),
             trace: TraceConfig::small(),
-            regression: RegressionSpec::Polynomial { degree: 2, lambda: 1e-3 },
+            regression: Regression::polynomial(2, 1e-3),
             log_target: true,
             seed: 7,
         }
@@ -187,7 +96,6 @@ impl OfflineTrainer {
     ) -> PredictDdl {
         assert!(!records.is_empty(), "empty training trace");
         let t0 = Instant::now();
-        let ghn_span = Span::enter("offline.train_ghn");
         let mut datasets: Vec<String> = records
             .iter()
             .map(|r| r.workload.dataset.to_ascii_lowercase())
@@ -207,7 +115,6 @@ impl OfflineTrainer {
         for (key, ghn, _report) in trained {
             registry.insert(&key, ghn);
         }
-        ghn_span.exit();
         let ghn_secs = t0.elapsed().as_secs_f64();
 
         // Embed each distinct (model, dataset) once. The GHN forward
@@ -215,7 +122,6 @@ impl OfflineTrainer {
         // and the sample cache are then filled in first-appearance order,
         // keeping the result identical to the serial loop.
         let t1 = Instant::now();
-        let embed_span = Span::enter("offline.embed_trace");
         let mut embeddings = EmbeddingsGenerator::new();
         let mut distinct: Vec<((String, String), &Workload)> = Vec::new();
         for r in records {
@@ -236,12 +142,10 @@ impl OfflineTrainer {
             embeddings.record(&key.1, &graph_name, emb.clone());
             cache.insert(key, emb);
         }
-        embed_span.exit();
         let embed_secs = t1.elapsed().as_secs_f64();
 
         // Assemble engine samples and fit the regression.
         let t2 = Instant::now();
-        let fit_span = Span::enter("offline.fit_regressor");
         let samples: Vec<EngineSample> = records
             .iter()
             .map(|r| {
@@ -257,11 +161,10 @@ impl OfflineTrainer {
             })
             .collect();
         let mut engine = InferenceEngine::new(InferenceConfig {
-            regression: self.regression.build(self.seed),
+            regression: self.regression.clone(),
             log_target: self.log_target,
         });
         engine.fit(&samples);
-        fit_span.exit();
         let fit_secs = t2.elapsed().as_secs_f64();
         tlog!(
             Level::Info,
@@ -422,12 +325,12 @@ impl PredictDdl {
         self.predict_traced(req, None)
     }
 
-    /// [`Self::predict`] with optional trace recording: when `trace` names
-    /// a parent span (the controller's dispatch span), each inference
+    /// [`Self::predict`] with optional trace recording. Each inference
     /// stage — embedding-cache lookup (hit/miss distinguished), the GHN
-    /// forward pass on a miss, and the regression — lands as a child span
-    /// in the global [`flight_recorder`]. With `None` this is exactly
-    /// `predict`: no recorder interaction, no extra clock reads.
+    /// forward pass on a miss, and the regression — is timed once into
+    /// its `trace.stage.<name>` histogram; when `trace` names a parent
+    /// span (the controller's dispatch span), each also lands as a child
+    /// span in the global flight recorder.
     pub fn predict_traced(
         &self,
         req: &PredictionRequest,
@@ -439,9 +342,7 @@ impl PredictDdl {
                 return Err(RequestError::NeedsOfflineTraining { dataset })
             }
         };
-        let m = inference_metrics();
         let t0 = Instant::now();
-        let embed_timer = m.embed_latency.start_timer();
         // Cached GHN embedding: repeated workloads (same dataset + same
         // graph structure) skip the forward pass entirely, and a zoo model
         // brings its fingerprint with it, so a hit never walks the graph.
@@ -455,21 +356,14 @@ impl PredictDdl {
             )
             .expect("registry checked by TaskChecker");
         let embed_elapsed = t0.elapsed();
-        embed_timer.observe();
-        if let Some(ctx) = trace {
-            let rec = flight_recorder();
-            let start = rec.now_us().saturating_sub(embed_elapsed.as_micros() as u64);
-            let status = if was_hit { SpanStatus::CacheHit } else { SpanStatus::CacheMiss };
-            let st = predict_stages();
-            rec.record_stage_resolved(ctx, st.embed_cache, start, embed_elapsed, status);
-            if !was_hit {
-                // A miss is dominated by the GHN forward pass; attribute
-                // the same window to it so waterfalls show where the time
-                // went without a second clock read inside the cache.
-                rec.record_stage_resolved(ctx, st.ghn_embed, start, embed_elapsed, SpanStatus::Ok);
-            }
+        let status = if was_hit { SpanStatus::CacheHit } else { SpanStatus::CacheMiss };
+        Stage::EmbedCache.record(trace, embed_elapsed, status);
+        if !was_hit {
+            // A miss is dominated by the GHN forward pass; attribute the
+            // same window to it so waterfalls show where the time went
+            // without a second clock read inside the cache.
+            Stage::GhnEmbed.record(trace, embed_elapsed, SpanStatus::Ok);
         }
-        let regress_timer = m.regress_latency.start_timer();
         let t1 = Instant::now();
         let seconds = self.engine.predict(
             &embedding,
@@ -478,14 +372,8 @@ impl PredictDdl {
             req.epochs,
             &req.dataset,
         );
-        let regress_elapsed = t1.elapsed();
-        regress_timer.observe();
-        if let Some(ctx) = trace {
-            let rec = flight_recorder();
-            let start = rec.now_us().saturating_sub(regress_elapsed.as_micros() as u64);
-            rec.record_stage_resolved(ctx, predict_stages().regress, start, regress_elapsed, SpanStatus::Ok);
-        }
-        m.predictions.inc();
+        Stage::Regress.record(trace, t1.elapsed(), SpanStatus::Ok);
+        predictions().inc();
         let nearest = self.embeddings.nearest(&req.dataset, &embedding);
         Ok(Prediction {
             seconds,
@@ -523,6 +411,7 @@ mod tests {
     use super::*;
     use pddl_cluster::ServerClass;
     use pddl_ddlsim::{SimConfig, Simulator};
+    use pddl_telemetry::flight_recorder;
 
     #[test]
     fn tiny_pipeline_trains_and_predicts() {
@@ -571,18 +460,18 @@ mod tests {
         let cold = TraceContext::root(0x0FF1_0001);
         system.predict_traced(&req, Some(cold)).unwrap();
         let spans = flight_recorder().spans_for(cold.trace_id);
-        let stage_status: Vec<(&str, SpanStatus)> =
+        let stage_status: Vec<(Stage, SpanStatus)> =
             spans.iter().map(|s| (s.stage, s.status)).collect();
         assert!(
-            stage_status.contains(&(stages::EMBED_CACHE, SpanStatus::CacheMiss)),
+            stage_status.contains(&(Stage::EmbedCache, SpanStatus::CacheMiss)),
             "cold lookup must record a miss: {stage_status:?}"
         );
         assert!(
-            stage_status.contains(&(stages::GHN_EMBED, SpanStatus::Ok)),
+            stage_status.contains(&(Stage::GhnEmbed, SpanStatus::Ok)),
             "miss must attribute the GHN forward pass: {stage_status:?}"
         );
         assert!(
-            stage_status.contains(&(stages::REGRESS, SpanStatus::Ok)),
+            stage_status.contains(&(Stage::Regress, SpanStatus::Ok)),
             "regression stage missing: {stage_status:?}"
         );
         for s in &spans {
@@ -592,14 +481,14 @@ mod tests {
         let warm = TraceContext::root(0x0FF1_0002);
         system.predict_traced(&req, Some(warm)).unwrap();
         let spans = flight_recorder().spans_for(warm.trace_id);
-        let stage_status: Vec<(&str, SpanStatus)> =
+        let stage_status: Vec<(Stage, SpanStatus)> =
             spans.iter().map(|s| (s.stage, s.status)).collect();
         assert!(
-            stage_status.contains(&(stages::EMBED_CACHE, SpanStatus::CacheHit)),
+            stage_status.contains(&(Stage::EmbedCache, SpanStatus::CacheHit)),
             "warm lookup must record a hit: {stage_status:?}"
         );
         assert!(
-            !stage_status.iter().any(|(st, _)| *st == stages::GHN_EMBED),
+            !stage_status.iter().any(|(st, _)| *st == Stage::GhnEmbed),
             "a hit runs no GHN forward pass: {stage_status:?}"
         );
     }

@@ -15,7 +15,7 @@
 use crate::checkpoint::{load_checkpoint, validate_probes};
 use crate::offline::PredictDdl;
 use pddl_registry::Registry;
-use pddl_telemetry::{tlog, Counter, Level, Span};
+use pddl_telemetry::{tlog, Counter, Histogram, Level};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
@@ -28,6 +28,7 @@ pub const DEFAULT_PROBE_TOLERANCE: f64 = 1e-9;
 struct ReloadMetrics {
     reloads: &'static Counter,
     rejected: &'static Counter,
+    reload: &'static Histogram,
 }
 
 fn reload_metrics() -> &'static ReloadMetrics {
@@ -35,6 +36,7 @@ fn reload_metrics() -> &'static ReloadMetrics {
     METRICS.get_or_init(|| ReloadMetrics {
         reloads: pddl_telemetry::counter("registry.reloads"),
         rejected: pddl_telemetry::counter("registry.reload_rejected"),
+        reload: pddl_telemetry::histogram("registry.reload"),
     })
 }
 
@@ -166,7 +168,7 @@ impl ReloadManager {
     /// (so retention never collects the live model) and the previous
     /// version unpinned. On rejection nothing observable changes.
     pub fn reload(&self, target: Option<u64>) -> Result<ReloadOutcome, ReloadRejected> {
-        let _span = Span::enter("registry.reload");
+        let _timer = reload_metrics().reload.start_timer();
         let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
 
         let reject = |reason: String| {

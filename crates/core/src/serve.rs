@@ -20,13 +20,14 @@
 //!
 //! Queue pressure is exported live: `controller.queue_depth` (gauge),
 //! `controller.queue_depth_peak` (high-water gauge via
-//! [`pddl_telemetry::Gauge::set_max`]), and `controller.queue_wait`
-//! (histogram of time spent queued).
+//! [`pddl_telemetry::Gauge::set_max`]), and the `queue_wait` stage's
+//! `trace.stage.queue_wait` histogram of time spent queued.
 
 use pddl_faults::FaultPlan;
 use pddl_par::{PushError, TaskQueue};
-use pddl_telemetry::trace::{flight_recorder, stage_handle, stages, StageHandle};
-use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
+use pddl_telemetry::{
+    flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
+};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -124,7 +125,6 @@ struct PoolMetrics {
     queue_depth_peak: &'static Gauge,
     requests_shed: &'static Counter,
     requests_expired: &'static Counter,
-    queue_wait: &'static Histogram,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -134,15 +134,7 @@ fn pool_metrics() -> &'static PoolMetrics {
         queue_depth_peak: pddl_telemetry::gauge("controller.queue_depth_peak"),
         requests_shed: pddl_telemetry::counter("controller.requests_shed"),
         requests_expired: pddl_telemetry::counter("controller.requests_expired"),
-        queue_wait: pddl_telemetry::histogram("controller.queue_wait"),
     })
-}
-
-/// The queue-wait stage handle, resolved once so the per-job trace record
-/// on the worker hot path takes no lock.
-fn queue_wait_stage() -> StageHandle {
-    static STAGE: OnceLock<StageHandle> = OnceLock::new();
-    *STAGE.get_or_init(|| stage_handle(stages::QUEUE_WAIT))
 }
 
 /// A fixed pool of workers consuming a bounded admission queue. See the
@@ -212,16 +204,9 @@ impl ServePool {
             }
             Err(PushError::Full(job)) => {
                 m.requests_shed.inc();
+                Stage::QueueWait.record(job.trace, Duration::ZERO, SpanStatus::Shed);
                 if let Some(ctx) = job.trace {
-                    let rec = flight_recorder();
-                    rec.record_stage_resolved(
-                        ctx,
-                        queue_wait_stage(),
-                        rec.now_us(),
-                        Duration::ZERO,
-                        SpanStatus::Shed,
-                    );
-                    rec.promote(ctx.trace_id, "shed");
+                    flight_recorder().promote(ctx.trace_id, "shed");
                 }
                 Err(SubmitError::Full)
             }
@@ -283,26 +268,17 @@ fn worker_loop(queue: &TaskQueue<Job>, deadline: Duration) {
     while let Some(job) = queue.pop() {
         m.queue_depth.dec();
         let waited = job.enqueued.elapsed();
-        m.queue_wait.record_duration(waited);
-        let outcome = if deadline.is_zero() || waited > deadline {
+        let (outcome, status) = if deadline.is_zero() || waited > deadline {
             m.requests_expired.inc();
-            JobOutcome::Expired
+            (JobOutcome::Expired, SpanStatus::Expired)
         } else {
-            JobOutcome::Run
+            (JobOutcome::Run, SpanStatus::Ok)
         };
-        if let Some(ctx) = job.trace {
-            let rec = flight_recorder();
-            let start = rec.now_us().saturating_sub(waited.as_micros() as u64);
-            let status = match outcome {
-                JobOutcome::Run => SpanStatus::Ok,
-                JobOutcome::Expired => SpanStatus::Expired,
-            };
-            rec.record_stage_resolved(ctx, queue_wait_stage(), start, waited, status);
-            if outcome == JobOutcome::Expired {
-                // Deadline expiry answers the peer with an overload
-                // reply, so retain the trace like any other shed.
-                rec.promote(ctx.trace_id, "shed");
-            }
+        Stage::QueueWait.record(job.trace, waited, status);
+        if let (Some(ctx), JobOutcome::Expired) = (job.trace, outcome) {
+            // Deadline expiry answers the peer with an overload reply, so
+            // retain the trace like any other shed.
+            flight_recorder().promote(ctx.trace_id, "shed");
         }
         let run = job.run;
         // A panicking handler must not take the worker (and its queue
@@ -525,7 +501,7 @@ mod tests {
         pool.shutdown();
         let spans = flight_recorder().spans_for(ctx.trace_id);
         assert!(
-            spans.iter().any(|s| s.stage == stages::QUEUE_WAIT
+            spans.iter().any(|s| s.stage == Stage::QueueWait
                 && s.parent_id == ctx.span_id
                 && s.status == SpanStatus::Ok),
             "queue_wait child span recorded: {spans:?}"
@@ -560,7 +536,7 @@ mod tests {
             .expect("shed trace retained");
         assert_eq!(t.verdict, "shed");
         assert!(
-            t.spans.iter().any(|s| s.stage == stages::QUEUE_WAIT
+            t.spans.iter().any(|s| s.stage == Stage::QueueWait
                 && s.status == SpanStatus::Shed),
             "shed marker span present: {:?}",
             t.spans

@@ -64,7 +64,9 @@ pub trait Regressor {
 
 /// The paper's four regression-model choices, as one pluggable enum
 /// ("PredictDDL also allows users to directly specify their preferred
-/// regression model").
+/// regression model"). Cloning an unfitted model is how a trainer hands
+/// out its choice; cloning a fitted one copies its fitted state.
+#[derive(Clone)]
 pub enum Regression {
     /// Generalized linear regression (LR in Fig. 10).
     Linear(LinearRegression),

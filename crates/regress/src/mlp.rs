@@ -11,6 +11,7 @@ use pddl_tensor::{Matrix, Rng};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Single-hidden-layer MLP regressor.
+#[derive(Clone)]
 pub struct MlpRegressor {
     pub hidden: usize,
     pub epochs: usize,
@@ -44,6 +45,7 @@ impl FromJson for MlpRegressor {
     }
 }
 
+#[derive(Clone)]
 struct Fitted {
     ps: ParamStore,
     net: Mlp,

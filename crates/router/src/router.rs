@@ -47,8 +47,9 @@
 use crate::key::{frame_key, line_key};
 use crate::ring::HashRing;
 use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer, SHUTDOWN_POLL};
-use pddl_telemetry::trace::{flight_recorder, stages};
-use pddl_telemetry::{tlog, Counter, Gauge, Histogram, Level, SpanStatus, TraceContext};
+use pddl_telemetry::{
+    flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
+};
 use predictddl::protocol::{
     frame_too_long_line, metrics_line, overload_line, shard_moved_line, stats_line, RouteShard,
     RouteTable,
@@ -123,7 +124,6 @@ struct Metrics {
     shard_revivals: &'static Counter,
     healthy_shards: &'static Gauge,
     membership_epoch: &'static Gauge,
-    forward_latency: &'static Histogram,
 }
 
 fn metrics() -> &'static Metrics {
@@ -146,7 +146,6 @@ fn metrics() -> &'static Metrics {
         shard_revivals: pddl_telemetry::counter("router.shard_revivals"),
         healthy_shards: pddl_telemetry::gauge("router.healthy_shards"),
         membership_epoch: pddl_telemetry::gauge("router.membership_epoch"),
-        forward_latency: pddl_telemetry::histogram("router.forward_latency"),
     })
 }
 
@@ -506,13 +505,16 @@ fn shard_exchange(
     })
 }
 
-/// Records the router's `route` span for a traced forwarded request.
-fn record_route_span(trace: Option<TraceContext>, t0: Instant, status: SpanStatus) {
-    let Some(ctx) = trace else { return };
-    let rec = flight_recorder();
-    let el = t0.elapsed();
-    let start = rec.now_us().saturating_sub(el.as_micros() as u64);
-    rec.record_stage(ctx, stages::ROUTE, start, el, status);
+/// Records the `route` stage of one forwarded request. A traced request
+/// the router answers with a typed failure (`failed` names the verdict)
+/// never reaches a shard's dump, so the router promotes it into its own
+/// flight recorder, served by its `{"op":"trace"}`.
+fn record_route(trace: Option<TraceContext>, t0: Instant, failed: Option<&'static str>) {
+    let status = if failed.is_some() { SpanStatus::Error } else { SpanStatus::Ok };
+    Stage::Route.record(trace, t0.elapsed(), status);
+    if let (Some(ctx), Some(verdict)) = (trace, failed) {
+        flight_recorder().promote(ctx.trace_id, verdict);
+    }
 }
 
 /// Forwards one work frame to the shard owning `key` and relays the
@@ -534,14 +536,13 @@ fn forward(
             // No healthy shard owns anything: typed overload (reason
             // "unrouteable" parses as Unknown — still transient).
             m.unrouteable.inc();
-            record_route_span(trace, t0, SpanStatus::Error);
+            record_route(trace, t0, Some("shed"));
             return client.send(&overload_line(config.retry_after_ms, "unrouteable"));
         };
         match shard_exchange(legs, sid, addr, config, line) {
             Ok(resp) => {
                 m.forwarded.inc();
-                m.forward_latency.record_duration(t0.elapsed());
-                record_route_span(trace, t0, SpanStatus::Ok);
+                record_route(trace, t0, None);
                 return client.send(&resp);
             }
             Err(LegError::Connect(_)) => {
@@ -552,7 +553,7 @@ fn forward(
                 m.reroutes.inc();
                 if reroutes > config.max_reroutes {
                     m.shard_moved_replies.inc();
-                    record_route_span(trace, t0, SpanStatus::Error);
+                    record_route(trace, t0, Some("error"));
                     return client
                         .send(&shard_moved_line(membership.epoch(), config.retry_after_ms));
                 }
@@ -563,7 +564,7 @@ fn forward(
                 // the death, answer the typed re-route signal.
                 let epoch = membership.mark(sid, false).unwrap_or_else(|| membership.epoch());
                 m.shard_moved_replies.inc();
-                record_route_span(trace, t0, SpanStatus::Error);
+                record_route(trace, t0, Some("error"));
                 return client.send(&shard_moved_line(epoch, config.retry_after_ms));
             }
         }

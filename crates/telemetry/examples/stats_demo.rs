@@ -1,12 +1,12 @@
-//! Demonstrates the full telemetry surface: counters, gauges, histograms,
-//! spans, `PDDL_LOG`-filtered structured logging, and the JSON snapshot
-//! round-trip. Run with e.g.
+//! Demonstrates the full telemetry surface: counters, gauges, histograms
+//! and their drop timers, `PDDL_LOG`-filtered structured logging, and the
+//! JSON snapshot round-trip. Run with e.g.
 //!
 //! ```sh
 //! PDDL_LOG=info,demo.inner=debug cargo run -p pddl-telemetry --example stats_demo
 //! ```
 
-use pddl_telemetry::{tlog, Level, Snapshot, Span};
+use pddl_telemetry::{tlog, Level, Snapshot};
 use std::time::Duration;
 
 fn main() {
@@ -25,12 +25,14 @@ fn main() {
         hist.record(v);
     }
 
-    // Spans record wall time into a histogram named after the span and
-    // emit a debug-level log line when the filter allows it.
+    // A timer records wall time into its histogram when it ends; the
+    // debug line shows only when the filter enables `demo.inner`.
+    let inner = pddl_telemetry::histogram("demo.inner");
     for _ in 0..3 {
-        let span = Span::enter("demo.inner");
+        let timer = inner.start_timer();
         std::thread::sleep(Duration::from_millis(2));
-        span.exit();
+        timer.observe();
+        tlog!(Level::Debug, "demo.inner", "slept", count = inner.count());
     }
 
     tlog!(

@@ -2,16 +2,17 @@
 //!
 //! Workspace-wide observability for the PredictDDL service: a global,
 //! cheap-to-hit metrics registry (atomic counters, gauges and log-bucketed
-//! latency histograms), lightweight [`Span`]s that record wall-clock into
-//! those histograms, structured JSON logging to stderr gated by the
-//! `PDDL_LOG` environment filter, and a JSON snapshot exporter served live
+//! latency histograms with drop timers), structured JSON logging to stderr
+//! gated by the `PDDL_LOG` environment filter, and a JSON snapshot exporter served live
 //! over the controller wire protocol (`{"op":"stats"}`).
 //!
 //! On top of the flat metrics sit two request-level facilities:
 //!
-//! * [`trace`] — per-request [`TraceContext`]s and a lock-free
-//!   [`FlightRecorder`] ring of span events with tail-sampled retention
-//!   of shed / errored / slow traces, served via `{"op":"trace"}`;
+//! * [`trace`] — the pipeline [`Stage`]s, each timed once per request
+//!   into its `trace.stage.<name>` histogram, per-request
+//!   [`TraceContext`]s, and a lock-free [`FlightRecorder`] ring of span
+//!   events with tail-sampled retention of shed / errored / slow traces,
+//!   served via `{"op":"trace"}`;
 //! * [`expo`] — Prometheus-style text exposition of the registry,
 //!   served via `{"op":"metrics"}`.
 //!
@@ -27,8 +28,8 @@
 //! Metric handles are `&'static` references resolved once through the
 //! registry (a read lock); after that, every operation is lock-free:
 //! [`Counter::inc`] is one relaxed `fetch_add`, a [`Histogram`] record is a
-//! handful of relaxed atomic RMWs, and a [`Span`] enter/exit adds two
-//! `Instant` reads on top. Cache the handle (`OnceLock` static or a struct
+//! handful of relaxed atomic RMWs, and a [`HistTimer`] adds two `Instant`
+//! reads on top. Cache the handle (`OnceLock` static or a struct
 //! field) on hot paths; the repo benchmark's `telemetry.trace_overhead_ratio`
 //! reports what the instrumentation costs end to end.
 //!
@@ -72,15 +73,13 @@ mod log;
 mod metrics;
 pub mod rng;
 mod snapshot;
-mod span;
 pub mod trace;
 
 pub use json::{push_json_string, JsonValue};
 pub use log::{log_enabled, log_line, FieldValue, Level, LogFilter};
 pub use metrics::{Counter, Gauge, HistTimer, Histogram, Registry};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use span::Span;
-pub use trace::{flight_recorder, FlightRecorder, SpanEvent, SpanStatus, TraceContext};
+pub use trace::{flight_recorder, FlightRecorder, SpanEvent, SpanStatus, Stage, TraceContext};
 
 use std::sync::OnceLock;
 

@@ -4,10 +4,12 @@
 //!
 //! A [`TraceContext`] is minted at the client (`trace_id` identifies the
 //! logical request across retries; `span_id` is the root span) and carried
-//! through the wire envelope. Every pipeline stage records a child span
-//! into the global [`FlightRecorder`] — a fixed-size ring of seqlock
-//! slots written with a handful of relaxed atomic stores, so the hot path
-//! never takes a lock and never allocates.
+//! through the wire envelope. Every pipeline [`Stage`] is timed once per
+//! request into its `trace.stage.<name>` histogram, traced or not; a
+//! traced request's stages also land as child spans in the global
+//! [`FlightRecorder`] — a fixed-size ring of seqlock slots written with a
+//! handful of relaxed atomic stores, so the hot path never takes a lock
+//! and never allocates.
 //!
 //! The ring alone only answers "what happened recently". Tail sampling
 //! makes it useful after the fact: when a trace ends badly (shed, error)
@@ -19,10 +21,11 @@
 //! ## Determinism
 //!
 //! Child span ids are derived by hashing the parent span id with the
-//! stage's intern sequence, so the same logical request produces the same
-//! span ids on every attempt. A retried request therefore *merges* into
-//! one retained trace instead of appearing twice, and a fault-plan seed
-//! that produces the same outcomes produces the same retained trace ids.
+//! stage's fixed seed ([`Stage::seed`]), so the same logical request
+//! produces the same span ids on every attempt and in every process. A
+//! retried request therefore *merges* into one retained trace instead of
+//! appearing twice, and a fault-plan seed that produces the same outcomes
+//! produces the same retained trace ids.
 //!
 //! ## Concurrency
 //!
@@ -39,43 +42,8 @@ use crate::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use crate::metrics::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Canonical stage names for the serving pipeline, in pipeline order.
-/// Using these constants (rather than ad-hoc strings) keeps intern ids,
-/// per-stage histograms, and the waterfall ordering consistent.
-pub mod stages {
-    /// Root span of a request (client mint to response write).
-    pub const REQUEST: &str = "request";
-    /// Connection accept to first traced frame.
-    pub const ACCEPT: &str = "accept";
-    /// Reading one request frame off the socket.
-    pub const FRAME_READ: &str = "frame_read";
-    /// Time spent queued before a worker picked the job up.
-    pub const QUEUE_WAIT: &str = "queue_wait";
-    /// Worker-side handler execution (wraps embed + regress).
-    pub const DISPATCH: &str = "dispatch";
-    /// Embedding-cache probe; status distinguishes hit from miss.
-    pub const EMBED_CACHE: &str = "embed_cache";
-    /// GHN forward pass computing an embedding on a cache miss.
-    pub const GHN_EMBED: &str = "ghn_embed";
-    /// Regressor inference over the assembled feature vector.
-    pub const REGRESS: &str = "regress";
-    /// Serializing and writing the response frame.
-    pub const SERIALIZE: &str = "serialize";
-    /// Replaying a cached response for a deduplicated retry.
-    pub const DEDUP_REPLAY: &str = "dedup_replay";
-    /// One collector wire exchange (register or heartbeat).
-    pub const COLLECT: &str = "collect";
-    /// Router-side handling of one request: ring lookup, forward to the
-    /// routed shard, and relay of its reply. Wraps the shard's own
-    /// `request` span in a fleet waterfall.
-    pub const ROUTE: &str = "route";
-    /// One hot-reload attempt: candidate load, probe validation, and the
-    /// live-slot swap (or rejection).
-    pub const RELOAD: &str = "reload";
-}
 
 /// Identity of one span within one trace, carried across the wire.
 ///
@@ -164,79 +132,124 @@ impl SpanStatus {
     }
 }
 
-/// Interned stage entry: the name plus its per-stage latency histogram
-/// (`trace.stage.<name>` in the global registry), resolved once.
-struct StageEntry {
-    name: &'static str,
-    hist: &'static Histogram,
+/// One stage of the serving pipeline. A stage owns its wire name, the
+/// seed its child span ids derive from, and its one `trace.stage.<name>`
+/// latency histogram. The discriminant is both the seed's base and the
+/// ring's stage code, so the order is part of the wire contract (the
+/// golden trace fixtures pin it): new stages go at the end.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// Reading one request frame off the socket.
+    FrameRead,
+    /// Root span of a request (frame arrival to response write).
+    Request,
+    /// Time spent queued before a worker picked the job up; zero-length
+    /// with status `shed` when admission refused the job.
+    QueueWait,
+    /// Embedding-cache probe; status distinguishes hit from miss.
+    EmbedCache,
+    /// GHN forward pass computing an embedding on a cache miss.
+    GhnEmbed,
+    /// Regressor inference over the assembled feature vector.
+    Regress,
+    /// Worker-side handler execution (wraps embed + regress).
+    Dispatch,
+    /// Serializing and writing the response frame.
+    Serialize,
+    /// Zero-length marker at the moment a connection was accepted,
+    /// recorded with the connection's first traced frame.
+    Accept,
+    /// Replaying a cached response for a deduplicated retry.
+    DedupReplay,
+    /// One collector wire exchange (register or heartbeat).
+    Collect,
+    /// Router-side handling of one request: ring lookup, forward to the
+    /// routed shard, and relay of its reply.
+    Route,
 }
 
-fn stage_table() -> &'static RwLock<Vec<StageEntry>> {
-    static TABLE: OnceLock<RwLock<Vec<StageEntry>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Vec::new()))
-}
+impl Stage {
+    /// Every stage, in discriminant order.
+    pub const ALL: [Stage; 12] = [
+        Stage::FrameRead,
+        Stage::Request,
+        Stage::QueueWait,
+        Stage::EmbedCache,
+        Stage::GhnEmbed,
+        Stage::Regress,
+        Stage::Dispatch,
+        Stage::Serialize,
+        Stage::Accept,
+        Stage::DedupReplay,
+        Stage::Collect,
+        Stage::Route,
+    ];
 
-/// Interns a stage name, returning its stable sequence id. The table is
-/// tiny (one entry per pipeline stage); resolution is a short scan under
-/// a read lock — cache the result or rely on [`FlightRecorder::record_stage`]
-/// doing it once per call.
-pub fn stage_id(name: &'static str) -> u64 {
-    let table = stage_table();
-    if let Some(i) = table
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .position(|e| e.name == name)
-    {
-        return i as u64;
+    /// Wire name, as it appears in dumps and waterfalls.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::FrameRead => "frame_read",
+            Stage::Request => "request",
+            Stage::QueueWait => "queue_wait",
+            Stage::EmbedCache => "embed_cache",
+            Stage::GhnEmbed => "ghn_embed",
+            Stage::Regress => "regress",
+            Stage::Dispatch => "dispatch",
+            Stage::Serialize => "serialize",
+            Stage::Accept => "accept",
+            Stage::DedupReplay => "dedup_replay",
+            Stage::Collect => "collect",
+            Stage::Route => "route",
+        }
     }
-    let mut w = table.write().unwrap_or_else(|e| e.into_inner());
-    if let Some(i) = w.iter().position(|e| e.name == name) {
-        return i as u64;
+
+    /// The `seq` this stage's child spans derive their ids from
+    /// ([`TraceContext::child`]): fixed per stage, so equal requests get
+    /// equal span ids in every process.
+    pub fn seed(self) -> u64 {
+        self as u64 + 1
     }
-    let hist = crate::histogram(&format!("trace.stage.{name}"));
-    w.push(StageEntry { name, hist });
-    (w.len() - 1) as u64
-}
 
-/// A pre-resolved stage: intern id plus latency histogram, both looked up
-/// once. Hot call sites cache one of these in a `OnceLock` so recording a
-/// span touches no lock at all — [`stage_id`]'s read-lock-and-scan is paid
-/// at resolution time, not per span.
-#[derive(Clone, Copy)]
-pub struct StageHandle {
-    id: u64,
-    hist: &'static Histogram,
-}
-
-impl StageHandle {
-    /// The stage's intern id (what [`stage_name`] reverses).
-    pub fn id(&self) -> u64 {
-        self.id
+    /// This stage's span under `parent`.
+    pub fn child_of(self, parent: TraceContext) -> TraceContext {
+        parent.child(self.seed())
     }
-}
 
-/// Resolves a stage to its [`StageHandle`], interning it if needed.
-pub fn stage_handle(name: &'static str) -> StageHandle {
-    let id = stage_id(name);
-    StageHandle { id, hist: stage_hist(id).expect("stage interned by stage_id") }
-}
+    /// The stage's `trace.stage.<name>` latency histogram, resolved once.
+    pub(crate) fn histogram(self) -> &'static Histogram {
+        static HISTS: [OnceLock<&'static Histogram>; Stage::ALL.len()] =
+            [const { OnceLock::new() }; Stage::ALL.len()];
+        HISTS[self as usize].get_or_init(|| match self {
+            Stage::FrameRead => crate::histogram("trace.stage.frame_read"),
+            Stage::Request => crate::histogram("trace.stage.request"),
+            Stage::QueueWait => crate::histogram("trace.stage.queue_wait"),
+            Stage::EmbedCache => crate::histogram("trace.stage.embed_cache"),
+            Stage::GhnEmbed => crate::histogram("trace.stage.ghn_embed"),
+            Stage::Regress => crate::histogram("trace.stage.regress"),
+            Stage::Dispatch => crate::histogram("trace.stage.dispatch"),
+            Stage::Serialize => crate::histogram("trace.stage.serialize"),
+            Stage::Accept => crate::histogram("trace.stage.accept"),
+            Stage::DedupReplay => crate::histogram("trace.stage.dedup_replay"),
+            Stage::Collect => crate::histogram("trace.stage.collect"),
+            Stage::Route => crate::histogram("trace.stage.route"),
+        })
+    }
 
-/// Reverse lookup of an interned stage id.
-pub fn stage_name(id: u64) -> Option<&'static str> {
-    stage_table()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(id as usize)
-        .map(|e| e.name)
-}
+    /// Records one interval of this stage that ended just now: always
+    /// into its histogram, and into the global [`flight_recorder`] as a
+    /// child span of `parent` when the request is traced.
+    pub fn record(self, parent: Option<TraceContext>, dur: Duration, status: SpanStatus) {
+        self.record_as(parent.map(|p| self.child_of(p)), dur, status);
+    }
 
-fn stage_hist(id: u64) -> Option<&'static Histogram> {
-    stage_table()
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(id as usize)
-        .map(|e| e.hist)
+    /// [`Stage::record`] as the span `span` itself rather than a child:
+    /// for the root `request` span, or a `collect` exchange.
+    pub fn record_as(self, span: Option<TraceContext>, dur: Duration, status: SpanStatus) {
+        let rec = flight_recorder();
+        // The start only matters to the ring: untraced records read no clock.
+        let start_us = span.map_or(0, |_| rec.now_us().saturating_sub(dur.as_micros() as u64));
+        rec.record(self, span, start_us, dur, status);
+    }
 }
 
 /// One completed span, as read back out of the ring.
@@ -248,8 +261,8 @@ pub struct SpanEvent {
     pub span_id: u64,
     /// Enclosing span id (0 = root).
     pub parent_id: u64,
-    /// Stage name (interned).
-    pub stage: &'static str,
+    /// Pipeline stage.
+    pub stage: Stage,
     /// Start time in microseconds since the recorder's epoch.
     pub start_us: u64,
     /// Duration in nanoseconds.
@@ -337,34 +350,21 @@ impl FlightRecorder {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Records one span. Lock-free: one `fetch_add` to claim a slot plus
-    /// eight atomic stores. Also feeds the stage's `trace.stage.<name>`
-    /// histogram so per-stage percentiles are available without scanning
-    /// the ring.
-    pub fn record_span(
+    /// The one stage record: feeds `stage`'s `trace.stage.<name>`
+    /// histogram and, when `span` is present, writes the span into the
+    /// ring starting at `start_us`. Lock-free: one `fetch_add` to claim a
+    /// slot plus eight atomic stores. Most call sites go through
+    /// [`Stage::record`], which times the span as ending now.
+    pub fn record(
         &self,
-        ctx: TraceContext,
-        stage: &'static str,
+        stage: Stage,
+        span: Option<TraceContext>,
         start_us: u64,
         dur: Duration,
         status: SpanStatus,
     ) {
-        self.record_span_resolved(ctx, stage_handle(stage), start_us, dur, status);
-    }
-
-    /// [`FlightRecorder::record_span`] with the stage pre-resolved — the
-    /// lock-free hot path. Call sites on the serving fast path cache the
-    /// [`StageHandle`] once and go through here.
-    pub fn record_span_resolved(
-        &self,
-        ctx: TraceContext,
-        stage: StageHandle,
-        start_us: u64,
-        dur: Duration,
-        status: SpanStatus,
-    ) {
-        let sid = stage.id;
-        stage.hist.record_duration(dur);
+        stage.histogram().record_duration(dur);
+        let Some(ctx) = span else { return };
         let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
         let idx = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(idx % self.slots.len() as u64) as usize];
@@ -374,38 +374,11 @@ impl FlightRecorder {
         slot.trace_id.store(ctx.trace_id, Ordering::Relaxed);
         slot.span_id.store(ctx.span_id, Ordering::Relaxed);
         slot.parent_id.store(ctx.parent_id, Ordering::Relaxed);
-        slot.stage.store(sid, Ordering::Relaxed);
+        slot.stage.store(stage as u64, Ordering::Relaxed);
         slot.start_us.store(start_us, Ordering::Relaxed);
         slot.dur_ns.store(dur_ns, Ordering::Relaxed);
         slot.status.store(status.code(), Ordering::Relaxed);
         slot.seq.store(idx.wrapping_mul(2).wrapping_add(2), Ordering::Release);
-    }
-
-    /// Records a child span of `parent` for `stage`, deriving the child
-    /// span id from the stage's intern id (deterministic across retries).
-    pub fn record_stage(
-        &self,
-        parent: TraceContext,
-        stage: &'static str,
-        start_us: u64,
-        dur: Duration,
-        status: SpanStatus,
-    ) {
-        self.record_stage_resolved(parent, stage_handle(stage), start_us, dur, status);
-    }
-
-    /// [`FlightRecorder::record_stage`] with the stage pre-resolved — the
-    /// lock-free hot path (same child-id derivation, no intern lookup).
-    pub fn record_stage_resolved(
-        &self,
-        parent: TraceContext,
-        stage: StageHandle,
-        start_us: u64,
-        dur: Duration,
-        status: SpanStatus,
-    ) {
-        let child = parent.child(stage.id.wrapping_add(1));
-        self.record_span_resolved(child, stage, start_us, dur, status);
     }
 
     fn read_slot(&self, slot: &Slot) -> Option<SpanEvent> {
@@ -417,7 +390,7 @@ impl FlightRecorder {
             trace_id: slot.trace_id.load(Ordering::Relaxed),
             span_id: slot.span_id.load(Ordering::Relaxed),
             parent_id: slot.parent_id.load(Ordering::Relaxed),
-            stage: stage_name(slot.stage.load(Ordering::Relaxed))?,
+            stage: *Stage::ALL.get(slot.stage.load(Ordering::Relaxed) as usize)?,
             start_us: slot.start_us.load(Ordering::Relaxed),
             dur_ns: slot.dur_ns.load(Ordering::Relaxed),
             status: SpanStatus::from_code(slot.status.load(Ordering::Relaxed))?,
@@ -527,7 +500,7 @@ impl FlightRecorder {
                     .map(|s| ParsedSpan {
                         span_id: s.span_id,
                         parent_id: s.parent_id,
-                        stage: s.stage.to_string(),
+                        stage: s.stage.name().to_string(),
                         start_us: s.start_us,
                         dur_ns: s.dur_ns,
                         status: s.status.as_str().to_string(),
@@ -559,7 +532,7 @@ pub fn flight_recorder() -> &'static FlightRecorder {
 }
 
 /// One span parsed back out of a trace dump (stage and status as owned
-/// strings — the reader side has no intern table).
+/// strings — a dump may come from a build with other stages).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedSpan {
     /// This span's id.
@@ -737,6 +710,18 @@ mod tests {
         Duration::from_millis(n)
     }
 
+    /// Records `stage` on `r` as a child span of `parent`.
+    fn child(
+        r: &FlightRecorder,
+        parent: TraceContext,
+        stage: Stage,
+        start_us: u64,
+        dur: Duration,
+        status: SpanStatus,
+    ) {
+        r.record(stage, Some(stage.child_of(parent)), start_us, dur, status);
+    }
+
     #[test]
     fn child_ids_are_deterministic_and_distinct() {
         let root = TraceContext::root(42);
@@ -754,12 +739,12 @@ mod tests {
     fn ring_records_and_reads_back() {
         let r = FlightRecorder::new(8, 4);
         let ctx = TraceContext::root(7);
-        r.record_span(ctx, stages::REQUEST, 10, ms(2), SpanStatus::Ok);
-        r.record_stage(ctx, stages::QUEUE_WAIT, 11, ms(1), SpanStatus::Ok);
+        r.record(Stage::Request, Some(ctx), 10, ms(2), SpanStatus::Ok);
+        child(&r, ctx, Stage::QueueWait, 11, ms(1), SpanStatus::Ok);
         let events = r.recent();
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].stage, stages::REQUEST);
-        assert_eq!(events[1].stage, stages::QUEUE_WAIT);
+        assert_eq!(events[0].stage, Stage::Request);
+        assert_eq!(events[1].stage, Stage::QueueWait);
         assert_eq!(events[1].parent_id, ctx.span_id);
         assert_eq!(events[1].dur_ns, 1_000_000);
     }
@@ -768,7 +753,7 @@ mod tests {
     fn ring_wraps_keeping_latest() {
         let r = FlightRecorder::new(4, 4);
         for i in 0..10u64 {
-            r.record_span(TraceContext::root(i), stages::REQUEST, i, ms(1), SpanStatus::Ok);
+            r.record(Stage::Request, Some(TraceContext::root(i)), i, ms(1), SpanStatus::Ok);
         }
         let events = r.recent();
         assert_eq!(events.len(), 4, "ring keeps exactly cap events");
@@ -780,13 +765,13 @@ mod tests {
     fn promotion_copies_spans_and_merges_retries() {
         let r = FlightRecorder::new(32, 4);
         let ctx = TraceContext::root(99);
-        r.record_span(ctx, stages::REQUEST, 0, ms(3), SpanStatus::Error);
-        r.record_stage(ctx, stages::REGRESS, 1, ms(1), SpanStatus::Ok);
+        r.record(Stage::Request, Some(ctx), 0, ms(3), SpanStatus::Error);
+        child(&r, ctx, Stage::Regress, 1, ms(1), SpanStatus::Ok);
         r.promote(99, "error");
         // A retry re-records the same deterministic span ids plus one new
         // stage; re-promotion merges instead of duplicating.
-        r.record_span(ctx, stages::REQUEST, 50, ms(3), SpanStatus::Error);
-        r.record_stage(ctx, stages::SERIALIZE, 51, ms(1), SpanStatus::Ok);
+        r.record(Stage::Request, Some(ctx), 50, ms(3), SpanStatus::Error);
+        child(&r, ctx, Stage::Serialize, 51, ms(1), SpanStatus::Ok);
         r.promote(99, "shed");
         let retained = r.retained();
         assert_eq!(retained.len(), 1);
@@ -804,9 +789,9 @@ mod tests {
         // anything promotes the trace (the soak tier's shape).
         let r = FlightRecorder::new(32, 4);
         let ctx = TraceContext::root(7);
-        r.record_stage(ctx, stages::FRAME_READ, 10, ms(1), SpanStatus::Ok);
-        r.record_stage(ctx, stages::FRAME_READ, 60, ms(1), SpanStatus::Ok);
-        r.record_stage(ctx, stages::REGRESS, 61, ms(1), SpanStatus::Ok);
+        child(&r, ctx, Stage::FrameRead, 10, ms(1), SpanStatus::Ok);
+        child(&r, ctx, Stage::FrameRead, 60, ms(1), SpanStatus::Ok);
+        child(&r, ctx, Stage::Regress, 61, ms(1), SpanStatus::Ok);
         r.promote(7, "slow");
         let spans = &r.retained()[0].spans;
         assert_eq!(spans.len(), 2, "one event per span id: {spans:?}");
@@ -818,7 +803,7 @@ mod tests {
         let r = FlightRecorder::new(32, 2);
         for i in 0..5u64 {
             let ctx = TraceContext::root(i);
-            r.record_span(ctx, stages::REQUEST, i, ms(1), SpanStatus::Shed);
+            r.record(Stage::Request, Some(ctx), i, ms(1), SpanStatus::Shed);
             r.promote(i, "shed");
         }
         let retained = r.retained();
@@ -838,7 +823,7 @@ mod tests {
             for i in 0..6u64 {
                 let ctx = TraceContext::root(0x1000 + i);
                 let status = if i % 2 == 0 { SpanStatus::Error } else { SpanStatus::Ok };
-                r.record_span(ctx, stages::REQUEST, i, ms(1), status);
+                r.record(Stage::Request, Some(ctx), i, ms(1), status);
                 if i % 2 == 0 {
                     r.promote(ctx.trace_id, "error");
                 }
@@ -854,8 +839,8 @@ mod tests {
     fn dump_round_trips_through_parser() {
         let r = FlightRecorder::new(32, 4);
         let ctx = TraceContext::root(0xDEAD_BEEF);
-        r.record_span(ctx, stages::REQUEST, 5, ms(4), SpanStatus::Shed);
-        r.record_stage(ctx, stages::QUEUE_WAIT, 6, ms(2), SpanStatus::Expired);
+        r.record(Stage::Request, Some(ctx), 5, ms(4), SpanStatus::Shed);
+        child(&r, ctx, Stage::QueueWait, 6, ms(2), SpanStatus::Expired);
         r.promote(ctx.trace_id, "shed");
         let json = r.retained_json();
         let v = JsonValue::parse(&json).expect("dump parses");
@@ -865,7 +850,7 @@ mod tests {
         assert_eq!(traces[0].trace_id, 0xDEAD_BEEF);
         assert_eq!(traces[0].verdict, "shed");
         assert_eq!(traces[0].spans.len(), 2);
-        assert_eq!(traces[0].spans[1].stage, stages::QUEUE_WAIT);
+        assert_eq!(traces[0].spans[1].stage, Stage::QueueWait.name());
         assert_eq!(traces[0].spans[1].status, "expired");
         assert_eq!(traces[0].spans[1].parent_id, ctx.span_id);
     }
@@ -874,9 +859,9 @@ mod tests {
     fn waterfall_renders_parented_tree() {
         let r = FlightRecorder::new(32, 4);
         let ctx = TraceContext::root(0xAB);
-        r.record_span(ctx, stages::REQUEST, 0, ms(10), SpanStatus::Ok);
-        r.record_stage(ctx, stages::QUEUE_WAIT, 1, ms(2), SpanStatus::Ok);
-        r.record_stage(ctx, stages::REGRESS, 4, ms(5), SpanStatus::Ok);
+        r.record(Stage::Request, Some(ctx), 0, ms(10), SpanStatus::Ok);
+        child(&r, ctx, Stage::QueueWait, 1, ms(2), SpanStatus::Ok);
+        child(&r, ctx, Stage::Regress, 4, ms(5), SpanStatus::Ok);
         r.promote(ctx.trace_id, "slow");
         let v = JsonValue::parse(&r.retained_json()).unwrap();
         let rendered = render_waterfall(&parse_trace_dump(&v).unwrap());
@@ -897,7 +882,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..2000u64 {
                         let ctx = TraceContext::root((t << 32) | i);
-                        r.record_span(ctx, stages::DISPATCH, i, ms(1), SpanStatus::Ok);
+                        r.record(Stage::Dispatch, Some(ctx), i, ms(1), SpanStatus::Ok);
                     }
                 });
             }
@@ -907,7 +892,7 @@ mod tests {
                     for ev in r.recent() {
                         // Every surfaced event decodes to a known stage
                         // and status; torn slots must be filtered out.
-                        assert_eq!(ev.stage, stages::DISPATCH);
+                        assert_eq!(ev.stage, Stage::Dispatch);
                         assert_eq!(ev.status, SpanStatus::Ok);
                         assert_eq!(ev.dur_ns, 1_000_000);
                     }
@@ -920,7 +905,7 @@ mod tests {
     fn reset_empties_ring_and_retained() {
         let r = FlightRecorder::new(8, 4);
         let ctx = TraceContext::root(1);
-        r.record_span(ctx, stages::REQUEST, 0, ms(1), SpanStatus::Error);
+        r.record(Stage::Request, Some(ctx), 0, ms(1), SpanStatus::Error);
         r.promote(1, "error");
         r.reset();
         assert!(r.recent().is_empty());
@@ -929,11 +914,37 @@ mod tests {
     }
 
     #[test]
-    fn stage_interning_is_stable() {
-        let a = stage_id(stages::REGRESS);
-        let b = stage_id(stages::REGRESS);
-        assert_eq!(a, b);
-        assert_eq!(stage_name(a), Some(stages::REGRESS));
-        assert_ne!(stage_id(stages::SERIALIZE), a);
+    fn stages_keep_their_names_and_seeds() {
+        // The seed is the wire contract: it fixes every child span id, so
+        // reordering the enum must fail here, not in a dump.
+        let pinned = [
+            ("frame_read", 1),
+            ("request", 2),
+            ("queue_wait", 3),
+            ("embed_cache", 4),
+            ("ghn_embed", 5),
+            ("regress", 6),
+            ("dispatch", 7),
+            ("serialize", 8),
+            ("accept", 9),
+            ("dedup_replay", 10),
+            ("collect", 11),
+            ("route", 12),
+        ];
+        let live: Vec<(&str, u64)> = Stage::ALL.iter().map(|s| (s.name(), s.seed())).collect();
+        assert_eq!(live, pinned);
+        for stage in Stage::ALL {
+            let named = crate::histogram(&format!("trace.stage.{}", stage.name()));
+            assert!(std::ptr::eq(stage.histogram(), named), "{stage:?} histogram misnamed");
+        }
+    }
+
+    #[test]
+    fn untraced_records_feed_the_histogram_only() {
+        let r = FlightRecorder::new(8, 4);
+        let before = Stage::Collect.histogram().count();
+        r.record(Stage::Collect, None, 0, ms(1), SpanStatus::Ok);
+        assert!(Stage::Collect.histogram().count() > before);
+        assert!(r.recent().is_empty(), "no context, no ring slot");
     }
 }

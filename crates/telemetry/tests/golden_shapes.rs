@@ -10,7 +10,7 @@
 //! `PDDL_REGEN_GOLDEN=1 cargo test -p pddl-telemetry --test golden_shapes`
 //! and review the fixture diff like any other code change.
 
-use pddl_telemetry::trace::{stages, FlightRecorder};
+use pddl_telemetry::trace::{FlightRecorder, Stage};
 use pddl_telemetry::{expo, HistogramSnapshot, Snapshot, SpanStatus, TraceContext};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -63,6 +63,18 @@ fn sample_snapshot() -> Snapshot {
     }
 }
 
+/// Records `stage` on `r` as a child span of `parent`.
+fn child(
+    r: &FlightRecorder,
+    parent: TraceContext,
+    stage: Stage,
+    start_us: u64,
+    dur: Duration,
+    status: SpanStatus,
+) {
+    r.record(stage, Some(stage.child_of(parent)), start_us, dur, status);
+}
+
 /// A fixed two-trace retained set: one shed request with a partial
 /// pipeline, one errored request with a full one (cache miss included).
 fn sample_recorder() -> FlightRecorder {
@@ -70,20 +82,20 @@ fn sample_recorder() -> FlightRecorder {
     let ms = Duration::from_millis;
 
     let shed = TraceContext::root(0x1111);
-    r.record_stage(shed, stages::FRAME_READ, 100, ms(1), SpanStatus::Ok);
-    r.record_span(shed, stages::REQUEST, 100, ms(2), SpanStatus::Shed);
+    child(&r, shed, Stage::FrameRead, 100, ms(1), SpanStatus::Ok);
+    r.record(Stage::Request, Some(shed), 100, ms(2), SpanStatus::Shed);
     r.promote(shed.trace_id, "shed");
 
     let errored = TraceContext::root(0x2222);
-    r.record_stage(errored, stages::FRAME_READ, 500, ms(1), SpanStatus::Ok);
-    r.record_stage(errored, stages::QUEUE_WAIT, 501, ms(2), SpanStatus::Ok);
+    child(&r, errored, Stage::FrameRead, 500, ms(1), SpanStatus::Ok);
+    child(&r, errored, Stage::QueueWait, 501, ms(2), SpanStatus::Ok);
     let dispatch = errored.child(1000);
-    r.record_stage(dispatch, stages::EMBED_CACHE, 503, ms(3), SpanStatus::CacheMiss);
-    r.record_stage(dispatch, stages::GHN_EMBED, 504, ms(2), SpanStatus::Ok);
-    r.record_stage(dispatch, stages::REGRESS, 507, ms(1), SpanStatus::Error);
-    r.record_span(dispatch, stages::DISPATCH, 503, ms(5), SpanStatus::Error);
-    r.record_stage(errored, stages::SERIALIZE, 509, ms(1), SpanStatus::Ok);
-    r.record_span(errored, stages::REQUEST, 500, ms(10), SpanStatus::Error);
+    child(&r, dispatch, Stage::EmbedCache, 503, ms(3), SpanStatus::CacheMiss);
+    child(&r, dispatch, Stage::GhnEmbed, 504, ms(2), SpanStatus::Ok);
+    child(&r, dispatch, Stage::Regress, 507, ms(1), SpanStatus::Error);
+    r.record(Stage::Dispatch, Some(dispatch), 503, ms(5), SpanStatus::Error);
+    child(&r, errored, Stage::Serialize, 509, ms(1), SpanStatus::Ok);
+    r.record(Stage::Request, Some(errored), 500, ms(10), SpanStatus::Error);
     r.promote(errored.trace_id, "error");
 
     r

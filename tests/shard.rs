@@ -24,6 +24,8 @@
 //! * **chaos** — the same convergence holds when the shards themselves
 //!   run under a seeded `pddl-faults` wire plan (replay the seed with
 //!   `--fault-plan` per TESTING.md to reproduce a failure).
+//! * **router traces** — a traced request the router fails itself is
+//!   retained in the router's own `{"op":"trace"}` dump.
 //!
 //! Requires a network-enabled environment (CI), like the load tier.
 
@@ -33,6 +35,8 @@ use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
 use pddl_router::{routing_key, Router, RouterConfig};
 use pddl_telemetry::json;
+use pddl_telemetry::trace::parse_trace_dump;
+use pddl_telemetry::TraceContext;
 use predictddl::{
     Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig,
 };
@@ -420,6 +424,36 @@ fn shard_moved_is_typed_and_transient() {
             }
         }
     }
+}
+
+#[test]
+fn router_retains_a_traced_request_it_cannot_route() {
+    // No shard ever sees this request, so the router's own dump is the
+    // only place its `route` span can surface.
+    let (mut shards, addrs) = spawn_fleet(1);
+    let router = Router::serve("127.0.0.1:0", &addrs, router_config()).expect("bind router");
+    // Stop the shard too, so no probe can revive it.
+    drop(shards[0].take());
+    router.mark_dead(0);
+    let mut client = ControllerClient::connect_with_timeout(router.addr(), Duration::from_secs(10))
+        .expect("connect");
+    let ctx = TraceContext::root(0x0DEA_D0DE);
+    let err = client
+        .predict_with_trace(&workload_matrix().remove(0), ctx)
+        .expect_err("nothing to route to");
+    assert!(overload_retry_hint(&err).is_some(), "unrouteable is the typed overload: {err}");
+
+    let dump = client.trace_dump().expect("the router's trace op");
+    let traces = parse_trace_dump(&dump).expect("parse dump");
+    let t = traces
+        .iter()
+        .find(|t| t.trace_id == ctx.trace_id)
+        .unwrap_or_else(|| panic!("the router dropped the failed trace: {traces:?}"));
+    assert!(
+        t.spans.iter().any(|s| s.stage == "route" && s.status == "error"),
+        "no failed route span: {:?}",
+        t.spans
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Trace tier: end-to-end request tracing over the TCP controller.
 //!
-//! Four scenarios, all against an in-process controller speaking real
-//! sockets:
+//! Five scenarios, the first four against an in-process controller
+//! speaking real sockets:
 //!
 //! 1. a client-minted [`TraceContext`] carried through the wire envelope
 //!    yields a correctly *parented* span tree in the `{"op":"trace"}`
@@ -17,7 +17,9 @@
 //!    faults injected, `{"op":"trace"}` still eventually returns one
 //!    frame of valid, parseable JSON;
 //! 4. `{"op":"metrics"}` serves Prometheus text exposition naming the
-//!    tracing metrics.
+//!    tracing metrics;
+//! 5. an untraced prediction still times its stages: one sample each in
+//!    the stage histograms, nothing in the ring.
 //!
 //! The flight recorder is process-global, so the scenarios serialize on
 //! a lock and reset it at entry.
@@ -25,10 +27,8 @@
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
-use pddl_telemetry::trace::{
-    flight_recorder, parse_trace_dump, render_waterfall, stage_id, stages, ParsedTrace,
-};
-use pddl_telemetry::TraceContext;
+use pddl_telemetry::trace::{flight_recorder, parse_trace_dump, render_waterfall, ParsedTrace};
+use pddl_telemetry::{Stage, TraceContext};
 use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -47,8 +47,8 @@ fn request(model: &str) -> PredictionRequest {
     )
 }
 
-fn span_set<'a>(t: &'a ParsedTrace, stage: &str) -> Vec<&'a pddl_telemetry::trace::ParsedSpan> {
-    t.spans.iter().filter(|s| s.stage == stage).collect()
+fn span_set(t: &ParsedTrace, stage: Stage) -> Vec<&pddl_telemetry::trace::ParsedSpan> {
+    t.spans.iter().filter(|s| s.stage == stage.name()).collect()
 }
 
 #[test]
@@ -91,7 +91,7 @@ fn traced_request_yields_parented_span_tree_over_wire() {
     let warm_t = find(warm.trace_id);
 
     // Root span: the context's own span id, parent 0, stage `request`.
-    let root = span_set(cold_t, stages::REQUEST);
+    let root = span_set(cold_t, Stage::Request);
     assert_eq!(root.len(), 1, "exactly one root span");
     assert_eq!(root[0].span_id, cold.span_id);
     assert_eq!(root[0].parent_id, 0);
@@ -99,38 +99,38 @@ fn traced_request_yields_parented_span_tree_over_wire() {
 
     // Pipeline stages recorded by the reader and pool parent directly on
     // the root; `accept` anchors the first traced frame of a connection.
-    for stage in [stages::ACCEPT, stages::FRAME_READ, stages::QUEUE_WAIT, stages::SERIALIZE] {
+    for stage in [Stage::Accept, Stage::FrameRead, Stage::QueueWait, Stage::Serialize] {
         let spans = span_set(cold_t, stage);
-        assert_eq!(spans.len(), 1, "one {stage} span in cold trace");
-        assert_eq!(spans[0].parent_id, cold.span_id, "{stage} parented on root");
+        assert_eq!(spans.len(), 1, "one {stage:?} span in cold trace");
+        assert_eq!(spans[0].parent_id, cold.span_id, "{stage:?} parented on root");
     }
 
     // The worker's dispatch span wraps the inference stages: dispatch is
     // a deterministic child of the root, and embed/regress are its
     // children, not the root's.
-    let dispatch_ctx = cold.child(stage_id(stages::DISPATCH).wrapping_add(1));
-    let dispatch = span_set(cold_t, stages::DISPATCH);
+    let dispatch_ctx = Stage::Dispatch.child_of(cold);
+    let dispatch = span_set(cold_t, Stage::Dispatch);
     assert_eq!(dispatch.len(), 1);
     assert_eq!(dispatch[0].span_id, dispatch_ctx.span_id);
     assert_eq!(dispatch[0].parent_id, cold.span_id);
-    for stage in [stages::EMBED_CACHE, stages::GHN_EMBED, stages::REGRESS] {
+    for stage in [Stage::EmbedCache, Stage::GhnEmbed, Stage::Regress] {
         let spans = span_set(cold_t, stage);
-        assert_eq!(spans.len(), 1, "one {stage} span in cold trace");
-        assert_eq!(spans[0].parent_id, dispatch_ctx.span_id, "{stage} under dispatch");
+        assert_eq!(spans.len(), 1, "one {stage:?} span in cold trace");
+        assert_eq!(spans[0].parent_id, dispatch_ctx.span_id, "{stage:?} under dispatch");
     }
 
     // Cache hit vs miss is visible in span status, and a hit skips the
     // GHN forward pass entirely.
-    assert_eq!(span_set(cold_t, stages::EMBED_CACHE)[0].status, "miss");
-    assert_eq!(span_set(warm_t, stages::EMBED_CACHE)[0].status, "hit");
-    assert!(span_set(warm_t, stages::GHN_EMBED).is_empty(), "warm trace has no ghn_embed");
+    assert_eq!(span_set(cold_t, Stage::EmbedCache)[0].status, "miss");
+    assert_eq!(span_set(warm_t, Stage::EmbedCache)[0].status, "hit");
+    assert!(span_set(warm_t, Stage::GhnEmbed).is_empty(), "warm trace has no ghn_embed");
     // The connection's accept marker belongs to the first traced frame.
-    assert!(span_set(warm_t, stages::ACCEPT).is_empty());
+    assert!(span_set(warm_t, Stage::Accept).is_empty());
 
     // The CLI waterfall renders every retained stage.
     let waterfall = render_waterfall(&traces);
-    for stage in [stages::REQUEST, stages::QUEUE_WAIT, stages::EMBED_CACHE, stages::REGRESS] {
-        assert!(waterfall.contains(stage), "waterfall missing {stage}:\n{waterfall}");
+    for stage in [Stage::Request, Stage::QueueWait, Stage::EmbedCache, Stage::Regress] {
+        assert!(waterfall.contains(stage.name()), "waterfall missing {stage:?}:\n{waterfall}");
     }
 }
 
@@ -276,4 +276,21 @@ fn metrics_op_serves_prometheus_exposition() {
     ] {
         assert!(expo.contains(needle), "exposition missing {needle:?}:\n{expo}");
     }
+}
+
+#[test]
+fn untraced_predict_times_each_stage_once_without_the_ring() {
+    let _g = recorder_lock().lock().unwrap_or_else(|e| e.into_inner());
+    let system = OfflineTrainer::tiny().train_full();
+    flight_recorder().reset();
+
+    let count = |name: &str| pddl_telemetry::snapshot().histogram(name).map_or(0, |h| h.count);
+    let stages = ["trace.stage.embed_cache", "trace.stage.regress"];
+    let before = stages.map(count);
+    system.predict(&request("resnet18")).expect("prediction");
+    let after = stages.map(count);
+    for ((name, b), a) in stages.iter().zip(before).zip(after) {
+        assert_eq!(a, b + 1, "{name}: one sample per untraced prediction");
+    }
+    assert!(flight_recorder().recent().is_empty(), "no context, no ring slot");
 }
