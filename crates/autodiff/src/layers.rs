@@ -13,28 +13,7 @@ pub struct Linear {
     pub out_dim: usize,
 }
 
-impl ToJson for Linear {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("w", &self.w)
-            .field("b", &self.b)
-            .field("in_dim", &self.in_dim)
-            .field("out_dim", &self.out_dim)
-            .end();
-    }
-}
-
-impl FromJson for Linear {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            w: o.field("w")?,
-            b: o.field("b")?,
-            in_dim: o.field("in_dim")?,
-            out_dim: o.field("out_dim")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(Linear { w, b, in_dim, out_dim });
 
 impl Linear {
     pub fn new(
@@ -105,21 +84,7 @@ pub struct Mlp {
     pub hidden_act: Activation,
 }
 
-impl ToJson for Mlp {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("layers", &self.layers)
-            .field("hidden_act", &self.hidden_act)
-            .end();
-    }
-}
-
-impl FromJson for Mlp {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { layers: o.field("layers")?, hidden_act: o.field("hidden_act")? })
-    }
-}
+pddl_telemetry::json_struct!(Mlp { layers, hidden_act });
 
 impl Mlp {
     /// `dims = [in, h1, ..., out]`; requires at least one layer.
@@ -186,42 +151,7 @@ pub struct GruCell {
     pub state_dim: usize,
 }
 
-impl ToJson for GruCell {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("wz", &self.wz)
-            .field("uz", &self.uz)
-            .field("bz", &self.bz)
-            .field("wr", &self.wr)
-            .field("ur", &self.ur)
-            .field("br", &self.br)
-            .field("wh", &self.wh)
-            .field("uh", &self.uh)
-            .field("bh", &self.bh)
-            .field("input_dim", &self.input_dim)
-            .field("state_dim", &self.state_dim)
-            .end();
-    }
-}
-
-impl FromJson for GruCell {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            wz: o.field("wz")?,
-            uz: o.field("uz")?,
-            bz: o.field("bz")?,
-            wr: o.field("wr")?,
-            ur: o.field("ur")?,
-            br: o.field("br")?,
-            wh: o.field("wh")?,
-            uh: o.field("uh")?,
-            bh: o.field("bh")?,
-            input_dim: o.field("input_dim")?,
-            state_dim: o.field("state_dim")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(GruCell { wz, uz, bz, wr, ur, br, wh, uh, bh, input_dim, state_dim });
 
 impl GruCell {
     pub fn new(

@@ -30,21 +30,7 @@ pub struct ParamStore {
     names: Vec<String>,
 }
 
-impl ToJson for ParamStore {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("values", &self.values)
-            .field("names", &self.names)
-            .end();
-    }
-}
-
-impl FromJson for ParamStore {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { values: o.field("values")?, names: o.field("names")? })
-    }
-}
+pddl_telemetry::json_struct!(ParamStore { values, names });
 
 impl ParamStore {
     pub fn new() -> Self {
@@ -85,6 +71,11 @@ impl ParamStore {
 
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]
+    }
+
+    /// Every parameter's name, by id.
+    pub fn names(&self) -> &[String] {
+        &self.names
     }
 
     pub fn len(&self) -> usize {

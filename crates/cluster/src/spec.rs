@@ -51,40 +51,10 @@ pub struct ServerSpec {
     pub net_bps: f64,
 }
 
-impl ToJson for ServerSpec {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("class", &self.class)
-            .field("hostname", &self.hostname)
-            .field("cpu_cores", &self.cpu_cores)
-            .field("cpu_flops", &self.cpu_flops)
-            .field("ram_bytes", &self.ram_bytes)
-            .field("gpus", &self.gpus)
-            .field("gpu_flops", &self.gpu_flops)
-            .field("gpu_mem_bytes", &self.gpu_mem_bytes)
-            .field("disk_bps", &self.disk_bps)
-            .field("net_bps", &self.net_bps)
-            .end();
-    }
-}
-
-impl FromJson for ServerSpec {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            class: o.field("class")?,
-            hostname: o.field("hostname")?,
-            cpu_cores: o.field("cpu_cores")?,
-            cpu_flops: o.field("cpu_flops")?,
-            ram_bytes: o.field("ram_bytes")?,
-            gpus: o.field("gpus")?,
-            gpu_flops: o.field("gpu_flops")?,
-            gpu_mem_bytes: o.field("gpu_mem_bytes")?,
-            disk_bps: o.field("disk_bps")?,
-            net_bps: o.field("net_bps")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(ServerSpec {
+    class, hostname, cpu_cores, cpu_flops, ram_bytes, gpus, gpu_flops, gpu_mem_bytes, disk_bps,
+    net_bps,
+});
 
 impl ServerSpec {
     /// Preset matching the paper's testbed for a given class.

@@ -66,18 +66,7 @@ pub struct ClusterState {
     pub servers: Vec<ServerStatus>,
 }
 
-impl ToJson for ClusterState {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object().field("servers", &self.servers).end();
-    }
-}
-
-impl FromJson for ClusterState {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { servers: o.field("servers")? })
-    }
-}
+pddl_telemetry::json_struct!(ClusterState { servers });
 
 impl ClusterState {
     /// A homogeneous idle cluster of `n` servers of one class.

@@ -26,7 +26,7 @@ use crate::embeddings::EmbeddingCache;
 use crate::offline::PredictDdl;
 use crate::request::PredictionRequest;
 use pddl_registry::{Manifest, ProbeRecord, Registry, RegistryError};
-use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
+use pddl_telemetry::json::{self, JsonError};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -113,17 +113,7 @@ struct CacheSnapshot {
     entries: Vec<CacheEntry>,
 }
 
-impl ToJson for CacheSnapshot {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object().field("entries", &self.entries).end();
-    }
-}
-
-impl FromJson for CacheSnapshot {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(Self { entries: v.fields()?.field("entries")? })
-    }
-}
+pddl_telemetry::json_struct!(CacheSnapshot { entries });
 
 struct CacheEntry {
     dataset: String,
@@ -131,26 +121,7 @@ struct CacheEntry {
     embedding: Vec<f32>,
 }
 
-impl ToJson for CacheEntry {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("dataset", &self.dataset)
-            .field("fingerprint", &self.fingerprint)
-            .field("embedding", &self.embedding)
-            .end();
-    }
-}
-
-impl FromJson for CacheEntry {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            dataset: o.field("dataset")?,
-            fingerprint: o.field("fingerprint")?,
-            embedding: o.field("embedding")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(CacheEntry { dataset, fingerprint, embedding });
 
 fn snapshot_cache(cache: &EmbeddingCache) -> CacheSnapshot {
     CacheSnapshot {

@@ -17,7 +17,6 @@ use pddl_ghn::EmbeddingSet;
 use pddl_graph::CompGraph;
 use pddl_telemetry::hash::Fnv1a;
 use pddl_telemetry::{Counter, Gauge};
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,20 +26,7 @@ pub struct EmbeddingsGenerator {
     atlas: HashMap<String, EmbeddingSet>,
 }
 
-impl ToJson for EmbeddingsGenerator {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("atlas", &self.atlas)
-            .end();
-    }
-}
-
-impl FromJson for EmbeddingsGenerator {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { atlas: o.field("atlas")? })
-    }
-}
+pddl_telemetry::json_struct!(EmbeddingsGenerator { atlas });
 
 impl Default for EmbeddingsGenerator {
     fn default() -> Self {

@@ -11,7 +11,6 @@ use pddl_cluster::{ClusterState, CLUSTER_FEATURE_DIM};
 use pddl_regress::{Regression, Regressor, StandardScaler};
 use pddl_tensor::Matrix;
 use pddl_zoo::dataset::dataset_by_name;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Number of workload scalars appended after embedding + cluster features.
 pub const WORKLOAD_FEATS: usize = 3;
@@ -26,21 +25,7 @@ pub struct InferenceConfig {
     pub log_target: bool,
 }
 
-impl ToJson for InferenceConfig {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("regression", &self.regression)
-            .field("log_target", &self.log_target)
-            .end();
-    }
-}
-
-impl FromJson for InferenceConfig {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { regression: o.field("regression")?, log_target: o.field("log_target")? })
-    }
-}
+pddl_telemetry::json_struct!(InferenceConfig { regression, log_target });
 
 impl Default for InferenceConfig {
     fn default() -> Self {
@@ -71,26 +56,7 @@ pub struct InferenceEngine {
     embed_dim: usize,
 }
 
-impl ToJson for InferenceEngine {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("cfg", &self.cfg)
-            .field("scaler", &self.scaler)
-            .field("embed_dim", &self.embed_dim)
-            .end();
-    }
-}
-
-impl FromJson for InferenceEngine {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            cfg: o.field("cfg")?,
-            scaler: o.field("scaler")?,
-            embed_dim: o.field("embed_dim")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(InferenceEngine { cfg, scaler, embed_dim });
 
 impl InferenceEngine {
     /// Creates an unfitted engine with the given configuration.

@@ -244,26 +244,7 @@ pub struct TrainCost {
     pub fit_secs: f64,
 }
 
-impl ToJson for TrainCost {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("ghn_secs", &self.ghn_secs)
-            .field("embed_secs", &self.embed_secs)
-            .field("fit_secs", &self.fit_secs)
-            .end();
-    }
-}
-
-impl FromJson for TrainCost {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            ghn_secs: o.field("ghn_secs")?,
-            embed_secs: o.field("embed_secs")?,
-            fit_secs: o.field("fit_secs")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(TrainCost { ghn_secs, embed_secs, fit_secs });
 
 impl TrainCost {
     /// Total offline-training wall-clock seconds.

@@ -208,26 +208,7 @@ pub struct TraceHeader {
     pub parent_id: u64,
 }
 
-impl ToJson for TraceHeader {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("trace_id", &self.trace_id)
-            .field("span_id", &self.span_id)
-            .field("parent_id", &self.parent_id)
-            .end();
-    }
-}
-
-impl FromJson for TraceHeader {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            trace_id: o.field("trace_id")?,
-            span_id: o.field("span_id")?,
-            parent_id: o.field("parent_id")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(TraceHeader { trace_id, span_id, parent_id });
 
 impl From<TraceContext> for TraceHeader {
     fn from(c: TraceContext) -> TraceHeader {

@@ -10,7 +10,6 @@ use pddl_ghn::train::TrainConfig;
 use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
 use pddl_telemetry::hash::fnv1a;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::collections::HashMap;
 
 /// One GHN per dataset.
@@ -24,28 +23,7 @@ pub struct GhnRegistry {
     seed: u64,
 }
 
-impl ToJson for GhnRegistry {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("ghns", &self.ghns)
-            .field("ghn_config", &self.ghn_config)
-            .field("train_config", &self.train_config)
-            .field("seed", &self.seed)
-            .end();
-    }
-}
-
-impl FromJson for GhnRegistry {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            ghns: o.field("ghns")?,
-            ghn_config: o.field("ghn_config")?,
-            train_config: o.field("train_config")?,
-            seed: o.field("seed")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(GhnRegistry { ghns, ghn_config, train_config, seed });
 
 impl GhnRegistry {
     /// Creates an empty registry; GHNs are added by [`Self::train_for_dataset`].

@@ -52,30 +52,7 @@ pub struct PredictionRequest {
     pub cluster: ClusterState,
 }
 
-impl ToJson for PredictionRequest {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("model", &self.model)
-            .field("dataset", &self.dataset)
-            .field("batch_size", &self.batch_size)
-            .field("epochs", &self.epochs)
-            .field("cluster", &self.cluster)
-            .end();
-    }
-}
-
-impl FromJson for PredictionRequest {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            model: o.field("model")?,
-            dataset: o.field("dataset")?,
-            batch_size: o.field("batch_size")?,
-            epochs: o.field("epochs")?,
-            cluster: o.field("cluster")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(PredictionRequest { model, dataset, batch_size, epochs, cluster });
 
 impl PredictionRequest {
     /// Request for a zoo workload.
@@ -122,26 +99,7 @@ pub struct Prediction {
     pub inference_secs: f64,
 }
 
-impl ToJson for Prediction {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("seconds", &self.seconds)
-            .field("nearest_architecture", &self.nearest_architecture)
-            .field("inference_secs", &self.inference_secs)
-            .end();
-    }
-}
-
-impl FromJson for Prediction {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            seconds: o.field("seconds")?,
-            nearest_architecture: o.field("nearest_architecture")?,
-            inference_secs: o.field("inference_secs")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(Prediction { seconds, nearest_architecture, inference_secs });
 
 /// Failure modes of request handling. On the wire each is a one-key
 /// object tagged in snake_case like every other wire tag

@@ -6,7 +6,7 @@ use crate::simulate::{SimConfig, Simulator};
 use crate::workload::Workload;
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_zoo::model_names;
-use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
+use pddl_telemetry::json::{self, JsonError};
 
 /// One collected measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,30 +21,9 @@ pub struct TraceRecord {
     pub expected_secs: f64,
 }
 
-impl ToJson for TraceRecord {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("workload", &self.workload)
-            .field("server_class", &self.server_class)
-            .field("num_servers", &self.num_servers)
-            .field("time_secs", &self.time_secs)
-            .field("expected_secs", &self.expected_secs)
-            .end();
-    }
-}
-
-impl FromJson for TraceRecord {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            workload: o.field("workload")?,
-            server_class: o.field("server_class")?,
-            num_servers: o.field("num_servers")?,
-            time_secs: o.field("time_secs")?,
-            expected_secs: o.field("expected_secs")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(TraceRecord {
+    workload, server_class, num_servers, time_secs, expected_secs,
+});
 
 impl TraceRecord {
     /// Rebuilds the cluster this record was measured on.

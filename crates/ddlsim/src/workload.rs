@@ -4,7 +4,6 @@
 use pddl_zoo::dataset::{dataset_by_name, DatasetDesc};
 use pddl_zoo::{ModelSpec, ZooModel};
 use pddl_graph::CompGraph;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::sync::Arc;
 
 /// A deep-learning training workload.
@@ -22,28 +21,7 @@ pub struct Workload {
     pub epochs: usize,
 }
 
-impl ToJson for Workload {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("model", &self.model)
-            .field("dataset", &self.dataset)
-            .field("batch_size", &self.batch_size)
-            .field("epochs", &self.epochs)
-            .end();
-    }
-}
-
-impl FromJson for Workload {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            model: o.field("model")?,
-            dataset: o.field("dataset")?,
-            batch_size: o.field("batch_size")?,
-            epochs: o.field("epochs")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(Workload { model, dataset, batch_size, epochs });
 
 impl Workload {
     pub fn new(model: &str, dataset: &str, batch_size: usize, epochs: usize) -> Self {

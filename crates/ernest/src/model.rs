@@ -3,7 +3,6 @@
 use crate::features::{ernest_features, ERNEST_DIM};
 use crate::nnls::nnls;
 use pddl_tensor::Matrix;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// One Ernest training observation.
 #[derive(Clone, Copy, Debug)]
@@ -21,18 +20,7 @@ pub struct ErnestModel {
     pub theta: Vec<f32>,
 }
 
-impl ToJson for ErnestModel {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object().field("theta", &self.theta).end();
-    }
-}
-
-impl FromJson for ErnestModel {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { theta: o.field("theta")? })
-    }
-}
+pddl_telemetry::json_struct!(ErnestModel { theta });
 
 impl ErnestModel {
     /// Fits by non-negative least squares (the paper's choice: NNLS "keeps

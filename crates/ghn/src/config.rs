@@ -1,6 +1,5 @@
 //! GHN hyperparameters.
 
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Configuration of a GHN-2 instance.
 #[derive(Clone, Copy, Debug)]
@@ -21,32 +20,9 @@ pub struct GhnConfig {
     pub decoder_hidden: usize,
 }
 
-impl ToJson for GhnConfig {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("hidden_dim", &self.hidden_dim)
-            .field("t_passes", &self.t_passes)
-            .field("s_max", &self.s_max)
-            .field("mlp_hidden", &self.mlp_hidden)
-            .field("normalize", &self.normalize)
-            .field("decoder_hidden", &self.decoder_hidden)
-            .end();
-    }
-}
-
-impl FromJson for GhnConfig {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            hidden_dim: o.field("hidden_dim")?,
-            t_passes: o.field("t_passes")?,
-            s_max: o.field("s_max")?,
-            mlp_hidden: o.field("mlp_hidden")?,
-            normalize: o.field("normalize")?,
-            decoder_hidden: o.field("decoder_hidden")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(GhnConfig {
+    hidden_dim, t_passes, s_max, mlp_hidden, normalize, decoder_hidden,
+});
 
 impl Default for GhnConfig {
     fn default() -> Self {

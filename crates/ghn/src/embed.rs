@@ -3,7 +3,6 @@
 //! distance between a pair of vectors ... indicates the similarity of the
 //! corresponding DNN architectures").
 
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Cosine similarity of two equal-length vectors; 0 for degenerate inputs.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
@@ -30,21 +29,7 @@ pub struct EmbeddingSet {
     vectors: Vec<Vec<f32>>,
 }
 
-impl ToJson for EmbeddingSet {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("names", &self.names)
-            .field("vectors", &self.vectors)
-            .end();
-    }
-}
-
-impl FromJson for EmbeddingSet {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { names: o.field("names")?, vectors: o.field("vectors")? })
-    }
-}
+pddl_telemetry::json_struct!(EmbeddingSet { names, vectors });
 
 impl EmbeddingSet {
     pub fn new() -> Self {

@@ -14,7 +14,7 @@
 //! and each to the oracles it replaced.
 
 use crate::config::GhnConfig;
-use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore, Tape, Var};
+use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamId, ParamStore, Tape, Var};
 use pddl_graph::{features, one_hot_features, virtual_edges, CompGraph, OpKind};
 use pddl_tensor::{vecmat_acc, vecmat_bias_act, Activation as TensorAct, Matrix, Rng};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
@@ -100,7 +100,7 @@ impl ToJson for Ghn {
 impl FromJson for Ghn {
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
-        Ok(Self {
+        let ghn = Self {
             cfg: o.field("cfg")?,
             ps: o.field("ps")?,
             embed: o.field("embed")?,
@@ -108,11 +108,62 @@ impl FromJson for Ghn {
             msg_sp: o.field("msg_sp")?,
             gru: o.field("gru")?,
             decoder: o.field("decoder")?,
-        })
+        };
+        // The weights arrive from outside; the forward indexes the store by
+        // the layers' ids and packs their matrices by the configured widths,
+        // so a decoded GHN must be shaped as `Ghn::new` would build it.
+        ghn.check_shapes().map_err(JsonError::Shape)?;
+        Ok(ghn)
     }
 }
 
 impl Ghn {
+    /// `Err` names the first parameter whose id or shape is not what
+    /// [`Ghn::new`] builds for `cfg`.
+    fn check_shapes(&self) -> Result<(), String> {
+        let (ps, d, cfg) = (&self.ps, self.cfg.hidden_dim, &self.cfg);
+        if ps.names().len() != ps.len() {
+            return Err(format!("{} parameter names for {} values", ps.names().len(), ps.len()));
+        }
+        let param = |id: ParamId, shape: (usize, usize), what: &str| {
+            match (id.0 < ps.len()).then(|| ps.get(id).shape()) {
+                Some(actual) if actual == shape => Ok(()),
+                Some(actual) => Err(format!("{what} is {actual:?}, expected {shape:?}")),
+                None => Err(format!("{what} is parameter {} of {}", id.0, ps.len())),
+            }
+        };
+        let linear = |l: &Linear, dims: (usize, usize), what: &str| {
+            if (l.in_dim, l.out_dim) != dims {
+                return Err(format!("{what} maps {:?}, expected {dims:?}", (l.in_dim, l.out_dim)));
+            }
+            param(l.w, dims, &format!("{what}.w"))?;
+            param(l.b, (1, dims.1), &format!("{what}.b"))
+        };
+        let mlp = |m: &Mlp, [i, h, o]: [usize; 3], what: &str| match m.layers.as_slice() {
+            [first, second] => linear(first, (i, h), &format!("{what}.l0"))
+                .and_then(|()| linear(second, (h, o), &format!("{what}.l1"))),
+            layers => Err(format!("{what} has {} layers, expected 2", layers.len())),
+        };
+        linear(&self.embed, (features::FEATURE_DIM, d), "embed")?;
+        mlp(&self.msg, [d, cfg.mlp_hidden, d], "msg")?;
+        mlp(&self.msg_sp, [d, cfg.mlp_hidden, d], "msg_sp")?;
+        mlp(&self.decoder, [d, cfg.decoder_hidden, TARGET_DIM], "decoder")?;
+        if self.msg.hidden_act != self.msg_sp.hidden_act {
+            return Err("msg and msg_sp have different hidden activations".into());
+        }
+        let gru = &self.gru;
+        if (gru.input_dim, gru.state_dim) != (d, d) {
+            return Err(format!("gru maps {:?}, expected {:?}", (gru.input_dim, gru.state_dim), (d, d)));
+        }
+        let gates = [("z", gru.wz, gru.uz, gru.bz), ("r", gru.wr, gru.ur, gru.br), ("h", gru.wh, gru.uh, gru.bh)];
+        for (gate, w, u, b) in gates {
+            param(w, (d, d), &format!("gru.w{gate}"))?;
+            param(u, (d, d), &format!("gru.u{gate}"))?;
+            param(b, (1, d), &format!("gru.b{gate}"))?;
+        }
+        Ok(())
+    }
+
     /// Fresh randomly-initialized GHN.
     pub fn new(cfg: GhnConfig, rng: &mut Rng) -> Self {
         let mut ps = ParamStore::new();
@@ -1009,5 +1060,48 @@ mod tests {
         let e = ghn.embed_graph(&toy_graph());
         let d = ghn.decode_fast(&e);
         assert_eq!(d.len(), TARGET_DIM);
+    }
+
+    /// A checkpoint whose layers disagree with its parameter store would
+    /// decode and then panic on the first embed (an index out of bounds in
+    /// `ParamStore::get`, a length mismatch packing the weights); it is a
+    /// decode error instead.
+    #[test]
+    fn misshapen_checkpoints_are_decode_errors() {
+        use pddl_telemetry::json;
+        let ghn = Ghn::new(GhnConfig::tiny(), &mut Rng::new(14));
+        let text = json::to_string(&ghn).unwrap();
+        let back: Ghn = json::from_str(&text).unwrap();
+        let bits = |g: &Ghn| g.embed_graph(&toy_graph()).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&ghn));
+
+        let doc = json::parse(&text).unwrap();
+        fn member<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+            match v {
+                JsonValue::Object(members) => members.get_mut(key).expect(key),
+                JsonValue::Array(items) => &mut items[key.parse::<usize>().expect(key)],
+                other => panic!("{key} in {other:?}"),
+            }
+        }
+        let at = |path: &str| path.split('.').fold(&mut doc.clone(), member).to_json();
+        let cases = [
+            ("embed.w", "999".to_string()),
+            ("embed.in_dim", "3".into()),
+            ("embed.b", at("gru.wz")),
+            ("msg", at("decoder")),
+            ("msg_sp.hidden_act", r#""Tanh""#.into()),
+            ("decoder.layers", "[]".into()),
+            ("gru.state_dim", "9".into()),
+            ("gru.bh", at("gru.uh")),
+            ("cfg.hidden_dim", "16".into()),
+            ("ps.names", "[]".into()),
+            ("ps.values.0", r#"{"rows":2,"cols":2,"data":[0.5,0.5,0.5,0.5]}"#.into()),
+        ];
+        for (path, value) in cases {
+            let mut corrupt = doc.clone();
+            *path.split('.').fold(&mut corrupt, member) = json::parse(&value).unwrap();
+            let err = json::from_str::<Ghn>(&corrupt.to_json()).err();
+            assert!(matches!(err, Some(JsonError::Shape(_))), "{path} = {value}: {err:?}");
+        }
     }
 }

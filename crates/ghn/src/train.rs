@@ -12,7 +12,6 @@ use crate::synth::SynthGenerator;
 use pddl_autodiff::{Adam, Optimizer, Tape};
 use pddl_graph::CompGraph;
 use pddl_tensor::{Matrix, Rng};
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Meta-training hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -31,32 +30,7 @@ pub struct TrainConfig {
     pub seed: u64,
 }
 
-impl ToJson for TrainConfig {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("num_graphs", &self.num_graphs)
-            .field("epochs", &self.epochs)
-            .field("batch_size", &self.batch_size)
-            .field("lr", &self.lr)
-            .field("clip_norm", &self.clip_norm)
-            .field("seed", &self.seed)
-            .end();
-    }
-}
-
-impl FromJson for TrainConfig {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            num_graphs: o.field("num_graphs")?,
-            epochs: o.field("epochs")?,
-            batch_size: o.field("batch_size")?,
-            lr: o.field("lr")?,
-            clip_norm: o.field("clip_norm")?,
-            seed: o.field("seed")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(TrainConfig { num_graphs, epochs, batch_size, lr, clip_norm, seed });
 
 impl Default for TrainConfig {
     fn default() -> Self {

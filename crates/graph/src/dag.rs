@@ -18,22 +18,7 @@ pub struct Node {
     pub label: String,
 }
 
-impl ToJson for Node {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("kind", &self.kind)
-            .field("attrs", &self.attrs)
-            .field("label", &self.label)
-            .end();
-    }
-}
-
-impl FromJson for Node {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { kind: o.field("kind")?, attrs: o.field("attrs")?, label: o.field("label")? })
-    }
-}
+pddl_telemetry::json_struct!(Node { kind, attrs, label });
 
 /// Structural problems detected by [`CompGraph::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -165,32 +165,7 @@ impl FromJson for OpKind {
     }
 }
 
-impl ToJson for NodeAttrs {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("c_in", &self.c_in)
-            .field("c_out", &self.c_out)
-            .field("kernel", &self.kernel)
-            .field("stride", &self.stride)
-            .field("groups", &self.groups)
-            .field("spatial", &self.spatial)
-            .end();
-    }
-}
-
-impl FromJson for NodeAttrs {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            c_in: o.field("c_in")?,
-            c_out: o.field("c_out")?,
-            kernel: o.field("kernel")?,
-            stride: o.field("stride")?,
-            groups: o.field("groups")?,
-            spatial: o.field("spatial")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(NodeAttrs { c_in, c_out, kernel, stride, groups, spatial });
 
 impl Default for NodeAttrs {
     fn default() -> Self {

@@ -3,7 +3,6 @@
 use crate::Regressor;
 use pddl_tensor::linalg::{lstsq, solve_spd};
 use pddl_tensor::Matrix;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// OLS linear regression with intercept, solved by Householder QR
 /// (numerically stable for the ill-conditioned polynomial design matrices).
@@ -13,18 +12,7 @@ pub struct LinearRegression {
     pub coef: Vec<f32>,
 }
 
-impl ToJson for LinearRegression {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object().field("coef", &self.coef).end();
-    }
-}
-
-impl FromJson for LinearRegression {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { coef: o.field("coef")? })
-    }
-}
+pddl_telemetry::json_struct!(LinearRegression { coef });
 
 impl LinearRegression {
     pub fn new() -> Self {
@@ -58,21 +46,7 @@ pub struct Ridge {
     pub coef: Vec<f32>,
 }
 
-impl ToJson for Ridge {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("lambda", &self.lambda)
-            .field("coef", &self.coef)
-            .end();
-    }
-}
-
-impl FromJson for Ridge {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { lambda: o.field("lambda")?, coef: o.field("coef")? })
-    }
-}
+pddl_telemetry::json_struct!(Ridge { lambda, coef });
 
 impl Ridge {
     pub fn new(lambda: f32) -> Self {

@@ -8,7 +8,6 @@ use crate::scale::StandardScaler;
 use crate::Regressor;
 use pddl_autodiff::{layers::Activation, Adam, Mlp, Optimizer, ParamStore, Tape};
 use pddl_tensor::{Matrix, Rng};
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Single-hidden-layer MLP regressor.
 #[derive(Clone)]
@@ -20,30 +19,7 @@ pub struct MlpRegressor {
     state: Option<Fitted>,
 }
 
-impl ToJson for MlpRegressor {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("hidden", &self.hidden)
-            .field("epochs", &self.epochs)
-            .field("lr", &self.lr)
-            .field("seed", &self.seed)
-            .field("state", &self.state)
-            .end();
-    }
-}
-
-impl FromJson for MlpRegressor {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            hidden: o.field("hidden")?,
-            epochs: o.field("epochs")?,
-            lr: o.field("lr")?,
-            seed: o.field("seed")?,
-            state: o.field("state")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(MlpRegressor { hidden, epochs, lr, seed, state });
 
 #[derive(Clone)]
 struct Fitted {
@@ -54,30 +30,7 @@ struct Fitted {
     y_std: f32,
 }
 
-impl ToJson for Fitted {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("ps", &self.ps)
-            .field("net", &self.net)
-            .field("x_scaler", &self.x_scaler)
-            .field("y_mean", &self.y_mean)
-            .field("y_std", &self.y_std)
-            .end();
-    }
-}
-
-impl FromJson for Fitted {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            ps: o.field("ps")?,
-            net: o.field("net")?,
-            x_scaler: o.field("x_scaler")?,
-            y_mean: o.field("y_mean")?,
-            y_std: o.field("y_std")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(Fitted { ps, net, x_scaler, y_mean, y_std });
 
 impl MlpRegressor {
     pub fn new(hidden: usize, epochs: usize, lr: f32, seed: u64) -> Self {

@@ -7,7 +7,6 @@
 //! pairwise interactions).
 
 use pddl_tensor::Matrix;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Polynomial expansion transformer. Degrees 1–3 are supported; degree 2 is
 /// what the paper evaluates.
@@ -18,21 +17,7 @@ pub struct PolyFeatures {
     pub interactions: bool,
 }
 
-impl ToJson for PolyFeatures {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("degree", &self.degree)
-            .field("interactions", &self.interactions)
-            .end();
-    }
-}
-
-impl FromJson for PolyFeatures {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { degree: o.field("degree")?, interactions: o.field("interactions")? })
-    }
-}
+pddl_telemetry::json_struct!(PolyFeatures { degree, interactions });
 
 impl PolyFeatures {
     pub fn new(degree: usize, interactions: bool) -> Self {

@@ -1,7 +1,6 @@
 //! Feature standardization (zero mean, unit variance per column).
 
 use pddl_tensor::Matrix;
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Column-wise standard scaler.
 #[derive(Clone, Debug, Default)]
@@ -10,21 +9,7 @@ pub struct StandardScaler {
     std: Vec<f32>,
 }
 
-impl ToJson for StandardScaler {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("mean", &self.mean)
-            .field("std", &self.std)
-            .end();
-    }
-}
-
-impl FromJson for StandardScaler {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self { mean: o.field("mean")?, std: o.field("std")? })
-    }
-}
+pddl_telemetry::json_struct!(StandardScaler { mean, std });
 
 impl StandardScaler {
     /// Fits to the columns of `x`. Constant columns get σ = 1 so they map

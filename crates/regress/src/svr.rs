@@ -74,34 +74,7 @@ pub struct Svr {
     support: Matrix,
 }
 
-impl ToJson for Svr {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("kernel", &self.kernel)
-            .field("c", &self.c)
-            .field("epsilon", &self.epsilon)
-            .field("max_iter", &self.max_iter)
-            .field("tol", &self.tol)
-            .field("beta", &self.beta)
-            .field("support", &self.support)
-            .end();
-    }
-}
-
-impl FromJson for Svr {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let o = v.fields()?;
-        Ok(Self {
-            kernel: o.field("kernel")?,
-            c: o.field("c")?,
-            epsilon: o.field("epsilon")?,
-            max_iter: o.field("max_iter")?,
-            tol: o.field("tol")?,
-            beta: o.field("beta")?,
-            support: o.field("support")?,
-        })
-    }
-}
+pddl_telemetry::json_struct!(Svr { kernel, c, epsilon, max_iter, tol, beta, support });
 
 impl Svr {
     pub fn new(kernel: Kernel, c: f32, epsilon: f32) -> Self {

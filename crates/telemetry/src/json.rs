@@ -1,6 +1,6 @@
 //! The workspace's one JSON codec: a [`JsonValue`] tree with a bounded
 //! recursive-descent parser, and the [`ToJson`] / [`FromJson`] trait pair
-//! every wire and checkpoint type implements by hand. Dependency-free on
+//! every wire and checkpoint type implements. Dependency-free on
 //! purpose — this crate must be importable from every layer of the
 //! workspace.
 //!
@@ -13,6 +13,32 @@
 //! is `{"Name":payload}` — unless its impl says otherwise (the wire enums
 //! tagged by `status` / `op` / `type`). Maps are written in sorted key
 //! order, so equal values render to equal bytes.
+//!
+//! ## One declaration per plain struct
+//!
+//! A struct whose shape is exactly that rule gets both impls from one
+//! field list, [`json_struct!`](crate::json_struct!): written in list
+//! order under the fields' own names, read back into a struct literal, so
+//! a field left off the list does not compile and the reader and the
+//! writer cannot spell a key differently. The macro has one form — no
+//! renames, skips or defaults. A type whose wire shape is not the plain
+//! rule keeps a hand-written pair:
+//!
+//! * enums tagged by `status` / `op` / `type` or in snake_case (the
+//!   controller and collector messages, `RequestError`): the tag is not a
+//!   field of the type;
+//! * externally tagged payload enums (`ModelRef`, `Regression`, `Kernel`)
+//!   and unit enums on [`read_unit_variant`]: a variant is not a field
+//!   list;
+//! * structs that leave out a `None` field ([`ObjectWriter::optional`]:
+//!   the request and response envelopes, `RouteTable`), or read an absent
+//!   field as a default for older peers (`ServerStatus::stale`,
+//!   `RouteShard::healthy`);
+//! * structs checked after decode (`CompGraph`, `Matrix`, `Ghn`): their
+//!   methods index by what the document says;
+//! * structs with runtime state that is not written (`PredictDdl`'s
+//!   embedding cache);
+//! * the trace dump's span and trace records, whose ids are hex strings.
 //!
 //! ## What the codec guarantees
 //!
@@ -314,6 +340,41 @@ pub trait ToJson {
 pub trait FromJson: Sized {
     /// Decodes `v`, or says why its shape is wrong.
     fn read_json(v: &JsonValue) -> Result<Self, JsonError>;
+}
+
+/// Implements [`ToJson`] and [`FromJson`] for a plain struct from its
+/// field list: each field is written under its own name, in list order,
+/// and read back by that name into a struct literal.
+///
+/// ```
+/// struct Point {
+///     x: f64,
+///     label: Option<String>,
+/// }
+/// pddl_telemetry::json_struct!(Point { x, label });
+///
+/// let text = pddl_telemetry::json::to_string(&Point { x: 1.5, label: None })?;
+/// assert_eq!(text, r#"{"x":1.5,"label":null}"#);
+/// let p: Point = pddl_telemetry::json::from_str(r#"{"x":2.0}"#)?;
+/// assert_eq!((p.x, p.label), (2.0, None));
+/// # Ok::<(), pddl_telemetry::json::JsonError>(())
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                w.object()$(.field(stringify!($field), &self.$field))+.end();
+            }
+        }
+
+        impl $crate::json::FromJson for $ty {
+            fn read_json(v: &$crate::json::JsonValue) -> Result<Self, $crate::json::JsonError> {
+                let o = v.fields()?;
+                Ok(Self { $($field: o.field(stringify!($field))?),+ })
+            }
+        }
+    };
 }
 
 /// Output buffer of a [`ToJson`] pass. Encoding cannot fail structurally,
@@ -1109,6 +1170,17 @@ mod tests {
         }
     }
 
+    /// A plain struct, declared the way every plain wire and checkpoint
+    /// struct is.
+    #[derive(Debug, PartialEq)]
+    struct Swatch {
+        paint: Paint,
+        gloss: Option<f64>,
+        mix: Vec<u8>,
+    }
+
+    crate::json_struct!(Swatch { paint, gloss, mix });
+
     #[test]
     fn object_helpers_follow_the_format_rule() {
         let p = Paint { shade: Shade::Light, coats: 2, label: None };
@@ -1128,6 +1200,35 @@ mod tests {
             let err = from_str::<Paint>(&doc).unwrap_err();
             assert_eq!(err.to_string(), format!("shade: unknown variant `{near_miss}`"));
         }
+
+        // `json_struct!` follows the same rule: list order on write, a
+        // `None` written as null and read back from null or absence,
+        // unknown fields ignored, errors naming the field path.
+        let s = Swatch { paint: p, gloss: None, mix: vec![3, 1] };
+        let text = to_string(&s).unwrap();
+        assert_eq!(text, r#"{"paint":{"shade":"Light","coats":2},"gloss":null,"mix":[3,1]}"#);
+        assert_eq!(from_str::<Swatch>(&text).unwrap(), s);
+        let dark = r#"{"shade":"Dark","coats":1}"#;
+        let loose = format!(r#"{{"extra":{{"a":1}},"mix":[],"paint":{dark}}}"#);
+        let want = Swatch { paint: from_str(dark).unwrap(), gloss: None, mix: Vec::new() };
+        assert_eq!(from_str::<Swatch>(&loose).unwrap(), want);
+        let glossy = format!(r#"{{"paint":{dark},"gloss":0.5,"mix":[]}}"#);
+        assert_eq!(from_str::<Swatch>(&glossy).unwrap().gloss, Some(0.5));
+        for (doc, msg) in [
+            (format!(r#"{{"paint":{dark}}}"#), "missing field `mix`"),
+            (r#"{"mix":[]}"#.to_string(), "missing field `paint`"),
+            (r#"{"paint":{"shade":"Dark"},"mix":[]}"#.to_string(), "paint: missing field `coats`"),
+            (
+                r#"{"paint":{"shade":"Dark","coats":-1},"mix":[]}"#.to_string(),
+                "paint: coats: expected a u32, found a number",
+            ),
+            (format!(r#"{{"paint":{dark},"gloss":"high","mix":[]}}"#), "gloss: expected an f64, found a string"),
+            (format!(r#"{{"paint":{dark},"mix":[256]}}"#), "mix: expected a u8, found a number"),
+        ] {
+            assert_eq!(from_str::<Swatch>(&doc).unwrap_err().to_string(), msg, "{doc}");
+        }
+        let nan = Swatch { gloss: Some(f64::NAN), ..want };
+        assert_eq!(to_string(&nan), Err(JsonError::NonFinite));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! [`WIRE_OPS`] needs a `` ### `op` `` section holding at least one of
 //! each — the doc-coverage gate.
 //!
-//! Three source gates live here too — no `unwrap()` in the peer-facing
-//! parsers, no socket code outside the one connection core, and no frame
-//! reading outside its one `LineReader` — and two reference gates: a
+//! Four source gates live here too — no `unwrap()` in the peer-facing
+//! parsers, no socket code outside the one connection core, no frame
+//! reading outside its one `LineReader`, and no plain struct codec
+//! written out by hand instead of `json_struct!` — and two reference gates: a
 //! binary, example, test, bench or `BENCH_*.json` that the prose docs
 //! name exists in the tree, and every metric name the code registers is
 //! listed in OPERATIONS.md's metric catalogue. All of them read the
@@ -318,6 +319,105 @@ fn frames_are_read_only_by_the_line_reader() {
         framing.into_iter().partition(|hit| hit.starts_with("crates/cluster/src/wire.rs:"));
     assert!(!core.is_empty(), "the walk never found LineReader's own fill_buf");
     assert!(elsewhere.is_empty(), "frame reading outside pddl_cluster::wire: {elsewhere:?}");
+}
+
+/// Whether a `write_json` fn, whitespace removed, only writes each field
+/// under its own name: `w.object().field("x", &self.x)….end();`.
+fn is_plain_struct_encoder(write_json: &str) -> bool {
+    let body = write_json.split_once('{').and_then(|(_, b)| b.strip_suffix('}'));
+    let Some(calls) = body.and_then(|b| b.strip_prefix("w.object()")?.strip_suffix(".end();")) else {
+        return false;
+    };
+    let names = calls.split('"').skip(1).step_by(2);
+    calls == names.map(|n| format!(".field(\"{n}\",&self.{n})")).collect::<String>()
+}
+
+/// Whether a `read_json` fn, whitespace removed, only reads each field
+/// under its own name into `Self`: `let o = v.fields()?; Ok(Self { x:
+/// o.field("x")?, … })`, or the same with `v.fields()?` inline.
+fn is_plain_struct_decoder(read_json: &str) -> bool {
+    let Some(body) = read_json.split_once('{').and_then(|(_, b)| b.strip_suffix('}')) else {
+        return false;
+    };
+    let (binding, literal) = match body.strip_prefix("let").and_then(|b| b.split_once(';')) {
+        Some((binding, rest)) => match binding.split_once('=') {
+            Some((name, init)) if init.ends_with(".fields()?") => (name, rest),
+            _ => return false,
+        },
+        None => ("", body),
+    };
+    let Some(fields) = literal.strip_prefix("Ok(Self{").and_then(|l| l.strip_suffix("})")) else {
+        return false;
+    };
+    fields.split(',').filter(|f| !f.is_empty()).all(|f| {
+        let Some((name, read)) = f.split_once(':') else { return false };
+        let reader = read.strip_suffix(&format!(".field(\"{name}\")?"));
+        let inline = |r: &str| r.strip_suffix(".fields()?").is_some_and(|v| !v.contains('('));
+        reader.is_some_and(|r| r == binding || inline(r))
+    })
+}
+
+/// A plain struct's codec is one `json_struct!` field list. A `ToJson` /
+/// `FromJson` pair in the non-test code under `crates/*/src` that only
+/// writes each field under its own name and only reads it back — `let o =
+/// v.fields()?; Ok(Self { x: o.field("x")?, … })` — is that list written
+/// out twice by hand: declare the type with `json_struct!` instead.
+#[test]
+fn plain_struct_codecs_are_declared_with_json_struct() {
+    let by_hand = [
+        "fn write_json(&self, w: &mut JsonWriter) {
+            w.object().field(\"class\", &self.class).field(\"cpu_cores\", &self.cpu_cores).end();
+        }",
+        "fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+            let o = v.fields()?;
+            Ok(Self { class: o.field(\"class\")?, cpu_cores: o.field(\"cpu_cores\")?, })
+        }",
+        "fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+            Ok(Self { entries: v.fields()?.field(\"entries\")? })
+        }",
+    ]
+    .map(|f| f.split_whitespace().collect::<String>());
+    assert!(is_plain_struct_encoder(&by_hand[0]), "{}", by_hand[0]);
+    assert!(by_hand[1..].iter().all(|f| is_plain_struct_decoder(f)), "{by_hand:?}");
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    // `file: type` of every plain encoder, and with its line, of every
+    // plain decoder.
+    let (mut impls, mut encoders, mut decoders) = (0, BTreeSet::new(), Vec::new());
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        for file in rust_files(&krate.expect("crates/ entry").path().join("src")) {
+            let name = file.strip_prefix(&root).expect("under the root").display().to_string();
+            let src = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let non_test = src.split("#[cfg(test)]").next().unwrap_or(&src);
+            let mut lines = non_test.lines().enumerate();
+            while let Some((i, line)) = lines.next() {
+                let code = line.trim_start();
+                let Some((head, ty)) = code.strip_suffix(" {").and_then(|c| c.split_once("Json for ")) else {
+                    continue;
+                };
+                if !code.starts_with("impl") {
+                    continue;
+                }
+                impls += 1;
+                let end = format!("{}}}", &line[..line.len() - code.len()]);
+                let body: String = lines
+                    .by_ref()
+                    .map(|(_, l)| l)
+                    .take_while(|l| *l != end)
+                    .flat_map(str::split_whitespace)
+                    .collect();
+                let at = format!("{name}: {ty}");
+                if head.ends_with("From") && is_plain_struct_decoder(&body) {
+                    decoders.push((at, i + 1));
+                } else if head.ends_with("To") && is_plain_struct_encoder(&body) {
+                    encoders.insert(at);
+                }
+            }
+        }
+    }
+    assert!(impls > 10, "the walk found only {impls} JSON impls");
+    let plain: Vec<_> = decoders.iter().filter(|(at, _)| encoders.contains(at)).collect();
+    assert!(plain.is_empty(), "plain struct codecs written by hand — use json_struct!: {plain:#?}");
 }
 
 /// Cargo's target kinds, with the flag that selects one and the directory
