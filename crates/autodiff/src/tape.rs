@@ -178,14 +178,10 @@ enum Op {
     Relu(usize),
     /// Column-wise concatenation; stores the inputs and their widths.
     ConcatCols(Vec<usize>),
-    /// Column slice `[start, end)` of parent with original width `w`.
-    SliceCols(usize, usize, usize, usize),
     /// Row slice `[start, end)` of parent with original height `h`.
     SliceRows(usize, usize, usize, usize),
     /// Row-wise (vertical) concatenation; stores inputs and their heights.
     ConcatRows(Vec<usize>),
-    /// Shape change without data movement; stores the parent's shape.
-    Reshape(usize, usize, usize),
     /// Mean over all entries → 1×1.
     Mean(usize),
     /// Sum over all entries → 1×1.
@@ -338,18 +334,6 @@ impl<'p> Tape<'p> {
         self.push(Op::ConcatCols(parts.iter().map(|p| p.0).collect()), v)
     }
 
-    /// Extracts columns `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let src = &self.nodes[a.0].value;
-        let (rows, w) = src.shape();
-        assert!(start <= end && end <= w, "slice_cols out of range");
-        let mut out = Matrix::zeros(rows, end - start);
-        for r in 0..rows {
-            out.row_mut(r).copy_from_slice(&src.row(r)[start..end]);
-        }
-        self.push(Op::SliceCols(a.0, start, end, w), out)
-    }
-
     /// Extracts rows `[start, end)`.
     pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
         let src = &self.nodes[a.0].value;
@@ -364,17 +348,6 @@ impl<'p> Tape<'p> {
         let mats: Vec<&Matrix> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
         let v = Matrix::vstack(&mats);
         self.push(Op::ConcatRows(parts.iter().map(|p| p.0).collect()), v)
-    }
-
-    /// Reshapes to `rows × cols` (element count must match); the backward
-    /// pass reshapes the gradient back. Used by hypernetwork decoders that
-    /// emit flat weight vectors.
-    pub fn reshape(&mut self, a: Var, rows: usize, cols: usize) -> Var {
-        let src = &self.nodes[a.0].value;
-        let (orig_r, orig_c) = src.shape();
-        assert_eq!(orig_r * orig_c, rows * cols, "reshape element count mismatch");
-        let out = Matrix::from_vec(rows, cols, src.as_slice().to_vec());
-        self.push(Op::Reshape(a.0, orig_r, orig_c), out)
     }
 
     /// Mean over all entries → scalar (1×1).
@@ -607,15 +580,6 @@ impl<'p> Tape<'p> {
                         offset += w;
                     }
                 }
-                Op::SliceCols(a, start, _end, w) => {
-                    let rows = g.rows();
-                    let mut ga = Matrix::zeros(rows, *w);
-                    for r in 0..rows {
-                        ga.row_mut(r)[*start..*start + g.cols()]
-                            .copy_from_slice(g.row(r));
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
                 Op::SliceRows(a, start, _end, h) => {
                     let cols = g.cols();
                     let mut ga = Matrix::zeros(*h, cols);
@@ -632,10 +596,6 @@ impl<'p> Tape<'p> {
                         accumulate(&mut grads, p, gp);
                         offset += h;
                     }
-                }
-                Op::Reshape(a, orig_r, orig_c) => {
-                    let ga = Matrix::from_vec(*orig_r, *orig_c, g.as_slice().to_vec());
-                    accumulate(&mut grads, *a, ga);
                 }
                 Op::Mean(a) => {
                     let (r, c) = self.nodes[*a].value.shape();
@@ -971,10 +931,12 @@ mod tests {
 
     #[test]
     fn deep_composite_gradients_match() {
-        // Two-layer MLP with tanh + sigmoid + bias + concat + slice.
+        // Two-layer MLP with tanh + sigmoid + bias + concat: the hidden
+        // layer is two separate products, side by side.
         let mut rng = Rng::new(2);
         let mut ps = ParamStore::new();
-        let w1 = ps.register("w1", Matrix::rand_normal(4, 6, 0.4, &mut rng));
+        let w1a = ps.register("w1a", Matrix::rand_normal(4, 3, 0.4, &mut rng));
+        let w1b = ps.register("w1b", Matrix::rand_normal(4, 3, 0.4, &mut rng));
         let b1 = ps.register("b1", Matrix::rand_normal(1, 6, 0.1, &mut rng));
         let w2 = ps.register("w2", Matrix::rand_normal(6, 2, 0.4, &mut rng));
         let x = Matrix::rand_normal(5, 4, 1.0, &mut rng);
@@ -983,13 +945,14 @@ mod tests {
             &mut ps,
             |tape| {
                 let xv = tape.constant(x.clone());
-                let w1v = tape.param(w1);
-                let b1v = tape.param(b1);
-                let h = tape.affine(xv, w1v, b1v);
-                let h = tape.tanh(h);
-                let left = tape.slice_cols(h, 0, 3);
-                let right = tape.slice_cols(h, 3, 6);
+                let left = tape.param(w1a);
+                let left = tape.matmul(xv, left);
+                let right = tape.param(w1b);
+                let right = tape.matmul(xv, right);
                 let h = tape.concat_cols(&[left, right]);
+                let b1v = tape.param(b1);
+                let h = tape.add_bias(h, b1v);
+                let h = tape.tanh(h);
                 let w2v = tape.param(w2);
                 let y = tape.matmul(h, w2v);
                 let y = tape.sigmoid(y);
@@ -1289,28 +1252,6 @@ mod tests {
             opt.step(&mut ps, &grads);
         }
         assert!(losses.last().unwrap() < &(losses[0] * 0.2), "{losses:?}");
-    }
-
-    #[test]
-    fn reshape_gradcheck() {
-        let mut rng = Rng::new(33);
-        let mut ps = ParamStore::new();
-        let w = ps.register("w", Matrix::rand_normal(1, 6, 0.7, &mut rng));
-        let x = Matrix::rand_normal(4, 2, 1.0, &mut rng);
-        let t = Matrix::rand_normal(4, 3, 0.5, &mut rng);
-        let err = gradient_check(
-            &mut ps,
-            |tape| {
-                let wv = tape.param(w);
-                let wmat = tape.reshape(wv, 2, 3); // flat weights → matrix
-                let xv = tape.constant(x.clone());
-                let y = tape.matmul(xv, wmat);
-                let tv = tape.constant(t.clone());
-                tape.mse_loss(y, tv)
-            },
-            6,
-        );
-        assert!(err < 2e-2, "err={err}");
     }
 
     #[test]

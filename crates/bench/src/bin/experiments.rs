@@ -1,4 +1,4 @@
-//! Regenerates the paper's figures and the extension experiments from one
+//! Regenerates the paper's figures and the scheduling experiments from one
 //! shared trace, split and trained system (EXPERIMENTS.md has the numbers).
 //!
 //! ```sh

@@ -6,30 +6,24 @@ use crate::{
     class_for_dataset, mean, mean_abs_err, on, ratios, split_records, system_ratios,
     table2_workloads, Cell, Context, Design, Table, SEED,
 };
-use pddl_cherrypick::search::{candidate_grid, ConfigPoint};
-use pddl_cherrypick::CherryPick;
 use pddl_cluster::{ClusterState, ServerClass};
-use pddl_ddlsim::{generate_trace, SimConfig, Simulator, TraceConfig, TraceRecord, Workload};
+use pddl_ddlsim::{SimConfig, Simulator, TraceRecord, Workload};
 use pddl_ernest::design::{default_candidates, greedy_a_optimal};
 use pddl_ernest::model::{ErnestModel, ErnestSample};
-use pddl_ghn::train::TrainConfig;
-use pddl_ghn::{Ghn, GhnConfig, GhnTrainer, SynthGenerator};
 use pddl_regress::gridsearch::{grid_search_mlp, grid_search_svr};
 use pddl_regress::{Distance, KnnRegressor, Regression, Regressor};
 use pddl_sched::{run_engine, runtime_table, ArrivalSpec, CostShift, EngineConfig, PolicyKind};
-use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
-use pddl_zoo::{ZooModel, CIFAR10};
+use pddl_zoo::ZooModel;
 use predictddl::batch::{compare_batch, BatchJob};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A figure: its name and the function that regenerates it.
 pub type Figure = (&'static str, fn(&Context) -> Vec<Table>);
 
 /// Every figure, in the order `all` runs them.
-pub const FIGURES: [Figure; 14] = [
+pub const FIGURES: [Figure; 10] = [
     ("fig01_02_blackbox_graybox", fig01_02_blackbox_graybox),
     ("fig06_feature_ablation", fig06_feature_ablation),
     ("fig09_vs_ernest", fig09_vs_ernest),
@@ -37,10 +31,6 @@ pub const FIGURES: [Figure; 14] = [
     ("fig11_split_ratio", fig11_split_ratio),
     ("fig12_cluster_size", fig12_cluster_size),
     ("fig13_batch_scalability", fig13_batch_scalability),
-    ("exp_dim_ablation", exp_dim_ablation),
-    ("exp_ghn_ablation", exp_ghn_ablation),
-    ("exp_config_search", exp_config_search),
-    ("exp_noise_sensitivity", exp_noise_sensitivity),
     ("exp_sched_policies", exp_sched_policies),
     ("exp_sched_predictddl", exp_sched_predictddl),
     ("diag_oracle", diag_oracle),
@@ -76,10 +66,6 @@ fn cifar10_table2() -> Vec<Workload> {
 /// A row's mean `Predicted/Actual` and mean error.
 fn error_cells(ratios: &[f64]) -> [Cell; 2] {
     [Cell::ratio(mean(ratios)), Cell::pct(mean_abs_err(ratios))]
-}
-
-fn argmin(v: &[f64]) -> usize {
-    (0..v.len()).min_by(|&a, &b| v[a].total_cmp(&v[b])).expect("non-empty")
 }
 
 /// Black-box features (#servers, FLOPS, batch: the DNN's name is a label a
@@ -354,128 +340,6 @@ pub fn fig13_batch_scalability(ctx: &Context) -> Vec<Table> {
                 Cell::times(c.speedup_amortized(), 0),
             ],
         );
-    }
-    vec![t]
-}
-
-/// Extension (§VI future work): the GHN's embedding dimension. Every
-/// dimension but the default's meta-trains its own GHN.
-pub fn exp_dim_ablation(ctx: &Context) -> Vec<Table> {
-    let (train, test) = ctx.split_on("cifar10");
-    let mut t = Table::new(
-        "Embedding-dimension ablation, CIFAR-10 (the default d = 32 reads the shared GHN)",
-        &["embed dim", "GHN train", "|ratio-1|"],
-    );
-    for dim in [4, 8, 16, 32, 64] {
-        let ghn = GhnConfig {
-            hidden_dim: dim,
-            mlp_hidden: dim.max(8),
-            decoder_hidden: (dim + dim / 2).max(12),
-            ..GhnConfig::default()
-        };
-        let shared = dim == GhnConfig::default().hidden_dim;
-        let system = if shared { ctx.refit(&train) } else { ctx.train_with(&train, ghn) };
-        let ghn_secs = if shared { ctx.system() } else { &system }.train_cost.ghn_secs;
-        let err = mean_abs_err(&system_ratios(&system, &test));
-        t.row(dim.to_string(), [Cell::secs(ghn_secs, 1), Cell::pct(err)]);
-    }
-    vec![t]
-}
-
-/// Extension: GHN-2's virtual edges (Eq. 4), operation-dependent
-/// normalization and propagation rounds — the decoder's MSE after a short
-/// meta-training on synthetic graphs, and the pipeline's error.
-pub fn exp_ghn_ablation(ctx: &Context) -> Vec<Table> {
-    let base = GhnConfig::default();
-    let variants = [
-        ("GHN-2 (full)", base),
-        ("no virtual edges", GhnConfig { s_max: 1, ..base }),
-        ("no normalization", GhnConfig { normalize: false, ..base }),
-        ("T = 2 rounds", GhnConfig { t_passes: 2, ..base }),
-    ];
-    let (train, test) = ctx.split_on("cifar10");
-    let mut t = Table::new(
-        "GHN-2 design ablation, CIFAR-10: decoder MSE after 120 graphs × 30 epochs (40 held out)",
-        &["variant", "train MSE", "held-out MSE", "|ratio-1|"],
-    );
-    let decoder_training = TrainConfig { num_graphs: 120, epochs: 30, ..TrainConfig::default() };
-    for (label, cfg) in variants {
-        let t0 = Instant::now();
-        let mut ghn = Ghn::new(cfg, &mut Rng::new(0xAB1));
-        let mut gen = SynthGenerator::new(CIFAR10, 0xAB1);
-        let trainer = GhnTrainer::new(decoder_training);
-        let report = trainer.train(&mut ghn, &mut gen);
-        let heldout = trainer.evaluate(&ghn, &gen.sample_many(40));
-        ctx.count_ghns(1, t0.elapsed().as_secs_f64());
-        let shared = label == "GHN-2 (full)";
-        let system = if shared { ctx.refit(&train) } else { ctx.train_with(&train, cfg) };
-        let err = Cell::pct(mean_abs_err(&system_ratios(&system, &test)));
-        let mse = [report.final_loss, heldout].map(|mse| Cell::plain(mse as f64, 4));
-        t.row(label, mse.into_iter().chain([err]));
-    }
-    vec![t]
-}
-
-/// Extension (§V-A): the fastest cluster size for each CIFAR-10 Table II
-/// workload. CherryPick probes real (simulated) runs per workload;
-/// PredictDDL predicts every candidate once from the one trained system.
-pub fn exp_config_search(ctx: &Context) -> Vec<Table> {
-    let (system, sim) = (ctx.system(), Simulator::new(SimConfig::default()));
-    let candidates = candidate_grid(ServerClass::GpuP100, 20);
-    let cherrypick = CherryPick::default();
-    let mut t = Table::new(
-        "Cluster-size search, CherryPick vs PredictDDL (servers chosen)",
-        &["workload", "optimum", "CherryPick", "probes", "probe cost", "PredictDDL"],
-    );
-    let (mut regret, mut probe_secs, mut predict_secs) = ([0.0; 2], 0.0, 0.0);
-    let workloads = cifar10_table2();
-    for w in &workloads {
-        let actual = |c: &ConfigPoint| sim.expected_time(w, &c.cluster()).expect("simulate");
-        let times: Vec<f64> = candidates.iter().map(actual).collect();
-        let opt = argmin(&times);
-        let cp = cherrypick.search(&sim, w, &candidates, |secs, _| secs);
-        let predict = |c: &ConfigPoint| system.predict_workload(w, &c.cluster()).map(|p| p.seconds);
-        let t0 = Instant::now();
-        let predicted: Vec<f64> = candidates.iter().map(|c| predict(c).expect("predict")).collect();
-        predict_secs += t0.elapsed().as_secs_f64();
-        let pd = candidates[argmin(&predicted)];
-        regret[0] += actual(&cp.best) / times[opt] - 1.0;
-        regret[1] += actual(&pd) / times[opt] - 1.0;
-        probe_secs += cp.probe_cost_secs;
-        let counts = [candidates[opt].servers, cp.best.servers, cp.probes, pd.servers];
-        let [best, found, probes, chosen] = counts.map(|n| Cell::plain(n as f64, 0));
-        t.row(w.model.clone(), [best, found, probes, Cell::secs(cp.probe_cost_secs, 0), chosen]);
-    }
-    let n = workloads.len() as f64;
-    let mut summary = Table::new(
-        format!(
-            "Search cost: CherryPick's simulated probe runs, PredictDDL's {} predictions' wall time",
-            workloads.len() * candidates.len()
-        ),
-        &["searcher", "mean regret", "search cost"],
-    );
-    summary.row("CherryPick (GP + EI)", [Cell::pct(regret[0] / n), Cell::secs(probe_secs, 0)]);
-    summary.row("PredictDDL", [Cell::pct(regret[1] / n), Cell::ms(predict_secs, 2)]);
-    vec![t, summary]
-}
-
-/// Extension (toward §VI's sample-distribution study): the regressor refit
-/// on CIFAR-10 traces of growing measurement noise σ over the shared GHN,
-/// which never sees a measurement (§III-G).
-pub fn exp_noise_sensitivity(ctx: &Context) -> Vec<Table> {
-    let mut t = Table::new(
-        "Trace-noise sensitivity, CIFAR-10: error vs the noisy and the noise-free time",
-        &["noise σ (log-space)", "vs noisy", "vs true"],
-    );
-    for sigma in [0.01f32, 0.03, 0.10, 0.20] {
-        let mut cfg = TraceConfig::default();
-        cfg.dataset_clusters.retain(|(d, _)| d == "cifar10");
-        cfg.sim = SimConfig { noise_sigma: sigma, ..SimConfig::default() };
-        let (train, test) = split_records(&generate_trace(&cfg), 0.8, SEED);
-        let vs_noisy = system_ratios(&ctx.refit(&train), &test);
-        let to_true = vs_noisy.iter().zip(&test).map(|(q, r)| q * r.time_secs / r.expected_secs);
-        let vs_true: Vec<f64> = to_true.collect();
-        t.row(format!("{sigma:.2}"), [&vs_noisy, &vs_true].map(|r| Cell::pct(mean_abs_err(r))));
     }
     vec![t]
 }

@@ -1,6 +1,6 @@
 //! The experiment runner behind `pddl-experiments`: every figure of the
-//! paper's evaluation (Section IV) and every extension experiment,
-//! scheduling included, is a function in [`figures`] that returns its
+//! paper's evaluation (Section IV), the two scheduling experiments and one
+//! diagnostic are each a function in [`figures`] that returns its
 //! [`Table`]s. They share one lazily built [`Context`] — one trace, one
 //! 80/20 split, one trained system — so the default GHN is meta-trained
 //! once per dataset (§III-G) however many figures read it.
@@ -178,38 +178,34 @@ impl Context {
         (on(train, dataset), on(test, dataset))
     }
 
-    /// The standard system, trained on the train side of the split.
+    /// The standard system, trained on the train side of the split with
+    /// its own default GHN per dataset.
     pub(crate) fn system(&self) -> &PredictDdl {
-        self.system.get_or_init(|| self.train_with(self.split().0, GhnConfig::default()))
+        self.system.get_or_init(|| {
+            let registry = GhnRegistry::new(GhnConfig::default(), TrainConfig::default(), SEED);
+            self.fit(self.split().0, registry)
+        })
     }
 
     /// A system fitted on `records` over the shared default GHNs: only the
     /// regressor is trained.
     pub(crate) fn refit(&self, records: &[TraceRecord]) -> PredictDdl {
-        self.fit(records, GhnConfig::default(), self.system().registry.clone())
+        self.fit(records, self.system().registry.clone())
     }
 
-    /// A system on `records` with its own GHN of configuration `ghn`.
-    pub(crate) fn train_with(&self, records: &[TraceRecord], ghn: GhnConfig) -> PredictDdl {
-        self.fit(records, ghn, GhnRegistry::new(ghn, TrainConfig::default(), SEED))
-    }
-
-    /// Trains what `registry` lacks, then the regressor; counts the GHNs.
-    fn fit(&self, records: &[TraceRecord], ghn: GhnConfig, registry: GhnRegistry) -> PredictDdl {
-        let trainer = OfflineTrainer { seed: SEED, ghn_config: ghn, ..OfflineTrainer::default() };
+    /// Trains what `registry` lacks, then the regressor; counts (and logs)
+    /// the GHN meta-trainings.
+    fn fit(&self, records: &[TraceRecord], registry: GhnRegistry) -> PredictDdl {
+        let trainer = OfflineTrainer { seed: SEED, ..OfflineTrainer::default() };
         let before = registry.datasets().count();
         let system = trainer.train_from_records_reusing(records, registry);
-        self.count_ghns(system.registry.datasets().count() - before, system.train_cost.ghn_secs);
-        system
-    }
-
-    /// Records (and logs) `n` GHN meta-trainings that took `secs`.
-    pub(crate) fn count_ghns(&self, n: usize, secs: f64) {
+        let n = system.registry.datasets().count() - before;
         if n > 0 {
             self.ghn_trainings.set(self.ghn_trainings.get() + n);
-            let total = self.ghn_trainings();
+            let (secs, total) = (system.train_cost.ghn_secs, self.ghn_trainings());
             eprintln!("[experiments] meta-trained {n} GHN(s) in {secs:.1}s ({total} so far)");
         }
+        system
     }
 
     /// GHN meta-trainings so far.
@@ -250,5 +246,12 @@ mod tests {
         assert_eq!(t.cell("x", "a").to_string(), "75.3%");
         assert_eq!(t.cell("x", "b").to_string(), "22.6×");
         assert!(t.to_string().contains("75.3%"));
+    }
+
+    #[test]
+    #[should_panic(expected = "t: (x, b) is NaN")]
+    fn tables_refuse_a_non_finite_cell() {
+        let mut t = Table::new("t", &["row", "a", "b"]);
+        t.row("x", [Cell::pct(0.5), Cell::ratio(mean(&[]))]);
     }
 }

@@ -33,11 +33,6 @@ impl Cell {
         Self::new(value, 1.0, decimals, "s")
     }
 
-    /// Seconds, printed as milliseconds.
-    pub fn ms(secs: f64, decimals: usize) -> Self {
-        Self::new(secs, 1e3, decimals, " ms")
-    }
-
     /// A factor.
     pub fn times(value: f64, decimals: usize) -> Self {
         Self::new(value, 1.0, decimals, "×")
@@ -74,10 +69,19 @@ impl Table {
     }
 
     /// Appends a row; `cells` fills the columns after the first, in order.
+    ///
+    /// # Panics
+    /// If the row's width is wrong or a cell is not finite (a failed
+    /// prediction, the mean of nothing); the message names the table, row
+    /// and column.
     pub fn row(&mut self, label: impl Into<String>, cells: impl IntoIterator<Item = Cell>) {
-        let cells: Vec<Cell> = cells.into_iter().collect();
+        let (label, cells): (String, Vec<Cell>) = (label.into(), cells.into_iter().collect());
         assert_eq!(cells.len() + 1, self.columns.len(), "{}: row width", self.title);
-        self.rows.push((label.into(), cells));
+        for (cell, column) in cells.iter().zip(&self.columns[1..]) {
+            let value = cell.value;
+            assert!(value.is_finite(), "{}: ({label}, {column}) is {value}", self.title);
+        }
+        self.rows.push((label, cells));
     }
 
     /// The cell in row `row` under column `column`.

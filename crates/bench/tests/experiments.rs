@@ -1,9 +1,11 @@
 //! The experiments that train no GHN, run through the runner's own figure
-//! functions and pinned to the digits EXPERIMENTS.md prints for them; and
-//! the runner's refusal of anything but figure names.
+//! functions and pinned to the digits EXPERIMENTS.md prints for them; the
+//! runner's refusal of anything but figure names; and the docs naming only
+//! figures the runner has.
 
 use pddl_bench::figures::{diag_oracle, exp_sched_policies, fig01_02_blackbox_graybox};
 use pddl_bench::{Context, FIGURES};
+use std::path::Path;
 use std::process::Command;
 
 fn printed(table: &pddl_bench::Table, row: &str, column: &str) -> String {
@@ -67,4 +69,75 @@ fn runner_accepts_only_figure_names() {
         assert!(stderr.contains(name), "usage lists {name}: {stderr}");
     }
     assert_eq!(run("--scale").status.code(), Some(2), "no flags");
+}
+
+/// A repository file, read whole.
+fn doc(path: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
+fn is_figure(name: &str) -> bool {
+    FIGURES.iter().any(|(figure, _)| *figure == name)
+}
+
+/// The arguments written after `pddl-experiments` in code: up to the end
+/// of an inline code span, or up to a `#` comment on a fenced line. A
+/// leading `--` is skipped; the first word that is not a bare name (a
+/// `<placeholder>`, a flag) ends the list.
+fn runner_arguments(markdown: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut fenced = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+            continue;
+        }
+        for (at, _) in line.match_indices("pddl-experiments") {
+            let in_span = line[..at].matches('`').count() % 2 == 1;
+            if !fenced && !in_span {
+                continue;
+            }
+            let rest = &line[at + "pddl-experiments".len()..];
+            let end = if fenced { rest.find('#') } else { rest.find('`') };
+            let mut words = rest[..end.unwrap_or(rest.len())].split_whitespace().peekable();
+            words.next_if_eq(&"--");
+            let bare = |w: &&str| w.bytes().all(|c| matches!(c, b'a'..=b'z' | b'0'..=b'9' | b'_'));
+            out.extend(words.take_while(bare).map(str::to_string));
+        }
+    }
+    out
+}
+
+#[test]
+fn docs_name_only_figures_the_runner_has() {
+    let files = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "TESTING.md", "ARCHITECTURE.md"];
+    let mut seen = 0;
+    for path in files.into_iter().chain([".claude/skills/verify/SKILL.md"]) {
+        for arg in runner_arguments(&doc(path)) {
+            assert!(arg == "all" || is_figure(&arg), "{path} runs `pddl-experiments {arg}`");
+            seen += 1;
+        }
+    }
+    assert!(seen >= 10, "the parser found only {seen} runner arguments");
+
+    // EXPERIMENTS.md's figure index: a row for every figure, no other names.
+    let md = doc("EXPERIMENTS.md");
+    let index = md.split("## Figure index").nth(1).expect("EXPERIMENTS.md has a figure index");
+    let rows = index.lines().skip_while(|l| !l.starts_with('|'));
+    let table = rows.take_while(|l| l.starts_with('|'));
+    let header = table.clone().next().expect("a header");
+    let header: Vec<&str> = header.split('|').map(str::trim).collect();
+    let column = header.iter().position(|c| *c == "Figure").expect("a `Figure` column");
+    let listed: Vec<&str> = table
+        .skip(2)
+        .map(|row| row.split('|').map(str::trim).nth(column).expect("a full row"))
+        .map(|cell| cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')).unwrap_or(cell))
+        .collect();
+    for name in &listed {
+        assert!(is_figure(name), "EXPERIMENTS.md's figure index lists {name}");
+    }
+    for (name, _) in FIGURES {
+        assert!(listed.contains(&name), "EXPERIMENTS.md's figure index has no row for {name}");
+    }
 }

@@ -49,11 +49,13 @@ fn main() -> ExitCode {
         eprintln!("unknown command '{cmd}'\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(rest);
-    let result = check_flags(command, &flags).and_then(|()| (command.run)(&flags));
-    if flags.contains_key(METRICS_DUMP) {
-        eprintln!("{}", pddl_telemetry::snapshot_json());
-    }
+    let result = parse_flags(rest).and_then(|flags| {
+        let result = check_flags(command, &flags).and_then(|()| (command.run)(&flags));
+        if flags.contains_key(METRICS_DUMP) {
+            eprintln!("{}", pddl_telemetry::snapshot_json());
+        }
+        result
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -197,24 +199,20 @@ fn check_flags(command: &Command, flags: &Flags) -> Result<(), String> {
     }
 }
 
-fn parse_flags(args: &[String]) -> Flags {
+/// Reads `--key value` pairs; a `--key` followed by another `--` token or
+/// by nothing is the boolean `true`. A token that is neither a flag nor
+/// its value, and a flag given twice, are refused by name.
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            i += 1;
+    let mut args = args.iter().peekable();
+    while let Some(a) = args.next() {
+        let key = a.strip_prefix("--").ok_or_else(|| format!("unexpected argument '{a}'"))?;
+        let value = args.next_if(|v| !v.starts_with("--")).map_or("true", |v| v.as_str());
+        if flags.insert(key.to_string(), value.to_string()).is_some() {
+            return Err(format!("flag --{key} given more than once"));
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -572,8 +570,12 @@ mod tests {
         find_command(name).expect("known command")
     }
 
-    fn flags_of(args: &[&str]) -> Flags {
+    fn parse(args: &[&str]) -> Result<Flags, String> {
         parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn flags_of(args: &[&str]) -> Flags {
+        parse(args).expect("a well-formed command line")
     }
 
     #[test]
@@ -595,6 +597,29 @@ mod tests {
         // Accepted lists are per command, not global.
         assert!(check_flags(command("stats"), &flags_of(&["--workers", "8"])).is_err());
         assert!(check_flags(command("models"), &flags_of(&[])).is_ok());
+    }
+
+    #[test]
+    fn stray_arguments_are_refused_by_name() {
+        // A single dash is not a flag: it must not serve with the default.
+        assert_eq!(parse(&["-workers", "8"]), Err("unexpected argument '-workers'".to_string()));
+        assert_eq!(
+            parse(&["--workers", "8", "16"]),
+            Err("unexpected argument '16'".to_string())
+        );
+        assert_eq!(parse(&["r", "--gpu"]), Err("unexpected argument 'r'".to_string()));
+        let flags = flags_of(&["--gpu", "--servers", "4", "--metrics-dump"]);
+        assert_eq!(flags["gpu"], "true");
+        assert_eq!(flags["servers"], "4");
+        assert_eq!(flags[METRICS_DUMP], "true");
+    }
+
+    #[test]
+    fn repeated_flags_are_refused_by_name() {
+        let twice = parse(&["--workers", "8", "--workers", "16"]);
+        assert_eq!(twice, Err("flag --workers given more than once".to_string()));
+        let twice = parse(&["--gpu", "--servers", "4", "--gpu"]);
+        assert_eq!(twice, Err("flag --gpu given more than once".to_string()));
     }
 
     /// The `--flag` tokens on `cmd`'s synopsis lines in [`USAGE`].

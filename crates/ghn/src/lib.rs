@@ -33,14 +33,12 @@
 
 pub mod config;
 pub mod embed;
-pub mod hypernet;
 pub mod model;
 pub mod synth;
 pub mod train;
 
 pub use config::GhnConfig;
 pub use embed::{cosine_similarity, EmbeddingSet};
-pub use hypernet::WeightHyperNet;
 pub use model::{Ghn, Schedule};
 pub use synth::SynthGenerator;
 pub use train::{GhnTrainer, TrainConfig, TrainReport};

@@ -4,8 +4,8 @@
 //! over a crate-private backend that holds the node states and runs the
 //! three steps the sweep asks for: make a message, fold a node's messages
 //! into its GRU update, normalise. Two backends share one set of weights:
-//! * `Var` rows on an autodiff [`Tape`] — [`Ghn::embed_traced`] and
-//!   [`Ghn::node_states_traced`], for meta-training;
+//! * `Var` rows on an autodiff [`Tape`] — [`Ghn::embed_traced`], for
+//!   meta-training;
 //! * f32 rows in one per-call workspace — [`Ghn::embed_graph`], the
 //!   inference path used by the PredictDDL Embeddings Generator.
 //!
@@ -233,18 +233,9 @@ impl Ghn {
     // Traced path (meta-training)
     // ------------------------------------------------------------------
 
-    /// Runs the GatedGNN on the tape and returns the pooled 1×d embedding.
+    /// Runs the GatedGNN on the tape and returns the pooled 1×d embedding:
+    /// the mean of the final per-node states `h_v^T`.
     pub fn embed_traced(&self, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Var {
-        let h = self.node_states_traced(tape, g, sched);
-        let all = tape.concat_rows(&h);
-        tape.mean_rows(all)
-    }
-
-    /// Runs the GatedGNN on the tape and returns the final per-node states
-    /// `h_v^T` (each 1×d). The weight-decoding hypernetwork
-    /// ([`crate::hypernet`]) conditions on these, as in the original GHN;
-    /// PredictDDL instead pools them into the complexity embedding.
-    pub fn node_states_traced(&self, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Vec<Var> {
         let n = g.num_nodes();
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
         let h0 = tape.constant(feats);
@@ -252,7 +243,8 @@ impl Ghn {
         let h = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
         let mut rows = TapeRows { ghn: self, tape, h, parts: Vec::new() };
         self.sweep(&mut rows, g, sched);
-        rows.h
+        let all = rows.tape.concat_rows(&rows.h);
+        tape.mean_rows(all)
     }
 
     /// Traced decoder output (1×TARGET_DIM) for the meta-training loss.

@@ -132,25 +132,6 @@ impl GhnTrainer {
             num_graphs: graphs.len(),
         }
     }
-
-    /// Decoder MSE of a trained GHN on held-out graphs (generalization
-    /// check used by the offline-training pipeline).
-    pub fn evaluate(&self, ghn: &Ghn, graphs: &[CompGraph]) -> f32 {
-        let mut total = 0.0f64;
-        for g in graphs {
-            let emb = ghn.embed_graph(g);
-            let pred = ghn.decode_fast(&emb);
-            let target = decoder_targets(g);
-            let mse: f64 = pred
-                .iter()
-                .zip(&target)
-                .map(|(p, t)| ((p - t) as f64).powi(2))
-                .sum::<f64>()
-                / TARGET_DIM as f64;
-            total += mse;
-        }
-        (total / graphs.len().max(1) as f64) as f32
-    }
 }
 
 #[cfg(test)]
@@ -159,6 +140,18 @@ mod tests {
     use crate::config::GhnConfig;
     use crate::embed::cosine_similarity;
     use pddl_zoo::dataset::CIFAR10;
+
+    /// Decoder MSE of a trained GHN on held-out graphs.
+    fn heldout_mse(ghn: &Ghn, graphs: &[CompGraph]) -> f32 {
+        let mut total = 0.0f64;
+        for g in graphs {
+            let pred = ghn.decode_fast(&ghn.embed_graph(g));
+            let target = decoder_targets(g);
+            let sq: f64 = pred.iter().zip(&target).map(|(p, t)| ((p - t) as f64).powi(2)).sum();
+            total += sq / TARGET_DIM as f64;
+        }
+        (total / graphs.len() as f64) as f32
+    }
 
     #[test]
     fn training_reduces_loss() {
@@ -202,7 +195,7 @@ mod tests {
         let trainer = GhnTrainer::new(cfg);
         let report = trainer.train(&mut ghn, &mut gen);
         let heldout = gen.sample_many(8);
-        let test_mse = trainer.evaluate(&ghn, &heldout);
+        let test_mse = heldout_mse(&ghn, &heldout);
         // Held-out error should be in the same ballpark as training error,
         // not catastrophically larger.
         assert!(
