@@ -102,6 +102,11 @@ fn sample_recorder() -> FlightRecorder {
 }
 
 #[test]
+fn stats_snapshot_matches_golden_fixture() {
+    check_or_regen("stats_snapshot.json", &sample_snapshot().to_json());
+}
+
+#[test]
 fn prometheus_exposition_matches_golden_fixture() {
     check_or_regen("metrics_exposition.txt", &expo::prometheus(&sample_snapshot()));
 }
