@@ -367,22 +367,40 @@ fn accept_loop<H: Handler>(
             // Readers surface from blocking reads on this cadence to poll
             // the shutdown flag.
             stream.set_read_timeout(Some(SHUTDOWN_POLL)).ok();
-            m.active.inc();
-            core.readers.fetch_add(1, Ordering::Relaxed);
+            let slot = ReaderSlot::check_in(core);
             tlog!(Level::Debug, core.prefix, "connection accepted", peer = peer.to_string());
             let conn = next_conn;
             next_conn += 1;
             readers.spawn(move || {
+                let _slot = slot;
                 if serve_conn(stream, conn, core, handler).is_err() {
                     // Mid-request disconnect or transport death: reap the
                     // connection, keep the service alive.
                     m.disconnects.inc();
                 }
-                m.active.dec();
-                core.readers.fetch_sub(1, Ordering::Relaxed);
             });
         }
     });
+}
+
+/// A reader's place in the connection count, given back when the reader
+/// exits however it exits: a handler that panics must not hold one of the
+/// `max_connections` slots for good.
+struct ReaderSlot<'a>(&'a Core);
+
+impl<'a> ReaderSlot<'a> {
+    fn check_in(core: &'a Core) -> Self {
+        core.metrics.active.inc();
+        core.readers.fetch_add(1, Ordering::Relaxed);
+        Self(core)
+    }
+}
+
+impl Drop for ReaderSlot<'_> {
+    fn drop(&mut self) {
+        self.0.metrics.active.dec();
+        self.0.readers.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// One accepted socket, shared by the connection's read and write halves:
@@ -582,6 +600,53 @@ mod tests {
         assert_eq!(first.exchange("bye").unwrap(), "bye");
         assert!(eof(&mut first));
         assert_eq!(pddl_telemetry::counter("wiretest.cap.disconnects").get(), 0);
+    }
+
+    /// Echoes every frame but `boom`, on which it panics.
+    struct Fragile;
+
+    impl Handler for Fragile {
+        type Conn = ();
+
+        fn open(&self, _local: SocketAddr) {}
+
+        fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<Flow> {
+            if line == "boom" {
+                panic!("handler panics on boom");
+            }
+            out.send(&line)?;
+            Ok(Flow::Continue)
+        }
+
+        fn connection_limit_line(&self) -> String {
+            "limit".into()
+        }
+
+        fn frame_too_long_line(&self, limit: usize) -> String {
+            format!("too long: {limit}")
+        }
+    }
+
+    #[test]
+    fn a_panicking_reader_gives_its_connection_slot_back() {
+        let server =
+            Listener::serve("127.0.0.1:0", 2, "wiretest.panic", None, Fragile).expect("bind");
+        let active = pddl_telemetry::gauge("wiretest.panic.active_connections");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // More panicking connections than the cap, one after another: each
+        // must be admitted (hung up on, not shed) and checked out again.
+        for _ in 0..3 {
+            let mut conn = dial(&server);
+            conn.send("boom").unwrap();
+            assert!(eof(&mut conn), "a panicking connection must be admitted, then closed");
+            while server.connections() > 0 {
+                assert!(Instant::now() < deadline, "the panicked reader never checked out");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(active.get(), 0);
+        }
+        assert_eq!(dial(&server).exchange("still here").unwrap(), "still here");
+        assert_eq!(pddl_telemetry::counter("wiretest.panic.connections_shed").get(), 0);
     }
 
     #[test]

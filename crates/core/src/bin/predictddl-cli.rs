@@ -13,13 +13,11 @@
 //!                        --dataset cifar10 --servers 8 --actual-secs 812.5
 //! predictddl-cli stats --addr 127.0.0.1:7077
 //! predictddl-cli trace --addr 127.0.0.1:7077 [--json]
-//! predictddl-cli metrics --addr 127.0.0.1:7077
 //! predictddl-cli models
 //! ```
 //!
-//! Every command accepts `--metrics-dump` to print the local telemetry
-//! snapshot (JSON) to stderr on exit; `serve` always prints its final
-//! snapshot when shut down (Ctrl-C / SIGTERM). Set `PDDL_LOG` (e.g.
+//! `serve` prints its final telemetry snapshot (JSON) to stderr when shut
+//! down (Ctrl-C / SIGTERM). Set `PDDL_LOG` (e.g.
 //! `PDDL_LOG=info,controller=debug`) for structured JSON logs on stderr.
 
 use pddl_cluster::{ClusterState, ServerClass};
@@ -49,13 +47,8 @@ fn main() -> ExitCode {
         eprintln!("unknown command '{cmd}'\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = parse_flags(rest).and_then(|flags| {
-        let result = check_flags(command, &flags).and_then(|()| (command.run)(&flags));
-        if flags.contains_key(METRICS_DUMP) {
-            eprintln!("{}", pddl_telemetry::snapshot_json());
-        }
-        result
-    });
+    let result = parse_flags(rest)
+        .and_then(|flags| check_flags(command, &flags).and_then(|()| (command.run)(&flags)));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -82,11 +75,9 @@ const USAGE: &str = "usage:
                          [--batch 128] [--epochs 10] [--timeout-ms 5000]
   predictddl-cli stats   [--addr 127.0.0.1:7077] [--timeout-ms 5000]
   predictddl-cli trace   [--addr 127.0.0.1:7077] [--timeout-ms 5000] [--json]
-  predictddl-cli metrics [--addr 127.0.0.1:7077] [--timeout-ms 5000]
   predictddl-cli models
   predictddl-cli help | --help | -h
 options:
-  --metrics-dump   print the local telemetry snapshot (JSON) to stderr on exit
   --registry       train: publish the trained system as a new checkpoint
                    version; serve: serve the newest verifiable version and
                    answer {\"op\":\"reload\"} with validated hot swaps
@@ -120,9 +111,6 @@ struct Command {
     flags: &'static [&'static str],
     run: fn(&Flags) -> Result<(), String>,
 }
-
-/// The one flag every subcommand accepts.
-const METRICS_DUMP: &str = "metrics-dump";
 
 /// Every subcommand with the flags it reads. Anything else on a command
 /// line is refused before the command does any work, so a typo
@@ -177,7 +165,6 @@ const COMMANDS: &[Command] = &[
     },
     Command { name: "stats", flags: &["addr", "timeout-ms"], run: cmd_stats },
     Command { name: "trace", flags: &["addr", "timeout-ms", "json"], run: cmd_trace },
-    Command { name: "metrics", flags: &["addr", "timeout-ms"], run: cmd_metrics },
     Command { name: "models", flags: &[], run: cmd_models },
 ];
 
@@ -191,7 +178,7 @@ fn check_flags(command: &Command, flags: &Flags) -> Result<(), String> {
     let unknown = flags
         .keys()
         .map(String::as_str)
-        .filter(|k| *k != METRICS_DUMP && !command.flags.contains(k))
+        .filter(|k| !command.flags.contains(k))
         .min();
     match unknown {
         Some(k) => Err(format!("unknown flag --{k} for {}", command.name)),
@@ -421,8 +408,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     );
     println!(
         "protocol: one JSON PredictionRequest per line (a JSON array is a \
-         pooled batch); {{\"op\":\"stats\"}}, {{\"op\":\"trace\"}}, \
-         {{\"op\":\"metrics\"}} for observability; {{\"op\":\"reload\"}} \
+         pooled batch); {{\"op\":\"stats\"}}, {{\"op\":\"trace\"}} for \
+         observability; {{\"op\":\"reload\"}} \
          for validated hot swaps; {{\"op\":\"observe\"}} to feed measured \
          runtimes back into drift detection; Ctrl-C to stop"
     );
@@ -438,7 +425,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         "shutting down after {} requests; final metrics snapshot:",
         controller.requests_served()
     );
-    eprintln!("{}", pddl_telemetry::snapshot_json());
+    eprintln!("{}", pddl_telemetry::snapshot().to_json());
     // Graceful-drain trace dump: whatever the flight recorder retained
     // (shed / errored / slow traces) is the last chance to see it.
     let rec = pddl_telemetry::trace::flight_recorder();
@@ -449,8 +436,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared connect logic for the read-only control commands (`stats`,
-/// `trace`, `metrics`).
+/// Shared connect logic for the commands that talk to a running
+/// controller (`reload`, `observe`, `stats`, `trace`).
 fn control_client(flags: &Flags) -> Result<ControllerClient, String> {
     let addr = flags.get("addr").map_or("127.0.0.1:7077", |s| s.as_str());
     let timeout_ms: u64 = flags
@@ -547,12 +534,6 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(flags: &Flags) -> Result<(), String> {
-    let text = control_client(flags)?.metrics_text().map_err(|e| e.to_string())?;
-    print!("{text}");
-    Ok(())
-}
-
 fn cmd_models(_flags: &Flags) -> Result<(), String> {
     println!("model zoo ({} architectures):", pddl_zoo::model_names().len());
     for name in pddl_zoo::model_names() {
@@ -581,7 +562,7 @@ mod tests {
     #[test]
     fn known_flags_pass_and_unknown_flags_name_the_offender() {
         let serve = command("serve");
-        let ok = flags_of(&["--registry", "r", "--workers", "8", "--watch-registry", "500", "--metrics-dump"]);
+        let ok = flags_of(&["--registry", "r", "--workers", "8", "--watch-registry", "500"]);
         assert_eq!(check_flags(serve, &ok), Ok(()));
 
         let typo = flags_of(&["--system", "s.json", "--worker", "8"]);
@@ -608,10 +589,10 @@ mod tests {
             Err("unexpected argument '16'".to_string())
         );
         assert_eq!(parse(&["r", "--gpu"]), Err("unexpected argument 'r'".to_string()));
-        let flags = flags_of(&["--gpu", "--servers", "4", "--metrics-dump"]);
+        let flags = flags_of(&["--gpu", "--servers", "4", "--json"]);
         assert_eq!(flags["gpu"], "true");
         assert_eq!(flags["servers"], "4");
-        assert_eq!(flags[METRICS_DUMP], "true");
+        assert_eq!(flags["json"], "true");
     }
 
     #[test]

@@ -13,15 +13,15 @@
 //!
 //! * `{"op":"stats"}` — a live JSON snapshot of the telemetry registry
 //!   (see `OPERATIONS.md` for the metric catalogue);
-//! * `{"op":"metrics"}` — the same registry rendered as Prometheus text
-//!   exposition, wrapped as `{"status":"metrics","exposition":"..."}`;
 //! * `{"op":"trace"}` — the flight recorder's retained traces
 //!   ([`pddl_telemetry::trace::FlightRecorder::retained_json`]);
 //! * `{"op":"route_table"}` — the shard's one-entry identity
 //!   [`RouteTable`] (the `pddl-router` process answers the same op with
 //!   the live fleet membership);
 //! * `{"op":"reload"}` — hot-swap the serving model to a checkpoint-
-//!   registry version (see below).
+//!   registry version (see below);
+//! * `{"op":"observe"}` — feed a completed job's measured runtime into
+//!   the continual-refit loop ([`crate::observe`]).
 //!
 //! ## Hot reload
 //!
@@ -109,7 +109,7 @@ pub use crate::protocol::{
 use crate::observe::ObservationSink;
 use crate::offline::PredictDdl;
 use crate::protocol::{
-    frame_too_long_line, metrics_line, observe_rejected_from_line, observe_rejected_line,
+    frame_too_long_line, observe_rejected_from_line, observe_rejected_line,
     overload_from_line, overload_line, reload_rejected_from_line, reload_rejected_line,
     shard_moved_from_line, stats_line, ObserveReply, ReloadReply, RouteShard, RouteTable,
 };
@@ -139,10 +139,6 @@ struct Metrics {
     requests_total: &'static Counter,
     requests_ok: &'static Counter,
     requests_err: &'static Counter,
-    stats_requests: &'static Counter,
-    trace_requests: &'static Counter,
-    metrics_requests: &'static Counter,
-    route_table_requests: &'static Counter,
     reload_requests: &'static Counter,
     observe_requests: &'static Counter,
     traced_requests: &'static Counter,
@@ -162,10 +158,6 @@ fn metrics() -> &'static Metrics {
         requests_total: pddl_telemetry::counter("controller.requests_total"),
         requests_ok: pddl_telemetry::counter("controller.requests_ok"),
         requests_err: pddl_telemetry::counter("controller.requests_err"),
-        stats_requests: pddl_telemetry::counter("controller.stats_requests"),
-        trace_requests: pddl_telemetry::counter("controller.trace_requests"),
-        metrics_requests: pddl_telemetry::counter("controller.metrics_requests"),
-        route_table_requests: pddl_telemetry::counter("controller.route_table_requests"),
         reload_requests: pddl_telemetry::counter("controller.reload_requests"),
         observe_requests: pddl_telemetry::counter("controller.observe_requests"),
         traced_requests: pddl_telemetry::counter("controller.traced_requests"),
@@ -492,7 +484,6 @@ impl Handler for Serving {
         let ctx = match &frame {
             ParsedFrame::Stats
             | ParsedFrame::Trace
-            | ParsedFrame::Metrics
             | ParsedFrame::RouteTable
             | ParsedFrame::Reload { .. }
             | ParsedFrame::Observe { .. } => None,
@@ -524,10 +515,8 @@ impl Handler for Serving {
         Stage::FrameRead.record(ctx, decode, SpanStatus::Ok);
         match frame {
             // Control ops: answered inline by the reader, never queued or
-            // shed — stats, traces, and metrics stay observable *during*
-            // overload.
+            // shed — stats and traces stay observable *during* overload.
             ParsedFrame::Stats => {
-                m.stats_requests.inc();
                 let out = stats_line(config.shard_id, &pddl_telemetry::snapshot());
                 writer.send(&out)?;
             }
@@ -535,7 +524,6 @@ impl Handler for Serving {
             // one-entry identity table at epoch 0: clients can always ask
             // "who am I talking to", router or not.
             ParsedFrame::RouteTable => {
-                m.route_table_requests.inc();
                 let id = config.shard_id.unwrap_or(0);
                 let table = RouteTable {
                     epoch: 0,
@@ -550,7 +538,6 @@ impl Handler for Serving {
                 writer.send(&table.to_line())?;
             }
             ParsedFrame::Trace => {
-                m.trace_requests.inc();
                 writer.send(&flight_recorder().retained_json())?;
             }
             // Reload: answered inline like the other control ops (an
@@ -592,11 +579,6 @@ impl Handler for Serving {
                         Err(e) => observe_rejected_line(&format!("prediction_failed: {e}")),
                     }
                 };
-                writer.send(&out)?;
-            }
-            ParsedFrame::Metrics => {
-                m.metrics_requests.inc();
-                let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
                 writer.send(&out)?;
             }
             // Batch requests: a JSON *array* of prediction requests. One
@@ -1186,16 +1168,6 @@ impl ControllerClient {
     /// [`pddl_telemetry::trace::parse_trace_dump`].
     pub fn trace_dump(&mut self) -> std::io::Result<JsonValue> {
         self.control("trace")
-    }
-
-    /// Fetches the controller's metrics as Prometheus text exposition
-    /// (`{"op":"metrics"}` on the wire).
-    pub fn metrics_text(&mut self) -> std::io::Result<String> {
-        let doc = self.control("metrics")?;
-        doc.get("exposition")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| invalid_data("metrics response missing 'exposition'".to_string()))
     }
 
     /// Requests a live telemetry snapshot from the controller

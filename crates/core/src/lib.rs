@@ -67,8 +67,6 @@
 //!   (`{"status":"trace","suppressed":…,"retained":[…]}`) — see
 //!   [`pddl_telemetry::trace`] and `ARCHITECTURE.md`'s observability
 //!   section for the span model;
-//! * `{"op":"metrics"}` → the full metric registry rendered as Prometheus
-//!   text exposition, as `{"status":"metrics","exposition":"…"}`;
 //! * `{"op":"route_table"}` → the serving plane's membership as a
 //!   [`RouteTable`] (`{"status":"route_table","epoch":…,"shards":[…]}`).
 //!   A bare controller answers with its one-entry identity table; the

@@ -12,7 +12,7 @@
 //!
 //! The `refit.updates` / `refit.refits` / `refit.drift_events` telemetry
 //! counters increment inside the regress primitives, so a serving
-//! controller's `{"op":"metrics"}` exposition shows the loop working.
+//! controller's `{"op":"stats"}` snapshot shows the loop working.
 
 use crate::protocol::ObserveReply;
 use pddl_regress::RefitLoop;

@@ -21,7 +21,7 @@
 //! * a [`RequestEnvelope`] with a `(client, id)` identity and optional
 //!   [`TraceHeader`] (`predict_envelope` — the idempotent-retry path);
 //! * a control op — any object with an `"op"` key: `stats`, `trace`,
-//!   `metrics`, `route_table`, `reload`, `observe` — answered inline by
+//!   `route_table`, `reload`, `observe` — answered inline by
 //!   the connection reader so they stay available during overload.
 //!
 //! ## Typed error lines
@@ -59,7 +59,6 @@ pub const WIRE_OPS: &[&str] = &[
     "predict_envelope",
     "stats",
     "trace",
-    "metrics",
     "route_table",
     "reload",
     "observe",
@@ -229,8 +228,6 @@ pub enum ParsedFrame {
     Stats,
     /// `{"op":"trace"}` — retained-trace dump request.
     Trace,
-    /// `{"op":"metrics"}` — Prometheus exposition request.
-    Metrics,
     /// `{"op":"route_table"}` — serving-plane membership request.
     RouteTable,
     /// `{"op":"reload"}` — hot-swap to a checkpoint-registry version
@@ -286,7 +283,6 @@ fn control_frame(o: Fields) -> Result<ParsedFrame, JsonError> {
     Ok(match o.field::<String>("op")?.as_str() {
         "stats" => ParsedFrame::Stats,
         "trace" => ParsedFrame::Trace,
-        "metrics" => ParsedFrame::Metrics,
         "route_table" => ParsedFrame::RouteTable,
         "reload" => ParsedFrame::Reload { version: o.field("version")? },
         "observe" => ParsedFrame::Observe {
@@ -327,11 +323,6 @@ pub fn stats_line(shard: Option<u64>, snapshot: &Snapshot) -> String {
             .optional("shard", &shard)
             .field_with("snapshot", |w| w.raw(&snapshot.to_json()))
     })
-}
-
-/// Renders the `{"op":"metrics"}` reply around a Prometheus exposition.
-pub fn metrics_line(exposition: &str) -> String {
-    line(|o| o.field("status", "metrics").field("exposition", exposition))
 }
 
 /// Renders a terminal `{"error":"<kind>","reason":…}` rejection line.

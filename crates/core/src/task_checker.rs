@@ -74,6 +74,19 @@ impl TaskChecker {
         if req.cluster.num_servers() == 0 {
             return Err(RequestError::InvalidCluster("no servers in cluster".into()));
         }
+        // The load figures come off the wire unchecked; Eq. (1)–(2) are
+        // only defined for a busy fraction in [0,1] and at least one core.
+        for (i, s) in req.cluster.servers.iter().enumerate() {
+            if !(0.0..=1.0).contains(&s.cpu_util) {
+                return Err(RequestError::InvalidCluster(format!(
+                    "server {i}: cpu_util {} is outside [0,1]",
+                    s.cpu_util
+                )));
+            }
+            if s.spec.cpu_cores == 0 {
+                return Err(RequestError::InvalidCluster(format!("server {i}: cpu_cores is 0")));
+            }
+        }
 
         let graph = match &req.model {
             ModelRef::Zoo(name) => {
@@ -214,5 +227,34 @@ mod tests {
             TaskChecker::check(&req2, &reg).unwrap_err(),
             RequestError::InvalidCluster(_)
         ));
+    }
+
+    #[test]
+    fn out_of_range_load_figures_name_the_server_and_field() {
+        let reg = registry_with_cifar();
+        let req = |edit: fn(&mut ClusterState)| {
+            let mut c = cluster();
+            edit(&mut c);
+            PredictionRequest::zoo(Workload::standard("vgg16", "cifar10"), c)
+        };
+        let rejected = |r: &PredictionRequest| TaskChecker::check(r, &reg).unwrap_err();
+        assert_eq!(
+            rejected(&req(|c| c.servers[1].cpu_util = f64::NAN)),
+            RequestError::InvalidCluster("server 1: cpu_util NaN is outside [0,1]".into())
+        );
+        assert_eq!(
+            rejected(&req(|c| c.servers[0].cpu_util = 1.5)),
+            RequestError::InvalidCluster("server 0: cpu_util 1.5 is outside [0,1]".into())
+        );
+        assert_eq!(
+            rejected(&req(|c| c.servers[1].spec.cpu_cores = 0)),
+            RequestError::InvalidCluster("server 1: cpu_cores is 0".into())
+        );
+        // The bounds themselves are valid loads.
+        for util in [0.0, 1.0] {
+            let mut ok = req(|_| {});
+            ok.cluster.servers[0].cpu_util = util;
+            assert!(TaskChecker::check(&ok, &reg).is_ok(), "cpu_util {util}");
+        }
     }
 }

@@ -129,7 +129,9 @@ impl Manifest {
     /// computed in arithmetic the loader can no longer reproduce.
     pub fn from_json(input: &str) -> Result<Manifest, String> {
         let v = JsonValue::parse(input)?;
-        let format = field_u64(&v, "format")? as u32;
+        let format = field_u64(&v, "format")?;
+        let format = u32::try_from(format)
+            .map_err(|_| format!("manifest: `format` {format} is out of range"))?;
         let version = field_u64(&v, "version")?;
         let created_unix = field_u64(&v, "created_unix")?;
         let label = v
@@ -264,6 +266,20 @@ mod tests {
                 "cut at {cut} should not parse"
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_format_is_refused_not_narrowed() {
+        // 2^32 + 1 would narrow to 1, this build's format, under `as u32`.
+        let wide = sample().to_json().replacen(
+            &format!("\"format\": {FORMAT_VERSION}"),
+            "\"format\": 4294967297",
+            1,
+        );
+        assert_eq!(
+            Manifest::from_json(&wide).unwrap_err(),
+            "manifest: `format` 4294967297 is out of range"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! `tests/properties.rs`.
 //!
 //! Telemetry: `refit.updates`, `refit.refits` and (from the drift module)
-//! `refit.drift_events` counters are visible in `{"op":"metrics"}`
-//! exposition wherever the loop runs.
+//! `refit.drift_events` counters are visible in the `{"op":"stats"}`
+//! snapshot wherever the loop runs.
 
 use pddl_telemetry::Counter;
 use std::collections::VecDeque;

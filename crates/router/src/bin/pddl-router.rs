@@ -161,7 +161,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         table.shards.iter().filter(|s| s.healthy).count(),
         table.shards.len(),
     );
-    eprintln!("{}", pddl_telemetry::snapshot_json());
+    eprintln!("{}", pddl_telemetry::snapshot().to_json());
     Ok(())
 }
 

@@ -43,7 +43,6 @@ pub fn frame_key(frame: &ParsedFrame) -> Option<u64> {
         ParsedFrame::Observe { req, .. } => Some(routing_key(req)),
         ParsedFrame::Stats
         | ParsedFrame::Trace
-        | ParsedFrame::Metrics
         | ParsedFrame::RouteTable
         | ParsedFrame::Reload { .. } => None,
     }

@@ -3,7 +3,7 @@
 //!
 //! A [`Router`] listens on its own address, speaking the same
 //! newline-delimited JSON protocol as the controller. Control ops
-//! (`stats`, `trace`, `metrics`) are answered from the router's own
+//! (`stats`, `trace`) are answered from the router's own
 //! telemetry; `{"op":"route_table"}` answers the live fleet membership;
 //! every prediction frame is forwarded **verbatim** to the shard owning
 //! its routing key ([`crate::key::routing_key`]) and the shard's reply
@@ -51,7 +51,7 @@ use pddl_telemetry::{
     flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
 };
 use predictddl::protocol::{
-    frame_too_long_line, metrics_line, overload_line, shard_moved_line, stats_line, RouteShard,
+    frame_too_long_line, overload_line, shard_moved_line, stats_line, RouteShard,
     RouteTable,
 };
 use predictddl::{
@@ -113,10 +113,6 @@ struct Metrics {
     shard_moved_replies: &'static Counter,
     unrouteable: &'static Counter,
     malformed_pass: &'static Counter,
-    stats_requests: &'static Counter,
-    trace_requests: &'static Counter,
-    metrics_requests: &'static Counter,
-    route_table_requests: &'static Counter,
     reload_fanouts: &'static Counter,
     probe_cycles: &'static Counter,
     probe_failures: &'static Counter,
@@ -135,10 +131,6 @@ fn metrics() -> &'static Metrics {
         shard_moved_replies: pddl_telemetry::counter("router.shard_moved_replies"),
         unrouteable: pddl_telemetry::counter("router.unrouteable"),
         malformed_pass: pddl_telemetry::counter("router.malformed_pass"),
-        stats_requests: pddl_telemetry::counter("router.stats_requests"),
-        trace_requests: pddl_telemetry::counter("router.trace_requests"),
-        metrics_requests: pddl_telemetry::counter("router.metrics_requests"),
-        route_table_requests: pddl_telemetry::counter("router.route_table_requests"),
         reload_fanouts: pddl_telemetry::counter("router.reload_fanouts"),
         probe_cycles: pddl_telemetry::counter("router.probe_cycles"),
         probe_failures: pddl_telemetry::counter("router.probe_failures"),
@@ -429,24 +421,9 @@ impl Handler for Routing {
         let (membership, config) = (&*self.membership, self.config);
         m.requests_total.inc();
         match parse_frame(&line) {
-            Ok(ParsedFrame::Stats) => {
-                m.stats_requests.inc();
-                let out = stats_line(None, &pddl_telemetry::snapshot());
-                client.send(&out)?;
-            }
-            Ok(ParsedFrame::Trace) => {
-                m.trace_requests.inc();
-                client.send(&flight_recorder().retained_json())?;
-            }
-            Ok(ParsedFrame::Metrics) => {
-                m.metrics_requests.inc();
-                let out = metrics_line(&pddl_telemetry::expo::prometheus_global());
-                client.send(&out)?;
-            }
-            Ok(ParsedFrame::RouteTable) => {
-                m.route_table_requests.inc();
-                client.send(&membership.table().to_line())?;
-            }
+            Ok(ParsedFrame::Stats) => client.send(&stats_line(None, &pddl_telemetry::snapshot()))?,
+            Ok(ParsedFrame::Trace) => client.send(&flight_recorder().retained_json())?,
+            Ok(ParsedFrame::RouteTable) => client.send(&membership.table().to_line())?,
             Ok(ParsedFrame::Reload { .. }) => {
                 m.reload_fanouts.inc();
                 let out = fan_reload(&line, membership, legs, config);

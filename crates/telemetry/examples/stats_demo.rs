@@ -45,7 +45,7 @@ fn main() {
 
     // Export, then parse our own export back (the same path
     // `ControllerClient::stats()` uses on the wire).
-    let json = pddl_telemetry::snapshot_json();
+    let json = pddl_telemetry::snapshot().to_json();
     let parsed = Snapshot::from_json(&json).expect("snapshot json round-trips");
     assert_eq!(parsed.counter("demo.requests"), Some(128));
     assert_eq!(parsed.gauge("demo.active"), Some(3));

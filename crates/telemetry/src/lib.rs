@@ -6,15 +6,11 @@
 //! gated by the `PDDL_LOG` environment filter, and a JSON snapshot exporter served live
 //! over the controller wire protocol (`{"op":"stats"}`).
 //!
-//! On top of the flat metrics sit two request-level facilities:
-//!
-//! * [`trace`] — the pipeline [`Stage`]s, each timed once per request
-//!   into its `trace.stage.<name>` histogram, per-request
-//!   [`TraceContext`]s, and a lock-free [`FlightRecorder`] ring of span
-//!   events with tail-sampled retention of shed / errored / slow traces,
-//!   served via `{"op":"trace"}`;
-//! * [`expo`] — Prometheus-style text exposition of the registry,
-//!   served via `{"op":"metrics"}`.
+//! On top of the flat metrics sits one request-level facility,
+//! [`trace`]: the pipeline [`Stage`]s, each timed once per request into
+//! its `trace.stage.<name>` histogram, per-request [`TraceContext`]s, and
+//! a lock-free [`FlightRecorder`] ring of span events with tail-sampled
+//! retention of shed / errored / slow traces, served via `{"op":"trace"}`.
 //!
 //! Built entirely on `std`, so every crate in the workspace can depend on
 //! it without weight — which is also why the workspace's one JSON codec
@@ -66,7 +62,6 @@
 
 #![warn(missing_docs)]
 
-pub mod expo;
 pub mod hash;
 pub mod json;
 mod log;
@@ -107,11 +102,6 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// Consistent snapshot of every registered metric, names sorted.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
-}
-
-/// [`snapshot`] rendered as a JSON object.
-pub fn snapshot_json() -> String {
-    snapshot().to_json()
 }
 
 /// Zeroes every registered metric (handles stay valid). Intended for tests

@@ -1,6 +1,6 @@
 //! Point-in-time export of the registry: a typed [`Snapshot`] with a JSON
 //! encoder and decoder, served over the controller's `{"op":"stats"}` wire
-//! op and printed by `predictddl-cli --metrics-dump`.
+//! op and printed by `predictddl-cli serve` on shutdown.
 
 use crate::json::{push_f64, push_json_string, JsonValue};
 

@@ -1,17 +1,17 @@
 //! Golden fixtures for the two observability wire formats:
 //!
-//! 1. the Prometheus text exposition served by `{"op":"metrics"}`, and
+//! 1. the registry snapshot served by `{"op":"stats"}`, and
 //! 2. the retained-trace JSON served by `{"op":"trace"}`.
 //!
 //! Both renderers are deterministic for fixed inputs, so the fixtures pin
-//! *exact bytes*, not just field names — external scrapers and the CLI
-//! parse these formats, and a silent reshape is a breaking change. On an
-//! intentional change, regenerate with
+//! *exact bytes*, not just field names — the router's health probe and
+//! the CLI read these formats, and a silent reshape is a breaking change.
+//! On an intentional change, regenerate with
 //! `PDDL_REGEN_GOLDEN=1 cargo test -p pddl-telemetry --test golden_shapes`
 //! and review the fixture diff like any other code change.
 
 use pddl_telemetry::trace::{FlightRecorder, Stage};
-use pddl_telemetry::{expo, HistogramSnapshot, Snapshot, SpanStatus, TraceContext};
+use pddl_telemetry::{HistogramSnapshot, Snapshot, SpanStatus, TraceContext};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -37,8 +37,8 @@ fn check_or_regen(name: &str, live: &str) {
     );
 }
 
-/// One of every metric kind, with enough variety to exercise name
-/// sanitization and the overflow counter.
+/// One of every metric kind, a fractional mean and a non-zero overflow
+/// counter.
 fn sample_snapshot() -> Snapshot {
     Snapshot {
         counters: vec![
@@ -104,11 +104,6 @@ fn sample_recorder() -> FlightRecorder {
 #[test]
 fn stats_snapshot_matches_golden_fixture() {
     check_or_regen("stats_snapshot.json", &sample_snapshot().to_json());
-}
-
-#[test]
-fn prometheus_exposition_matches_golden_fixture() {
-    check_or_regen("metrics_exposition.txt", &expo::prometheus(&sample_snapshot()));
 }
 
 #[test]

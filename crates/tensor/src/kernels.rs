@@ -25,7 +25,7 @@
 //! startup; [`set_force_scalar`] flips it at runtime (how the
 //! dispatch-matrix tests run both paths in one process). The active backend is mirrored into the telemetry registry
 //! as `tensor.kernel.<name>` 0/1 info-gauges, which flow into
-//! `{"op":"stats"}` and the Prometheus exposition unchanged.
+//! the `{"op":"stats"}` snapshot unchanged.
 //!
 //! ## Numerics
 //!
@@ -172,8 +172,8 @@ pub fn force_scalar() -> bool {
 
 /// Mirrors the selected backend into 0/1 info-gauges
 /// (`tensor.kernel.avx2_fma` / `tensor.kernel.neon` /
-/// `tensor.kernel.scalar`) so a live shard's stats and Prometheus
-/// exposition show what it is actually running.
+/// `tensor.kernel.scalar`) so a live shard's stats show what it is
+/// actually running.
 fn report_backend(active: KernelBackend) {
     for b in [KernelBackend::Avx2Fma, KernelBackend::Neon, KernelBackend::Scalar] {
         pddl_telemetry::gauge(b.gauge_name()).set(i64::from(b == active));

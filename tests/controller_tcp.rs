@@ -146,6 +146,49 @@ fn malformed_line_gets_typed_error() {
     assert!(line.contains("malformed"), "{line}");
 }
 
+/// Load figures outside what Eq. (1)–(2) are defined for earn the typed
+/// `invalid_cluster` error naming the server and field, on `predict` and
+/// on `observe` alike, instead of reaching the equations' asserts; the
+/// connection keeps answering.
+#[test]
+fn out_of_range_cluster_figures_get_a_typed_error() {
+    let controller = serve_tiny();
+    let mut client =
+        ControllerClient::connect_with_timeout(controller.addr(), std::time::Duration::from_secs(10))
+            .unwrap();
+    let valid = PredictionRequest::zoo(
+        Workload::new("resnet18", "cifar10", 128, 2),
+        ClusterState::homogeneous(ServerClass::CpuE5_2630, 2),
+    );
+    let mut busy = valid.clone();
+    busy.cluster.servers[1].cpu_util = 1.5;
+    let mut coreless = valid.clone();
+    coreless.cluster.servers[0].spec.cpu_cores = 0;
+    let observed = |client: &mut ControllerClient| {
+        client.stats().unwrap().counter("controller.observe_requests").unwrap_or(0)
+    };
+    let observed_before = observed(&mut client);
+
+    for (req, detail) in [
+        (&busy, "server 1: cpu_util 1.5 is outside [0,1]"),
+        (&coreless, "server 0: cpu_cores is 0"),
+    ] {
+        assert_eq!(
+            client.predict(req).unwrap().unwrap_err(),
+            RequestError::InvalidCluster(detail.to_string())
+        );
+        assert_eq!(
+            client.observe(req, 100.0).unwrap(),
+            Err(format!("prediction_failed: invalid cluster: {detail}"))
+        );
+    }
+    assert!(client.predict(&valid).unwrap().unwrap().seconds > 0.0);
+    assert!(client.observe(&valid, 100.0).unwrap().is_ok());
+    // Other tests in this binary observe nothing, but the registry is
+    // process-global: assert the delta with >=.
+    assert!(observed(&mut client) >= observed_before + 3, "controller.observe_requests");
+}
+
 /// A plain client whose request timed out must not read that request's
 /// late reply as the answer to its next one: the timed-out connection is
 /// dropped, and the next call dials afresh. The peer answers

@@ -22,9 +22,9 @@ use pddl_telemetry::json::{self, FromJson, ToJson};
 use pddl_telemetry::trace::{parse_trace_dump, render_trace_dump};
 use pddl_telemetry::{JsonValue, Snapshot};
 use predictddl::protocol::{
-    metrics_line, observe_rejected_from_line, observe_rejected_line, overload_from_line,
-    overload_line, reload_rejected_from_line, reload_rejected_line, shard_moved_from_line,
-    shard_moved_line, stats_line,
+    observe_rejected_from_line, observe_rejected_line, overload_from_line, overload_line,
+    reload_rejected_from_line, reload_rejected_line, shard_moved_from_line, shard_moved_line,
+    stats_line,
 };
 use predictddl::{
     parse_frame, ObserveReply, ParsedFrame, ReloadReply, ResponseEnvelope, RouteTable,
@@ -82,7 +82,6 @@ fn frame_kind(frame: &ParsedFrame) -> &'static str {
         ParsedFrame::Enveloped(_) => "predict_envelope",
         ParsedFrame::Stats => "stats",
         ParsedFrame::Trace => "trace",
-        ParsedFrame::Metrics => "metrics",
         ParsedFrame::RouteTable => "route_table",
         ParsedFrame::Reload { .. } => "reload",
         ParsedFrame::Observe { .. } => "observe",
@@ -150,7 +149,6 @@ fn replay_reply(l: &DocLine) -> String {
                 .unwrap_or_else(|e| panic!("PROTOCOL.md:{}: bad trace dump: {e}", l.line_no));
             render_trace_dump(int("suppressed"), &traces)
         }
-        (Some("metrics"), _) => metrics_line(text("exposition")),
         (Some("route_table"), _) => decode::<RouteTable>(l).to_line(),
         (Some("reload"), _) => decode::<ReloadReply>(l).to_line(),
         (Some("observe"), _) => decode::<ObserveReply>(l).to_line(),

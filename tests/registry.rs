@@ -243,7 +243,14 @@ fn failing_probe_is_rejected_over_tcp_and_rolls_back() {
 fn reload_without_registry_is_rejected_typed() {
     let controller = Controller::serve("127.0.0.1:0", tiny_system()).unwrap();
     let mut client = ControllerClient::connect(controller.addr()).unwrap();
+    let reloads = |client: &mut ControllerClient| {
+        client.stats().unwrap().counter("controller.reload_requests").unwrap_or(0)
+    };
+    let before = reloads(&mut client);
     assert_eq!(client.reload(None).unwrap(), Err("no_registry".to_string()));
+    // A rejected reload is still a reload request (the registry is
+    // process-global, so other tests may add to the count too).
+    assert!(reloads(&mut client) > before, "controller.reload_requests did not count");
     // The connection survives the rejection — it is a reply, not a hangup.
     assert!(client.predict(&fixed_request()).unwrap().is_ok());
 }

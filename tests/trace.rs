@@ -16,8 +16,8 @@
 //! 3. the trace dump survives wire chaos: with truncating/resetting
 //!    faults injected, `{"op":"trace"}` still eventually returns one
 //!    frame of valid, parseable JSON;
-//! 4. `{"op":"metrics"}` serves Prometheus text exposition naming the
-//!    tracing metrics;
+//! 4. `{"op":"stats"}` counts the traced request and carries its stage
+//!    samples;
 //! 5. an untraced prediction still times its stages: one sample each in
 //!    the stage histograms, nothing in the ring.
 //!
@@ -256,25 +256,26 @@ fn trace_dump_stays_valid_json_under_wire_faults() {
 }
 
 #[test]
-fn metrics_op_serves_prometheus_exposition() {
+fn stats_op_counts_traced_requests_and_stage_samples() {
     let _g = recorder_lock().lock().unwrap_or_else(|e| e.into_inner());
 
     let controller = Controller::serve("127.0.0.1:0", OfflineTrainer::tiny().train_full())
         .expect("bind controller");
     let mut client = ControllerClient::connect(controller.addr()).expect("connect");
+    let before = client.stats().expect("op stats");
     client
         .predict_with_trace(&request("vgg16"), TraceContext::root(0x3E7))
         .expect("transport")
         .expect("prediction");
+    let after = client.stats().expect("op stats");
 
-    let expo = client.metrics_text().expect("op metrics");
-    for needle in [
-        "# TYPE pddl_controller_requests_total counter",
-        "# TYPE pddl_trace_stage_queue_wait summary",
-        "pddl_controller_traced_requests",
-        "pddl_trace_stage_regress_count",
-    ] {
-        assert!(expo.contains(needle), "exposition missing {needle:?}:\n{expo}");
+    let counter = |snap: &pddl_telemetry::Snapshot, name| snap.counter(name).unwrap_or(0);
+    for name in ["controller.requests_total", "controller.traced_requests"] {
+        assert!(counter(&after, name) > counter(&before, name), "{name} did not count");
+    }
+    let samples = |snap: &pddl_telemetry::Snapshot, name| snap.histogram(name).map_or(0, |h| h.count);
+    for name in ["trace.stage.queue_wait", "trace.stage.regress"] {
+        assert!(samples(&after, name) > samples(&before, name), "{name} has no new sample");
     }
 }
 

@@ -243,7 +243,8 @@ fn valid_frames_always_classify() {
     }
     assert!(matches!(parse_frame("{\"op\":\"stats\"}"), Ok(ParsedFrame::Stats)));
     assert!(matches!(parse_frame("{\"op\":\"trace\"}"), Ok(ParsedFrame::Trace)));
-    assert!(matches!(parse_frame("{\"op\":\"metrics\"}"), Ok(ParsedFrame::Metrics)));
+    let removed = parse_frame("{\"op\":\"metrics\"}").expect_err("not an op");
+    assert!(removed.contains("unknown op `metrics`"), "{removed}");
     assert!(parse_frame("not json").is_err());
     assert!(parse_frame("[{\"bad\":1}]").is_err());
 }
