@@ -82,6 +82,12 @@ impl ParamStore {
         self.values.len()
     }
 
+    /// Drops every parameter from id `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.values.truncate(len);
+        self.names.truncate(len);
+    }
+
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
@@ -89,11 +95,6 @@ impl ParamStore {
     /// Iterator over all parameter ids.
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.values.len()).map(ParamId)
-    }
-
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        self.values.iter().map(|m| m.len()).sum()
     }
 }
 

@@ -13,8 +13,6 @@ pub use table::{Cell, Table};
 
 use pddl_cluster::ServerClass;
 use pddl_ddlsim::{generate_trace, TraceConfig, TraceRecord};
-use pddl_ghn::train::TrainConfig;
-use pddl_ghn::GhnConfig;
 use pddl_regress::split::train_test_split;
 use pddl_regress::{Regressor, StandardScaler};
 use pddl_tensor::Matrix;
@@ -182,8 +180,7 @@ impl Context {
     /// its own default GHN per dataset.
     pub(crate) fn system(&self) -> &PredictDdl {
         self.system.get_or_init(|| {
-            let registry = GhnRegistry::new(GhnConfig::default(), TrainConfig::default(), SEED);
-            self.fit(self.split().0, registry)
+            self.fit(self.split().0, GhnRegistry::default())
         })
     }
 

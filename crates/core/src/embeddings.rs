@@ -383,14 +383,10 @@ impl EmbeddingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pddl_ghn::GhnConfig;
-    use pddl_ghn::train::TrainConfig;
     use pddl_zoo::{build_model, CIFAR10};
 
     fn registry() -> GhnRegistry {
-        let mut r = GhnRegistry::new(GhnConfig::tiny(), TrainConfig::tiny(), 5);
-        r.train_for_dataset("cifar10").unwrap();
-        r
+        GhnRegistry::tiny(5, &["cifar10"])
     }
 
     #[test]
@@ -399,7 +395,7 @@ mod tests {
         let gen = EmbeddingsGenerator::new();
         let g = build_model("resnet18", &CIFAR10).unwrap();
         let e = gen.embed(&reg, "cifar10", &g).unwrap();
-        assert_eq!(e.len(), GhnConfig::tiny().hidden_dim);
+        assert_eq!(e.len(), pddl_ghn::GhnConfig::tiny().hidden_dim);
     }
 
     #[test]
@@ -487,8 +483,7 @@ mod tests {
 
     #[test]
     fn cache_distinguishes_datasets_for_the_same_graph() {
-        let mut reg = registry();
-        reg.train_for_dataset("tiny-imagenet").unwrap();
+        let reg = GhnRegistry::tiny(5, &["cifar10", "tiny-imagenet"]);
         let cache = EmbeddingCache::new(64);
         let g = synth_graph(16);
         let a = cache.get_or_embed(&reg, "cifar10", &g).unwrap();

@@ -81,8 +81,7 @@ impl OfflineTrainer {
     /// engine from an explicit trace — the entry point for the experiment
     /// harness, which controls train/test splits itself.
     pub fn train_from_records(&self, records: &[TraceRecord]) -> PredictDdl {
-        let registry = GhnRegistry::new(self.ghn_config, self.ghn_train, self.seed);
-        self.train_from_records_reusing(records, registry)
+        self.train_from_records_reusing(records, GhnRegistry::default())
     }
 
     /// Like [`Self::train_from_records`], but keeps the GHNs already in
@@ -224,10 +223,7 @@ impl OfflineTrainer {
         all.extend(new_records);
         // Refit on the union, carrying the existing GHNs over so only the
         // new dataset's GHN is trained.
-        let registry = std::mem::replace(
-            &mut system.registry,
-            GhnRegistry::new(self.ghn_config, self.ghn_train, self.seed),
-        );
+        let registry = std::mem::take(&mut system.registry);
         *system = self.train_from_records_reusing(&all, registry);
         Ok(())
     }

@@ -119,14 +119,10 @@ mod tests {
     use super::*;
     use pddl_cluster::{ClusterState, ServerClass};
     use pddl_ddlsim::Workload;
-    use pddl_ghn::GhnConfig;
-    use pddl_ghn::train::TrainConfig;
     use pddl_graph::{NodeAttrs, OpKind};
 
     fn registry_with_cifar() -> GhnRegistry {
-        let mut r = GhnRegistry::new(GhnConfig::tiny(), TrainConfig::tiny(), 3);
-        r.train_for_dataset("cifar10").unwrap();
-        r
+        GhnRegistry::tiny(3, &["cifar10"])
     }
 
     fn cluster() -> ClusterState {

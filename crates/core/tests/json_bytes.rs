@@ -14,7 +14,7 @@ use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore};
 use pddl_cluster::{ClusterState, ServerClass, ServerSpec};
 use pddl_ddlsim::{TraceRecord, Workload};
 use pddl_ernest::ErnestModel;
-use pddl_ghn::{EmbeddingSet, Ghn, GhnConfig, TrainConfig};
+use pddl_ghn::{EmbeddingSet, Ghn, GhnConfig, GhnEncoder, TrainConfig};
 use pddl_graph::{CompGraph, NodeAttrs};
 use pddl_regress::{
     Kernel, LinearRegression, MlpRegressor, PolyFeatures, Regression, Regressor, Ridge,
@@ -34,7 +34,11 @@ use std::fmt::Write;
 use std::path::PathBuf;
 
 fn fixture() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/json_bytes.txt")
+    fixture_named("json_bytes.txt")
+}
+
+fn fixture_named(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
 }
 
 /// Appends `name`'s `len fnv1a` line for `text`.
@@ -86,8 +90,8 @@ fn graph() -> CompGraph {
     pddl_zoo::build_model("resnet18", &pddl_zoo::CIFAR10).expect("zoo model")
 }
 
-fn ghn() -> Ghn {
-    Ghn::new(GhnConfig::tiny(), &mut Rng::new(0x31))
+fn ghn() -> GhnEncoder {
+    Ghn::new(GhnConfig::tiny(), &mut Rng::new(0x31)).into_encoder()
 }
 
 fn record() -> TraceRecord {
@@ -127,7 +131,7 @@ fn embeddings() -> EmbeddingsGenerator {
 }
 
 fn registry() -> GhnRegistry {
-    let mut r = GhnRegistry::new(GhnConfig::tiny(), TrainConfig::tiny(), 0x916);
+    let mut r = GhnRegistry::default();
     r.insert("cifar10", ghn());
     r
 }
@@ -194,7 +198,7 @@ fn json_types_keep_their_bytes() {
     set.insert("resnet18", vec![0.25, -0.5, 1.0]);
     set.insert("vgg16", vec![1e-3, 2.5e7, -0.125]);
     pin(out, "EmbeddingSet", &set);
-    pin(out, "Ghn", &ghn());
+    pin(out, "GhnEncoder", &ghn());
 
     let (x, y) = design();
     pin(out, "Ridge", &Ridge { lambda: 1e-3, coef: vec![1.0, 2.0, -0.5, 0.0078125] });
@@ -245,7 +249,7 @@ fn json_types_keep_their_bytes() {
     let spec_doc = without(&json::to_string(&spec).unwrap(), &["hostname", "net_bps"]);
     pin_error::<ServerSpec>(out, "ServerSpec", "two-missing", &spec_doc);
     let ghn_doc = json::to_string(&ghn()).unwrap().replacen("\"hidden_dim\":8", "\"hidden_dim\":-8", 1);
-    pin_error::<Ghn>(out, "Ghn", "nested", &ghn_doc);
+    pin_error::<GhnEncoder>(out, "GhnEncoder", "nested", &ghn_doc);
 
     let path = fixture();
     if std::env::var("PDDL_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
@@ -261,4 +265,23 @@ fn json_types_keep_their_bytes() {
         assert_eq!(got, want, "json_bytes.txt line {} drifted", i + 1);
     }
     assert_eq!(stored.lines().count(), live.lines().count(), "json_bytes.txt line count");
+}
+
+/// `fixtures/system_v1.json` is `json::to_string(&system())` as checkpoint
+/// format 1 wrote it: each GHN with its decoder, `cfg.normalize` and
+/// `cfg.decoder_hidden`, the registry with its `ghn_config`,
+/// `train_config` and `seed`. It decodes through the encoder's one
+/// migration into exactly the bytes this build writes for `system()`, in
+/// which no training-only member is left.
+#[test]
+fn format_1_system_decodes_to_format_2_bytes() {
+    let v1 = std::fs::read_to_string(fixture_named("system_v1.json")).unwrap();
+    // Format 1's `PredictDdl` line of `json_bytes.txt`.
+    assert_eq!((v1.len(), fnv1a(v1.as_bytes())), (18448, 0x9d14_50b1_cc9f_af73), "system_v1.json");
+    let v2 = json::to_string(&system()).unwrap();
+    let migrated: PredictDdl = json::from_str(&v1).unwrap();
+    assert_eq!(json::to_string(&migrated).unwrap(), v2);
+    for key in ["decoder", "train_config", "normalize", "decoder_hidden"] {
+        assert!(!v2.contains(&format!("\"{key}\"")), "`{key}` in a format-2 system");
+    }
 }

@@ -1,28 +1,22 @@
 //! GHN hyperparameters.
 
-
-/// Configuration of a GHN-2 instance.
+/// Configuration of a GHN-2 instance: the encoder's shape. The trainer's
+/// decoder head derives its width from `hidden_dim`.
 #[derive(Clone, Copy, Debug)]
 pub struct GhnConfig {
     /// Node-state / embedding dimensionality `d`. The paper quotes a
     /// fixed-size output of e.g. 32.
     pub hidden_dim: usize,
-    /// Number of forward+backward propagation rounds `T` (Eq. 3).
+    /// Number of forward+backward propagation rounds `T` (Eq. 3), each
+    /// ending with an L2 normalisation of every node state.
     pub t_passes: usize,
     /// Virtual-edge cutoff `s^(max)` (Eq. 4).
     pub s_max: u32,
     /// Hidden width of the message MLPs.
     pub mlp_hidden: usize,
-    /// Apply per-node L2 normalization after each propagation sweep
-    /// (GHN-2's stabilization; disable to observe gradient explosion).
-    pub normalize: bool,
-    /// Hidden width of the decoder head.
-    pub decoder_hidden: usize,
 }
 
-pddl_telemetry::json_struct!(GhnConfig {
-    hidden_dim, t_passes, s_max, mlp_hidden, normalize, decoder_hidden,
-});
+pddl_telemetry::json_struct!(GhnConfig { hidden_dim, t_passes, s_max, mlp_hidden });
 
 impl Default for GhnConfig {
     fn default() -> Self {
@@ -31,8 +25,6 @@ impl Default for GhnConfig {
             t_passes: 1,
             s_max: 5,
             mlp_hidden: 32,
-            normalize: true,
-            decoder_hidden: 48,
         }
     }
 }
@@ -45,8 +37,6 @@ impl GhnConfig {
             t_passes: 1,
             s_max: 3,
             mlp_hidden: 8,
-            normalize: true,
-            decoder_hidden: 12,
         }
     }
 }

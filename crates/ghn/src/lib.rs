@@ -12,11 +12,18 @@
 //! * GHN-2's **virtual edges**: `m_v += Σ_{u: 1<s_vu≤s_max} MLP_sp(h_u)/s_vu`
 //!   (Eq. 4);
 //! * **operation-dependent normalization** of node states to keep deep
-//!   graphs stable (the paper's enhancement (2));
+//!   graphs stable (the paper's enhancement (2)), after every round;
 //! * a **decoder**. The original GHN decodes per-node weights; PredictDDL
 //!   "skips the last module ... and uses the intermediate complexity vector
 //!   representation" — we keep a *graph-level* decoder as the meta-training
 //!   objective and expose the pooled pre-decoder state as the embedding.
+//!
+//! The network is two types along that cut. [`GhnEncoder`] is what is
+//! served and checkpointed: the weights up to the pooled embedding, the
+//! sweep and [`GhnEncoder::embed_graph`]. [`Ghn`] is what is trained: the
+//! encoder plus the decoder head in one parameter store, the traced
+//! forward [`GhnTrainer`] steps, and [`Ghn::into_encoder`], which cuts the
+//! decoder off once meta-training is done.
 //!
 //! ## Meta-training substitution (see DESIGN.md)
 //!
@@ -39,6 +46,6 @@ pub mod train;
 
 pub use config::GhnConfig;
 pub use embed::{cosine_similarity, EmbeddingSet};
-pub use model::{Ghn, Schedule};
+pub use model::{Ghn, GhnEncoder, Schedule};
 pub use synth::SynthGenerator;
 pub use train::{GhnTrainer, TrainConfig, TrainReport};

@@ -1,4 +1,7 @@
-//! The GHN-2 network: embedding layer → GatedGNN → readout → decoder.
+//! The GHN-2 network: embedding layer → GatedGNN → readout → decoder,
+//! split where PredictDDL cuts it. [`GhnEncoder`] is everything up to the
+//! readout, the pooled embedding a prediction reads; [`Ghn`] adds the
+//! decoder head meta-training fits, and hands back its encoder to serve.
 //!
 //! The GatedGNN's message passing is written once, as one sweep generic
 //! over a crate-private backend that holds the node states and runs the
@@ -6,7 +9,7 @@
 //! into its GRU update, normalise. Two backends share one set of weights:
 //! * `Var` rows on an autodiff [`Tape`] — [`Ghn::embed_traced`], for
 //!   meta-training;
-//! * f32 rows in one per-call workspace — [`Ghn::embed_graph`], the
+//! * f32 rows in one per-call workspace — [`GhnEncoder::embed_graph`], the
 //!   inference path used by the PredictDDL Embeddings Generator.
 //!
 //! The sweep alone decides the schedule, the message memo and the order
@@ -71,19 +74,22 @@ impl Schedule {
     }
 }
 
-/// The GHN-2 model. All weights live in the owned [`ParamStore`].
+/// The served GHN-2: the embedding layer and the GatedGNN's message MLPs
+/// and GRU, all weights in the owned [`ParamStore`]. Everything a
+/// prediction reads and nothing only meta-training needs: PredictDDL
+/// serves the pooled pre-decoder state, so the decoder head stays on the
+/// trainable [`Ghn`].
 #[derive(Clone)]
-pub struct Ghn {
+pub struct GhnEncoder {
     pub cfg: GhnConfig,
     pub ps: ParamStore,
     embed: Linear,
     msg: Mlp,
     msg_sp: Mlp,
     gru: GruCell,
-    decoder: Mlp,
 }
 
-impl ToJson for Ghn {
+impl ToJson for GhnEncoder {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object()
             .field("cfg", &self.cfg)
@@ -92,32 +98,46 @@ impl ToJson for Ghn {
             .field("msg", &self.msg)
             .field("msg_sp", &self.msg_sp)
             .field("gru", &self.gru)
-            .field("decoder", &self.decoder)
             .end();
     }
 }
 
-impl FromJson for Ghn {
+impl FromJson for GhnEncoder {
+    /// Reads format 2 and, through one migration, format 1, which wrote
+    /// the trainable [`Ghn`]: its `decoder` member and `cfg` widths are
+    /// ignored like any unknown member, its trailing `ghn.decoder.*`
+    /// parameters dropped. A format-1 `cfg.normalize` other than `true` is
+    /// refused: the states are always normalised.
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
-        let ghn = Self {
+        let normalize = o.get("cfg").and_then(|cfg| cfg.get("normalize"));
+        if let Some(off) = normalize.filter(|n| n.as_bool() != Some(true)).map(JsonValue::to_json) {
+            return Err(JsonError::Shape(format!("cfg: normalize: {off} is not supported, states are always normalised")));
+        }
+        let mut enc = Self {
             cfg: o.field("cfg")?,
             ps: o.field("ps")?,
             embed: o.field("embed")?,
             msg: o.field("msg")?,
             msg_sp: o.field("msg_sp")?,
             gru: o.field("gru")?,
-            decoder: o.field("decoder")?,
         };
+        let (names, encoder_len) = (enc.ps.names(), enc.gru.bh.0 + 1);
+        if names.len() == enc.ps.len() {
+            if let Some(name) = names.iter().skip(encoder_len).find(|n| !n.starts_with("ghn.decoder.")) {
+                return Err(JsonError::Shape(format!("ps: parameter `{name}` follows the encoder's")));
+            }
+            enc.ps.truncate(encoder_len);
+        }
         // The weights arrive from outside; the forward indexes the store by
         // the layers' ids and packs their matrices by the configured widths,
-        // so a decoded GHN must be shaped as `Ghn::new` would build it.
-        ghn.check_shapes().map_err(JsonError::Shape)?;
-        Ok(ghn)
+        // so a decoded encoder must be shaped as `Ghn::new` builds it.
+        enc.check_shapes().map_err(JsonError::Shape)?;
+        Ok(enc)
     }
 }
 
-impl Ghn {
+impl GhnEncoder {
     /// `Err` names the first parameter whose id or shape is not what
     /// [`Ghn::new`] builds for `cfg`.
     fn check_shapes(&self) -> Result<(), String> {
@@ -147,7 +167,6 @@ impl Ghn {
         linear(&self.embed, (features::FEATURE_DIM, d), "embed")?;
         mlp(&self.msg, [d, cfg.mlp_hidden, d], "msg")?;
         mlp(&self.msg_sp, [d, cfg.mlp_hidden, d], "msg_sp")?;
-        mlp(&self.decoder, [d, cfg.decoder_hidden, TARGET_DIM], "decoder")?;
         if self.msg.hidden_act != self.msg_sp.hidden_act {
             return Err("msg and msg_sp have different hidden activations".into());
         }
@@ -164,43 +183,19 @@ impl Ghn {
         Ok(())
     }
 
-    /// Fresh randomly-initialized GHN.
-    pub fn new(cfg: GhnConfig, rng: &mut Rng) -> Self {
-        let mut ps = ParamStore::new();
-        let d = cfg.hidden_dim;
-        let embed = Linear::new(&mut ps, "ghn.embed", features::FEATURE_DIM, d, rng);
-        let msg = Mlp::new(&mut ps, "ghn.msg", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
-        let msg_sp =
-            Mlp::new(&mut ps, "ghn.msg_sp", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
-        let gru = GruCell::new(&mut ps, "ghn.gru", d, d, rng);
-        let decoder = Mlp::new(
-            &mut ps,
-            "ghn.decoder",
-            &[d, cfg.decoder_hidden, TARGET_DIM],
-            Activation::Relu,
-            rng,
-        );
-        Self { cfg, ps, embed, msg, msg_sp, gru, decoder }
-    }
-
     /// Embedding dimensionality.
     pub fn embed_dim(&self) -> usize {
         self.cfg.hidden_dim
-    }
-
-    /// Total scalar weights of the GHN itself.
-    pub fn num_weights(&self) -> usize {
-        self.ps.num_scalars()
     }
 
     /// The GatedGNN (Eq. (3)/(4)) on backend `b`'s states: `t_passes`
     /// rounds of a forward sweep in topological order (neighbours are the
     /// predecessors, virtual sources `virtual_fw`) and a backward sweep in
     /// reverse (successors, `virtual_bw`), each followed by an
-    /// L2-normalisation of every state when `normalize` is set. Node
-    /// updates are sequential (Gauss–Seidel): a node's message sum is its
-    /// neighbours' `msg` in adjacency order, then its virtual sources'
-    /// `msg_sp` by id, weighted `1/s`; the GRU folds it into the state.
+    /// L2-normalisation of every state. Node updates are sequential
+    /// (Gauss–Seidel): a node's message sum is its neighbours' `msg` in
+    /// adjacency order, then its virtual sources' `msg_sp` by id, weighted
+    /// `1/s`; the GRU folds it into the state.
     ///
     /// The message memo: a source's message is made by the first reader
     /// after the source's state last changed and shared by the readers
@@ -222,39 +217,10 @@ impl Ghn {
                 b.update(v);
                 memo[v] = [None; 2];
             }
-            if self.cfg.normalize {
-                b.normalize();
-                memo.fill([None; 2]);
-            }
+            b.normalize();
+            memo.fill([None; 2]);
         }
     }
-
-    // ------------------------------------------------------------------
-    // Traced path (meta-training)
-    // ------------------------------------------------------------------
-
-    /// Runs the GatedGNN on the tape and returns the pooled 1×d embedding:
-    /// the mean of the final per-node states `h_v^T`.
-    pub fn embed_traced(&self, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Var {
-        let n = g.num_nodes();
-        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-        let h0 = tape.constant(feats);
-        let h1 = self.embed.forward(tape, h0);
-        let h = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
-        let mut rows = TapeRows { ghn: self, tape, h, parts: Vec::new() };
-        self.sweep(&mut rows, g, sched);
-        let all = rows.tape.concat_rows(&rows.h);
-        tape.mean_rows(all)
-    }
-
-    /// Traced decoder output (1×TARGET_DIM) for the meta-training loss.
-    pub fn decode_traced(&self, tape: &mut Tape, embedding: Var) -> Var {
-        self.decoder.forward(tape, embedding)
-    }
-
-    // ------------------------------------------------------------------
-    // Fast path (inference)
-    // ------------------------------------------------------------------
 
     /// Computes the architecture embedding without recording a tape. One
     /// `ghn.embed` sample per call, schedule included.
@@ -317,16 +283,71 @@ impl Ghn {
         // layer once (from each row's hot entry on), then two MLPs of two
         // layers per source made.
         let flops = 2 * n * (1 + features::FEATURE_DIM - OpKind::COUNT) * d + rows.made * 4 * d * hid2;
-        pddl_tensor::gemm::record_products(1 + 4 * rows.made as u64, flops as u64);
+        pddl_tensor::record_products(1 + 4 * rows.made as u64, flops as u64);
         mean_pool(rows.h.chunks_exact(d), d)
+    }
+}
+
+/// The GHN-2 as meta-training sees it: the [`GhnEncoder`] with a decoder
+/// head on the pooled embedding, which the surrogate objective trains (see
+/// `train`). One store holds both, the decoder's parameters last, so
+/// [`Ghn::into_encoder`] serves the encoder by cutting them off.
+#[derive(Clone)]
+pub struct Ghn {
+    /// The served half; until [`Ghn::into_encoder`] its store also holds
+    /// the decoder's parameters, after `ghn.gru.bh`.
+    pub encoder: GhnEncoder,
+    decoder: Mlp,
+}
+
+impl Ghn {
+    /// Fresh randomly-initialized GHN: the encoder's draws, then the
+    /// decoder's. The decoder's hidden width is `3·d/2`.
+    pub fn new(cfg: GhnConfig, rng: &mut Rng) -> Self {
+        let mut ps = ParamStore::new();
+        let d = cfg.hidden_dim;
+        let embed = Linear::new(&mut ps, "ghn.embed", features::FEATURE_DIM, d, rng);
+        let msg = Mlp::new(&mut ps, "ghn.msg", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
+        let msg_sp = Mlp::new(&mut ps, "ghn.msg_sp", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
+        let gru = GruCell::new(&mut ps, "ghn.gru", d, d, rng);
+        let decoder = Mlp::new(&mut ps, "ghn.decoder", &[d, 3 * d / 2, TARGET_DIM], Activation::Relu, rng);
+        Self { encoder: GhnEncoder { cfg, ps, embed, msg, msg_sp, gru }, decoder }
+    }
+
+    /// The served encoder: the store truncated after `ghn.gru.bh`.
+    pub fn into_encoder(self) -> GhnEncoder {
+        let mut encoder = self.encoder;
+        encoder.ps.truncate(encoder.gru.bh.0 + 1);
+        encoder
+    }
+
+    /// Runs the GatedGNN on the tape and returns the pooled 1×d embedding:
+    /// the mean of the final per-node states `h_v^T`.
+    pub fn embed_traced(&self, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Var {
+        let enc = &self.encoder;
+        let n = g.num_nodes();
+        let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
+        let h0 = tape.constant(feats);
+        let h1 = enc.embed.forward(tape, h0);
+        let h = (0..n).map(|v| tape.slice_rows(h1, v, v + 1)).collect();
+        let mut rows = TapeRows { enc, tape, h, parts: Vec::new() };
+        enc.sweep(&mut rows, g, sched);
+        let all = rows.tape.concat_rows(&rows.h);
+        tape.mean_rows(all)
+    }
+
+    /// Traced decoder output (1×TARGET_DIM) for the meta-training loss.
+    pub fn decode_traced(&self, tape: &mut Tape, embedding: Var) -> Var {
+        self.decoder.forward(tape, embedding)
     }
 
     /// Fast decoder on a raw embedding (diagnostics / tests): the row
     /// products of [`Self::decode_traced`], without a tape.
     pub fn decode_fast(&self, embedding: &[f32]) -> Vec<f32> {
+        let ps = &self.encoder.ps;
         let [first, second] = self.decoder.layers.as_slice() else { panic!("GHN MLPs have two layers") };
         let (mut hid, mut out) = (vec![0.0; first.out_dim], vec![0.0; second.out_dim]);
-        let [first, second] = [first, second].map(|l| [self.ps.get(l.w).as_slice(), self.ps.get(l.b).as_slice()]);
+        let [first, second] = [first, second].map(|l| [ps.get(l.w).as_slice(), ps.get(l.b).as_slice()]);
         mlp_rows((self.decoder.hidden_act.fused(), first, [second]), embedding, &mut hid, &mut out);
         out
     }
@@ -354,7 +375,7 @@ trait Backend {
 /// the tape (`Mlp::forward`, `Tape::weighted_sum`, `GruCell::forward`,
 /// `Tape::row_l2_norm`) for one backward pass.
 struct TapeRows<'a, 'p> {
-    ghn: &'a Ghn,
+    enc: &'a GhnEncoder,
     tape: &'a mut Tape<'p>,
     h: Vec<Var>,
     parts: Vec<(Var, f32)>,
@@ -364,7 +385,7 @@ impl Backend for TapeRows<'_, '_> {
     type Msg = Var;
 
     fn message(&mut self, k: usize, u: usize, slots: &mut [Option<Var>; 2]) -> Var {
-        *slots[k].insert([&self.ghn.msg, &self.ghn.msg_sp][k].forward(self.tape, self.h[u]))
+        *slots[k].insert([&self.enc.msg, &self.enc.msg_sp][k].forward(self.tape, self.h[u]))
     }
 
     fn gather(&mut self, _k: usize, _u: usize, msg: Var, weight: f32) {
@@ -373,10 +394,10 @@ impl Backend for TapeRows<'_, '_> {
 
     fn update(&mut self, v: usize) {
         let m_v = match self.parts.as_slice() {
-            [] => self.tape.constant(Matrix::zeros(1, self.ghn.cfg.hidden_dim)),
+            [] => self.tape.constant(Matrix::zeros(1, self.enc.cfg.hidden_dim)),
             parts => self.tape.weighted_sum(parts),
         };
-        self.h[v] = self.ghn.gru.forward(self.tape, m_v, self.h[v]);
+        self.h[v] = self.enc.gru.forward(self.tape, m_v, self.h[v]);
         self.parts.clear();
     }
 
@@ -515,14 +536,15 @@ mod tests {
     #[test]
     fn traced_and_fast_paths_agree() {
         let agree = |ghn: &Ghn, g: &CompGraph| {
-            let sched = Schedule::new(g, ghn.cfg.s_max);
-            let fast = ghn.embed_with_schedule(g, &sched);
-            let mut tape = Tape::new(&ghn.ps);
+            let enc = &ghn.encoder;
+            let sched = Schedule::new(g, enc.cfg.s_max);
+            let fast = enc.embed_with_schedule(g, &sched);
+            let mut tape = Tape::new(&enc.ps);
             let traced = ghn.embed_traced(&mut tape, g, &sched);
             let tv = tape.value(traced);
             assert_eq!(tv.cols(), fast.len());
             for (a, b) in tv.row(0).iter().zip(&fast) {
-                let t = ghn.cfg.t_passes;
+                let t = enc.cfg.t_passes;
                 assert!((a - b).abs() < 1e-4, "{} T={t}: traced {a} vs fast {b}", g.name);
             }
         };
@@ -542,12 +564,12 @@ mod tests {
     #[test]
     fn decode_fast_follows_the_decoders_hidden_activation() {
         let mut ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(13));
-        let e = ghn.embed_graph(&toy_graph());
+        let e = ghn.encoder.embed_graph(&toy_graph());
         assert!(e.iter().any(|&x| x < 0.0), "an input the activations tell apart");
         for act in [Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity] {
             ghn.decoder.hidden_act = act;
             let fast = ghn.decode_fast(&e);
-            let mut tape = Tape::new(&ghn.ps);
+            let mut tape = Tape::new(&ghn.encoder.ps);
             let x = tape.constant(Matrix::from_vec(1, e.len(), e.clone()));
             let traced = ghn.decode_traced(&mut tape, x);
             for (a, b) in tape.value(traced).row(0).iter().zip(&fast) {
@@ -560,7 +582,7 @@ mod tests {
     /// recomputed for every edge from the current `h` (no memo to go
     /// stale), a node's sources stacked and pushed through the batched
     /// GEMM entry points — the blocked microkernel from 16 rows up.
-    fn embed_per_edge(ghn: &Ghn, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
+    fn embed_per_edge(ghn: &GhnEncoder, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
         let (n, d) = (g.num_nodes(), ghn.cfg.hidden_dim);
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
         let mut h = feats
@@ -605,17 +627,15 @@ mod tests {
                     ghn.gru_row(&m, h.row_mut(v), &mut gates);
                 }
             }
-            if ghn.cfg.normalize {
-                for v in 0..n {
-                    l2_normalize(h.row_mut(v));
-                }
+            for v in 0..n {
+                l2_normalize(h.row_mut(v));
             }
         }
         mean_pool(h.as_slice().chunks_exact(d), d)
     }
 
-    impl Ghn {
-        /// The GRU step of [`Ghn::embed`] from the unpacked matrices, gate
+    impl GhnEncoder {
+        /// The GRU step of [`GhnEncoder::embed`] from the unpacked matrices, gate
         /// by gate, for the per-edge oracle. `gates` holds the three gate
         /// rows (3·d).
         fn gru_row(&self, x: &[f32], h: &mut [f32], gates: &mut [f32]) {
@@ -670,16 +690,23 @@ mod tests {
         }
 
         /// Scalar (unbatched, unblocked) embedding, the ≤ 1e-4 oracle. Follows
-        /// the exact sequential schedule of [`Ghn::embed_with_schedule`] but
+        /// the exact sequential schedule of [`GhnEncoder::embed_with_schedule`] but
         /// pushes every row through the per-element `mlp_fast` loops.
         fn embed_with_schedule_reference(&self, g: &CompGraph, sched: &Schedule) -> Vec<f32> {
-            let n = g.num_nodes();
             let d = self.cfg.hidden_dim;
-            let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
-            let w = self.ps.get(self.embed.w);
-            let b = self.ps.get(self.embed.b);
-            let h1 = feats.matmul_reference(w).add_row_broadcast(b);
-            let mut h: Vec<Vec<f32>> = (0..n).map(|v| h1.row(v).to_vec()).collect();
+            let (w, b) = (self.ps.get(self.embed.w), self.ps.get(self.embed.b));
+            let feats = one_hot_features(g);
+            let mut h: Vec<Vec<f32>> = feats
+                .chunks_exact(features::FEATURE_DIM)
+                .map(|x| {
+                    let mut hv = vec![0.0f32; d];
+                    for (&xi, w_row) in x.iter().zip(w.as_slice().chunks_exact(d)) {
+                        hv.iter_mut().zip(w_row).for_each(|(o, &wij)| *o += xi * wij);
+                    }
+                    hv.iter_mut().zip(b.row(0)).for_each(|(o, &bi)| *o += bi);
+                    hv
+                })
+                .collect();
             let mut m = vec![0.0f32; d];
             for _t in 0..self.cfg.t_passes {
                 for &v in sched.topo() {
@@ -688,10 +715,8 @@ mod tests {
                 for &v in sched.topo().iter().rev() {
                     self.fast_update_reference(g, &mut h, &mut m, v, false, sched.virtual_bw(v));
                 }
-                if self.cfg.normalize {
-                    for hv in h.iter_mut() {
-                        l2_normalize(hv);
-                    }
+                for hv in h.iter_mut() {
+                    l2_normalize(hv);
                 }
             }
             mean_pool(h.iter().map(Vec::as_slice), d)
@@ -769,7 +794,7 @@ mod tests {
 
     /// Memo ≡ per-edge recompute by bits, and ≤ 1e-4 from the scalar
     /// reference. Returns the graph's largest virtual fan-in.
-    fn check_against_oracles(ghn: &Ghn, g: &CompGraph) -> usize {
+    fn check_against_oracles(ghn: &GhnEncoder, g: &CompGraph) -> usize {
         let sched = Schedule::new(g, ghn.cfg.s_max);
         let memo = ghn.embed_with_schedule(g, &sched);
         let per_edge = embed_per_edge(ghn, g, &sched);
@@ -791,7 +816,7 @@ mod tests {
     #[test]
     fn memoised_messages_equal_per_edge_recompute_bit_for_bit() {
         let synth = crate::SynthGenerator::new(pddl_zoo::CIFAR10, 3).sample_many(64);
-        let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(31));
+        let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(31)).into_encoder();
         let mut widest = 0;
         for ds in pddl_zoo::dataset::ALL_DATASETS {
             for name in pddl_zoo::model_names() {
@@ -809,7 +834,7 @@ mod tests {
         // Two rounds: the states are normalised between them, so a message
         // kept from the first round would be stale in the second.
         let cfg = GhnConfig { t_passes: 2, ..GhnConfig::default() };
-        let ghn = Ghn::new(cfg, &mut Rng::new(32));
+        let ghn = Ghn::new(cfg, &mut Rng::new(32)).into_encoder();
         let deep = pddl_zoo::build_model("densenet121", &pddl_zoo::CIFAR10).expect("zoo model");
         for g in synth.iter().chain([&deep]) {
             check_against_oracles(&ghn, g);
@@ -820,6 +845,7 @@ mod tests {
     /// a message MLP recorded for every edge from the current `h` (nothing
     /// shared, so nothing to go stale), summed by a `scale` / `add` chain.
     fn embed_traced_per_edge(ghn: &Ghn, tape: &mut Tape, g: &CompGraph, sched: &Schedule) -> Var {
+        let ghn = &ghn.encoder;
         let n = g.num_nodes();
         let feats = Matrix::from_vec(n, features::FEATURE_DIM, one_hot_features(g));
         let h0 = tape.constant(feats);
@@ -852,10 +878,8 @@ mod tests {
                     h[v] = ghn.gru.forward(tape, m_v, h[v]);
                 }
             }
-            if ghn.cfg.normalize {
-                for hv in h.iter_mut() {
-                    *hv = tape.row_l2_norm(*hv);
-                }
+            for hv in h.iter_mut() {
+                *hv = tape.row_l2_norm(*hv);
             }
         }
         let all = tape.concat_rows(&h);
@@ -875,8 +899,8 @@ mod tests {
         g: &CompGraph,
         embed: impl Fn(&mut Tape, &Schedule) -> Var,
     ) -> (f32, pddl_autodiff::Gradients) {
-        let sched = Schedule::new(g, ghn.cfg.s_max);
-        let mut tape = Tape::new(&ghn.ps);
+        let sched = Schedule::new(g, ghn.encoder.cfg.s_max);
+        let mut tape = Tape::new(&ghn.encoder.ps);
         let emb = embed(&mut tape, &sched);
         let loss = decoder_loss(ghn, &mut tape, g, emb);
         (tape.scalar(loss), tape.backward(loss))
@@ -901,19 +925,20 @@ mod tests {
                     traced_loss(&ghn, g, |tape, s| embed_traced_per_edge(&ghn, tape, g, s));
                 // The forward pass is the same function of the same bits …
                 assert_eq!(loss.to_bits(), want.to_bits(), "{}: loss {loss} vs {want}", g.name);
-                for id in ghn.ps.ids() {
+                let ps = &ghn.encoder.ps;
+                for id in ps.ids() {
                     let a = memo.get(id).expect("every parameter is reached");
                     let b = per_edge.get(id).expect("every parameter is reached");
                     if decoder.contains(&id) {
                         // … so what sits above the shared messages is too.
-                        assert_eq!(bits(a), bits(b), "{}: {}", g.name, ghn.ps.name(id));
+                        assert_eq!(bits(a), bits(b), "{}: {}", g.name, ps.name(id));
                     }
                     // Below them the readers' gradients are summed before
                     // the MLP's backward instead of after: same sum, other
                     // association.
                     let diff = (a - b).sq_norm().sqrt();
                     let rel = diff / b.sq_norm().sqrt().max(f32::MIN_POSITIVE);
-                    let name = ghn.ps.name(id);
+                    let name = ps.name(id);
                     assert!(rel <= 1e-5, "{} T={t_passes}: {name} off by {rel}", g.name);
                 }
             }
@@ -930,7 +955,7 @@ mod tests {
         let sched = Schedule::new(&g, cfg.s_max);
         let reads_input = |v: usize| sched.virtual_fw(v).iter().any(|&(u, _)| u == 0);
         assert!((0..g.num_nodes()).filter(|&v| reads_input(v)).count() >= 3);
-        let mut ps = ghn.ps.clone();
+        let mut ps = ghn.encoder.ps.clone();
         // The states are small at initialisation and normalised after every
         // round: too much curvature for the default step of 1e-2.
         let err = pddl_autodiff::gradient_check_with_step(
@@ -953,14 +978,14 @@ mod tests {
         let mut rng = Rng::new(23);
         let mut cfg = GhnConfig::tiny();
         cfg.t_passes = 2;
-        let ghn = Ghn::new(cfg, &mut rng);
+        let ghn = Ghn::new(cfg, &mut rng).into_encoder();
         check_against_oracles(&ghn, &toy_graph());
     }
 
     #[test]
     fn embed_records_latency_histogram() {
         let mut rng = Rng::new(24);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
+        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng).into_encoder();
         let _ = ghn.embed_graph(&toy_graph());
         let snap = pddl_telemetry::snapshot();
         let h = snap.histogram("ghn.embed").expect("ghn.embed registered");
@@ -970,7 +995,7 @@ mod tests {
     #[test]
     fn embedding_has_configured_dimension() {
         let mut rng = Rng::new(8);
-        let ghn = Ghn::new(GhnConfig::default(), &mut rng);
+        let ghn = Ghn::new(GhnConfig::default(), &mut rng).into_encoder();
         let e = ghn.embed_graph(&toy_graph());
         assert_eq!(e.len(), 32);
         assert!(e.iter().all(|x| x.is_finite()));
@@ -979,7 +1004,7 @@ mod tests {
     #[test]
     fn different_graphs_get_different_embeddings() {
         let mut rng = Rng::new(9);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
+        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng).into_encoder();
         let g1 = toy_graph();
         let mut g2 = CompGraph::new("chain");
         let a = g2.add_node(OpKind::Input, NodeAttrs::elementwise(3, 16), "in");
@@ -996,7 +1021,7 @@ mod tests {
         // Building the same architecture with different label strings must
         // give the same embedding (features depend on ops/shapes only).
         let mut rng = Rng::new(10);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
+        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng).into_encoder();
         let g1 = toy_graph();
         let mut g2 = toy_graph();
         // Only labels differ.
@@ -1026,7 +1051,7 @@ mod tests {
         let mut rng = Rng::new(11);
         let mut cfg = GhnConfig::tiny();
         cfg.t_passes = 3;
-        let ghn = Ghn::new(cfg, &mut rng);
+        let ghn = Ghn::new(cfg, &mut rng).into_encoder();
         // A 60-deep chain would explode without normalization.
         let mut g = CompGraph::new("deep");
         let mut prev = g.add_node(OpKind::Input, NodeAttrs::elementwise(3, 8), "in");
@@ -1049,7 +1074,7 @@ mod tests {
     fn decode_fast_dimension() {
         let mut rng = Rng::new(12);
         let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
-        let e = ghn.embed_graph(&toy_graph());
+        let e = ghn.encoder.embed_graph(&toy_graph());
         let d = ghn.decode_fast(&e);
         assert_eq!(d.len(), TARGET_DIM);
     }
@@ -1057,32 +1082,43 @@ mod tests {
     /// A checkpoint whose layers disagree with its parameter store would
     /// decode and then panic on the first embed (an index out of bounds in
     /// `ParamStore::get`, a length mismatch packing the weights); it is a
-    /// decode error instead.
+    /// decode error instead. So is a format-1 checkpoint the one migration
+    /// cannot serve as written.
     #[test]
     fn misshapen_checkpoints_are_decode_errors() {
         use pddl_telemetry::json;
         let ghn = Ghn::new(GhnConfig::tiny(), &mut Rng::new(14));
-        let text = json::to_string(&ghn).unwrap();
-        let back: Ghn = json::from_str(&text).unwrap();
-        let bits = |g: &Ghn| g.embed_graph(&toy_graph()).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&back), bits(&ghn));
+        // The trainer's store, decoder included, as format 1 wrote it.
+        let (v1, last) = (json::to_string(&ghn.encoder).unwrap(), ghn.encoder.ps.len() - 1);
+        let enc = ghn.into_encoder();
+        let text = json::to_string(&enc).unwrap();
+        let bits = |g: &GhnEncoder| g.embed_graph(&toy_graph()).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for doc in [&text, &v1] {
+            let back: GhnEncoder = json::from_str(doc).unwrap();
+            assert_eq!(json::to_string(&back).unwrap(), text);
+            assert_eq!(bits(&back), bits(&enc));
+        }
 
-        let doc = json::parse(&text).unwrap();
         fn member<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
             match v {
-                JsonValue::Object(members) => members.get_mut(key).expect(key),
+                JsonValue::Object(members) => members.entry(key.to_string()).or_insert(JsonValue::Null),
                 JsonValue::Array(items) => &mut items[key.parse::<usize>().expect(key)],
                 other => panic!("{key} in {other:?}"),
             }
         }
+        let corrupt = |text: &str, path: &str, value: &str| {
+            let mut doc = json::parse(text).unwrap();
+            *path.split('.').fold(&mut doc, member) = json::parse(value).unwrap();
+            json::from_str::<GhnEncoder>(&doc.to_json()).err()
+        };
+        let doc = json::parse(&text).unwrap();
         let at = |path: &str| path.split('.').fold(&mut doc.clone(), member).to_json();
         let cases = [
             ("embed.w", "999".to_string()),
             ("embed.in_dim", "3".into()),
             ("embed.b", at("gru.wz")),
-            ("msg", at("decoder")),
+            ("msg.layers.0", at("embed")),
             ("msg_sp.hidden_act", r#""Tanh""#.into()),
-            ("decoder.layers", "[]".into()),
             ("gru.state_dim", "9".into()),
             ("gru.bh", at("gru.uh")),
             ("cfg.hidden_dim", "16".into()),
@@ -1090,10 +1126,20 @@ mod tests {
             ("ps.values.0", r#"{"rows":2,"cols":2,"data":[0.5,0.5,0.5,0.5]}"#.into()),
         ];
         for (path, value) in cases {
-            let mut corrupt = doc.clone();
-            *path.split('.').fold(&mut corrupt, member) = json::parse(&value).unwrap();
-            let err = json::from_str::<Ghn>(&corrupt.to_json()).err();
+            let err = corrupt(&text, path, &value);
             assert!(matches!(err, Some(JsonError::Shape(_))), "{path} = {value}: {err:?}");
         }
+
+        // Format 1: `normalize: true` is what every writer set, and is read
+        // past; anything else is refused by name, never served normalised.
+        assert!(corrupt(&v1, "cfg.normalize", "true").is_none());
+        for value in ["false", "null", "1"] {
+            let err = corrupt(&v1, "cfg.normalize", value);
+            let want = format!("cfg: normalize: {value} is not supported, states are always normalised");
+            assert_eq!(err, Some(JsonError::Shape(want)));
+        }
+        // Only the decoder's parameters are dropped past the encoder's.
+        let err = corrupt(&v1, &format!("ps.names.{last}"), r#""ghn.head.b""#);
+        assert_eq!(err, Some(JsonError::Shape("ps: parameter `ghn.head.b` follows the encoder's".into())));
     }
 }

@@ -86,7 +86,7 @@ impl GhnTrainer {
     pub fn train_on(&self, ghn: &mut Ghn, graphs: &[CompGraph]) -> TrainReport {
         assert!(!graphs.is_empty(), "empty meta-training set");
         let schedules: Vec<Schedule> =
-            graphs.iter().map(|g| Schedule::new(g, ghn.cfg.s_max)).collect();
+            graphs.iter().map(|g| Schedule::new(g, ghn.encoder.cfg.s_max)).collect();
         let targets: Vec<Vec<f32>> = graphs.iter().map(decoder_targets).collect();
 
         let mut order: Vec<usize> = (0..graphs.len()).collect();
@@ -100,7 +100,7 @@ impl GhnTrainer {
             let mut steps = 0usize;
             for batch in order.chunks(self.cfg.batch_size) {
                 let (loss_value, mut grads) = {
-                    let mut tape = Tape::new(&ghn.ps);
+                    let mut tape = Tape::new(&ghn.encoder.ps);
                     let mut losses = Vec::with_capacity(batch.len());
                     for &gi in batch {
                         let emb = ghn.embed_traced(&mut tape, &graphs[gi], &schedules[gi]);
@@ -118,7 +118,7 @@ impl GhnTrainer {
                     (value, tape.backward(loss))
                 };
                 grads.clip_global_norm(self.cfg.clip_norm);
-                opt.step(&mut ghn.ps, &grads);
+                opt.step(&mut ghn.encoder.ps, &grads);
                 epoch_loss += loss_value as f64;
                 steps += 1;
             }
@@ -145,7 +145,7 @@ mod tests {
     fn heldout_mse(ghn: &Ghn, graphs: &[CompGraph]) -> f32 {
         let mut total = 0.0f64;
         for g in graphs {
-            let pred = ghn.decode_fast(&ghn.embed_graph(g));
+            let pred = ghn.decode_fast(&ghn.encoder.embed_graph(g));
             let target = decoder_targets(g);
             let sq: f64 = pred.iter().zip(&target).map(|(p, t)| ((p - t) as f64).powi(2)).sum();
             total += sq / TARGET_DIM as f64;
@@ -176,7 +176,7 @@ mod tests {
             let mut gen = SynthGenerator::new(CIFAR10, 5);
             let cfg = TrainConfig { clip_norm: 0.01, ..TrainConfig::tiny() };
             GhnTrainer::new(cfg).train(&mut ghn, &mut gen);
-            let ps = &ghn.ps;
+            let ps = &ghn.encoder.ps;
             ps.ids()
                 .flat_map(|id| ps.get(id).as_slice().iter().map(|x| x.to_bits()))
                 .collect::<Vec<u32>>()
@@ -230,6 +230,7 @@ mod tests {
         cfg.epochs = 15;
         GhnTrainer::new(cfg).train(&mut ghn, &mut gen);
 
+        let ghn = ghn.into_encoder();
         let ea = ghn.embed_graph(&big_a);
         let eb = ghn.embed_graph(&big_b);
         let et = ghn.embed_graph(&tiny);

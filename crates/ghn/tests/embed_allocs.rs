@@ -37,7 +37,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn an_embed_allocates_the_same_for_the_smallest_and_the_largest_model() {
-    let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(6));
+    let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(6)).into_encoder();
     let small = resolve("alexnet", &CIFAR10).expect("zoo model");
     let large = resolve("densenet201", &CIFAR10).expect("zoo model");
     assert!(large.graph.num_nodes() > 20 * small.graph.num_nodes());

@@ -8,7 +8,7 @@ use pddl_zoo::{resolve, CIFAR10};
 
 #[test]
 fn an_embed_records_one_sample_and_never_fans_out() {
-    let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(5));
+    let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(5)).into_encoder();
     // 709 nodes: as one matmul, `feats · W` alone is above the pool threshold.
     let large = resolve("densenet201", &CIFAR10).expect("zoo model");
     let small = resolve("alexnet", &CIFAR10).expect("zoo model");

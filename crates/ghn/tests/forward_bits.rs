@@ -22,25 +22,26 @@ fn fixture() -> PathBuf {
 
 /// One line per embedding, loss and gradient of `g` under `ghn`.
 fn pin(out: &mut String, ghn: &Ghn, g: &pddl_graph::CompGraph) {
-    let t = ghn.cfg.t_passes;
-    let sched = Schedule::new(g, ghn.cfg.s_max);
-    let emb = ghn.embed_with_schedule(g, &sched);
+    let enc = &ghn.encoder;
+    let t = enc.cfg.t_passes;
+    let sched = Schedule::new(g, enc.cfg.s_max);
+    let emb = enc.embed_with_schedule(g, &sched);
     let words: Vec<String> = emb.iter().map(|x| format!("{:08x}", x.to_bits())).collect();
     writeln!(out, "t{t} {} embed {}", g.name, words.join(" ")).unwrap();
 
-    let mut tape = Tape::new(&ghn.ps);
+    let mut tape = Tape::new(&enc.ps);
     let emb = ghn.embed_traced(&mut tape, g, &sched);
     let pred = ghn.decode_traced(&mut tape, emb);
     let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(g)));
     let loss = tape.mse_loss(pred, target);
     writeln!(out, "t{t} {} loss {:08x}", g.name, tape.scalar(loss).to_bits()).unwrap();
     let grads = tape.backward(loss);
-    for id in ghn.ps.ids() {
+    for id in enc.ps.ids() {
         let mut h = Fnv1a::new();
         for x in grads.get(id).expect("every parameter is reached").as_slice() {
             h.bytes(&x.to_bits().to_le_bytes());
         }
-        writeln!(out, "t{t} {} grad {} {:016x}", g.name, ghn.ps.name(id), h.finish()).unwrap();
+        writeln!(out, "t{t} {} grad {} {:016x}", g.name, enc.ps.name(id), h.finish()).unwrap();
     }
 }
 

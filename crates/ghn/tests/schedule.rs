@@ -2,7 +2,8 @@
 //! non-test code: the dense all-pairs table.
 
 use pddl_ghn::Schedule;
-use pddl_graph::{CompGraph, NodeAttrs, OpKind, ShortestPaths};
+use pddl_graph::testing::ShortestPaths;
+use pddl_graph::{CompGraph, NodeAttrs, OpKind};
 use pddl_tensor::rng::{for_each_case, Rng};
 
 /// A random DAG whose node ids are not a topological order.

@@ -66,12 +66,12 @@ fn a_tape_holds_one_leaf_per_parameter_whatever_the_graph() {
     let ghn = Ghn::new(GhnConfig::default(), &mut Rng::new(6));
     for name in ["alexnet", "densenet201"] {
         let g = &resolve(name, &CIFAR10).expect("zoo model").graph;
-        let sched = Schedule::new(g, ghn.cfg.s_max);
-        let mut tape = Tape::new(&ghn.ps);
+        let sched = Schedule::new(g, ghn.encoder.cfg.s_max);
+        let mut tape = Tape::new(&ghn.encoder.ps);
         let emb = ghn.embed_traced(&mut tape, g, &sched);
         let pred = ghn.decode_traced(&mut tape, emb);
         let target = tape.constant(Matrix::from_vec(1, TARGET_DIM, decoder_targets(g)));
         tape.mse_loss(pred, target);
-        assert_eq!(tape.param_leaves(), ghn.ps.len(), "{name}: {} tape nodes", tape.len());
+        assert_eq!(tape.param_leaves(), ghn.encoder.ps.len(), "{name}: {} tape nodes", tape.len());
     }
 }

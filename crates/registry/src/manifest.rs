@@ -14,8 +14,10 @@
 
 use pddl_telemetry::{push_json_string, JsonValue};
 
-/// On-disk manifest format version. Readers reject anything newer.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk manifest format version. Readers reject anything newer at
+/// `open`, never mid-decode. Format 2: GHN encoders only, no decoder or
+/// meta-training configuration (format 1 had them; this build drops them).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// One artifact (named byte blob) recorded in a manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -270,7 +272,7 @@ mod tests {
 
     #[test]
     fn out_of_range_format_is_refused_not_narrowed() {
-        // 2^32 + 1 would narrow to 1, this build's format, under `as u32`.
+        // 2^32 + 1 would narrow to 1, a format this build reads, under `as u32`.
         let wide = sample().to_json().replacen(
             &format!("\"format\": {FORMAT_VERSION}"),
             "\"format\": 4294967297",

@@ -34,8 +34,8 @@
 //!   the request and response envelopes, `RouteTable`), or read an absent
 //!   field as a default for older peers (`ServerStatus::stale`,
 //!   `RouteShard::healthy`);
-//! * structs checked after decode (`CompGraph`, `Matrix`, `Ghn`): their
-//!   methods index by what the document says;
+//! * structs checked after decode (`CompGraph`, `Matrix`, `GhnEncoder`):
+//!   their methods index by what the document says;
 //! * structs with runtime state that is not written (`PredictDdl`'s
 //!   embedding cache);
 //! * the trace dump's span and trace records, whose ids are hex strings.

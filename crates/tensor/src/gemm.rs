@@ -15,7 +15,7 @@
 //! * **layout-aware packing**: `A·B`, `A·Bᵀ` and `Aᵀ·B` share one kernel —
 //!   the pack routines absorb the transpose, so no caller ever
 //!   materializes a transposed matrix again;
-//! * a reusable [`PackBuffer`] so repeated products (training loops,
+//! * a reusable `PackBuffer` so repeated products (training loops,
 //!   per-request embeddings) stop allocating per call — including the
 //!   pool workers, which keep a thread-local tile workspace instead of
 //!   allocating per macro-tile;
@@ -32,7 +32,8 @@
 //! in a fixed order, and the parallel macro-tile partition depends only on
 //! the shape (never the worker count), so results are **bit-identical
 //! across runs and across `PDDL_THREADS` settings**. They are *not*
-//! bit-identical to [`Matrix::matmul_reference`] — blocking changes the
+//! bit-identical to the transpose-then-dot kernel it replaced
+//! (`matmul_reference` in the equivalence tests) — blocking changes the
 //! f32 summation order — so equivalence tests assert relative error
 //! ≤ 1e-5 against the reference kernel instead of exact bits
 //! (`crates/tensor/tests/gemm_equivalence.rs`). Across *backends* the
@@ -42,7 +43,6 @@
 //! bound by the dispatch-matrix tests.
 //!
 //! [`Matrix::matmul_bias_act`]: crate::Matrix::matmul_bias_act
-//! [`Matrix::matmul_reference`]: crate::Matrix::matmul_reference
 
 use crate::activation;
 use crate::kernels::{self, Kernels};
@@ -143,13 +143,13 @@ impl Activation {
 /// shapes — a training loop, repeated embeddings, mixed batch sizes that
 /// alternate between a large and a small slab — hit zero allocations
 /// after the largest shape has been seen once. [`Matrix::matmul`] keeps
-/// one per thread; [`Matrix::matmul_with`] lets callers pin their own.
+/// one per thread; [`matmul_with`] lets a test pin its own.
 /// Pool workers reuse a thread-local tile workspace the same way, and
 /// every growth event is counted on the `tensor.pack_allocs` telemetry
 /// counter so reallocation churn is visible on a live shard.
 ///
 /// [`Matrix::matmul`]: crate::Matrix::matmul
-/// [`Matrix::matmul_with`]: crate::Matrix::matmul_with
+/// [`matmul_with`]: crate::testing::matmul_with
 #[derive(Debug, Default)]
 pub struct PackBuffer {
     a: Vec<f32>,

@@ -1,6 +1,6 @@
 //! Runtime-dispatched explicit SIMD kernels for the GEMM core.
 //!
-//! The blocked kernel in [`crate::gemm`] previously relied on the
+//! The blocked GEMM kernel previously relied on the
 //! autovectorizer, which on the default x86-64 target (SSE2 baseline)
 //! never emits AVX or FMA instructions. This module supplies explicit
 //! implementations of the hot inner loops — the `MR×NR` microkernel, the

@@ -11,7 +11,7 @@
 //! * storage is a single contiguous `Vec<f32>` (cache-friendly, no per-row
 //!   allocation);
 //! * GEMM is a cache-blocked, register-tiled kernel with one-time operand
-//!   packing ([`gemm`]): `A·B`, `A·Bᵀ` and `Aᵀ·B` share one microkernel,
+//!   packing (`gemm.rs`): `A·B`, `A·Bᵀ` and `Aᵀ·B` share one microkernel,
 //!   fused bias/activation epilogues serve the affine layers, and
 //!   macro-tiles fan out over the `pddl_par` work pool above a size
 //!   threshold — deterministic for any worker count because the tile
@@ -24,13 +24,14 @@
 //!   `pddl_telemetry::rng`, re-exported here as `pddl_tensor::rng`).
 
 pub mod activation;
-pub mod gemm;
+mod gemm;
 pub mod kernels;
 pub mod linalg;
 pub mod matrix;
+pub mod testing;
 pub use pddl_telemetry::rng;
 
-pub use gemm::{Activation, PackBuffer};
+pub use gemm::{record_products, Activation};
 pub use kernels::{backend, set_force_scalar, KernelBackend};
 pub use matrix::{vecmat_acc, vecmat_bias_act, Matrix};
 pub use rng::Rng;

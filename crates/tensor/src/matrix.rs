@@ -237,51 +237,18 @@ impl Matrix {
     /// GEMM: `self (m×k) · other (k×n)` through the blocked packed kernel
     /// (`crate::gemm`), using this thread's pack workspace and fanning
     /// macro-tiles over the global `pddl_par` pool above
-    /// [`gemm::PAR_MADDS`] multiply-adds.
+    /// `gemm::PAR_MADDS` multiply-adds.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        self.matmul_pooled(other, &WorkPool::global())
+        self.matmul_over(other, &WorkPool::global())
     }
 
-    /// [`Matrix::matmul`] with a caller-owned [`PackBuffer`], running
-    /// serially. Training loops that multiply the same shapes repeatedly
-    /// use this to pin packing to one warm workspace (and to measure that
-    /// it never reallocates).
-    pub fn matmul_with(&self, other: &Matrix, pack: &mut PackBuffer) -> Matrix {
-        self.assert_inner(other);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.gemm_nn(other, None, Activation::Identity, false, &mut out, pack, None);
-        out
-    }
-
-    /// [`Matrix::matmul`] dispatched over an explicit pool — the hook the
-    /// determinism tests use to prove results are bit-identical across
-    /// worker counts.
-    pub fn matmul_pooled(&self, other: &Matrix, pool: &WorkPool) -> Matrix {
+    /// [`Matrix::matmul`] with its macro-tiles over `pool`.
+    pub(crate) fn matmul_over(&self, other: &Matrix, pool: &WorkPool) -> Matrix {
         self.assert_inner(other);
         let mut out = Matrix::zeros(self.rows, other.cols);
         gemm::with_thread_pack(|pack| {
             self.gemm_nn(other, None, Activation::Identity, false, &mut out, pack, Some(pool));
         });
-        out
-    }
-
-    /// The kernel this crate shipped before the blocked core — transpose
-    /// the RHS once, then one dot product per output element. Kept serial
-    /// and unblocked as the oracle for the equivalence tests.
-    pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
-        self.assert_inner(other);
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if k == 0 {
-            return out;
-        }
-        let bt = other.transpose();
-        for (r, out_row) in out.data.chunks_mut(n).enumerate() {
-            let a_row = &self.data[r * k..(r + 1) * k];
-            for (o, b_col) in out_row.iter_mut().zip(bt.data.chunks_exact(k)) {
-                *o = dot(a_row, b_col);
-            }
-        }
         out
     }
 
@@ -376,7 +343,7 @@ impl Matrix {
     }
 
     #[inline]
-    fn assert_inner(&self, other: &Matrix) {
+    pub(crate) fn assert_inner(&self, other: &Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul inner dims: {}x{} · {}x{}",
@@ -385,7 +352,7 @@ impl Matrix {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn gemm_nn(
+    pub(crate) fn gemm_nn(
         &self,
         other: &Matrix,
         bias: Option<&[f32]>,
@@ -587,7 +554,7 @@ pub fn vecmat_acc(v: &[f32], w: &[f32], out: &mut [f32]) {
 /// `out = act(v · w + bias)` for one row: what [`Matrix::matmul_bias_act`]
 /// computes for each row of its left operand, bit for bit (accumulate over
 /// `k` from zero, then bias, then activation), into the caller's buffer.
-/// Counts nothing — see [`gemm::record_products`].
+/// Counts nothing — see [`crate::record_products`].
 pub fn vecmat_bias_act(v: &[f32], w: &[f32], bias: &[f32], act: Activation, out: &mut [f32]) {
     assert_eq!(w.len(), v.len() * out.len(), "vecmat_bias_act weight size mismatch");
     assert_eq!(bias.len(), out.len(), "vecmat_bias_act width mismatch");

@@ -9,8 +9,29 @@
 //! in exact bits: same inputs, any pool size, same output.
 
 use pddl_par::WorkPool;
-use pddl_tensor::{Activation, KernelBackend, Matrix, PackBuffer, Rng};
+use pddl_tensor::matrix::dot;
+use pddl_tensor::testing::{matmul_pooled, matmul_with, PackBuffer};
+use pddl_tensor::{Activation, KernelBackend, Matrix, Rng};
 use std::sync::Mutex;
+
+/// The kernel this crate shipped before the blocked core — transpose
+/// `b` once, then one dot product per output element: the oracle of the
+/// equivalence tests.
+fn matmul_reference(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.cols(), b.rows(), "inner dims");
+    let (k, n) = (a.cols(), b.cols());
+    let mut out = Matrix::zeros(a.rows(), n);
+    if k == 0 {
+        return out;
+    }
+    let bt = b.transpose();
+    for (a_row, out_row) in a.as_slice().chunks_exact(k).zip(out.as_mut_slice().chunks_mut(n)) {
+        for (o, b_col) in out_row.iter_mut().zip(bt.as_slice().chunks_exact(k)) {
+            *o = dot(a_row, b_col);
+        }
+    }
+    out
+}
 
 /// Serializes tests that flip the process-global kernel backend (or that
 /// assert bit-identity across several products, which a concurrent flip
@@ -77,7 +98,7 @@ fn blocked_matches_reference_across_shapes() {
     let mut rng = Rng::new(0xB10C);
     for &(m, k, n) in SHAPES {
         let (a, b) = random_pair(m, k, n, &mut rng);
-        let reference = a.matmul_reference(&b);
+        let reference = matmul_reference(&a, &b);
         let blocked = a.matmul(&b);
         let err = rel_err(&blocked, &reference);
         assert!(err <= 1e-5, "{m}x{k}·{k}x{n}: rel err {err}");
@@ -92,7 +113,7 @@ fn blocked_matches_reference_on_random_shapes() {
         let k = 1 + (rng.next_u64() % 90) as usize;
         let n = 1 + (rng.next_u64() % 90) as usize;
         let (a, b) = random_pair(m, k, n, &mut rng);
-        let err = rel_err(&a.matmul(&b), &a.matmul_reference(&b));
+        let err = rel_err(&a.matmul(&b), &matmul_reference(&a, &b));
         assert!(err <= 1e-5, "{m}x{k}·{k}x{n}: rel err {err}");
     }
 }
@@ -103,12 +124,12 @@ fn nt_and_tn_match_explicit_transposes() {
     for &(m, k, n) in SHAPES {
         let a = Matrix::rand_normal(m, k, 1.0, &mut rng);
         let bt = Matrix::rand_normal(n, k, 1.0, &mut rng);
-        let err = rel_err(&a.matmul_nt(&bt), &a.matmul_reference(&bt.transpose()));
+        let err = rel_err(&a.matmul_nt(&bt), &matmul_reference(&a, &bt.transpose()));
         assert!(err <= 1e-5, "NT {m}x{k}: rel err {err}");
 
         let at = Matrix::rand_normal(k, m, 1.0, &mut rng);
         let b = Matrix::rand_normal(k, n, 1.0, &mut rng);
-        let err = rel_err(&at.t_matmul(&b), &at.transpose().matmul_reference(&b));
+        let err = rel_err(&at.t_matmul(&b), &matmul_reference(&at.transpose(), &b));
         assert!(err <= 1e-5, "TN {k}x{m}: rel err {err}");
     }
 }
@@ -214,7 +235,7 @@ fn results_are_bit_identical_across_runs_and_pool_sizes() {
     let mut rng = Rng::new(0xD37);
     for &(m, k, n) in &[(1usize, 300usize, 300usize), (64, 64, 64), (128, 128, 128), (33, 65, 17)] {
         let (a, b) = random_pair(m, k, n, &mut rng);
-        let baseline = a.matmul_pooled(&b, &WorkPool::new(1));
+        let baseline = matmul_pooled(&a, &b, &WorkPool::new(1));
         // Repeated runs: identical bits.
         for _ in 0..3 {
             let again = a.matmul(&b);
@@ -222,12 +243,12 @@ fn results_are_bit_identical_across_runs_and_pool_sizes() {
         }
         // Any worker count: identical bits (fixed macro-tile partition).
         for threads in [2, 3, 7, 16] {
-            let pooled = a.matmul_pooled(&b, &WorkPool::new(threads));
+            let pooled = matmul_pooled(&a, &b, &WorkPool::new(threads));
             assert_eq!(bits(&baseline), bits(&pooled), "{m}x{k}x{n} threads={threads}");
         }
         // Caller-owned pack buffer (serial path): same bits again.
         let mut pack = PackBuffer::new();
-        assert_eq!(bits(&baseline), bits(&a.matmul_with(&b, &mut pack)));
+        assert_eq!(bits(&baseline), bits(&matmul_with(&a, &b, &mut pack)));
     }
 }
 
@@ -240,11 +261,11 @@ fn pack_buffer_reuse_stops_allocating() {
     let mut rng = Rng::new(0x9AC);
     let (a, b) = random_pair(96, 96, 96, &mut rng);
     let mut pack = PackBuffer::new();
-    let _ = a.matmul_with(&b, &mut pack);
+    let _ = matmul_with(&a, &b, &mut pack);
     let after_first = pack.allocations();
     assert!(after_first >= 1, "first product must populate the workspace");
     for _ in 0..10 {
-        let _ = a.matmul_with(&b, &mut pack);
+        let _ = matmul_with(&a, &b, &mut pack);
     }
     assert_eq!(
         pack.allocations(),
@@ -253,7 +274,7 @@ fn pack_buffer_reuse_stops_allocating() {
     );
     // Smaller products fit in the warm workspace too.
     let (c, d) = random_pair(40, 50, 60, &mut rng);
-    let _ = c.matmul_with(&d, &mut pack);
+    let _ = matmul_with(&c, &d, &mut pack);
     assert_eq!(pack.allocations(), after_first, "smaller shapes reuse the buffers");
 }
 
@@ -268,14 +289,14 @@ fn mismatched_smaller_shapes_never_reallocate() {
     let mut pack = PackBuffer::new();
     // Largest shape first: warms both the A panel and the B slab.
     let (a, b) = random_pair(128, 128, 128, &mut rng);
-    let _ = a.matmul_with(&b, &mut pack);
+    let _ = matmul_with(&a, &b, &mut pack);
     let warm = pack.allocations();
     assert!(warm >= 1);
     // Mismatched smaller shapes, cycling so consecutive calls never agree
     // on m, k, or n — the pre-fix behavior reallocated on every change.
     for &(m, k, n) in &[(96usize, 64usize, 32usize), (17, 128, 90), (128, 33, 65), (5, 100, 128)] {
         let (c, d) = random_pair(m, k, n, &mut rng);
-        let _ = c.matmul_with(&d, &mut pack);
+        let _ = matmul_with(&c, &d, &mut pack);
         assert_eq!(
             pack.allocations(),
             warm,
@@ -284,7 +305,7 @@ fn mismatched_smaller_shapes_never_reallocate() {
     }
     // A genuinely larger shape is allowed (and required) to grow.
     let (e, f) = random_pair(160, 160, 160, &mut rng);
-    let _ = e.matmul_with(&f, &mut pack);
+    let _ = matmul_with(&e, &f, &mut pack);
     assert!(pack.allocations() > warm, "larger shape must grow the workspace");
     let after = pddl_telemetry::snapshot().counter("tensor.pack_allocs").unwrap_or(0);
     assert!(
@@ -311,7 +332,7 @@ fn vecmat_acc_matches_row_vector_matmul() {
     let v: Vec<f32> = (0..37).map(|_| rng.normal()).collect();
     let mut out = vec![0.5f32; 19];
     let mut expect = out.clone();
-    let prod = Matrix::row_vector(&v).matmul_reference(&w);
+    let prod = matmul_reference(&Matrix::row_vector(&v), &w);
     for (e, &p) in expect.iter_mut().zip(prod.as_slice()) {
         *e += p;
     }

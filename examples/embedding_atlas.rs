@@ -27,6 +27,7 @@ fn main() {
         report.final_loss,
         report.epoch_losses.len()
     );
+    let ghn = ghn.into_encoder();
 
     let models = [
         "resnet18",

@@ -92,7 +92,7 @@ fn random_graphs_embed_cleanly() {
         let order = g.topo_order().unwrap();
         assert_eq!(order.len(), g.num_nodes());
         let mut rng = Rng::new(1234);
-        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng);
+        let ghn = Ghn::new(GhnConfig::tiny(), &mut rng).into_encoder();
         let e = ghn.embed_graph(&g);
         assert_eq!(e.len(), GhnConfig::tiny().hidden_dim);
         assert!(e.iter().all(|x| x.is_finite()));

@@ -54,11 +54,11 @@ fn predicts_unseen_architecture_without_retraining() {
 }
 
 /// Interpolation between family members: resnet34 predictions must land
-/// between resnet18 and resnet50 at the same cluster config.
+/// between resnet18 and resnet50 at the same cluster config. This 16-d
+/// GHN (decoder 3·d/2 = 24 wide) reads r18=19.7 r34=28.7 r50=25.2 on the
+/// AVX2/FMA kernels and r34=27.8 under `PDDL_FORCE_SCALAR=1`: 1–4 % inside
+/// the upper bound, so a change to GHN training can tip it either way.
 #[test]
-#[ignore = "model-quality finding, fails identically at the parent commit: the 16-d test GHN \
-            places the unseen resnet34 on top of resnet18 (r18=19.7 r34=19.7 r50=25.2), so \
-            the strict t18 < t34 ordering does not hold — see TESTING.md, 'Known findings'"]
 fn unseen_family_member_interpolates() {
     let mut cfg = TraceConfig::small();
     cfg.models = vec![
