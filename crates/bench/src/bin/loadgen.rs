@@ -28,10 +28,12 @@
 //! A loopback round trip is ~0.2–0.3 ms; a p50 near 88 ms means a frame
 //! is being written in two pieces again or `TCP_NODELAY` got lost.
 
-use pddl_cluster::retry::{overload_reason, RetryPolicy, ShedReason};
-use pddl_cluster::{ClusterState, ServerClass};
+use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
-use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
+use predictddl::{
+    Controller, ControllerClient, ErrorReply, OfflineTrainer, PredictionRequest, ServeConfig,
+    ShedReason,
+};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -129,7 +131,8 @@ impl Tally {
             ShedReason::QueueFull => &mut self.queue_full,
             ShedReason::ConnectionLimit => &mut self.connection_limit,
             ShedReason::Draining => &mut self.draining,
-            ShedReason::Unknown => &mut self.unknown,
+            // A controller never sheds as unrouteable; only a router does.
+            ShedReason::Unrouteable | ShedReason::Unknown => &mut self.unknown,
             ShedReason::Deadline => &mut self.expired,
         } += 1;
     }
@@ -227,12 +230,12 @@ fn run_phase(
                     tally.latencies_us.push(t0.elapsed().as_micros() as u64);
                 }
                 Ok(Err(_)) => tally.failed += 1,
-                Err(e) => match overload_reason(&e) {
-                    Some(reason) => {
+                Err(e) => match ErrorReply::of(&e) {
+                    Some(&ErrorReply::Overloaded { reason, .. }) => {
                         tally.record_overload(reason);
                         std::thread::sleep(Duration::from_millis(config.retry_after_ms));
                     }
-                    None => tally.failed += 1,
+                    _ => tally.failed += 1,
                 },
             }
             // Hold the pacing interval between request starts.

@@ -9,7 +9,10 @@
 //! * **§III-F Cluster Resource Collector** — a real client/server inventory
 //!   service over TCP ([`collector`]);
 //! * **§III-D/III-F the listener** — the one connection core every TCP
-//!   server and client in the workspace runs on ([`wire`]).
+//!   server and client in the workspace runs on ([`wire`]), and the
+//!   backoff its clients retry transient failures with ([`retry`]; the
+//!   typed replies a controller or router refuses with are
+//!   `predictddl::protocol::ErrorReply`).
 
 pub mod collector;
 pub mod equations;
@@ -21,10 +24,6 @@ pub mod wire;
 pub use collector::{ClientMsg, CollectorClient, CollectorServer, ServerMsg, DEFAULT_STALE_AFTER};
 pub use equations::{available_flops, available_ram, per_core};
 pub use wire::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
-pub use retry::{
-    is_transient, overload_reason, overload_retry_hint, overloaded_error,
-    overloaded_error_with_reason, shard_moved_epoch, shard_moved_error,
-    shard_moved_retry_hint, Backoff, Overloaded, RetryPolicy, ShardMoved, ShedReason,
-};
+pub use retry::{is_transient, Backoff, RetryPolicy};
 pub use spec::{ServerClass, ServerSpec};
 pub use state::{ClusterState, ServerStatus, CLUSTER_FEATURE_DIM};

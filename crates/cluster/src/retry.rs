@@ -1,5 +1,8 @@
 //! Capped, jittered exponential backoff shared by the wire-layer clients
-//! (the collector client here and the controller client in `predictddl`).
+//! (the collector client here and the controller client in `predictddl`),
+//! and the one rule for which failures are worth a retry. What a typed
+//! refusal carries is the protocol's business
+//! (`predictddl::protocol::ErrorReply`), not this module's.
 
 use pddl_telemetry::rng::Rng;
 use std::time::Duration;
@@ -85,171 +88,11 @@ impl Backoff {
     }
 }
 
-/// Why the server shed a request — the typed `reason` field of an
-/// `overloaded` reply. Distinguishing the causes matters operationally:
-/// `QueueFull` wants more capacity, `Deadline` wants a laxer deadline or
-/// faster handlers, `ConnectionLimit` wants fewer clients per node, and
-/// `Draining` is expected during rollout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ShedReason {
-    /// The bounded request queue was at capacity.
-    QueueFull,
-    /// The request expired in the queue past its deadline.
-    Deadline,
-    /// The per-controller connection cap was reached.
-    ConnectionLimit,
-    /// The server is draining for graceful shutdown.
-    Draining,
-    /// The reply carried no (or an unrecognized) reason — e.g. a peer
-    /// predating the typed field.
-    Unknown,
-}
-
-impl ShedReason {
-    /// Wire name, as carried in the `reason` field of a shed reply.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::Deadline => "deadline",
-            ShedReason::ConnectionLimit => "connection_limit",
-            ShedReason::Draining => "draining",
-            ShedReason::Unknown => "unknown",
-        }
-    }
-
-    /// Parses a wire name; anything unrecognized maps to `Unknown` rather
-    /// than erroring — the reason is advisory.
-    pub fn parse(s: &str) -> ShedReason {
-        match s {
-            "queue_full" => ShedReason::QueueFull,
-            "deadline" => ShedReason::Deadline,
-            "connection_limit" => ShedReason::ConnectionLimit,
-            "draining" => ShedReason::Draining,
-            _ => ShedReason::Unknown,
-        }
-    }
-}
-
-/// The error payload of a server-side load shed: the bounded serving core
-/// replied `{"error":"overloaded","retry_after_ms":...,"reason":...}`
-/// instead of doing the work. Classified as transient by [`is_transient`]
-/// — the condition clears as soon as the queue drains — and carries the
-/// server's advisory pacing hint ([`overload_retry_hint`]) and typed shed
-/// reason ([`overload_reason`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Overloaded {
-    /// Server-suggested minimum wait before retrying.
-    pub retry_after: Duration,
-    /// Why the server shed the request.
-    pub reason: ShedReason,
-}
-
-impl std::fmt::Display for Overloaded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "server overloaded ({}); retry after {}ms",
-            self.reason.as_str(),
-            self.retry_after.as_millis()
-        )
-    }
-}
-
-impl std::error::Error for Overloaded {}
-
-/// Wraps a shed reply as an `io::Error` that [`is_transient`] accepts, so
-/// the resilient retry loops treat "overloaded" exactly like any other
-/// transient transport failure — back off and try again. Replies without
-/// a typed reason use [`ShedReason::Unknown`]; prefer
-/// [`overloaded_error_with_reason`] when the reason is known.
-pub fn overloaded_error(retry_after_ms: u64) -> std::io::Error {
-    overloaded_error_with_reason(retry_after_ms, ShedReason::Unknown)
-}
-
-/// [`overloaded_error`] carrying the server's typed shed reason.
-pub fn overloaded_error_with_reason(retry_after_ms: u64, reason: ShedReason) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::WouldBlock,
-        Overloaded { retry_after: Duration::from_millis(retry_after_ms), reason },
-    )
-}
-
-/// The server's `retry_after` hint, if `e` is an overload shed produced by
-/// [`overloaded_error`]. Retry loops use it as a backoff floor.
-pub fn overload_retry_hint(e: &std::io::Error) -> Option<Duration> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<Overloaded>())
-        .map(|o| o.retry_after)
-}
-
-/// The typed shed reason, if `e` is an overload shed. Load generators and
-/// dashboards use this to attribute sheds to their cause instead of
-/// lumping them into one count.
-pub fn overload_reason(e: &std::io::Error) -> Option<ShedReason> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<Overloaded>())
-        .map(|o| o.reason)
-}
-
-/// The error payload of a router re-route: the shard a request was routed
-/// to died before answering, membership has already absorbed the death
-/// (epoch bumped, ring rebuilt), and the client should refresh its route
-/// table and retry — the retry lands on the replacement shard. Classified
-/// as transient by [`is_transient`]. The request was not executed twice:
-/// this reply is only sent in place of an answer, and the dedup cache
-/// absorbs replays of answered requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardMoved {
-    /// Membership epoch after the death was absorbed. A client whose
-    /// cached route table already carries this epoch need not refresh.
-    pub epoch: u64,
-    /// Router-suggested minimum wait before retrying.
-    pub retry_after: Duration,
-}
-
-impl std::fmt::Display for ShardMoved {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard moved (membership epoch {}); retry after {}ms",
-            self.epoch,
-            self.retry_after.as_millis()
-        )
-    }
-}
-
-impl std::error::Error for ShardMoved {}
-
-/// Wraps a router `shard_moved` reply as an `io::Error` that
-/// [`is_transient`] accepts, carrying the post-death membership epoch
-/// ([`shard_moved_epoch`]) and pacing hint ([`shard_moved_retry_hint`]).
-pub fn shard_moved_error(epoch: u64, retry_after_ms: u64) -> std::io::Error {
-    std::io::Error::new(
-        std::io::ErrorKind::WouldBlock,
-        ShardMoved { epoch, retry_after: Duration::from_millis(retry_after_ms) },
-    )
-}
-
-/// The membership epoch, if `e` is a `shard_moved` reply produced by
-/// [`shard_moved_error`].
-pub fn shard_moved_epoch(e: &std::io::Error) -> Option<u64> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<ShardMoved>())
-        .map(|s| s.epoch)
-}
-
-/// The router's `retry_after` hint, if `e` is a `shard_moved` reply.
-/// Retry loops use it as a backoff floor, like [`overload_retry_hint`].
-pub fn shard_moved_retry_hint(e: &std::io::Error) -> Option<Duration> {
-    e.get_ref()
-        .and_then(|inner| inner.downcast_ref::<ShardMoved>())
-        .map(|s| s.retry_after)
-}
-
 /// Transport-level failures worth a retry — as opposed to semantic
 /// rejections (`InvalidData`, `InvalidInput`) that the server would repeat
 /// verbatim. Includes `WouldBlock`, which covers both client-side read
-/// timeouts and typed server overload sheds ([`overloaded_error`]).
+/// timeouts and the typed transient replies (an overload shed, a router
+/// re-route) that the controller client raises as `WouldBlock`.
 pub fn is_transient(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
@@ -267,6 +110,7 @@ pub fn is_transient(e: &std::io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use predictddl::protocol::{ErrorReply, ShedReason};
 
     #[test]
     fn budget_is_max_attempts() {
@@ -313,29 +157,35 @@ mod tests {
         assert!(b.next_delay().is_none());
     }
 
+    // The typed refusals are declared in `predictddl::protocol`; these
+    // pin that the errors the controller client raises from them are the
+    // ones `is_transient` retries, and that they carry their hint out.
+
     #[test]
     fn overload_errors_are_transient_and_carry_the_hint() {
-        let e = overloaded_error(40);
+        let reply = ErrorReply::Overloaded { retry_after_ms: 40, reason: ShedReason::Unknown };
+        let e = std::io::Error::from(reply.clone());
         assert!(is_transient(&e), "overload must enter the retry path");
-        assert_eq!(overload_retry_hint(&e), Some(Duration::from_millis(40)));
-        assert_eq!(overload_reason(&e), Some(ShedReason::Unknown));
+        assert_eq!(ErrorReply::of(&e), Some(&reply));
+        assert_eq!(reply.retry_after(), Some(Duration::from_millis(40)));
         assert!(e.to_string().contains("overloaded"), "{e}");
-        // Unrelated errors of the same kind carry no hint or reason.
+        // Unrelated errors of the same kind carry no reply.
         let plain = std::io::Error::new(std::io::ErrorKind::WouldBlock, "timed out");
-        assert_eq!(overload_retry_hint(&plain), None);
-        assert_eq!(overload_reason(&plain), None);
+        assert_eq!(ErrorReply::of(&plain), None);
     }
 
     #[test]
     fn shard_moved_errors_are_transient_and_carry_the_epoch() {
-        let e = shard_moved_error(12, 15);
+        let e = std::io::Error::from(ErrorReply::ShardMoved { epoch: 12, retry_after_ms: 15 });
         assert!(is_transient(&e), "shard_moved must enter the retry path");
-        assert_eq!(shard_moved_epoch(&e), Some(12));
-        assert_eq!(shard_moved_retry_hint(&e), Some(Duration::from_millis(15)));
-        // The two typed payloads do not cross-classify.
-        assert_eq!(overload_retry_hint(&e), None);
-        assert_eq!(shard_moved_epoch(&overloaded_error(5)), None);
+        let Some(&ErrorReply::ShardMoved { epoch, retry_after_ms }) = ErrorReply::of(&e) else {
+            panic!("expected a shard_moved reply, got {e}");
+        };
+        assert_eq!((epoch, retry_after_ms), (12, 15));
         assert!(e.to_string().contains("epoch 12"), "{e}");
+        // Rejections are not transient: the server would repeat them.
+        let rejected = std::io::Error::from(ErrorReply::ReloadRejected { reason: "x".into() });
+        assert!(!is_transient(&rejected));
     }
 
     #[test]
@@ -345,13 +195,15 @@ mod tests {
             ShedReason::Deadline,
             ShedReason::ConnectionLimit,
             ShedReason::Draining,
+            ShedReason::Unrouteable,
             ShedReason::Unknown,
         ] {
             assert_eq!(ShedReason::parse(r.as_str()), r);
         }
         assert_eq!(ShedReason::parse("???"), ShedReason::Unknown);
-        let e = overloaded_error_with_reason(10, ShedReason::QueueFull);
-        assert_eq!(overload_reason(&e), Some(ShedReason::QueueFull));
-        assert!(e.to_string().contains("queue_full"), "{e}");
+        let shed = ErrorReply::Overloaded { retry_after_ms: 10, reason: ShedReason::QueueFull };
+        let e = std::io::Error::from(shed.clone());
+        assert_eq!(ErrorReply::of(&e), Some(&shed));
+        assert!(e.to_string().contains("overloaded (queue_full)"), "{e}");
     }
 }

@@ -22,12 +22,13 @@
 
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{TraceConfig, Workload};
+use pddl_faults::FaultPlan;
 use pddl_registry::Registry;
+use predictddl::cli::{check_flags, parse_flags, Command, Flags};
 use predictddl::{
     load_checkpoint, save_checkpoint, spawn_watcher, Controller, ControllerClient, LiveSystem,
     OfflineTrainer, PredictDdl, PredictionRequest, ReloadManager, ServeConfig,
 };
-use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,17 +101,7 @@ options:
   --json           trace: print the raw dump document instead of a waterfall
   --fault-plan     serve: inject deterministic wire faults (see the
                    pddl-faults crate and TESTING.md for the spec)
-  PDDL_LOG=<spec>  structured JSON logs, e.g. PDDL_LOG=info,controller=debug
-  PDDL_FAULT_PLAN  same as --fault-plan (which wins), read once by serve";
-
-type Flags = HashMap<String, String>;
-
-/// One subcommand: its name, the flags it reads, and its entry point.
-struct Command {
-    name: &'static str,
-    flags: &'static [&'static str],
-    run: fn(&Flags) -> Result<(), String>,
-}
+  PDDL_LOG=<spec>  structured JSON logs, e.g. PDDL_LOG=info,controller=debug";
 
 /// Every subcommand with the flags it reads. Anything else on a command
 /// line is refused before the command does any work, so a typo
@@ -170,36 +161,6 @@ const COMMANDS: &[Command] = &[
 
 fn find_command(name: &str) -> Option<&'static Command> {
     COMMANDS.iter().find(|c| c.name == name)
-}
-
-/// Refuses any flag `command` does not read (first offender in
-/// alphabetical order, so the message is stable across runs).
-fn check_flags(command: &Command, flags: &Flags) -> Result<(), String> {
-    let unknown = flags
-        .keys()
-        .map(String::as_str)
-        .filter(|k| !command.flags.contains(k))
-        .min();
-    match unknown {
-        Some(k) => Err(format!("unknown flag --{k} for {}", command.name)),
-        None => Ok(()),
-    }
-}
-
-/// Reads `--key value` pairs; a `--key` followed by another `--` token or
-/// by nothing is the boolean `true`. A token that is neither a flag nor
-/// its value, and a flag given twice, are refused by name.
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags::new();
-    let mut args = args.iter().peekable();
-    while let Some(a) = args.next() {
-        let key = a.strip_prefix("--").ok_or_else(|| format!("unexpected argument '{a}'"))?;
-        let value = args.next_if(|v| !v.starts_with("--")).map_or("true", |v| v.as_str());
-        if flags.insert(key.to_string(), value.to_string()).is_some() {
-            return Err(format!("flag --{key} given more than once"));
-        }
-    }
-    Ok(flags)
 }
 
 fn required<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -324,12 +285,9 @@ fn install_shutdown_handler() {}
 
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").map_or("127.0.0.1:7077", |s| s.as_str());
-    // The flag wins over the environment; either way a typo fails here,
-    // with the parser's message, before anything is served.
-    let fault_plan = match flags.get("fault-plan") {
-        Some(spec) => Some(pddl_faults::FaultPlan::parse(spec)?),
-        None => pddl_faults::FaultPlan::from_env()?,
-    };
+    // A typo in the plan fails here, with the parser's message, before
+    // anything is served.
+    let fault_plan = flags.get("fault-plan").map(|spec| FaultPlan::parse(spec)).transpose()?;
     let mut config = ServeConfig { fault_plan, ..ServeConfig::default() };
     if let Some(v) = flags.get("workers") {
         config.workers = v.parse().map_err(|_| "--workers must be an integer")?;

@@ -109,17 +109,13 @@ pub use crate::protocol::{
 use crate::observe::ObservationSink;
 use crate::offline::PredictDdl;
 use crate::protocol::{
-    frame_too_long_line, observe_rejected_from_line, observe_rejected_line,
-    overload_from_line, overload_line, reload_rejected_from_line, reload_rejected_line,
-    shard_moved_from_line, stats_line, ObserveReply, ReloadReply, RouteShard, RouteTable,
+    frame_too_long_line, stats_line, ErrorReply, ObserveReply, ReloadReply, RouteShard,
+    RouteTable, ShedReason,
 };
 use crate::reload::{LiveSystem, ReloadManager, ReloadOutcome};
 use crate::request::{Prediction, PredictionRequest, RequestError};
 use crate::serve::{JobOutcome, Latch, OpenOnDrop, ServeConfig, ServePool, SubmitError};
-use pddl_cluster::retry::{
-    is_transient, overload_retry_hint, shard_moved_retry_hint, Backoff, RetryPolicy,
-    ShedReason,
-};
+use pddl_cluster::retry::{is_transient, Backoff, RetryPolicy};
 use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
 use pddl_telemetry::{
@@ -215,7 +211,7 @@ impl ResponseCache {
     }
 }
 
-/// [`overload_line`] plus accounting: every shed is attributed to its
+/// The typed overload reply plus accounting: every shed is attributed to its
 /// cause under `controller.shed.<reason>`, so a dashboard (or the load
 /// generator's report) can tell a full queue from expired deadlines.
 fn shed_line(retry_after_ms: u64, reason: ShedReason) -> String {
@@ -225,9 +221,11 @@ fn shed_line(retry_after_ms: u64, reason: ShedReason) -> String {
         ShedReason::Deadline => m.shed_deadline.inc(),
         ShedReason::ConnectionLimit => m.shed_connection_limit.inc(),
         ShedReason::Draining => m.shed_draining.inc(),
-        ShedReason::Unknown => {} // the server always sheds for a reason
+        // Only the router sheds as unrouteable, and a server always
+        // sheds for a reason.
+        ShedReason::Unrouteable | ShedReason::Unknown => {}
     }
-    overload_line(retry_after_ms, reason.as_str())
+    ErrorReply::Overloaded { retry_after_ms, reason }.to_line()
 }
 
 /// A running prediction service. Dropping the handle drains and stops it.
@@ -236,7 +234,6 @@ pub struct Controller {
     requests_served: Arc<AtomicU64>,
     pool: Arc<ServePool>,
     live: Arc<LiveSystem>,
-    sink: Arc<ObservationSink>,
 }
 
 impl Controller {
@@ -278,12 +275,11 @@ impl Controller {
         reload: Option<Arc<ReloadManager>>,
     ) -> std::io::Result<Self> {
         let requests_served = Arc::new(AtomicU64::new(0));
-        let sink = Arc::new(ObservationSink::new());
         let pool = Arc::new(ServePool::start(config));
         let handler = Serving {
             live: Arc::clone(&live),
             reload,
-            sink: Arc::clone(&sink),
+            sink: ObservationSink::new(),
             served: Arc::clone(&requests_served),
             cache: Arc::new(ResponseCache::default()),
             pool: Arc::clone(&pool),
@@ -304,7 +300,7 @@ impl Controller {
             workers = pool.workers() as u64,
             queue_depth = pool.queue_capacity() as u64,
         );
-        Ok(Self { listener, requests_served, pool, live, sink })
+        Ok(Self { listener, requests_served, pool, live })
     }
 
     /// The address the listener is bound to.
@@ -334,14 +330,6 @@ impl Controller {
     /// zero once every client disconnects, with no accept traffic needed.
     pub fn live_connections(&self) -> usize {
         self.listener.connections()
-    }
-
-    /// The feedback inlet behind `{"op":"observe"}` — runtime
-    /// observations accepted and drift events fired so far. Shared with
-    /// every reader thread; useful for tests and for embedding callers
-    /// that want [`ObservationSink::calibrate`] on top of raw predictions.
-    pub fn observation_sink(&self) -> &Arc<ObservationSink> {
-        &self.sink
     }
 
     /// High-water mark of the admission queue since startup.
@@ -428,7 +416,7 @@ fn submit_and_wait(
 struct Serving {
     live: Arc<LiveSystem>,
     reload: Option<Arc<ReloadManager>>,
-    sink: Arc<ObservationSink>,
+    sink: ObservationSink,
     served: Arc<AtomicU64>,
     cache: Arc<ResponseCache>,
     pool: Arc<ServePool>,
@@ -554,9 +542,9 @@ impl Handler for Serving {
                         Ok(ReloadOutcome::AlreadyLive { version, epoch }) => {
                             ReloadReply { version, previous: version, epoch }.to_line()
                         }
-                        Err(rej) => reload_rejected_line(&rej.reason),
+                        Err(rej) => ErrorReply::ReloadRejected { reason: rej.reason }.to_line(),
                     },
-                    None => reload_rejected_line("no_registry"),
+                    None => ErrorReply::ReloadRejected { reason: "no_registry".into() }.to_line(),
                 };
                 writer.send(&out)?;
             }
@@ -567,16 +555,17 @@ impl Handler for Serving {
             // re-predicts the request; the residual drives the sink.
             ParsedFrame::Observe { req, actual_secs } => {
                 m.observe_requests.inc();
+                let reject = |reason: String| ErrorReply::ObserveRejected { reason }.to_line();
                 let out = if !(actual_secs.is_finite() && actual_secs > 0.0) {
-                    observe_rejected_line("non_positive_runtime")
+                    reject("non_positive_runtime".into())
                 } else {
                     match self.live.pin().predict(&req) {
                         Ok(pred) if pred.seconds > 0.0 => {
                             let servers = req.cluster.servers.len();
                             self.sink.record(pred.seconds, actual_secs, servers).to_line()
                         }
-                        Ok(_) => observe_rejected_line("non_positive_prediction"),
-                        Err(e) => observe_rejected_line(&format!("prediction_failed: {e}")),
+                        Ok(_) => reject("non_positive_prediction".into()),
+                        Err(e) => reject(format!("prediction_failed: {e}")),
                     }
                 };
                 writer.send(&out)?;
@@ -998,7 +987,7 @@ impl ControllerClient {
     ) -> std::io::Result<Result<ReloadReply, String>> {
         let line = json::object(|o| o.field("op", "reload").optional("version", &version))?;
         let resp = self.round_trip(&line)?;
-        if let Some(reason) = reload_rejected_from_line(&resp) {
+        if let Some(ErrorReply::ReloadRejected { reason }) = ErrorReply::from_line(&resp) {
             return Ok(Err(reason));
         }
         ReloadReply::from_line(&resp)
@@ -1023,7 +1012,7 @@ impl ControllerClient {
             o.field("op", "observe").field("req", req).field("actual_secs", &actual_secs)
         })?;
         let resp = self.round_trip(&line)?;
-        if let Some(reason) = observe_rejected_from_line(&resp) {
+        if let Some(ErrorReply::ObserveRejected { reason }) = ErrorReply::from_line(&resp) {
             return Ok(Err(reason));
         }
         ObserveReply::from_line(&resp).map(Ok).map_err(invalid_data)
@@ -1144,8 +1133,8 @@ impl ControllerClient {
             if was_connected && self.conn.is_none() {
                 cm.reconnects.inc();
             }
-            let moved = shard_moved_retry_hint(&err);
-            if moved.is_some() {
+            let reply = ErrorReply::of(&err);
+            if let Some(ErrorReply::ShardMoved { .. }) = reply {
                 // The routed shard died before answering and the router
                 // has absorbed the death (the reply carries the new
                 // epoch): refresh the cached route table — best effort;
@@ -1156,9 +1145,9 @@ impl ControllerClient {
             // The server's pacing hint is a floor under the jittered
             // backoff, capped by the policy so a bogus hint cannot stall
             // the client.
-            let floor = overload_retry_hint(&err).or(moved).map_or(Duration::ZERO, |h| {
-                h.min(policy.max_delay)
-            });
+            let floor = reply
+                .and_then(ErrorReply::retry_after)
+                .map_or(Duration::ZERO, |h| h.min(policy.max_delay));
             std::thread::sleep(delay.max(floor));
         }
     }
@@ -1215,15 +1204,13 @@ impl ControllerClient {
                 return Err(e);
             }
         };
-        if let Some(e) = overload_from_line(&resp) {
-            m.overloads.inc();
-            return Err(e);
-        }
-        if let Some(e) = shard_moved_from_line(&resp) {
-            m.shard_moved.inc();
-            return Err(e);
-        }
-        Ok(resp)
+        let (counter, reply) = match ErrorReply::from_line(&resp) {
+            Some(reply @ ErrorReply::Overloaded { .. }) => (&m.overloads, reply),
+            Some(reply @ ErrorReply::ShardMoved { .. }) => (&m.shard_moved, reply),
+            _ => return Ok(resp),
+        };
+        counter.inc();
+        Err(reply.into())
     }
 }
 

@@ -116,6 +116,7 @@
 
 pub mod batch;
 pub mod checkpoint;
+pub mod cli;
 pub mod controller;
 pub mod embeddings;
 pub mod inference;
@@ -136,9 +137,8 @@ pub use checkpoint::{
 pub use controller::{Controller, ControllerClient};
 pub use observe::ObservationSink;
 pub use protocol::{
-    observe_rejected_from_line, observe_rejected_line, parse_frame, reload_rejected_from_line,
-    reload_rejected_line, ObserveReply, ParsedFrame, ReloadReply, RequestEnvelope,
-    ResponseEnvelope, RouteShard, RouteTable, TraceHeader, WireResponse, WIRE_OPS,
+    parse_frame, ErrorReply, ObserveReply, ParsedFrame, ReloadReply, RequestEnvelope,
+    ResponseEnvelope, RouteShard, RouteTable, ShedReason, TraceHeader, WireResponse, WIRE_OPS,
 };
 pub use reload::{spawn_watcher, LiveSystem, ReloadManager, ReloadOutcome, ReloadRejected};
 pub use embeddings::{CacheStats, EmbeddingCache, EmbeddingsGenerator};

@@ -26,24 +26,21 @@
 //!
 //! ## Typed error lines
 //!
-//! Two error replies are typed so resilient clients can classify them
-//! without string matching: the overload shed
-//! (`{"error":"overloaded","retry_after_ms":…,"reason":…}`, rendered by
-//! [`overload_line`] and recognised by [`overload_from_line`]) and the
-//! router's re-route signal
-//! (`{"error":"shard_moved","epoch":…,"retry_after_ms":…}`, rendered by
-//! [`shard_moved_line`] and recognised by [`shard_moved_from_line`]).
-//! Both map onto transient [`std::io::Error`]s that
-//! [`pddl_cluster::retry::is_transient`] approves for retry.
+//! The four `{"error":"<kind>",…}` refusals — the overload shed, the
+//! router's re-route signal, and the reload and observe rejections — are
+//! one type, [`ErrorReply`], with one codec: [`ErrorReply::to_line`]
+//! renders and [`ErrorReply::from_line`] recognises them, so resilient
+//! clients classify without string matching. The two transient kinds
+//! convert into a `WouldBlock` [`std::io::Error`] carrying the reply,
+//! which [`pddl_cluster::retry::is_transient`] approves for retry and
+//! [`ErrorReply::of`] reads back.
 
 use crate::request::{PredictionRequest, RequestError};
-use pddl_cluster::retry::{
-    overloaded_error_with_reason, shard_moved_error, ShedReason,
-};
 use pddl_telemetry::json::{
     self, Fields, FromJson, JsonError, JsonValue, JsonWriter, ObjectWriter, ToJson,
 };
 use pddl_telemetry::{Snapshot, TraceContext};
+use std::time::Duration;
 
 /// Every operation the controller-plane wire protocol carries, in the
 /// order PROTOCOL.md documents them. The first three are the prediction
@@ -325,77 +322,210 @@ pub fn stats_line(shard: Option<u64>, snapshot: &Snapshot) -> String {
     })
 }
 
-/// Renders a terminal `{"error":"<kind>","reason":…}` rejection line.
-fn rejected_line(kind: &str, reason: &str) -> String {
-    line(|o| o.field("error", kind).field("reason", reason))
+/// Why a server shed a request — the `reason` field of an `overloaded`
+/// reply. Distinguishing the causes matters operationally: `QueueFull`
+/// wants more capacity, `Deadline` wants a laxer deadline or faster
+/// handlers, `ConnectionLimit` wants fewer clients per node,
+/// `Unrouteable` wants a healthy shard behind the router, and `Draining`
+/// is expected during rollout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ShedReason {
+    /// The bounded request queue was at capacity.
+    QueueFull,
+    /// The request expired in the queue past its deadline.
+    Deadline,
+    /// The per-process connection cap was reached.
+    ConnectionLimit,
+    /// The server is draining for graceful shutdown.
+    Draining,
+    /// The router has no healthy shard to send the request to.
+    Unrouteable,
+    /// The reply carried no (or an unrecognised) reason — e.g. a peer
+    /// predating the typed field.
+    Unknown,
 }
 
-/// The document of a typed `{"error":"<kind>",…}` line, if `resp` is
-/// one — the one recogniser behind every `*_from_line` classifier.
-fn typed_error(resp: &str, kind: &str) -> Option<JsonValue> {
-    let trimmed = resp.trim_end();
-    // Fast path: only a typed error line has a string-valued `error` key
-    // (a prediction error's is an object), so every other reply is
-    // rejected without a parse.
-    if !trimmed.contains("\"error\":\"") {
-        return None;
+impl ShedReason {
+    /// Wire name, as carried in the `reason` field of a shed reply.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ShedReason::QueueFull => "queue_full",
+            ShedReason::Deadline => "deadline",
+            ShedReason::ConnectionLimit => "connection_limit",
+            ShedReason::Draining => "draining",
+            ShedReason::Unrouteable => "unrouteable",
+            ShedReason::Unknown => "unknown",
+        }
     }
-    let doc = JsonValue::parse(trimmed).ok()?;
-    (doc.get("error")?.as_str()? == kind).then_some(doc)
+
+    /// Parses a wire name; anything unrecognised maps to `Unknown` rather
+    /// than erroring — the reason is advisory.
+    pub fn parse(s: &str) -> ShedReason {
+        match s {
+            "queue_full" => ShedReason::QueueFull,
+            "deadline" => ShedReason::Deadline,
+            "connection_limit" => ShedReason::ConnectionLimit,
+            "draining" => ShedReason::Draining,
+            "unrouteable" => ShedReason::Unrouteable,
+            _ => ShedReason::Unknown,
+        }
+    }
 }
 
-/// The `u64` at `key` of a typed error line, 0 when absent.
-fn int(doc: &JsonValue, key: &str) -> u64 {
-    doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+/// A typed `{"error":"<kind>",…}` reply: a refusal a client classifies
+/// by kind. The first two kinds are transient — nothing was executed and
+/// a retry after `retry_after_ms` can succeed; the two rejections are
+/// terminal for the line, since the same line earns the same answer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ErrorReply {
+    /// `overloaded`: the server shed the request instead of doing the
+    /// work.
+    Overloaded {
+        /// Server-suggested minimum wait before retrying.
+        retry_after_ms: u64,
+        /// Why the server shed the request.
+        reason: ShedReason,
+    },
+    /// `shard_moved`: the router's re-route signal — the shard a request
+    /// was routed to died before answering. The request was not executed
+    /// twice: this reply is only sent in place of an answer, and the
+    /// replacement shard's dedup cache absorbs replays of answered
+    /// requests.
+    ShardMoved {
+        /// Membership epoch after the death was absorbed, so a client
+        /// whose cached route table already carries it need not refresh.
+        epoch: u64,
+        /// Router-suggested minimum wait before retrying.
+        retry_after_ms: u64,
+    },
+    /// `reload_rejected`: a `{"op":"reload"}` did not swap — the
+    /// candidate failed to load or failed its validation probe, the
+    /// registry is empty, or there is no registry at all. The old model
+    /// stays live: a rejection is a rollback, not an outage.
+    ReloadRejected {
+        /// The rejection class, with its detail after a colon.
+        reason: String,
+    },
+    /// `observe_rejected`: an `{"op":"observe"}` the controller could not
+    /// absorb — a non-positive or non-finite runtime, or a request the
+    /// live model could not predict. The model is unchanged.
+    ObserveRejected {
+        /// The rejection class, with its detail after a colon.
+        reason: String,
+    },
 }
 
-/// The `reason` of a typed rejection line, `unknown` when absent.
-fn rejected_from_line(resp: &str, kind: &str) -> Option<String> {
-    let doc = typed_error(resp, kind)?;
-    Some(doc.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown").to_string())
+impl ErrorReply {
+    /// Renders the reply line.
+    pub fn to_line(&self) -> String {
+        json::to_string(self).expect("typed error lines hold no floats")
+    }
+
+    /// Recognises a typed error line. Every other reply — including a
+    /// prediction error, whose `error` is an object — is `None`, and is
+    /// turned away without a parse. A missing integer reads as 0 and a
+    /// missing reason as `unknown`.
+    pub fn from_line(resp: &str) -> Option<ErrorReply> {
+        let trimmed = resp.trim_end();
+        // Only a typed error line has a string-valued `error` key.
+        if !trimmed.contains("\"error\":\"") {
+            return None;
+        }
+        json::from_str(trimmed).ok()
+    }
+
+    /// The pacing hint of a transient kind; `None` for a rejection.
+    pub fn retry_after(&self) -> Option<Duration> {
+        match *self {
+            ErrorReply::Overloaded { retry_after_ms, .. }
+            | ErrorReply::ShardMoved { retry_after_ms, .. } => {
+                Some(Duration::from_millis(retry_after_ms))
+            }
+            ErrorReply::ReloadRejected { .. } | ErrorReply::ObserveRejected { .. } => None,
+        }
+    }
+
+    /// The reply `e` carries, if it was made from one.
+    pub fn of(e: &std::io::Error) -> Option<&ErrorReply> {
+        e.get_ref()?.downcast_ref()
+    }
 }
 
-/// Renders the typed overload reply; `reason` is one of `queue_full`,
-/// `deadline`, `connection_limit`, `draining`.
-pub fn overload_line(retry_after_ms: u64, reason: &str) -> String {
-    line(|o| {
-        o.field("error", "overloaded")
-            .field("retry_after_ms", &retry_after_ms)
-            .field("reason", reason)
-    })
+impl ToJson for ErrorReply {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let o = w.object();
+        match self {
+            ErrorReply::Overloaded { retry_after_ms, reason } => o
+                .field("error", "overloaded")
+                .field("retry_after_ms", retry_after_ms)
+                .field("reason", reason.as_str()),
+            ErrorReply::ShardMoved { epoch, retry_after_ms } => o
+                .field("error", "shard_moved")
+                .field("epoch", epoch)
+                .field("retry_after_ms", retry_after_ms),
+            ErrorReply::ReloadRejected { reason } => {
+                o.field("error", "reload_rejected").field("reason", reason)
+            }
+            ErrorReply::ObserveRejected { reason } => {
+                o.field("error", "observe_rejected").field("reason", reason)
+            }
+        }
+        .end();
+    }
 }
 
-/// Classifies a response line as a typed overload reply, mapping it to
-/// the transient [`pddl_cluster::retry::Overloaded`] error the resilient
-/// retry loop understands.
-pub fn overload_from_line(resp: &str) -> Option<std::io::Error> {
-    let doc = typed_error(resp, "overloaded")?;
-    let reason = doc.get("reason").and_then(JsonValue::as_str);
-    let reason = reason.map_or(ShedReason::Unknown, ShedReason::parse);
-    Some(overloaded_error_with_reason(int(&doc, "retry_after_ms"), reason))
+impl FromJson for ErrorReply {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let int = |key| o.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        let reason = || o.get("reason").and_then(JsonValue::as_str).unwrap_or("unknown");
+        Ok(match o.field::<String>("error")?.as_str() {
+            "overloaded" => ErrorReply::Overloaded {
+                retry_after_ms: int("retry_after_ms"),
+                reason: ShedReason::parse(reason()),
+            },
+            "shard_moved" => ErrorReply::ShardMoved {
+                epoch: int("epoch"),
+                retry_after_ms: int("retry_after_ms"),
+            },
+            "reload_rejected" => ErrorReply::ReloadRejected { reason: reason().to_string() },
+            "observe_rejected" => ErrorReply::ObserveRejected { reason: reason().to_string() },
+            other => return Err(JsonError::unknown_variant(other)),
+        })
+    }
 }
 
-/// Renders the typed re-route reply the router sends when the shard a
-/// request was routed to died before answering. `epoch` is the membership
-/// epoch *after* the death was absorbed, so a client that refreshes its
-/// route table can tell whether it already saw the new topology.
-pub fn shard_moved_line(epoch: u64, retry_after_ms: u64) -> String {
-    line(|o| {
-        o.field("error", "shard_moved")
-            .field("epoch", &epoch)
-            .field("retry_after_ms", &retry_after_ms)
-    })
+impl std::fmt::Display for ErrorReply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ErrorReply::Overloaded { retry_after_ms, reason } => write!(
+                f,
+                "server overloaded ({}); retry after {retry_after_ms}ms",
+                reason.as_str()
+            ),
+            ErrorReply::ShardMoved { epoch, retry_after_ms } => write!(
+                f,
+                "shard moved (membership epoch {epoch}); retry after {retry_after_ms}ms"
+            ),
+            ErrorReply::ReloadRejected { reason } => write!(f, "reload rejected: {reason}"),
+            ErrorReply::ObserveRejected { reason } => write!(f, "observe rejected: {reason}"),
+        }
+    }
 }
 
-/// Classifies a response line as a typed `shard_moved` reply, mapping it
-/// to the transient [`pddl_cluster::retry::ShardMoved`] error. Resilient
-/// clients react by refreshing their route table and retrying — the
-/// request itself was *not* executed twice (the reply is only sent when
-/// the routed shard died without answering, and the dedup cache on the
-/// replacement shard absorbs any replay the shard did answer).
-pub fn shard_moved_from_line(resp: &str) -> Option<std::io::Error> {
-    let doc = typed_error(resp, "shard_moved")?;
-    Some(shard_moved_error(int(&doc, "epoch"), int(&doc, "retry_after_ms")))
+impl std::error::Error for ErrorReply {}
+
+impl From<ErrorReply> for std::io::Error {
+    /// A transient kind becomes `WouldBlock`, which the retry loops back
+    /// off and retry; a rejection becomes `InvalidInput`, which they
+    /// return, since the server would repeat it verbatim.
+    fn from(reply: ErrorReply) -> std::io::Error {
+        let kind = match reply.retry_after() {
+            Some(_) => std::io::ErrorKind::WouldBlock,
+            None => std::io::ErrorKind::InvalidInput,
+        };
+        std::io::Error::new(kind, reply)
+    }
 }
 
 /// Reply to a successful `{"op":"reload"}`: the version now live, the
@@ -446,22 +576,6 @@ impl ReloadReply {
     }
 }
 
-/// Renders the typed rejection reply for a `{"op":"reload"}` that did not
-/// swap: the candidate failed to load or failed its validation probe, the
-/// registry is empty, or the controller has no registry at all. The old
-/// model stays live — rejection is a *rollback*, not an outage — so the
-/// reply is terminal for the attempt, not transient like the overload
-/// shed.
-pub fn reload_rejected_line(reason: &str) -> String {
-    rejected_line("reload_rejected", reason)
-}
-
-/// Classifies a response line as a typed `reload_rejected` reply,
-/// returning the rejection reason.
-pub fn reload_rejected_from_line(resp: &str) -> Option<String> {
-    rejected_from_line(resp, "reload_rejected")
-}
-
 /// Reply to a successful `{"op":"observe"}`: the sink's lifetime
 /// observation count, how many drift events have fired, the standardized
 /// residual of *this* observation against the live model, and whether it
@@ -510,28 +624,15 @@ impl ObserveReply {
     /// predicted an infinite runtime) has no JSON spelling and renders as
     /// the typed `non_finite_residual` rejection instead.
     pub fn to_line(&self) -> String {
-        json::to_string(self).unwrap_or_else(|_| observe_rejected_line("non_finite_residual"))
+        json::to_string(self).unwrap_or_else(|_| {
+            ErrorReply::ObserveRejected { reason: "non_finite_residual".into() }.to_line()
+        })
     }
 
     /// Parses a `{"status":"observe",…}` response line.
     pub fn from_line(line: &str) -> Result<ObserveReply, String> {
         json::from_str(line.trim_end()).map_err(|e| e.to_string())
     }
-}
-
-/// Renders the typed rejection reply for an `{"op":"observe"}` the
-/// controller could not absorb: the measured runtime was non-positive or
-/// non-finite, or the live model could not predict the request (unknown
-/// dataset, infeasible cluster). The observation is dropped; the model is
-/// unchanged. Terminal for the attempt, not transient.
-pub fn observe_rejected_line(reason: &str) -> String {
-    rejected_line("observe_rejected", reason)
-}
-
-/// Classifies a response line as a typed `observe_rejected` reply,
-/// returning the rejection reason.
-pub fn observe_rejected_from_line(resp: &str) -> Option<String> {
-    rejected_from_line(resp, "observe_rejected")
 }
 
 /// One shard entry in a [`RouteTable`].
@@ -651,24 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_moved_line_classifies() {
-        let line = shard_moved_line(9, 15);
-        let err = shard_moved_from_line(&line).expect("typed shard_moved");
-        assert!(pddl_cluster::retry::is_transient(&err));
-        assert_eq!(pddl_cluster::retry::shard_moved_epoch(&err), Some(9));
-        assert!(shard_moved_from_line("{\"status\":\"ok\"}").is_none());
-        assert!(overload_from_line(&line).is_none());
-    }
-
-    #[test]
-    fn overload_line_classifies() {
-        let line = overload_line(25, "queue_full");
-        let err = overload_from_line(&line).expect("typed overload");
-        assert!(pddl_cluster::retry::is_transient(&err));
-        assert!(shard_moved_from_line(&line).is_none());
-    }
-
-    #[test]
     fn reload_op_parses_with_and_without_version() {
         assert!(matches!(
             parse_frame("{\"op\":\"reload\"}"),
@@ -685,18 +768,6 @@ mod tests {
         let reply = ReloadReply { version: 4, previous: 3, epoch: 9 };
         assert_eq!(ReloadReply::from_line(&reply.to_line()).unwrap(), reply);
         assert!(ReloadReply::from_line("{\"status\":\"ok\"}").is_err());
-    }
-
-    #[test]
-    fn reload_rejected_line_classifies() {
-        let line = reload_rejected_line("probe_mismatch: \"w0\" drifted");
-        assert_eq!(
-            reload_rejected_from_line(&line).as_deref(),
-            Some("probe_mismatch: \"w0\" drifted")
-        );
-        assert!(reload_rejected_from_line("{\"status\":\"reload\"}").is_none());
-        assert!(overload_from_line(&line).is_none());
-        assert!(shard_moved_from_line(&line).is_none());
     }
 
     #[test]
@@ -730,16 +801,101 @@ mod tests {
         assert!(ObserveReply::from_line("{\"status\":\"reload\"}").is_err());
     }
 
+    /// One table row: a line, what [`ErrorReply::from_line`] reads from
+    /// it, and whether [`ErrorReply::to_line`] gives the line back byte
+    /// for byte (a lenient read does not).
+    type Row = (&'static str, Option<ErrorReply>, bool);
+
+    fn check_rows(rows: &[Row]) {
+        for (line, want, round_trips) in rows {
+            let got = ErrorReply::from_line(line);
+            assert_eq!(&got, want, "{line}");
+            let Some(reply) = got else { continue };
+            if *round_trips {
+                assert_eq!(reply.to_line(), *line);
+            }
+            // Only the two transient kinds enter the retry path, and the
+            // error carries the reply back out.
+            let err = std::io::Error::from(reply.clone());
+            assert_eq!(ErrorReply::of(&err), Some(&reply), "{line}");
+            let transient =
+                matches!(reply, ErrorReply::Overloaded { .. } | ErrorReply::ShardMoved { .. });
+            assert_eq!(pddl_cluster::retry::is_transient(&err), transient, "{line}");
+            assert_eq!(reply.retry_after().is_some(), transient, "{line}");
+        }
+    }
+
+    #[test]
+    fn overload_line_classifies() {
+        let shed = |retry_after_ms, reason| Some(ErrorReply::Overloaded { retry_after_ms, reason });
+        check_rows(&[
+            (
+                r#"{"error":"overloaded","retry_after_ms":25,"reason":"queue_full"}"#,
+                shed(25, ShedReason::QueueFull),
+                true,
+            ),
+            (
+                r#"{"error":"overloaded","retry_after_ms":50,"reason":"connection_limit"}"#,
+                shed(50, ShedReason::ConnectionLimit),
+                true,
+            ),
+            (
+                r#"{"error":"overloaded","retry_after_ms":50,"reason":"unrouteable"}"#,
+                shed(50, ShedReason::Unrouteable),
+                true,
+            ),
+            (r#"{"error":"overloaded","retry_after_ms":5}"#, shed(5, ShedReason::Unknown), false),
+            (
+                r#"{"error":"overloaded","retry_after_ms":5,"reason":"???"}"#,
+                shed(5, ShedReason::Unknown),
+                false,
+            ),
+            (r#"{"error":"overloaded"}"#, shed(0, ShedReason::Unknown), false),
+        ]);
+    }
+
+    #[test]
+    fn shard_moved_line_classifies() {
+        check_rows(&[(
+            r#"{"error":"shard_moved","epoch":9,"retry_after_ms":15}"#,
+            Some(ErrorReply::ShardMoved { epoch: 9, retry_after_ms: 15 }),
+            true,
+        )]);
+    }
+
+    #[test]
+    fn reload_rejected_line_classifies() {
+        check_rows(&[(
+            r#"{"error":"reload_rejected","reason":"probe_mismatch: \"w0\" drifted"}"#,
+            Some(ErrorReply::ReloadRejected { reason: "probe_mismatch: \"w0\" drifted".into() }),
+            true,
+        )]);
+    }
+
     #[test]
     fn observe_rejected_line_classifies() {
-        let line = observe_rejected_line("actual_secs must be positive");
-        assert_eq!(
-            observe_rejected_from_line(&line).as_deref(),
-            Some("actual_secs must be positive")
-        );
-        assert!(observe_rejected_from_line("{\"status\":\"observe\"}").is_none());
-        assert!(reload_rejected_from_line(&line).is_none());
-        assert!(overload_from_line(&line).is_none());
+        let rejected = |reason: &str| Some(ErrorReply::ObserveRejected { reason: reason.into() });
+        check_rows(&[
+            (
+                r#"{"error":"observe_rejected","reason":"actual_secs must be positive"}"#,
+                rejected("actual_secs must be positive"),
+                true,
+            ),
+            (r#"{"error":"observe_rejected"}"#, rejected("unknown"), false),
+        ]);
+    }
+
+    /// Replies that are not typed error lines: the success statuses, a
+    /// prediction error (whose `error` is an object), and an unknown kind.
+    #[test]
+    fn typed_error_lines_classify() {
+        check_rows(&[
+            (r#"{"status":"ok"}"#, None, false),
+            (r#"{"status":"reload"}"#, None, false),
+            (r#"{"status":"observe"}"#, None, false),
+            (r#"{"status":"err","error":{"invalid_params":"frame exceeds 9 bytes"}}"#, None, false),
+            (r#"{"error":"teapot","reason":"short and stout"}"#, None, false),
+        ]);
     }
 
     #[test]

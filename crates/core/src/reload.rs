@@ -20,10 +20,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
-/// Default probe tolerance in seconds: effectively "bit-identical or a
-/// rounding hair away" — an unchanged model passes, a retrained one that
-/// drifts on its own training workloads does not.
-pub const DEFAULT_PROBE_TOLERANCE: f64 = 1e-9;
+/// Probe tolerance in seconds: effectively "bit-identical or a rounding
+/// hair away" — an unchanged model passes, a retrained one that drifts on
+/// its own training workloads does not.
+const PROBE_TOLERANCE: f64 = 1e-9;
 
 struct ReloadMetrics {
     reloads: &'static Counter,
@@ -134,23 +134,13 @@ pub struct ReloadManager {
     /// Serializes reload attempts: concurrent `{"op":"reload"}` frames
     /// validate and swap one at a time.
     gate: Mutex<()>,
-    tolerance: f64,
 }
 
 impl ReloadManager {
-    /// Creates a manager with [`DEFAULT_PROBE_TOLERANCE`].
+    /// Creates a manager whose probe gate admits a candidate within 1e-9 s
+    /// of every recorded probe.
     pub fn new(registry: Registry, live: Arc<LiveSystem>) -> Arc<Self> {
-        Self::with_tolerance(registry, live, DEFAULT_PROBE_TOLERANCE)
-    }
-
-    /// Creates a manager with an explicit probe tolerance in seconds.
-    pub fn with_tolerance(registry: Registry, live: Arc<LiveSystem>, tolerance: f64) -> Arc<Self> {
-        Arc::new(Self {
-            registry,
-            live,
-            gate: Mutex::new(()),
-            tolerance,
-        })
+        Arc::new(Self { registry, live, gate: Mutex::new(()) })
     }
 
     /// The underlying registry.
@@ -204,7 +194,7 @@ impl ReloadManager {
             Ok(c) => c,
             Err(e) => return reject(format!("load_failed: {e}")),
         };
-        if let Err(e) = validate_probes(&candidate, &manifest, self.tolerance) {
+        if let Err(e) = validate_probes(&candidate, &manifest, PROBE_TOLERANCE) {
             return reject(format!("probe_mismatch: {e}"));
         }
         if let Err(e) = self.registry.pin(target) {

@@ -70,9 +70,8 @@ pub struct ServeConfig {
     /// as they were before sharding existed.
     pub shard_id: Option<u64>,
     /// Wire-fault plan every accepted connection wears (`None`, the
-    /// default, serves fault-free). The library never reads
-    /// `PDDL_FAULT_PLAN` itself: `predictddl-cli serve` does, once, and
-    /// passes the plan here.
+    /// default, serves fault-free); `predictddl-cli serve --fault-plan`
+    /// parses one and passes it here.
     pub fault_plan: Option<FaultPlan>,
 }
 

@@ -6,7 +6,6 @@ use crate::simulate::{SimConfig, Simulator};
 use crate::workload::Workload;
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_zoo::model_names;
-use pddl_telemetry::json::{self, JsonError};
 
 /// One collected measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -118,23 +117,6 @@ pub fn generate_trace(cfg: &TraceConfig) -> Vec<TraceRecord> {
         .collect()
 }
 
-/// Serializes a trace to JSON lines.
-pub fn trace_to_jsonl(records: &[TraceRecord]) -> String {
-    records
-        .iter()
-        .map(|r| json::to_string(r).expect("simulated times are finite"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Parses a JSON-lines trace.
-pub fn trace_from_jsonl(s: &str) -> Result<Vec<TraceRecord>, JsonError> {
-    s.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(json::from_str)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,14 +139,6 @@ mod tests {
             "expected a paper-scale trace, got {}",
             t.len()
         );
-    }
-
-    #[test]
-    fn trace_round_trips_jsonl() {
-        let t = generate_trace(&TraceConfig::small());
-        let s = trace_to_jsonl(&t);
-        let t2 = trace_from_jsonl(&s).unwrap();
-        assert_eq!(t, t2);
     }
 
     #[test]

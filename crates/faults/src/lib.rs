@@ -17,9 +17,9 @@
 //! The controller and the cluster resource collector are handed a plan
 //! when they start serving (`ServeConfig::fault_plan`, the second argument
 //! of `CollectorServer::bind`) and wrap every accepted connection in it;
-//! the CLI gets its plan from `--fault-plan` or [`FaultPlan::from_env`]
-//! (`PDDL_FAULT_PLAN`). Integration tests and the CLI therefore run
-//! identical chaos schedules, and no library code reads the environment.
+//! the CLI gets its plan from `predictddl-cli serve --fault-plan`.
+//! Integration tests and the CLI therefore run identical chaos schedules,
+//! and nothing reads the environment.
 //!
 //! Every injected fault is counted in `pddl-telemetry`
 //! (`faults.injected_delays`, `faults.injected_resets`,
@@ -36,5 +36,5 @@
 mod plan;
 mod stream;
 
-pub use plan::{FaultPlan, FAULT_PLAN_ENV};
+pub use plan::FaultPlan;
 pub use stream::{Direction, FaultEvent, FaultKind, FaultSchedule, FaultyRead, FaultyWrite};

@@ -1,14 +1,9 @@
 //! The fault *plan*: a seed plus per-operation fault probabilities, parsed
 //! from a compact spec string so the same chaos schedule can be named on a
-//! CLI flag, an env var, or in a test.
+//! CLI flag or in a test.
 
 use crate::stream::{Direction, FaultSchedule};
 use pddl_telemetry::rng::Rng;
-
-/// Environment variable `predictddl-cli serve` reads its fault-plan spec
-/// from when `--fault-plan` is absent ([`FaultPlan::from_env`]). Libraries
-/// never read it: servers take their plan as an argument.
-pub const FAULT_PLAN_ENV: &str = "PDDL_FAULT_PLAN";
 
 /// A seed-deterministic schedule of wire faults.
 ///
@@ -121,16 +116,6 @@ impl FaultPlan {
             self.p_garbage,
             self.p_drop,
         )
-    }
-
-    /// Reads [`FAULT_PLAN_ENV`]. `Ok(None)` when unset or empty; `Err` on
-    /// a present-but-unparseable spec so misconfigurations surface instead
-    /// of silently disabling chaos.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// The deterministic fault schedule for one direction of one

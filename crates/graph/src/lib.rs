@@ -18,14 +18,12 @@
 //! those.
 
 pub mod dag;
-pub mod dot;
 pub mod features;
 pub mod op;
 pub mod paths;
 pub mod testing;
 
 pub use dag::{CompGraph, GraphError, Node, NodeId};
-pub use dot::to_dot;
 pub use features::one_hot_features;
 pub use op::{NodeAttrs, OpKind};
 pub use paths::virtual_edges;

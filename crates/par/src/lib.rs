@@ -247,16 +247,6 @@ where
     WorkPool::global().map(items, f)
 }
 
-/// [`WorkPool::map_indexed`] on the machine-sized global pool.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    WorkPool::global().map_indexed(items, f)
-}
-
 /// [`WorkPool::filter_map`] on the machine-sized global pool.
 pub fn par_filter_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where

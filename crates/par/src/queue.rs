@@ -41,11 +41,6 @@ impl<T> PushError<T> {
             PushError::Full(t) | PushError::Closed(t) => t,
         }
     }
-
-    /// True if the rejection was a capacity shed (not a closed queue).
-    pub fn is_full(&self) -> bool {
-        matches!(self, PushError::Full(_))
-    }
 }
 
 struct Inner<T> {
@@ -127,11 +122,6 @@ impl<T> TaskQueue<T> {
     pub fn close(&self) {
         self.lock().closed = true;
         self.not_empty.notify_all();
-    }
-
-    /// True once [`TaskQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
     }
 
     /// Items currently queued (racy by nature; for telemetry).

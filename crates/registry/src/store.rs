@@ -307,22 +307,10 @@ impl Registry {
         artifacts: &[(String, Vec<u8>)],
         probes: &[ProbeRecord],
     ) -> Result<u64, RegistryError> {
-        let now = SystemTime::now()
+        let created_unix = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        self.publish_at(now, label, artifacts, probes)
-    }
-
-    /// [`Registry::publish`] with an explicit `created_unix` timestamp,
-    /// for deterministic tests and golden fixtures.
-    pub fn publish_at(
-        &self,
-        created_unix: u64,
-        label: &str,
-        artifacts: &[(String, Vec<u8>)],
-        probes: &[ProbeRecord],
-    ) -> Result<u64, RegistryError> {
         let start = Instant::now();
         let (version, dir) = self.claim_version()?;
         let mut entries = Vec::with_capacity(artifacts.len());

@@ -37,12 +37,6 @@ impl MlpRegressor {
         assert!(hidden >= 1, "need at least one hidden neuron");
         Self { hidden, epochs, lr, seed, state: None }
     }
-
-    /// Final training loss (standardized scale), for diagnostics.
-    pub fn training_loss(&self, x: &Matrix, y: &[f32]) -> f32 {
-        let pred = self.predict(x);
-        crate::metrics::rmse(&pred, y)
-    }
 }
 
 impl Regressor for MlpRegressor {

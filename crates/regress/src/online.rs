@@ -215,11 +215,6 @@ impl OnlineRidge {
         self.refits
     }
 
-    /// Observations currently buffered in the sliding window.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Predicts `w₀ + Σ wᵢ xᵢ` for one raw feature vector.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.features, "feature width mismatch");

@@ -15,8 +15,8 @@
 
 use pddl_cluster::wire::LineConn;
 use pddl_router::{Router, RouterConfig};
+use predictddl::cli::{check_flags, parse_flags, Command, Flags};
 use predictddl::RouteTable;
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,19 +28,16 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(rest);
-    let result = match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        "serve" => cmd_serve(&flags),
-        "inspect" => cmd_inspect(&flags),
-        _ => {
-            eprintln!("unknown command '{cmd}'\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        eprintln!("unknown command '{cmd}'\n{USAGE}");
+        return ExitCode::FAILURE;
     };
+    let result = parse_flags(rest)
+        .and_then(|flags| check_flags(command, &flags).and_then(|()| (command.run)(&flags)));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -64,27 +61,16 @@ options:
   --timeout-ms   inspect: connect/read timeout (5000)
   PDDL_LOG=<spec>  structured JSON logs, e.g. PDDL_LOG=info,router=debug";
 
-type Flags = HashMap<String, String>;
-
-fn parse_flags(args: &[String]) -> Flags {
-    let mut flags = Flags::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(key.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            i += 1;
-        }
-    }
-    flags
-}
+/// Every subcommand with the flags it reads; anything else on a command
+/// line is refused by name before the command does any work.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "serve",
+        flags: &["shards", "addr", "vnodes", "probe-ms", "max-conns"],
+        run: cmd_serve,
+    },
+    Command { name: "inspect", flags: &["addr", "timeout-ms"], run: cmd_inspect },
+];
 
 /// Set by the SIGINT/SIGTERM handler; polled by the serve loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);

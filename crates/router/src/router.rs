@@ -50,13 +50,8 @@ use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer, SHUTDOWN_POL
 use pddl_telemetry::{
     flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
 };
-use predictddl::protocol::{
-    frame_too_long_line, overload_line, shard_moved_line, stats_line, RouteShard,
-    RouteTable,
-};
-use predictddl::{
-    parse_frame, reload_rejected_from_line, reload_rejected_line, ParsedFrame, ReloadReply,
-};
+use predictddl::protocol::{frame_too_long_line, stats_line, RouteShard, RouteTable};
+use predictddl::{parse_frame, ErrorReply, ParsedFrame, ReloadReply, ShedReason};
 use std::collections::hash_map::{Entry, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -409,7 +404,8 @@ impl Handler for Routing {
     }
 
     fn connection_limit_line(&self) -> String {
-        overload_line(self.config.retry_after_ms, "connection_limit")
+        let retry_after_ms = self.config.retry_after_ms;
+        ErrorReply::Overloaded { retry_after_ms, reason: ShedReason::ConnectionLimit }.to_line()
     }
 
     fn frame_too_long_line(&self, limit: usize) -> String {
@@ -507,14 +503,15 @@ fn forward(
 ) -> std::io::Result<()> {
     let m = metrics();
     let t0 = Instant::now();
+    let retry_after_ms = config.retry_after_ms;
     let mut reroutes = 0u32;
     loop {
         let Some((_epoch, sid, addr)) = membership.route(key) else {
-            // No healthy shard owns anything: typed overload (reason
-            // "unrouteable" parses as Unknown — still transient).
+            // No healthy shard owns anything: typed overload, transient.
             m.unrouteable.inc();
             record_route(trace, t0, Some("shed"));
-            return client.send(&overload_line(config.retry_after_ms, "unrouteable"));
+            let reply = ErrorReply::Overloaded { retry_after_ms, reason: ShedReason::Unrouteable };
+            return client.send(&reply.to_line());
         };
         match shard_exchange(legs, sid, addr, config, line) {
             Ok(resp) => {
@@ -531,8 +528,8 @@ fn forward(
                 if reroutes > config.max_reroutes {
                     m.shard_moved_replies.inc();
                     record_route(trace, t0, Some("error"));
-                    return client
-                        .send(&shard_moved_line(membership.epoch(), config.retry_after_ms));
+                    let epoch = membership.epoch();
+                    return client.send(&ErrorReply::ShardMoved { epoch, retry_after_ms }.to_line());
                 }
             }
             Err(LegError::Exchange(_)) => {
@@ -542,7 +539,7 @@ fn forward(
                 let epoch = membership.mark(sid, false).unwrap_or_else(|| membership.epoch());
                 m.shard_moved_replies.inc();
                 record_route(trace, t0, Some("error"));
-                return client.send(&shard_moved_line(epoch, config.retry_after_ms));
+                return client.send(&ErrorReply::ShardMoved { epoch, retry_after_ms }.to_line());
             }
         }
     }
@@ -570,8 +567,9 @@ fn fan_reload(
         .filter(|&(_, _, healthy)| healthy)
         .map(|(id, addr, _)| (id, addr))
         .collect();
+    let reject = |reason: String| ErrorReply::ReloadRejected { reason }.to_line();
     if targets.is_empty() {
-        return reload_rejected_line("no_healthy_shards");
+        return reject("no_healthy_shards".into());
     }
     let mut agreed: Option<ReloadReply> = None;
     for (sid, addr) in targets {
@@ -579,20 +577,20 @@ fn fan_reload(
             Ok(resp) => resp,
             Err(LegError::Connect(e) | LegError::Exchange(e)) => {
                 membership.mark(sid, false);
-                return reload_rejected_line(&format!("shard {sid} unreachable: {e}"));
+                return reject(format!("shard {sid} unreachable: {e}"));
             }
         };
-        if let Some(reason) = reload_rejected_from_line(&resp) {
-            return reload_rejected_line(&format!("shard {sid}: {reason}"));
+        if let Some(ErrorReply::ReloadRejected { reason }) = ErrorReply::from_line(&resp) {
+            return reject(format!("shard {sid}: {reason}"));
         }
         let reply = match ReloadReply::from_line(&resp) {
             Ok(reply) => reply,
-            Err(e) => return reload_rejected_line(&format!("shard {sid}: {e}")),
+            Err(e) => return reject(format!("shard {sid}: {e}")),
         };
         match &agreed {
             None => agreed = Some(reply),
             Some(first) if first.version != reply.version => {
-                return reload_rejected_line(&format!(
+                return reject(format!(
                     "fanout_diverged: shards report versions {} and {}",
                     first.version, reply.version
                 ));
@@ -602,7 +600,7 @@ fn fan_reload(
     }
     match agreed {
         Some(reply) => reply.to_line(),
-        None => reload_rejected_line("no_healthy_shards"),
+        None => reject("no_healthy_shards".into()),
     }
 }
 

@@ -512,11 +512,6 @@ impl Matrix {
         }
         out
     }
-
-    /// True if any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
-    }
 }
 
 /// Unit-stride dot product; the compiler auto-vectorizes this loop.

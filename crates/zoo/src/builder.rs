@@ -70,11 +70,6 @@ impl NetBuilder {
         self.cur = c;
     }
 
-    /// Direct access for unusual wiring.
-    pub fn graph_mut(&mut self) -> &mut CompGraph {
-        &mut self.g
-    }
-
     fn push(&mut self, kind: OpKind, attrs: NodeAttrs, label: &str) -> Cursor {
         let node = self.g.chain(self.cur.node, kind, attrs, label);
         self.cur = Cursor { node, channels: attrs.c_out, spatial: attrs.spatial };

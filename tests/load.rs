@@ -30,11 +30,12 @@
 //! cycling derived fault seeds for at least `n` seconds (mirroring
 //! `PDDL_SOAK_SECS`).
 
-use pddl_cluster::retry::overload_retry_hint;
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
-use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
+use predictddl::{
+    Controller, ControllerClient, ErrorReply, OfflineTrainer, PredictionRequest, ServeConfig,
+};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -77,6 +78,11 @@ fn workload_matrix() -> Vec<PredictionRequest> {
             )
         })
         .collect()
+}
+
+/// Whether `e` is the typed overload shed.
+fn is_shed(e: &std::io::Error) -> bool {
+    matches!(ErrorReply::of(e), Some(ErrorReply::Overloaded { .. }))
 }
 
 fn counter(name: &str) -> u64 {
@@ -145,10 +151,12 @@ fn saturation_round(truth: &Truth) {
                             // The only legal failure is the typed shed —
                             // anything else is a hang surrogate or a
                             // silent drop surfacing as transport error.
-                            let hint = overload_retry_hint(&e).unwrap_or_else(|| {
+                            let Some(&ErrorReply::Overloaded { retry_after_ms, .. }) =
+                                ErrorReply::of(&e)
+                            else {
                                 panic!("request {i}: non-overload failure under saturation: {e}")
-                            });
-                            assert!(!hint.is_zero(), "request {i}: empty retry_after hint");
+                            };
+                            assert!(retry_after_ms > 0, "request {i}: empty retry_after hint");
                             shed.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -227,7 +235,7 @@ fn expiry_round() {
     for i in 0..5 {
         let err = client.predict(&req).expect_err("zero deadline must expire the request");
         assert!(
-            overload_retry_hint(&err).is_some(),
+            is_shed(&err),
             "expiry {i} was not the typed overload: {err}"
         );
     }
@@ -327,7 +335,7 @@ fn reap_round() {
                         break;
                     }
                     // A 4-slot core may shed even 5 clients; retry.
-                    Err(e) if overload_retry_hint(&e).is_some() => {
+                    Err(e) if is_shed(&e) => {
                         std::thread::sleep(Duration::from_millis(2))
                     }
                     Err(e) => panic!("predict: {e}"),

@@ -21,14 +21,10 @@ use pddl_cluster::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
 use pddl_telemetry::trace::{parse_trace_dump, render_trace_dump};
 use pddl_telemetry::{JsonValue, Snapshot};
-use predictddl::protocol::{
-    observe_rejected_from_line, observe_rejected_line, overload_from_line, overload_line,
-    reload_rejected_from_line, reload_rejected_line, shard_moved_from_line, shard_moved_line,
-    stats_line,
-};
+use predictddl::protocol::stats_line;
 use predictddl::{
-    parse_frame, ObserveReply, ParsedFrame, ReloadReply, ResponseEnvelope, RouteTable,
-    WireResponse, WIRE_OPS,
+    parse_frame, ErrorReply, ObserveReply, ParsedFrame, ReloadReply, ResponseEnvelope,
+    RouteTable, WireResponse, WIRE_OPS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -117,15 +113,9 @@ fn replay_reply(l: &DocLine) -> String {
     let doc: JsonValue = json::parse(l.text)
         .unwrap_or_else(|e| panic!("PROTOCOL.md:{}: reply is not JSON: {e}", l.line_no));
     let tag = |key: &str| doc.get(key).and_then(JsonValue::as_str);
-    let text = |key: &str| {
-        tag(key).unwrap_or_else(|| panic!("PROTOCOL.md:{}: no string `{key}`", l.line_no))
-    };
     let int = |key: &str| {
         let n = doc.get(key).and_then(JsonValue::as_u64);
         n.unwrap_or_else(|| panic!("PROTOCOL.md:{}: no integer `{key}`", l.line_no))
-    };
-    let classified = |as_typed_error: bool| {
-        assert!(as_typed_error, "PROTOCOL.md:{}: typed error line not recognised", l.line_no)
     };
     if doc.as_array().is_some() {
         return encode(&decode::<Vec<WireResponse>>(l));
@@ -152,21 +142,11 @@ fn replay_reply(l: &DocLine) -> String {
         (Some("route_table"), _) => decode::<RouteTable>(l).to_line(),
         (Some("reload"), _) => decode::<ReloadReply>(l).to_line(),
         (Some("observe"), _) => decode::<ObserveReply>(l).to_line(),
-        (_, Some("overloaded")) => {
-            classified(overload_from_line(l.text).is_some());
-            overload_line(int("retry_after_ms"), text("reason"))
-        }
-        (_, Some("shard_moved")) => {
-            classified(shard_moved_from_line(l.text).is_some());
-            shard_moved_line(int("epoch"), int("retry_after_ms"))
-        }
-        (_, Some("reload_rejected")) => {
-            classified(reload_rejected_from_line(l.text).as_deref() == Some(text("reason")));
-            reload_rejected_line(text("reason"))
-        }
-        (_, Some("observe_rejected")) => {
-            classified(observe_rejected_from_line(l.text).as_deref() == Some(text("reason")));
-            observe_rejected_line(text("reason"))
+        (_, Some(_)) => {
+            let reply = decode::<ErrorReply>(l);
+            let recognised = ErrorReply::from_line(l.text);
+            assert_eq!(recognised.as_ref(), Some(&reply), "PROTOCOL.md:{}", l.line_no);
+            encode(&reply)
         }
         _ => panic!("PROTOCOL.md:{}: reply has no status, error or type tag", l.line_no),
     }

@@ -29,7 +29,6 @@
 //!
 //! Requires a network-enabled environment (CI), like the load tier.
 
-use pddl_cluster::retry::{overload_retry_hint, shard_moved_retry_hint};
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass, MAX_FRAME_BYTES};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
@@ -38,7 +37,8 @@ use pddl_telemetry::json;
 use pddl_telemetry::trace::parse_trace_dump;
 use pddl_telemetry::TraceContext;
 use predictddl::{
-    Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig,
+    Controller, ControllerClient, ErrorReply, OfflineTrainer, PredictionRequest, ServeConfig,
+    ShedReason,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -155,7 +155,7 @@ fn routed_replies_are_bit_identical_to_direct() {
         let outcome = loop {
             match client.predict(req) {
                 Ok(o) => break o,
-                Err(e) if overload_retry_hint(&e).is_some() => {
+                Err(e) if matches!(ErrorReply::of(&e), Some(ErrorReply::Overloaded { .. })) => {
                     std::thread::sleep(Duration::from_millis(2))
                 }
                 Err(e) => panic!("request {i} through router: {e}"),
@@ -411,7 +411,7 @@ fn shard_moved_is_typed_and_transient() {
         match client.predict(&req) {
             Err(e) => {
                 assert!(
-                    shard_moved_retry_hint(&e).is_some() || overload_retry_hint(&e).is_some(),
+                    ErrorReply::of(&e).is_some_and(|r| r.retry_after().is_some()),
                     "death surfaced as an untyped error: {e}"
                 );
                 break;
@@ -441,7 +441,13 @@ fn router_retains_a_traced_request_it_cannot_route() {
     let err = client
         .predict_with_trace(&workload_matrix().remove(0), ctx)
         .expect_err("nothing to route to");
-    assert!(overload_retry_hint(&err).is_some(), "unrouteable is the typed overload: {err}");
+    assert!(
+        matches!(
+            ErrorReply::of(&err),
+            Some(ErrorReply::Overloaded { reason: ShedReason::Unrouteable, .. })
+        ),
+        "unrouteable is the typed overload: {err}"
+    );
 
     let dump = client.trace_dump().expect("the router's trace op");
     let traces = parse_trace_dump(&dump).expect("parse dump");
