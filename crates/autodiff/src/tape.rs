@@ -195,12 +195,6 @@ enum Op {
     /// This is the "operation-dependent normalization" primitive GHN-2 uses
     /// to stabilize message passing.
     RowL2Norm(usize),
-    /// Row-wise softmax (numerically stabilized by row-max subtraction).
-    SoftmaxRows(usize),
-    /// Mean cross-entropy between row-softmax of parent 0 (logits) and
-    /// one-hot/probability targets in parent 1 → 1×1. Fused so the backward
-    /// pass uses the exact `(softmax(z) − y)/n` gradient.
-    CrossEntropyLoss(usize, usize),
 }
 
 struct Node {
@@ -390,38 +384,6 @@ impl<'p> Tape<'p> {
             }
         }
         self.push(Op::RowL2Norm(a.0), out)
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        let src = &self.nodes[a.0].value;
-        let mut out = src.clone();
-        for r in 0..out.rows() {
-            softmax_row_inplace(out.row_mut(r));
-        }
-        self.push(Op::SoftmaxRows(a.0), out)
-    }
-
-    /// Mean cross-entropy loss `−Σ y log softmax(z) / rows` between logits
-    /// and (one-hot or soft) targets → scalar. The fused backward pass is
-    /// the numerically exact `(softmax(z) − y) / rows`.
-    pub fn cross_entropy_loss(&mut self, logits: Var, targets: Var) -> Var {
-        let z = &self.nodes[logits.0].value;
-        let y = &self.nodes[targets.0].value;
-        assert_eq!(z.shape(), y.shape(), "cross-entropy shape mismatch");
-        let rows = z.rows();
-        let mut total = 0.0f64;
-        for r in 0..rows {
-            let mut p = z.row(r).to_vec();
-            softmax_row_inplace(&mut p);
-            for (pi, &yi) in p.iter().zip(y.row(r)) {
-                if yi != 0.0 {
-                    total -= yi as f64 * (pi.max(1e-12) as f64).ln();
-                }
-            }
-        }
-        let v = Matrix::filled(1, 1, (total / rows.max(1) as f64) as f32);
-        self.push(Op::CrossEntropyLoss(logits.0, targets.0), v)
     }
 
     /// Affine layer `x · w + b` with `b` broadcast — recorded as one
@@ -628,37 +590,6 @@ impl<'p> Tape<'p> {
                     accumulate(&mut grads, *p, gp);
                     accumulate(&mut grads, *t, gt);
                 }
-                Op::SoftmaxRows(a) => {
-                    // dz = (g − (g·y) 1ᵀ) ⊙ y per row, using stored y.
-                    let y = &self.nodes[i].value;
-                    let (r, c) = y.shape();
-                    let mut ga = Matrix::zeros(r, c);
-                    for row in 0..r {
-                        let yr = y.row(row);
-                        let gr = g.row(row);
-                        let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-                        for (j, out) in ga.row_mut(row).iter_mut().enumerate() {
-                            *out = yr[j] * (gr[j] - dot);
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::CrossEntropyLoss(z, t) => {
-                    let zv = &self.nodes[*z].value;
-                    let tv = &self.nodes[*t].value;
-                    let (r, c) = zv.shape();
-                    let scale = g[(0, 0)] / r as f32;
-                    let mut gz = Matrix::zeros(r, c);
-                    for row in 0..r {
-                        let mut p = zv.row(row).to_vec();
-                        softmax_row_inplace(&mut p);
-                        for (j, out) in gz.row_mut(row).iter_mut().enumerate() {
-                            *out = scale * (p[j] - tv.row(row)[j]);
-                        }
-                    }
-                    accumulate(&mut grads, *z, gz);
-                    // Targets are labels; no gradient flows to them.
-                }
                 Op::RowL2Norm(a) => {
                     // y = x / ||x||; dy/dx = (I - y yᵀ) / ||x|| per row.
                     let x = &self.nodes[*a].value;
@@ -679,20 +610,6 @@ impl<'p> Tape<'p> {
             }
         }
         out
-    }
-}
-
-/// Numerically stable in-place row softmax.
-fn softmax_row_inplace(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    let inv = 1.0 / sum.max(1e-12);
-    for x in row.iter_mut() {
-        *x *= inv;
     }
 }
 
@@ -1167,92 +1084,6 @@ mod tests {
             12,
         );
         assert!(err < 2e-2, "err={err}");
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one_and_gradcheck() {
-        let mut rng = Rng::new(41);
-        let mut ps = ParamStore::new();
-        let w = ps.register("w", Matrix::rand_normal(3, 4, 1.0, &mut rng));
-        let t = Matrix::rand_normal(3, 4, 0.3, &mut rng);
-        {
-            let mut tape = Tape::new(&ps);
-            let wv = tape.param(w);
-            let y = tape.softmax_rows(wv);
-            let yv = tape.value(y);
-            for r in 0..3 {
-                let s: f32 = yv.row(r).iter().sum();
-                assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
-                assert!(yv.row(r).iter().all(|&p| p > 0.0));
-            }
-        }
-        let err = gradient_check(
-            &mut ps,
-            |tape| {
-                let wv = tape.param(w);
-                let y = tape.softmax_rows(wv);
-                let tv = tape.constant(t.clone());
-                tape.mse_loss(y, tv)
-            },
-            12,
-        );
-        assert!(err < 3e-2, "err={err}");
-    }
-
-    #[test]
-    fn cross_entropy_gradcheck_and_value() {
-        let mut rng = Rng::new(42);
-        let mut ps = ParamStore::new();
-        let w = ps.register("w", Matrix::rand_normal(4, 3, 1.0, &mut rng));
-        // One-hot targets.
-        let mut y = Matrix::zeros(4, 3);
-        for r in 0..4 {
-            y[(r, r % 3)] = 1.0;
-        }
-        // Value check: uniform logits → loss = ln(3).
-        {
-            let mut tape = Tape::new(&ps);
-            let z = tape.constant(Matrix::zeros(4, 3));
-            let t = tape.constant(y.clone());
-            let loss = tape.cross_entropy_loss(z, t);
-            assert!((tape.scalar(loss) - 3.0f32.ln()).abs() < 1e-5);
-        }
-        let err = gradient_check(
-            &mut ps,
-            |tape| {
-                let wv = tape.param(w);
-                let tv = tape.constant(y.clone());
-                tape.cross_entropy_loss(wv, tv)
-            },
-            12,
-        );
-        assert!(err < 2e-2, "err={err}");
-    }
-
-    #[test]
-    fn cross_entropy_decreases_under_sgd() {
-        use crate::optim::{Optimizer, Sgd};
-        let mut rng = Rng::new(43);
-        let mut ps = ParamStore::new();
-        let w = ps.register("w", Matrix::rand_normal(6, 3, 0.5, &mut rng));
-        let mut y = Matrix::zeros(6, 3);
-        for r in 0..6 {
-            y[(r, r % 3)] = 1.0;
-        }
-        let mut opt = Sgd::new(0.5);
-        let mut losses = Vec::new();
-        for _ in 0..120 {
-            let (value, grads) = {
-                let mut tape = Tape::new(&ps);
-                let wv = tape.param(w);
-                let tv = tape.constant(y.clone());
-                let loss = tape.cross_entropy_loss(wv, tv);
-                (tape.scalar(loss), tape.backward(loss))
-            };
-            losses.push(value);
-            opt.step(&mut ps, &grads);
-        }
-        assert!(losses.last().unwrap() < &(losses[0] * 0.2), "{losses:?}");
     }
 
     #[test]

@@ -24,6 +24,7 @@ use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{TraceConfig, Workload};
 use pddl_faults::FaultPlan;
 use pddl_registry::Registry;
+use pddl_telemetry::json;
 use predictddl::cli::{check_flags, parse_flags, Command, Flags};
 use predictddl::{
     load_checkpoint, save_checkpoint, spawn_watcher, Controller, ControllerClient, LiveSystem,
@@ -383,13 +384,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         "shutting down after {} requests; final metrics snapshot:",
         controller.requests_served()
     );
-    eprintln!("{}", pddl_telemetry::snapshot().to_json());
+    let snapshot = json::to_string(&pddl_telemetry::snapshot());
+    eprintln!("{}", snapshot.expect("a snapshot always encodes"));
     // Graceful-drain trace dump: whatever the flight recorder retained
     // (shed / errored / slow traces) is the last chance to see it.
-    let rec = pddl_telemetry::trace::flight_recorder();
-    if !rec.retained().is_empty() || rec.suppressed() > 0 {
+    let dump = pddl_telemetry::flight_recorder().dump();
+    if !dump.retained.is_empty() || dump.suppressed > 0 {
         eprintln!("retained traces at drain:");
-        eprintln!("{}", rec.retained_json());
+        eprintln!("{}", dump.to_line());
     }
     Ok(())
 }
@@ -466,27 +468,26 @@ fn cmd_observe(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
-    let snapshot = control_client(flags)?.stats().map_err(|e| e.to_string())?;
-    println!("{}", snapshot.to_json());
+    let reply = control_client(flags)?.stats().map_err(|e| e.to_string())?;
+    println!("{}", json::to_string(&reply.snapshot).expect("a snapshot always encodes"));
     Ok(())
 }
 
 fn cmd_trace(flags: &Flags) -> Result<(), String> {
     let dump = control_client(flags)?.trace_dump().map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
-        println!("{}", dump.to_json());
+        println!("{}", dump.to_line());
         return Ok(());
     }
-    let traces = pddl_telemetry::trace::parse_trace_dump(&dump)?;
-    let suppressed = dump.get("suppressed").and_then(|v| v.as_u64()).unwrap_or(0);
-    if traces.is_empty() {
+    let suppressed = dump.suppressed;
+    if dump.retained.is_empty() {
         println!("no retained traces ({suppressed} suppressed)");
         return Ok(());
     }
-    print!("{}", pddl_telemetry::trace::render_waterfall(&traces));
+    print!("{}", pddl_telemetry::trace::render_waterfall(&dump.retained));
     println!(
         "{} retained trace(s), {} suppressed since last dump",
-        traces.len(),
+        dump.retained.len(),
         suppressed
     );
     Ok(())

@@ -14,7 +14,7 @@
 //! * `{"op":"stats"}` — a live JSON snapshot of the telemetry registry
 //!   (see `OPERATIONS.md` for the metric catalogue);
 //! * `{"op":"trace"}` — the flight recorder's retained traces
-//!   ([`pddl_telemetry::trace::FlightRecorder::retained_json`]);
+//!   ([`pddl_telemetry::trace::FlightRecorder::dump`]);
 //! * `{"op":"route_table"}` — the shard's one-entry identity
 //!   [`RouteTable`] (the `pddl-router` process answers the same op with
 //!   the live fleet membership);
@@ -109,8 +109,8 @@ pub use crate::protocol::{
 use crate::observe::ObservationSink;
 use crate::offline::PredictDdl;
 use crate::protocol::{
-    frame_too_long_line, stats_line, ErrorReply, ObserveReply, ReloadReply, RouteShard,
-    RouteTable, ShedReason,
+    frame_too_long_line, ErrorReply, ObserveReply, ReloadReply, RouteShard, RouteTable,
+    ShedReason, StatsReply,
 };
 use crate::reload::{LiveSystem, ReloadManager, ReloadOutcome};
 use crate::request::{Prediction, PredictionRequest, RequestError};
@@ -118,9 +118,9 @@ use crate::serve::{JobOutcome, Latch, OpenOnDrop, ServeConfig, ServePool, Submit
 use pddl_cluster::retry::{is_transient, Backoff, RetryPolicy};
 use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
+use pddl_telemetry::trace::TraceDump;
 use pddl_telemetry::{
-    flight_recorder, tlog, Counter, Histogram, JsonValue, Level, Snapshot, SpanStatus, Stage,
-    TraceContext,
+    flight_recorder, tlog, Counter, Histogram, Level, SpanStatus, Stage, TraceContext,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -348,17 +348,16 @@ impl Drop for Controller {
         // Drain-time trace dump: the retained set outlives the server
         // handle (the recorder is process-wide), but logging it here puts
         // the interesting traces next to the final stats line.
-        let rec = flight_recorder();
-        let retained = rec.retained();
-        if !retained.is_empty() {
+        let dump = flight_recorder().dump();
+        if !dump.retained.is_empty() {
             tlog!(
                 Level::Info,
                 "controller",
                 "retained traces at drain",
-                count = retained.len() as u64,
-                suppressed = rec.suppressed(),
+                count = dump.retained.len() as u64,
+                suppressed = dump.suppressed,
             );
-            tlog!(Level::Debug, "controller", "trace dump", dump = rec.retained_json());
+            tlog!(Level::Debug, "controller", "trace dump", dump = dump.to_line());
         }
         tlog!(
             Level::Info,
@@ -505,8 +504,8 @@ impl Handler for Serving {
             // Control ops: answered inline by the reader, never queued or
             // shed — stats and traces stay observable *during* overload.
             ParsedFrame::Stats => {
-                let out = stats_line(config.shard_id, &pddl_telemetry::snapshot());
-                writer.send(&out)?;
+                let snapshot = pddl_telemetry::snapshot();
+                writer.send(&StatsReply { shard: config.shard_id, snapshot }.to_line())?;
             }
             // A bare controller answers the route-table op with its own
             // one-entry identity table at epoch 0: clients can always ask
@@ -526,7 +525,7 @@ impl Handler for Serving {
                 writer.send(&table.to_line())?;
             }
             ParsedFrame::Trace => {
-                writer.send(&flight_recorder().retained_json())?;
+                writer.send(&flight_recorder().dump().to_line())?;
             }
             // Reload: answered inline like the other control ops (an
             // overloaded or draining pool cannot block a rollback). The
@@ -1153,35 +1152,20 @@ impl ControllerClient {
     }
 
     /// Fetches the flight recorder's retained traces (`{"op":"trace"}` on
-    /// the wire) as the parsed dump document; decode the trace list with
-    /// [`pddl_telemetry::trace::parse_trace_dump`].
-    pub fn trace_dump(&mut self) -> std::io::Result<JsonValue> {
-        self.control("trace")
+    /// the wire).
+    pub fn trace_dump(&mut self) -> std::io::Result<TraceDump> {
+        let resp = self.round_trip("{\"op\":\"trace\"}")?;
+        TraceDump::from_line(&resp).map_err(invalid_data)
     }
 
     /// Requests a live telemetry snapshot from the controller
-    /// (`{"op":"stats"}` on the wire).
-    pub fn stats(&mut self) -> std::io::Result<Snapshot> {
-        let doc = self.control("stats")?;
-        // Sharded controllers stamp their id on the stats line; surface
-        // it instead of silently dropping the unknown field.
-        if let Some(shard) = doc.get("shard").and_then(JsonValue::as_u64) {
-            self.last_shard = Some(shard);
-        }
-        let snapshot = doc.get("snapshot").ok_or_else(|| {
-            invalid_data("stats response missing 'snapshot'".to_string())
-        })?;
-        Snapshot::from_value(snapshot).map_err(invalid_data)
-    }
-
-    /// Sends `{"op":"<op>"}` and parses its `{"status":"<op>",…}` reply.
-    fn control(&mut self, op: &str) -> std::io::Result<JsonValue> {
-        let resp = self.round_trip(&format!("{{\"op\":\"{op}\"}}"))?;
-        let doc = JsonValue::parse(&resp).map_err(invalid_data)?;
-        if doc.get("status").and_then(JsonValue::as_str) != Some(op) {
-            return Err(invalid_data(format!("response is not a {op} payload")));
-        }
-        Ok(doc)
+    /// (`{"op":"stats"}` on the wire). A sharded controller's id is also
+    /// remembered as [`Self::last_shard`].
+    pub fn stats(&mut self) -> std::io::Result<StatsReply> {
+        let resp = self.round_trip("{\"op\":\"stats\"}")?;
+        let reply = StatsReply::from_line(&resp).map_err(invalid_data)?;
+        self.last_shard = reply.shard.or(self.last_shard);
+        Ok(reply)
     }
 
     /// The one reply path: writes one line, reads one line, counts the

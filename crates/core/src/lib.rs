@@ -138,7 +138,8 @@ pub use controller::{Controller, ControllerClient};
 pub use observe::ObservationSink;
 pub use protocol::{
     parse_frame, ErrorReply, ObserveReply, ParsedFrame, ReloadReply, RequestEnvelope,
-    ResponseEnvelope, RouteShard, RouteTable, ShedReason, TraceHeader, WireResponse, WIRE_OPS,
+    ResponseEnvelope, RouteShard, RouteTable, ShedReason, StatsReply, TraceHeader, WireResponse,
+    WIRE_OPS,
 };
 pub use reload::{spawn_watcher, LiveSystem, ReloadManager, ReloadOutcome, ReloadRejected};
 pub use embeddings::{CacheStats, EmbeddingCache, EmbeddingsGenerator};

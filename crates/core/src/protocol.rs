@@ -36,9 +36,7 @@
 //! [`ErrorReply::of`] reads back.
 
 use crate::request::{PredictionRequest, RequestError};
-use pddl_telemetry::json::{
-    self, Fields, FromJson, JsonError, JsonValue, JsonWriter, ObjectWriter, ToJson,
-};
+use pddl_telemetry::json::{self, Fields, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use pddl_telemetry::{Snapshot, TraceContext};
 use std::time::Duration;
 
@@ -290,12 +288,6 @@ fn control_frame(o: Fields) -> Result<ParsedFrame, JsonError> {
     })
 }
 
-/// Renders a control-plane line. Everything built here holds integers,
-/// booleans, strings and pre-rendered JSON, so encoding cannot fail.
-fn line(fields: impl for<'a> FnOnce(ObjectWriter<'a>) -> ObjectWriter<'a>) -> String {
-    json::object(fields).expect("control-plane lines hold no floats")
-}
-
 /// The fields of a `{"status":"<status>",…}` reply line.
 fn reply_fields<'a>(doc: &'a JsonValue, status: &str) -> Result<Fields<'a>, JsonError> {
     let o = doc.fields()?;
@@ -312,14 +304,44 @@ pub fn frame_too_long_line(limit: usize) -> String {
     json::to_string(&WireResponse::Err { error }).expect("strings always encode")
 }
 
-/// Renders the `{"op":"stats"}` reply: the answering process's telemetry
+/// Reply to `{"op":"stats"}`: the answering process's telemetry
 /// snapshot, stamped with its shard id when it has one.
-pub fn stats_line(shard: Option<u64>, snapshot: &Snapshot) -> String {
-    line(|o| {
-        o.field("status", "stats")
-            .optional("shard", &shard)
-            .field_with("snapshot", |w| w.raw(&snapshot.to_json()))
-    })
+#[derive(Clone, Debug, PartialEq)]
+pub struct StatsReply {
+    /// Id of the controller shard that answered; absent from unsharded
+    /// controllers and from the router.
+    pub shard: Option<u64>,
+    /// The answering process's metrics registry.
+    pub snapshot: Snapshot,
+}
+
+impl ToJson for StatsReply {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("status", "stats")
+            .optional("shard", &self.shard)
+            .field("snapshot", &self.snapshot)
+            .end();
+    }
+}
+
+impl FromJson for StatsReply {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = reply_fields(v, "stats")?;
+        Ok(Self { shard: o.field("shard")?, snapshot: o.field("snapshot")? })
+    }
+}
+
+impl StatsReply {
+    /// Renders the `{"status":"stats",…}` response line.
+    pub fn to_line(&self) -> String {
+        json::to_string(self).expect("a snapshot always encodes")
+    }
+
+    /// Parses a `{"status":"stats",…}` response line.
+    pub fn from_line(line: &str) -> Result<StatsReply, String> {
+        json::from_str(line.trim_end()).map_err(|e| e.to_string())
+    }
 }
 
 /// Why a server shed a request — the `reason` field of an `overloaded`

@@ -528,15 +528,15 @@ mod tests {
         );
         gate.open();
         pool.shutdown();
-        let retained = flight_recorder().retained();
+        let retained = flight_recorder().dump().retained;
         let t = retained
             .iter()
             .find(|t| t.trace_id == ctx.trace_id)
             .expect("shed trace retained");
         assert_eq!(t.verdict, "shed");
         assert!(
-            t.spans.iter().any(|s| s.stage == Stage::QueueWait
-                && s.status == SpanStatus::Shed),
+            t.spans.iter().any(|s| s.stage == Stage::QueueWait.name()
+                && s.status == SpanStatus::Shed.as_str()),
             "shed marker span present: {:?}",
             t.spans
         );

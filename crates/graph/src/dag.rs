@@ -205,18 +205,6 @@ impl CompGraph {
         (order.len() == n).then_some(order)
     }
 
-    /// Binary adjacency matrix as a flat row-major `Vec` (1.0 where u → v).
-    pub fn adjacency_flat(&self) -> Vec<f32> {
-        let n = self.nodes.len();
-        let mut a = vec![0.0f32; n * n];
-        for (u, outs) in self.out_edges.iter().enumerate() {
-            for &v in outs {
-                a[u * n + v] = 1.0;
-            }
-        }
-        a
-    }
-
     /// Structural validation per the invariants the GHN relies on.
     pub fn validate(&self) -> Result<(), GraphError> {
         if !self.nodes.iter().any(|n| n.kind == OpKind::Input) {
@@ -487,19 +475,6 @@ mod tests {
         g.add_edge(a, b);
         g.add_edge(a, b);
         assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn adjacency_matches_edges() {
-        let g = small_graph();
-        let n = g.num_nodes();
-        let a = g.adjacency_flat();
-        for u in 0..n {
-            for v in 0..n {
-                let has = g.successors(u).contains(&v);
-                assert_eq!(a[u * n + v] == 1.0, has);
-            }
-        }
     }
 
     #[test]

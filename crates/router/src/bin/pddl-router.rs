@@ -147,7 +147,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         table.shards.iter().filter(|s| s.healthy).count(),
         table.shards.len(),
     );
-    eprintln!("{}", pddl_telemetry::snapshot().to_json());
+    let snapshot = pddl_telemetry::json::to_string(&pddl_telemetry::snapshot());
+    eprintln!("{}", snapshot.expect("a snapshot always encodes"));
     Ok(())
 }
 

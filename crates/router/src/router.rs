@@ -50,7 +50,7 @@ use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer, SHUTDOWN_POL
 use pddl_telemetry::{
     flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
 };
-use predictddl::protocol::{frame_too_long_line, stats_line, RouteShard, RouteTable};
+use predictddl::protocol::{frame_too_long_line, RouteShard, RouteTable, StatsReply};
 use predictddl::{parse_frame, ErrorReply, ParsedFrame, ReloadReply, ShedReason};
 use std::collections::hash_map::{Entry, HashMap};
 use std::net::SocketAddr;
@@ -417,8 +417,11 @@ impl Handler for Routing {
         let (membership, config) = (&*self.membership, self.config);
         m.requests_total.inc();
         match parse_frame(&line) {
-            Ok(ParsedFrame::Stats) => client.send(&stats_line(None, &pddl_telemetry::snapshot()))?,
-            Ok(ParsedFrame::Trace) => client.send(&flight_recorder().retained_json())?,
+            Ok(ParsedFrame::Stats) => {
+                let snapshot = pddl_telemetry::snapshot();
+                client.send(&StatsReply { shard: None, snapshot }.to_line())?
+            }
+            Ok(ParsedFrame::Trace) => client.send(&flight_recorder().dump().to_line())?,
             Ok(ParsedFrame::RouteTable) => client.send(&membership.table().to_line())?,
             Ok(ParsedFrame::Reload { .. }) => {
                 m.reload_fanouts.inc();

@@ -6,7 +6,7 @@
 //! PDDL_LOG=info,demo.inner=debug cargo run -p pddl-telemetry --example stats_demo
 //! ```
 
-use pddl_telemetry::{tlog, Level, Snapshot};
+use pddl_telemetry::{json, tlog, Level, Snapshot};
 use std::time::Duration;
 
 fn main() {
@@ -45,8 +45,8 @@ fn main() {
 
     // Export, then parse our own export back (the same path
     // `ControllerClient::stats()` uses on the wire).
-    let json = pddl_telemetry::snapshot().to_json();
-    let parsed = Snapshot::from_json(&json).expect("snapshot json round-trips");
+    let json = json::to_string(&pddl_telemetry::snapshot()).expect("a snapshot always encodes");
+    let parsed: Snapshot = json::from_str(&json).expect("snapshot json round-trips");
     assert_eq!(parsed.counter("demo.requests"), Some(128));
     assert_eq!(parsed.gauge("demo.active"), Some(3));
     let lat = parsed.histogram("demo.latency").expect("histogram present");

@@ -25,20 +25,24 @@
 //! rule keeps a hand-written pair:
 //!
 //! * enums tagged by `status` / `op` / `type` or in snake_case (the
-//!   controller and collector messages, `RequestError`): the tag is not a
-//!   field of the type;
+//!   controller and collector messages, `RequestError`), and the reply
+//!   structs stamped with a `status` (`ReloadReply`, `StatsReply`,
+//!   `TraceDump`, …): the tag is not a field of the type;
 //! * externally tagged payload enums (`ModelRef`, `Regression`, `Kernel`)
 //!   and unit enums on [`read_unit_variant`]: a variant is not a field
 //!   list;
 //! * structs that leave out a `None` field ([`ObjectWriter::optional`]:
 //!   the request and response envelopes, `RouteTable`), or read an absent
 //!   field as a default for older peers (`ServerStatus::stale`,
-//!   `RouteShard::healthy`);
+//!   `RouteShard::healthy`, `HistogramSnapshot::overflow`);
 //! * structs checked after decode (`CompGraph`, `Matrix`, `GhnEncoder`):
 //!   their methods index by what the document says;
 //! * structs with runtime state that is not written (`PredictDdl`'s
 //!   embedding cache);
-//! * the trace dump's span and trace records, whose ids are hex strings.
+//! * the stats [`Snapshot`](crate::Snapshot), whose metric lists are
+//!   objects keyed by name and whose histogram means are spelled as the
+//!   log line spells a float (`105000`, not `105000.0`);
+//! * the retained trace and span records, whose ids are hex strings.
 //!
 //! ## What the codec guarantees
 //!
@@ -401,10 +405,11 @@ impl JsonWriter {
         push_json_string(&mut self.out, s);
     }
 
-    /// Splices in text that is already JSON (a cached or separately
-    /// rendered document).
-    pub fn raw(&mut self, json: &str) {
-        self.out.push_str(json);
+    /// Appends a float as the telemetry renderers spell it (see
+    /// [`push_f64`]): `105000`, not `105000.0`, and never an error — for
+    /// snapshot means, which a stats reply must always be able to carry.
+    pub(crate) fn lossy_f64(&mut self, v: f64) {
+        push_f64(&mut self.out, v);
     }
 
     /// Appends a field-less enum variant as its name — the derived

@@ -42,9 +42,10 @@
 //! }
 //! let snap = tel::snapshot();
 //! assert!(snap.counter("demo.requests").unwrap() >= 1);
-//! let json = snap.to_json();
-//! let back = tel::Snapshot::from_json(&json).unwrap();
+//! let json = tel::json::to_string(&snap)?; // the `{"op":"stats"}` snapshot
+//! let back: tel::Snapshot = tel::json::from_str(&json)?;
 //! assert_eq!(back.counter("demo.requests"), snap.counter("demo.requests"));
+//! # Ok::<(), tel::json::JsonError>(())
 //! ```
 //!
 //! ## `PDDL_LOG` filter syntax

@@ -1,8 +1,10 @@
-//! Point-in-time export of the registry: a typed [`Snapshot`] with a JSON
-//! encoder and decoder, served over the controller's `{"op":"stats"}` wire
-//! op and printed by `predictddl-cli serve` on shutdown.
+//! Point-in-time export of the registry: a typed [`Snapshot`], served
+//! over the controller's `{"op":"stats"}` wire op through its
+//! [`ToJson`] / [`FromJson`] codec and printed by `predictddl-cli serve`
+//! on shutdown.
 
-use crate::json::{push_f64, push_json_string, JsonValue};
+use crate::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
+use std::collections::HashMap;
 
 /// Summary of one histogram (latencies in nanoseconds by convention).
 #[derive(Clone, Debug, PartialEq)]
@@ -65,125 +67,85 @@ impl Snapshot {
             .ok()
             .map(|i| &self.histograms[i].1)
     }
+}
 
-    /// Renders the snapshot as a JSON object:
-    /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,...}}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, name);
-            out.push_str(":{\"count\":");
-            out.push_str(&h.count.to_string());
-            out.push_str(",\"sum\":");
-            out.push_str(&h.sum.to_string());
-            out.push_str(",\"min\":");
-            out.push_str(&h.min.to_string());
-            out.push_str(",\"max\":");
-            out.push_str(&h.max.to_string());
-            out.push_str(",\"mean\":");
-            push_f64(&mut out, h.mean);
-            out.push_str(",\"p50\":");
-            out.push_str(&h.p50.to_string());
-            out.push_str(",\"p95\":");
-            out.push_str(&h.p95.to_string());
-            out.push_str(",\"p99\":");
-            out.push_str(&h.p99.to_string());
-            out.push_str(",\"overflow\":");
-            out.push_str(&h.overflow.to_string());
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
+impl ToJson for HistogramSnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("min", &self.min)
+            .field("max", &self.max)
+            .field_with("mean", |w| w.lossy_f64(self.mean))
+            .field("p50", &self.p50)
+            .field("p95", &self.p95)
+            .field("p99", &self.p99)
+            .field("overflow", &self.overflow)
+            .end();
     }
+}
 
-    /// Parses a snapshot from its [`Self::to_json`] form.
-    pub fn from_json(s: &str) -> Result<Snapshot, String> {
-        Self::from_value(&JsonValue::parse(s)?)
+impl FromJson for HistogramSnapshot {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            count: o.field("count")?,
+            sum: o.field("sum")?,
+            min: o.field("min")?,
+            max: o.field("max")?,
+            mean: o.field("mean")?,
+            p50: o.field("p50")?,
+            p95: o.field("p95")?,
+            p99: o.field("p99")?,
+            // Absent in snapshots from pre-overflow peers.
+            overflow: o.field::<Option<u64>>("overflow")?.unwrap_or(0),
+        })
     }
+}
 
-    /// Builds a snapshot from an already-parsed JSON object (e.g. the
-    /// `snapshot` field of a stats wire response).
-    pub fn from_value(v: &JsonValue) -> Result<Snapshot, String> {
-        let mut snap = Snapshot::default();
-        let counters = v
-            .get("counters")
-            .and_then(JsonValue::as_object)
-            .ok_or("missing 'counters' object")?;
-        for (name, val) in counters {
-            let n = val.as_u64().ok_or_else(|| format!("counter {name} not a u64"))?;
-            snap.counters.push((name.clone(), n));
-        }
-        let gauges = v
-            .get("gauges")
-            .and_then(JsonValue::as_object)
-            .ok_or("missing 'gauges' object")?;
-        for (name, val) in gauges {
-            let n = val.as_i64().ok_or_else(|| format!("gauge {name} not an i64"))?;
-            snap.gauges.push((name.clone(), n));
-        }
-        let hists = v
-            .get("histograms")
-            .and_then(JsonValue::as_object)
-            .ok_or("missing 'histograms' object")?;
-        for (name, val) in hists {
-            let field = |k: &str| -> Result<u64, String> {
-                val.get(k)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("histogram {name} missing '{k}'"))
-            };
-            snap.histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                    mean: val
-                        .get("mean")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("histogram {name} missing 'mean'"))?,
-                    p50: field("p50")?,
-                    p95: field("p95")?,
-                    p99: field("p99")?,
-                    // Absent in snapshots from pre-overflow peers.
-                    overflow: val.get("overflow").and_then(JsonValue::as_u64).unwrap_or(0),
-                },
-            ));
-        }
-        // BTreeMap iteration is already name-sorted; keep the invariant
-        // explicit for binary_search-based lookups.
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(snap)
+/// `{"counters":{name:n,…},"gauges":{…},"histograms":{name:{count,…}}}`,
+/// each map in name order.
+impl ToJson for Snapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field_with("counters", |w| write_named(w, &self.counters))
+            .field_with("gauges", |w| write_named(w, &self.gauges))
+            .field_with("histograms", |w| write_named(w, &self.histograms))
+            .end();
     }
+}
+
+impl FromJson for Snapshot {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(Self {
+            counters: by_name(o.field("counters")?),
+            gauges: by_name(o.field("gauges")?),
+            histograms: by_name(o.field("histograms")?),
+        })
+    }
+}
+
+/// Writes `(name, value)` pairs as one object, in their order.
+fn write_named<T: ToJson>(w: &mut JsonWriter, entries: &[(String, T)]) {
+    entries.iter().fold(w.object(), |o, (name, v)| o.field(name, v)).end();
+}
+
+/// A decoded map as the name-sorted list the lookups binary-search.
+fn by_name<T>(map: HashMap<String, T>) -> Vec<(String, T)> {
+    let mut entries: Vec<_> = map.into_iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
+
+    fn round_trip(snap: &Snapshot) -> Snapshot {
+        json::from_str(&json::to_string(snap).unwrap()).unwrap()
+    }
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -211,15 +173,17 @@ mod tests {
         // A snapshot rendered by a peer predating the overflow counter.
         let legacy = r#"{"counters":{},"gauges":{},"histograms":{"lat":
             {"count":1,"sum":2,"min":2,"max":2,"mean":2.0,"p50":2,"p95":2,"p99":2}}}"#;
-        let snap = Snapshot::from_json(legacy).unwrap();
+        let snap = json::from_str::<Snapshot>(legacy).unwrap();
         assert_eq!(snap.histogram("lat").unwrap().overflow, 0);
     }
 
     #[test]
     fn json_round_trip() {
         let snap = sample();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
+        let back = round_trip(&snap);
         assert_eq!(back, snap);
+        // A whole mean is spelled without a fraction, as PROTOCOL.md shows.
+        assert!(json::to_string(&snap).unwrap().contains(r#""mean":200,"#));
     }
 
     #[test]
@@ -234,14 +198,14 @@ mod tests {
     #[test]
     fn empty_snapshot_round_trips() {
         let snap = Snapshot::default();
-        assert_eq!(Snapshot::from_json(&snap.to_json()).unwrap(), snap);
+        assert_eq!(round_trip(&snap), snap);
     }
 
     #[test]
     fn metric_names_with_quotes_survive() {
         let mut snap = Snapshot::default();
         snap.counters.push(("we\"ird\\name".into(), 9));
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
+        let back = round_trip(&snap);
         assert_eq!(back.counter("we\"ird\\name"), Some(9));
     }
 }

@@ -299,15 +299,72 @@ impl Slot {
     }
 }
 
-/// A trace promoted out of the ring because it ended badly or slowly.
+/// A trace promoted out of the ring because it ended badly or slowly:
+/// what [`FlightRecorder::promote`] keeps, `{"op":"trace"}` writes and
+/// every reader decodes. Verdict, stage and status are owned strings, so
+/// a dump from a build with other stages still decodes; ids are written
+/// as zero-padded hex strings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetainedTrace {
     /// Logical request id.
     pub trace_id: u64,
     /// Why the trace was retained: `shed`, `error`, `slow`, or `drain`.
-    pub verdict: &'static str,
+    pub verdict: String,
     /// The trace's spans, sorted by start time then span id.
-    pub spans: Vec<SpanEvent>,
+    pub spans: Vec<RetainedSpan>,
+}
+
+/// One span of a [`RetainedTrace`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RetainedSpan {
+    /// This span's id.
+    pub span_id: u64,
+    /// Enclosing span id (0 = root).
+    pub parent_id: u64,
+    /// Stage name ([`Stage::name`]).
+    pub stage: String,
+    /// Start time in microseconds since the recorder epoch.
+    pub start_us: u64,
+    /// Duration in nanoseconds.
+    pub dur_ns: u64,
+    /// Outcome ([`SpanStatus::as_str`]: `ok`, `error`, `shed`, `expired`,
+    /// `hit`, `miss`).
+    pub status: String,
+}
+
+impl From<SpanEvent> for RetainedSpan {
+    fn from(ev: SpanEvent) -> RetainedSpan {
+        RetainedSpan {
+            span_id: ev.span_id,
+            parent_id: ev.parent_id,
+            stage: ev.stage.name().to_string(),
+            start_us: ev.start_us,
+            dur_ns: ev.dur_ns,
+            status: ev.status.as_str().to_string(),
+        }
+    }
+}
+
+/// The `{"op":"trace"}` reply, as [`FlightRecorder::dump`] produces it:
+/// `{"status":"trace","suppressed":N,"retained":[…]}`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceDump {
+    /// Promotions dropped because the retained set was full.
+    pub suppressed: u64,
+    /// The retained traces, oldest first.
+    pub retained: Vec<RetainedTrace>,
+}
+
+impl TraceDump {
+    /// Renders the `{"status":"trace",…}` reply line.
+    pub fn to_line(&self) -> String {
+        json::to_string(self).expect("a trace dump holds no floats")
+    }
+
+    /// Parses a `{"status":"trace",…}` reply line.
+    pub fn from_line(line: &str) -> Result<TraceDump, String> {
+        json::from_str(line.trim_end()).map_err(|e| e.to_string())
+    }
 }
 
 struct Retained {
@@ -439,9 +496,13 @@ impl FlightRecorder {
                 return;
             }
         }
-        let mut spans = self.spans_for(trace_id);
         let mut seen = std::collections::HashSet::new();
-        spans.retain(|ev| seen.insert(ev.span_id));
+        let spans: Vec<RetainedSpan> = self
+            .spans_for(trace_id)
+            .into_iter()
+            .filter(|ev| seen.insert(ev.span_id))
+            .map(RetainedSpan::from)
+            .collect();
         let mut r = self.retained.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(t) = r.traces.iter_mut().find(|t| t.trace_id == trace_id) {
             for ev in spans {
@@ -458,7 +519,7 @@ impl FlightRecorder {
             crate::counter("trace.promotions_suppressed").inc();
             return;
         }
-        r.traces.push_back(RetainedTrace { trace_id, verdict, spans });
+        r.traces.push_back(RetainedTrace { trace_id, verdict: verdict.to_string(), spans });
         crate::counter("trace.promoted").inc();
         crate::counter(match verdict {
             "shed" => "trace.promoted_shed",
@@ -469,46 +530,14 @@ impl FlightRecorder {
         .inc();
     }
 
-    /// The retained traces, oldest first.
-    pub fn retained(&self) -> Vec<RetainedTrace> {
-        self.retained
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .traces
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Promotions dropped because the retained set was full.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed.load(Ordering::Relaxed)
-    }
-
-    /// Renders the retained set as the `{"op":"trace"}` wire reply (see
-    /// [`render_trace_dump`]).
-    pub fn retained_json(&self) -> String {
-        let traces: Vec<ParsedTrace> = self
-            .retained()
-            .iter()
-            .map(|t| ParsedTrace {
-                trace_id: t.trace_id,
-                verdict: t.verdict.to_string(),
-                spans: t
-                    .spans
-                    .iter()
-                    .map(|s| ParsedSpan {
-                        span_id: s.span_id,
-                        parent_id: s.parent_id,
-                        stage: s.stage.name().to_string(),
-                        start_us: s.start_us,
-                        dur_ns: s.dur_ns,
-                        status: s.status.as_str().to_string(),
-                    })
-                    .collect(),
-            })
-            .collect();
-        render_trace_dump(self.suppressed(), &traces)
+    /// The retained set (oldest first) and the suppressed-promotion
+    /// count: the `{"op":"trace"}` reply.
+    pub fn dump(&self) -> TraceDump {
+        let r = self.retained.lock().unwrap_or_else(|e| e.into_inner());
+        TraceDump {
+            suppressed: self.suppressed.load(Ordering::Relaxed),
+            retained: r.traces.iter().cloned().collect(),
+        }
     }
 
     /// Empties the ring and the retained set (handles stay valid). For
@@ -531,35 +560,6 @@ pub fn flight_recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::new(2048, 64))
 }
 
-/// One span parsed back out of a trace dump (stage and status as owned
-/// strings — a dump may come from a build with other stages).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedSpan {
-    /// This span's id.
-    pub span_id: u64,
-    /// Enclosing span id (0 = root).
-    pub parent_id: u64,
-    /// Stage name.
-    pub stage: String,
-    /// Start time in microseconds since the recorder epoch.
-    pub start_us: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Outcome string (`ok`, `error`, `shed`, `expired`, `hit`, `miss`).
-    pub status: String,
-}
-
-/// One trace parsed back out of a `{"op":"trace"}` reply.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedTrace {
-    /// Logical request id.
-    pub trace_id: u64,
-    /// Retention verdict.
-    pub verdict: String,
-    /// Spans sorted by start time.
-    pub spans: Vec<ParsedSpan>,
-}
-
 /// A span or trace id on the wire: a zero-padded hex string, so a dump
 /// reads the same in a log line, a waterfall and a debugger.
 struct HexId(u64);
@@ -579,7 +579,7 @@ impl FromJson for HexId {
     }
 }
 
-impl ToJson for ParsedSpan {
+impl ToJson for RetainedSpan {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object()
             .field("span_id", &HexId(self.span_id))
@@ -592,7 +592,7 @@ impl ToJson for ParsedSpan {
     }
 }
 
-impl FromJson for ParsedSpan {
+impl FromJson for RetainedSpan {
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
         Ok(Self {
@@ -606,7 +606,7 @@ impl FromJson for ParsedSpan {
     }
 }
 
-impl ToJson for ParsedTrace {
+impl ToJson for RetainedTrace {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object()
             .field("trace_id", &HexId(self.trace_id))
@@ -616,7 +616,7 @@ impl ToJson for ParsedTrace {
     }
 }
 
-impl FromJson for ParsedTrace {
+impl FromJson for RetainedTrace {
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
         Ok(Self {
@@ -627,26 +627,31 @@ impl FromJson for ParsedTrace {
     }
 }
 
-/// Renders the `{"op":"trace"}` wire reply:
-/// `{"status":"trace","suppressed":N,"retained":[...]}`.
-pub fn render_trace_dump(suppressed: u64, traces: &[ParsedTrace]) -> String {
-    json::object(|o| {
-        o.field("status", "trace").field("suppressed", &suppressed).field("retained", traces)
-    })
-    .expect("a trace dump holds no floats")
+impl ToJson for TraceDump {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("status", "trace")
+            .field("suppressed", &self.suppressed)
+            .field("retained", &self.retained)
+            .end();
+    }
 }
 
-/// Parses the retained-trace list from a `{"status":"trace",...}` reply
-/// (the inverse of [`render_trace_dump`]).
-pub fn parse_trace_dump(v: &JsonValue) -> Result<Vec<ParsedTrace>, String> {
-    v.fields().and_then(|o| o.field("retained")).map_err(|e| e.to_string())
+impl FromJson for TraceDump {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        if o.get("status").and_then(JsonValue::as_str) != Some("trace") {
+            return Err(JsonError::Shape("response is not a trace payload".into()));
+        }
+        Ok(Self { suppressed: o.field("suppressed")?, retained: o.field("retained")? })
+    }
 }
 
 /// Renders retained traces as a fixed-width per-stage waterfall, one
 /// block per trace: each span is indented by tree depth with a bar
 /// scaled against the trace's total duration. Deterministic for a given
 /// input, so tests can pin the exact output.
-pub fn render_waterfall(traces: &[ParsedTrace]) -> String {
+pub fn render_waterfall(traces: &[RetainedTrace]) -> String {
     const BAR: usize = 32;
     let mut out = String::new();
     for t in traces {
@@ -687,7 +692,7 @@ pub fn render_waterfall(traces: &[ParsedTrace]) -> String {
 
 /// Tree depth of a span inside its trace (root = 0); bounded walk so a
 /// malformed parent cycle cannot hang the renderer.
-fn depth_of(t: &ParsedTrace, s: &ParsedSpan) -> usize {
+fn depth_of(t: &RetainedTrace, s: &RetainedSpan) -> usize {
     let mut depth = 0;
     let mut parent = s.parent_id;
     while parent != 0 && depth < 8 {
@@ -773,7 +778,7 @@ mod tests {
         r.record(Stage::Request, Some(ctx), 50, ms(3), SpanStatus::Error);
         child(&r, ctx, Stage::Serialize, 51, ms(1), SpanStatus::Ok);
         r.promote(99, "shed");
-        let retained = r.retained();
+        let retained = r.dump().retained;
         assert_eq!(retained.len(), 1);
         let t = &retained[0];
         assert_eq!(t.verdict, "error", "first verdict wins");
@@ -793,7 +798,7 @@ mod tests {
         child(&r, ctx, Stage::FrameRead, 60, ms(1), SpanStatus::Ok);
         child(&r, ctx, Stage::Regress, 61, ms(1), SpanStatus::Ok);
         r.promote(7, "slow");
-        let spans = &r.retained()[0].spans;
+        let spans = &r.dump().retained[0].spans;
         assert_eq!(spans.len(), 2, "one event per span id: {spans:?}");
         assert_eq!(spans[0].start_us, 10, "the earliest attempt's event is the one kept");
     }
@@ -806,14 +811,14 @@ mod tests {
             r.record(Stage::Request, Some(ctx), i, ms(1), SpanStatus::Shed);
             r.promote(i, "shed");
         }
-        let retained = r.retained();
+        let retained = r.dump().retained;
         assert_eq!(retained.len(), 2, "bounded");
         let ids: Vec<u64> = retained.iter().map(|t| t.trace_id).collect();
         assert_eq!(ids, vec![0, 1], "first promotions stick");
-        assert_eq!(r.suppressed(), 3);
+        assert_eq!(r.dump().suppressed, 3);
         // Re-promoting an already-retained trace still merges.
         r.promote(1, "shed");
-        assert_eq!(r.suppressed(), 3);
+        assert_eq!(r.dump().suppressed, 3);
     }
 
     #[test]
@@ -828,9 +833,9 @@ mod tests {
                     r.promote(ctx.trace_id, "error");
                 }
             }
-            let mut ids: Vec<u64> = r.retained().iter().map(|t| t.trace_id).collect();
+            let mut ids: Vec<u64> = r.dump().retained.iter().map(|t| t.trace_id).collect();
             ids.sort_unstable();
-            (ids, r.retained_json())
+            (ids, r.dump().to_line())
         };
         assert_eq!(run(), run(), "same events, same retained set and dump");
     }
@@ -842,10 +847,12 @@ mod tests {
         r.record(Stage::Request, Some(ctx), 5, ms(4), SpanStatus::Shed);
         child(&r, ctx, Stage::QueueWait, 6, ms(2), SpanStatus::Expired);
         r.promote(ctx.trace_id, "shed");
-        let json = r.retained_json();
-        let v = JsonValue::parse(&json).expect("dump parses");
-        assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("trace"));
-        let traces = parse_trace_dump(&v).expect("dump decodes");
+        let line = r.dump().to_line();
+        assert!(line.starts_with(r#"{"status":"trace","suppressed":0,"#), "{line}");
+        let dump = TraceDump::from_line(&line).expect("dump decodes");
+        assert_eq!(dump, r.dump());
+        assert!(TraceDump::from_line(r#"{"status":"stats","suppressed":0,"retained":[]}"#).is_err());
+        let traces = dump.retained;
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].trace_id, 0xDEAD_BEEF);
         assert_eq!(traces[0].verdict, "shed");
@@ -863,14 +870,14 @@ mod tests {
         child(&r, ctx, Stage::QueueWait, 1, ms(2), SpanStatus::Ok);
         child(&r, ctx, Stage::Regress, 4, ms(5), SpanStatus::Ok);
         r.promote(ctx.trace_id, "slow");
-        let v = JsonValue::parse(&r.retained_json()).unwrap();
-        let rendered = render_waterfall(&parse_trace_dump(&v).unwrap());
+        let traces = TraceDump::from_line(&r.dump().to_line()).unwrap().retained;
+        let rendered = render_waterfall(&traces);
         assert!(rendered.contains("verdict=slow"), "{rendered}");
         assert!(rendered.contains("request"), "{rendered}");
         assert!(rendered.contains("  queue_wait"), "children indented: {rendered}");
         assert!(rendered.contains('#'), "bars present: {rendered}");
         // Deterministic: same input, same art.
-        assert_eq!(rendered, render_waterfall(&parse_trace_dump(&v).unwrap()));
+        assert_eq!(rendered, render_waterfall(&traces));
     }
 
     #[test]
@@ -909,8 +916,8 @@ mod tests {
         r.promote(1, "error");
         r.reset();
         assert!(r.recent().is_empty());
-        assert!(r.retained().is_empty());
-        assert_eq!(r.suppressed(), 0);
+        assert!(r.dump().retained.is_empty());
+        assert_eq!(r.dump().suppressed, 0);
     }
 
     #[test]

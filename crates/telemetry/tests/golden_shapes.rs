@@ -10,7 +10,8 @@
 //! `PDDL_REGEN_GOLDEN=1 cargo test -p pddl-telemetry --test golden_shapes`
 //! and review the fixture diff like any other code change.
 
-use pddl_telemetry::trace::{FlightRecorder, Stage};
+use pddl_telemetry::json;
+use pddl_telemetry::trace::{render_waterfall, FlightRecorder, Stage, TraceDump};
 use pddl_telemetry::{HistogramSnapshot, Snapshot, SpanStatus, TraceContext};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -103,20 +104,22 @@ fn sample_recorder() -> FlightRecorder {
 
 #[test]
 fn stats_snapshot_matches_golden_fixture() {
-    check_or_regen("stats_snapshot.json", &sample_snapshot().to_json());
+    let live = json::to_string(&sample_snapshot()).expect("a snapshot always encodes");
+    check_or_regen("stats_snapshot.json", &live);
+    assert_eq!(json::from_str::<Snapshot>(&live).expect("snapshot decodes"), sample_snapshot());
 }
 
 #[test]
 fn trace_dump_matches_golden_fixture() {
-    check_or_regen("trace_dump.json", &sample_recorder().retained_json());
+    let live = sample_recorder().dump().to_line();
+    check_or_regen("trace_dump.json", &live);
+    assert_eq!(TraceDump::from_line(&live).expect("dump decodes"), sample_recorder().dump());
 }
 
 /// The waterfall rendering of the golden dump is itself pinned — the CLI
 /// `trace` subcommand prints exactly this for these inputs.
 #[test]
 fn trace_waterfall_matches_golden_fixture() {
-    let json = sample_recorder().retained_json();
-    let v = pddl_telemetry::JsonValue::parse(&json).expect("dump parses");
-    let traces = pddl_telemetry::trace::parse_trace_dump(&v).expect("dump decodes");
-    check_or_regen("trace_waterfall.txt", &pddl_telemetry::trace::render_waterfall(&traces));
+    let dump = TraceDump::from_line(&sample_recorder().dump().to_line()).expect("dump decodes");
+    check_or_regen("trace_waterfall.txt", &render_waterfall(&dump.retained));
 }

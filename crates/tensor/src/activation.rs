@@ -22,8 +22,8 @@
 //! every input, and every backend computes the same activation. (The row
 //! *products* in front of it still differ between backends by FMA rounding;
 //! see [`crate::kernels`].) Fusing would save a few cycles per lane and cost
-//! that identity: the scalar fallback, NEON and the remainder lanes of the
-//! AVX2 kernel would each round differently.
+//! that identity: the scalar fallback and the remainder lanes of the AVX2
+//! kernel would round differently.
 //!
 //! Absolute error against the `f64` formulas is below 2e-7 everywhere
 //! (measured: 8.9e-8 sigmoid, 6.6e-8 tanh); the unit tests pin it.
@@ -105,8 +105,8 @@ pub fn tanh(x: f32) -> f32 {
     f32::from_bits(y.to_bits() | (x.to_bits() & SIGN_BIT))
 }
 
-/// [`sigmoid`] over a row, element by element: the scalar and NEON
-/// backends' row kernel.
+/// [`sigmoid`] over a row, element by element: the scalar backend's row
+/// kernel.
 pub(crate) fn sigmoid_row(row: &mut [f32]) {
     for x in row {
         *x = sigmoid(*x);

@@ -7,8 +7,8 @@
 //! training batches a few hundred rows):
 //!
 //! * an `MR×NR` **microkernel** whose accumulator tile lives in registers,
-//!   dispatched at runtime to an explicit AVX2/FMA or NEON implementation
-//!   (scalar fallback otherwise) via [`crate::kernels`];
+//!   dispatched at runtime to an explicit AVX2/FMA implementation (scalar
+//!   fallback otherwise) via [`crate::kernels`];
 //! * `MC/KC` **cache blocking** with both operands packed into contiguous
 //!   panels, so the microkernel streams unit-stride regardless of the
 //!   logical orientation of the inputs;
@@ -235,7 +235,7 @@ pub fn record_products(calls: u64, flops: u64) {
 /// Core dispatch: `out (m×n) (+)= op(A)·op(B)`, then `+ bias`, then
 /// `act`, choosing between the direct small-product kernels, the serial
 /// blocked path, and pool-parallel macro-tiles. The kernel set (scalar /
-/// AVX2+FMA / NEON) is resolved once per call and threaded through every
+/// AVX2+FMA) is resolved once per call and threaded through every
 /// inner loop, so all macro-tiles of one product use the same backend.
 ///
 /// `out` must hold exactly `m*n` elements. When `accumulate` is false the

@@ -10,9 +10,9 @@
 //!
 //! * **AVX2 + FMA** (x86_64), selected when `is_x86_feature_detected!`
 //!   confirms both features at first use;
-//! * **NEON** (aarch64), always available on that architecture;
 //! * **scalar** — the original autovectorized loops, kept as the portable
-//!   fallback and as the equivalence oracle for the dispatch-matrix tests.
+//!   fallback (every other target runs it) and as the equivalence oracle
+//!   for the dispatch-matrix tests.
 //!
 //! Selection happens once (cached in a [`OnceLock`]) and is exposed as a
 //! vtable of plain `fn` pointers, so per-call dispatch is one relaxed
@@ -23,17 +23,17 @@
 //!
 //! `PDDL_FORCE_SCALAR=1` in the environment pins the scalar backend at
 //! startup; [`set_force_scalar`] flips it at runtime (how the
-//! dispatch-matrix tests run both paths in one process). The active backend is mirrored into the telemetry registry
-//! as `tensor.kernel.<name>` 0/1 info-gauges, which flow into
+//! dispatch-matrix tests run both paths in one process). The active
+//! backend is mirrored into the telemetry registry as the 0/1 info-gauges
+//! `tensor.kernel.avx2_fma` and `tensor.kernel.scalar`, which flow into
 //! the `{"op":"stats"}` snapshot unchanged.
 //!
 //! ## Numerics
 //!
 //! The scalar backend is bit-identical to the pre-dispatch kernels. The
-//! FMA-based backends fuse each multiply-add into a single rounding, so
-//! their results are *not* bit-identical to scalar — the dispatch-matrix
-//! tests assert ≤ 1e-5 relative error for those backends and exact bits
-//! for scalar. Within one backend, results remain bit-identical across
+//! AVX2 backend fuses each multiply-add into a single rounding, so its
+//! results are *not* bit-identical to scalar — the dispatch-matrix tests
+//! assert ≤ 1e-5 relative error for it and exact bits for scalar. Within one backend, results remain bit-identical across
 //! runs and pool sizes (the macro-tile partition is shape-only). The
 //! `sigmoid` / `tanh` row kernels are the exception that needs no
 //! tolerance: [`crate::activation`] is written without FMA, so every
@@ -48,8 +48,6 @@ use std::sync::OnceLock;
 pub enum KernelBackend {
     /// AVX2 + FMA intrinsics (x86_64, runtime-detected).
     Avx2Fma,
-    /// NEON intrinsics (aarch64 baseline).
-    Neon,
     /// Portable autovectorized loops (fallback and equivalence oracle).
     Scalar,
 }
@@ -59,17 +57,7 @@ impl KernelBackend {
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Avx2Fma => "avx2+fma",
-            KernelBackend::Neon => "neon",
             KernelBackend::Scalar => "scalar",
-        }
-    }
-
-    /// Telemetry gauge name for this backend's 0/1 info-gauge.
-    fn gauge_name(self) -> &'static str {
-        match self {
-            KernelBackend::Avx2Fma => "tensor.kernel.avx2_fma",
-            KernelBackend::Neon => "tensor.kernel.neon",
-            KernelBackend::Scalar => "tensor.kernel.scalar",
         }
     }
 }
@@ -129,12 +117,7 @@ fn detect() -> &'static Kernels {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn detect() -> &'static Kernels {
-    &neon::KERNELS
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn detect() -> &'static Kernels {
     &scalar::KERNELS
 }
@@ -170,14 +153,12 @@ pub fn force_scalar() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed)
 }
 
-/// Mirrors the selected backend into 0/1 info-gauges
-/// (`tensor.kernel.avx2_fma` / `tensor.kernel.neon` /
-/// `tensor.kernel.scalar`) so a live shard's stats show what it is
-/// actually running.
+/// Mirrors the selected backend into 0/1 info-gauges so a live shard's
+/// stats show what it is actually running.
 fn report_backend(active: KernelBackend) {
-    for b in [KernelBackend::Avx2Fma, KernelBackend::Neon, KernelBackend::Scalar] {
-        pddl_telemetry::gauge(b.gauge_name()).set(i64::from(b == active));
-    }
+    let on = |b| i64::from(b == active);
+    pddl_telemetry::gauge("tensor.kernel.avx2_fma").set(on(KernelBackend::Avx2Fma));
+    pddl_telemetry::gauge("tensor.kernel.scalar").set(on(KernelBackend::Scalar));
 }
 
 // ----------------------------------------------------------------------
@@ -493,174 +474,6 @@ mod avx2 {
     }
 }
 
-// ----------------------------------------------------------------------
-// NEON backend (aarch64 baseline — no runtime probe needed).
-// ----------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::*;
-    use std::arch::aarch64::*;
-
-    pub(crate) static KERNELS: Kernels = Kernels {
-        backend: KernelBackend::Neon,
-        microkernel,
-        axpy,
-        vecmat,
-        dot,
-        bias_add,
-        relu,
-        sigmoid: crate::activation::sigmoid_row,
-        tanh: crate::activation::tanh_row,
-    };
-
-    // SAFETY throughout: NEON is mandatory on aarch64, so the intrinsics
-    // are always available when this module compiles.
-
-    /// 4×16 tile as 16 `float32x4_t` accumulators (4 rows × 4 quads):
-    /// per depth step, four B loads and per-row lane-broadcast FMAs.
-    fn microkernel(pa: &[f32], pb: &[f32]) -> [[f32; NR]; MR] {
-        unsafe {
-            let kc = pa.len() / MR;
-            debug_assert_eq!(pb.len(), kc * NR);
-            let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
-            let mut ap = pa.as_ptr();
-            let mut bp = pb.as_ptr();
-            for _ in 0..kc {
-                let b = [
-                    vld1q_f32(bp),
-                    vld1q_f32(bp.add(4)),
-                    vld1q_f32(bp.add(8)),
-                    vld1q_f32(bp.add(12)),
-                ];
-                let av = vld1q_f32(ap); // the MR=4 A sliver for this depth
-                acc[0][0] = vfmaq_laneq_f32::<0>(acc[0][0], b[0], av);
-                acc[0][1] = vfmaq_laneq_f32::<0>(acc[0][1], b[1], av);
-                acc[0][2] = vfmaq_laneq_f32::<0>(acc[0][2], b[2], av);
-                acc[0][3] = vfmaq_laneq_f32::<0>(acc[0][3], b[3], av);
-                acc[1][0] = vfmaq_laneq_f32::<1>(acc[1][0], b[0], av);
-                acc[1][1] = vfmaq_laneq_f32::<1>(acc[1][1], b[1], av);
-                acc[1][2] = vfmaq_laneq_f32::<1>(acc[1][2], b[2], av);
-                acc[1][3] = vfmaq_laneq_f32::<1>(acc[1][3], b[3], av);
-                acc[2][0] = vfmaq_laneq_f32::<2>(acc[2][0], b[0], av);
-                acc[2][1] = vfmaq_laneq_f32::<2>(acc[2][1], b[1], av);
-                acc[2][2] = vfmaq_laneq_f32::<2>(acc[2][2], b[2], av);
-                acc[2][3] = vfmaq_laneq_f32::<2>(acc[2][3], b[3], av);
-                acc[3][0] = vfmaq_laneq_f32::<3>(acc[3][0], b[0], av);
-                acc[3][1] = vfmaq_laneq_f32::<3>(acc[3][1], b[1], av);
-                acc[3][2] = vfmaq_laneq_f32::<3>(acc[3][2], b[2], av);
-                acc[3][3] = vfmaq_laneq_f32::<3>(acc[3][3], b[3], av);
-                ap = ap.add(MR);
-                bp = bp.add(NR);
-            }
-            let mut out = [[0.0f32; NR]; MR];
-            for (o, a) in out.iter_mut().zip(&acc) {
-                vst1q_f32(o.as_mut_ptr(), a[0]);
-                vst1q_f32(o.as_mut_ptr().add(4), a[1]);
-                vst1q_f32(o.as_mut_ptr().add(8), a[2]);
-                vst1q_f32(o.as_mut_ptr().add(12), a[3]);
-            }
-            out
-        }
-    }
-
-    fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-        unsafe {
-            let n = y.len().min(x.len());
-            let va = vdupq_n_f32(a);
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                let vy = vld1q_f32(yp.add(i));
-                let vx = vld1q_f32(xp.add(i));
-                vst1q_f32(yp.add(i), vfmaq_f32(vy, va, vx));
-                i += 4;
-            }
-            while i < n {
-                *yp.add(i) += a * *xp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    // NEON is baseline on aarch64, so these plain fns inline the axpy
-    // bodies directly — one indirect call per whole product.
-    fn vecmat(v: &[f32], w: &[f32], out: &mut [f32]) {
-        let n = out.len();
-        for (p, &vp) in v.iter().enumerate() {
-            axpy(vp, &w[p * n..(p + 1) * n], out);
-        }
-    }
-
-    fn dot(a: &[f32], b: &[f32]) -> f32 {
-        unsafe {
-            debug_assert_eq!(a.len(), b.len());
-            let n = a.len();
-            let ap = a.as_ptr();
-            let bp = b.as_ptr();
-            // Two quad accumulators = the same 8 partial lanes as the
-            // scalar dot, reduced sequentially below.
-            let mut acc0 = vdupq_n_f32(0.0);
-            let mut acc1 = vdupq_n_f32(0.0);
-            let chunks = n / 8 * 8;
-            let mut i = 0;
-            while i < chunks {
-                acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-                acc1 = vfmaq_f32(acc1, vld1q_f32(ap.add(i + 4)), vld1q_f32(bp.add(i + 4)));
-                i += 8;
-            }
-            let mut partial = [0.0f32; 8];
-            vst1q_f32(partial.as_mut_ptr(), acc0);
-            vst1q_f32(partial.as_mut_ptr().add(4), acc1);
-            let mut acc = 0.0f32;
-            for p in partial {
-                acc += p;
-            }
-            while i < n {
-                acc += *ap.add(i) * *bp.add(i);
-                i += 1;
-            }
-            acc
-        }
-    }
-
-    fn bias_add(row: &mut [f32], bias: &[f32]) {
-        unsafe {
-            let n = row.len().min(bias.len());
-            let rp = row.as_mut_ptr();
-            let bp = bias.as_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                vst1q_f32(rp.add(i), vaddq_f32(vld1q_f32(rp.add(i)), vld1q_f32(bp.add(i))));
-                i += 4;
-            }
-            while i < n {
-                *rp.add(i) += *bp.add(i);
-                i += 1;
-            }
-        }
-    }
-
-    fn relu(row: &mut [f32]) {
-        unsafe {
-            let n = row.len();
-            let rp = row.as_mut_ptr();
-            let zero = vdupq_n_f32(0.0);
-            let mut i = 0;
-            while i + 4 <= n {
-                vst1q_f32(rp.add(i), vmaxq_f32(vld1q_f32(rp.add(i)), zero));
-                i += 4;
-            }
-            while i < n {
-                let v = *rp.add(i);
-                *rp.add(i) = v.max(0.0);
-                i += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -668,7 +481,6 @@ mod tests {
     #[test]
     fn backend_name_round_trips() {
         assert_eq!(KernelBackend::Avx2Fma.name(), "avx2+fma");
-        assert_eq!(KernelBackend::Neon.name(), "neon");
         assert_eq!(KernelBackend::Scalar.name(), "scalar");
     }
 
@@ -683,7 +495,7 @@ mod tests {
         let k = backend();
         // Whatever the hardware offers, the override is off again.
         let snap = pddl_telemetry::snapshot();
-        assert_eq!(snap.gauge(KernelBackend::Scalar.gauge_name()), Some(i64::from(k == KernelBackend::Scalar)));
+        assert_eq!(snap.gauge("tensor.kernel.scalar"), Some(i64::from(k == KernelBackend::Scalar)));
         set_force_scalar(prior);
     }
 

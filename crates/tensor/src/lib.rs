@@ -16,9 +16,9 @@
 //!   macro-tiles fan out over the `pddl_par` work pool above a size
 //!   threshold — deterministic for any worker count because the tile
 //!   partition never depends on it;
-//! * the hot inner loops dispatch at runtime to explicit AVX2/FMA or
-//!   NEON implementations ([`kernels`]), with the scalar loops kept as
-//!   the portable fallback and equivalence oracle;
+//! * the hot inner loops dispatch at runtime to an explicit AVX2/FMA
+//!   implementation ([`kernels`]), with the scalar loops kept as the
+//!   portable fallback and equivalence oracle;
 //! * all randomness goes through [`rng::Rng`], a seeded xoshiro256**, so every
 //!   experiment in the workspace is reproducible bit-for-bit (it lives in
 //!   `pddl_telemetry::rng`, re-exported here as `pddl_tensor::rng`).

@@ -80,7 +80,7 @@ fn stats_op_reflects_served_requests() {
         ControllerClient::connect_with_timeout(controller.addr(), std::time::Duration::from_secs(10))
             .unwrap();
 
-    let before = client.stats().unwrap();
+    let before = client.stats().unwrap().snapshot;
     let ok_before = before.counter("controller.requests_ok").unwrap_or(0);
     let err_before = before.counter("controller.requests_err").unwrap_or(0);
 
@@ -97,7 +97,7 @@ fn stats_op_reflects_served_requests() {
     );
     assert!(client.predict(&bad).unwrap().is_err());
 
-    let after = client.stats().unwrap();
+    let after = client.stats().unwrap().snapshot;
     let ok_after = after.counter("controller.requests_ok").unwrap();
     let err_after = after.counter("controller.requests_err").unwrap();
     assert!(ok_after >= ok_before + 3, "ok: {ok_before} -> {ok_after}");
@@ -165,7 +165,7 @@ fn out_of_range_cluster_figures_get_a_typed_error() {
     let mut coreless = valid.clone();
     coreless.cluster.servers[0].spec.cpu_cores = 0;
     let observed = |client: &mut ControllerClient| {
-        client.stats().unwrap().counter("controller.observe_requests").unwrap_or(0)
+        client.stats().unwrap().snapshot.counter("controller.observe_requests").unwrap_or(0)
     };
     let observed_before = observed(&mut client);
 

@@ -241,7 +241,7 @@ fn expiry_round() {
     }
     // Stats frames are answered inline by the reader, not queued — they
     // must keep working on the same connection after five expiries.
-    let snapshot = client.stats().expect("stats after expiries");
+    let snapshot = client.stats().expect("stats after expiries").snapshot;
     assert!(snapshot.counter("controller.requests_expired").unwrap_or(0) >= expired_before + 5);
     assert_eq!(controller.requests_served(), 0, "expired requests must not count as served");
 }

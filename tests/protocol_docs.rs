@@ -19,12 +19,11 @@
 
 use pddl_cluster::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
-use pddl_telemetry::trace::{parse_trace_dump, render_trace_dump};
-use pddl_telemetry::{JsonValue, Snapshot};
-use predictddl::protocol::stats_line;
+use pddl_telemetry::trace::TraceDump;
+use pddl_telemetry::JsonValue;
 use predictddl::{
     parse_frame, ErrorReply, ObserveReply, ParsedFrame, ReloadReply, ResponseEnvelope,
-    RouteTable, WireResponse, WIRE_OPS,
+    RouteTable, StatsReply, WireResponse, WIRE_OPS,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -113,10 +112,6 @@ fn replay_reply(l: &DocLine) -> String {
     let doc: JsonValue = json::parse(l.text)
         .unwrap_or_else(|e| panic!("PROTOCOL.md:{}: reply is not JSON: {e}", l.line_no));
     let tag = |key: &str| doc.get(key).and_then(JsonValue::as_str);
-    let int = |key: &str| {
-        let n = doc.get(key).and_then(JsonValue::as_u64);
-        n.unwrap_or_else(|| panic!("PROTOCOL.md:{}: no integer `{key}`", l.line_no))
-    };
     if doc.as_array().is_some() {
         return encode(&decode::<Vec<WireResponse>>(l));
     }
@@ -128,17 +123,8 @@ fn replay_reply(l: &DocLine) -> String {
     }
     match (tag("status"), tag("error")) {
         (Some("ok" | "err"), _) => encode(&decode::<WireResponse>(l)),
-        (Some("stats"), _) => {
-            let snapshot = doc.get("snapshot").and_then(|v| Snapshot::from_value(v).ok());
-            let snapshot = snapshot
-                .unwrap_or_else(|| panic!("PROTOCOL.md:{}: bad stats snapshot", l.line_no));
-            stats_line(doc.get("shard").and_then(JsonValue::as_u64), &snapshot)
-        }
-        (Some("trace"), _) => {
-            let traces = parse_trace_dump(&doc)
-                .unwrap_or_else(|e| panic!("PROTOCOL.md:{}: bad trace dump: {e}", l.line_no));
-            render_trace_dump(int("suppressed"), &traces)
-        }
+        (Some("stats"), _) => decode::<StatsReply>(l).to_line(),
+        (Some("trace"), _) => decode::<TraceDump>(l).to_line(),
         (Some("route_table"), _) => decode::<RouteTable>(l).to_line(),
         (Some("reload"), _) => decode::<ReloadReply>(l).to_line(),
         (Some("observe"), _) => decode::<ObserveReply>(l).to_line(),
@@ -541,8 +527,7 @@ fn metric_catalogue() -> BTreeMap<&'static str, BTreeSet<String>> {
 /// `crates/*/src` passes to `counter(`, `gauge(` or `histogram(` (the
 /// trace stages' histograms included), and each `name("…")` the
 /// connection core in `wire.rs` prefixes with its server's name, under
-/// all three servers' rows. Only the kernel gauges are built at run time
-/// past this walk; the catalogue prose explains them.
+/// all three servers' rows.
 #[test]
 fn every_registered_metric_is_in_the_catalogue() {
     const CALLS: [&str; 4] = ["counter(\"", "gauge(\"", "histogram(\"", "name(\""];

@@ -283,7 +283,7 @@ fn reload_without_registry_is_rejected_typed() {
     let controller = Controller::serve("127.0.0.1:0", tiny_system()).unwrap();
     let mut client = ControllerClient::connect(controller.addr()).unwrap();
     let reloads = |client: &mut ControllerClient| {
-        client.stats().unwrap().counter("controller.reload_requests").unwrap_or(0)
+        client.stats().unwrap().snapshot.counter("controller.reload_requests").unwrap_or(0)
     };
     let before = reloads(&mut client);
     assert_eq!(client.reload(None).unwrap(), Err("no_registry".to_string()));

@@ -124,7 +124,7 @@ fn render_fixture(name: &str, traces: &[(PolicyKind, EngineTrace)]) -> String {
 /// Byte-for-byte fixture check with `PDDL_REGEN_GOLDEN=1` regeneration.
 fn check_golden(name: &str, live: &str) {
     let path = fixtures_dir().join(format!("{name}.json"));
-    if std::env::var("PDDL_REGEN_GOLDEN").is_ok() {
+    if std::env::var("PDDL_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(fixtures_dir()).expect("create fixtures dir");
         std::fs::write(&path, live).expect("write fixture");
         eprintln!("regenerated {}", path.display());

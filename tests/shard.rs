@@ -34,7 +34,6 @@ use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
 use pddl_router::{routing_key, Router, RouterConfig};
 use pddl_telemetry::json;
-use pddl_telemetry::trace::parse_trace_dump;
 use pddl_telemetry::TraceContext;
 use predictddl::{
     Controller, ControllerClient, ErrorReply, OfflineTrainer, PredictionRequest, ServeConfig,
@@ -449,8 +448,7 @@ fn router_retains_a_traced_request_it_cannot_route() {
         "unrouteable is the typed overload: {err}"
     );
 
-    let dump = client.trace_dump().expect("the router's trace op");
-    let traces = parse_trace_dump(&dump).expect("parse dump");
+    let traces = client.trace_dump().expect("the router's trace op").retained;
     let t = traces
         .iter()
         .find(|t| t.trace_id == ctx.trace_id)

@@ -159,7 +159,7 @@ fn soak_round(seed: u64, truth: &[(PredictionRequest, Result<u64, String>)]) {
     // Trace identity under chaos: each promoted request is retained as
     // exactly one trace holding its own id, and deterministic span
     // derivation keeps retried/replayed spans deduplicated.
-    let retained = flight_recorder().retained();
+    let retained = flight_recorder().dump().retained;
     for c in 0..CLIENTS {
         for r in 0..PROMOTED_PER_CLIENT {
             let id = trace_id(c * REQUESTS_PER_CLIENT + r);

@@ -1,6 +1,6 @@
 //! Trace tier: end-to-end request tracing over the TCP controller.
 //!
-//! Five scenarios, the first four against an in-process controller
+//! Six scenarios, the first five against an in-process controller
 //! speaking real sockets:
 //!
 //! 1. a client-minted [`TraceContext`] carried through the wire envelope
@@ -16,9 +16,11 @@
 //! 3. the trace dump survives wire chaos: with truncating/resetting
 //!    faults injected, `{"op":"trace"}` still eventually returns one
 //!    frame of valid, parseable JSON;
-//! 4. `{"op":"stats"}` counts the traced request and carries its stage
+//! 4. `predictddl-cli trace --json` prints the dump line as the server
+//!    sent it;
+//! 5. `{"op":"stats"}` counts the traced request and carries its stage
 //!    samples;
-//! 5. an untraced prediction still times its stages: one sample each in
+//! 6. an untraced prediction still times its stages: one sample each in
 //!    the stage histograms, nothing in the ring.
 //!
 //! The flight recorder is process-global, so the scenarios serialize on
@@ -27,8 +29,10 @@
 use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
 use pddl_faults::FaultPlan;
-use pddl_telemetry::trace::{flight_recorder, parse_trace_dump, render_waterfall, ParsedTrace};
-use pddl_telemetry::{Stage, TraceContext};
+use pddl_telemetry::trace::{
+    flight_recorder, render_waterfall, RetainedSpan, RetainedTrace, TraceDump,
+};
+use pddl_telemetry::{SpanStatus, Stage, TraceContext};
 use predictddl::{Controller, ControllerClient, OfflineTrainer, PredictionRequest, ServeConfig};
 use std::collections::BTreeSet;
 use std::sync::{Mutex, OnceLock};
@@ -47,7 +51,7 @@ fn request(model: &str) -> PredictionRequest {
     )
 }
 
-fn span_set(t: &ParsedTrace, stage: Stage) -> Vec<&pddl_telemetry::trace::ParsedSpan> {
+fn span_set(t: &RetainedTrace, stage: Stage) -> Vec<&RetainedSpan> {
     t.spans.iter().filter(|s| s.stage == stage.name()).collect()
 }
 
@@ -79,8 +83,7 @@ fn traced_request_yields_parented_span_tree_over_wire() {
     flight_recorder().promote(cold.trace_id, "slow");
     flight_recorder().promote(warm.trace_id, "slow");
 
-    let dump = client.trace_dump().expect("op trace");
-    let traces = parse_trace_dump(&dump).expect("parse dump");
+    let traces = client.trace_dump().expect("op trace").retained;
     let find = |id: u64| {
         traces
             .iter()
@@ -179,7 +182,7 @@ fn shed_round(seed: u64, trace_ids: &[u64]) -> BTreeSet<u64> {
     drop(client);
     drop(controller);
 
-    let retained = flight_recorder().retained();
+    let retained = flight_recorder().dump().retained;
     for t in &retained {
         assert_eq!(t.verdict, "shed", "zero deadline retains as shed");
         let mut ids: Vec<u64> = t.spans.iter().map(|s| s.span_id).collect();
@@ -245,7 +248,7 @@ fn trace_dump_stays_valid_json_under_wire_faults() {
             continue;
         };
         if let Ok(dump) = probe.trace_dump() {
-            parsed = Some(parse_trace_dump(&dump).expect("dump frame is not valid trace JSON"));
+            parsed = Some(dump.retained);
             break;
         }
     }
@@ -256,18 +259,42 @@ fn trace_dump_stays_valid_json_under_wire_faults() {
 }
 
 #[test]
+fn cli_trace_json_prints_the_dump_as_the_server_sent_it() {
+    let _g = recorder_lock().lock().unwrap_or_else(|e| e.into_inner());
+    flight_recorder().reset();
+    let ctx = TraceContext::root(0xC11_0001);
+    Stage::Request.record_as(Some(ctx), Duration::from_millis(3), SpanStatus::Error);
+    flight_recorder().promote(ctx.trace_id, "error");
+
+    let controller = Controller::serve("127.0.0.1:0", OfflineTrainer::tiny().train_full())
+        .expect("bind controller");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_predictddl-cli"))
+        .args(["trace", "--addr", &controller.addr().to_string(), "--json"])
+        .output()
+        .expect("run predictddl-cli");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    // Wire order, not the sorted keys of a re-rendered JSON tree.
+    assert!(stdout.starts_with(r#"{"status":"trace","suppressed":"#), "{stdout}");
+    let dump = TraceDump::from_line(&stdout).expect("the printed dump decodes");
+    assert_eq!(stdout, format!("{}\n", dump.to_line()));
+    assert!(dump.retained.iter().any(|t| t.trace_id == ctx.trace_id), "{stdout}");
+    flight_recorder().reset();
+}
+
+#[test]
 fn stats_op_counts_traced_requests_and_stage_samples() {
     let _g = recorder_lock().lock().unwrap_or_else(|e| e.into_inner());
 
     let controller = Controller::serve("127.0.0.1:0", OfflineTrainer::tiny().train_full())
         .expect("bind controller");
     let mut client = ControllerClient::connect(controller.addr()).expect("connect");
-    let before = client.stats().expect("op stats");
+    let before = client.stats().expect("op stats").snapshot;
     client
         .predict_with_trace(&request("vgg16"), TraceContext::root(0x3E7))
         .expect("transport")
         .expect("prediction");
-    let after = client.stats().expect("op stats");
+    let after = client.stats().expect("op stats").snapshot;
 
     let counter = |snap: &pddl_telemetry::Snapshot, name| snap.counter(name).unwrap_or(0);
     for name in ["controller.requests_total", "controller.traced_requests"] {
