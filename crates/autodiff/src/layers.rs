@@ -1,19 +1,22 @@
 //! Neural-network building blocks used by GHN-2 and the MLP regressor.
+//!
+//! A layer's constructor registers its weights in the [`ParamStore`] under
+//! `{name}.…`, in a fixed order, and the layer keeps only their ids,
+//! inline: the store holds every value and shape, and a model rebuilt and
+//! filled owns no allocation but the store it was filled with. A
+//! checkpointed model is its config and its store; decoding one runs the
+//! same constructors and fills the new store by name
+//! ([`ParamStore::load`]).
 
 use crate::tape::{ParamId, ParamStore, Tape, Var};
-use pddl_telemetry::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
-use pddl_tensor::Rng;
+use pddl_tensor::{Activation, Rng};
 
 /// Affine layer `y = x·W + b`.
 #[derive(Clone, Debug)]
 pub struct Linear {
     pub w: ParamId,
     pub b: ParamId,
-    pub in_dim: usize,
-    pub out_dim: usize,
 }
-
-pddl_telemetry::json_struct!(Linear { w, b, in_dim, out_dim });
 
 impl Linear {
     pub fn new(
@@ -25,7 +28,7 @@ impl Linear {
     ) -> Self {
         let w = ps.register_xavier(format!("{name}.w"), in_dim, out_dim, rng);
         let b = ps.register_bias(format!("{name}.b"), out_dim);
-        Self { w, b, in_dim, out_dim }
+        Self { w, b }
     }
 
     pub fn forward(&self, tape: &mut Tape, x: Var) -> Var {
@@ -35,94 +38,37 @@ impl Linear {
     }
 }
 
-/// Activation choices for [`Mlp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Activation {
-    Relu,
-    Tanh,
-    Sigmoid,
-    /// No nonlinearity (used on output layers).
-    Identity,
-}
-
-impl ToJson for Activation {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.unit_variant(self);
-    }
-}
-
-impl FromJson for Activation {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        json::read_unit_variant(
-            v,
-            &[Activation::Relu, Activation::Tanh, Activation::Sigmoid, Activation::Identity],
-        )
-    }
-}
-
-impl Activation {
-    /// The tensor-crate activation this maps to in fused GEMM epilogues.
-    /// This enum stays the persisted config surface; the tensor enum is
-    /// the compute-side type.
-    pub fn fused(self) -> pddl_tensor::Activation {
-        match self {
-            Activation::Relu => pddl_tensor::Activation::Relu,
-            Activation::Tanh => pddl_tensor::Activation::Tanh,
-            Activation::Sigmoid => pddl_tensor::Activation::Sigmoid,
-            Activation::Identity => pddl_tensor::Activation::Identity,
-        }
-    }
-}
-
-/// Multi-layer perceptron with a hidden activation and linear output.
-///
-/// The GHN message function MLP(·) from Eq. (3)/(4) of the paper and the
-/// decoder heads are instances of this type.
+/// Perceptron with one hidden layer and a linear output: the GHN message
+/// function MLP(·) from Eq. (3)/(4) of the paper, the decoder head and the
+/// MLP regressor are instances of this type.
 #[derive(Clone, Debug)]
 pub struct Mlp {
-    pub layers: Vec<Linear>,
+    pub layers: [Linear; 2],
     pub hidden_act: Activation,
 }
 
-pddl_telemetry::json_struct!(Mlp { layers, hidden_act });
-
 impl Mlp {
-    /// `dims = [in, h1, ..., out]`; requires at least one layer.
+    /// `[in, hidden, out]` widths; registers `{name}.l0.*`, then `{name}.l1.*`.
     pub fn new(
         ps: &mut ParamStore,
         name: &str,
-        dims: &[usize],
+        [input, hidden, out]: [usize; 3],
         hidden_act: Activation,
         rng: &mut Rng,
     ) -> Self {
-        assert!(dims.len() >= 2, "Mlp needs at least [in, out] dims");
-        let layers = dims
-            .windows(2)
-            .enumerate()
-            .map(|(i, w)| Linear::new(ps, &format!("{name}.l{i}"), w[0], w[1], rng))
-            .collect();
-        Self { layers, hidden_act }
+        let l0 = Linear::new(ps, &format!("{name}.l0"), input, hidden, rng);
+        let l1 = Linear::new(ps, &format!("{name}.l1"), hidden, out, rng);
+        Self { layers: [l0, l1], hidden_act }
     }
 
     pub fn forward(&self, tape: &mut Tape, mut x: Var) -> Var {
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            // Hidden layers record one fused affine+activation node each;
-            // the output layer stays linear.
-            let act = if i < last { self.hidden_act.fused() } else { pddl_tensor::Activation::Identity };
+        // One fused affine+activation node per layer; the output is linear.
+        for (layer, act) in self.layers.iter().zip([self.hidden_act, Activation::Identity]) {
             let w = tape.param(layer.w);
             let b = tape.param(layer.b);
             x = tape.affine_act(x, w, b, act);
         }
         x
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.layers[self.layers.len() - 1].out_dim
     }
 }
 
@@ -147,11 +93,7 @@ pub struct GruCell {
     pub wh: ParamId,
     pub uh: ParamId,
     pub bh: ParamId,
-    pub input_dim: usize,
-    pub state_dim: usize,
 }
-
-pddl_telemetry::json_struct!(GruCell { wz, uz, bz, wr, ur, br, wh, uh, bh, input_dim, state_dim });
 
 impl GruCell {
     pub fn new(
@@ -173,24 +115,23 @@ impl GruCell {
         let bz = ps.register_bias(format!("{name}.bz"), state_dim);
         let br = ps.register_bias(format!("{name}.br"), state_dim);
         let bh = ps.register_bias(format!("{name}.bh"), state_dim);
-        Self { wz, uz, bz, wr, ur, br, wh, uh, bh, input_dim, state_dim }
+        Self { wz, uz, bz, wr, ur, br, wh, uh, bh }
     }
 
     /// One GRU step over a batch of rows: `x` is `n × input_dim`, `h` is
     /// `n × state_dim`; returns the new `n × state_dim` state.
     pub fn forward(&self, tape: &mut Tape, x: Var, h: Var) -> Var {
-        use pddl_tensor::Activation as A;
         // Each gate is a single fused two-operand affine node:
         // act(x·W + h·U + b) with the second GEMM accumulating in place.
         let (wz, uz, bz) = (tape.param(self.wz), tape.param(self.uz), tape.param(self.bz));
-        let z = tape.affine2(x, wz, h, uz, bz, A::Sigmoid);
+        let z = tape.affine2(x, wz, h, uz, bz, Activation::Sigmoid);
 
         let (wr, ur, br) = (tape.param(self.wr), tape.param(self.ur), tape.param(self.br));
-        let r = tape.affine2(x, wr, h, ur, br, A::Sigmoid);
+        let r = tape.affine2(x, wr, h, ur, br, Activation::Sigmoid);
 
         let (wh, uh, bh) = (tape.param(self.wh), tape.param(self.uh), tape.param(self.bh));
         let rh = tape.mul(r, h);
-        let hhat = tape.affine2(x, wh, rh, uh, bh, A::Tanh);
+        let hhat = tape.affine2(x, wh, rh, uh, bh, Activation::Tanh);
 
         // h' = h + z ⊙ (ĥ − h)  (algebraically identical to the canonical
         // form, one fewer elementwise op)
@@ -276,9 +217,9 @@ mod tests {
     fn mlp_forward_and_dims() {
         let mut rng = Rng::new(2);
         let mut ps = ParamStore::new();
-        let mlp = Mlp::new(&mut ps, "m", &[5, 8, 3], Activation::Relu, &mut rng);
-        assert_eq!(mlp.in_dim(), 5);
-        assert_eq!(mlp.out_dim(), 3);
+        let mlp = Mlp::new(&mut ps, "m", [5, 8, 3], Activation::Relu, &mut rng);
+        let shapes: Vec<_> = ps.ids().map(|id| ps.get(id).shape()).collect();
+        assert_eq!(shapes, [(5, 8), (1, 8), (8, 3), (1, 3)]);
         let mut tape = Tape::new(&ps);
         let x = tape.constant(Matrix::ones(2, 5));
         let y = mlp.forward(&mut tape, x);
@@ -289,7 +230,7 @@ mod tests {
     fn mlp_gradcheck() {
         let mut rng = Rng::new(3);
         let mut ps = ParamStore::new();
-        let mlp = Mlp::new(&mut ps, "m", &[3, 5, 2], Activation::Tanh, &mut rng);
+        let mlp = Mlp::new(&mut ps, "m", [3, 5, 2], Activation::Tanh, &mut rng);
         let x = Matrix::rand_normal(4, 3, 1.0, &mut rng);
         let t = Matrix::rand_normal(4, 2, 1.0, &mut rng);
         let err = gradient_check(

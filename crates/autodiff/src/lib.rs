@@ -11,8 +11,11 @@
 //!   read it;
 //! * [`Tape::backward`] replays the tape in reverse, producing a
 //!   [`Gradients`] table with one slot per [`ParamId`];
-//! * optimizers ([`optim::Sgd`], [`optim::Adam`]) consume the gradients and
-//!   update the store.
+//! * [`Adam`] consumes the gradients and updates the store;
+//! * the layers ([`Linear`], [`Mlp`], [`GruCell`]) register their weights
+//!   by name in a fixed order and keep only their ids, so a model is
+//!   restored by running its constructors again and filling the new store
+//!   from the stored one ([`ParamStore::load`]).
 //!
 //! Operations are an enum (not boxed closures), so the backward pass is one
 //! `match` with no allocation beyond the gradient matrices themselves.
@@ -22,7 +25,7 @@ pub mod optim;
 pub mod tape;
 
 pub use layers::{GruCell, Linear, Mlp};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use tape::{
     gradient_check, gradient_check_with_step, Gradients, ParamId, ParamStore, Tape, Var,
 };

@@ -1,23 +1,10 @@
 //! The tape: parameter store, recorded operations, and the backward pass.
 
 use pddl_tensor::{Activation, Matrix, Rng};
-use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 
 /// Handle to a persistent trainable parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ParamId(pub usize);
-
-impl ToJson for ParamId {
-    fn write_json(&self, w: &mut JsonWriter) {
-        self.0.write_json(w);
-    }
-}
-
-impl FromJson for ParamId {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        usize::read_json(v).map(ParamId)
-    }
-}
 
 /// Handle to a value on a [`Tape`]. Valid only for the tape that produced it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,19 +60,37 @@ impl ParamStore {
         &self.names[id.0]
     }
 
-    /// Every parameter's name, by id.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// Drops every parameter from id `len` on.
-    pub fn truncate(&mut self, len: usize) {
-        self.values.truncate(len);
-        self.names.truncate(len);
+    /// Fills this store with `stored`'s matrices, which must begin with
+    /// this store's parameters: the same names in the same order, each the
+    /// same shape. This is how a checkpointed model is filled: its
+    /// constructor registers the parameters, `load` replaces every value
+    /// (taking `stored`'s matrices, not copying them). `Err` names the
+    /// first parameter that differs and leaves this store as it was; `Ok`
+    /// holds the names `stored` has past this store's, whose matrices are
+    /// dropped.
+    pub fn load(&mut self, mut stored: ParamStore) -> Result<Vec<String>, String> {
+        if stored.names.len() != stored.values.len() {
+            return Err(format!("{} parameter names for {} values", stored.names.len(), stored.values.len()));
+        }
+        for (i, (name, value)) in self.names.iter().zip(&self.values).enumerate() {
+            let Some(got) = stored.names.get(i) else {
+                return Err(format!("parameter `{name}` is missing"));
+            };
+            if got != name {
+                return Err(format!("parameter {i} is `{got}`, expected `{name}`"));
+            }
+            if stored.values[i].shape() != value.shape() {
+                return Err(format!("parameter `{name}` is {:?}, expected {:?}", stored.values[i].shape(), value.shape()));
+            }
+        }
+        let rest = stored.names.split_off(self.len());
+        stored.values.truncate(self.len());
+        *self = stored;
+        Ok(rest)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -938,6 +943,32 @@ mod tests {
         let g = grads.get(w).unwrap();
         assert!((g[(0, 0)] - 4.0).abs() < 1e-5, "{g:?}");
         assert!((g[(0, 1)] + 8.0).abs() < 1e-5, "{g:?}");
+    }
+
+    #[test]
+    fn load_fills_by_name_and_names_the_first_parameter_that_differs() {
+        let build = |seed: u64| {
+            let mut ps = ParamStore::new();
+            ps.register_xavier("a", 2, 3, &mut Rng::new(seed));
+            ps.register_bias("b", 3);
+            ps
+        };
+        let mut stored = build(1);
+        stored.get_mut(ParamId(1)).map_inplace(|_| 0.5);
+        stored.register("tail", Matrix::zeros(1, 1));
+        let mut fresh = build(2);
+        assert_eq!(fresh.load(stored.clone()).unwrap(), ["tail"]);
+        assert_eq!(fresh.len(), 2);
+        assert!(fresh.ids().all(|id| fresh.get(id) == stored.get(id) && fresh.name(id) == stored.name(id)));
+
+        let mut renamed = ParamStore::new();
+        renamed.register("b", Matrix::zeros(2, 3));
+        assert_eq!(build(2).load(renamed), Err("parameter 0 is `b`, expected `a`".into()));
+        let mut short = ParamStore::new();
+        short.register("a", Matrix::zeros(3, 2));
+        assert_eq!(build(2).load(short.clone()), Err("parameter `a` is (3, 2), expected (2, 3)".into()));
+        short.get_mut(ParamId(0)).clone_from(stored.get(ParamId(0)));
+        assert_eq!(build(2).load(short), Err("parameter `b` is missing".into()));
     }
 
     #[test]

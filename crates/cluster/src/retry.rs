@@ -110,7 +110,6 @@ pub fn is_transient(e: &std::io::Error) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use predictddl::protocol::{ErrorReply, ShedReason};
 
     #[test]
     fn budget_is_max_attempts() {
@@ -155,55 +154,5 @@ mod tests {
     fn zero_attempts_behaves_as_one() {
         let mut b = Backoff::new(RetryPolicy { max_attempts: 0, ..RetryPolicy::default() });
         assert!(b.next_delay().is_none());
-    }
-
-    // The typed refusals are declared in `predictddl::protocol`; these
-    // pin that the errors the controller client raises from them are the
-    // ones `is_transient` retries, and that they carry their hint out.
-
-    #[test]
-    fn overload_errors_are_transient_and_carry_the_hint() {
-        let reply = ErrorReply::Overloaded { retry_after_ms: 40, reason: ShedReason::Unknown };
-        let e = std::io::Error::from(reply.clone());
-        assert!(is_transient(&e), "overload must enter the retry path");
-        assert_eq!(ErrorReply::of(&e), Some(&reply));
-        assert_eq!(reply.retry_after(), Some(Duration::from_millis(40)));
-        assert!(e.to_string().contains("overloaded"), "{e}");
-        // Unrelated errors of the same kind carry no reply.
-        let plain = std::io::Error::new(std::io::ErrorKind::WouldBlock, "timed out");
-        assert_eq!(ErrorReply::of(&plain), None);
-    }
-
-    #[test]
-    fn shard_moved_errors_are_transient_and_carry_the_epoch() {
-        let e = std::io::Error::from(ErrorReply::ShardMoved { epoch: 12, retry_after_ms: 15 });
-        assert!(is_transient(&e), "shard_moved must enter the retry path");
-        let Some(&ErrorReply::ShardMoved { epoch, retry_after_ms }) = ErrorReply::of(&e) else {
-            panic!("expected a shard_moved reply, got {e}");
-        };
-        assert_eq!((epoch, retry_after_ms), (12, 15));
-        assert!(e.to_string().contains("epoch 12"), "{e}");
-        // Rejections are not transient: the server would repeat them.
-        let rejected = std::io::Error::from(ErrorReply::ReloadRejected { reason: "x".into() });
-        assert!(!is_transient(&rejected));
-    }
-
-    #[test]
-    fn shed_reasons_round_trip_and_tolerate_garbage() {
-        for r in [
-            ShedReason::QueueFull,
-            ShedReason::Deadline,
-            ShedReason::ConnectionLimit,
-            ShedReason::Draining,
-            ShedReason::Unrouteable,
-            ShedReason::Unknown,
-        ] {
-            assert_eq!(ShedReason::parse(r.as_str()), r);
-        }
-        assert_eq!(ShedReason::parse("???"), ShedReason::Unknown);
-        let shed = ErrorReply::Overloaded { retry_after_ms: 10, reason: ShedReason::QueueFull };
-        let e = std::io::Error::from(shed.clone());
-        assert_eq!(ErrorReply::of(&e), Some(&shed));
-        assert!(e.to_string().contains("overloaded (queue_full)"), "{e}");
     }
 }

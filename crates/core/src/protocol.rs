@@ -746,6 +746,7 @@ impl RouteTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pddl_cluster::retry::is_transient;
 
     #[test]
     fn route_table_op_parses() {
@@ -842,7 +843,7 @@ mod tests {
             assert_eq!(ErrorReply::of(&err), Some(&reply), "{line}");
             let transient =
                 matches!(reply, ErrorReply::Overloaded { .. } | ErrorReply::ShardMoved { .. });
-            assert_eq!(pddl_cluster::retry::is_transient(&err), transient, "{line}");
+            assert_eq!(is_transient(&err), transient, "{line}");
             assert_eq!(reply.retry_after().is_some(), transient, "{line}");
         }
     }
@@ -918,6 +919,55 @@ mod tests {
             (r#"{"status":"err","error":{"invalid_params":"frame exceeds 9 bytes"}}"#, None, false),
             (r#"{"error":"teapot","reason":"short and stout"}"#, None, false),
         ]);
+    }
+
+    // The errors the controller client raises from the typed refusals are
+    // the ones `is_transient` retries, and they carry their hint out.
+
+    #[test]
+    fn overload_errors_are_transient_and_carry_the_hint() {
+        let reply = ErrorReply::Overloaded { retry_after_ms: 40, reason: ShedReason::Unknown };
+        let e = std::io::Error::from(reply.clone());
+        assert!(is_transient(&e), "overload must enter the retry path");
+        assert_eq!(ErrorReply::of(&e), Some(&reply));
+        assert_eq!(reply.retry_after(), Some(Duration::from_millis(40)));
+        assert!(e.to_string().contains("overloaded"), "{e}");
+        // Unrelated errors of the same kind carry no reply.
+        let plain = std::io::Error::new(std::io::ErrorKind::WouldBlock, "timed out");
+        assert_eq!(ErrorReply::of(&plain), None);
+    }
+
+    #[test]
+    fn shard_moved_errors_are_transient_and_carry_the_epoch() {
+        let e = std::io::Error::from(ErrorReply::ShardMoved { epoch: 12, retry_after_ms: 15 });
+        assert!(is_transient(&e), "shard_moved must enter the retry path");
+        let Some(&ErrorReply::ShardMoved { epoch, retry_after_ms }) = ErrorReply::of(&e) else {
+            panic!("expected a shard_moved reply, got {e}");
+        };
+        assert_eq!((epoch, retry_after_ms), (12, 15));
+        assert!(e.to_string().contains("epoch 12"), "{e}");
+        // Rejections are not transient: the server would repeat them.
+        let rejected = std::io::Error::from(ErrorReply::ReloadRejected { reason: "x".into() });
+        assert!(!is_transient(&rejected));
+    }
+
+    #[test]
+    fn shed_reasons_round_trip_and_tolerate_garbage() {
+        for r in [
+            ShedReason::QueueFull,
+            ShedReason::Deadline,
+            ShedReason::ConnectionLimit,
+            ShedReason::Draining,
+            ShedReason::Unrouteable,
+            ShedReason::Unknown,
+        ] {
+            assert_eq!(ShedReason::parse(r.as_str()), r);
+        }
+        assert_eq!(ShedReason::parse("???"), ShedReason::Unknown);
+        let shed = ErrorReply::Overloaded { retry_after_ms: 10, reason: ShedReason::QueueFull };
+        let e = std::io::Error::from(shed.clone());
+        assert_eq!(ErrorReply::of(&e), Some(&shed));
+        assert!(e.to_string().contains("overloaded (queue_full)"), "{e}");
     }
 
     #[test]

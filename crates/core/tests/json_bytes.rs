@@ -10,11 +10,11 @@
 //! regenerate with `PDDL_REGEN_GOLDEN=1 cargo test -p predictddl --test
 //! json_bytes` and review the fixture diff like any other code change.
 
-use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamStore};
+use pddl_autodiff::{GruCell, Linear, Mlp, ParamStore};
 use pddl_cluster::{ClusterState, ServerClass, ServerSpec};
 use pddl_ddlsim::{TraceRecord, Workload};
 use pddl_ernest::ErnestModel;
-use pddl_ghn::{EmbeddingSet, Ghn, GhnConfig, GhnEncoder, TrainConfig};
+use pddl_ghn::{EmbeddingSet, Ghn, GhnConfig, GhnEncoder};
 use pddl_graph::{CompGraph, NodeAttrs};
 use pddl_regress::{
     Kernel, LinearRegression, MlpRegressor, PolyFeatures, Regression, Regressor, Ridge,
@@ -23,7 +23,7 @@ use pddl_regress::{
 use pddl_registry::Registry;
 use pddl_telemetry::hash::fnv1a;
 use pddl_telemetry::json::{self, FromJson, JsonValue, ToJson};
-use pddl_tensor::{Matrix, Rng};
+use pddl_tensor::{Activation, Matrix, Rng};
 use predictddl::inference::{EngineSample, InferenceConfig};
 use predictddl::offline::TrainCost;
 use predictddl::{
@@ -183,17 +183,15 @@ fn json_types_keep_their_bytes() {
     pin(out, "NodeAttrs", &NodeAttrs::group_conv(32, 64, 3, 2, 32, 16));
     pin(out, "CompGraph", &g);
 
+    // One store the three layer kinds register into; the layers keep only
+    // their ids, so the store is all there is to pin.
     let mut ps = ParamStore::new();
     let mut rng = Rng::new(0x32);
-    let linear = Linear::new(&mut ps, "lin", 3, 2, &mut rng);
-    let mlp = Mlp::new(&mut ps, "mlp", &[2, 4, 1], Activation::Tanh, &mut rng);
-    let gru = GruCell::new(&mut ps, "gru", 2, 3, &mut rng);
-    pin(out, "Linear", &linear);
-    pin(out, "Mlp", &mlp);
-    pin(out, "GruCell", &gru);
+    Linear::new(&mut ps, "lin", 3, 2, &mut rng);
+    Mlp::new(&mut ps, "mlp", [2, 4, 1], Activation::Tanh, &mut rng);
+    GruCell::new(&mut ps, "gru", 2, 3, &mut rng);
     pin(out, "ParamStore", &ps);
     pin(out, "GhnConfig", &GhnConfig::default());
-    pin(out, "TrainConfig", &TrainConfig::tiny());
     let mut set = EmbeddingSet::new();
     set.insert("resnet18", vec![0.25, -0.5, 1.0]);
     set.insert("vgg16", vec![1e-3, 2.5e7, -0.125]);
@@ -267,21 +265,32 @@ fn json_types_keep_their_bytes() {
     assert_eq!(stored.lines().count(), live.lines().count(), "json_bytes.txt line count");
 }
 
-/// `fixtures/system_v1.json` is `json::to_string(&system())` as checkpoint
-/// format 1 wrote it: each GHN with its decoder, `cfg.normalize` and
-/// `cfg.decoder_hidden`, the registry with its `ghn_config`,
-/// `train_config` and `seed`. It decodes through the encoder's one
-/// migration into exactly the bytes this build writes for `system()`, in
-/// which no training-only member is left.
-#[test]
-fn format_1_system_decodes_to_format_2_bytes() {
-    let v1 = std::fs::read_to_string(fixture_named("system_v1.json")).unwrap();
-    // Format 1's `PredictDdl` line of `json_bytes.txt`.
-    assert_eq!((v1.len(), fnv1a(v1.as_bytes())), (18448, 0x9d14_50b1_cc9f_af73), "system_v1.json");
-    let v2 = json::to_string(&system()).unwrap();
-    let migrated: PredictDdl = json::from_str(&v1).unwrap();
-    assert_eq!(json::to_string(&migrated).unwrap(), v2);
-    for key in ["decoder", "train_config", "normalize", "decoder_hidden"] {
-        assert!(!v2.contains(&format!("\"{key}\"")), "`{key}` in a format-2 system");
+/// `json::to_string(&system())` as an older checkpoint format wrote it,
+/// pinned by its `PredictDdl` line of `json_bytes.txt` at the time,
+/// decodes through the one reader into exactly the bytes this build
+/// writes for `system()`, in which none of the old members is left.
+fn decodes_to_this_builds_bytes(fixture: &str, pin: (usize, u64)) {
+    let old = std::fs::read_to_string(fixture_named(fixture)).unwrap();
+    assert_eq!((old.len(), fnv1a(old.as_bytes())), pin, "{fixture}");
+    let now = json::to_string(&system()).unwrap();
+    let migrated: PredictDdl = json::from_str(&old).unwrap();
+    assert_eq!(json::to_string(&migrated).unwrap(), now, "{fixture}");
+    for key in ["decoder", "train_config", "normalize", "decoder_hidden", "embed", "msg", "gru", "net", "in_dim"] {
+        assert!(!now.contains(&format!("\"{key}\"")), "`{key}` in a format-3 system");
     }
+}
+
+/// Format 1 wrote each GHN with its decoder, `cfg.normalize` and
+/// `cfg.decoder_hidden`, and the registry with its `ghn_config`,
+/// `train_config` and `seed`.
+#[test]
+fn format_1_system_decodes_to_format_3_bytes() {
+    decodes_to_this_builds_bytes("system_v1.json", (18448, 0x9d14_50b1_cc9f_af73));
+}
+
+/// Format 2 wrote each GHN's layers — `embed`, `msg`, `msg_sp`, `gru`:
+/// their parameter ids and widths — beside its store.
+#[test]
+fn format_2_system_decodes_to_format_3_bytes() {
+    decodes_to_this_builds_bytes("system_v2.json", (12907, 0x11b5_a4ef_3b4c_c5f8));
 }

@@ -20,10 +20,12 @@
 //!
 //! The network is two types along that cut. [`GhnEncoder`] is what is
 //! served and checkpointed: the weights up to the pooled embedding, the
-//! sweep and [`GhnEncoder::embed_graph`]. [`Ghn`] is what is trained: the
-//! encoder plus the decoder head in one parameter store, the traced
-//! forward [`GhnTrainer`] steps, and [`Ghn::into_encoder`], which cuts the
-//! decoder off once meta-training is done.
+//! sweep and [`GhnEncoder::embed_graph`]. Its checkpoint is its config and
+//! its named parameter store; decoding builds the encoder for the config
+//! and fills it by name. [`Ghn`] is what is trained: the encoder plus the
+//! decoder head in one parameter store, the traced forward [`GhnTrainer`]
+//! steps, and [`Ghn::into_encoder`], which hands back the encoder through
+//! that same rebuild once meta-training is done.
 //!
 //! ## Meta-training substitution (see DESIGN.md)
 //!

@@ -17,9 +17,9 @@
 //! and each to the oracles it replaced.
 
 use crate::config::GhnConfig;
-use pddl_autodiff::{layers::Activation, GruCell, Linear, Mlp, ParamId, ParamStore, Tape, Var};
+use pddl_autodiff::{GruCell, Linear, Mlp, ParamStore, Tape, Var};
 use pddl_graph::{features, one_hot_features, virtual_edges, CompGraph, OpKind};
-use pddl_tensor::{vecmat_acc, vecmat_bias_act, Activation as TensorAct, Matrix, Rng};
+use pddl_tensor::{vecmat_acc, vecmat_bias_act, Activation, Matrix, Rng};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use std::sync::OnceLock;
 
@@ -78,7 +78,8 @@ impl Schedule {
 /// and GRU, all weights in the owned [`ParamStore`]. Everything a
 /// prediction reads and nothing only meta-training needs: PredictDDL
 /// serves the pooled pre-decoder state, so the decoder head stays on the
-/// trainable [`Ghn`].
+/// trainable [`Ghn`]. Checkpointed as `{"cfg","ps"}`: the layers are what
+/// `GhnEncoder::new` builds for `cfg`.
 #[derive(Clone)]
 pub struct GhnEncoder {
     pub cfg: GhnConfig,
@@ -91,96 +92,58 @@ pub struct GhnEncoder {
 
 impl ToJson for GhnEncoder {
     fn write_json(&self, w: &mut JsonWriter) {
-        w.object()
-            .field("cfg", &self.cfg)
-            .field("ps", &self.ps)
-            .field("embed", &self.embed)
-            .field("msg", &self.msg)
-            .field("msg_sp", &self.msg_sp)
-            .field("gru", &self.gru)
-            .end();
+        w.object().field("cfg", &self.cfg).field("ps", &self.ps).end();
     }
 }
 
 impl FromJson for GhnEncoder {
-    /// Reads format 2 and, through one migration, format 1, which wrote
-    /// the trainable [`Ghn`]: its `decoder` member and `cfg` widths are
-    /// ignored like any unknown member, its trailing `ghn.decoder.*`
-    /// parameters dropped. A format-1 `cfg.normalize` other than `true` is
-    /// refused: the states are always normalised.
+    /// Reads format 3 and, through the same path, formats 1 and 2, whose
+    /// `embed`/`msg`/`msg_sp`/`gru` members repeat what `cfg` and `ps`
+    /// say and are ignored like any unknown member, as is format 1's
+    /// `decoder`. What they could say differently is refused by name: a
+    /// `cfg.normalize` other than `true` (the states are always
+    /// normalised) and a message-MLP activation other than `Relu`.
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
         let normalize = o.get("cfg").and_then(|cfg| cfg.get("normalize"));
         if let Some(off) = normalize.filter(|n| n.as_bool() != Some(true)).map(JsonValue::to_json) {
             return Err(JsonError::Shape(format!("cfg: normalize: {off} is not supported, states are always normalised")));
         }
-        let mut enc = Self {
-            cfg: o.field("cfg")?,
-            ps: o.field("ps")?,
-            embed: o.field("embed")?,
-            msg: o.field("msg")?,
-            msg_sp: o.field("msg_sp")?,
-            gru: o.field("gru")?,
-        };
-        let (names, encoder_len) = (enc.ps.names(), enc.gru.bh.0 + 1);
-        if names.len() == enc.ps.len() {
-            if let Some(name) = names.iter().skip(encoder_len).find(|n| !n.starts_with("ghn.decoder.")) {
-                return Err(JsonError::Shape(format!("ps: parameter `{name}` follows the encoder's")));
+        for key in ["msg", "msg_sp"] {
+            let act = o.get(key).and_then(|mlp| mlp.get("hidden_act"));
+            if let Some(act) = act.filter(|a| a.as_str() != Some("Relu")).map(JsonValue::to_json) {
+                return Err(JsonError::Shape(format!("{key}: hidden_act: {act} is not supported, messages are Relu")));
             }
-            enc.ps.truncate(encoder_len);
         }
-        // The weights arrive from outside; the forward indexes the store by
-        // the layers' ids and packs their matrices by the configured widths,
-        // so a decoded encoder must be shaped as `Ghn::new` builds it.
-        enc.check_shapes().map_err(JsonError::Shape)?;
-        Ok(enc)
+        let (cfg, stored): (GhnConfig, ParamStore) = (o.field("cfg")?, o.field("ps")?);
+        Self::restore(cfg, stored).map_err(|e| JsonError::Shape(format!("ps: {e}")))
     }
 }
 
 impl GhnEncoder {
-    /// `Err` names the first parameter whose id or shape is not what
-    /// [`Ghn::new`] builds for `cfg`.
-    fn check_shapes(&self) -> Result<(), String> {
-        let (ps, d, cfg) = (&self.ps, self.cfg.hidden_dim, &self.cfg);
-        if ps.names().len() != ps.len() {
-            return Err(format!("{} parameter names for {} values", ps.names().len(), ps.len()));
+    /// A fresh encoder: the embedding layer, the two message MLPs and the
+    /// GRU, registered in that order under `ghn.*`.
+    fn new(cfg: GhnConfig, rng: &mut Rng) -> Self {
+        let mut ps = ParamStore::new();
+        let d = cfg.hidden_dim;
+        let embed = Linear::new(&mut ps, "ghn.embed", features::FEATURE_DIM, d, rng);
+        let msg = Mlp::new(&mut ps, "ghn.msg", [d, cfg.mlp_hidden, d], Activation::Relu, rng);
+        let msg_sp = Mlp::new(&mut ps, "ghn.msg_sp", [d, cfg.mlp_hidden, d], Activation::Relu, rng);
+        let gru = GruCell::new(&mut ps, "ghn.gru", d, d, rng);
+        Self { cfg, ps, embed, msg, msg_sp, gru }
+    }
+
+    /// The encoder `cfg` describes with its weights taken from `stored` by
+    /// name — the one way a served encoder gets its weights, from a
+    /// checkpoint or from [`Ghn::into_encoder`]. `stored` may go on past
+    /// the encoder's parameters with the decoder's, which are dropped.
+    fn restore(cfg: GhnConfig, stored: ParamStore) -> Result<Self, String> {
+        // Any seed: `load` replaces every value the constructor draws.
+        let mut enc = Self::new(cfg, &mut Rng::new(0));
+        match enc.ps.load(stored)?.iter().find(|name| !name.starts_with("ghn.decoder.")) {
+            Some(name) => Err(format!("parameter `{name}` follows the encoder's")),
+            None => Ok(enc),
         }
-        let param = |id: ParamId, shape: (usize, usize), what: &str| {
-            match (id.0 < ps.len()).then(|| ps.get(id).shape()) {
-                Some(actual) if actual == shape => Ok(()),
-                Some(actual) => Err(format!("{what} is {actual:?}, expected {shape:?}")),
-                None => Err(format!("{what} is parameter {} of {}", id.0, ps.len())),
-            }
-        };
-        let linear = |l: &Linear, dims: (usize, usize), what: &str| {
-            if (l.in_dim, l.out_dim) != dims {
-                return Err(format!("{what} maps {:?}, expected {dims:?}", (l.in_dim, l.out_dim)));
-            }
-            param(l.w, dims, &format!("{what}.w"))?;
-            param(l.b, (1, dims.1), &format!("{what}.b"))
-        };
-        let mlp = |m: &Mlp, [i, h, o]: [usize; 3], what: &str| match m.layers.as_slice() {
-            [first, second] => linear(first, (i, h), &format!("{what}.l0"))
-                .and_then(|()| linear(second, (h, o), &format!("{what}.l1"))),
-            layers => Err(format!("{what} has {} layers, expected 2", layers.len())),
-        };
-        linear(&self.embed, (features::FEATURE_DIM, d), "embed")?;
-        mlp(&self.msg, [d, cfg.mlp_hidden, d], "msg")?;
-        mlp(&self.msg_sp, [d, cfg.mlp_hidden, d], "msg_sp")?;
-        if self.msg.hidden_act != self.msg_sp.hidden_act {
-            return Err("msg and msg_sp have different hidden activations".into());
-        }
-        let gru = &self.gru;
-        if (gru.input_dim, gru.state_dim) != (d, d) {
-            return Err(format!("gru maps {:?}, expected {:?}", (gru.input_dim, gru.state_dim), (d, d)));
-        }
-        let gates = [("z", gru.wz, gru.uz, gru.bz), ("r", gru.wr, gru.ur, gru.br), ("h", gru.wh, gru.uh, gru.bh)];
-        for (gate, w, u, b) in gates {
-            param(w, (d, d), &format!("gru.w{gate}"))?;
-            param(u, (d, d), &format!("gru.u{gate}"))?;
-            param(b, (1, d), &format!("gru.b{gate}"))?;
-        }
-        Ok(())
     }
 
     /// Embedding dimensionality.
@@ -252,8 +215,7 @@ impl GhnEncoder {
             rest = tail;
             head
         });
-        let [msg, sp] = [&self.msg, &self.msg_sp].map(|mlp| mlp.layers.as_slice());
-        assert_eq!(self.msg.hidden_act, self.msg_sp.hidden_act, "message MLPs share one hidden activation");
+        let [msg, sp] = [&self.msg.layers, &self.msg_sp.layers];
         Matrix::hstack_into(&[ps.get(gru.wz), ps.get(gru.wr), ps.get(gru.wh)], wx);
         Matrix::hstack_into(&[ps.get(gru.bz), ps.get(gru.br), ps.get(gru.bh)], bx);
         Matrix::hstack_into(&[ps.get(gru.uz), ps.get(gru.ur)], uzr);
@@ -276,7 +238,7 @@ impl GhnEncoder {
 
         let gru = [&*wx, bx, uzr, ps.get(gru.uh).as_slice()];
         let second = [&msg[1], &sp[1]].map(|l| [ps.get(l.w).as_slice(), ps.get(l.b).as_slice()]);
-        let msg_layers = (self.msg.hidden_act.fused(), [&*w_in, b_in], second);
+        let msg_layers = (self.msg.hidden_act, [&*w_in, b_in], second);
         let mut rows = F32Rows { h, msgs, m, gates, hid, gru, msg_layers, made: 0 };
         self.sweep(&mut rows, g, sched);
         // The row products that ran, as `gemm` counts them: the embedding
@@ -290,35 +252,35 @@ impl GhnEncoder {
 
 /// The GHN-2 as meta-training sees it: the [`GhnEncoder`] with a decoder
 /// head on the pooled embedding, which the surrogate objective trains (see
-/// `train`). One store holds both, the decoder's parameters last, so
-/// [`Ghn::into_encoder`] serves the encoder by cutting them off.
+/// `train`). One store holds both, the decoder's parameters last, and
+/// [`Ghn::into_encoder`] serves the encoder's.
 #[derive(Clone)]
 pub struct Ghn {
-    /// The served half; until [`Ghn::into_encoder`] its store also holds
-    /// the decoder's parameters, after `ghn.gru.bh`.
+    /// The served half; its store also holds the decoder's parameters,
+    /// after the encoder's.
     pub encoder: GhnEncoder,
     decoder: Mlp,
 }
 
 impl Ghn {
     /// Fresh randomly-initialized GHN: the encoder's draws, then the
-    /// decoder's. The decoder's hidden width is `3·d/2`.
+    /// decoder's into the same store. The decoder's hidden width is `3·d/2`.
     pub fn new(cfg: GhnConfig, rng: &mut Rng) -> Self {
-        let mut ps = ParamStore::new();
+        let mut encoder = GhnEncoder::new(cfg, rng);
         let d = cfg.hidden_dim;
-        let embed = Linear::new(&mut ps, "ghn.embed", features::FEATURE_DIM, d, rng);
-        let msg = Mlp::new(&mut ps, "ghn.msg", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
-        let msg_sp = Mlp::new(&mut ps, "ghn.msg_sp", &[d, cfg.mlp_hidden, d], Activation::Relu, rng);
-        let gru = GruCell::new(&mut ps, "ghn.gru", d, d, rng);
-        let decoder = Mlp::new(&mut ps, "ghn.decoder", &[d, 3 * d / 2, TARGET_DIM], Activation::Relu, rng);
-        Self { encoder: GhnEncoder { cfg, ps, embed, msg, msg_sp, gru }, decoder }
+        let decoder = Mlp::new(&mut encoder.ps, "ghn.decoder", [d, 3 * d / 2, TARGET_DIM], Activation::Relu, rng);
+        Self { encoder, decoder }
     }
 
-    /// The served encoder: the store truncated after `ghn.gru.bh`.
+    /// The served encoder: rebuilt from its config and filled from this
+    /// store, the decoder's parameters left behind. It runs on the pool
+    /// worker that trained the GHN, so the encoder owns no allocation made
+    /// here: its matrices are the ones `Ghn::new` made before training, and
+    /// its layers hold only ids. One small allocation made after training
+    /// would pin the worker's malloc arena at its training peak
+    /// (`offline_train` `peak_rss_mb` 56 → 68–74 MB).
     pub fn into_encoder(self) -> GhnEncoder {
-        let mut encoder = self.encoder;
-        encoder.ps.truncate(encoder.gru.bh.0 + 1);
-        encoder
+        GhnEncoder::restore(self.encoder.cfg, self.encoder.ps).expect("a GHN's store begins with its encoder's")
     }
 
     /// Runs the GatedGNN on the tape and returns the pooled 1×d embedding:
@@ -345,10 +307,9 @@ impl Ghn {
     /// products of [`Self::decode_traced`], without a tape.
     pub fn decode_fast(&self, embedding: &[f32]) -> Vec<f32> {
         let ps = &self.encoder.ps;
-        let [first, second] = self.decoder.layers.as_slice() else { panic!("GHN MLPs have two layers") };
-        let (mut hid, mut out) = (vec![0.0; first.out_dim], vec![0.0; second.out_dim]);
-        let [first, second] = [first, second].map(|l| [ps.get(l.w).as_slice(), ps.get(l.b).as_slice()]);
-        mlp_rows((self.decoder.hidden_act.fused(), first, [second]), embedding, &mut hid, &mut out);
+        let [first, second] = self.decoder.layers.each_ref().map(|l| [ps.get(l.w).as_slice(), ps.get(l.b).as_slice()]);
+        let (mut hid, mut out) = (vec![0.0; first[1].len()], vec![0.0; second[1].len()]);
+        mlp_rows((self.decoder.hidden_act, first, [second]), embedding, &mut hid, &mut out);
         out
     }
 }
@@ -459,13 +420,13 @@ impl Backend for F32Rows<'_> {
         vecmat_acc(self.m, wx, self.gates);
         let (zr, hh) = self.gates.split_at_mut(2 * d);
         vecmat_acc(hv, uzr, zr);
-        TensorAct::Sigmoid.apply_row(zr);
+        Activation::Sigmoid.apply_row(zr);
         let (z, r) = zr.split_at_mut(d);
         for (ri, &hi) in r.iter_mut().zip(hv.iter()) {
             *ri *= hi;
         }
         vecmat_acc(r, uh, hh);
-        TensorAct::Tanh.apply_row(hh);
+        Activation::Tanh.apply_row(hh);
         for ((hi, &zi), &hhi) in hv.iter_mut().zip(z.iter()).zip(hh.iter()) {
             *hi += zi * (hhi - *hi);
         }
@@ -480,7 +441,7 @@ impl Backend for F32Rows<'_> {
 /// `N` two-layer MLPs of equal widths as [`mlp_rows`] runs them: their one
 /// hidden activation, their first layers' weights and biases packed side
 /// by side (one layer is its own packing), their output layers'.
-type RowMlps<'a, const N: usize> = (TensorAct, [&'a [f32]; 2], [[&'a [f32]; 2]; N]);
+type RowMlps<'a, const N: usize> = (Activation, [&'a [f32]; 2], [[&'a [f32]; 2]; N]);
 
 /// `N` MLPs on one row `x`, side by side: the row products of
 /// `Mlp::forward`. The first layers run as one product into `hid`, then
@@ -489,7 +450,7 @@ fn mlp_rows<const N: usize>((act, [w, b], second): RowMlps<N>, x: &[f32], hid: &
     vecmat_bias_act(x, w, b, act, hid);
     let shares = hid.chunks_exact(hid.len() / N).zip(out.chunks_exact_mut(out.len() / N));
     for ([w, b], (hid, out)) in second.into_iter().zip(shares) {
-        vecmat_bias_act(hid, w, b, TensorAct::Identity, out);
+        vecmat_bias_act(hid, w, b, Activation::Identity, out);
     }
 }
 
@@ -519,6 +480,7 @@ fn l2_normalize(v: &mut [f32]) {
 mod tests {
     use super::*;
     use pddl_graph::NodeAttrs;
+    use pddl_telemetry::json;
 
     fn toy_graph() -> CompGraph {
         let mut g = CompGraph::new("toy");
@@ -592,7 +554,7 @@ mod tests {
             let last = mlp.layers.len() - 1;
             let mut cur = h.gather_rows(&sources);
             for (i, layer) in mlp.layers.iter().enumerate() {
-                let act = if i < last { mlp.hidden_act.fused() } else { TensorAct::Identity };
+                let act = if i < last { mlp.hidden_act } else { Activation::Identity };
                 cur = cur.matmul_bias_act(ghn.ps.get(layer.w), ghn.ps.get(layer.b), act);
             }
             cur
@@ -643,7 +605,7 @@ mod tests {
             let d = h.len();
             let (z, rest) = gates.split_at_mut(d);
             let (r, hh) = rest.split_at_mut(d);
-            let gate = |out: &mut [f32], b, w, u, state: &[f32], act: TensorAct| {
+            let gate = |out: &mut [f32], b, w, u, state: &[f32], act: Activation| {
                 out.copy_from_slice(self.ps.get(b).row(0));
                 vecmat_acc(x, self.ps.get(w).as_slice(), out);
                 vecmat_acc(state, self.ps.get(u).as_slice(), out);
@@ -651,12 +613,12 @@ mod tests {
                     *o = act.apply(*o);
                 }
             };
-            gate(z, gru.bz, gru.wz, gru.uz, h, TensorAct::Sigmoid);
-            gate(r, gru.br, gru.wr, gru.ur, h, TensorAct::Sigmoid);
+            gate(z, gru.bz, gru.wz, gru.uz, h, Activation::Sigmoid);
+            gate(r, gru.br, gru.wr, gru.ur, h, Activation::Sigmoid);
             for (ri, &hi) in r.iter_mut().zip(h.iter()) {
                 *ri *= hi;
             }
-            gate(hh, gru.bh, gru.wh, gru.uh, r, TensorAct::Tanh);
+            gate(hh, gru.bh, gru.wh, gru.uh, r, Activation::Tanh);
             for ((hi, &zi), &hhi) in h.iter_mut().zip(z.iter()).zip(hh.iter()) {
                 *hi += zi * (hhi - *hi);
             }
@@ -681,7 +643,7 @@ mod tests {
                 }
                 if i < last {
                     for o in &mut out {
-                        *o = mlp.hidden_act.fused().apply(*o);
+                        *o = mlp.hidden_act.apply(*o);
                     }
                 }
                 cur = out;
@@ -1079,21 +1041,44 @@ mod tests {
         assert_eq!(d.len(), TARGET_DIM);
     }
 
-    /// A checkpoint whose layers disagree with its parameter store would
-    /// decode and then panic on the first embed (an index out of bounds in
-    /// `ParamStore::get`, a length mismatch packing the weights); it is a
-    /// decode error instead. So is a format-1 checkpoint the one migration
-    /// cannot serve as written.
+    /// `enc` as format 2 wrote it: beside `cfg` and `ps`, each layer's
+    /// parameter ids and widths.
+    fn format_2(enc: &GhnEncoder) -> String {
+        let linear = |l: &Linear| {
+            let (i, o) = enc.ps.get(l.w).shape();
+            format!(r#"{{"w":{},"b":{},"in_dim":{i},"out_dim":{o}}}"#, l.w.0, l.b.0)
+        };
+        let mlp = |m: &Mlp| {
+            let layers: Vec<_> = m.layers.iter().map(linear).collect();
+            format!(r#"{{"layers":[{}],"hidden_act":"Relu"}}"#, layers.join(","))
+        };
+        let g = &enc.gru;
+        let ids = [("wz", g.wz), ("uz", g.uz), ("bz", g.bz), ("wr", g.wr), ("ur", g.ur)];
+        let ids = ids.into_iter().chain([("br", g.br), ("wh", g.wh), ("uh", g.uh), ("bh", g.bh)]);
+        let gates: Vec<_> = ids.map(|(key, id)| format!(r#""{key}":{}"#, id.0)).collect();
+        let d = enc.cfg.hidden_dim;
+        let gru = format!(r#"{{{},"input_dim":{d},"state_dim":{d}}}"#, gates.join(","));
+        let [cfg, ps] = [json::to_string(&enc.cfg), json::to_string(&enc.ps)].map(Result::unwrap);
+        let [embed, msg, msg_sp] = [linear(&enc.embed), mlp(&enc.msg), mlp(&enc.msg_sp)];
+        format!(r#"{{"cfg":{cfg},"ps":{ps},"embed":{embed},"msg":{msg},"msg_sp":{msg_sp},"gru":{gru}}}"#)
+    }
+
+    /// A checkpoint whose store is not what `GhnEncoder::new` builds for
+    /// its `cfg` would decode and then panic on the first embed (an index
+    /// out of bounds in `ParamStore::get`, a length mismatch packing the
+    /// weights); it is a decode error naming the first parameter that
+    /// differs instead. What formats 1 and 2 wrote beside the store is read
+    /// past, so corrupting it moves no bit, and what the one path cannot
+    /// serve as written is refused by name.
     #[test]
     fn misshapen_checkpoints_are_decode_errors() {
-        use pddl_telemetry::json;
         let ghn = Ghn::new(GhnConfig::tiny(), &mut Rng::new(14));
         // The trainer's store, decoder included, as format 1 wrote it.
         let (v1, last) = (json::to_string(&ghn.encoder).unwrap(), ghn.encoder.ps.len() - 1);
         let enc = ghn.into_encoder();
-        let text = json::to_string(&enc).unwrap();
+        let (text, v2) = (json::to_string(&enc).unwrap(), format_2(&enc));
         let bits = |g: &GhnEncoder| g.embed_graph(&toy_graph()).iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for doc in [&text, &v1] {
+        for doc in [&text, &v2, &v1] {
             let back: GhnEncoder = json::from_str(doc).unwrap();
             assert_eq!(json::to_string(&back).unwrap(), text);
             assert_eq!(bits(&back), bits(&enc));
@@ -1106,40 +1091,65 @@ mod tests {
                 other => panic!("{key} in {other:?}"),
             }
         }
-        let corrupt = |text: &str, path: &str, value: &str| {
+        /// Decodes `text` with each `(path, value)` of `edits` written in.
+        fn corrupt<P: AsRef<str>>(text: &str, edits: &[(P, String)]) -> Result<GhnEncoder, JsonError> {
             let mut doc = json::parse(text).unwrap();
-            *path.split('.').fold(&mut doc, member) = json::parse(value).unwrap();
-            json::from_str::<GhnEncoder>(&doc.to_json()).err()
-        };
-        let doc = json::parse(&text).unwrap();
-        let at = |path: &str| path.split('.').fold(&mut doc.clone(), member).to_json();
-        let cases = [
+            for (path, value) in edits {
+                *path.as_ref().split('.').fold(&mut doc, member) = json::parse(value).unwrap();
+            }
+            json::from_str::<GhnEncoder>(&doc.to_json())
+        }
+        let at = |text: &str, path: &str| path.split('.').fold(&mut json::parse(text).unwrap(), member).to_json();
+
+        // Format 2's layer members repeat the store: corrupted, they
+        // still decode to the same embedding bits.
+        let redundant = [
             ("embed.w", "999".to_string()),
             ("embed.in_dim", "3".into()),
-            ("embed.b", at("gru.wz")),
-            ("msg.layers.0", at("embed")),
-            ("msg_sp.hidden_act", r#""Tanh""#.into()),
+            ("embed.b", at(&v2, "gru.wz")),
+            ("msg.layers.0", at(&v2, "embed")),
             ("gru.state_dim", "9".into()),
-            ("gru.bh", at("gru.uh")),
-            ("cfg.hidden_dim", "16".into()),
-            ("ps.names", "[]".into()),
-            ("ps.values.0", r#"{"rows":2,"cols":2,"data":[0.5,0.5,0.5,0.5]}"#.into()),
+            ("gru.bh", at(&v2, "gru.uh")),
         ];
-        for (path, value) in cases {
-            let err = corrupt(&text, path, &value);
-            assert!(matches!(err, Some(JsonError::Shape(_))), "{path} = {value}: {err:?}");
+        assert_eq!(bits(&corrupt(&v2, &redundant).unwrap()), bits(&enc));
+
+        let err = |text: &str, path: &str, value: &str| corrupt(text, &[(path, value.to_string())]).err();
+        for doc in [&text, &v2] {
+            let cases = [
+                ("cfg.hidden_dim", "16"),
+                ("ps.names", "[]"),
+                ("ps.values.0", r#"{"rows":2,"cols":2,"data":[0.5,0.5,0.5,0.5]}"#),
+            ];
+            for (path, value) in cases {
+                let err = err(doc, path, value);
+                assert!(matches!(err, Some(JsonError::Shape(_))), "{path} = {value}: {err:?}");
+            }
+            let renamed = err(doc, "ps.names.3", r#""ghn.msg.l0.bias""#);
+            let want = "ps: parameter 3 is `ghn.msg.l0.bias`, expected `ghn.msg.l0.b`";
+            assert_eq!(renamed, Some(JsonError::Shape(want.into())));
+            // `wz` and `uz` are both d×d: only the names tell them apart.
+            let swap: Vec<_> = ["names", "values"]
+                .into_iter()
+                .flat_map(|m| [(10, 11), (11, 10)].map(|(i, j)| (format!("ps.{m}.{i}"), at(doc, &format!("ps.{m}.{j}")))))
+                .collect();
+            let swapped = corrupt(doc, &swap).err();
+            let want = "ps: parameter 10 is `ghn.gru.uz`, expected `ghn.gru.wz`";
+            assert_eq!(swapped, Some(JsonError::Shape(want.into())));
         }
+        let err = err(&v2, "msg_sp.hidden_act", r#""Tanh""#);
+        let want = r#"msg_sp: hidden_act: "Tanh" is not supported, messages are Relu"#;
+        assert_eq!(err, Some(JsonError::Shape(want.into())));
 
         // Format 1: `normalize: true` is what every writer set, and is read
         // past; anything else is refused by name, never served normalised.
-        assert!(corrupt(&v1, "cfg.normalize", "true").is_none());
+        assert!(corrupt(&v1, &[("cfg.normalize", "true".into())]).is_ok());
         for value in ["false", "null", "1"] {
-            let err = corrupt(&v1, "cfg.normalize", value);
+            let err = corrupt(&v1, &[("cfg.normalize", value.into())]).err();
             let want = format!("cfg: normalize: {value} is not supported, states are always normalised");
             assert_eq!(err, Some(JsonError::Shape(want)));
         }
         // Only the decoder's parameters are dropped past the encoder's.
-        let err = corrupt(&v1, &format!("ps.names.{last}"), r#""ghn.head.b""#);
+        let err = corrupt(&v1, &[(&format!("ps.names.{last}"), r#""ghn.head.b""#.into())]).err();
         assert_eq!(err, Some(JsonError::Shape("ps: parameter `ghn.head.b` follows the encoder's".into())));
     }
 }

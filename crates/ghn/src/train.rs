@@ -9,7 +9,7 @@
 
 use crate::model::{decoder_targets, Ghn, Schedule, TARGET_DIM};
 use crate::synth::SynthGenerator;
-use pddl_autodiff::{Adam, Optimizer, Tape};
+use pddl_autodiff::{Adam, Tape};
 use pddl_graph::CompGraph;
 use pddl_tensor::{Matrix, Rng};
 
@@ -29,8 +29,6 @@ pub struct TrainConfig {
     /// RNG seed for shuffling.
     pub seed: u64,
 }
-
-pddl_telemetry::json_struct!(TrainConfig { num_graphs, epochs, batch_size, lr, clip_norm, seed });
 
 impl Default for TrainConfig {
     fn default() -> Self {

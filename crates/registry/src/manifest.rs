@@ -15,9 +15,12 @@
 use pddl_telemetry::{push_json_string, JsonValue};
 
 /// On-disk manifest format version. Readers reject anything newer at
-/// `open`, never mid-decode. Format 2: GHN encoders only, no decoder or
-/// meta-training configuration (format 1 had them; this build drops them).
-pub const FORMAT_VERSION: u32 = 2;
+/// `open`, never mid-decode. Format 3: each model is its config and its
+/// named parameter store, nothing else. Format 2 wrote each layer's
+/// parameter ids and widths beside the store; format 1 also the GHN
+/// decoder and the meta-training configuration. This build reads both
+/// and drops what they repeat.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// One artifact (named byte blob) recorded in a manifest.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -6,8 +6,9 @@
 
 use crate::scale::StandardScaler;
 use crate::Regressor;
-use pddl_autodiff::{layers::Activation, Adam, Mlp, Optimizer, ParamStore, Tape};
-use pddl_tensor::{Matrix, Rng};
+use pddl_autodiff::{Adam, Mlp, ParamStore, Tape};
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
+use pddl_tensor::{Activation, Matrix, Rng};
 
 /// Single-hidden-layer MLP regressor.
 #[derive(Clone)]
@@ -19,8 +20,34 @@ pub struct MlpRegressor {
     state: Option<Fitted>,
 }
 
-pddl_telemetry::json_struct!(MlpRegressor { hidden, epochs, lr, seed, state });
+impl ToJson for MlpRegressor {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("hidden", &self.hidden)
+            .field("epochs", &self.epochs)
+            .field("lr", &self.lr)
+            .field("seed", &self.seed)
+            .field("state", &self.state)
+            .end();
+    }
+}
 
+impl FromJson for MlpRegressor {
+    /// The fitted state's network is the one `fit` builds for `hidden` and
+    /// the scaler's width, filled from the stored `ps` by name.
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let (hidden, epochs, lr, seed) = (o.field("hidden")?, o.field("epochs")?, o.field("lr")?, o.field("seed")?);
+        let state = match o.get("state") {
+            None | Some(JsonValue::Null) => None,
+            Some(state) => Some(Fitted::read(state, hidden).map_err(|e| e.in_field("state"))?),
+        };
+        Ok(Self { hidden, epochs, lr, seed, state })
+    }
+}
+
+/// The trained network and the scalings around it. Checkpointed as
+/// `{"ps","x_scaler","y_mean","y_std"}`.
 #[derive(Clone)]
 struct Fitted {
     ps: ParamStore,
@@ -30,7 +57,37 @@ struct Fitted {
     y_std: f32,
 }
 
-pddl_telemetry::json_struct!(Fitted { ps, net, x_scaler, y_mean, y_std });
+impl ToJson for Fitted {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object()
+            .field("ps", &self.ps)
+            .field("x_scaler", &self.x_scaler)
+            .field("y_mean", &self.y_mean)
+            .field("y_std", &self.y_std)
+            .end();
+    }
+}
+
+impl Fitted {
+    /// The network `fit` trains: `inputs → hidden (tanh) → 1`.
+    fn net(ps: &mut ParamStore, inputs: usize, hidden: usize, rng: &mut Rng) -> Mlp {
+        Mlp::new(ps, "mlpreg", [inputs, hidden, 1], Activation::Tanh, rng)
+    }
+
+    /// Decodes a fitted state of `hidden` neurons: the network is rebuilt
+    /// (any seed: `load` replaces every value) and filled from `ps`.
+    fn read(v: &JsonValue, hidden: usize) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let (stored, x_scaler): (ParamStore, StandardScaler) = (o.field("ps")?, o.field("x_scaler")?);
+        let mut ps = ParamStore::new();
+        let net = Self::net(&mut ps, x_scaler.dim(), hidden, &mut Rng::new(0));
+        let rest = ps.load(stored).map_err(|e| JsonError::Shape(format!("ps: {e}")))?;
+        if let Some(name) = rest.first() {
+            return Err(JsonError::Shape(format!("ps: parameter `{name}` follows the network's")));
+        }
+        Ok(Self { ps, net, x_scaler, y_mean: o.field("y_mean")?, y_std: o.field("y_std")? })
+    }
+}
 
 impl MlpRegressor {
     pub fn new(hidden: usize, epochs: usize, lr: f32, seed: u64) -> Self {
@@ -50,13 +107,7 @@ impl Regressor for MlpRegressor {
 
         let mut rng = Rng::new(self.seed);
         let mut ps = ParamStore::new();
-        let net = Mlp::new(
-            &mut ps,
-            "mlpreg",
-            &[x.cols(), self.hidden, 1],
-            Activation::Tanh,
-            &mut rng,
-        );
+        let net = Fitted::net(&mut ps, x.cols(), self.hidden, &mut rng);
         let mut opt = Adam::new(self.lr);
         for _ in 0..self.epochs {
             let grads = {
@@ -146,6 +197,39 @@ mod tests {
         m.fit(&x, &y);
         let pred = m.predict(&x);
         assert!((pred[0] - 1000.0).abs() < 10.0, "{pred:?}");
+    }
+
+    /// A fitted state whose store is not the network `hidden` and the
+    /// scaler describe used to decode and then panic in the first
+    /// `predict`; it is a decode error naming the parameter.
+    #[test]
+    fn misshapen_checkpoints_are_decode_errors() {
+        use pddl_telemetry::json;
+        let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.5], &[2.0, -1.0]]);
+        let mut m = MlpRegressor::new(3, 5, 0.05, 7);
+        m.fit(&x, &[1.0, 2.0, 3.0]);
+        let text = json::to_string(&m).unwrap();
+        let back: MlpRegressor = json::from_str(&text).unwrap();
+        assert_eq!(json::to_string(&back).unwrap(), text);
+        assert_eq!(back.predict(&x), m.predict(&x));
+
+        // The fitted store is `mlpreg.l0.w`, `l0.b`, `l1.w`, `l1.b`; each
+        // case writes it with `l1.w` (id 2) dropped or replaced.
+        let ps = &m.state.as_ref().unwrap().ps;
+        let stored = json::to_string(ps).unwrap();
+        let decode = |l1_w: Option<Matrix>| {
+            let mut edited = ParamStore::new();
+            for id in ps.ids() {
+                if let Some(value) = if id.0 == 2 { l1_w.clone() } else { Some(ps.get(id).clone()) } {
+                    edited.register(ps.name(id), value);
+                }
+            }
+            json::from_str::<MlpRegressor>(&text.replacen(&stored, &json::to_string(&edited).unwrap(), 1)).err()
+        };
+        let want = "state: ps: parameter 2 is `mlpreg.l1.b`, expected `mlpreg.l1.w`";
+        assert_eq!(decode(None), Some(JsonError::Shape(want.into())));
+        let want = "state: ps: parameter `mlpreg.l1.w` is (1, 1), expected (3, 1)";
+        assert_eq!(decode(Some(Matrix::zeros(1, 1))), Some(JsonError::Shape(want.into())));
     }
 
     #[test]

@@ -47,6 +47,11 @@ impl StandardScaler {
         Self { mean: mean.iter().map(|&m| m as f32).collect(), std }
     }
 
+    /// Number of columns it was fitted to.
+    pub fn dim(&self) -> usize {
+        self.mean.len()
+    }
+
     /// Standardizes rows of `x`.
     pub fn transform(&self, x: &Matrix) -> Matrix {
         let (n, d) = x.shape();

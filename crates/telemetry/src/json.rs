@@ -35,8 +35,11 @@
 //!   the request and response envelopes, `RouteTable`), or read an absent
 //!   field as a default for older peers (`ServerStatus::stale`,
 //!   `RouteShard::healthy`, `HistogramSnapshot::overflow`);
-//! * structs checked after decode (`CompGraph`, `Matrix`, `GhnEncoder`):
-//!   their methods index by what the document says;
+//! * structs checked after decode (`CompGraph`, `Matrix`): their methods
+//!   index by what the document says;
+//! * models rebuilt from their config and filled by name from a stored
+//!   parameter store (`GhnEncoder`, `MlpRegressor`): the layers are not
+//!   written, the config says what they are;
 //! * structs with runtime state that is not written (`PredictDdl`'s
 //!   embedding cache);
 //! * the stats [`Snapshot`](crate::Snapshot), whose metric lists are
@@ -83,6 +86,15 @@ impl JsonError {
     /// An enum tag no variant answers to.
     pub fn unknown_variant(name: &str) -> JsonError {
         JsonError::Shape(format!("unknown variant `{name}`"))
+    }
+
+    /// This error as met inside field `key`: a shape error gains the
+    /// `key: ` prefix of its path.
+    pub fn in_field(self, key: &str) -> JsonError {
+        match self {
+            JsonError::Shape(msg) => JsonError::Shape(format!("{key}: {msg}")),
+            other => other,
+        }
     }
 }
 
@@ -501,10 +513,7 @@ impl<'a> Fields<'a> {
     /// field may be omitted and anything else reports a missing field.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T, JsonError> {
         match self.0.get(key) {
-            Some(v) => T::read_json(v).map_err(|e| match e {
-                JsonError::Shape(msg) => JsonError::Shape(format!("{key}: {msg}")),
-                other => other,
-            }),
+            Some(v) => T::read_json(v).map_err(|e| e.in_field(key)),
             None => T::read_json(&JsonValue::Null)
                 .map_err(|_| JsonError::Shape(format!("missing field `{key}`"))),
         }

@@ -237,42 +237,52 @@ fn failing_probe_is_rejected_over_tcp_and_rolls_back() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// Rollback across the format bump: a version a format-1 build published
-/// (manifest `"format": 1`; its system artifact `system_v1.json` holds
-/// each GHN with its decoder) still opens, loads and goes live over
-/// `{"op":"reload"}`, and the format-2 version after it comes back too.
+/// Rollback across the format bumps: versions a format-1 and a format-2
+/// build published (manifest `"format": 1` / `2`; their system artifacts
+/// `system_v1.json`, each GHN with its decoder, and `system_v2.json`, each
+/// layer's parameter ids beside the store) still open, load and go live
+/// over `{"op":"reload"}`, and the format-3 version comes back after each.
 #[test]
 fn reload_rolls_back_to_a_format_1_version_and_forward_again() {
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/system_v1.json");
-    let v1_system = std::fs::read(fixture).unwrap();
+    let fixtures = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let root = unique_root("format1");
     let (old, new) = {
         let (reg, _) = Registry::open(&root, 0).unwrap();
-        let old = reg.publish("format-1", &[(SYSTEM_ARTIFACT.to_string(), v1_system)], &[]).unwrap();
-        (old, save_checkpoint(&reg, &tiny_system(), "format-2").unwrap())
+        let old = [1, 2].map(|format| {
+            let system = std::fs::read(fixtures.join(format!("system_v{format}.json"))).unwrap();
+            let v = reg.publish(&format!("format-{format}"), &[(SYSTEM_ARTIFACT.to_string(), system)], &[]).unwrap();
+            (format, v)
+        });
+        (old, save_checkpoint(&reg, &tiny_system(), "format-3").unwrap())
     };
-    let manifest_path = root.join(format!("v{old:04}")).join("manifest.json");
-    let json = std::fs::read_to_string(&manifest_path).unwrap();
-    let stamped = json.replacen(&format!("\"format\": {FORMAT_VERSION}"), "\"format\": 1", 1);
-    assert_ne!(stamped, json, "format line moved: {json}");
-    std::fs::write(&manifest_path, stamped).unwrap();
+    for (format, v) in old {
+        let manifest_path = root.join(format!("v{v:04}")).join("manifest.json");
+        let json = std::fs::read_to_string(&manifest_path).unwrap();
+        let stamped = json.replacen(&format!("\"format\": {FORMAT_VERSION}"), &format!("\"format\": {format}"), 1);
+        assert_ne!(stamped, json, "format line moved: {json}");
+        std::fs::write(&manifest_path, stamped).unwrap();
+    }
 
     let (registry, report) = Registry::open(&root, 0).unwrap();
     assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
-    assert_eq!(registry.manifest(old).map(|m| m.format), Some(1));
+    for (format, v) in old {
+        assert_eq!(registry.manifest(v).map(|m| m.format), Some(format));
+    }
     let live = Arc::new(LiveSystem::new(load_checkpoint(&registry, new).unwrap(), new));
     let manager = ReloadManager::new(registry, Arc::clone(&live));
     let controller =
         Controller::serve_live("127.0.0.1:0", Arc::clone(&live), ServeConfig::default(), Some(manager)).unwrap();
     let mut client = ControllerClient::connect(controller.addr()).unwrap();
 
-    let back = client.reload(Some(old)).unwrap().expect("format-1 version reloads");
-    assert_eq!((back.version, back.previous), (old, new));
-    assert_eq!(controller.live_version(), old);
-    assert!(live.pin().registry.has("cifar10"), "format-1 GHN is served");
-    let forward = client.reload(Some(new)).unwrap().expect("format-2 version reloads");
-    assert_eq!((forward.version, forward.previous), (new, old));
-    assert!(client.predict(&fixed_request()).unwrap().is_ok());
+    for (format, v) in old {
+        let back = client.reload(Some(v)).unwrap().unwrap_or_else(|e| panic!("format-{format} version reloads: {e}"));
+        assert_eq!((back.version, back.previous), (v, new));
+        assert_eq!(controller.live_version(), v);
+        assert!(live.pin().registry.has("cifar10"), "format-{format} GHN is served");
+        let forward = client.reload(Some(new)).unwrap().expect("format-3 version reloads");
+        assert_eq!((forward.version, forward.previous), (new, v));
+        assert!(client.predict(&fixed_request()).unwrap().is_ok());
+    }
     std::fs::remove_dir_all(&root).ok();
 }
 
