@@ -12,12 +12,14 @@
 //! so cache hit rates can be read against actual embedding cost on the
 //! serving stats endpoint.
 
-use crate::registry::GhnRegistry;
+use crate::registry::{normalize, GhnRegistry};
 use pddl_ghn::EmbeddingSet;
 use pddl_graph::CompGraph;
 use pddl_telemetry::hash::Fnv1a;
 use pddl_telemetry::{Counter, Gauge};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -71,7 +73,7 @@ impl EmbeddingsGenerator {
     /// embeddings themselves were computed on the work pool.
     pub fn record(&mut self, dataset: &str, name: &str, v: Vec<f32>) {
         self.atlas
-            .entry(dataset.to_ascii_lowercase())
+            .entry(normalize(dataset).into_owned())
             .or_default()
             .insert(name.to_string(), v);
     }
@@ -79,7 +81,7 @@ impl EmbeddingsGenerator {
     /// Nearest known architecture to a query embedding, per dataset.
     pub fn nearest(&self, dataset: &str, query: &[f32]) -> Option<(String, f32)> {
         self.atlas
-            .get(&dataset.to_ascii_lowercase())?
+            .get(normalize(dataset).as_ref())?
             .nearest(query)
             .map(|(n, s)| (n.to_string(), s))
     }
@@ -87,7 +89,7 @@ impl EmbeddingsGenerator {
     /// Number of recorded architectures for a dataset.
     pub fn atlas_size(&self, dataset: &str) -> usize {
         self.atlas
-            .get(&dataset.to_ascii_lowercase())
+            .get(normalize(dataset).as_ref())
             .map_or(0, |s| s.len())
     }
 }
@@ -122,6 +124,45 @@ fn cache_metrics() -> &'static CacheMetrics {
 /// ([`CompGraph::fingerprint`]). The dataset is part of the key because the
 /// same architecture embeds differently under different per-dataset GHNs.
 type CacheKey = (String, u64);
+
+/// A cache key as a `(dataset, fingerprint)` pair of borrowed parts, so a
+/// probe looks up `(&str, u64)` without building an owned [`CacheKey`].
+/// Hashes and compares as the tuple does, as `Borrow` requires.
+trait KeyParts {
+    fn parts(&self) -> (&str, u64);
+}
+
+impl KeyParts for CacheKey {
+    fn parts(&self) -> (&str, u64) {
+        (&self.0, self.1)
+    }
+}
+
+impl KeyParts for (&str, u64) {
+    fn parts(&self) -> (&str, u64) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
 
 /// One cached (or in-flight) embedding. The [`OnceLock`] doubles as the
 /// single-flight mechanism: concurrent requests for the same key block in
@@ -255,9 +296,9 @@ impl EmbeddingCache {
     /// current entry; LRU bounds apply as usual, so preloading more than
     /// [`EmbeddingCache::capacity`] entries simply keeps the tail.
     pub fn preload(&self, dataset: &str, fingerprint: u64, embedding: Vec<f32>) {
-        let key: CacheKey = (dataset.to_ascii_lowercase(), fingerprint);
+        let key: CacheKey = (normalize(dataset).into_owned(), fingerprint);
         let m = cache_metrics();
-        let shard = &self.shards[self.shard_index(&key)];
+        let shard = &self.shards[self.shard_index(key.parts())];
         let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
         s.tick += 1;
         let tick = s.tick;
@@ -283,9 +324,9 @@ impl EmbeddingCache {
     /// Shard index for `key` — the dataset is mixed into the fingerprint
     /// so one dataset's keys do not pile onto the fingerprint's shard
     /// distribution alone.
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        let mut mix = Fnv1a::with_basis(key.1 ^ 0x9e3779b97f4a7c15);
-        mix.bytes(key.0.as_bytes());
+    fn shard_index(&self, (dataset, fingerprint): (&str, u64)) -> usize {
+        let mut mix = Fnv1a::with_basis(fingerprint ^ 0x9e3779b97f4a7c15);
+        mix.bytes(dataset.as_bytes());
         (mix.finish() % self.shards.len() as u64) as usize
     }
 
@@ -329,16 +370,17 @@ impl EmbeddingCache {
     ) -> Option<(Vec<f32>, bool)> {
         debug_assert_eq!(fingerprint, graph.fingerprint(), "key is not this graph's");
         let ghn = registry.get(dataset)?;
-        let key: CacheKey = (dataset.to_ascii_lowercase(), fingerprint);
+        let dataset = normalize(dataset);
+        let probe = (dataset.as_ref(), fingerprint);
         let m = cache_metrics();
 
-        let shard = &self.shards[self.shard_index(&key)];
+        let shard = &self.shards[self.shard_index(probe)];
 
         let (cell, hit) = {
             let mut s = shard.lock().unwrap();
             s.tick += 1;
             let tick = s.tick;
-            if let Some(entry) = s.map.get_mut(&key) {
+            if let Some(entry) = s.map.get_mut(&probe as &dyn KeyParts) {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 m.hits.inc();
@@ -347,6 +389,7 @@ impl EmbeddingCache {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 m.misses.inc();
                 let cell = Arc::new(OnceLock::new());
+                let key: CacheKey = (dataset.into_owned(), fingerprint);
                 s.map.insert(key, CacheEntry { cell: Arc::clone(&cell), last_used: tick });
                 m.entries.inc();
                 if s.map.len() > self.shard_capacity {

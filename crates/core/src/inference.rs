@@ -11,6 +11,7 @@ use pddl_cluster::{ClusterState, CLUSTER_FEATURE_DIM};
 use pddl_regress::{Regression, Regressor, StandardScaler};
 use pddl_tensor::Matrix;
 use pddl_zoo::dataset::dataset_by_name;
+use std::cell::RefCell;
 
 /// Number of workload scalars appended after embedding + cluster features.
 pub const WORKLOAD_FEATS: usize = 3;
@@ -64,35 +65,47 @@ impl InferenceEngine {
         Self { cfg, scaler: None, embed_dim: 0 }
     }
 
-    /// Assembles the unified feature row.
-    pub fn features(
+    /// Width of the unified feature row over an `embed_dim`-wide embedding.
+    pub fn feature_dim(embed_dim: usize) -> usize {
+        embed_dim + CLUSTER_FEATURE_DIM + WORKLOAD_FEATS
+    }
+
+    /// Writes the unified feature row `[embedding ‖ cluster ‖ scalars]`
+    /// into `out`, which must be [`Self::feature_dim`] wide. The one place
+    /// the row is assembled: `fit` fills its design matrix with it and
+    /// `predict` a reused per-thread row.
+    pub fn features_into(
         embedding: &[f32],
         cluster: &ClusterState,
         batch_size: usize,
         epochs: usize,
         dataset: &str,
-    ) -> Vec<f32> {
-        let mut f = Vec::with_capacity(embedding.len() + CLUSTER_FEATURE_DIM + WORKLOAD_FEATS);
-        f.extend_from_slice(embedding);
-        f.extend(cluster.feature_vector().iter().map(|&v| v as f32));
-        f.push((batch_size as f32).log10());
-        f.push(epochs as f32 / 10.0);
+        out: &mut [f32],
+    ) {
+        let e = embedding.len();
+        assert_eq!(out.len(), Self::feature_dim(e), "feature row width mismatch");
+        out[..e].copy_from_slice(embedding);
+        for (o, &v) in out[e..].iter_mut().zip(&cluster.feature_vector()) {
+            *o = v as f32;
+        }
         let ds_bytes = dataset_by_name(dataset).map_or(1e8, |d| d.bytes_on_disk as f64);
-        f.push((ds_bytes.log10() - 8.0) as f32);
-        f
+        out[e + CLUSTER_FEATURE_DIM..].copy_from_slice(&[
+            (batch_size as f32).log10(),
+            epochs as f32 / 10.0,
+            (ds_bytes.log10() - 8.0) as f32,
+        ]);
     }
 
     /// Fits the regression on engine samples.
     pub fn fit(&mut self, samples: &[EngineSample]) {
         assert!(!samples.is_empty(), "no training samples");
         self.embed_dim = samples[0].embedding.len();
-        let d = self.embed_dim + CLUSTER_FEATURE_DIM + WORKLOAD_FEATS;
-        let mut x = Matrix::zeros(samples.len(), d);
+        let mut x = Matrix::zeros(samples.len(), Self::feature_dim(self.embed_dim));
         let mut y = Vec::with_capacity(samples.len());
         for (r, s) in samples.iter().enumerate() {
             assert_eq!(s.embedding.len(), self.embed_dim, "inconsistent embedding dims");
-            let row = Self::features(&s.embedding, &s.cluster, s.batch_size, s.epochs, &s.dataset);
-            x.set_row(r, &row);
+            let row = x.row_mut(r);
+            Self::features_into(&s.embedding, &s.cluster, s.batch_size, s.epochs, &s.dataset, row);
             y.push(if self.cfg.log_target {
                 (s.time_secs.max(1e-3)).log10() as f32
             } else {
@@ -105,7 +118,9 @@ impl InferenceEngine {
         self.cfg.regression.fit(&xs, &y);
     }
 
-    /// Predicts training time in seconds for one workload.
+    /// Predicts training time in seconds for one workload. The feature row
+    /// is assembled, standardised and regressed in place in a reused
+    /// per-thread buffer: a prediction allocates nothing.
     pub fn predict(
         &self,
         embedding: &[f32],
@@ -114,12 +129,17 @@ impl InferenceEngine {
         epochs: usize,
         dataset: &str,
     ) -> f64 {
+        thread_local! {
+            static FEATURE_ROW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        }
         let scaler = self.scaler.as_ref().expect("predict before fit");
         assert_eq!(embedding.len(), self.embed_dim, "embedding width changed");
-        let row = Self::features(embedding, cluster, batch_size, epochs, dataset);
-        let x = Matrix::from_vec(1, row.len(), row);
-        let xs = scaler.transform(&x);
-        let raw = self.cfg.regression.predict(&xs)[0] as f64;
+        let raw = FEATURE_ROW.with_borrow_mut(|row| {
+            row.resize(Self::feature_dim(self.embed_dim), 0.0);
+            Self::features_into(embedding, cluster, batch_size, epochs, dataset, row);
+            scaler.transform_row(row);
+            self.cfg.regression.predict_row(row)
+        }) as f64;
         if self.cfg.log_target {
             10f64.powf(raw.clamp(-3.0, 8.0))
         } else {
@@ -190,8 +210,24 @@ mod tests {
     #[test]
     fn feature_row_width_is_stable() {
         let cluster = ClusterState::homogeneous(ServerClass::CpuE5_2630, 3);
-        let f = InferenceEngine::features(&[1.0; 32], &cluster, 128, 10, "cifar10");
-        assert_eq!(f.len(), 32 + CLUSTER_FEATURE_DIM + WORKLOAD_FEATS);
+        assert_eq!(InferenceEngine::feature_dim(32), 32 + CLUSTER_FEATURE_DIM + WORKLOAD_FEATS);
+        let mut f = vec![f32::NAN; InferenceEngine::feature_dim(32)];
+        InferenceEngine::features_into(&[1.0; 32], &cluster, 128, 10, "cifar10", &mut f);
+        assert!(f.iter().all(|v| v.is_finite()), "every column is written: {f:?}");
+    }
+
+    #[test]
+    fn a_scaler_with_lists_of_different_lengths_is_a_decode_error() {
+        use pddl_telemetry::json::{self, JsonError};
+        let mut engine = InferenceEngine::new(InferenceConfig::default());
+        engine.fit(&synth_samples(60, 4));
+        let text = json::to_string(&engine).unwrap();
+        // Drop the last standard deviation: `{…,"std":[…,s13]}` → `[…]`.
+        let scaler = json::to_string(engine.scaler.as_ref().unwrap()).unwrap();
+        let short = format!("{}]}}", &scaler[..scaler.rfind(',').unwrap()]);
+        let err = json::from_str::<InferenceEngine>(&text.replacen(&scaler, &short, 1)).err();
+        let want = "scaler: scaler has 14 means but 13 standard deviations";
+        assert_eq!(err, Some(JsonError::Shape(want.into())));
     }
 
     #[test]

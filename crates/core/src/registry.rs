@@ -10,6 +10,7 @@ use pddl_ghn::train::TrainConfig;
 use pddl_tensor::Rng;
 use pddl_zoo::dataset::dataset_by_name;
 use pddl_telemetry::hash::fnv1a;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// One GHN encoder per dataset: what serving reads of a meta-trained GHN.
@@ -24,12 +25,12 @@ pddl_telemetry::json_struct!(GhnRegistry { ghns });
 impl GhnRegistry {
     /// Does a pretrained GHN exist for this dataset?
     pub fn has(&self, dataset: &str) -> bool {
-        self.ghns.contains_key(&normalize(dataset))
+        self.ghns.contains_key(normalize(dataset).as_ref())
     }
 
     /// The pretrained GHN for `dataset`, if one exists (case-insensitive).
     pub fn get(&self, dataset: &str) -> Option<&GhnEncoder> {
-        self.ghns.get(&normalize(dataset))
+        self.ghns.get(normalize(dataset).as_ref())
     }
 
     /// Names of every dataset with a pretrained GHN.
@@ -51,7 +52,7 @@ impl GhnRegistry {
         seed: u64,
         dataset: &str,
     ) -> Result<(String, GhnEncoder, TrainReport), String> {
-        let key = normalize(dataset);
+        let key = normalize(dataset).into_owned();
         let desc = dataset_by_name(&key)
             .ok_or_else(|| format!("no descriptor for dataset '{dataset}'"))?;
         let stream = seed ^ fnv1a(key.as_bytes());
@@ -64,12 +65,18 @@ impl GhnRegistry {
 
     /// Inserts a trained GHN's encoder.
     pub fn insert(&mut self, dataset: &str, ghn: GhnEncoder) {
-        self.ghns.insert(normalize(dataset), ghn);
+        self.ghns.insert(normalize(dataset).into_owned(), ghn);
     }
 }
 
-fn normalize(dataset: &str) -> String {
-    dataset.to_ascii_lowercase()
+/// `dataset` in lowercase, the form every per-dataset map is keyed by;
+/// borrowed, not copied, when it already is.
+pub(crate) fn normalize(dataset: &str) -> Cow<'_, str> {
+    if dataset.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(dataset.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(dataset)
+    }
 }
 
 #[cfg(test)]

@@ -142,6 +142,23 @@ impl Regression {
         Regression::Mlp(MlpRegressor::new(hidden, epochs, lr, seed))
     }
 
+    /// Predicts one feature row. The polynomial and linear variants
+    /// expand and multiply it in a reused per-thread buffer, so they
+    /// allocate nothing; their matrix [`Regressor::predict`] is this, row
+    /// by row.
+    pub fn predict_row(&self, x: &[f32]) -> f32 {
+        match self {
+            Regression::Linear(m) => m.predict_row(x),
+            Regression::Polynomial { expand, model } => {
+                linear::design_row_dot(&model.coef, expand.out_dim(x.len()), |row| {
+                    expand.expand_row_into(x, row)
+                })
+            }
+            Regression::Svr(m) => m.predict_row(x),
+            Regression::Mlp(m) => m.predict(&Matrix::from_vec(1, x.len(), x.to_vec()))[0],
+        }
+    }
+
     /// Display name matching Fig. 10's legend.
     pub fn name(&self) -> &'static str {
         match self {
@@ -169,7 +186,9 @@ impl Regressor for Regression {
     fn predict(&self, x: &Matrix) -> Vec<f32> {
         match self {
             Regression::Linear(m) => m.predict(x),
-            Regression::Polynomial { expand, model } => model.predict(&expand.transform(x)),
+            Regression::Polynomial { .. } => {
+                (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
+            }
             Regression::Svr(m) => m.predict(x),
             Regression::Mlp(m) => m.predict(x),
         }
@@ -243,6 +262,46 @@ mod tests {
             assert_eq!(json::to_string(&back).unwrap(), text, "{} re-render", model.name());
         }
         assert!(json::from_str::<Regression>(r#"{"Forest":{}}"#).is_err());
+    }
+
+    /// The row path has the matrix path's bits: every variant's
+    /// `predict_row` equals its matrix `predict`, and the linear and
+    /// polynomial rows equal `matvec` over the whole design matrix, the
+    /// path a prediction took before it went row by row.
+    #[test]
+    fn predict_row_has_the_bits_of_the_design_matrix_product() {
+        let mut rng = Rng::new(11);
+        let x = Matrix::rand_normal(30, 5, 1.0, &mut rng);
+        let y: Vec<f32> = (0..30).map(|i| x[(i, 0)] * x[(i, 3)] - x[(i, 2)]).collect();
+        let design = |m: &Matrix| Matrix::hstack(&[&Matrix::ones(m.rows(), 1), m]);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|p| p.to_bits()).collect() };
+        for mut model in [
+            Regression::linear(),
+            Regression::polynomial(2, 1e-3),
+            Regression::polynomial_squares(3, 1e-2),
+            Regression::svr(Kernel::Rbf { gamma: 0.25 }, 10.0, 0.05),
+            Regression::mlp(3, 40, 0.02, 9),
+        ] {
+            model.fit(&x, &y);
+            let rows: Vec<f32> = (0..x.rows()).map(|r| model.predict_row(x.row(r))).collect();
+            assert_eq!(bits(&rows), bits(&model.predict(&x)), "{}", model.name());
+            let product = match &model {
+                Regression::Linear(m) => design(&x).matvec(&m.coef),
+                Regression::Polynomial { expand, model } => {
+                    design(&expand.transform(&x)).matvec(&model.coef)
+                }
+                _ => continue,
+            };
+            assert_eq!(bits(&rows), bits(&product), "{}", model.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feature width changed")]
+    fn a_row_of_the_wrong_width_is_refused() {
+        let mut model = Regression::polynomial(2, 1e-3);
+        model.fit(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 5.0], &[4.0, 4.0]]), &[1.0, 2.0, 3.0]);
+        model.predict_row(&[1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use crate::Regressor;
 use pddl_tensor::linalg::{lstsq, solve_spd};
+use pddl_tensor::matrix::dot;
 use pddl_tensor::Matrix;
+use std::cell::RefCell;
 
 /// OLS linear regression with intercept, solved by Householder QR
 /// (numerically stable for the ill-conditioned polynomial design matrices).
@@ -23,6 +25,30 @@ impl LinearRegression {
         let ones = Matrix::ones(x.rows(), 1);
         Matrix::hstack(&[&ones, x])
     }
+
+    /// Predicts one feature row.
+    pub fn predict_row(&self, x: &[f32]) -> f32 {
+        design_row_dot(&self.coef, x.len(), |row| row.copy_from_slice(x))
+    }
+}
+
+/// `[1 | row]·coef` for a `width`-wide `row` that `fill` writes: the one
+/// place a fitted linear model is applied. The design row lives in a
+/// reused per-thread buffer, so a prediction allocates nothing, and it is
+/// summed by the same [`dot`] as a row of `Matrix::matvec` over the
+/// design matrix, so it has the same bits.
+pub(crate) fn design_row_dot(coef: &[f32], width: usize, fill: impl FnOnce(&mut [f32])) -> f32 {
+    thread_local! {
+        static DESIGN_ROW: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    }
+    assert!(!coef.is_empty(), "predict before fit");
+    assert_eq!(width + 1, coef.len(), "feature width changed");
+    DESIGN_ROW.with_borrow_mut(|row| {
+        row.resize(coef.len(), 0.0);
+        row[0] = 1.0;
+        fill(&mut row[1..]);
+        dot(row, coef)
+    })
 }
 
 impl Regressor for LinearRegression {
@@ -32,9 +58,7 @@ impl Regressor for LinearRegression {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.coef.is_empty(), "predict before fit");
-        assert_eq!(x.cols() + 1, self.coef.len(), "feature width changed");
-        Self::design(x).matvec(&self.coef)
+        (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
     }
 }
 
@@ -52,6 +76,11 @@ impl Ridge {
     pub fn new(lambda: f32) -> Self {
         assert!(lambda >= 0.0);
         Self { lambda, coef: Vec::new() }
+    }
+
+    /// Predicts one feature row.
+    pub fn predict_row(&self, x: &[f32]) -> f32 {
+        design_row_dot(&self.coef, x.len(), |row| row.copy_from_slice(x))
     }
 }
 
@@ -91,9 +120,7 @@ impl Regressor for Ridge {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.coef.is_empty(), "predict before fit");
-        assert_eq!(x.cols() + 1, self.coef.len(), "feature width changed");
-        LinearRegression::design(x).matvec(&self.coef)
+        (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
     }
 }
 

@@ -230,6 +230,13 @@ mod tests {
         assert_eq!(decode(None), Some(JsonError::Shape(want.into())));
         let want = "state: ps: parameter `mlpreg.l1.w` is (1, 1), expected (3, 1)";
         assert_eq!(decode(Some(Matrix::zeros(1, 1))), Some(JsonError::Shape(want.into())));
+
+        // An `x_scaler` with one standard deviation short: `{…,"std":[s0]}`.
+        let scaler = json::to_string(&m.state.as_ref().unwrap().x_scaler).unwrap();
+        let short = format!("{}]}}", &scaler[..scaler.rfind(',').unwrap()]);
+        let err = json::from_str::<MlpRegressor>(&text.replacen(&scaler, &short, 1)).err();
+        let want = "state: x_scaler: scaler has 2 means but 1 standard deviations";
+        assert_eq!(err, Some(JsonError::Shape(want.into())));
     }
 
     #[test]

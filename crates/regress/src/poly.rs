@@ -37,55 +37,61 @@ impl PolyFeatures {
         n
     }
 
-    /// Expands each row of `x`.
-    #[allow(clippy::needless_range_loop)] // triangular index pairs (i ≤ j ≤ l)
+    /// Expands each row of `x`: [`Self::expand_row_into`] per row.
     pub fn transform(&self, x: &Matrix) -> Matrix {
         let (n, d) = x.shape();
-        let out_d = self.out_dim(d);
-        let mut out = Matrix::zeros(n, out_d);
+        let mut out = Matrix::zeros(n, self.out_dim(d));
         for r in 0..n {
-            let row = x.row(r);
-            let o = out.row_mut(r);
-            let mut k = 0;
-            o[k] = 1.0;
-            k += 1;
-            o[k..k + d].copy_from_slice(row);
-            k += d;
-            if self.degree >= 2 {
-                if self.interactions {
-                    for i in 0..d {
-                        for j in i..d {
-                            o[k] = row[i] * row[j];
-                            k += 1;
-                        }
-                    }
-                } else {
-                    for i in 0..d {
-                        o[k] = row[i] * row[i];
-                        k += 1;
-                    }
-                }
-            }
-            if self.degree >= 3 {
-                if self.interactions {
-                    for i in 0..d {
-                        for j in i..d {
-                            for l in j..d {
-                                o[k] = row[i] * row[j] * row[l];
-                                k += 1;
-                            }
-                        }
-                    }
-                } else {
-                    for i in 0..d {
-                        o[k] = row[i] * row[i] * row[i];
-                        k += 1;
-                    }
-                }
-            }
-            debug_assert_eq!(k, out_d);
+            self.expand_row_into(x.row(r), out.row_mut(r));
         }
         out
+    }
+
+    /// Writes the expansion of one row `x` into `out`, which must be
+    /// [`Self::out_dim`] wide. The one place a row is expanded: the matrix
+    /// transform and the single-row predict both call it.
+    pub fn expand_row_into(&self, x: &[f32], out: &mut [f32]) {
+        let d = x.len();
+        assert_eq!(out.len(), self.out_dim(d), "expansion width mismatch");
+        out[0] = 1.0;
+        out[1..=d].copy_from_slice(x);
+        // Terms `x[i] * x[j]` (then `* x[l]`), i ≤ j ≤ l, in lexicographic
+        // order, each inner run written as one slice.
+        let mut k = 1 + d;
+        if self.degree >= 2 {
+            if self.interactions {
+                for (i, &xi) in x.iter().enumerate() {
+                    for (o, &xj) in out[k..k + d - i].iter_mut().zip(&x[i..]) {
+                        *o = xi * xj;
+                    }
+                    k += d - i;
+                }
+            } else {
+                for (o, &xi) in out[k..k + d].iter_mut().zip(x) {
+                    *o = xi * xi;
+                }
+                k += d;
+            }
+        }
+        if self.degree >= 3 {
+            if self.interactions {
+                for (i, &xi) in x.iter().enumerate() {
+                    for (j, &xj) in x.iter().enumerate().skip(i) {
+                        let xij = xi * xj;
+                        for (o, &xl) in out[k..k + d - j].iter_mut().zip(&x[j..]) {
+                            *o = xij * xl;
+                        }
+                        k += d - j;
+                    }
+                }
+            } else {
+                for (o, &xi) in out[k..k + d].iter_mut().zip(x) {
+                    *o = xi * xi * xi;
+                }
+                k += d;
+            }
+        }
+        debug_assert_eq!(k, out.len());
     }
 }
 
@@ -132,6 +138,46 @@ mod tests {
         assert_eq!(p.out_dim(d), 1 + 3 + 6 + 10);
         let x = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]);
         assert_eq!(p.transform(&x).cols(), p.out_dim(d));
+    }
+
+    /// Every expansion equals its definition term by term, bit for bit:
+    /// `x[i] * x[j]` (`* x[l]`) over i ≤ j ≤ l in lexicographic order.
+    #[test]
+    #[allow(clippy::needless_range_loop)] // the definition, as index triples
+    fn expansion_matches_the_triangular_definition() {
+        let x: Vec<f32> = (0..7).map(|i| 0.37 * i as f32 - 1.1).collect();
+        let d = x.len();
+        for degree in 1..=3 {
+            for interactions in [true, false] {
+                let p = PolyFeatures::new(degree, interactions);
+                let mut want = vec![1.0];
+                want.extend_from_slice(&x);
+                if degree >= 2 {
+                    for i in 0..d {
+                        for j in i..d {
+                            if interactions || i == j {
+                                want.push(x[i] * x[j]);
+                            }
+                        }
+                    }
+                }
+                if degree >= 3 {
+                    for i in 0..d {
+                        for j in i..d {
+                            for l in j..d {
+                                if interactions || (i == j && j == l) {
+                                    want.push(x[i] * x[j] * x[l]);
+                                }
+                            }
+                        }
+                    }
+                }
+                let mut got = vec![f32::NAN; p.out_dim(d)];
+                p.expand_row_into(&x, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "degree {degree}, interactions {interactions}");
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Feature standardization (zero mean, unit variance per column).
 
+use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use pddl_tensor::Matrix;
 
 /// Column-wise standard scaler.
@@ -9,7 +10,28 @@ pub struct StandardScaler {
     std: Vec<f32>,
 }
 
-pddl_telemetry::json_struct!(StandardScaler { mean, std });
+impl ToJson for StandardScaler {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.object().field("mean", &self.mean).field("std", &self.std).end();
+    }
+}
+
+/// Checked after decode: `transform_row` pairs each mean with its standard
+/// deviation, so the two lists must have one length.
+impl FromJson for StandardScaler {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let (mean, std): (Vec<f32>, Vec<f32>) = (o.field("mean")?, o.field("std")?);
+        if mean.len() != std.len() {
+            return Err(JsonError::Shape(format!(
+                "scaler has {} means but {} standard deviations",
+                mean.len(),
+                std.len()
+            )));
+        }
+        Ok(Self { mean, std })
+    }
+}
 
 impl StandardScaler {
     /// Fits to the columns of `x`. Constant columns get σ = 1 so they map
@@ -52,17 +74,23 @@ impl StandardScaler {
         self.mean.len()
     }
 
-    /// Standardizes rows of `x`.
+    /// Standardizes rows of `x`: [`Self::transform_row`] per row.
     pub fn transform(&self, x: &Matrix) -> Matrix {
-        let (n, d) = x.shape();
-        assert_eq!(d, self.mean.len(), "scaler dimensionality mismatch");
-        let mut out = Matrix::zeros(n, d);
-        for r in 0..n {
-            for (j, &v) in x.row(r).iter().enumerate() {
-                out[(r, j)] = (v - self.mean[j]) / self.std[j];
-            }
+        assert_eq!(x.cols(), self.mean.len(), "scaler dimensionality mismatch");
+        let mut out = x.clone();
+        for r in 0..out.rows() {
+            self.transform_row(out.row_mut(r));
         }
         out
+    }
+
+    /// Standardizes one row in place. The one place a row is scaled: the
+    /// matrix transform and the single-row predict both call it.
+    pub fn transform_row(&self, row: &mut [f32]) {
+        assert_eq!(row.len(), self.mean.len(), "scaler dimensionality mismatch");
+        for ((v, &m), &s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
+            *v = (*v - m) / s;
+        }
     }
 
     /// Inverse transform (used on predicted targets).
@@ -130,6 +158,18 @@ mod tests {
         for r in 0..3 {
             assert_eq!(t[(r, 0)], 0.0);
         }
+    }
+
+    #[test]
+    fn lists_of_different_lengths_are_a_decode_error() {
+        use pddl_telemetry::json::{self, JsonError};
+        let s = StandardScaler::fit(&Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 5.0]]));
+        let text = json::to_string(&s).unwrap();
+        let back: StandardScaler = json::from_str(&text).unwrap();
+        assert_eq!(json::to_string(&back).unwrap(), text);
+        let err = json::from_str::<StandardScaler>(r#"{"mean":[0.5],"std":[1.0,2.0]}"#).err();
+        let want = "scaler has 1 means but 2 standard deviations";
+        assert_eq!(err, Some(JsonError::Shape(want.into())));
     }
 
     #[test]

@@ -95,7 +95,9 @@ impl Svr {
         self.beta.iter().filter(|b| b.abs() > 1e-7).count()
     }
 
-    fn decision(&self, x: &[f32]) -> f32 {
+    /// Predicts one feature row.
+    pub fn predict_row(&self, x: &[f32]) -> f32 {
+        assert!(!self.beta.is_empty(), "predict before fit");
         let mut f = 0.0f32;
         for (i, &b) in self.beta.iter().enumerate() {
             if b != 0.0 {
@@ -155,8 +157,7 @@ impl Regressor for Svr {
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f32> {
-        assert!(!self.beta.is_empty(), "predict before fit");
-        (0..x.rows()).map(|r| self.decision(x.row(r))).collect()
+        (0..x.rows()).map(|r| self.predict_row(x.row(r))).collect()
     }
 }
 

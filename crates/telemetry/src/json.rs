@@ -35,13 +35,14 @@
 //!   the request and response envelopes, `RouteTable`), or read an absent
 //!   field as a default for older peers (`ServerStatus::stale`,
 //!   `RouteShard::healthy`, `HistogramSnapshot::overflow`);
-//! * structs checked after decode (`CompGraph`, `Matrix`): their methods
-//!   index by what the document says;
+//! * structs checked after decode (`CompGraph`, `Matrix`,
+//!   `StandardScaler`): their methods index by what the document says;
 //! * models rebuilt from their config and filled by name from a stored
 //!   parameter store (`GhnEncoder`, `MlpRegressor`): the layers are not
 //!   written, the config says what they are;
-//! * structs with runtime state that is not written (`PredictDdl`'s
-//!   embedding cache);
+//! * structs with state that is not written: runtime state
+//!   (`PredictDdl`'s embedding cache) or state derived on decode
+//!   (`EmbeddingSet`'s norms);
 //! * the stats [`Snapshot`](crate::Snapshot), whose metric lists are
 //!   objects keyed by name and whose histogram means are spelled as the
 //!   log line spells a float (`105000`, not `105000.0`);

@@ -514,24 +514,28 @@ impl Matrix {
     }
 }
 
-/// Unit-stride dot product; the compiler auto-vectorizes this loop.
+/// Unit-stride dot product: eight f32 partial sums over the whole chunks
+/// of eight (lane `l` takes elements `l, l + 8, …`), added in lane order,
+/// then the tail in order. The lanes are independent, so the compiler
+/// vectorizes the chunk loop without reordering any sum.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
-    // Accumulate in f64 chunks of 8 to tame f32 cancellation on long rows.
-    let mut acc = 0.0f32;
-    let chunks = a.len() / 8 * 8;
+    let b = &b[..a.len()];
+    let (ca, cb) = (a.chunks_exact(8), b.chunks_exact(8));
+    let tail = ca.remainder().iter().zip(cb.remainder());
     let mut partial = [0.0f32; 8];
-    for i in (0..chunks).step_by(8) {
+    for (x, y) in ca.zip(cb) {
         for l in 0..8 {
-            partial[l] += a[i + l] * b[i + l];
+            partial[l] += x[l] * y[l];
         }
     }
+    let mut acc = 0.0f32;
     for p in partial {
         acc += p;
     }
-    for i in chunks..a.len() {
-        acc += a[i] * b[i];
+    for (x, y) in tail {
+        acc += x * y;
     }
     acc
 }

@@ -156,4 +156,8 @@ fn a_warm_predict_allocates_the_same_for_the_smallest_and_the_largest_model() {
     // A count, not a timing: building or copying a graph allocates per
     // node, so any such work on the hit path makes these differ.
     assert_eq!(a, b, "alexnet {a} vs densenet201 {b} allocations");
+    // And few: the cache probe, the regression and the nearest-match scan
+    // allocate nothing, so what is left is the reply's embedding copy and
+    // nearest name (2 allocations when this bound was set).
+    assert!(a <= 4, "a warm predict allocates {a} times");
 }
