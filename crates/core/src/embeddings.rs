@@ -13,7 +13,7 @@
 //! serving stats endpoint.
 
 use crate::registry::{normalize, GhnRegistry};
-use pddl_ghn::EmbeddingSet;
+use pddl_ghn::{EmbeddingSet, GhnEncoder};
 use pddl_graph::CompGraph;
 use pddl_telemetry::hash::Fnv1a;
 use pddl_telemetry::{Counter, Gauge};
@@ -42,35 +42,9 @@ impl EmbeddingsGenerator {
         Self { atlas: HashMap::new() }
     }
 
-    /// Embeds a graph with the dataset's GHN. `None` if no GHN is trained
-    /// for the dataset (the Task Checker should have routed to offline
-    /// training first).
-    pub fn embed(
-        &self,
-        registry: &GhnRegistry,
-        dataset: &str,
-        graph: &CompGraph,
-    ) -> Option<Vec<f32>> {
-        registry.get(dataset).map(|ghn| ghn.embed_graph(graph))
-    }
-
-    /// Embeds and records the vector in the dataset's atlas under the
-    /// graph's name (used when building the training set, so later queries
-    /// can report the nearest known architecture).
-    pub fn embed_and_record(
-        &mut self,
-        registry: &GhnRegistry,
-        dataset: &str,
-        graph: &CompGraph,
-    ) -> Option<Vec<f32>> {
-        let v = self.embed(registry, dataset, graph)?;
-        self.record(dataset, &graph.name, v.clone());
-        Some(v)
-    }
-
-    /// Records an externally computed embedding in the dataset's atlas —
-    /// the insertion half of [`Self::embed_and_record`], used when the
-    /// embeddings themselves were computed on the work pool.
+    /// Records an embedding in the dataset's atlas under the graph's name
+    /// (the training set's graphs, embedded on the work pool), so later
+    /// queries can report the nearest known architecture.
     pub fn record(&mut self, dataset: &str, name: &str, v: Vec<f32>) {
         self.atlas
             .entry(normalize(dataset).into_owned())
@@ -210,10 +184,10 @@ pub struct CacheStats {
 ///   beyond its share of [`EmbeddingCache::capacity`].
 /// * **One lookup path** — [`EmbeddingCache::get_or_embed_keyed`] does the
 ///   probe; [`EmbeddingCache::get_or_embed`] and
-///   [`EmbeddingCache::get_or_embed_detailed`] only compute the
-///   fingerprint first. This is the only place an embedding is kept: the
-///   zoo's resolver table memoises graphs, never vectors, so dropping or
-///   replacing a cache needs no other invalidation.
+///   [`EmbeddingCache::get_or_embed_detailed`] only look the dataset's GHN
+///   up and compute the fingerprint first. This is the only place an
+///   embedding is kept: the zoo's resolver table memoises graphs, never
+///   vectors, so dropping or replacing a cache needs no other invalidation.
 ///
 /// Hit/miss/eviction counts are exported both process-wide (telemetry
 /// counters `embed_cache.*`, visible in the controller's `{"op":"stats"}`
@@ -351,25 +325,27 @@ impl EmbeddingCache {
         dataset: &str,
         graph: &CompGraph,
     ) -> Option<(Vec<f32>, bool)> {
-        self.get_or_embed_keyed(registry, dataset, graph.fingerprint(), graph)
+        let ghn = registry.get(dataset)?;
+        Some(self.get_or_embed_keyed(ghn, dataset, graph.fingerprint(), graph))
     }
 
     /// The one lookup path: probes for `(dataset, fingerprint)` and reads
-    /// `graph` only on a miss, to embed it. `fingerprint` must be
-    /// `graph.fingerprint()`; callers that already hold it (a zoo model
-    /// resolved through [`pddl_zoo::resolve`]) pass it in, so a hit costs
-    /// the same whatever the size of the graph. The prediction path uses
-    /// the hit flag to tell `embed_cache` hit spans — microseconds — from
-    /// miss spans that paid for a GHN forward pass.
+    /// `graph` only on a miss, to embed it with `ghn`, the dataset's GHN
+    /// (the prediction path passes the one [`crate::TaskChecker`] looked
+    /// up, so a request hashes the dataset name into the registry once).
+    /// `fingerprint` must be `graph.fingerprint()`; callers that already
+    /// hold it (a zoo model resolved through [`pddl_zoo::resolve`]) pass it
+    /// in, so a hit costs the same whatever the size of the graph. The
+    /// prediction path uses the hit flag to tell `embed_cache` hit spans —
+    /// microseconds — from miss spans that paid for a GHN forward pass.
     pub fn get_or_embed_keyed(
         &self,
-        registry: &GhnRegistry,
+        ghn: &GhnEncoder,
         dataset: &str,
         fingerprint: u64,
         graph: &CompGraph,
-    ) -> Option<(Vec<f32>, bool)> {
+    ) -> (Vec<f32>, bool) {
         debug_assert_eq!(fingerprint, graph.fingerprint(), "key is not this graph's");
-        let ghn = registry.get(dataset)?;
         let dataset = normalize(dataset);
         let probe = (dataset.as_ref(), fingerprint);
         let m = cache_metrics();
@@ -419,7 +395,7 @@ impl EmbeddingCache {
             m.ghn_embeds.inc();
             ghn.embed_graph(graph)
         });
-        Some((v.clone(), hit))
+        (v.clone(), hit)
     }
 }
 
@@ -435,18 +411,17 @@ mod tests {
     #[test]
     fn embeds_with_matching_ghn() {
         let reg = registry();
-        let gen = EmbeddingsGenerator::new();
         let g = build_model("resnet18", &CIFAR10).unwrap();
-        let e = gen.embed(&reg, "cifar10", &g).unwrap();
+        let e = reg.get("cifar10").unwrap().embed_graph(&g);
         assert_eq!(e.len(), pddl_ghn::GhnConfig::tiny().hidden_dim);
     }
 
     #[test]
     fn missing_ghn_returns_none() {
         let reg = registry();
-        let gen = EmbeddingsGenerator::new();
         let g = build_model("resnet18", &CIFAR10).unwrap();
-        assert!(gen.embed(&reg, "tiny-imagenet", &g).is_none());
+        assert!(reg.get("tiny-imagenet").is_none());
+        assert!(EmbeddingCache::default().get_or_embed(&reg, "tiny-imagenet", &g).is_none());
     }
 
     #[test]
@@ -455,11 +430,11 @@ mod tests {
         let mut gen = EmbeddingsGenerator::new();
         for name in ["resnet18", "vgg16", "squeezenet1_1"] {
             let g = build_model(name, &CIFAR10).unwrap();
-            gen.embed_and_record(&reg, "cifar10", &g).unwrap();
+            gen.record("cifar10", name, reg.get("cifar10").unwrap().embed_graph(&g));
         }
         assert_eq!(gen.atlas_size("cifar10"), 3);
         let g = build_model("vgg16", &CIFAR10).unwrap();
-        let e = gen.embed(&reg, "cifar10", &g).unwrap();
+        let e = reg.get("cifar10").unwrap().embed_graph(&g);
         let (name, sim) = gen.nearest("cifar10", &e).unwrap();
         assert_eq!(name, "vgg16");
         assert!(sim > 0.999);
@@ -480,10 +455,9 @@ mod tests {
     #[test]
     fn cache_hit_returns_the_same_vector_as_direct_embedding() {
         let reg = registry();
-        let gen = EmbeddingsGenerator::new();
         let cache = EmbeddingCache::new(64);
         let g = build_model("resnet18", &CIFAR10).unwrap();
-        let direct = gen.embed(&reg, "cifar10", &g).unwrap();
+        let direct = reg.get("cifar10").unwrap().embed_graph(&g);
         let (first, was_hit) = cache.get_or_embed_detailed(&reg, "cifar10", &g).unwrap();
         assert!(!was_hit, "first probe is a miss");
         let (second, was_hit) = cache.get_or_embed_detailed(&reg, "cifar10", &g).unwrap();
@@ -493,9 +467,8 @@ mod tests {
         // The keyed entry point is the same path: a resolved zoo model's
         // stored fingerprint finds the entry the wrappers inserted.
         let zoo = pddl_zoo::resolve("resnet18", &CIFAR10).unwrap();
-        let (third, was_hit) = cache
-            .get_or_embed_keyed(&reg, "cifar10", zoo.fingerprint, &zoo.graph)
-            .unwrap();
+        let (third, was_hit) =
+            cache.get_or_embed_keyed(reg.get("cifar10").unwrap(), "cifar10", zoo.fingerprint, &zoo.graph);
         assert!(was_hit, "keyed probe hits the wrapper's entry");
         assert_eq!(direct, third);
         let s = cache.stats();
@@ -558,7 +531,7 @@ mod tests {
         const THREADS: usize = 8;
         const ROUNDS: usize = 20;
         let reg = registry();
-        let gen = EmbeddingsGenerator::new();
+        let ghn = reg.get("cifar10").unwrap();
         let cache = EmbeddingCache::default();
         let shared: Vec<CompGraph> = (1..=4).map(|c| synth_graph(100 + c)).collect();
 
@@ -566,17 +539,16 @@ mod tests {
             for t in 0..THREADS {
                 let cache = &cache;
                 let reg = &reg;
-                let gen = &gen;
                 let shared = &shared;
                 scope.spawn(move || {
                     let unique = synth_graph(200 + t);
-                    let direct = gen.embed(reg, "cifar10", &unique).unwrap();
+                    let direct = ghn.embed_graph(&unique);
                     let got = cache.get_or_embed(reg, "cifar10", &unique).unwrap();
                     assert_eq!(direct, got, "cached value must equal direct embedding");
                     for round in 0..ROUNDS {
                         let g = &shared[(t + round) % shared.len()];
                         let v = cache.get_or_embed(reg, "cifar10", g).unwrap();
-                        assert_eq!(v, gen.embed(reg, "cifar10", g).unwrap());
+                        assert_eq!(v, ghn.embed_graph(g));
                     }
                 });
             }
@@ -601,10 +573,10 @@ mod tests {
         let mut gen = EmbeddingsGenerator::new();
         for name in ["resnet18", "squeezenet1_1"] {
             let g = build_model(name, &CIFAR10).unwrap();
-            gen.embed_and_record(&reg, "cifar10", &g).unwrap();
+            gen.record("cifar10", name, reg.get("cifar10").unwrap().embed_graph(&g));
         }
         let g34 = build_model("resnet34", &CIFAR10).unwrap();
-        let e = gen.embed(&reg, "cifar10", &g34).unwrap();
+        let e = reg.get("cifar10").unwrap().embed_graph(&g34);
         let (name, _) = gen.nearest("cifar10", &e).unwrap();
         assert_eq!(name, "resnet18");
     }

@@ -313,8 +313,8 @@ impl PredictDdl {
         req: &PredictionRequest,
         trace: Option<TraceContext>,
     ) -> Result<Prediction, RequestError> {
-        let resolved = match TaskChecker::check(req, &self.registry)? {
-            TaskDecision::Proceed(g) => g,
+        let (resolved, ghn) = match TaskChecker::check(req, &self.registry)? {
+            TaskDecision::Proceed(g, ghn) => (g, ghn),
             TaskDecision::OfflineTrainingRequired { dataset } => {
                 return Err(RequestError::NeedsOfflineTraining { dataset })
             }
@@ -323,15 +323,12 @@ impl PredictDdl {
         // Cached GHN embedding: repeated workloads (same dataset + same
         // graph structure) skip the forward pass entirely, and a zoo model
         // brings its fingerprint with it, so a hit never walks the graph.
-        let (embedding, was_hit) = self
-            .cache
-            .get_or_embed_keyed(
-                &self.registry,
-                &req.dataset,
-                resolved.fingerprint(),
-                resolved.graph(),
-            )
-            .expect("registry checked by TaskChecker");
+        let (embedding, was_hit) = self.cache.get_or_embed_keyed(
+            ghn,
+            &req.dataset,
+            resolved.fingerprint(),
+            resolved.graph(),
+        );
         let embed_elapsed = t0.elapsed();
         let status = if was_hit { SpanStatus::CacheHit } else { SpanStatus::CacheMiss };
         Stage::EmbedCache.record(trace, embed_elapsed, status);

@@ -3,6 +3,7 @@
 
 use crate::registry::GhnRegistry;
 use crate::request::{ModelRef, PredictionRequest, RequestError};
+use pddl_ghn::GhnEncoder;
 use pddl_graph::CompGraph;
 use pddl_zoo::{dataset::dataset_by_name, ZooModel};
 use std::sync::Arc;
@@ -40,8 +41,9 @@ impl ResolvedGraph<'_> {
 /// Outcome of validation.
 #[derive(Debug)]
 pub enum TaskDecision<'a> {
-    /// Proceed to embedding + inference with this resolved graph.
-    Proceed(ResolvedGraph<'a>),
+    /// Proceed to embedding + inference with this resolved graph and the
+    /// dataset's GHN, looked up once here.
+    Proceed(ResolvedGraph<'a>, &'a GhnEncoder),
     /// A GHN must be trained for the request's dataset first
     /// (step ④ of Fig. 7).
     OfflineTrainingRequired {
@@ -64,7 +66,7 @@ impl TaskChecker {
     /// validated (linear in its size) and then borrowed, never cloned.
     pub fn check<'a>(
         req: &'a PredictionRequest,
-        registry: &GhnRegistry,
+        registry: &'a GhnRegistry,
     ) -> Result<TaskDecision<'a>, RequestError> {
         if req.batch_size == 0 || req.epochs == 0 {
             return Err(RequestError::InvalidParams(
@@ -106,10 +108,9 @@ impl TaskChecker {
             }
         };
 
-        if registry.has(&req.dataset) {
-            Ok(TaskDecision::Proceed(graph))
-        } else {
-            Ok(TaskDecision::OfflineTrainingRequired { dataset: req.dataset.clone() })
+        match registry.get(&req.dataset) {
+            Some(ghn) => Ok(TaskDecision::Proceed(graph, ghn)),
+            None => Ok(TaskDecision::OfflineTrainingRequired { dataset: req.dataset.clone() }),
         }
     }
 }
@@ -134,7 +135,10 @@ mod tests {
         let reg = registry_with_cifar();
         let req = PredictionRequest::zoo(Workload::standard("vgg16", "cifar10"), cluster());
         match TaskChecker::check(&req, &reg).unwrap() {
-            TaskDecision::Proceed(g) => assert_eq!(g.graph().name, "vgg16"),
+            TaskDecision::Proceed(g, ghn) => {
+                assert_eq!(g.graph().name, "vgg16");
+                assert!(std::ptr::eq(ghn, reg.get("cifar10").unwrap()));
+            }
             other => panic!("expected Proceed, got {other:?}"),
         }
     }
@@ -148,7 +152,7 @@ mod tests {
         reg.insert("mnist", ghn);
         let req = PredictionRequest::zoo(Workload::standard("vgg16", "mnist"), cluster());
         match TaskChecker::check(&req, &reg).unwrap() {
-            TaskDecision::Proceed(g) => {
+            TaskDecision::Proceed(g, _) => {
                 let cifar = pddl_zoo::build_model("vgg16", &pddl_zoo::CIFAR10).unwrap();
                 assert_eq!(g.fingerprint(), cifar.fingerprint());
                 assert_eq!(g.graph().nodes(), cifar.nodes());
@@ -164,7 +168,7 @@ mod tests {
         let req = PredictionRequest::graph(g, "cifar10", 64, 5, cluster());
         let ModelRef::Graph(sent) = &req.model else { unreachable!() };
         match TaskChecker::check(&req, &reg).unwrap() {
-            TaskDecision::Proceed(ResolvedGraph::Submitted(got)) => {
+            TaskDecision::Proceed(ResolvedGraph::Submitted(got), _) => {
                 assert!(std::ptr::eq(got, sent));
             }
             other => panic!("expected the request's own graph, got {other:?}"),

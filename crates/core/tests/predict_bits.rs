@@ -60,7 +60,8 @@ fn served_predictions_keep_their_bits() {
             if atlas == "zoo" {
                 for name in model_names() {
                     let g = build_model(name, ds).expect("zoo model");
-                    system.embeddings.embed_and_record(&system.registry, dataset, &g);
+                    let v = system.registry.get(dataset).expect("trained").embed_graph(&g);
+                    system.embeddings.record(dataset, &g.name, v);
                 }
             }
             let synth = SynthGenerator::new(ds.clone(), 42).sample_many(4);

@@ -90,6 +90,13 @@ pub struct GhnEncoder {
     gru: GruCell,
 }
 
+impl std::fmt::Debug for GhnEncoder {
+    /// The config, not the weights.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GhnEncoder").field("cfg", &self.cfg).finish_non_exhaustive()
+    }
+}
+
 impl ToJson for GhnEncoder {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object().field("cfg", &self.cfg).field("ps", &self.ps).end();

@@ -9,6 +9,9 @@
 //! - **Atomic checkpoint writer** ([`atomic_write`], [`store::Registry::publish`]):
 //!   every file lands via tempfile → fsync → rename, and a version is only
 //!   *committed* once its `manifest.json` (written last) renames into place.
+//!   `publish` is the only code that writes a version; the registry tier
+//!   tests recovery against the debris a real publish leaves when it is cut
+//!   at each of those steps.
 //! - **Versioned layout**: each checkpoint lives in `vNNNN/` under the
 //!   registry root, alongside a [`Manifest`] carrying a format version,
 //!   FNV-1a content hash and byte length per artifact, free-form label,
@@ -20,11 +23,6 @@
 //!   always the one served — a torn or partial write can never win.
 //! - **Retention**: keep the last K versions; pinned versions (e.g. the
 //!   one currently live in a serving process) are never collected.
-//! - **Deterministic crash simulation** ([`CrashPoint`], [`CrashPlan`],
-//!   [`store::Registry::publish_crashing`]): seeded, reproducible torn/truncated
-//!   write debris in the style of `pddl-faults`, so the recovery tier can
-//!   assert "open() lands on the newest verifiable version" across many
-//!   seeds without flaky timing games.
 //!
 //! The crate is plain `std` (it reuses `pddl-telemetry`'s JSON parser for
 //! manifests).
@@ -58,7 +56,7 @@ pub mod writer;
 
 pub use manifest::{ArtifactEntry, Manifest, ProbeRecord, FORMAT_VERSION};
 pub use store::{RecoveryReport, Registry, RegistryError};
-pub use writer::{atomic_write, CrashPlan, CrashPoint};
+pub use writer::atomic_write;
 
 /// FNV-1a 64-bit content hash — the same construction the router uses for
 /// routing keys, chosen here for the manifest because it is trivially

@@ -9,10 +9,12 @@
 //! The JSON rendering is deterministic (fixed field order, hashes and f64
 //! bit patterns as zero-padded hex) and pinned by the golden fixture
 //! `tests/fixtures/registry_manifest.json`, so the on-disk format cannot
-//! drift silently. Parsing goes through `pddl-telemetry`'s hand-rolled
-//! [`JsonValue`] so the crate stays plain `std`.
+//! drift silently. Parsing goes through `pddl-telemetry`'s codec
+//! ([`FromJson`], the hex fields as [`Hex64`]) so the crate stays plain
+//! `std`.
 
-use pddl_telemetry::{push_json_string, JsonValue};
+use pddl_telemetry::json::{self, FromJson, Hex64, JsonError, JsonValue};
+use pddl_telemetry::push_json_string;
 
 /// On-disk manifest format version. Readers reject anything newer at
 /// `open`, never mid-decode. Format 3: each model is its config and its
@@ -133,73 +135,49 @@ impl Manifest {
     /// published at another precision carries probes and a cache snapshot
     /// computed in arithmetic the loader can no longer reproduce.
     pub fn from_json(input: &str) -> Result<Manifest, String> {
-        let v = JsonValue::parse(input)?;
-        let format = field_u64(&v, "format")?;
+        json::from_str(input).map_err(|e| format!("manifest: {e}"))
+    }
+}
+
+impl FromJson for Manifest {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        let format: u64 = o.field("format")?;
         let format = u32::try_from(format)
-            .map_err(|_| format!("manifest: `format` {format} is out of range"))?;
-        let version = field_u64(&v, "version")?;
-        let created_unix = field_u64(&v, "created_unix")?;
-        let label = v
-            .get("label")
-            .and_then(|l| l.as_str())
-            .ok_or("manifest: missing string field `label`")?
-            .to_string();
-        if let Some(p) = v.get("precision").filter(|p| p.as_str() != Some("f32")) {
-            return Err(format!(
-                "manifest: unsupported `precision` {} (this build serves f32 only)",
+            .map_err(|_| JsonError::Shape(format!("`format` {format} is out of range")))?;
+        if let Some(p) = o.get("precision").filter(|p| p.as_str() != Some("f32")) {
+            return Err(JsonError::Shape(format!(
+                "unsupported `precision` {} (this build serves f32 only)",
                 p.to_json()
-            ));
-        }
-        let mut artifacts = Vec::new();
-        for a in array_field(&v, "artifacts")? {
-            let name = a
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("manifest: artifact missing `name`")?
-                .to_string();
-            let len = field_u64(a, "len")?;
-            let fnv1a = hex_field(a, "fnv1a")?;
-            artifacts.push(ArtifactEntry { name, len, fnv1a });
-        }
-        let mut probes = Vec::new();
-        for p in array_field(&v, "probes")? {
-            let key = p
-                .get("key")
-                .and_then(|k| k.as_str())
-                .ok_or("manifest: probe missing `key`")?
-                .to_string();
-            let seconds_bits = hex_field(p, "seconds_bits")?;
-            probes.push(ProbeRecord { key, seconds_bits });
+            )));
         }
         Ok(Manifest {
             format,
-            version,
-            created_unix,
-            label,
-            artifacts,
-            probes,
+            version: o.field("version")?,
+            created_unix: o.field("created_unix")?,
+            label: o.field("label")?,
+            artifacts: o.field("artifacts")?,
+            probes: o.field("probes")?,
         })
     }
 }
 
-fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(|f| f.as_u64())
-        .ok_or_else(|| format!("manifest: missing numeric field `{key}`"))
+impl FromJson for ArtifactEntry {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(ArtifactEntry {
+            name: o.field("name")?,
+            len: o.field("len")?,
+            fnv1a: o.field::<Hex64>("fnv1a")?.0,
+        })
+    }
 }
 
-fn array_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    v.get(key)
-        .and_then(|f| f.as_array())
-        .ok_or_else(|| format!("manifest: missing array field `{key}`"))
-}
-
-fn hex_field(v: &JsonValue, key: &str) -> Result<u64, String> {
-    let s = v
-        .get(key)
-        .and_then(|f| f.as_str())
-        .ok_or_else(|| format!("manifest: missing hex field `{key}`"))?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("manifest: bad hex in `{key}`: {e}"))
+impl FromJson for ProbeRecord {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let o = v.fields()?;
+        Ok(ProbeRecord { key: o.field("key")?, seconds_bits: o.field::<Hex64>("seconds_bits")?.0 })
+    }
 }
 
 #[cfg(test)]

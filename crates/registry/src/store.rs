@@ -16,13 +16,20 @@
 //!
 //! ## Commit protocol
 //!
-//! [`Registry::publish`] claims the next version number by atomically
-//! creating the `vNNNN` directory (`create_dir` is the mutual exclusion —
-//! two concurrent writers can never claim the same number), commits each
-//! artifact via tempfile → fsync → rename, then writes `manifest.json`
-//! the same way. The manifest rename is the commit point: a crash at any
-//! earlier step leaves a directory without a verifiable manifest, which
+//! [`Registry::publish`] is the only code that writes a version. It claims
+//! the next version number by atomically creating the `vNNNN` directory
+//! (`create_dir` is the mutual exclusion — two concurrent writers can
+//! never claim the same number), commits each artifact in list order via
+//! tempfile → fsync → rename, then writes `manifest.json` the same way.
+//! The manifest rename is the commit point: a crash at any earlier step
+//! leaves a directory without a verifiable manifest, which
 //! [`Registry::open`] quarantines.
+//!
+//! That sequence is the contract the registry tier (`tests/registry.rs`)
+//! tests recovery against: it runs a real `publish`, cuts the version back
+//! to the debris each step can leave (a torn `<name>.tmp` with no
+//! manifest, no manifest, a torn manifest, a torn committed artifact, one
+//! flipped bit) and reopens the store.
 //!
 //! ## Recovery
 //!
@@ -43,7 +50,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use pddl_telemetry::{tlog, Level};
 
 use crate::manifest::{ArtifactEntry, Manifest, ProbeRecord, FORMAT_VERSION};
-use crate::writer::{self, atomic_write, sync_parent, CrashPoint};
+use crate::writer::{atomic_write, sync_parent};
 use crate::fnv1a;
 
 /// File name of the per-version commit record.
@@ -168,16 +175,7 @@ impl Registry {
         fs::create_dir_all(&root)?;
         let mut report = RecoveryReport::default();
         let mut versions = BTreeMap::new();
-        let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&root)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(v) = parse_version_dir(&name) {
-                candidates.push((v, entry.path()));
-            }
-        }
-        candidates.sort();
-        for (version, dir) in candidates {
+        for (version, dir) in version_dirs(&root)? {
             match verify_version(&dir, version, &mut report.swept_tmp) {
                 Ok(manifest) => {
                     versions.insert(version, manifest);
@@ -220,20 +218,11 @@ impl Registry {
     /// visible version numbers, ascending. Versions already known are left
     /// untouched.
     pub fn rescan(&self) -> Result<Vec<u64>, RegistryError> {
-        let mut candidates: Vec<(u64, PathBuf)> = Vec::new();
+        let mut candidates = version_dirs(&self.root)?;
         {
             let st = self.lock();
-            for entry in fs::read_dir(&self.root)? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(v) = parse_version_dir(&name) {
-                    if !st.versions.contains_key(&v) {
-                        candidates.push((v, entry.path()));
-                    }
-                }
-            }
+            candidates.retain(|(v, _)| !st.versions.contains_key(v));
         }
-        candidates.sort();
         let mut swept = 0usize;
         let mut fresh = Vec::new();
         for (version, dir) in candidates {
@@ -350,65 +339,6 @@ impl Registry {
         Ok(version)
     }
 
-    /// Simulates a publish interrupted by `crash` (for the recovery test
-    /// tier): performs the staged write exactly as [`Registry::publish`]
-    /// would, but stops at — or corrupts according to — the crash point,
-    /// leaving the corresponding on-disk debris. The in-memory state is
-    /// *not* updated, modeling process death; reopen the registry to
-    /// observe recovery. Returns the version number the doomed publish
-    /// had claimed.
-    pub fn publish_crashing(
-        &self,
-        label: &str,
-        artifacts: &[(String, Vec<u8>)],
-        crash: CrashPoint,
-    ) -> Result<u64, RegistryError> {
-        let (version, dir) = self.claim_version()?;
-        let mut entries = Vec::with_capacity(artifacts.len());
-        for (i, (name, bytes)) in artifacts.iter().enumerate() {
-            match crash {
-                CrashPoint::TornTmp { artifact, keep } if artifact == i => {
-                    writer::write_torn(&writer::tmp_path(&dir.join(name)), bytes, keep)?;
-                    return Ok(version);
-                }
-                CrashPoint::TornCommitted { artifact, keep } if artifact == i => {
-                    // Torn data under a completed rename: the manifest
-                    // below records the intended length + hash.
-                    writer::write_torn(&dir.join(name), bytes, keep)?;
-                }
-                _ => atomic_write(&dir.join(name), bytes)?,
-            }
-            entries.push(ArtifactEntry {
-                name: name.clone(),
-                len: bytes.len() as u64,
-                fnv1a: fnv1a(bytes),
-            });
-        }
-        if crash == CrashPoint::BeforeManifest {
-            return Ok(version);
-        }
-        let manifest = Manifest {
-            format: FORMAT_VERSION,
-            version,
-            created_unix: 0,
-            label: label.to_string(),
-            artifacts: entries,
-            probes: Vec::new(),
-        };
-        let json = manifest.to_json();
-        if let CrashPoint::TornManifest { keep } = crash {
-            writer::write_torn(&dir.join(MANIFEST_FILE), json.as_bytes(), keep)?;
-            return Ok(version);
-        }
-        atomic_write(&dir.join(MANIFEST_FILE), json.as_bytes())?;
-        if let CrashPoint::BitFlip { artifact, offset } = crash {
-            if let Some((name, _)) = artifacts.get(artifact) {
-                writer::flip_bit(&dir.join(name), offset)?;
-            }
-        }
-        Ok(version)
-    }
-
     /// Reads an artifact from `version`, verifying its recorded length
     /// and FNV-1a hash before returning the bytes.
     pub fn read_artifact(&self, version: u64, name: &str) -> Result<Vec<u8>, RegistryError> {
@@ -498,13 +428,7 @@ impl Registry {
     /// debris and quarantined versions — version numbers are never
     /// reused even after the directory fails verification.
     fn scan_max(&self) -> Result<u64, RegistryError> {
-        let mut max = 0;
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if let Some(v) = parse_version_dir(&entry.file_name().to_string_lossy()) {
-                max = max.max(v);
-            }
-        }
+        let mut max = version_dirs(&self.root)?.last().map_or(0, |(v, _)| *v);
         if let Ok(entries) = fs::read_dir(self.root.join(QUARANTINE_DIR)) {
             for entry in entries.flatten() {
                 let name = entry.file_name().to_string_lossy().into_owned();
@@ -529,6 +453,20 @@ impl Registry {
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
+}
+
+/// The `vNNNN` directories directly under `root`, ascending by version —
+/// the one listing `open`, `rescan` and `scan_max` share.
+fn version_dirs(root: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut found = Vec::new();
+    for entry in fs::read_dir(root)? {
+        let entry = entry?;
+        if let Some(v) = parse_version_dir(&entry.file_name().to_string_lossy()) {
+            found.push((v, entry.path()));
+        }
+    }
+    found.sort();
+    Ok(found)
 }
 
 fn parse_version_dir(name: &str) -> Option<u64> {
@@ -653,59 +591,15 @@ mod tests {
     }
 
     #[test]
-    fn every_crash_point_is_recovered_from() {
-        let artifacts = arts(3);
-        let crashes = [
-            CrashPoint::TornTmp {
-                artifact: 1,
-                keep: 10,
-            },
-            CrashPoint::BeforeManifest,
-            CrashPoint::TornManifest { keep: 20 },
-            CrashPoint::TornCommitted {
-                artifact: 2,
-                keep: 5,
-            },
-            CrashPoint::BitFlip {
-                artifact: 0,
-                offset: 7,
-            },
-        ];
-        for crash in crashes {
-            let root = unique_root("crash");
-            let (reg, _) = Registry::open(&root, 0).unwrap();
-            let good = reg.publish("good", &artifacts, &[]).unwrap();
-            let doomed = reg.publish_crashing("doomed", &artifacts, crash).unwrap();
-            assert!(doomed > good);
-            drop(reg);
-            let (reg, report) = Registry::open(&root, 0).unwrap();
-            assert_eq!(
-                report.recovered,
-                Some(good),
-                "{crash:?} must not mask the last good version"
-            );
-            assert_eq!(reg.versions(), vec![good], "{crash:?}");
-            // TornTmp and BeforeManifest leave a dir with no manifest;
-            // the rest leave a manifest that fails verification. All are
-            // quarantined, never deleted.
-            assert_eq!(report.quarantined.len(), 1, "{crash:?}");
-            assert_eq!(report.quarantined[0].0, doomed);
-            let q = root.join(QUARANTINE_DIR);
-            assert_eq!(fs::read_dir(&q).unwrap().count(), 1, "{crash:?}");
-            // Version numbers are never reused past quarantined debris.
-            let next = reg.publish("after", &artifacts, &[]).unwrap();
-            assert!(next > doomed, "{crash:?}: {next} <= {doomed}");
-            fs::remove_dir_all(&root).unwrap();
-        }
-    }
-
-    #[test]
     fn read_artifact_detects_post_open_corruption() {
         let root = unique_root("latent");
         let (reg, _) = Registry::open(&root, 0).unwrap();
         let v = reg.publish("x", &arts(1), &[]).unwrap();
         // Corrupt after open: verification happens again at read time.
-        writer::flip_bit(&root.join(format!("v{v:04}")).join("part0.bin"), 3).unwrap();
+        let part = root.join(format!("v{v:04}")).join("part0.bin");
+        let mut bytes = fs::read(&part).unwrap();
+        bytes[3] ^= 1;
+        fs::write(&part, bytes).unwrap();
         match reg.read_artifact(v, "part0.bin") {
             Err(RegistryError::Corrupt { version, .. }) => assert_eq!(version, v),
             other => panic!("expected Corrupt, got {other:?}"),
@@ -792,25 +686,6 @@ mod tests {
         assert_eq!(deduped.len(), all.len(), "duplicate version numbers");
         assert_eq!(all, (1..=32).collect::<Vec<u64>>());
         fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn seeded_crash_plans_always_recover() {
-        // The acceptance loop in miniature: for every seed, the derived
-        // crash leaves debris that open() must route around.
-        let artifacts = arts(2);
-        for seed in 0..32 {
-            let root = unique_root("seeded");
-            let (reg, _) = Registry::open(&root, 0).unwrap();
-            let good = reg.publish("good", &artifacts, &[]).unwrap();
-            let crash = crate::CrashPlan::new(seed).pick(&artifacts);
-            reg.publish_crashing("doomed", &artifacts, crash).unwrap();
-            drop(reg);
-            let (reg, report) = Registry::open(&root, 0).unwrap();
-            assert_eq!(report.recovered, Some(good), "seed {seed} ({crash:?})");
-            assert_eq!(reg.versions(), vec![good], "seed {seed} ({crash:?})");
-            fs::remove_dir_all(&root).unwrap();
-        }
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! * the stats [`Snapshot`](crate::Snapshot), whose metric lists are
 //!   objects keyed by name and whose histogram means are spelled as the
 //!   log line spells a float (`105000`, not `105000.0`);
-//! * the retained trace and span records, whose ids are hex strings.
+//! * the retained trace and span records and the registry manifest's
+//!   entries, whose ids, hashes and bit patterns are [`Hex64`] strings.
 //!
 //! ## What the codec guarantees
 //!
@@ -573,6 +574,28 @@ macro_rules! integer_codec {
 }
 
 integer_codec!(u8 u16 u32 u64 usize i8 i16 i32 i64 isize);
+
+/// A `u64` spelled as a string of 16 lowercase hex digits: trace and span
+/// ids (zero-padded, so an id reads the same in a log line, a waterfall and
+/// a debugger), and the registry manifest's FNV-1a hashes and probe bit
+/// patterns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hex64(pub u64);
+
+impl ToJson for Hex64 {
+    fn write_json(&self, w: &mut JsonWriter) {
+        let _ = write!(w.out, "\"{:016x}\"", self.0);
+    }
+}
+
+impl FromJson for Hex64 {
+    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
+        let s = v.as_str().ok_or_else(|| JsonError::expected("a hex string", v))?;
+        u64::from_str_radix(s, 16)
+            .map(Hex64)
+            .map_err(|e| JsonError::Shape(format!("bad hex {s:?}: {e}")))
+    }
+}
 
 impl ToJson for f64 {
     fn write_json(&self, w: &mut JsonWriter) {

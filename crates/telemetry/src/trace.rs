@@ -38,7 +38,7 @@
 //! memory-safety issue (all fields are plain atomics).
 
 use crate::hash::mix64;
-use crate::json::{self, FromJson, JsonError, JsonValue, JsonWriter, ToJson};
+use crate::json::{self, FromJson, Hex64, JsonError, JsonValue, JsonWriter, ToJson};
 use crate::metrics::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -560,30 +560,11 @@ pub fn flight_recorder() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::new(2048, 64))
 }
 
-/// A span or trace id on the wire: a zero-padded hex string, so a dump
-/// reads the same in a log line, a waterfall and a debugger.
-struct HexId(u64);
-
-impl ToJson for HexId {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.string(&format!("{:016x}", self.0));
-    }
-}
-
-impl FromJson for HexId {
-    fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let s = v.as_str().ok_or_else(|| JsonError::expected("an id string", v))?;
-        u64::from_str_radix(s, 16)
-            .map(HexId)
-            .map_err(|e| JsonError::Shape(format!("bad id {s:?}: {e}")))
-    }
-}
-
 impl ToJson for RetainedSpan {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object()
-            .field("span_id", &HexId(self.span_id))
-            .field("parent_id", &HexId(self.parent_id))
+            .field("span_id", &Hex64(self.span_id))
+            .field("parent_id", &Hex64(self.parent_id))
             .field("stage", &self.stage)
             .field("start_us", &self.start_us)
             .field("dur_ns", &self.dur_ns)
@@ -596,8 +577,8 @@ impl FromJson for RetainedSpan {
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
         Ok(Self {
-            span_id: o.field::<HexId>("span_id")?.0,
-            parent_id: o.field::<HexId>("parent_id")?.0,
+            span_id: o.field::<Hex64>("span_id")?.0,
+            parent_id: o.field::<Hex64>("parent_id")?.0,
             stage: o.field("stage")?,
             start_us: o.field("start_us")?,
             dur_ns: o.field("dur_ns")?,
@@ -609,7 +590,7 @@ impl FromJson for RetainedSpan {
 impl ToJson for RetainedTrace {
     fn write_json(&self, w: &mut JsonWriter) {
         w.object()
-            .field("trace_id", &HexId(self.trace_id))
+            .field("trace_id", &Hex64(self.trace_id))
             .field("verdict", &self.verdict)
             .field("spans", &self.spans)
             .end();
@@ -620,7 +601,7 @@ impl FromJson for RetainedTrace {
     fn read_json(v: &JsonValue) -> Result<Self, JsonError> {
         let o = v.fields()?;
         Ok(Self {
-            trace_id: o.field::<HexId>("trace_id")?.0,
+            trace_id: o.field::<Hex64>("trace_id")?.0,
             verdict: o.field("verdict")?,
             spans: o.field("spans")?,
         })

@@ -8,14 +8,15 @@
 
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::Workload;
-use pddl_registry::{
-    ArtifactEntry, CrashPlan, CrashPoint, Manifest, ProbeRecord, Registry, FORMAT_VERSION,
-};
+use pddl_registry::{ArtifactEntry, Manifest, ProbeRecord, Registry, FORMAT_VERSION};
+use pddl_tensor::Rng;
 use predictddl::{
     load_checkpoint, save_checkpoint, spawn_watcher, Controller, ControllerClient, LiveSystem,
     OfflineTrainer, PredictDdl, PredictionRequest, ReloadManager, ServeConfig, SYSTEM_ARTIFACT,
 };
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashSet};
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,7 +28,7 @@ fn unique_root(tag: &str) -> PathBuf {
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    let _ = std::fs::remove_dir_all(&d);
+    let _ = fs::remove_dir_all(&d);
     d
 }
 
@@ -42,7 +43,7 @@ fn fixed_request() -> PredictionRequest {
     )
 }
 
-/// Raw (non-checkpoint) artifact set for fast crash-plan sweeps.
+/// Raw (non-checkpoint) artifact set for fast crash sweeps.
 fn raw_artifacts() -> Vec<(String, Vec<u8>)> {
     vec![
         ("system.json".to_string(), (0..2048u32).flat_map(|i| i.to_le_bytes()).collect()),
@@ -50,41 +51,157 @@ fn raw_artifacts() -> Vec<(String, Vec<u8>)> {
     ]
 }
 
-/// The acceptance sweep: for every seeded crash plan, a publish that dies
-/// mid-write must leave the registry recoverable — a fresh open() (the
-/// "process restart") lands on the newest *verifiable* version, the
-/// debris is quarantined (never deleted), and the recovered version's
-/// artifacts re-verify on read. 100% of seeds, no exceptions.
+/// Where a publish dies, by the step of the commit protocol it dies in
+/// (`crates/registry/src/store.rs`: each artifact in list order via
+/// tempfile → fsync → rename, `manifest.json` last). A cut length is taken
+/// modulo the file's length — modulo one less for the manifest, so its
+/// closing brace is always lost — so any seed-drawn value is a real tear.
+#[derive(Clone, Copy, Debug)]
+enum Cut {
+    /// Dies writing artifact `artifact`: its `<name>.tmp` holds `keep`
+    /// bytes; the later artifacts and the manifest were never written.
+    TornTmp { artifact: usize, keep: usize },
+    /// Every artifact committed, the manifest never written.
+    NoManifest,
+    /// The manifest renamed into place holding only `keep` bytes (a file
+    /// system that reorders data against metadata).
+    TornManifest { keep: usize },
+    /// Artifact `artifact` renamed into place holding only `keep` bytes
+    /// while the manifest records its full length and hash.
+    TornArtifact { artifact: usize, keep: usize },
+    /// The publish completed, then one bit of artifact `artifact` flipped
+    /// at byte `offset` (latent media corruption).
+    BitFlip { artifact: usize, offset: usize },
+}
+
+impl Cut {
+    /// The cut `seed` picks for a version of `artifacts` files: same seed,
+    /// same debris.
+    fn pick(seed: u64, artifacts: usize) -> Cut {
+        let mut rng = Rng::new(seed);
+        let (kind, artifact, cut) = (rng.below(5), rng.below(artifacts), rng.next_u64() as usize);
+        match kind {
+            0 => Cut::TornTmp { artifact, keep: cut },
+            1 => Cut::NoManifest,
+            2 => Cut::TornManifest { keep: cut },
+            3 => Cut::TornArtifact { artifact, keep: cut },
+            _ => Cut::BitFlip { artifact, offset: cut },
+        }
+    }
+}
+
+/// Cuts `version`, which a real `publish` just wrote, back to the disk
+/// state a crash at `cut` leaves.
+fn cut_back(reg: &Registry, version: u64, cut: Cut) {
+    let dir = reg.root().join(format!("v{version:04}"));
+    let names: Vec<String> =
+        reg.manifest(version).expect("published").artifacts.into_iter().map(|a| a.name).collect();
+    let manifest = dir.join("manifest.json");
+    let tear = |path: &Path, keep: usize, spare: usize| {
+        let bytes = fs::read(path).unwrap();
+        fs::write(path, &bytes[..keep % (bytes.len() - spare)]).unwrap();
+    };
+    match cut {
+        Cut::TornTmp { artifact, keep } => {
+            fs::remove_file(&manifest).unwrap();
+            for name in &names[artifact + 1..] {
+                fs::remove_file(dir.join(name)).unwrap();
+            }
+            let tmp = dir.join(format!("{}.tmp", names[artifact]));
+            fs::rename(dir.join(&names[artifact]), &tmp).unwrap();
+            tear(&tmp, keep, 0);
+        }
+        Cut::NoManifest => fs::remove_file(&manifest).unwrap(),
+        Cut::TornManifest { keep } => tear(&manifest, keep, 1),
+        Cut::TornArtifact { artifact, keep } => tear(&dir.join(&names[artifact]), keep, 0),
+        Cut::BitFlip { artifact, offset } => {
+            let path = dir.join(&names[artifact]);
+            let mut bytes = fs::read(&path).unwrap();
+            let at = offset % bytes.len();
+            bytes[at] ^= 1;
+            fs::write(&path, bytes).unwrap();
+        }
+    }
+}
+
+/// Every file directly in `dir`, by name.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name().to_string_lossy().into_owned(), fs::read(e.path()).unwrap())
+        })
+        .collect()
+}
+
+/// Publishes `good_versions` versions of `arts`, then one cut back by
+/// `cut`, restarts on the store, and asserts the recovery contract: the
+/// newest verifiable version is recovered and content-verifies, the debris
+/// is quarantined with every byte kept, and the doomed version number is
+/// never reused.
+fn assert_recovers_from(cut: Cut, arts: &[(String, Vec<u8>)], good_versions: usize) {
+    let root = unique_root("cut");
+    let (good, doomed, debris) = {
+        let (reg, _) = Registry::open(&root, 0).unwrap();
+        let good = (0..good_versions).map(|i| reg.publish(&format!("good-{i}"), arts, &[]).unwrap()).last();
+        let doomed = reg.publish("doomed", arts, &[]).unwrap();
+        assert!(Some(doomed) > good, "{cut:?}: doomed version is newer");
+        cut_back(&reg, doomed, cut);
+        (good.expect("a good version"), doomed, files(&root.join(format!("v{doomed:04}"))))
+    };
+    // Process restart: recovery must land on the last good version.
+    let (reg, report) = Registry::open(&root, 0).unwrap();
+    assert_eq!(report.recovered, Some(good), "{cut:?}: newest verifiable version recovered");
+    assert_eq!(reg.latest(), Some(good), "{cut:?}");
+    for (name, bytes) in arts {
+        assert_eq!(&reg.read_artifact(good, name).unwrap(), bytes, "{cut:?}: {name} content-verified");
+    }
+    assert_eq!(report.quarantined.len(), 1, "{cut:?}: {:?}", report.quarantined);
+    assert_eq!(report.quarantined[0].0, doomed, "{cut:?}");
+    let quarantine: Vec<PathBuf> =
+        fs::read_dir(root.join("quarantine")).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(quarantine.len(), 1, "{cut:?}: {quarantine:?}");
+    let mut kept = files(&quarantine[0]);
+    assert!(kept.remove("QUARANTINE_REASON").is_some(), "{cut:?}");
+    assert_eq!(kept, debris, "{cut:?}: debris quarantined, none of it deleted");
+    let next = reg.publish("after", arts, &[]).unwrap();
+    assert!(next > doomed, "{cut:?}: {next} reuses the doomed v{doomed}");
+    fs::remove_dir_all(&root).ok();
+}
+
+/// The acceptance sweep: for every seed, a real publish cut back to the
+/// debris of the seed's crash leaves the registry recoverable — a fresh
+/// open() (the "process restart") lands on the newest *verifiable*
+/// version, quarantines the debris without deleting any of it, and never
+/// hands the doomed number out again. 100% of seeds, no exceptions, and
+/// the seeds reach all five kinds of debris.
 #[test]
 fn open_recovers_newest_verifiable_version_for_every_seed() {
     let arts = raw_artifacts();
+    let mut kinds = HashSet::new();
     for seed in 0..32u64 {
-        let root = unique_root("seed");
-        let good = {
-            let (reg, _) = Registry::open(&root, 0).unwrap();
-            reg.publish("good-1", &arts, &[]).unwrap();
-            let good = reg.publish("good-2", &arts, &[]).unwrap();
-            let crash = CrashPlan::new(seed).pick(&arts);
-            let doomed = reg.publish_crashing("doomed", &arts, crash).unwrap();
-            assert!(doomed > good, "seed {seed}: doomed version is newer");
-            good
-        };
-        // Process restart: recovery must land on the last good version.
-        let (reg, report) = Registry::open(&root, 0).unwrap();
-        assert_eq!(
-            report.recovered,
-            Some(good),
-            "seed {seed}: open() must recover the newest verifiable version"
-        );
-        assert_eq!(reg.latest(), Some(good), "seed {seed}");
-        for (name, bytes) in &arts {
-            assert_eq!(
-                &reg.read_artifact(good, name).unwrap(),
-                bytes,
-                "seed {seed}: recovered artifact {name} content-verified"
-            );
-        }
-        std::fs::remove_dir_all(&root).ok();
+        let cut = Cut::pick(seed, arts.len());
+        kinds.insert(std::mem::discriminant(&cut));
+        assert_recovers_from(cut, &arts, 2);
+    }
+    assert_eq!(kinds.len(), 5, "32 seeds reach every kind of debris");
+}
+
+/// Each kind of debris, cut at a fixed place in a three-artifact version.
+#[test]
+fn every_crash_point_is_recovered_from() {
+    let arts: Vec<(String, Vec<u8>)> = (0..3u8)
+        .map(|i| (format!("part{i}.bin"), (0..64u8).map(|b| b.wrapping_add(i)).collect()))
+        .collect();
+    for cut in [
+        Cut::TornTmp { artifact: 1, keep: 10 },
+        Cut::NoManifest,
+        Cut::TornManifest { keep: 20 },
+        Cut::TornArtifact { artifact: 2, keep: 5 },
+        Cut::BitFlip { artifact: 0, offset: 7 },
+    ] {
+        assert_recovers_from(cut, &arts, 1);
     }
 }
 
@@ -102,14 +219,15 @@ fn crash_mid_checkpoint_never_serves_half_swapped_model() {
     let v1 = {
         let (reg, _) = Registry::open(&root, 4).unwrap();
         let v1 = save_checkpoint(&reg, &system, "good").unwrap();
-        // The "new model" dies mid-write in the worst way: the artifact is
-        // committed truncated while the manifest records the full hash —
+        // The "new model" dies mid-write in the worst way: `system.json`
+        // is committed torn while the manifest records the full hash —
         // only content verification can catch it.
-        let system_json = reg.read_artifact(v1, SYSTEM_ARTIFACT).unwrap();
-        let keep = system_json.len() / 2;
-        let arts = vec![(SYSTEM_ARTIFACT.to_string(), system_json)];
-        reg.publish_crashing("killed", &arts, CrashPoint::TornCommitted { artifact: 0, keep })
-            .unwrap();
+        let v2 = save_checkpoint(&reg, &system, "killed").unwrap();
+        let manifest = reg.manifest(v2).unwrap();
+        let artifact =
+            manifest.artifacts.iter().position(|a| a.name == SYSTEM_ARTIFACT).expect("system.json");
+        let keep = manifest.artifacts[artifact].len as usize / 2;
+        cut_back(&reg, v2, Cut::TornArtifact { artifact, keep });
         v1
     };
 
@@ -124,7 +242,7 @@ fn crash_mid_checkpoint_never_serves_half_swapped_model() {
         baseline,
         "recovered checkpoint is bit-identical"
     );
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 /// The headline acceptance test: live reload during load drops zero
@@ -197,7 +315,7 @@ fn tcp_reload_under_load_drops_nothing_and_is_bit_identical() {
     assert_eq!(controller.live_epoch(), 1);
     let after = probe.predict(&req).unwrap().unwrap().seconds.to_bits();
     assert_eq!(after, before, "unchanged model is bit-identical after reload");
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 /// A candidate failing its golden probes is rejected over the wire with
@@ -234,7 +352,7 @@ fn failing_probe_is_rejected_over_tcp_and_rolls_back() {
     assert_eq!(controller.live_epoch(), 0, "no swap happened");
     let after = client.predict(&req).unwrap().unwrap().seconds.to_bits();
     assert_eq!(after, before, "old model keeps serving, bit-identical");
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 /// Rollback across the format bumps: versions a format-1 and a format-2
@@ -249,7 +367,7 @@ fn reload_rolls_back_to_a_format_1_version_and_forward_again() {
     let (old, new) = {
         let (reg, _) = Registry::open(&root, 0).unwrap();
         let old = [1, 2].map(|format| {
-            let system = std::fs::read(fixtures.join(format!("system_v{format}.json"))).unwrap();
+            let system = fs::read(fixtures.join(format!("system_v{format}.json"))).unwrap();
             let v = reg.publish(&format!("format-{format}"), &[(SYSTEM_ARTIFACT.to_string(), system)], &[]).unwrap();
             (format, v)
         });
@@ -257,10 +375,10 @@ fn reload_rolls_back_to_a_format_1_version_and_forward_again() {
     };
     for (format, v) in old {
         let manifest_path = root.join(format!("v{v:04}")).join("manifest.json");
-        let json = std::fs::read_to_string(&manifest_path).unwrap();
+        let json = fs::read_to_string(&manifest_path).unwrap();
         let stamped = json.replacen(&format!("\"format\": {FORMAT_VERSION}"), &format!("\"format\": {format}"), 1);
         assert_ne!(stamped, json, "format line moved: {json}");
-        std::fs::write(&manifest_path, stamped).unwrap();
+        fs::write(&manifest_path, stamped).unwrap();
     }
 
     let (registry, report) = Registry::open(&root, 0).unwrap();
@@ -283,7 +401,7 @@ fn reload_rolls_back_to_a_format_1_version_and_forward_again() {
         assert_eq!((forward.version, forward.previous), (new, v));
         assert!(client.predict(&fixed_request()).unwrap().is_ok());
     }
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 /// A controller without a registry answers the reload op with the typed
@@ -332,7 +450,7 @@ fn warm_restart_rehydrates_embedding_cache() {
         stats_before.hits + 1,
         "first request after warm restart is a cache hit"
     );
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 /// `serve --watch-registry`: the poller notices a version published by an
@@ -361,7 +479,7 @@ fn watcher_auto_reloads_externally_published_version() {
     watcher.join().unwrap();
     assert_eq!(live.version(), v2, "watcher swapped to the external publish");
     assert_eq!(live.epoch(), 1);
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
 
 fn fixture_path() -> PathBuf {
@@ -401,12 +519,12 @@ fn manifest_format_matches_golden_fixture() {
     let rendered = golden_manifest().to_json();
     let path = fixture_path();
     if std::env::var("PDDL_REGEN_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
+        fs::create_dir_all(path.parent().expect("fixture dir")).unwrap();
+        fs::write(&path, &rendered).unwrap();
         eprintln!("registry manifest fixture regenerated — commit the fixture diff");
         return;
     }
-    let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let stored = fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
             "missing fixture {} ({e}); regenerate with PDDL_REGEN_GOLDEN=1",
             path.display()
@@ -461,8 +579,8 @@ fn open_quarantines_version_published_at_unsupported_precision() {
         (reg.publish("f32", &arts, &[]).unwrap(), reg.publish("bf16", &arts, &[]).unwrap())
     };
     let manifest_path = root.join(format!("v{newer:04}")).join("manifest.json");
-    let json = std::fs::read_to_string(&manifest_path).unwrap();
-    std::fs::write(&manifest_path, stamp_precision(&json, "bf16")).unwrap();
+    let json = fs::read_to_string(&manifest_path).unwrap();
+    fs::write(&manifest_path, stamp_precision(&json, "bf16")).unwrap();
 
     let (reg, report) = Registry::open(&root, 0).unwrap();
     assert_eq!(report.recovered, Some(good));
@@ -473,7 +591,7 @@ fn open_quarantines_version_published_at_unsupported_precision() {
     assert!(reason.starts_with("manifest_invalid:") && reason.contains("precision"), "got: {reason}");
     let kept = root.join("quarantine").join(format!("v{newer:04}-manifest_invalid"));
     for (name, bytes) in &arts {
-        assert_eq!(&std::fs::read(kept.join(name)).unwrap(), bytes, "{name} kept, not deleted");
+        assert_eq!(&fs::read(kept.join(name)).unwrap(), bytes, "{name} kept, not deleted");
     }
-    std::fs::remove_dir_all(&root).ok();
+    fs::remove_dir_all(&root).ok();
 }
