@@ -3,15 +3,15 @@
 //! numbers next to the paper's.
 
 use crate::{
-    class_for_dataset, mean, mean_abs_err, on, ratios, split_records, system_ratios,
-    table2_workloads, Cell, Context, Design, Table, SEED,
+    class_for_dataset, mean, on, ratios, split_records, system_ratios, table2_workloads, Cell,
+    Context, Design, Table, SEED,
 };
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{SimConfig, Simulator, TraceRecord, Workload};
 use pddl_ernest::design::{default_candidates, greedy_a_optimal};
-use pddl_ernest::model::{ErnestModel, ErnestSample};
+use pddl_ernest::model::{fit_pooled, ErnestModel, ErnestSample};
 use pddl_regress::gridsearch::{grid_search_mlp, grid_search_svr};
-use pddl_regress::{Distance, KnnRegressor, Regression, Regressor};
+use pddl_regress::{Distance, ErrorSummary, KnnRegressor, Regression, Regressor};
 use pddl_sched::{run_engine, runtime_table, ArrivalSpec, CostShift, EngineConfig, PolicyKind};
 use pddl_zoo::dataset::dataset_by_name;
 use pddl_zoo::ZooModel;
@@ -63,9 +63,12 @@ fn cifar10_table2() -> Vec<Workload> {
     cifar.map(|(m, d)| Workload::standard(m, d)).collect()
 }
 
+/// The column of [`ErrorSummary::capped_mean`].
+const CAPPED: &str = "min(|ratio-1|, 1)";
+
 /// A row's mean `Predicted/Actual` and mean error.
 fn error_cells(ratios: &[f64]) -> [Cell; 2] {
-    [Cell::ratio(mean(ratios)), Cell::pct(mean_abs_err(ratios))]
+    [Cell::ratio(mean(ratios)), Cell::pct(ErrorSummary::of(ratios).mean)]
 }
 
 /// Black-box features (#servers, FLOPS, batch: the DNN's name is a label a
@@ -142,18 +145,6 @@ pub fn fig06_feature_ablation(ctx: &Context) -> Vec<Table> {
     DATASETS.map(table).into()
 }
 
-/// One pooled Ernest model per dataset over the training records — the
-/// black box that "averages the measurements of the collected training
-/// samples".
-fn pooled_ernest(train: &[TraceRecord]) -> HashMap<String, ErnestModel> {
-    let mut per_dataset: HashMap<String, Vec<ErnestSample>> = HashMap::new();
-    for r in train {
-        let sample = ErnestSample { scale: 1.0, machines: r.num_servers, time_secs: r.time_secs };
-        per_dataset.entry(r.workload.dataset.clone()).or_default().push(sample);
-    }
-    per_dataset.into_iter().map(|(ds, samples)| (ds, ErnestModel::fit(&samples))).collect()
-}
-
 /// Ernest in its native NSDI mode: per workload, a handful of designed
 /// small-scale probe runs (simulated) and an NNLS fit.
 fn per_workload_ernest(sim: &Simulator, model: &str, dataset: &str) -> ErnestModel {
@@ -175,14 +166,17 @@ fn per_workload_ernest(sim: &Simulator, model: &str, dataset: &str) -> ErnestMod
 /// PredictDDL, pooled Ernest and per-workload Ernest, and their errors.
 pub fn fig09_vs_ernest(ctx: &Context) -> Vec<Table> {
     let (system, (train, test)) = (ctx.system(), ctx.split());
-    let ernest = pooled_ernest(train);
+    // One Ernest per dataset over the training records: the black box that
+    // "averages the measurements of the collected training samples".
+    let runs = train.iter().map(|r| (&r.workload.dataset, r.num_servers, r.time_secs));
+    let ernest = fit_pooled(runs);
     let pooled = |r: &TraceRecord| ernest[&r.workload.dataset].predict(1.0, r.num_servers);
     let sim = Simulator::new(SimConfig::default());
     let mut table = Table::new(
         "Fig. 9: Predicted/Actual per Table II workload (closer to 1 is better)",
         &["workload", "PredictDDL", "Ernest", "Ernest/wk", "samples"],
     );
-    let mut errs = [Vec::new(), Vec::new(), Vec::new()];
+    let mut errs: [(Vec<f64>, Vec<f64>); 3] = Default::default();
     for (model, dataset) in table2_workloads() {
         let recs: Vec<&TraceRecord> = test
             .iter()
@@ -197,26 +191,29 @@ pub fn fig09_vs_ernest(ctx: &Context) -> Vec<Table> {
         ];
         let means = rs.iter().map(|r| Cell::ratio(mean(r)));
         table.row(format!("{model}@{dataset}"), means.chain([Cell::plain(recs.len() as f64, 0)]));
-        for (e, r) in errs.iter_mut().zip(&rs) {
-            e.push(mean_abs_err(r));
+        for ((plain, capped), r) in errs.iter_mut().zip(&rs) {
+            let e = ErrorSummary::of(r);
+            plain.push(e.mean);
+            capped.push(e.capped_mean);
         }
     }
-    let [pddl, pooled_err, wk_err] = errs.map(|e| mean(&e));
+    let [pddl, pooled_err, wk_err] = errs.map(|(plain, capped)| (mean(&plain), mean(&capped)));
     let mut headline = Table::new(
         "Fig. 9 headline, mean over Table II (paper: ≈8% error, 9.8× below Ernest)",
-        &["predictor", "|ratio-1|", "error vs PredictDDL"],
+        &["predictor", "|ratio-1|", CAPPED, "error vs PredictDDL"],
     );
     let names = ["PredictDDL", "Ernest (pooled)", "Ernest (per-workload)"];
-    for (name, err) in names.into_iter().zip([pddl, pooled_err, wk_err]) {
-        headline.row(name, [Cell::pct(err), Cell::times(err / pddl, 1)]);
+    for (name, (err, capped)) in names.into_iter().zip([pddl, pooled_err, wk_err]) {
+        headline.row(name, [Cell::pct(err), Cell::pct(capped), Cell::times(err / pddl.0, 1)]);
     }
     let all = [system_ratios(system, test), ratios(test, pooled)];
     let mut full = Table::new(
         format!("Fig. 9 over the full test split ({} points)", all[0].len()),
-        &["predictor", "|ratio-1|"],
+        &["predictor", "|ratio-1|", CAPPED],
     );
     for (name, r) in ["PredictDDL", "Ernest (pooled)"].into_iter().zip(&all) {
-        full.row(name, [Cell::pct(mean_abs_err(r))]);
+        let e = ErrorSummary::of(r);
+        full.row(name, [Cell::pct(e.mean), Cell::pct(e.capped_mean)]);
     }
     vec![table, headline, full]
 }
@@ -272,7 +269,7 @@ pub fn fig11_split_ratio(ctx: &Context) -> Vec<Table> {
             system_ratios(system, test.iter().filter(|r| r.workload.model == model))
         });
         for (e, r) in errs.iter_mut().zip(&rs) {
-            e.push(mean_abs_err(r));
+            e.push(ErrorSummary::of(r).mean);
         }
         t.row(model, rs.iter().map(|r| Cell::ratio(mean(r))));
     }
@@ -288,14 +285,14 @@ pub fn fig12_cluster_size(ctx: &Context) -> Vec<Table> {
         "Fig. 12: Predicted/Actual vs cluster size (closer to 1 is better)",
         &["workload", "4 servers", "8 servers", "16 servers"],
     );
-    let mut errs = Vec::new();
+    let mut rs = Vec::new();
     for (model, dataset) in table2_workloads() {
         let w = Workload::standard(model, dataset);
         let cells = [4, 8, 16].map(|n| {
             let cluster = ClusterState::homogeneous(class_for_dataset(dataset), n);
             let pred = ctx.system().predict_workload(&w, &cluster).expect("predict").seconds;
             let ratio = pred / sim.measure(&w, &cluster, 1).expect("simulate");
-            errs.push((ratio - 1.0).abs());
+            rs.push(ratio);
             Cell::ratio(ratio)
         });
         t.row(format!("{model}@{dataset}"), cells);
@@ -304,9 +301,9 @@ pub fn fig12_cluster_size(ctx: &Context) -> Vec<Table> {
         "Fig. 12: error over workloads and sizes (paper: 0.1% .. 23.5%)",
         &["", "min", "max", "mean"],
     );
-    let min = errs.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = errs.iter().copied().fold(0.0, f64::max);
-    summary.row("|ratio-1|", [min, max, mean(&errs)].map(Cell::pct));
+    let min = rs.iter().map(|r| (r - 1.0).abs()).fold(f64::INFINITY, f64::min);
+    let e = ErrorSummary::of(&rs);
+    summary.row("|ratio-1|", [min, e.worst, e.mean].map(Cell::pct));
     vec![t, summary]
 }
 
@@ -536,7 +533,7 @@ pub fn diag_oracle(ctx: &Context) -> Vec<Table> {
         ("LR", Regression::linear()),
     ];
     for (name, mut model) in models {
-        t.row(name, [Cell::pct(mean_abs_err(&d.fit_ratios(&mut model, test)))]);
+        t.row(name, [Cell::pct(ErrorSummary::of(&d.fit_ratios(&mut model, test)).mean)]);
     }
     vec![t]
 }

@@ -67,11 +67,6 @@ pub(crate) fn on(records: &[TraceRecord], dataset: &str) -> Vec<TraceRecord> {
     records.iter().filter(|r| r.workload.dataset == dataset).cloned().collect()
 }
 
-/// Mean of |ratio − 1| over a slice of ratios.
-pub(crate) fn mean_abs_err(ratios: &[f64]) -> f64 {
-    mean(&ratios.iter().map(|r| (r - 1.0).abs()).collect::<Vec<_>>())
-}
-
 /// Arithmetic mean (NaN for an empty slice).
 pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -228,12 +223,6 @@ mod tests {
         let records = generate_trace(&TraceConfig::small());
         let (tr, te) = split_records(&records, 0.8, 1);
         assert_eq!(tr.len() + te.len(), records.len());
-    }
-
-    #[test]
-    fn mean_abs_err_of_perfect_ratios_is_zero() {
-        assert_eq!(mean_abs_err(&[1.0, 1.0]), 0.0);
-        assert!((mean_abs_err(&[1.2, 0.8]) - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::features::{ernest_features, ERNEST_DIM};
 use crate::nnls::nnls;
 use pddl_tensor::Matrix;
+use std::{collections::HashMap, hash::Hash};
 
 /// One Ernest training observation.
 #[derive(Clone, Copy, Debug)]
@@ -53,6 +54,19 @@ impl ErnestModel {
     pub fn is_physical(&self) -> bool {
         self.theta.iter().all(|&t| t >= 0.0)
     }
+}
+
+/// Pooled Ernest: one model per key (a dataset, say) over its full-scale
+/// `(key, machines, seconds)` runs, kept in input order — the black box
+/// that cannot tell the workloads under one key apart.
+pub fn fit_pooled<K: Eq + Hash>(
+    runs: impl IntoIterator<Item = (K, usize, f64)>,
+) -> HashMap<K, ErnestModel> {
+    let mut per_key: HashMap<K, Vec<ErnestSample>> = HashMap::new();
+    for (key, machines, time_secs) in runs {
+        per_key.entry(key).or_default().push(ErnestSample { scale: 1.0, machines, time_secs });
+    }
+    per_key.into_iter().map(|(key, samples)| (key, ErnestModel::fit(&samples))).collect()
 }
 
 #[cfg(test)]
@@ -108,6 +122,23 @@ mod tests {
         assert!(model.is_physical());
         // 1/m is exactly the s/m column at s=1, so the fit is good.
         assert!((model.predict(1.0, 4) - 25.0).abs() < 2.0);
+    }
+
+    #[test]
+    fn pooled_fit_is_the_direct_fit_of_each_key() {
+        let mut runs: Vec<_> = (1..=8).map(|m| ("a", m, 40.0 / m as f64)).collect();
+        runs.extend((1..=6).map(|m| ("b", m, 2.0 + m as f64)));
+        runs.swap(1, 9);
+        let pooled = fit_pooled(runs.iter().copied());
+        assert_eq!(pooled.len(), 2);
+        for key in ["a", "b"] {
+            let samples: Vec<ErnestSample> = runs
+                .iter()
+                .filter(|r| r.0 == key)
+                .map(|&(_, machines, time_secs)| ErnestSample { scale: 1.0, machines, time_secs })
+                .collect();
+            assert_eq!(pooled[key].theta, ErnestModel::fit(&samples).theta, "{key}");
+        }
     }
 
     #[test]

@@ -403,7 +403,7 @@ impl Registry {
     }
 
     fn version_dir(&self, version: u64) -> PathBuf {
-        self.root.join(format!("v{version:04}"))
+        self.root.join(version_name(version))
     }
 
     /// Claims the next version number by atomically creating its
@@ -469,12 +469,15 @@ fn version_dirs(root: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(found)
 }
 
+/// The directory name of `version`: `v0001`, …, `v9999`, `v10000`.
+fn version_name(version: u64) -> String {
+    format!("v{version:04}")
+}
+
+/// The version whose [`version_name`] is `name` (`v1` is no version).
 fn parse_version_dir(name: &str) -> Option<u64> {
-    let digits = name.strip_prefix('v')?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
+    let version = name.strip_prefix('v')?.parse().ok()?;
+    (version_name(version) == name).then_some(version)
 }
 
 /// Full verification of one version directory; returns its manifest or
@@ -587,6 +590,25 @@ mod tests {
         assert_eq!(reg.versions(), vec![1, 2]);
         assert_eq!(reg.read_artifact(1, "part0.bin").unwrap(), arts(2)[0].1);
         assert_eq!(reg.manifest(2).unwrap().label, "two");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn only_the_four_digit_spelling_is_a_version() {
+        let root = unique_root("spelling");
+        let (reg, _) = Registry::open(&root, 0).unwrap();
+        reg.publish("one", &arts(1), &[]).unwrap();
+        drop(reg);
+        fs::rename(root.join("v0001"), root.join("v1")).unwrap();
+        let (reg, report) = Registry::open(&root, 0).unwrap();
+        assert_eq!(report.recovered, None);
+        assert!(reg.versions().is_empty());
+        assert_eq!(reg.publish("two", &arts(1), &[]).unwrap(), 1);
+        assert_eq!(reg.read_artifact(1, "part0.bin").unwrap(), arts(1)[0].1);
+        assert_eq!(parse_version_dir("v12345"), Some(12345));
+        for name in ["v1", "v+001", "v00001", "v", "v0001-bad"] {
+            assert_eq!(parse_version_dir(name), None, "{name}");
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

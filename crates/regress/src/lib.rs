@@ -45,7 +45,7 @@ pub use knn::{Distance, KnnRegressor};
 pub use online::{batch_ridge, OnlineRidge};
 pub use refit::RefitLoop;
 pub use linear::{LinearRegression, Ridge};
-pub use metrics::{mean_relative_error, rmse};
+pub use metrics::{rmse, ErrorSummary};
 pub use mlp::MlpRegressor;
 pub use poly::PolyFeatures;
 pub use scale::StandardScaler;

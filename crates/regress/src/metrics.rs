@@ -1,8 +1,8 @@
 //! Error metrics used throughout the evaluation.
 //!
 //! The paper reports (1) the relative error `Predicted/Actual` ("closer to 1
-//! is better") and its deviation `|ratio − 1|`, and (2) RMSE for the
-//! black-box/gray-box motivation figures.
+//! is better") and its deviation `|ratio − 1|`, summarised once by
+//! [`ErrorSummary`], and (2) RMSE, which grid search minimises.
 
 /// Root mean squared error.
 pub fn rmse(pred: &[f32], actual: &[f32]) -> f32 {
@@ -16,46 +16,35 @@ pub fn rmse(pred: &[f32], actual: &[f32]) -> f32 {
     (s / pred.len() as f64).sqrt() as f32
 }
 
-/// Per-sample prediction ratios `pred/actual` (the paper's plotted metric).
-pub fn ratios(pred: &[f32], actual: &[f32]) -> Vec<f32> {
-    assert_eq!(pred.len(), actual.len());
-    pred.iter()
-        .zip(actual)
-        .map(|(p, a)| {
-            debug_assert!(*a != 0.0, "actual value of zero");
-            p / a
-        })
-        .collect()
+/// The error of a set of `Predicted/Actual` ratios, as the paper reports
+/// it ("closer to 1 is better"): the deviation `|ratio − 1|` summarised
+/// four ways. Each table and gate says which field it reads.
+#[derive(Clone, Copy, Debug)]
+pub struct ErrorSummary {
+    pub n: usize,
+    /// Mean `|ratio − 1|` — the paper's "average prediction error".
+    pub mean: f64,
+    pub median: f64,
+    pub worst: f64,
+    /// Mean of `min(|ratio − 1|, 1)`: one wild prediction counts as 100 %,
+    /// as in the benchmark's accuracy gate.
+    pub capped_mean: f64,
 }
 
-/// Mean `|pred/actual − 1|` — the paper's "average prediction error".
-pub fn mean_relative_error(pred: &[f32], actual: &[f32]) -> f32 {
-    let r = ratios(pred, actual);
-    r.iter().map(|x| (x - 1.0).abs()).sum::<f32>() / r.len() as f32
-}
-
-/// Maximum `|pred/actual − 1|`.
-pub fn max_relative_error(pred: &[f32], actual: &[f32]) -> f32 {
-    ratios(pred, actual)
-        .iter()
-        .map(|x| (x - 1.0).abs())
-        .fold(0.0, f32::max)
-}
-
-/// Coefficient of determination R².
-pub fn r2(pred: &[f32], actual: &[f32]) -> f32 {
-    assert_eq!(pred.len(), actual.len());
-    let mean: f64 = actual.iter().map(|&a| a as f64).sum::<f64>() / actual.len() as f64;
-    let ss_res: f64 = pred
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| ((a - p) as f64).powi(2))
-        .sum();
-    let ss_tot: f64 = actual.iter().map(|&a| (a as f64 - mean).powi(2)).sum();
-    if ss_tot == 0.0 {
-        return if ss_res == 0.0 { 1.0 } else { f32::NEG_INFINITY };
+impl ErrorSummary {
+    /// Summarises `ratios`, summing in their order (every error is NaN
+    /// when there are none).
+    pub fn of(ratios: &[f64]) -> Self {
+        let mut errs: Vec<f64> = ratios.iter().map(|r| (r - 1.0).abs()).collect();
+        let n = errs.len();
+        let mean = errs.iter().sum::<f64>() / n as f64;
+        let capped_mean = errs.iter().map(|e| e.min(1.0)).sum::<f64>() / n as f64;
+        errs.sort_by(f64::total_cmp);
+        let at = |i: usize| errs.get(i).copied().unwrap_or(f64::NAN);
+        let median = (at((n.max(1) - 1) / 2) + at(n / 2)) / 2.0;
+        let worst = errs.last().copied().unwrap_or(f64::NAN);
+        Self { n, mean, median, worst, capped_mean }
     }
-    (1.0 - ss_res / ss_tot) as f32
 }
 
 #[cfg(test)]
@@ -66,8 +55,8 @@ mod tests {
     fn perfect_prediction_scores() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(rmse(&y, &y), 0.0);
-        assert_eq!(mean_relative_error(&y, &y), 0.0);
-        assert_eq!(r2(&y, &y), 1.0);
+        let s = ErrorSummary::of(&[1.0; 3]);
+        assert_eq!((s.n, s.mean, s.median, s.worst, s.capped_mean), (3, 0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -78,24 +67,26 @@ mod tests {
 
     #[test]
     fn relative_error_scale_free() {
-        let pred = [110.0, 0.11];
-        let act = [100.0, 0.10];
-        let e = mean_relative_error(&pred, &act);
-        assert!((e - 0.1).abs() < 1e-4, "{e}");
+        let e = ErrorSummary::of(&[110.0 / 100.0, 0.11 / 0.10]).mean;
+        assert!((e - 0.1).abs() < 1e-12, "{e}");
     }
 
     #[test]
-    fn max_relative_error_picks_worst() {
-        let pred = [1.1, 3.0];
-        let act = [1.0, 1.0];
-        assert!((max_relative_error(&pred, &act) - 2.0).abs() < 1e-6);
+    fn summary_worst_median_and_cap() {
+        let s = ErrorSummary::of(&[1.1, 3.0, 0.8, 1.0]);
+        assert!((s.worst - 2.0).abs() < 1e-12);
+        assert!((s.median - 0.15).abs() < 1e-12);
+        assert!((s.mean - 2.3 / 4.0).abs() < 1e-12);
+        // The 2.0 counts as 1.0 in the capped mean.
+        assert!((s.capped_mean - 1.3 / 4.0).abs() < 1e-12);
+        assert_eq!(ErrorSummary::of(&[0.5, 1.5, 1.2]).median, 0.5);
     }
 
     #[test]
-    fn r2_of_mean_prediction_is_zero() {
-        let actual = [1.0, 2.0, 3.0, 4.0];
-        let pred = [2.5; 4];
-        assert!(r2(&pred, &actual).abs() < 1e-6);
+    fn empty_summary_is_nan() {
+        let s = ErrorSummary::of(&[]);
+        assert_eq!(s.n, 0);
+        assert!(s.mean.is_nan() && s.median.is_nan() && s.worst.is_nan() && s.capped_mean.is_nan());
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! End-to-end integration: simulator trace → offline training → reusable
-//! predictions, across crates.
+//! predictions, across crates. The held-out accuracy of the default-size
+//! pipeline on the standard trace is `tests/accuracy.rs`.
 
 use pddl_cluster::{ClusterState, ServerClass};
 use pddl_ddlsim::{generate_trace, SimConfig, Simulator, TraceConfig, Workload};
-use pddl_regress::metrics::mean_relative_error;
+use pddl_regress::metrics::ErrorSummary;
 use pddl_regress::split::train_test_split;
-use predictddl::{OfflineTrainer, PredictionRequest};
+use predictddl::{OfflineTrainer, PredictDdl, PredictionRequest};
+use std::sync::OnceLock;
+
+/// The tiny system every test here reads, trained once per binary.
+fn system() -> &'static PredictDdl {
+    static SYSTEM: OnceLock<PredictDdl> = OnceLock::new();
+    SYSTEM.get_or_init(|| OfflineTrainer::tiny().train_full())
+}
 
 /// A medium-size pipeline: train on 80% of a multi-model CIFAR-10 trace,
 /// verify held-out relative error is small (the paper reports 1–4% on
@@ -33,17 +41,17 @@ fn offline_training_predicts_heldout_configurations() {
     trainer.ghn_train.epochs = 15;
     let system = trainer.train_from_records(&train);
 
-    let mut pred = Vec::new();
-    let mut actual = Vec::new();
-    for &i in &test_idx {
-        let r = &records[i];
-        let p = system
-            .predict_workload(&r.workload, &r.cluster())
-            .expect("prediction succeeds");
-        pred.push(p.seconds as f32);
-        actual.push(r.time_secs as f32);
-    }
-    let err = mean_relative_error(&pred, &actual);
+    let ratios: Vec<f64> = test_idx
+        .iter()
+        .map(|&i| {
+            let r = &records[i];
+            let p = system
+                .predict_workload(&r.workload, &r.cluster())
+                .expect("prediction succeeds");
+            p.seconds / r.time_secs
+        })
+        .collect();
+    let err = ErrorSummary::of(&ratios).mean;
     assert!(err < 0.25, "held-out mean relative error {err}");
 }
 
@@ -51,7 +59,7 @@ fn offline_training_predicts_heldout_configurations() {
 /// architecture diagnostics.
 #[test]
 fn prediction_response_is_complete() {
-    let system = OfflineTrainer::tiny().train_full();
+    let system = system();
     let req = PredictionRequest::zoo(
         Workload::new("resnet18", "cifar10", 128, 2),
         ClusterState::homogeneous(ServerClass::GpuP100, 4),
@@ -67,7 +75,7 @@ fn prediction_response_is_complete() {
 /// predictions across the zoo (sanity of the whole stack).
 #[test]
 fn predictions_track_simulator_ordering() {
-    let system = OfflineTrainer::tiny().train_full();
+    let system = system();
     let sim = Simulator::new(SimConfig::default());
     let cluster = ClusterState::homogeneous(ServerClass::GpuP100, 4);
     // vgg16 is in the tiny trace; squeezenet1_1 too. Predicted ordering must
@@ -93,7 +101,7 @@ fn predictions_track_simulator_ordering() {
 /// Malformed requests fail with typed errors, not panics.
 #[test]
 fn failure_injection_bad_requests() {
-    let system = OfflineTrainer::tiny().train_full();
+    let system = system();
     let cluster = ClusterState::homogeneous(ServerClass::GpuP100, 2);
 
     // Unknown model.
