@@ -25,7 +25,7 @@ use pddl_ddlsim::{TraceConfig, Workload};
 use pddl_faults::FaultPlan;
 use pddl_registry::Registry;
 use pddl_telemetry::json;
-use predictddl::cli::{check_flags, parse_flags, Command, Flags};
+use predictddl::cli::{check_flags, parse_flags, wait_for_shutdown, Command, Flags};
 use predictddl::{
     load_checkpoint, save_checkpoint, spawn_watcher, Controller, ControllerClient, LiveSystem,
     OfflineTrainer, PredictDdl, PredictionRequest, ReloadManager, ServeConfig,
@@ -258,32 +258,6 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Set by the SIGINT/SIGTERM handler; polled by the serve loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_shutdown_handler() {
-    // std already links libc; declaring `signal` directly avoids a libc
-    // crate dependency. The handler only does an atomic store, which is
-    // async-signal-safe.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_signal(_signum: i32) {
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as *const () as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_shutdown_handler() {}
-
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.get("addr").map_or("127.0.0.1:7077", |s| s.as_str());
     // A typo in the plan fails here, with the parser's message, before
@@ -372,10 +346,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
          for validated hot swaps; {{\"op\":\"observe\"}} to feed measured \
          runtimes back into drift detection; Ctrl-C to stop"
     );
-    install_shutdown_handler();
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(200));
-    }
+    wait_for_shutdown();
     watcher_stop.store(true, Ordering::SeqCst);
     if let Some(handle) = watcher.take() {
         let _ = handle.join();

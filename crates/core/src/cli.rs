@@ -2,9 +2,12 @@
 //! `<command> --key value …`, where each command lists the flags it reads
 //! once, and anything else on the line is refused by name before the
 //! command does any work — so a typo (`--worker 8`) cannot silently fall
-//! back to a default.
+//! back to a default. Both serving commands block in the one
+//! [`wait_for_shutdown`].
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Parsed `--key value` pairs; a bare `--key` holds `"true"`.
 pub type Flags = HashMap<String, String>;
@@ -46,5 +49,36 @@ pub fn check_flags(command: &Command, flags: &Flags) -> Result<(), String> {
     match unknown {
         Some(k) => Err(format!("unknown flag --{k} for {}", command.name)),
         None => Ok(()),
+    }
+}
+
+/// Set by the SIGINT/SIGTERM handler [`wait_for_shutdown`] installs.
+static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+/// Blocks until the process receives SIGINT or SIGTERM (polled every
+/// 200 ms), so a serving command can drain and print its final report.
+/// Off Unix no handler is installed: it blocks until the process dies.
+pub fn wait_for_shutdown() {
+    #[cfg(unix)]
+    {
+        // std already links libc; declaring `signal` directly avoids a libc
+        // crate dependency. The handler only does an atomic store, which is
+        // async-signal-safe.
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        extern "C" fn on_signal(_signum: i32) {
+            SHUTDOWN.store(true, Ordering::SeqCst);
+        }
+        const SIGINT: i32 = 2;
+        const SIGTERM: i32 = 15;
+        let handler = on_signal as *const () as usize;
+        unsafe {
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+    }
+    while !SHUTDOWN.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(200));
     }
 }

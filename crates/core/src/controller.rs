@@ -95,12 +95,14 @@
 //! never sends a newline is cut off, not buffered. Malformed frames earn a
 //! typed error reply and a counter bump; over-long frames additionally
 //! close the connection (line sync is lost). A request wrapped in a
-//! [`RequestEnvelope`] carries a `(client, id)` identity: the controller
-//! remembers recent responses per identity, so a client retrying after a
-//! lost reply gets the original response back instead of a recomputation —
-//! the dedup behind [`ControllerClient::connect_resilient`]'s exactly-once
-//! semantics. Under a [`ServeConfig::fault_plan`] (see [`pddl_faults`]),
-//! every accepted connection wears deterministic fault injectors.
+//! [`RequestEnvelope`] carries a `(client, id)` identity that the reply
+//! echoes, so [`ControllerClient::connect_resilient`] can match a reply
+//! to its request across retries. The controller keeps no per-identity
+//! state: a retried identity is recomputed on the model live when it
+//! arrives, which returns the original bits unless a reload swapped the
+//! model in between. Under a [`ServeConfig::fault_plan`] (see
+//! [`pddl_faults`]), every accepted connection wears deterministic fault
+//! injectors.
 
 pub use crate::protocol::{
     parse_frame, ParsedFrame, RequestEnvelope, ResponseEnvelope, TraceHeader, WireResponse,
@@ -122,10 +124,9 @@ use pddl_telemetry::trace::TraceDump;
 use pddl_telemetry::{
     flight_recorder, tlog, Counter, Histogram, Level, SpanStatus, Stage, TraceContext,
 };
-use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// Controller-side metric handles, resolved once (increments stay
@@ -144,7 +145,6 @@ struct Metrics {
     shed_draining: &'static Counter,
     batch_requests: &'static Counter,
     malformed_frames: &'static Counter,
-    dedup_hits: &'static Counter,
     request_latency: &'static Histogram,
 }
 
@@ -163,52 +163,8 @@ fn metrics() -> &'static Metrics {
         shed_draining: pddl_telemetry::counter("controller.shed.draining"),
         batch_requests: pddl_telemetry::counter("controller.batch_requests"),
         malformed_frames: pddl_telemetry::counter("controller.malformed_frames"),
-        dedup_hits: pddl_telemetry::counter("controller.request_dedups"),
         request_latency: pddl_telemetry::histogram("controller.request_latency"),
     })
-}
-
-/// Entries kept in the idempotent-retry response cache. Sized so a burst
-/// of retried requests stays deduplicated while memory stays bounded
-/// (~cache-cap × response-line bytes).
-const RESPONSE_CACHE_CAP: usize = 4096;
-
-/// Bounded FIFO cache of rendered response lines keyed by request
-/// identity. Shared across connections: a client may retry on a fresh
-/// connection after the original died mid-reply.
-#[derive(Default)]
-struct ResponseCache {
-    inner: Mutex<CacheInner>,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    map: HashMap<(u64, u64), String>,
-    order: VecDeque<(u64, u64)>,
-}
-
-impl ResponseCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        // A panicked handler cannot leave the cache in a broken state (all
-        // mutations are single statements), so poison is safe to clear.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn get(&self, key: (u64, u64)) -> Option<String> {
-        self.lock().map.get(&key).cloned()
-    }
-
-    fn put(&self, key: (u64, u64), line: String) {
-        let mut inner = self.lock();
-        if inner.map.insert(key, line).is_none() {
-            inner.order.push_back(key);
-            while inner.order.len() > RESPONSE_CACHE_CAP {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
-                }
-            }
-        }
-    }
 }
 
 /// The typed overload reply plus accounting: every shed is attributed to its
@@ -281,7 +237,6 @@ impl Controller {
             reload,
             sink: ObservationSink::new(),
             served: Arc::clone(&requests_served),
-            cache: Arc::new(ResponseCache::default()),
             pool: Arc::clone(&pool),
             config,
         };
@@ -318,10 +273,9 @@ impl Controller {
         self.live.epoch()
     }
 
-    /// Total requests answered by computation (deduplicated replays of a
-    /// cached response are counted in `controller.request_dedups`, not
-    /// here; shed and expired requests are counted in
-    /// `controller.requests_shed` / `controller.requests_expired`).
+    /// Total requests answered by computation, retries included (shed
+    /// and expired requests are counted in `controller.requests_shed` /
+    /// `controller.requests_expired`).
     pub fn requests_served(&self) -> u64 {
         self.requests_served.load(Ordering::Relaxed)
     }
@@ -417,7 +371,6 @@ struct Serving {
     reload: Option<Arc<ReloadManager>>,
     sink: ObservationSink,
     served: Arc<AtomicU64>,
-    cache: Arc<ResponseCache>,
     pool: Arc<ServePool>,
     config: ServeConfig,
 }
@@ -576,7 +529,6 @@ impl Handler for Serving {
                 ctx,
                 arrived,
                 writer,
-                None,
                 move |system, m| {
                     m.batch_requests.inc();
                     m.requests_total.add(reqs.len() as u64);
@@ -616,53 +568,30 @@ impl Handler for Serving {
                     );
                 },
             )?,
-            // Id-wrapped single request: the reader consults the response
-            // cache first, so a retried request replays the original
-            // response without consuming a queue slot.
-            ParsedFrame::Enveloped(env) => {
-                let key = (env.client, env.id);
-                if let Some(cached) = self.cache.get(key) {
-                    m.dedup_hits.inc();
-                    tlog!(
-                        Level::Debug,
-                        "controller.request",
-                        "deduplicated retry",
-                        client = env.client,
-                        id = env.id,
-                    );
-                    let replay_t0 = Instant::now();
-                    writer.send(&cached)?;
-                    // The replay is its own deterministic span: a
-                    // re-promotion merges it into the retained trace
-                    // without duplicating the original pipeline spans.
-                    Stage::DedupReplay.record(ctx, replay_t0.elapsed(), SpanStatus::CacheHit);
-                    return Ok(Flow::Continue);
-                }
-                self.work(
-                    ctx,
-                    arrived,
-                    writer,
-                    Some(key),
-                    move |system, m| {
-                        m.requests_total.inc();
-                        let (resp, errored) = predict_one(system, &env.req, m, ctx);
-                        let reply = ResponseEnvelope {
-                            client: env.client,
-                            id: env.id,
-                            trace: env.trace,
-                            shard: config.shard_id,
-                            resp,
-                        };
-                        (reply, 1, errored)
-                    },
-                    |_, _| {},
-                )?
-            }
+            // Id-wrapped single request: `Single` plus the identity echo. A
+            // retried identity is recomputed on the live model.
+            ParsedFrame::Enveloped(env) => self.work(
+                ctx,
+                arrived,
+                writer,
+                move |system, m| {
+                    m.requests_total.inc();
+                    let (resp, errored) = predict_one(system, &env.req, m, ctx);
+                    let reply = ResponseEnvelope {
+                        client: env.client,
+                        id: env.id,
+                        trace: env.trace,
+                        shard: config.shard_id,
+                        resp,
+                    };
+                    (reply, 1, errored)
+                },
+                |_, _| {},
+            )?,
             ParsedFrame::Single(req) => self.work(
                 ctx,
                 arrived,
                 writer,
-                None,
                 move |system, m| {
                     m.requests_total.inc();
                     let (response, errored) = predict_one(system, &req, m, ctx);
@@ -698,22 +627,20 @@ impl Serving {
     /// queue behind the pool, and — on a worker — answer. The three frame
     /// kinds differ only in `compute` (what they predict and count: it
     /// returns the reply, how many requests it answers, and whether any
-    /// failed) and `log`; expiry, timing, encoding, the dedup cache
-    /// (`dedup`, enveloped frames only), the write and the request's
-    /// trailing stages are spelled once, here. `arrived` is when the
-    /// frame came off the socket: the root `request` span starts there.
+    /// failed) and `log`; expiry, timing, encoding, the write and the
+    /// request's trailing stages are spelled once, here. `arrived` is
+    /// when the frame came off the socket: the root `request` span
+    /// starts there.
     fn work<R: ToJson>(
         &self,
         ctx: Option<TraceContext>,
         arrived: Instant,
         writer: &Writer,
-        dedup: Option<(u64, u64)>,
         compute: impl FnOnce(&PredictDdl, &Metrics) -> (R, u64, bool) + Send + 'static,
         log: impl FnOnce(&R, Duration) + Send + 'static,
     ) -> std::io::Result<()> {
         let system = self.live.pin();
         let served = Arc::clone(&self.served);
-        let cache = Arc::clone(&self.cache);
         let writer_j = writer.clone();
         let ServeConfig { retry_after_ms, trace_slow_ms, .. } = self.config;
         submit_and_wait(
@@ -724,8 +651,6 @@ impl Serving {
             Box::new(move |outcome| {
                 let m = metrics();
                 if outcome == JobOutcome::Expired {
-                    // Never cached: the client's retry should get a real
-                    // execution, not a replayed shed.
                     expire(ctx, arrived);
                     let _ = writer_j.send(&shed_line(retry_after_ms, ShedReason::Deadline));
                     return;
@@ -735,9 +660,6 @@ impl Serving {
                 served.fetch_add(answered, Ordering::Relaxed);
                 let s0 = Instant::now();
                 let out = encode_reply(&reply);
-                if let Some(key) = dedup {
-                    cache.put(key, out.clone());
-                }
                 let _ = writer_j.send(&out);
                 finish(ctx, arrived, s0.elapsed(), errored, trace_slow_ms);
                 let elapsed = t0.elapsed();
@@ -854,9 +776,10 @@ fn client_metrics() -> &'static ClientMetrics {
     })
 }
 
-/// A process-unique-ish session token for request identities. Collisions
-/// across processes are harmless (the dedup cache would merely replay a
-/// response to a client that provably sent the same session+id).
+/// A process-unique-ish token for one client's request identities, kept
+/// across its reconnects. Collisions across processes are harmless: the
+/// controller keeps no per-identity state, so a reused identity is
+/// simply computed again.
 fn session_token() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
     let t = SystemTime::now()
@@ -904,10 +827,10 @@ impl ControllerClient {
     /// Connects under `policy`: every [`Self::predict`] is wrapped in a
     /// [`RequestEnvelope`] with a fresh `(session, id)` identity and
     /// retried with capped jittered exponential backoff on transport
-    /// failures, per-attempt deadlines, and reconnection. Combined with
-    /// the controller's response cache this gives exactly-once results: a
-    /// retried request whose original reply was lost replays the cached
-    /// response instead of recomputing.
+    /// failures, per-attempt deadlines, and reconnection. Each call
+    /// returns exactly one result: a retry whose original reply was lost
+    /// is recomputed, and predictions are a pure function of the request
+    /// and the live model.
     ///
     /// The initial TCP connect is itself retried under the policy, so a
     /// resilient client can be created before its controller is up.
@@ -1081,9 +1004,9 @@ impl ControllerClient {
     /// parses as a [`ResponseEnvelope`] echoing that identity — anything
     /// else (corrupt frame, stale reply on a resynchronized stream, the
     /// controller's un-id'd malformed-frame error) drops the connection
-    /// and counts as a failed attempt, as do transient errors. Replays
-    /// hit the controller's response cache, so results arrive exactly
-    /// once.
+    /// and counts as a failed attempt, as do transient errors. A retry
+    /// is recomputed by whichever shard receives it, so each call still
+    /// returns exactly one result.
     fn enveloped(
         &mut self,
         req: &PredictionRequest,
@@ -1138,7 +1061,7 @@ impl ControllerClient {
                 // has absorbed the death (the reply carries the new
                 // epoch): refresh the cached route table — best effort;
                 // the retry itself is what must land, on the replacement
-                // shard, whose dedup cache keeps the result exactly-once.
+                // shard, which recomputes it.
                 let _ = self.route_table();
             }
             // The server's pacing hint is a floor under the jittered

@@ -271,7 +271,6 @@ impl EmbeddingCache {
     /// [`EmbeddingCache::capacity`] entries simply keeps the tail.
     pub fn preload(&self, dataset: &str, fingerprint: u64, embedding: Vec<f32>) {
         let key: CacheKey = (normalize(dataset).into_owned(), fingerprint);
-        let m = cache_metrics();
         let shard = &self.shards[self.shard_index(key.parts())];
         let mut s = shard.lock().unwrap_or_else(|e| e.into_inner());
         s.tick += 1;
@@ -281,17 +280,27 @@ impl EmbeddingCache {
         }
         let cell = Arc::new(OnceLock::new());
         let _ = cell.set(embedding);
-        s.map.insert(key, CacheEntry { cell, last_used: tick });
+        self.insert_evicting(&mut s, key, CacheEntry { cell, last_used: tick });
+    }
+
+    /// Makes `entry` resident under `key` in `shard`, then evicts the
+    /// shard's least-recently-used entry if that took it past its share
+    /// of the capacity. O(shard size), which is small by construction; an
+    /// in-flight victim still completes for its waiters — it just loses
+    /// residency.
+    fn insert_evicting(&self, shard: &mut CacheShard, key: CacheKey, entry: CacheEntry) {
+        let m = cache_metrics();
+        shard.map.insert(key, entry);
         m.entries.inc();
-        if s.map.len() > self.shard_capacity {
-            if let Some(victim) =
-                s.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                s.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                m.evictions.inc();
-                m.entries.dec();
-            }
+        if shard.map.len() <= self.shard_capacity {
+            return;
+        }
+        let victim = shard.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone());
+        if let Some(victim) = victim {
+            shard.map.remove(&victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            m.evictions.inc();
+            m.entries.dec();
         }
     }
 
@@ -366,25 +375,8 @@ impl EmbeddingCache {
                 m.misses.inc();
                 let cell = Arc::new(OnceLock::new());
                 let key: CacheKey = (dataset.into_owned(), fingerprint);
-                s.map.insert(key, CacheEntry { cell: Arc::clone(&cell), last_used: tick });
-                m.entries.inc();
-                if s.map.len() > self.shard_capacity {
-                    // Evict the least-recently-used entry. O(shard size),
-                    // which is small by construction; an in-flight victim
-                    // still completes for its waiters — it just loses
-                    // residency.
-                    if let Some(victim) = s
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                    {
-                        s.map.remove(&victim);
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        m.evictions.inc();
-                        m.entries.dec();
-                    }
-                }
+                let entry = CacheEntry { cell: Arc::clone(&cell), last_used: tick };
+                self.insert_evicting(&mut s, key, entry);
                 (cell, false)
             }
         };

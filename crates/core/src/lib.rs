@@ -51,9 +51,9 @@
 //! * a single [`PredictionRequest`] object → one [`Prediction`] (or error)
 //!   response line;
 //! * a [`RequestEnvelope`] (`{"client":…,"id":…,"req":{…}}`) → the same,
-//!   wrapped in a [`ResponseEnvelope`] echoing the identity; retried ids
-//!   replay the cached response, giving resilient clients exactly-once
-//!   results (see [`ControllerClient::connect_resilient`]); an optional
+//!   wrapped in a [`ResponseEnvelope`] echoing the identity, so resilient
+//!   clients match each reply to its call across retries, which are
+//!   recomputed (see [`ControllerClient::connect_resilient`]); an optional
 //!   `"trace"` member (a [`TraceHeader`] — `trace_id`/`span_id`/
 //!   `parent_id`) propagates a client-minted trace context through every
 //!   pipeline stage and is echoed back on the response;

@@ -19,7 +19,7 @@
 //! * a bare [`PredictionRequest`] object (`predict`);
 //! * a JSON array of requests (`predict_batch`);
 //! * a [`RequestEnvelope`] with a `(client, id)` identity and optional
-//!   [`TraceHeader`] (`predict_envelope` — the idempotent-retry path);
+//!   [`TraceHeader`] (`predict_envelope` — the retry path);
 //! * a control op — any object with an `"op"` key: `stats`, `trace`,
 //!   `route_table`, `reload`, `observe` — answered inline by
 //!   the connection reader so they stay available during overload.
@@ -101,14 +101,15 @@ impl FromJson for WireResponse {
     }
 }
 
-/// A prediction request wrapped with a client-chosen identity, enabling
-/// idempotent retry: the controller caches the response under
-/// `(client, id)` and serves it again verbatim if the same identity
-/// reappears (e.g. after the original reply was lost in transit).
+/// A prediction request wrapped with a client-chosen identity that the
+/// [`ResponseEnvelope`] echoes, so a retrying client can match a reply
+/// to its call. The controller keeps no per-identity state: the same
+/// identity sent again (e.g. after the original reply was lost in
+/// transit) is recomputed on the live model.
 #[derive(Clone, Debug)]
 pub struct RequestEnvelope {
     /// Client session token (unique per [`crate::ControllerClient`]
-    /// instance).
+    /// instance, kept across its reconnects).
     pub client: u64,
     /// Request number within the session.
     pub id: u64,
@@ -241,7 +242,7 @@ pub enum ParsedFrame {
     },
     /// A JSON array of prediction requests (a batch).
     Batch(Vec<PredictionRequest>),
-    /// An id-wrapped single request (idempotent-retry path).
+    /// An id-wrapped single request (the retry path).
     Enveloped(RequestEnvelope),
     /// A bare single request.
     Single(Box<PredictionRequest>),
@@ -409,10 +410,10 @@ pub enum ErrorReply {
         reason: ShedReason,
     },
     /// `shard_moved`: the router's re-route signal — the shard a request
-    /// was routed to died before answering. The request was not executed
-    /// twice: this reply is only sent in place of an answer, and the
-    /// replacement shard's dedup cache absorbs replays of answered
-    /// requests.
+    /// was routed to died before answering. This reply is only sent in
+    /// place of an answer; the client's retry is recomputed by the
+    /// replacement shard, so the call still returns exactly one
+    /// result.
     ShardMoved {
         /// Membership epoch after the death was absorbed, so a client
         /// whose cached route table already carries it need not refresh.

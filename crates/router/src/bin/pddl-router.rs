@@ -15,11 +15,10 @@
 
 use pddl_cluster::wire::LineConn;
 use pddl_router::{Router, RouterConfig};
-use predictddl::cli::{check_flags, parse_flags, Command, Flags};
+use predictddl::cli::{check_flags, parse_flags, wait_for_shutdown, Command, Flags};
 use predictddl::RouteTable;
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -72,32 +71,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "inspect", flags: &["addr", "timeout-ms"], run: cmd_inspect },
 ];
 
-/// Set by the SIGINT/SIGTERM handler; polled by the serve loop.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-#[cfg(unix)]
-fn install_shutdown_handler() {
-    // std already links libc; declaring `signal` directly avoids a libc
-    // crate dependency. The handler only does an atomic store, which is
-    // async-signal-safe.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    extern "C" fn on_signal(_signum: i32) {
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    let handler = on_signal as *const () as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_shutdown_handler() {}
-
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let shards_raw = flags
         .get("shards")
@@ -136,10 +109,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         "protocol: same line-delimited JSON as a controller; \
          {{\"op\":\"route_table\"}} for the live fleet map; Ctrl-C to stop"
     );
-    install_shutdown_handler();
-    while !SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(200));
-    }
+    wait_for_shutdown();
     let table = router.table();
     eprintln!(
         "shutting down at membership epoch {} ({} healthy of {} shards); final metrics snapshot:",

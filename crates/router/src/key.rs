@@ -3,8 +3,8 @@
 //! PredictDDL's reusability story keys the serving plane: a prediction
 //! is a pure function of `(architecture, dataset, training params,
 //! cluster spec)`, so routing on exactly that tuple sends every repeat
-//! of a workload to the same shard — its embedding cache and dedup
-//! cache stay hot, and bit-identical results come from one place. The
+//! of a workload to the same shard — its embedding cache stays hot,
+//! and bit-identical results come from one place. The
 //! key deliberately ignores request identity (`client`/`id`) and trace
 //! context: retries of the same workload land on the same shard.
 

@@ -8,8 +8,8 @@
 //!   keys only from the arcs the new shard's points land in: in
 //!   expectation `K/(N+1)` of `K` keys move, and *only* to the new
 //!   shard. Removing a shard moves only the keys it owned. Everything
-//!   else stays put — no global reshuffle, so shard-local caches (the
-//!   embedding cache, the dedup cache) stay warm through resizes.
+//!   else stays put — no global reshuffle, so each shard's embedding
+//!   cache stays warm through resizes.
 //! * **Determinism** — point positions depend only on `(shard id,
 //!   vnode index)`, so two routers configured with the same membership
 //!   agree on every key without coordination.

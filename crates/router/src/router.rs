@@ -10,8 +10,8 @@
 //! is relayed verbatim back. Verbatim forwarding is what makes the
 //! fleet transparent: trace headers, request identities, and response
 //! envelopes pass through untouched, so routed results are
-//! bit-identical to direct ones and the shard-side dedup cache keeps
-//! exactly-once semantics across re-routes.
+//! bit-identical to direct ones, and a re-routed retry is recomputed
+//! by the shard it lands on.
 //!
 //! ## Membership epochs and failure handling
 //!
@@ -33,9 +33,9 @@
 //!   It absorbs the death (epoch bump, ring rebuild) and answers the
 //!   client with the typed
 //!   `{"error":"shard_moved","epoch":…,"retry_after_ms":…}` line.
-//!   Resilient clients refresh their route table and retry; enveloped
-//!   retries stay exactly-once because the replacement shard's dedup
-//!   cache replays any response it already computed.
+//!   Resilient clients refresh their route table and retry; the
+//!   replacement shard recomputes the retry, so each enveloped call
+//!   still returns exactly one, bit-identical result.
 //!
 //! A background prober visits every shard each `probe_interval` with
 //! `{"op":"stats"}`: probe failure marks a shard unhealthy (it owns no

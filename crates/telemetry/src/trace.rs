@@ -134,13 +134,14 @@ impl SpanStatus {
 
 /// One stage of the serving pipeline. A stage owns its wire name, the
 /// seed its child span ids derive from, and its one `trace.stage.<name>`
-/// latency histogram. The discriminant is both the seed's base and the
-/// ring's stage code, so the order is part of the wire contract (the
-/// golden trace fixtures pin it): new stages go at the end.
+/// latency histogram. The discriminant is both the seed and the ring's
+/// stage code, so it is part of the wire contract (the golden trace
+/// fixtures pin it): new stages go at the end, and a deleted stage's
+/// seed is never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Reading one request frame off the socket.
-    FrameRead,
+    FrameRead = 1,
     /// Root span of a request (frame arrival to response write).
     Request,
     /// Time spent queued before a worker picked the job up; zero-length
@@ -159,10 +160,9 @@ pub enum Stage {
     /// Zero-length marker at the moment a connection was accepted,
     /// recorded with the connection's first traced frame.
     Accept,
-    /// Replaying a cached response for a deduplicated retry.
-    DedupReplay,
+    // Seed 10 belonged to a deleted stage and is not reused.
     /// One collector wire exchange (register or heartbeat).
-    Collect,
+    Collect = 11,
     /// Router-side handling of one request: ring lookup, forward to the
     /// routed shard, and relay of its reply.
     Route,
@@ -170,7 +170,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 11] = [
         Stage::FrameRead,
         Stage::Request,
         Stage::QueueWait,
@@ -180,7 +180,6 @@ impl Stage {
         Stage::Dispatch,
         Stage::Serialize,
         Stage::Accept,
-        Stage::DedupReplay,
         Stage::Collect,
         Stage::Route,
     ];
@@ -197,7 +196,6 @@ impl Stage {
             Stage::Dispatch => "dispatch",
             Stage::Serialize => "serialize",
             Stage::Accept => "accept",
-            Stage::DedupReplay => "dedup_replay",
             Stage::Collect => "collect",
             Stage::Route => "route",
         }
@@ -207,7 +205,12 @@ impl Stage {
     /// ([`TraceContext::child`]): fixed per stage, so equal requests get
     /// equal span ids in every process.
     pub fn seed(self) -> u64 {
-        self as u64 + 1
+        self as u64
+    }
+
+    /// The stage whose [`Stage::seed`] is `seed`, if any.
+    fn from_seed(seed: u64) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.seed() == seed)
     }
 
     /// This stage's span under `parent`.
@@ -217,8 +220,9 @@ impl Stage {
 
     /// The stage's `trace.stage.<name>` latency histogram, resolved once.
     pub(crate) fn histogram(self) -> &'static Histogram {
-        static HISTS: [OnceLock<&'static Histogram>; Stage::ALL.len()] =
-            [const { OnceLock::new() }; Stage::ALL.len()];
+        // Indexed by seed, up to the last stage's.
+        static HISTS: [OnceLock<&'static Histogram>; Stage::Route as usize + 1] =
+            [const { OnceLock::new() }; Stage::Route as usize + 1];
         HISTS[self as usize].get_or_init(|| match self {
             Stage::FrameRead => crate::histogram("trace.stage.frame_read"),
             Stage::Request => crate::histogram("trace.stage.request"),
@@ -229,7 +233,6 @@ impl Stage {
             Stage::Dispatch => crate::histogram("trace.stage.dispatch"),
             Stage::Serialize => crate::histogram("trace.stage.serialize"),
             Stage::Accept => crate::histogram("trace.stage.accept"),
-            Stage::DedupReplay => crate::histogram("trace.stage.dedup_replay"),
             Stage::Collect => crate::histogram("trace.stage.collect"),
             Stage::Route => crate::histogram("trace.stage.route"),
         })
@@ -431,7 +434,7 @@ impl FlightRecorder {
         slot.trace_id.store(ctx.trace_id, Ordering::Relaxed);
         slot.span_id.store(ctx.span_id, Ordering::Relaxed);
         slot.parent_id.store(ctx.parent_id, Ordering::Relaxed);
-        slot.stage.store(stage as u64, Ordering::Relaxed);
+        slot.stage.store(stage.seed(), Ordering::Relaxed);
         slot.start_us.store(start_us, Ordering::Relaxed);
         slot.dur_ns.store(dur_ns, Ordering::Relaxed);
         slot.status.store(status.code(), Ordering::Relaxed);
@@ -447,7 +450,7 @@ impl FlightRecorder {
             trace_id: slot.trace_id.load(Ordering::Relaxed),
             span_id: slot.span_id.load(Ordering::Relaxed),
             parent_id: slot.parent_id.load(Ordering::Relaxed),
-            stage: *Stage::ALL.get(slot.stage.load(Ordering::Relaxed) as usize)?,
+            stage: Stage::from_seed(slot.stage.load(Ordering::Relaxed))?,
             start_us: slot.start_us.load(Ordering::Relaxed),
             dur_ns: slot.dur_ns.load(Ordering::Relaxed),
             status: SpanStatus::from_code(slot.status.load(Ordering::Relaxed))?,
@@ -915,7 +918,6 @@ mod tests {
             ("dispatch", 7),
             ("serialize", 8),
             ("accept", 9),
-            ("dedup_replay", 10),
             ("collect", 11),
             ("route", 12),
         ];

@@ -263,3 +263,53 @@ fn warm_round_trip_is_not_held_back_by_nagle() {
     let median = round_trips[round_trips.len() / 2];
     assert!(median < std::time::Duration::from_millis(10), "median round trip {median:?}");
 }
+
+/// The retry contract: the controller keeps no per-identity state, so the
+/// same `RequestEnvelope` sent twice is computed twice, and both replies
+/// echo the identity with bit-identical answers (a prediction is a pure
+/// function of the request and the live model).
+#[test]
+fn a_retried_envelope_is_recomputed_with_identical_bits() {
+    use pddl_telemetry::json;
+    use predictddl::{RequestEnvelope, ResponseEnvelope, WireResponse};
+    use std::io::{BufRead, BufReader, Write};
+
+    let controller = serve_tiny();
+    let envelope = RequestEnvelope {
+        client: 0x5EED,
+        id: 7,
+        trace: None,
+        req: PredictionRequest::zoo(
+            Workload::new("resnet18", "cifar10", 128, 2),
+            ClusterState::homogeneous(ServerClass::GpuP100, 4),
+        ),
+    };
+    let line = format!("{}\n", json::to_string(&envelope).unwrap());
+    let stream = std::net::TcpStream::connect(controller.addr()).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let total = || pddl_telemetry::snapshot().counter("controller.requests_total").unwrap_or(0);
+    let total_before = total();
+
+    let answers: Vec<(u64, Option<(String, u32)>)> = (0..2)
+        .map(|_| {
+            w.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            let reply: ResponseEnvelope = json::from_str(&reply).unwrap();
+            assert_eq!((reply.client, reply.id), (0x5EED, 7), "identity not echoed");
+            let WireResponse::Ok { prediction } = reply.resp else {
+                panic!("retry failed: {:?}", reply.resp)
+            };
+            let nearest = prediction.nearest_architecture.map(|(name, sim)| (name, sim.to_bits()));
+            (prediction.seconds.to_bits(), nearest)
+        })
+        .collect();
+    assert_eq!(answers[0], answers[1], "a retry moved the served bits");
+    assert!(answers[0].1.is_some(), "no nearest architecture to compare");
+    // Both sends were computed: this controller's own count is exact; the
+    // process-global `controller.requests_total` also moves with the other
+    // tests in this binary, so its delta is a floor.
+    assert_eq!(controller.requests_served(), 2);
+    assert!(total() >= total_before + 2, "controller.requests_total");
+}

@@ -20,7 +20,7 @@
 //!   membership epoch within one probe interval, and every in-flight
 //!   request still completes exactly once with its bit-identical answer:
 //!   resilient clients ride the typed `shard_moved` signal onto the
-//!   survivor ring, and the shard-side dedup cache absorbs replays.
+//!   survivor ring, and the shard a retry lands on recomputes it.
 //! * **chaos** — the same convergence holds when the shards themselves
 //!   run under a seeded `pddl-faults` wire plan (replay the seed with
 //!   `--fault-plan` per TESTING.md to reproduce a failure).

@@ -158,7 +158,7 @@ fn soak_round(seed: u64, truth: &[(PredictionRequest, Result<u64, String>)]) {
 
     // Trace identity under chaos: each promoted request is retained as
     // exactly one trace holding its own id, and deterministic span
-    // derivation keeps retried/replayed spans deduplicated.
+    // derivation keeps the spans of recomputed retries deduplicated.
     let retained = flight_recorder().dump().retained;
     for c in 0..CLIENTS {
         for r in 0..PROMOTED_PER_CLIENT {
@@ -268,9 +268,9 @@ fn soak_exactly_once_under_fault_plans() {
 
     // Retries (if any were needed) are visible in the stats counters.
     let retries = counter("controller_client.retries") + counter("collector_client.retries");
-    let dedups = counter("controller.request_dedups");
+    let computed = counter("controller.requests_total");
     println!(
-        "soak: {} injected faults, {retries} client retries, {dedups} deduplicated replays",
+        "soak: {} injected faults, {retries} client retries, {computed} controller computations",
         faults_after - faults_before
     );
 }
