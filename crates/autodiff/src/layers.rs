@@ -294,8 +294,7 @@ mod tests {
         let x = tape.constant(Matrix::ones(1, 2));
         let h = tape.constant(Matrix::from_rows(&[&[0.3, -0.7, 0.9]]));
         let h2 = gru.forward(&mut tape, x, h);
-        let before = tape.value(h).clone();
-        let after = tape.value(h2).clone();
-        assert!((&after - &before).max_abs() < 1e-4);
+        let moved = tape.value(h).iter().zip(tape.value(h2)).map(|(a, b)| (a - b).abs());
+        assert!(moved.fold(0.0f32, f32::max) < 1e-4);
     }
 }

@@ -18,7 +18,12 @@
 //!   from the stored one ([`ParamStore::load`]).
 //!
 //! Operations are an enum (not boxed closures), so the backward pass is one
-//! `match` with no allocation beyond the gradient matrices themselves.
+//! `match`. Values and gradients live in buffers the tape owns, not one
+//! matrix per op, and a training loop that hands each step's
+//! [`TapeBuffers`] to the next stops allocating them once its largest step
+//! has run. One-row products run on row kernels: `g·Wᵀ` on `W` transposed
+//! once per pass, and the weights' rank-1 gradient terms queued and added
+//! in blocks — each with the bits of the product it replaces.
 
 pub mod layers;
 pub mod optim;
@@ -27,5 +32,5 @@ pub mod tape;
 pub use layers::{GruCell, Linear, Mlp};
 pub use optim::Adam;
 pub use tape::{
-    gradient_check, gradient_check_with_step, Gradients, ParamId, ParamStore, Tape, Var,
+    gradient_check, gradient_check_with_step, Gradients, ParamId, ParamStore, Tape, TapeBuffers, Var,
 };

@@ -1,6 +1,8 @@
 //! The tape: parameter store, recorded operations, and the backward pass.
 
-use pddl_tensor::{Activation, Matrix, Rng};
+use pddl_tensor::{dot_cols_acc, gemm_into, outer_acc, Activation, Layout, Matrix, Rng, SMALL_MADDS};
+use std::cell::Cell;
+use std::ops::Range;
 
 /// Handle to a persistent trainable parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -143,8 +145,8 @@ impl Gradients {
     }
 }
 
-/// Recorded operation; parents are tape indices.
-#[derive(Clone, Debug)]
+/// Recorded operation; parents are node indices.
+#[derive(Clone, Copy, Debug)]
 enum Op {
     /// Leaf constant (inputs, targets); receives no gradient.
     Const,
@@ -174,20 +176,21 @@ enum Op {
     },
     /// `alpha * a`.
     Scale(usize, f32),
-    /// `Σ alpha_k · a_k` over same-shaped parents, summed left to right.
-    WeightedSum(Vec<(usize, f32)>),
+    /// `Σ alpha_k · a_k` over the same-shaped parts `Tape::sums[start..end]`,
+    /// summed left to right.
+    WeightedSum(usize, usize),
     /// Sigmoid.
     Sigmoid(usize),
     /// Tanh.
     Tanh(usize),
     /// ReLU.
     Relu(usize),
-    /// Column-wise concatenation; stores the inputs and their widths.
-    ConcatCols(Vec<usize>),
-    /// Row slice `[start, end)` of parent with original height `h`.
-    SliceRows(usize, usize, usize, usize),
-    /// Row-wise (vertical) concatenation; stores inputs and their heights.
-    ConcatRows(Vec<usize>),
+    /// Column-wise concatenation of the parts `Tape::parts[start..end]`.
+    ConcatCols(usize, usize),
+    /// The node's rows of its parent, from row `start` on.
+    SliceRows(usize, usize),
+    /// Row-wise (vertical) concatenation of the parts `Tape::parts[start..end]`.
+    ConcatRows(usize, usize),
     /// Mean over all entries → 1×1.
     Mean(usize),
     /// Sum over all entries → 1×1.
@@ -202,37 +205,223 @@ enum Op {
     RowL2Norm(usize),
 }
 
+/// Floats per chunk of [`Tape`]'s value buffer: 64 KB, which the system
+/// allocator serves from its heap, where a freed chunk is reused, rather
+/// than mapping and unmapping it (256 KB chunks left `warm_zoo`'s
+/// `peak_rss_mb` 6–9 MB higher).
+const CHUNK: usize = 1 << 14;
+
+/// A recorded operation, the shape of its value, where the value sits in
+/// [`Tape`]'s chunks, and where its gradient sits in the backward pass's
+/// buffer: every node's after its parents'.
 struct Node {
     op: Op,
-    value: Matrix,
+    rows: usize,
+    cols: usize,
+    /// The value: `off..` in chunk `chunk`.
+    chunk: u32,
+    off: u32,
+    /// The gradient: `at..` in the backward pass's buffer.
+    at: usize,
+    /// Whether a parameter is reached through this node: false for a
+    /// constant and what is computed from constants alone, which the
+    /// backward pass gives no gradient.
+    grad: bool,
+}
+
+impl Node {
+    fn len(&self) -> usize {
+        self.rows * self.cols
+    }
+
+    fn range(&self) -> Range<usize> {
+        self.at..self.at + self.len()
+    }
+}
+
+/// The recorded values, read by node index: whole chunks, and the filled
+/// start of the one being written to.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    nodes: &'a [Node],
+    chunks: &'a [Vec<f32>],
+    last: &'a [f32],
+}
+
+impl<'a> View<'a> {
+    fn get(self, i: usize) -> &'a [f32] {
+        let node = &self.nodes[i];
+        let chunk = self.chunks.get(node.chunk as usize).map_or(self.last, Vec::as_slice);
+        &chunk[node.off as usize..][..node.len()]
+    }
+
+    fn shape(self, i: usize) -> (usize, usize) {
+        (self.nodes[i].rows, self.nodes[i].cols)
+    }
+}
+
+/// The buffers a [`Tape`] records into and its backward pass writes
+/// into, passed from one finished tape to the next with
+/// [`Tape::into_buffers`] and [`Tape::with_buffers`]: a training loop that
+/// does so allocates them while its steps grow, and not again. Dropping
+/// them frees them.
+#[derive(Default)]
+pub struct TapeBuffers {
+    nodes: Vec<Node>,
+    /// Empty value chunks.
+    chunks: Vec<Vec<f32>>,
+    sums: Vec<(usize, f32)>,
+    parts: Vec<usize>,
+    grads: Vec<f32>,
 }
 
 /// A single forward pass's computation record.
+///
+/// Every value lives in chunks the tape owns — appended, never moved, a
+/// new chunk opened when a value does not fit in the last one's rest — and
+/// [`Tape::backward`] writes every gradient into one buffer it keeps:
+/// recording an op allocates only when it opens a chunk, routing a
+/// gradient never, and a tape made [`Tape::with_buffers`] of the last
+/// one's opens no chunk the last one had.
 pub struct Tape<'p> {
     params: &'p ParamStore,
     nodes: Vec<Node>,
+    values: Vec<Vec<f32>>,
+    /// Empty chunks to open before allocating one.
+    spare: Vec<Vec<f32>>,
+    /// Floats recorded: the size of the backward pass's buffer.
+    size: usize,
+    /// The `(part, alpha)` lists of `WeightedSum` nodes.
+    sums: Vec<(usize, f32)>,
+    /// The part lists of `ConcatCols` / `ConcatRows` nodes.
+    parts: Vec<usize>,
     /// The leaf already recorded for each parameter, by [`ParamId`].
     leaves: Vec<Option<Var>>,
+    /// The backward pass's gradient buffer, kept between passes.
+    grads: Cell<Vec<f32>>,
+    /// `[calls, flops]` of the products run and not yet counted: they reach
+    /// `tensor.gemm_calls` / `tensor.gemm_flops` in one
+    /// [`pddl_tensor::record_products`] when the tape is dropped, not in two
+    /// shared atomics per product.
+    products: Cell<[u64; 2]>,
+}
+
+impl Drop for Tape<'_> {
+    fn drop(&mut self) {
+        let [calls, flops] = self.products.get();
+        if calls > 0 {
+            pddl_tensor::record_products(calls, flops);
+        }
+    }
 }
 
 impl<'p> Tape<'p> {
     pub fn new(params: &'p ParamStore) -> Self {
-        Self { params, nodes: Vec::with_capacity(256), leaves: vec![None; params.len()] }
+        Self::with_buffers(params, TapeBuffers::default())
     }
 
-    fn push(&mut self, op: Op, value: Matrix) -> Var {
-        self.nodes.push(Node { op, value });
+    /// An empty tape that records into `buffers`, which
+    /// [`Tape::into_buffers`] took from an earlier one.
+    pub fn with_buffers(params: &'p ParamStore, buffers: TapeBuffers) -> Self {
+        let TapeBuffers { nodes, chunks, sums, parts, grads } = buffers;
+        Self {
+            params,
+            nodes,
+            values: Vec::new(),
+            spare: chunks,
+            size: 0,
+            sums,
+            parts,
+            leaves: vec![None; params.len()],
+            grads: Cell::new(grads),
+            products: Cell::new([0; 2]),
+        }
+    }
+
+    /// This tape's buffers, emptied, for [`Tape::with_buffers`].
+    pub fn into_buffers(mut self) -> TapeBuffers {
+        let mut chunks = std::mem::take(&mut self.spare);
+        chunks.extend(self.values.drain(..).map(|mut chunk| {
+            chunk.clear();
+            chunk
+        }));
+        fn emptied<T>(v: &mut Vec<T>) -> Vec<T> {
+            v.clear();
+            std::mem::take(v)
+        }
+        TapeBuffers {
+            nodes: emptied(&mut self.nodes),
+            chunks,
+            sums: emptied(&mut self.sums),
+            parts: emptied(&mut self.parts),
+            grads: self.grads.take(),
+        }
+    }
+
+    /// Records `op` with a `rows × cols` value, which `fill` writes into a
+    /// zeroed buffer given the values recorded before it.
+    fn record(&mut self, op: Op, (rows, cols): (usize, usize), fill: impl FnOnce(View, &mut [f32])) -> Var {
+        let len = rows * cols;
+        if self.values.last().is_none_or(|c| c.capacity() - c.len() < len) {
+            let chunk = match self.spare.pop() {
+                Some(chunk) if chunk.capacity() >= len => chunk,
+                _ => Vec::with_capacity(len.max(CHUNK)),
+            };
+            self.values.push(chunk);
+        }
+        let chunk = self.values.len() - 1;
+        let (chunks, last) = self.values.split_at_mut(chunk);
+        let last = &mut last[0];
+        let off = last.len();
+        last.resize(off + len, 0.0);
+        let (done, out) = last.split_at_mut(off);
+        fill(View { nodes: &self.nodes, chunks, last: done }, out);
+        let reached = |p: &usize| self.nodes[*p].grad;
+        let grad = match op {
+            Op::Const => false,
+            Op::Param(_) => true,
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddBias(a, b) | Op::MseLoss(a, b) => {
+                [a, b].iter().any(reached)
+            }
+            Op::AffineAct(x, w, b, _) => [x, w, b].iter().any(reached),
+            Op::Affine2 { x, w, h, u, b, .. } => [x, w, h, u, b].iter().any(reached),
+            Op::Scale(a, _)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::SliceRows(a, _)
+            | Op::Mean(a)
+            | Op::Sum(a)
+            | Op::MeanRows(a)
+            | Op::RowL2Norm(a) => reached(&a),
+            Op::WeightedSum(start, end) => self.sums[start..end].iter().any(|(p, _)| reached(p)),
+            Op::ConcatCols(start, end) | Op::ConcatRows(start, end) => self.parts[start..end].iter().any(reached),
+        };
+        let (chunk, off) = (chunk as u32, off as u32);
+        self.nodes.push(Node { op, rows, cols, chunk, off, at: self.size, grad });
+        self.size += len;
         Var(self.nodes.len() - 1)
     }
 
-    /// Current value of a variable.
-    pub fn value(&self, v: Var) -> &Matrix {
-        &self.nodes[v.0].value
+    fn view(&self) -> View<'_> {
+        View { nodes: &self.nodes, chunks: &self.values, last: &[] }
+    }
+
+    /// Adds one `m×k · k×n` product to the count the tape hands over when
+    /// dropped.
+    fn count(&self, m: usize, n: usize, k: usize) {
+        let [calls, flops] = self.products.get();
+        self.products.set([calls + 1, flops + (2 * m * n * k) as u64]);
+    }
+
+    /// Current value of a variable, row-major.
+    pub fn value(&self, v: Var) -> &[f32] {
+        self.view().get(v.0)
     }
 
     /// Shape of a variable.
     pub fn shape(&self, v: Var) -> (usize, usize) {
-        self.nodes[v.0].value.shape()
+        self.view().shape(v.0)
     }
 
     /// Number of recorded nodes (for capacity diagnostics).
@@ -246,7 +435,7 @@ impl<'p> Tape<'p> {
 
     /// Records a constant leaf (no gradient).
     pub fn constant(&mut self, m: Matrix) -> Var {
-        self.push(Op::Const, m)
+        self.record(Op::Const, m.shape(), |_, out| out.copy_from_slice(m.as_slice()))
     }
 
     /// The leaf bound to parameter `id`, recorded (one copy of the value)
@@ -257,8 +446,8 @@ impl<'p> Tape<'p> {
         if let Some(leaf) = self.leaves[id.0] {
             return leaf;
         }
-        let value = self.params.get(id).clone();
-        let leaf = self.push(Op::Param(id), value);
+        let value = self.params.get(id);
+        let leaf = self.record(Op::Param(id), value.shape(), |_, out| out.copy_from_slice(value.as_slice()));
         self.leaves[id.0] = Some(leaf);
         leaf
     }
@@ -268,35 +457,61 @@ impl<'p> Tape<'p> {
         self.leaves.iter().flatten().count()
     }
 
+    /// Elementwise `f(a, b)` over two same-shaped variables.
+    fn zip(&mut self, op: Op, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Var {
+        assert_eq!(self.shape(a), self.shape(b), "zip shape mismatch");
+        self.record(op, self.shape(a), |v, out| {
+            for ((o, &x), &y) in out.iter_mut().zip(v.get(a.0)).zip(v.get(b.0)) {
+                *o = f(x, y);
+            }
+        })
+    }
+
+    /// Elementwise `f(a)`.
+    fn map(&mut self, op: Op, a: Var, f: impl Fn(f32) -> f32) -> Var {
+        self.record(op, self.shape(a), |v, out| {
+            for (o, &x) in out.iter_mut().zip(v.get(a.0)) {
+                *o = f(x);
+            }
+        })
+    }
+
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = &self.nodes[a.0].value + &self.nodes[b.0].value;
-        self.push(Op::Add(a.0, b.0), v)
+        self.zip(Op::Add(a.0, b.0), a, b, |x, y| x + y)
     }
 
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = &self.nodes[a.0].value - &self.nodes[b.0].value;
-        self.push(Op::Sub(a.0, b.0), v)
+        self.zip(Op::Sub(a.0, b.0), a, b, |x, y| x - y)
     }
 
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
-        self.push(Op::Mul(a.0, b.0), v)
+        self.zip(Op::Mul(a.0, b.0), a, b, |x, y| x * y)
     }
 
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(Op::MatMul(a.0, b.0), v)
+        let ((m, k), (k2, n)) = (self.shape(a), self.shape(b));
+        assert_eq!(k, k2, "matmul inner dims: {m}x{k} · {k2}x{n}");
+        self.count(m, n, k);
+        self.record(Op::MatMul(a.0, b.0), (m, n), |v, out| {
+            gemm_into(Layout::Nn, (m, n, k), v.get(a.0), v.get(b.0), None, Activation::Identity, false, out);
+        })
     }
 
     /// `a` (m×n) plus bias row `b` (1×n) broadcast over rows.
     pub fn add_bias(&mut self, a: Var, b: Var) -> Var {
-        let v = self.nodes[a.0].value.add_row_broadcast(&self.nodes[b.0].value);
-        self.push(Op::AddBias(a.0, b.0), v)
+        let (m, n) = self.shape(a);
+        assert_eq!(self.shape(b), (1, n), "broadcast expects a row vector as wide as the matrix");
+        self.record(Op::AddBias(a.0, b.0), (m, n), |v, out| {
+            for (o_row, a_row) in out.chunks_exact_mut(n).zip(v.get(a.0).chunks_exact(n)) {
+                for ((o, &x), &bias) in o_row.iter_mut().zip(a_row).zip(v.get(b.0)) {
+                    *o = x + bias;
+                }
+            }
+        })
     }
 
     pub fn scale(&mut self, a: Var, alpha: f32) -> Var {
-        let v = self.nodes[a.0].value.scale(alpha);
-        self.push(Op::Scale(a.0, alpha), v)
+        self.map(Op::Scale(a.0, alpha), a, |x| alpha * x)
     }
 
     /// `Σ alpha_k · part_k` as one node: the value and the gradients of
@@ -305,90 +520,135 @@ impl<'p> Tape<'p> {
     /// hands each part `g · alpha_k`, last part first.
     pub fn weighted_sum(&mut self, parts: &[(Var, f32)]) -> Var {
         let (&(first, alpha), rest) = parts.split_first().expect("weighted_sum of no parts");
-        let mut v = self.nodes[first.0].value.scale(alpha);
-        for &(part, alpha) in rest {
-            v.add_scaled(&self.nodes[part.0].value, alpha);
-        }
-        self.push(Op::WeightedSum(parts.iter().map(|&(p, alpha)| (p.0, alpha)).collect()), v)
+        let shape = self.shape(first);
+        assert!(rest.iter().all(|&(p, _)| self.shape(p) == shape), "weighted_sum shape mismatch");
+        let start = self.sums.len();
+        self.sums.extend(parts.iter().map(|&(p, alpha)| (p.0, alpha)));
+        self.record(Op::WeightedSum(start, self.sums.len()), shape, |v, out| {
+            for (o, &x) in out.iter_mut().zip(v.get(first.0)) {
+                *o = alpha * x;
+            }
+            for &(part, alpha) in rest {
+                for (o, &x) in out.iter_mut().zip(v.get(part.0)) {
+                    *o += alpha * x;
+                }
+            }
+        })
     }
 
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(pddl_tensor::activation::sigmoid);
-        self.push(Op::Sigmoid(a.0), v)
+        self.map(Op::Sigmoid(a.0), a, pddl_tensor::activation::sigmoid)
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(pddl_tensor::activation::tanh);
-        self.push(Op::Tanh(a.0), v)
+        self.map(Op::Tanh(a.0), a, pddl_tensor::activation::tanh)
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.map(|x| x.max(0.0));
-        self.push(Op::Relu(a.0), v)
+        self.map(Op::Relu(a.0), a, |x| x.max(0.0))
+    }
+
+    /// Records `parts` in the part list of a concatenation node.
+    fn list(&mut self, parts: &[Var]) -> (usize, usize) {
+        assert!(!parts.is_empty(), "concatenation of no parts");
+        let start = self.parts.len();
+        self.parts.extend(parts.iter().map(|p| p.0));
+        (start, self.parts.len())
     }
 
     /// Column-wise concatenation of variables with equal row counts.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let mats: Vec<&Matrix> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
-        let v = Matrix::hstack(&mats);
-        self.push(Op::ConcatCols(parts.iter().map(|p| p.0).collect()), v)
+        let rows = self.shape(parts[0]).0;
+        assert!(parts.iter().all(|&p| self.shape(p).0 == rows), "hstack height mismatch");
+        let cols = parts.iter().map(|&p| self.shape(p).1).sum();
+        let (start, end) = self.list(parts);
+        self.record(Op::ConcatCols(start, end), (rows, cols), |v, out| {
+            let mut offset = 0;
+            for &p in parts {
+                let w = v.shape(p.0).1;
+                for (r, src) in v.get(p.0).chunks_exact(w.max(1)).enumerate().take(rows) {
+                    out[r * cols + offset..][..w].copy_from_slice(&src[..w]);
+                }
+                offset += w;
+            }
+        })
     }
 
     /// Extracts rows `[start, end)`.
     pub fn slice_rows(&mut self, a: Var, start: usize, end: usize) -> Var {
-        let src = &self.nodes[a.0].value;
-        let h = src.rows();
+        let (h, cols) = self.shape(a);
         assert!(start <= end && end <= h, "slice_rows out of range");
-        let out = src.slice_rows(start, end);
-        self.push(Op::SliceRows(a.0, start, end, h), out)
+        self.record(Op::SliceRows(a.0, start), (end - start, cols), |v, out| {
+            out.copy_from_slice(&v.get(a.0)[start * cols..end * cols]);
+        })
     }
 
     /// Row-wise (vertical) concatenation of variables with equal widths.
     pub fn concat_rows(&mut self, parts: &[Var]) -> Var {
-        let mats: Vec<&Matrix> = parts.iter().map(|p| &self.nodes[p.0].value).collect();
-        let v = Matrix::vstack(&mats);
-        self.push(Op::ConcatRows(parts.iter().map(|p| p.0).collect()), v)
+        let cols = self.shape(parts[0]).1;
+        assert!(parts.iter().all(|&p| self.shape(p).1 == cols), "vstack width mismatch");
+        let rows = parts.iter().map(|&p| self.shape(p).0).sum();
+        let (start, end) = self.list(parts);
+        self.record(Op::ConcatRows(start, end), (rows, cols), |v, out| {
+            let mut offset = 0;
+            for &p in parts {
+                let part = v.get(p.0);
+                out[offset..offset + part.len()].copy_from_slice(part);
+                offset += part.len();
+            }
+        })
     }
 
     /// Mean over all entries → scalar (1×1).
     pub fn mean(&mut self, a: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.nodes[a.0].value.mean());
-        self.push(Op::Mean(a.0), v)
+        self.record(Op::Mean(a.0), (1, 1), |v, out| {
+            let x = v.get(a.0);
+            out[0] = if x.is_empty() { 0.0 } else { x.iter().sum::<f32>() / x.len() as f32 };
+        })
     }
 
     /// Sum over all entries → scalar (1×1).
     pub fn sum(&mut self, a: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.nodes[a.0].value.sum());
-        self.push(Op::Sum(a.0), v)
+        self.record(Op::Sum(a.0), (1, 1), |v, out| out[0] = v.get(a.0).iter().sum())
     }
 
     /// Column-wise mean over rows → 1×n. Used as the GHN graph readout.
     pub fn mean_rows(&mut self, a: Var) -> Var {
-        let v = self.nodes[a.0].value.mean_rows();
-        self.push(Op::MeanRows(a.0), v)
+        let (rows, cols) = self.shape(a);
+        self.record(Op::MeanRows(a.0), (1, cols), |v, out| {
+            for row in v.get(a.0).chunks_exact(cols.max(1)) {
+                for (o, &x) in out.iter_mut().zip(row) {
+                    *o += x;
+                }
+            }
+            if rows > 0 {
+                let scale = 1.0 / rows as f32;
+                out.iter_mut().for_each(|o| *o *= scale);
+            }
+        })
     }
 
     /// Mean-squared-error loss between prediction and target → scalar.
     pub fn mse_loss(&mut self, pred: Var, target: Var) -> Var {
-        let p = &self.nodes[pred.0].value;
-        let t = &self.nodes[target.0].value;
-        assert_eq!(p.shape(), t.shape(), "mse shape mismatch");
-        let diff = p - t;
-        let v = Matrix::filled(1, 1, diff.sq_norm() / p.len() as f32);
-        self.push(Op::MseLoss(pred.0, target.0), v)
+        assert_eq!(self.shape(pred), self.shape(target), "mse shape mismatch");
+        self.record(Op::MseLoss(pred.0, target.0), (1, 1), |v, out| {
+            let (p, t) = (v.get(pred.0), v.get(target.0));
+            let sq: f32 = p.iter().zip(t).map(|(p, t)| p - t).map(|d| d * d).sum();
+            out[0] = sq / p.len() as f32;
+        })
     }
 
     /// Row-wise L2 normalization (each row scaled to unit norm, eps-guarded).
     pub fn row_l2_norm(&mut self, a: Var) -> Var {
-        let src = &self.nodes[a.0].value;
-        let mut out = src.clone();
-        for r in 0..out.rows() {
-            let norm = norm_eps(src.row(r));
-            for x in out.row_mut(r) {
-                *x /= norm;
+        let cols = self.shape(a).1;
+        self.record(Op::RowL2Norm(a.0), self.shape(a), |v, out| {
+            for (o_row, row) in out.chunks_exact_mut(cols.max(1)).zip(v.get(a.0).chunks_exact(cols.max(1))) {
+                let norm = norm_eps(row);
+                for (o, &x) in o_row.iter_mut().zip(row) {
+                    *o = x / norm;
+                }
             }
-        }
-        self.push(Op::RowL2Norm(a.0), out)
+        })
     }
 
     /// Affine layer `x · w + b` with `b` broadcast — recorded as one
@@ -397,16 +657,23 @@ impl<'p> Tape<'p> {
         self.affine_act(x, w, b, Activation::Identity)
     }
 
+    /// `m×k · k×n` inner dimensions and a `1×n` bias, checked.
+    fn affine_dims(&self, x: Var, w: Var, b: Var) -> (usize, usize, usize) {
+        let ((m, k), (k2, n)) = (self.shape(x), self.shape(w));
+        assert_eq!(k, k2, "matmul inner dims: {m}x{k} · {k2}x{n}");
+        assert_eq!(self.shape(b), (1, n), "bias must be a 1x{n} row vector");
+        (m, n, k)
+    }
+
     /// Fused `act(x · w + b)`: bias add and activation run in the GEMM
     /// epilogue, and the tape records a single node whose backward reuses
     /// the stored output for the activation derivative.
     pub fn affine_act(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
-        let v = self.nodes[x.0].value.matmul_bias_act(
-            &self.nodes[w.0].value,
-            &self.nodes[b.0].value,
-            act,
-        );
-        self.push(Op::AffineAct(x.0, w.0, b.0, act), v)
+        let (m, n, k) = self.affine_dims(x, w, b);
+        self.count(m, n, k);
+        self.record(Op::AffineAct(x.0, w.0, b.0, act), (m, n), |v, out| {
+            gemm_into(Layout::Nn, (m, n, k), v.get(x.0), v.get(w.0), Some(v.get(b.0)), act, false, out);
+        })
     }
 
     /// Fused two-operand affine `act(x·w + h·u + b)` — the recurrent gate
@@ -414,243 +681,478 @@ impl<'p> Tape<'p> {
     /// activation) the unfused construction records, with no intermediate
     /// matrices: the second GEMM accumulates into the first's output.
     pub fn affine2(&mut self, x: Var, w: Var, h: Var, u: Var, b: Var, act: Activation) -> Var {
-        let mut v = self
-            .nodes[x.0]
-            .value
-            .matmul_bias(&self.nodes[w.0].value, &self.nodes[b.0].value);
-        self.nodes[h.0]
-            .value
-            .matmul_acc_act(&self.nodes[u.0].value, &mut v, act);
-        self.push(Op::Affine2 { x: x.0, w: w.0, h: h.0, u: u.0, b: b.0, act }, v)
+        let (m, n, k) = self.affine_dims(x, w, b);
+        let (hk, un) = (self.shape(h).1, self.shape(u).1);
+        assert_eq!((self.shape(h).0, self.shape(u).0, un), (m, hk, n), "affine2 second operand shape mismatch");
+        self.count(m, n, k);
+        self.count(m, n, hk);
+        let op = Op::Affine2 { x: x.0, w: w.0, h: h.0, u: u.0, b: b.0, act };
+        self.record(op, (m, n), |v, out| {
+            let id = Activation::Identity;
+            gemm_into(Layout::Nn, (m, n, k), v.get(x.0), v.get(w.0), Some(v.get(b.0)), id, false, out);
+            gemm_into(Layout::Nn, (m, n, hk), v.get(h.0), v.get(u.0), None, act, true, out);
+        })
     }
 
     /// Scalar value of a 1×1 variable.
     pub fn scalar(&self, v: Var) -> f32 {
-        let m = self.value(v);
-        assert_eq!(m.shape(), (1, 1), "scalar() on non-scalar variable");
-        m[(0, 0)]
+        assert_eq!(self.shape(v), (1, 1), "scalar() on non-scalar variable");
+        self.value(v)[0]
     }
 
     /// Runs the backward pass from a scalar `loss` (must be 1×1), returning
     /// gradients for every parameter leaf that participated.
+    ///
+    /// A node's gradient is written by its first writer and added to by the
+    /// later ones, in reverse tape order: for each element, the first
+    /// contribution itself and then one rounded add per later one, so even
+    /// the sign of a zero is that of the sum of the separate gradients. A
+    /// node that reaches no parameter receives nothing.
     pub fn backward(&self, loss: Var) -> Gradients {
-        assert_eq!(
-            self.nodes[loss.0].value.shape(),
-            (1, 1),
-            "backward() requires a scalar loss"
-        );
-        let mut grads: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Matrix::ones(1, 1));
+        assert_eq!(self.shape(loss), (1, 1), "backward() requires a scalar loss");
+        let v = self.view();
+        // Not zeroed: what an earlier pass left in a slot is overwritten by
+        // the slot's first writer before anything reads it.
+        let mut grads = self.grads.take();
+        if grads.capacity() < self.size {
+            drop(grads);
+            grads = Vec::with_capacity(self.size);
+        }
+        grads.resize(self.size, 0.0);
+        let mut writes = vec![0u32; self.nodes.len()];
+        let (mut sliced, mut scratch, mut dpre) = (Vec::new(), Vec::new(), Vec::new());
+        let mut queues: Vec<Queue> = self.params.ids().map(|_| Queue::default()).collect();
+        let mut transposed = Transposed { data: Vec::new(), at: vec![None; self.params.len()], scratch: Vec::new() };
+        grads[self.nodes[loss.0].at] = 1.0;
+        writes[loss.0] = 1;
         let mut out = Gradients { by_param: vec![None; self.params.len()] };
 
-        for i in (0..self.nodes.len()).rev() {
-            let g = match grads[i].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            match &self.nodes[i].op {
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            if writes[i] == 0 || !node.grad {
+                continue;
+            }
+            let (below, here) = grads.split_at_mut(node.at);
+            let g = &mut here[..node.len()];
+            if writes[i] & SLICED != 0 {
+                settle_rows(g, node.cols, writes[i] & !SLICED, &sliced_rows(&mut sliced, i)[..]);
+            }
+            if let Op::Param(id) = node.op {
+                queues[id.0].flush(g);
+            }
+            let g = &*g;
+            let (rows, cols) = (node.rows, node.cols);
+            let mut s = Sink { nodes: &self.nodes, grads: below, writes: &mut writes[..i], sliced: &mut sliced, queues: &mut queues };
+            match node.op {
                 Op::Const => {}
                 // The parameter's only leaf: every use has added to `g`.
-                Op::Param(id) => out.by_param[id.0] = Some(g),
+                Op::Param(id) => out.by_param[id.0] = Some(Matrix::from_vec(rows, cols, g.to_vec())),
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, g.clone());
-                    accumulate(&mut grads, *b, g);
+                    s.put(a, g.iter().copied());
+                    s.put(b, g.iter().copied());
                 }
                 Op::Sub(a, b) => {
-                    let neg = g.scale(-1.0);
-                    accumulate(&mut grads, *a, g);
-                    accumulate(&mut grads, *b, neg);
+                    s.put(a, g.iter().copied());
+                    s.put(b, g.iter().map(|&x| -x));
                 }
                 Op::Mul(a, b) => {
-                    let ga = g.hadamard(&self.nodes[*b].value);
-                    let gb = g.hadamard(&self.nodes[*a].value);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
+                    s.put(a, g.iter().zip(v.get(b)).map(|(&g, &y)| g * y));
+                    s.put(b, g.iter().zip(v.get(a)).map(|(&g, &x)| g * x));
                 }
                 Op::MatMul(a, b) => {
-                    // d/dA (A·B) = G · Bᵀ ; d/dB = Aᵀ · G. Both run on the
-                    // packed kernel with the transpose absorbed in packing.
-                    let ga = g.matmul_nt(&self.nodes[*b].value);
-                    let gb = self.nodes[*a].value.t_matmul(&g);
-                    accumulate(&mut grads, *a, ga);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::AddBias(a, b) => {
-                    let gb = g.sum_rows();
-                    accumulate(&mut grads, *a, g);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::AffineAct(x, w, b, act) => {
-                    let dpre = if *act == Activation::Identity {
-                        g
-                    } else {
-                        let y = &self.nodes[i].value;
-                        g.zip(y, |gi, yi| gi * act.grad_from_output(yi))
-                    };
-                    let gx = dpre.matmul_nt(&self.nodes[*w].value);
-                    let gb = dpre.sum_rows();
-                    accumulate(&mut grads, *x, gx);
-                    accumulate_t_matmul(&mut grads, *w, &self.nodes[*x].value, &dpre);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Affine2 { x, w, h, u, b, act } => {
-                    let dpre = if *act == Activation::Identity {
-                        g
-                    } else {
-                        let y = &self.nodes[i].value;
-                        g.zip(y, |gi, yi| gi * act.grad_from_output(yi))
-                    };
-                    let gx = dpre.matmul_nt(&self.nodes[*w].value);
-                    let gh = dpre.matmul_nt(&self.nodes[*u].value);
-                    let gb = dpre.sum_rows();
-                    accumulate(&mut grads, *x, gx);
-                    accumulate_t_matmul(&mut grads, *w, &self.nodes[*x].value, &dpre);
-                    accumulate(&mut grads, *h, gh);
-                    accumulate_t_matmul(&mut grads, *u, &self.nodes[*h].value, &dpre);
-                    accumulate(&mut grads, *b, gb);
-                }
-                Op::Scale(a, alpha) => {
-                    let ga = g.scale(*alpha);
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::WeightedSum(parts) => {
-                    for &(p, alpha) in parts.iter().rev() {
-                        accumulate(&mut grads, p, g.scale(alpha));
+                    // d/dA (A·B) = G · Bᵀ ; d/dB = Aᵀ · G.
+                    let (k, n) = v.shape(b);
+                    if let Some((first, slot)) = s.slot(a) {
+                        self.count(rows, k, n);
+                        product(first, slot, &mut scratch, |o| {
+                            gemm_into(Layout::Nt, (rows, k, n), g, v.get(b), None, Activation::Identity, false, o);
+                        });
+                    }
+                    if let Some((first, slot)) = s.slot(b) {
+                        self.weight_grad(first, slot, &mut scratch, v.get(a), g, (k, n, rows));
                     }
                 }
-                Op::Sigmoid(a) => {
-                    // y' = y (1 - y), using the stored output value.
-                    let y = &self.nodes[i].value;
-                    let ga = g.zip(y, |gi, yi| gi * yi * (1.0 - yi));
-                    accumulate(&mut grads, *a, ga);
+                Op::AddBias(a, b) => {
+                    s.put(a, g.iter().copied());
+                    if let Some((first, slot)) = s.slot(b) {
+                        product(first, slot, &mut scratch, |o| sum_rows(g, o));
+                    }
                 }
-                Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let ga = g.zip(y, |gi, yi| gi * (1.0 - yi * yi));
-                    accumulate(&mut grads, *a, ga);
+                Op::AffineAct(x, w, b, act) => {
+                    let d = pre_activation(g, v.get(i), act, &mut dpre);
+                    self.affine_backward(&mut s, [x, w], d, rows, &mut transposed, &mut scratch);
+                    if let Some((first, slot)) = s.slot(b) {
+                        product(first, slot, &mut scratch, |o| sum_rows(d, o));
+                    }
                 }
-                Op::Relu(a) => {
-                    let x = &self.nodes[*a].value;
-                    let ga = g.zip(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                    accumulate(&mut grads, *a, ga);
+                Op::Affine2 { x, w, h, u, b, act } => {
+                    let d = pre_activation(g, v.get(i), act, &mut dpre);
+                    self.affine_backward(&mut s, [x, w], d, rows, &mut transposed, &mut scratch);
+                    self.affine_backward(&mut s, [h, u], d, rows, &mut transposed, &mut scratch);
+                    if let Some((first, slot)) = s.slot(b) {
+                        product(first, slot, &mut scratch, |o| sum_rows(d, o));
+                    }
                 }
-                Op::ConcatCols(parts) => {
+                Op::Scale(a, alpha) => s.put(a, g.iter().map(|&x| alpha * x)),
+                Op::WeightedSum(start, end) => {
+                    for &(p, alpha) in self.sums[start..end].iter().rev() {
+                        s.put(p, g.iter().map(|&x| alpha * x));
+                    }
+                }
+                Op::Sigmoid(a) => s.put(a, g.iter().zip(v.get(i)).map(|(&gi, &yi)| gi * yi * (1.0 - yi))),
+                Op::Tanh(a) => s.put(a, g.iter().zip(v.get(i)).map(|(&gi, &yi)| gi * (1.0 - yi * yi))),
+                Op::Relu(a) => s.put(a, g.iter().zip(v.get(a)).map(|(&gi, &xi)| if xi > 0.0 { gi } else { 0.0 })),
+                Op::ConcatCols(start, end) => {
                     let mut offset = 0;
-                    for &p in parts {
-                        let w = self.nodes[p].value.cols();
-                        let rows = self.nodes[p].value.rows();
-                        let mut gp = Matrix::zeros(rows, w);
-                        for r in 0..rows {
-                            gp.row_mut(r)
-                                .copy_from_slice(&g.row(r)[offset..offset + w]);
-                        }
-                        accumulate(&mut grads, p, gp);
+                    for &p in &self.parts[start..end] {
+                        let w = v.shape(p).1;
+                        s.put(p, (0..rows).flat_map(|r| &g[r * cols + offset..][..w]).copied());
                         offset += w;
                     }
                 }
-                Op::SliceRows(a, start, _end, h) => {
-                    let cols = g.cols();
-                    let mut ga = Matrix::zeros(*h, cols);
-                    for r in 0..g.rows() {
-                        ga.row_mut(start + r).copy_from_slice(g.row(r));
+                // Only the parent's own rows: a zero-padded copy of the
+                // whole parent per slice made the GHN's per-node slices
+                // quadratic in the node count.
+                Op::SliceRows(a, start) => {
+                    if let Some((first, slot)) = s.rows(a, start, start + rows) {
+                        put(first, slot, g.iter().copied());
                     }
-                    accumulate(&mut grads, *a, ga);
                 }
-                Op::ConcatRows(parts) => {
+                Op::ConcatRows(start, end) => {
                     let mut offset = 0;
-                    for &p in parts {
-                        let h = self.nodes[p].value.rows();
-                        let gp = g.slice_rows(offset, offset + h);
-                        accumulate(&mut grads, p, gp);
-                        offset += h;
+                    for &p in &self.parts[start..end] {
+                        let len = v.get(p).len();
+                        s.put(p, g[offset..offset + len].iter().copied());
+                        offset += len;
                     }
                 }
                 Op::Mean(a) => {
-                    let (r, c) = self.nodes[*a].value.shape();
-                    let ga = Matrix::filled(r, c, g[(0, 0)] / (r * c) as f32);
-                    accumulate(&mut grads, *a, ga);
+                    let len = v.get(a).len();
+                    s.put(a, std::iter::repeat_n(g[0] / len as f32, len));
                 }
-                Op::Sum(a) => {
-                    let (r, c) = self.nodes[*a].value.shape();
-                    let ga = Matrix::filled(r, c, g[(0, 0)]);
-                    accumulate(&mut grads, *a, ga);
-                }
+                Op::Sum(a) => s.put(a, std::iter::repeat_n(g[0], v.get(a).len())),
                 Op::MeanRows(a) => {
-                    let (r, c) = self.nodes[*a].value.shape();
-                    let mut ga = Matrix::zeros(r, c);
+                    let r = v.shape(a).0;
                     let scale = 1.0 / r as f32;
-                    for row in 0..r {
-                        for (x, &gv) in ga.row_mut(row).iter_mut().zip(g.row(0)) {
-                            *x = gv * scale;
-                        }
-                    }
-                    accumulate(&mut grads, *a, ga);
+                    s.put(a, (0..r).flat_map(|_| g.iter().map(move |&gv| gv * scale)));
                 }
                 Op::MseLoss(p, t) => {
-                    let pv = &self.nodes[*p].value;
-                    let tv = &self.nodes[*t].value;
-                    let scale = 2.0 * g[(0, 0)] / pv.len() as f32;
-                    let gp = pv.zip(tv, |pi, ti| scale * (pi - ti));
-                    let gt = gp.scale(-1.0);
-                    accumulate(&mut grads, *p, gp);
-                    accumulate(&mut grads, *t, gt);
+                    let (pv, tv) = (v.get(p), v.get(t));
+                    let scale = 2.0 * g[0] / pv.len() as f32;
+                    let gp = pv.iter().zip(tv).map(move |(&pi, &ti)| scale * (pi - ti));
+                    s.put(p, gp.clone());
+                    s.put(t, gp.map(|x| -x));
                 }
                 Op::RowL2Norm(a) => {
                     // y = x / ||x||; dy/dx = (I - y yᵀ) / ||x|| per row.
-                    let x = &self.nodes[*a].value;
-                    let y = &self.nodes[i].value;
-                    let (r, c) = x.shape();
-                    let mut ga = Matrix::zeros(r, c);
-                    for row in 0..r {
-                        let norm = norm_eps(x.row(row));
-                        let yr = y.row(row);
-                        let gr = g.row(row);
-                        let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-                        for (j, out) in ga.row_mut(row).iter_mut().enumerate() {
-                            *out = (gr[j] - yr[j] * dot) / norm;
-                        }
+                    if let Some((first, slot)) = s.slot(a) {
+                        let rows = v.get(a).chunks_exact(cols).zip(v.get(i).chunks_exact(cols)).zip(g.chunks_exact(cols));
+                        product(first, slot, &mut scratch, |o| {
+                            for (((xr, yr), gr), or) in rows.zip(o.chunks_exact_mut(cols)) {
+                                let norm = norm_eps(xr);
+                                let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
+                                for ((o, &gj), &yj) in or.iter_mut().zip(gr).zip(yr) {
+                                    *o = (gj - yj * dot) / norm;
+                                }
+                            }
+                        });
                     }
-                    accumulate(&mut grads, *a, ga);
                 }
             }
         }
+        self.grads.set(grads);
         out
+    }
+
+    /// The gradients of `x` and `w` through the product `x·w` of an affine
+    /// node whose pre-activation gradient is `d` (`m × n`).
+    ///
+    /// `d · wᵀ` runs where `Matrix::matmul_nt` ran it: below
+    /// [`SMALL_MADDS`] on the row kernel [`dot_cols_acc`] against `w`
+    /// transposed once per pass (the same sums as the small product's one
+    /// `dot` per output), above it on the blocked product.
+    fn affine_backward(
+        &self,
+        s: &mut Sink,
+        [x, w]: [usize; 2],
+        d: &[f32],
+        m: usize,
+        transposed: &mut Transposed,
+        scratch: &mut Vec<f32>,
+    ) {
+        let v = self.view();
+        let (k, n) = v.shape(w);
+        if let Some((first, slot)) = s.slot(x) {
+            self.count(m, k, n);
+            if m * k * n < SMALL_MADDS {
+                let wt = transposed.of(v, w);
+                product(first, slot, scratch, |o| {
+                    if k > 0 {
+                        for (d_row, o_row) in d.chunks_exact(n.max(1)).zip(o.chunks_exact_mut(k)) {
+                            dot_cols_acc(&d_row[..n], wt, o_row);
+                        }
+                    }
+                });
+            } else {
+                product(first, slot, scratch, |o| {
+                    gemm_into(Layout::Nt, (m, k, n), d, v.get(w), None, Activation::Identity, false, o);
+                });
+            }
+        }
+        if m == 1 && s.queue(w, v.get(x), d) {
+            return;
+        }
+        if let Some((first, slot)) = s.slot(w) {
+            self.weight_grad(first, slot, scratch, v.get(x), d, (k, n, m));
+        }
+    }
+
+    /// Routes the weight gradient `xᵀ·d` (`k×n`, `x` is `m×k`) to the
+    /// weight's slot. A one-row `x` against a slot that already holds a
+    /// sum — every use of a shared leaf after the first — is the rank-1
+    /// update `acc[i][j] += x[i]·d[j]` in place ([`outer_acc`]: multiply,
+    /// round, add, which is what a depth-1 `Matrix::t_matmul` followed by
+    /// an add computes on every kernel backend, without the temporary);
+    /// otherwise the product is computed and routed.
+    fn weight_grad(&self, first: bool, slot: &mut [f32], scratch: &mut Vec<f32>, x: &[f32], d: &[f32], (k, n, m): (usize, usize, usize)) {
+        if first || m != 1 {
+            self.count(k, n, m);
+            product(first, slot, scratch, |o| gemm_into(Layout::Tn, (k, n, m), x, d, None, Activation::Identity, false, o));
+        } else {
+            outer_acc(1, x, d, slot);
+        }
+    }
+}
+
+/// Marks a node in the backward pass's write counts whose slot a row slice
+/// wrote into, so that its rows are tracked one by one.
+const SLICED: u32 = 1 << 31;
+
+/// One-row weight-gradient terms a parameter queues before they are added
+/// to its slot, which is then read and written once per this many uses
+/// instead of once per use.
+const QUEUED: usize = 32;
+
+/// The one-row weight-gradient terms `x ⊗ d` waiting for a parameter's
+/// slot, in the order they arrived.
+#[derive(Default)]
+struct Queue {
+    terms: usize,
+    xs: Vec<f32>,
+    ds: Vec<f32>,
+}
+
+impl Queue {
+    /// Queues `x ⊗ d`; true when the queue is full.
+    fn push(&mut self, x: &[f32], d: &[f32]) -> bool {
+        if self.terms == 0 {
+            self.xs.reserve_exact(QUEUED * x.len());
+            self.ds.reserve_exact(QUEUED * d.len());
+        }
+        self.xs.extend_from_slice(x);
+        self.ds.extend_from_slice(d);
+        self.terms += 1;
+        self.terms == QUEUED
+    }
+
+    /// Adds the waiting terms to `slot`, one after another as if each had
+    /// been added on arrival, and empties the queue.
+    fn flush(&mut self, slot: &mut [f32]) {
+        outer_acc(self.terms, &self.xs, &self.ds, slot);
+        self.terms = 0;
+        self.xs.clear();
+        self.ds.clear();
+    }
+}
+
+/// Where a backward step writes its parents' gradients: the slots below the
+/// node's own (parents are always recorded first), how many writers each
+/// has had, the rows of the slots that slices wrote into, and the terms
+/// the parameters' slots have queued.
+struct Sink<'a> {
+    nodes: &'a [Node],
+    grads: &'a mut [f32],
+    writes: &'a mut [u32],
+    /// Per sliced node, the writer that last touched each row (0: none).
+    sliced: &'a mut Vec<(usize, Vec<u32>)>,
+    /// By [`ParamId`].
+    queues: &'a mut [Queue],
+}
+
+impl Sink<'_> {
+    /// `p`'s whole slot for its next writer, and whether that writer is the
+    /// first; `None` if `p` reaches no parameter.
+    fn slot(&mut self, p: usize) -> Option<(bool, &mut [f32])> {
+        let rows = self.nodes[p].rows;
+        self.rows(p, 0, rows)
+    }
+
+    /// Routes `values` into `p`'s slot: written by the first writer, added
+    /// by the later ones.
+    fn put(&mut self, p: usize, values: impl Iterator<Item = f32>) {
+        if let Some((first, slot)) = self.slot(p) {
+            put(first, slot, values);
+        }
+    }
+
+    /// Rows `[r0, r1)` of `p`'s slot for its next writer.
+    ///
+    /// A row slice's gradient is its parent's, zero outside the slice, and
+    /// is routed without the zeros. The first writer of a slice zeroes the
+    /// whole slot. A later writer would add `+0.0` to the rows it passes
+    /// over, which turns a `-0.0` into `+0.0` and changes nothing else; so
+    /// a row that some writer passed over since it was last written is
+    /// given that `+0.0` before it is written again, or when the slot is
+    /// read (`settle_rows`). That is the zero-padded sum, bit for bit, in
+    /// time linear in the rows written.
+    fn rows(&mut self, p: usize, r0: usize, r1: usize) -> Option<(bool, &mut [f32])> {
+        let node = &self.nodes[p];
+        if !node.grad {
+            return None;
+        }
+        if let Op::Param(id) = node.op {
+            self.queues[id.0].flush(&mut self.grads[node.range()]);
+        }
+        let (cols, writer) = (node.cols, (self.writes[p] & !SLICED) + 1);
+        let slot = &mut self.grads[node.range()];
+        let mut tracked = self.writes[p] & SLICED != 0;
+        if !tracked && (r0, r1) != (0, node.rows) {
+            if writer == 1 {
+                slot.fill(0.0);
+            }
+            self.sliced.push((p, vec![writer - 1; node.rows]));
+            tracked = true;
+        }
+        if tracked {
+            let last = sliced_rows(self.sliced, p);
+            for r in r0..r1 {
+                if 0 < last[r] && last[r] + 1 < writer {
+                    slot[r * cols..(r + 1) * cols].iter_mut().for_each(|x| *x += 0.0);
+                }
+                last[r] = writer;
+            }
+        }
+        self.writes[p] = writer | if tracked { SLICED } else { 0 };
+        Some((writer == 1, &mut slot[r0 * cols..r1 * cols]))
+    }
+
+    /// Queues the weight gradient `x ⊗ d` of a one-row `x` for parameter
+    /// leaf `w` whose slot already holds a sum and was never sliced, and
+    /// says whether it did; anything else goes through [`Sink::slot`].
+    fn queue(&mut self, w: usize, x: &[f32], d: &[f32]) -> bool {
+        let (node, writes) = (&self.nodes[w], self.writes[w]);
+        let Op::Param(id) = node.op else { return false };
+        if writes == 0 || writes & SLICED != 0 {
+            return false;
+        }
+        self.writes[w] += 1;
+        let queue = &mut self.queues[id.0];
+        if queue.push(x, d) {
+            queue.flush(&mut self.grads[node.range()]);
+        }
+        true
+    }
+}
+
+/// The per-row writers of sliced node `p`.
+fn sliced_rows(sliced: &mut [(usize, Vec<u32>)], p: usize) -> &mut Vec<u32> {
+    &mut sliced.iter_mut().rev().find(|(q, _)| *q == p).expect("a sliced node has row writers").1
+}
+
+/// Gives `+0.0` to each row of a sliced slot that a writer passed over
+/// after the row's last write (see `Sink::rows`), once all `writers` have
+/// written.
+fn settle_rows(slot: &mut [f32], cols: usize, writers: u32, last: &[u32]) {
+    for (row, &l) in slot.chunks_exact_mut(cols.max(1)).zip(last) {
+        if 0 < l && l < writers {
+            row.iter_mut().for_each(|x| *x += 0.0);
+        }
+    }
+}
+
+/// Writes `values` into `slot` for its first writer, adds them for a later
+/// one.
+fn put(first: bool, slot: &mut [f32], values: impl Iterator<Item = f32>) {
+    if first {
+        slot.iter_mut().zip(values).for_each(|(s, x)| *s = x);
+    } else {
+        slot.iter_mut().zip(values).for_each(|(s, x)| *s += x);
+    }
+}
+
+/// Routes what `fill` computes into a zeroed buffer: into `slot` itself for
+/// its first writer, through `scratch` and an add for a later one.
+fn product(first: bool, slot: &mut [f32], scratch: &mut Vec<f32>, fill: impl FnOnce(&mut [f32])) {
+    if first {
+        slot.fill(0.0);
+        fill(slot);
+    } else {
+        scratch.clear();
+        scratch.resize(slot.len(), 0.0);
+        fill(scratch);
+        put(false, slot, scratch.iter().copied());
+    }
+}
+
+/// The gradient before the activation of an affine node with output `y`:
+/// `g` itself for the identity, else `g ⊙ act'(y)` in `buf`.
+fn pre_activation<'a>(g: &'a [f32], y: &[f32], act: Activation, buf: &'a mut Vec<f32>) -> &'a [f32] {
+    if act == Activation::Identity {
+        return g;
+    }
+    buf.clear();
+    buf.extend(g.iter().zip(y).map(|(&gi, &yi)| gi * act.grad_from_output(yi)));
+    buf
+}
+
+/// Column sums of the row-major rows of `d` into the zeroed `out`, row by
+/// row (`Matrix::sum_rows`).
+fn sum_rows(d: &[f32], out: &mut [f32]) {
+    for row in d.chunks_exact(out.len().max(1)) {
+        out.iter_mut().zip(row).for_each(|(o, &x)| *o += x);
+    }
+}
+
+/// The transposes the backward pass multiplies by: each parameter's made
+/// once per pass and kept, any other weight's made per use.
+struct Transposed {
+    data: Vec<f32>,
+    /// Where each parameter's transpose starts in `data`, by [`ParamId`].
+    at: Vec<Option<usize>>,
+    scratch: Vec<f32>,
+}
+
+impl Transposed {
+    /// `wᵀ` (`n×k` for a `k×n` `w`), row-major.
+    fn of(&mut self, v: View, w: usize) -> &[f32] {
+        let ((k, n), src) = (v.shape(w), v.get(w));
+        let transpose = |dst: &mut [f32]| {
+            for (q, row) in src.chunks_exact(n.max(1)).enumerate() {
+                for (j, &x) in row.iter().enumerate() {
+                    dst[j * k + q] = x;
+                }
+            }
+        };
+        match v.nodes[w].op {
+            Op::Param(id) => {
+                let at = *self.at[id.0].get_or_insert_with(|| {
+                    let at = self.data.len();
+                    self.data.resize(at + k * n, 0.0);
+                    transpose(&mut self.data[at..]);
+                    at
+                });
+                &self.data[at..at + k * n]
+            }
+            _ => {
+                self.scratch.resize(k * n, 0.0);
+                transpose(&mut self.scratch);
+                &self.scratch
+            }
+        }
     }
 }
 
 fn norm_eps(row: &[f32]) -> f32 {
     (row.iter().map(|x| x * x).sum::<f32>().sqrt()).max(1e-6)
-}
-
-/// Routes a gradient to a node's slot, *moving* it into empty slots —
-/// every backward arm hands over an owned matrix, so first-writer nodes
-/// (the common case on tree-shaped tapes) reuse the buffer that was just
-/// computed instead of cloning it.
-fn accumulate(grads: &mut [Option<Matrix>], idx: usize, g: Matrix) {
-    match &mut grads[idx] {
-        Some(acc) => acc.add_scaled(&g, 1.0),
-        slot @ None => *slot = Some(g),
-    }
-}
-
-/// Routes the weight gradient `xᵀ·d` of an affine node to the weight's
-/// slot. A one-row `x` against a slot that already holds a sum — every use
-/// of a shared leaf after the first — is the rank-1 update
-/// `acc[i][j] += x[i]·d[j]` in place: multiply, round, add, which is what
-/// a depth-1 [`Matrix::t_matmul`] followed by [`accumulate`] computes on
-/// every kernel backend, without the temporary.
-fn accumulate_t_matmul(grads: &mut [Option<Matrix>], idx: usize, x: &Matrix, d: &Matrix) {
-    match &mut grads[idx] {
-        Some(acc) if x.rows() == 1 => {
-            assert_eq!(acc.shape(), (x.cols(), d.cols()), "weight gradient shape mismatch");
-            for (acc_row, &xi) in acc.as_mut_slice().chunks_exact_mut(d.cols()).zip(x.row(0)) {
-                for (a, &dj) in acc_row.iter_mut().zip(d.row(0)) {
-                    *a += xi * dj;
-                }
-            }
-        }
-        _ => accumulate(grads, idx, x.t_matmul(d)),
-    }
 }
 
 /// Finite-difference gradient check for a scalar function of the parameter
@@ -763,7 +1265,7 @@ mod tests {
                 let xv = tape.constant(x.clone());
                 let (wv, bv) = (tape.param(w), tape.param(b));
                 let y = tape.affine_act(xv, wv, bv, act);
-                tape.value(y).clone()
+                tape.value(y).to_vec()
             };
             let unfused = {
                 let mut tape = Tape::new(&ps);
@@ -777,9 +1279,9 @@ mod tests {
                     Activation::Tanh => tape.tanh(pre),
                     Activation::Sigmoid => tape.sigmoid(pre),
                 };
-                tape.value(y).clone()
+                tape.value(y).to_vec()
             };
-            for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
+            for (f, u) in fused.iter().zip(&unfused) {
                 assert!((f - u).abs() <= 1e-5 * u.abs().max(1.0), "{act:?}: {f} vs {u}");
             }
             let err = gradient_check(
@@ -814,7 +1316,7 @@ mod tests {
                 let hv = tape.constant(h.clone());
                 let (wv, uv, bv) = (tape.param(w), tape.param(u), tape.param(b));
                 let y = tape.affine2(xv, wv, hv, uv, bv, act);
-                tape.value(y).clone()
+                tape.value(y).to_vec()
             };
             let unfused = {
                 let mut tape = Tape::new(&ps);
@@ -831,9 +1333,9 @@ mod tests {
                     Activation::Tanh => tape.tanh(pre),
                     Activation::Sigmoid => tape.sigmoid(pre),
                 };
-                tape.value(y).clone()
+                tape.value(y).to_vec()
             };
-            for (f, un) in fused.as_slice().iter().zip(unfused.as_slice()) {
+            for (f, un) in fused.iter().zip(&unfused) {
                 assert!((f - un).abs() <= 1e-5 * un.abs().max(1.0), "{act:?}: {f} vs {un}");
             }
             let err = gradient_check(
@@ -985,8 +1487,8 @@ mod tests {
         assert_eq!((tape.len(), tape.param_leaves()), (2, 2));
     }
 
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    fn bits(m: &[f32]) -> Vec<u32> {
+        m.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -998,12 +1500,15 @@ mod tests {
         let held = Matrix::rand_normal(6, 5, 1.0, &mut rng);
         let mut want = held.clone();
         want.add_scaled(&x.t_matmul(&d), 1.0);
-        let mut grads = vec![Some(held), None];
-        accumulate_t_matmul(&mut grads, 0, &x, &d);
-        assert_eq!(bits(grads[0].as_ref().unwrap()), bits(&want));
-        // An empty slot takes the product itself.
-        accumulate_t_matmul(&mut grads, 1, &x, &d);
-        assert_eq!(bits(grads[1].as_ref().unwrap()), bits(&x.t_matmul(&d)));
+        let mut acc = held.clone();
+        outer_acc(1, x.as_slice(), d.as_slice(), acc.as_mut_slice());
+        assert_eq!(bits(acc.as_slice()), bits(want.as_slice()));
+        // The first writer of a weight's slot takes the product itself.
+        let mut slot = vec![f32::NAN; 30];
+        let ps = ParamStore::default();
+        let tape = Tape::new(&ps);
+        tape.weight_grad(true, &mut slot, &mut Vec::new(), x.as_slice(), d.as_slice(), (6, 5, 1));
+        assert_eq!(bits(&slot), bits(x.t_matmul(&d).as_slice()));
     }
 
     #[test]
@@ -1036,7 +1541,7 @@ mod tests {
         assert_eq!(fused_value, chain_value);
         for &id in &ids {
             let (fused, chain) = (fused.get(id).unwrap(), chain.get(id).unwrap());
-            assert_eq!(bits(fused), bits(chain), "{}", ps.name(id));
+            assert_eq!(bits(fused.as_slice()), bits(chain.as_slice()), "{}", ps.name(id));
         }
     }
 
@@ -1115,6 +1620,38 @@ mod tests {
             12,
         );
         assert!(err < 2e-2, "err={err}");
+    }
+
+    /// Row slices route their gradients to their own rows only, yet the
+    /// parent's gradient has the bits of the zero-padded slices summed:
+    /// a row that a later slice passes over is given that slice's `+0.0`,
+    /// which turns a `-0.0` into `+0.0`.
+    #[test]
+    fn sliced_gradients_keep_the_zero_signs_of_zero_padded_ones() {
+        let mut ps = ParamStore::new();
+        let p = ps.register("p", Matrix::from_rows(&[&[1.0], &[2.0]]));
+        // `signs[k]` scales slice `k`'s sum: its gradient is `signs[k]`.
+        let run = |rows: &[usize], signs: &[f32]| {
+            let mut tape = Tape::new(&ps);
+            let pv = tape.param(p);
+            let slices: Vec<Var> = rows.iter().map(|&r| tape.slice_rows(pv, r, r + 1)).collect();
+            let parts: Vec<Var> = slices
+                .iter()
+                .zip(signs)
+                .map(|(&sl, &sign)| {
+                    let c = tape.constant(Matrix::filled(1, 1, sign));
+                    let m = tape.mul(sl, c);
+                    tape.sum(m)
+                })
+                .collect();
+            let loss = parts[1..].iter().fold(parts[0], |acc, &part| tape.add(acc, part));
+            bits(tape.backward(loss).get(p).unwrap().as_slice())
+        };
+        // Backward order is C, B, A: C writes row 0 first with -0.0, B
+        // passes over it (+0.0), A adds -0.0: +0.0 + -0.0 = +0.0.
+        assert_eq!(run(&[0, 1, 0], &[-0.0, 1.0, -0.0]), bits(&[0.0, 1.0]));
+        // B writes row 1 first with -0.0, A passes over it (+0.0).
+        assert_eq!(run(&[0, 1], &[1.0, -0.0]), bits(&[1.0, 0.0]));
     }
 
     #[test]

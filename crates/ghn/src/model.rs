@@ -511,8 +511,8 @@ mod tests {
             let mut tape = Tape::new(&enc.ps);
             let traced = ghn.embed_traced(&mut tape, g, &sched);
             let tv = tape.value(traced);
-            assert_eq!(tv.cols(), fast.len());
-            for (a, b) in tv.row(0).iter().zip(&fast) {
+            assert_eq!(tape.shape(traced), (1, fast.len()));
+            for (a, b) in tv.iter().zip(&fast) {
                 let t = enc.cfg.t_passes;
                 assert!((a - b).abs() < 1e-4, "{} T={t}: traced {a} vs fast {b}", g.name);
             }
@@ -541,7 +541,7 @@ mod tests {
             let mut tape = Tape::new(&ghn.encoder.ps);
             let x = tape.constant(Matrix::from_vec(1, e.len(), e.clone()));
             let traced = ghn.decode_traced(&mut tape, x);
-            for (a, b) in tape.value(traced).row(0).iter().zip(&fast) {
+            for (a, b) in tape.value(traced).iter().zip(&fast) {
                 assert!((a - b).abs() <= 1e-5, "{act:?}: traced {a} vs fast {b}");
             }
         }

@@ -9,7 +9,7 @@
 
 use crate::model::{decoder_targets, Ghn, Schedule, TARGET_DIM};
 use crate::synth::SynthGenerator;
-use pddl_autodiff::{Adam, Tape};
+use pddl_autodiff::{Adam, Tape, TapeBuffers};
 use pddl_graph::CompGraph;
 use pddl_tensor::{Matrix, Rng};
 
@@ -91,6 +91,9 @@ impl GhnTrainer {
         let mut rng = Rng::new(self.cfg.seed);
         let mut opt = Adam::new(self.cfg.lr);
         let mut epoch_losses = Vec::with_capacity(self.cfg.epochs);
+        // One step's tape buffers for the next: after the largest batch the
+        // steps allocate none, and they are freed when training returns.
+        let mut buffers = TapeBuffers::default();
 
         for _epoch in 0..self.cfg.epochs {
             rng.shuffle(&mut order);
@@ -98,7 +101,7 @@ impl GhnTrainer {
             let mut steps = 0usize;
             for batch in order.chunks(self.cfg.batch_size) {
                 let (loss_value, mut grads) = {
-                    let mut tape = Tape::new(&ghn.encoder.ps);
+                    let mut tape = Tape::with_buffers(&ghn.encoder.ps, std::mem::take(&mut buffers));
                     let mut losses = Vec::with_capacity(batch.len());
                     for &gi in batch {
                         let emb = ghn.embed_traced(&mut tape, &graphs[gi], &schedules[gi]);
@@ -112,8 +115,9 @@ impl GhnTrainer {
                     }
                     let stacked = tape.concat_cols(&losses);
                     let loss = tape.mean(stacked);
-                    let value = tape.scalar(loss);
-                    (value, tape.backward(loss))
+                    let (value, grads) = (tape.scalar(loss), tape.backward(loss));
+                    buffers = tape.into_buffers();
+                    (value, grads)
                 };
                 grads.clip_global_norm(self.cfg.clip_norm);
                 opt.step(&mut ghn.encoder.ps, &grads);

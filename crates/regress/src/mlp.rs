@@ -6,7 +6,7 @@
 
 use crate::scale::StandardScaler;
 use crate::Regressor;
-use pddl_autodiff::{Adam, Mlp, ParamStore, Tape};
+use pddl_autodiff::{Adam, Mlp, ParamStore, Tape, TapeBuffers};
 use pddl_telemetry::json::{FromJson, JsonError, JsonValue, JsonWriter, ToJson};
 use pddl_tensor::{Activation, Matrix, Rng};
 
@@ -109,14 +109,17 @@ impl Regressor for MlpRegressor {
         let mut ps = ParamStore::new();
         let net = Fitted::net(&mut ps, x.cols(), self.hidden, &mut rng);
         let mut opt = Adam::new(self.lr);
+        let mut buffers = TapeBuffers::default();
         for _ in 0..self.epochs {
             let grads = {
-                let mut tape = Tape::new(&ps);
+                let mut tape = Tape::with_buffers(&ps, std::mem::take(&mut buffers));
                 let xv = tape.constant(xs.clone());
                 let pred = net.forward(&mut tape, xv);
                 let tv = tape.constant(target.clone());
                 let loss = tape.mse_loss(pred, tv);
-                tape.backward(loss)
+                let grads = tape.backward(loss);
+                buffers = tape.into_buffers();
+                grads
             };
             opt.step(&mut ps, &grads);
         }
@@ -130,7 +133,6 @@ impl Regressor for MlpRegressor {
         let xv = tape.constant(xs);
         let pred = s.net.forward(&mut tape, xv);
         tape.value(pred)
-            .col(0)
             .iter()
             .map(|v| v * s.y_std + s.y_mean)
             .collect()

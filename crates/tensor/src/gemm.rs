@@ -195,10 +195,10 @@ pub(crate) fn with_thread_pack<R>(f: impl FnOnce(&mut PackBuffer) -> R) -> R {
     TL_PACK.with(|p| f(&mut p.borrow_mut()))
 }
 
-/// Logical orientation of the operands handed to [`gemm`]. The pack
-/// routines absorb the transpose; the microkernel never knows.
+/// Logical orientation of the operands of a product. The pack routines
+/// absorb the transpose; the microkernel never knows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Layout {
+pub enum Layout {
     /// `A (m×k) · B (k×n)`, both stored row-major as given.
     Nn,
     /// `A (m×k) · Bᵀ` where `B` is stored `n×k`.
@@ -232,15 +232,7 @@ pub fn record_products(calls: u64, flops: u64) {
     metrics.flops.add(flops);
 }
 
-/// Core dispatch: `out (m×n) (+)= op(A)·op(B)`, then `+ bias`, then
-/// `act`, choosing between the direct small-product kernels, the serial
-/// blocked path, and pool-parallel macro-tiles. The kernel set (scalar /
-/// AVX2+FMA) is resolved once per call and threaded through every
-/// inner loop, so all macro-tiles of one product use the same backend.
-///
-/// `out` must hold exactly `m*n` elements. When `accumulate` is false the
-/// output is overwritten; when true the products are added to the
-/// existing contents (the epilogue still runs last, on the sum).
+/// [`product`], counted on `tensor.gemm_calls` / `tensor.gemm_flops`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm(
     layout: Layout,
@@ -256,8 +248,36 @@ pub(crate) fn gemm(
     pack: &mut PackBuffer,
     pool: Option<&WorkPool>,
 ) {
-    debug_assert_eq!(out.len(), m * n);
     record_products(1, (2 * m * n * k) as u64);
+    product(layout, m, n, k, a, b, bias, act, accumulate, out, pack, pool);
+}
+
+/// Core dispatch: `out (m×n) (+)= op(A)·op(B)`, then `+ bias`, then
+/// `act`, choosing between the direct small-product kernels (below
+/// [`SMALL_MADDS`] multiply-adds), the serial blocked path, and
+/// pool-parallel macro-tiles. The kernel set (scalar / AVX2+FMA) is
+/// resolved once per call and threaded through every inner loop, so all
+/// macro-tiles of one product use the same backend.
+///
+/// `out` must hold exactly `m*n` elements. When `accumulate` is false the
+/// output is overwritten; when true the products are added to the
+/// existing contents (the epilogue still runs last, on the sum).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn product(
+    layout: Layout,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    act: Activation,
+    accumulate: bool,
+    out: &mut [f32],
+    pack: &mut PackBuffer,
+    pool: Option<&WorkPool>,
+) {
+    debug_assert_eq!(out.len(), m * n);
     if m == 0 || n == 0 {
         return;
     }

@@ -5,8 +5,10 @@
 //! never emits AVX or FMA instructions. This module supplies explicit
 //! implementations of the hot inner loops — the `MR×NR` microkernel, the
 //! axpy/dot primitives behind the small-product kernels and
-//! [`crate::vecmat_acc`], and the epilogue ops (bias, ReLU, and the
-//! `sigmoid` / `tanh` of [`crate::activation`]) — for:
+//! [`crate::vecmat_acc`], the training tape's row kernels
+//! ([`crate::dot_cols_acc`], [`crate::outer_acc`]), and the epilogue ops
+//! (bias, ReLU, and the `sigmoid` / `tanh` of [`crate::activation`]) —
+//! for:
 //!
 //! * **AVX2 + FMA** (x86_64), selected when `is_x86_feature_detected!`
 //!   confirms both features at first use;
@@ -37,7 +39,9 @@
 //! runs and pool sizes (the macro-tile partition is shape-only). The
 //! `sigmoid` / `tanh` row kernels are the exception that needs no
 //! tolerance: [`crate::activation`] is written without FMA, so every
-//! backend returns the bits of its scalar function.
+//! backend returns the bits of its scalar function; so is `outer_acc`,
+//! a multiply and an add per element. `dot_cols` is held to its own
+//! backend's `dot` by bits, whichever that is.
 
 use crate::gemm::{MR, NR};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,6 +82,17 @@ pub(crate) struct Kernels {
     pub vecmat: fn(&[f32], &[f32], &mut [f32]),
     /// Dot product with the 8-lane partial-sum accumulation structure.
     pub dot: fn(&[f32], &[f32]) -> f32,
+    /// `out[j] += dot(v, wt[.., j])` for a row-major `v.len() × n` `wt`
+    /// (`n = out.len()`): per output the bits of `dot` against column `j`,
+    /// eight outputs at a time. With `wt = Wᵀ` this is `v · Wᵀ` by the
+    /// sums `dot` makes against the rows of `W`, without a horizontal sum
+    /// per output.
+    pub dot_cols: fn(&[f32], &[f32], &mut [f32]),
+    /// Rank-1 updates `acc[i·n + j] += xs[q·k + i] · ds[q·n + j]` of a
+    /// `k×n` `acc`, one term `q` after another: each a multiply, a rounding
+    /// and an add — no FMA on any backend, so every backend returns the
+    /// scalar loop's bits. The first argument is the number of terms.
+    pub outer_acc: fn(usize, &[f32], &[f32], &mut [f32]),
     /// `row[i] += bias[i]` (exact regardless of backend).
     pub bias_add: fn(&mut [f32], &[f32]),
     /// `row[i] = max(row[i], 0)` (exact regardless of backend).
@@ -175,6 +190,8 @@ pub(crate) mod scalar {
         axpy,
         vecmat,
         dot,
+        dot_cols,
+        outer_acc,
         bias_add,
         relu,
         sigmoid: crate::activation::sigmoid_row,
@@ -235,6 +252,51 @@ pub(crate) mod scalar {
         acc
     }
 
+    /// [`dot`] against eight columns at once: lane `l` of column `c` is
+    /// `partial[l][c]`, summed from zero in lane order, then the tail.
+    pub(crate) fn dot_cols(v: &[f32], wt: &[f32], out: &mut [f32]) {
+        let (k, n) = (v.len(), out.len());
+        assert!(wt.len() >= k * n, "dot_cols weight slice too short");
+        let chunks = k / 8 * 8;
+        for (j, block) in out.chunks_mut(8).enumerate() {
+            let j = 8 * j;
+            let mut partial = [[0.0f32; 8]; 8];
+            for i in (0..chunks).step_by(8) {
+                for (l, lane) in partial.iter_mut().enumerate() {
+                    let (vi, row) = (v[i + l], &wt[(i + l) * n + j..][..block.len()]);
+                    for (p, &w) in lane.iter_mut().zip(row) {
+                        *p += vi * w;
+                    }
+                }
+            }
+            let mut acc = [0.0f32; 8];
+            for lane in &partial {
+                for (a, &p) in acc.iter_mut().zip(lane) {
+                    *a += p;
+                }
+            }
+            for (i, &vi) in v.iter().enumerate().skip(chunks) {
+                for (a, &w) in acc.iter_mut().zip(&wt[i * n + j..][..block.len()]) {
+                    *a += vi * w;
+                }
+            }
+            for (o, &a) in block.iter_mut().zip(&acc) {
+                *o += a;
+            }
+        }
+    }
+
+    pub(crate) fn outer_acc(terms: usize, xs: &[f32], ds: &[f32], acc: &mut [f32]) {
+        let (k, n) = (xs.len() / terms.max(1), ds.len() / terms.max(1));
+        for (i, acc_row) in acc.chunks_exact_mut(n.max(1)).enumerate().take(k) {
+            for (x, d) in xs.chunks_exact(k).zip(ds.chunks_exact(n)).take(terms) {
+                for (a, &dj) in acc_row.iter_mut().zip(d) {
+                    *a += x[i] * dj;
+                }
+            }
+        }
+    }
+
     #[inline(always)]
     pub(crate) fn bias_add(row: &mut [f32], bias: &[f32]) {
         for (x, &bv) in row.iter_mut().zip(bias) {
@@ -265,6 +327,8 @@ mod avx2 {
         axpy,
         vecmat,
         dot,
+        dot_cols,
+        outer_acc,
         bias_add,
         relu,
         sigmoid,
@@ -289,6 +353,14 @@ mod avx2 {
 
     fn dot(a: &[f32], b: &[f32]) -> f32 {
         unsafe { dot_impl(a, b) }
+    }
+
+    fn dot_cols(v: &[f32], wt: &[f32], out: &mut [f32]) {
+        unsafe { dot_cols_impl(v, wt, out) }
+    }
+
+    fn outer_acc(terms: usize, xs: &[f32], ds: &[f32], acc: &mut [f32]) {
+        unsafe { outer_acc_impl(terms, xs, ds, acc) }
     }
 
     fn bias_add(row: &mut [f32], bias: &[f32]) {
@@ -435,6 +507,110 @@ mod avx2 {
             i += 1;
         }
         acc
+    }
+
+    /// [`dot_impl`] against eight columns at once: register `l` holds lane
+    /// `l` of eight outputs (`acc_l = fma(v[8c + l], wt[8c + l, j..j + 8],
+    /// acc_l)`), the lanes are added from zero in order, then the tail by
+    /// multiply and add; a column remainder takes `dot_impl`'s statements
+    /// one column at a time.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn dot_cols_impl(v: &[f32], wt: &[f32], out: &mut [f32]) {
+        let (k, n) = (v.len(), out.len());
+        assert!(wt.len() >= k * n, "dot_cols weight slice too short");
+        let chunks = k / 8 * 8;
+        let (vp, wp, op) = (v.as_ptr(), wt.as_ptr(), out.as_mut_ptr());
+        let mut j = 0;
+        while j + 8 <= n {
+            let mut lanes = [_mm256_setzero_ps(); 8];
+            for i in (0..chunks).step_by(8) {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let w = _mm256_loadu_ps(wp.add((i + l) * n + j));
+                    *lane = _mm256_fmadd_ps(_mm256_set1_ps(*vp.add(i + l)), w, *lane);
+                }
+            }
+            let mut acc = _mm256_setzero_ps();
+            for lane in lanes {
+                acc = _mm256_add_ps(acc, lane);
+            }
+            for i in chunks..k {
+                let w = _mm256_loadu_ps(wp.add(i * n + j));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(*vp.add(i)), w));
+            }
+            _mm256_storeu_ps(op.add(j), _mm256_add_ps(_mm256_loadu_ps(op.add(j)), acc));
+            j += 8;
+        }
+        for (c, o) in out.iter_mut().enumerate().skip(j) {
+            let mut partial = [0.0f32; 8];
+            for i in (0..chunks).step_by(8) {
+                for (l, p) in partial.iter_mut().enumerate() {
+                    *p = v[i + l].mul_add(wt[(i + l) * n + c], *p);
+                }
+            }
+            let mut acc = 0.0f32;
+            for p in partial {
+                acc += p;
+            }
+            for (i, &vi) in v.iter().enumerate().skip(chunks) {
+                acc += vi * wt[i * n + c];
+            }
+            *o += acc;
+        }
+    }
+
+    /// The scalar loop with a row of `acc` held in registers across the
+    /// terms, 32 or 8 columns at a time: a separate multiply and add per
+    /// lane, the same two roundings as the scalar statement.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn outer_acc_impl(terms: usize, xs: &[f32], ds: &[f32], acc: &mut [f32]) {
+        let (k, n) = (xs.len() / terms.max(1), ds.len() / terms.max(1));
+        assert!(xs.len() == terms * k && ds.len() == terms * n && acc.len() >= k * n, "outer_acc shape mismatch");
+        for i in 0..k {
+            let mut j = 0;
+            while n - j >= 8 {
+                j += match n - j {
+                    32.. => outer_block::<4>(terms, xs, ds, acc, (i, j, k, n)),
+                    _ => outer_block::<1>(terms, xs, ds, acc, (i, j, k, n)),
+                };
+            }
+            for c in j..n {
+                let a = &mut acc[i * n + c];
+                for q in 0..terms {
+                    *a += xs[q * k + i] * ds[q * n + c];
+                }
+            }
+        }
+    }
+
+    /// Columns `j .. j + 8·L` of row `i` of [`outer_acc_impl`], in `L`
+    /// registers across every term; returns the `8·L` done.
+    ///
+    /// # Safety
+    /// Needs avx2 and the shapes [`outer_acc_impl`] checks, `i < k` and
+    /// `j + 8·L ≤ n`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn outer_block<const L: usize>(
+        terms: usize,
+        xs: &[f32],
+        ds: &[f32],
+        acc: &mut [f32],
+        (i, j, k, n): (usize, usize, usize, usize),
+    ) -> usize {
+        let row = acc.as_mut_ptr().add(i * n + j);
+        let mut regs = [_mm256_setzero_ps(); L];
+        for (l, r) in regs.iter_mut().enumerate() {
+            *r = _mm256_loadu_ps(row.add(8 * l));
+        }
+        for q in 0..terms {
+            let (x, d) = (_mm256_set1_ps(*xs.get_unchecked(q * k + i)), ds.as_ptr().add(q * n + j));
+            for (l, r) in regs.iter_mut().enumerate() {
+                *r = _mm256_add_ps(*r, _mm256_mul_ps(x, _mm256_loadu_ps(d.add(8 * l))));
+            }
+        }
+        for (l, r) in regs.iter().enumerate() {
+            _mm256_storeu_ps(row.add(8 * l), *r);
+        }
+        8 * L
     }
 
     #[target_feature(enable = "avx2,fma")]

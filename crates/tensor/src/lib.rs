@@ -31,7 +31,7 @@ pub mod matrix;
 pub mod testing;
 pub use pddl_telemetry::rng;
 
-pub use gemm::{record_products, Activation};
+pub use gemm::{record_products, Activation, Layout, SMALL_MADDS};
 pub use kernels::{backend, set_force_scalar, KernelBackend};
-pub use matrix::{vecmat_acc, vecmat_bias_act, Matrix};
+pub use matrix::{dot_cols_acc, gemm_into, outer_acc, vecmat_acc, vecmat_bias_act, Matrix};
 pub use rng::Rng;

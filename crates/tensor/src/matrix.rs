@@ -204,11 +204,6 @@ impl Matrix {
         }
     }
 
-    /// Hadamard (elementwise) product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Scalar multiple.
     pub fn scale(&self, alpha: f32) -> Matrix {
         self.map(|x| alpha * x)
@@ -253,8 +248,10 @@ impl Matrix {
     }
 
     /// `self (m×k) · otherᵀ` where `other` is stored `n×k`. The packing
-    /// step absorbs the transpose — nothing is materialized — which is
-    /// what the autodiff backward pass uses for its `g·Wᵀ` GEMMs.
+    /// step absorbs the transpose — nothing is materialized. Below
+    /// `gemm::SMALL_MADDS` multiply-adds it is one `dot` per output, which
+    /// [`dot_cols_acc`] reproduces eight outputs at a time against a
+    /// transposed `other`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
@@ -561,6 +558,59 @@ pub fn vecmat_bias_act(v: &[f32], w: &[f32], bias: &[f32], act: Activation, out:
     out.fill(0.0);
     (kern.vecmat)(v, w, out);
     gemm::epilogue(kern, out, 1, out.len(), Some(bias), act);
+}
+
+/// `out[j] += dot(v, wt[.., j])` for a row-major `v.len() × out.len()`
+/// `wt`: with `wt = Wᵀ`, the row of `v · Wᵀ` that [`Matrix::matmul_nt`]
+/// computes below `gemm::SMALL_MADDS` multiply-adds, bit for bit, with
+/// `W` transposed once by the caller instead of summed one output at a
+/// time. Counts nothing — see [`crate::record_products`].
+pub fn dot_cols_acc(v: &[f32], wt: &[f32], out: &mut [f32]) {
+    assert_eq!(wt.len(), v.len() * out.len(), "dot_cols_acc weight size mismatch");
+    (kernels::active().dot_cols)(v, wt, out);
+}
+
+/// `terms` rank-1 updates of a row-major `k×n` `acc`, one after another:
+/// `acc[i][j] += x_q[i] · d_q[j]` for the rows `x_q` of the `terms × k`
+/// `xs` and `d_q` of the `terms × n` `ds`, each a multiply, a rounding and
+/// an add — the bits of `terms` separate updates on every backend, with
+/// `acc` read and written once. Counts nothing.
+pub fn outer_acc(terms: usize, xs: &[f32], ds: &[f32], acc: &mut [f32]) {
+    if terms == 0 {
+        return;
+    }
+    let (k, n) = (xs.len() / terms, ds.len() / terms);
+    assert_eq!((xs.len(), ds.len(), acc.len()), (terms * k, terms * n, k * n), "outer_acc shape mismatch");
+    (kernels::active().outer_acc)(terms, xs, ds, acc);
+}
+
+/// `out (m×n) = act(op(a)·op(b) + bias)`, or `act(out + op(a)·op(b))`
+/// with `accumulate`, over row-major slices (`op` as `layout` says, `k`
+/// the inner dimension): the product behind [`Matrix::matmul_bias_act`],
+/// [`Matrix::matmul_acc_act`], [`Matrix::matmul_nt`] and
+/// [`Matrix::t_matmul`], with the same dispatch and so the same bits, into
+/// the caller's buffer. Counts nothing — see [`crate::record_products`].
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_into(
+    layout: Layout,
+    (m, n, k): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    bias: Option<&[f32]>,
+    act: Activation,
+    accumulate: bool,
+    out: &mut [f32],
+) {
+    assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n), "gemm_into size mismatch");
+    assert!(bias.is_none_or(|b| b.len() == n), "gemm_into bias width mismatch");
+    if m * n * k < gemm::SMALL_MADDS {
+        // The direct kernels touch neither a pack buffer nor the pool.
+        gemm::product(layout, m, n, k, a, b, bias, act, accumulate, out, &mut PackBuffer::new(), None);
+    } else {
+        gemm::with_thread_pack(|pack| {
+            gemm::product(layout, m, n, k, a, b, bias, act, accumulate, out, pack, Some(&WorkPool::global()));
+        });
+    }
 }
 
 impl Index<(usize, usize)> for Matrix {

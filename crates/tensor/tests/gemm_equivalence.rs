@@ -229,6 +229,85 @@ fn dispatch_matrix_backends_agree_across_layouts_and_epilogues() {
     }
 }
 
+/// `dot_cols_acc` against a pre-transposed weight is, on every backend, the
+/// per-output `dot` of the small `A·Bᵀ` product it stands in for, bit for
+/// bit: every depth and output count from 1 to 40 (whole lane blocks,
+/// depth tails and column remainders), with signed zeros among the inputs,
+/// added onto a non-zero row.
+#[test]
+fn dot_cols_equals_the_per_output_dot_bit_for_bit() {
+    let _lock = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Rng::new(0xD07C);
+    let cases: Vec<(Matrix, Matrix, Vec<f32>)> = (1..=40)
+        .flat_map(|k| (1..=40).map(move |n| (k, n)))
+        .map(|(k, n)| {
+            let base = (0..n).map(|_| rng.normal() + 3.0).collect();
+            (signed_zeros(1, k, &mut rng), signed_zeros(n, k, &mut rng), base)
+        })
+        .collect();
+    let check = |backend: KernelBackend| {
+        assert_eq!(pddl_tensor::backend(), backend);
+        for (v, w, base) in &cases {
+            let (k, n) = (v.cols(), w.rows());
+            let want = v.matmul_nt(w);
+            let mut got = vec![0.0f32; n];
+            pddl_tensor::dot_cols_acc(v.as_slice(), w.transpose().as_slice(), &mut got);
+            assert_eq!(bits(&Matrix::row_vector(&got)), bits(&want), "{backend:?} k={k} n={n}");
+            let mut onto = base.clone();
+            pddl_tensor::dot_cols_acc(v.as_slice(), w.transpose().as_slice(), &mut onto);
+            let want: Vec<f32> = base.iter().zip(want.as_slice()).map(|(b, d)| b + d).collect();
+            assert_eq!(bits(&Matrix::row_vector(&onto)), bits(&Matrix::row_vector(&want)), "{backend:?} k={k} n={n} onto a row");
+        }
+    };
+    check(pddl_tensor::backend());
+    let _guard = ScalarGuard::engage();
+    check(KernelBackend::Scalar);
+}
+
+/// `outer_acc` is, on every backend, the scalar rank-1 statement applied
+/// term after term, bit for bit: every row and column count from 1 to 40
+/// (whole register blocks and column remainders), from 1 to 33 terms,
+/// with signed zeros among the inputs.
+#[test]
+fn outer_acc_equals_one_rank_one_update_after_another() {
+    let _lock = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = Rng::new(0x0E7A);
+    let cases: Vec<(usize, Matrix, Matrix, Matrix)> = (1..=40)
+        .flat_map(|k| (1..=40).map(move |n| (k, n)))
+        .map(|(k, n)| {
+            let terms = 1 + (k * n) % 33;
+            (terms, signed_zeros(terms, k, &mut rng), signed_zeros(terms, n, &mut rng), signed_zeros(k, n, &mut rng))
+        })
+        .collect();
+    let check = |backend: KernelBackend| {
+        assert_eq!(pddl_tensor::backend(), backend);
+        for (terms, xs, ds, acc) in &cases {
+            let (k, n) = (xs.cols(), ds.cols());
+            let mut want = acc.clone();
+            for q in 0..*terms {
+                for i in 0..k {
+                    for j in 0..n {
+                        want[(i, j)] += xs[(q, i)] * ds[(q, j)];
+                    }
+                }
+            }
+            let mut got = acc.clone();
+            pddl_tensor::outer_acc(*terms, xs.as_slice(), ds.as_slice(), got.as_mut_slice());
+            assert_eq!(bits(&got), bits(&want), "{backend:?} {terms} terms of {k}x{n}");
+        }
+    };
+    check(pddl_tensor::backend());
+    let _guard = ScalarGuard::engage();
+    check(KernelBackend::Scalar);
+}
+
+/// A normal matrix whose entries near zero are zeros of their sign.
+fn signed_zeros(rows: usize, cols: usize, rng: &mut Rng) -> Matrix {
+    let mut m = Matrix::rand_normal(rows, cols, 1.0, rng);
+    m.map_inplace(|x| if x.abs() < 0.1 { 0.0f32.copysign(x) } else { x });
+    m
+}
+
 #[test]
 fn results_are_bit_identical_across_runs_and_pool_sizes() {
     let _lock = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
