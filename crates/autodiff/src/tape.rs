@@ -722,7 +722,7 @@ impl<'p> Tape<'p> {
         let mut writes = vec![0u32; self.nodes.len()];
         let (mut sliced, mut scratch, mut dpre) = (Vec::new(), Vec::new(), Vec::new());
         let mut queues: Vec<Queue> = self.params.ids().map(|_| Queue::default()).collect();
-        let mut transposed = Transposed { data: Vec::new(), at: vec![None; self.params.len()], scratch: Vec::new() };
+        let mut transposed = Transposed { data: Vec::new(), at: vec![None; self.params.len()] };
         grads[self.nodes[loss.0].at] = 1.0;
         writes[loss.0] = 1;
         let mut out = Gradients { by_param: vec![None; self.params.len()] };
@@ -809,9 +809,9 @@ impl<'p> Tape<'p> {
                         offset += w;
                     }
                 }
-                // Only the parent's own rows: a zero-padded copy of the
-                // whole parent per slice made the GHN's per-node slices
-                // quadratic in the node count.
+                // Only the parent's own rows: a zero-padded parent per
+                // slice would make the GHN's per-node slices quadratic in
+                // the node count.
                 Op::SliceRows(a, start) => {
                     if let Some((first, slot)) = s.rows(a, start, start + rows) {
                         put(first, slot, g.iter().copied());
@@ -866,10 +866,11 @@ impl<'p> Tape<'p> {
     /// The gradients of `x` and `w` through the product `x·w` of an affine
     /// node whose pre-activation gradient is `d` (`m × n`).
     ///
-    /// `d · wᵀ` runs where `Matrix::matmul_nt` ran it: below
-    /// [`SMALL_MADDS`] on the row kernel [`dot_cols_acc`] against `w`
-    /// transposed once per pass (the same sums as the small product's one
-    /// `dot` per output), above it on the blocked product.
+    /// `d · wᵀ` is the product `Matrix::matmul_nt` runs, with its bits:
+    /// below [`SMALL_MADDS`] and for a parameter `w`, on the row kernel
+    /// [`dot_cols_acc`] against `w` transposed once per pass (the small
+    /// product's one `dot` per output, eight outputs at a time); else
+    /// through [`gemm_into`].
     fn affine_backward(
         &self,
         s: &mut Sink,
@@ -883,19 +884,16 @@ impl<'p> Tape<'p> {
         let (k, n) = v.shape(w);
         if let Some((first, slot)) = s.slot(x) {
             self.count(m, k, n);
-            if m * k * n < SMALL_MADDS {
-                let wt = transposed.of(v, w);
-                product(first, slot, scratch, |o| {
-                    if k > 0 {
-                        for (d_row, o_row) in d.chunks_exact(n.max(1)).zip(o.chunks_exact_mut(k)) {
-                            dot_cols_acc(&d_row[..n], wt, o_row);
-                        }
+            let small = m * k * n < SMALL_MADDS && k > 0;
+            match if small { transposed.of(v, w) } else { None } {
+                Some(wt) => product(first, slot, scratch, |o| {
+                    for (d_row, o_row) in d.chunks_exact(n.max(1)).zip(o.chunks_exact_mut(k)) {
+                        dot_cols_acc(&d_row[..n], wt, o_row);
                     }
-                });
-            } else {
-                product(first, slot, scratch, |o| {
+                }),
+                None => product(first, slot, scratch, |o| {
                     gemm_into(Layout::Nt, (m, k, n), d, v.get(w), None, Activation::Identity, false, o);
-                });
+                }),
             }
         }
         if m == 1 && s.queue(w, v.get(x), d) {
@@ -1112,42 +1110,30 @@ fn sum_rows(d: &[f32], out: &mut [f32]) {
     }
 }
 
-/// The transposes the backward pass multiplies by: each parameter's made
-/// once per pass and kept, any other weight's made per use.
+/// The parameters' transposes the backward pass multiplies by, each made
+/// once per pass.
 struct Transposed {
     data: Vec<f32>,
     /// Where each parameter's transpose starts in `data`, by [`ParamId`].
     at: Vec<Option<usize>>,
-    scratch: Vec<f32>,
 }
 
 impl Transposed {
-    /// `wᵀ` (`n×k` for a `k×n` `w`), row-major.
-    fn of(&mut self, v: View, w: usize) -> &[f32] {
+    /// `wᵀ` (`n×k` for a `k×n` `w`), row-major, if `w` is a parameter leaf.
+    fn of(&mut self, v: View, w: usize) -> Option<&[f32]> {
+        let Op::Param(id) = v.nodes[w].op else { return None };
         let ((k, n), src) = (v.shape(w), v.get(w));
-        let transpose = |dst: &mut [f32]| {
+        let at = *self.at[id.0].get_or_insert_with(|| {
+            let at = self.data.len();
+            self.data.resize(at + k * n, 0.0);
             for (q, row) in src.chunks_exact(n.max(1)).enumerate() {
                 for (j, &x) in row.iter().enumerate() {
-                    dst[j * k + q] = x;
+                    self.data[at + j * k + q] = x;
                 }
             }
-        };
-        match v.nodes[w].op {
-            Op::Param(id) => {
-                let at = *self.at[id.0].get_or_insert_with(|| {
-                    let at = self.data.len();
-                    self.data.resize(at + k * n, 0.0);
-                    transpose(&mut self.data[at..]);
-                    at
-                });
-                &self.data[at..at + k * n]
-            }
-            _ => {
-                self.scratch.resize(k * n, 0.0);
-                transpose(&mut self.scratch);
-                &self.scratch
-            }
-        }
+            at
+        });
+        Some(&self.data[at..at + k * n])
     }
 }
 
