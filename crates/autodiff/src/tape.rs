@@ -2,7 +2,6 @@
 
 use pddl_tensor::{dot_cols_acc, gemm_into, outer_acc, Activation, Layout, Matrix, Rng, SMALL_MADDS};
 use std::cell::Cell;
-use std::ops::Range;
 
 /// Handle to a persistent trainable parameter in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -211,9 +210,8 @@ enum Op {
 /// `peak_rss_mb` 6–9 MB higher).
 const CHUNK: usize = 1 << 14;
 
-/// A recorded operation, the shape of its value, where the value sits in
-/// [`Tape`]'s chunks, and where its gradient sits in the backward pass's
-/// buffer: every node's after its parents'.
+/// A recorded operation, the shape of its value, and where the value sits
+/// in [`Tape`]'s chunks.
 struct Node {
     op: Op,
     rows: usize,
@@ -221,21 +219,11 @@ struct Node {
     /// The value: `off..` in chunk `chunk`.
     chunk: u32,
     off: u32,
-    /// The gradient: `at..` in the backward pass's buffer.
-    at: usize,
-    /// Whether a parameter is reached through this node: false for a
-    /// constant and what is computed from constants alone, which the
-    /// backward pass gives no gradient.
-    grad: bool,
 }
 
 impl Node {
     fn len(&self) -> usize {
         self.rows * self.cols
-    }
-
-    fn range(&self) -> Range<usize> {
-        self.at..self.at + self.len()
     }
 }
 
@@ -272,33 +260,38 @@ pub struct TapeBuffers {
     chunks: Vec<Vec<f32>>,
     sums: Vec<(usize, f32)>,
     parts: Vec<usize>,
+    uses: Vec<Use>,
     grads: Vec<f32>,
+    slots: Slots,
 }
 
 /// A single forward pass's computation record.
 ///
 /// Every value lives in chunks the tape owns — appended, never moved, a
 /// new chunk opened when a value does not fit in the last one's rest — and
-/// [`Tape::backward`] writes every gradient into one buffer it keeps:
-/// recording an op allocates only when it opens a chunk, routing a
-/// gradient never, and a tape made [`Tape::with_buffers`] of the last
-/// one's opens no chunk the last one had.
+/// [`Tape::backward`] writes every gradient into one buffer it keeps, sized
+/// for the gradients live at once: recording an op allocates only when it
+/// opens a chunk, routing a gradient never, and a tape made
+/// [`Tape::with_buffers`] of the last one's opens no chunk the last one
+/// had.
 pub struct Tape<'p> {
     params: &'p ParamStore,
     nodes: Vec<Node>,
     values: Vec<Vec<f32>>,
     /// Empty chunks to open before allocating one.
     spare: Vec<Vec<f32>>,
-    /// Floats recorded: the size of the backward pass's buffer.
-    size: usize,
     /// The `(part, alpha)` lists of `WeightedSum` nodes.
     sums: Vec<(usize, f32)>,
     /// The part lists of `ConcatCols` / `ConcatRows` nodes.
     parts: Vec<usize>,
+    /// By node: its size and its last consumer so far.
+    uses: Vec<Use>,
     /// The leaf already recorded for each parameter, by [`ParamId`].
     leaves: Vec<Option<Var>>,
-    /// The backward pass's gradient buffer, kept between passes.
+    /// The backward pass's gradient buffer and its layout, kept between
+    /// passes.
     grads: Cell<Vec<f32>>,
+    slots: Cell<Slots>,
     /// `[calls, flops]` of the products run and not yet counted: they reach
     /// `tensor.gemm_calls` / `tensor.gemm_flops` in one
     /// [`pddl_tensor::record_products`] when the tape is dropped, not in two
@@ -323,17 +316,18 @@ impl<'p> Tape<'p> {
     /// An empty tape that records into `buffers`, which
     /// [`Tape::into_buffers`] took from an earlier one.
     pub fn with_buffers(params: &'p ParamStore, buffers: TapeBuffers) -> Self {
-        let TapeBuffers { nodes, chunks, sums, parts, grads } = buffers;
+        let TapeBuffers { nodes, chunks, sums, parts, uses, grads, slots } = buffers;
         Self {
             params,
             nodes,
             values: Vec::new(),
             spare: chunks,
-            size: 0,
             sums,
             parts,
+            uses,
             leaves: vec![None; params.len()],
             grads: Cell::new(grads),
+            slots: Cell::new(slots),
             products: Cell::new([0; 2]),
         }
     }
@@ -354,7 +348,9 @@ impl<'p> Tape<'p> {
             chunks,
             sums: emptied(&mut self.sums),
             parts: emptied(&mut self.parts),
+            uses: emptied(&mut self.uses),
             grads: self.grads.take(),
+            slots: self.slots.take(),
         }
     }
 
@@ -376,31 +372,17 @@ impl<'p> Tape<'p> {
         last.resize(off + len, 0.0);
         let (done, out) = last.split_at_mut(off);
         fill(View { nodes: &self.nodes, chunks, last: done }, out);
-        let reached = |p: &usize| self.nodes[*p].grad;
-        let grad = match op {
-            Op::Const => false,
-            Op::Param(_) => true,
-            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddBias(a, b) | Op::MseLoss(a, b) => {
-                [a, b].iter().any(reached)
-            }
-            Op::AffineAct(x, w, b, _) => [x, w, b].iter().any(reached),
-            Op::Affine2 { x, w, h, u, b, .. } => [x, w, h, u, b].iter().any(reached),
-            Op::Scale(a, _)
-            | Op::Sigmoid(a)
-            | Op::Tanh(a)
-            | Op::Relu(a)
-            | Op::SliceRows(a, _)
-            | Op::Mean(a)
-            | Op::Sum(a)
-            | Op::MeanRows(a)
-            | Op::RowL2Norm(a) => reached(&a),
-            Op::WeightedSum(start, end) => self.sums[start..end].iter().any(|(p, _)| reached(p)),
-            Op::ConcatCols(start, end) | Op::ConcatRows(start, end) => self.parts[start..end].iter().any(reached),
-        };
         let (chunk, off) = (chunk as u32, off as u32);
-        self.nodes.push(Node { op, rows, cols, chunk, off, at: self.size, grad });
-        self.size += len;
-        Var(self.nodes.len() - 1)
+        let i = self.nodes.len();
+        self.nodes.push(Node { op, rows, cols, chunk, off });
+        let Tape { nodes, sums, parts, uses, .. } = self;
+        parents(op, sums, parts, |p| {
+            if !matches!(nodes[p].op, Op::Const) {
+                uses[p].last = i as u32;
+            }
+        });
+        uses.push(Use { len: len as u32, last: UNUSED });
+        Var(i)
     }
 
     fn view(&self) -> View<'_> {
@@ -707,32 +689,36 @@ impl<'p> Tape<'p> {
     /// later ones, in reverse tape order: for each element, the first
     /// contribution itself and then one rounded add per later one, so even
     /// the sign of a zero is that of the sum of the separate gradients. A
-    /// node that reaches no parameter receives nothing.
+    /// constant receives nothing.
     pub fn backward(&self, loss: Var) -> Gradients {
         assert_eq!(self.shape(loss), (1, 1), "backward() requires a scalar loss");
         let v = self.view();
-        // Not zeroed: what an earlier pass left in a slot is overwritten by
-        // the slot's first writer before anything reads it.
+        let mut slots = self.slots.take();
+        let size = self.lay_out(loss.0, &mut slots);
+        let at = &slots.at;
+        // Not zeroed: what an earlier pass or an earlier gradient left in a
+        // slot is overwritten by the slot's first writer before anything
+        // reads it.
         let mut grads = self.grads.take();
-        if grads.capacity() < self.size {
+        if grads.capacity() < size {
             drop(grads);
-            grads = Vec::with_capacity(self.size);
+            grads = Vec::with_capacity(size);
         }
-        grads.resize(self.size, 0.0);
+        grads.resize(size, 0.0);
         let mut writes = vec![0u32; self.nodes.len()];
         let (mut sliced, mut scratch, mut dpre) = (Vec::new(), Vec::new(), Vec::new());
         let mut queues: Vec<Queue> = self.params.ids().map(|_| Queue::default()).collect();
         let mut transposed = Transposed { data: Vec::new(), at: vec![None; self.params.len()] };
-        grads[self.nodes[loss.0].at] = 1.0;
+        grads[at[loss.0]] = 1.0;
         writes[loss.0] = 1;
         let mut out = Gradients { by_param: vec![None; self.params.len()] };
 
         for (i, node) in self.nodes.iter().enumerate().rev() {
-            if writes[i] == 0 || !node.grad {
+            if writes[i] == 0 {
                 continue;
             }
-            let (below, here) = grads.split_at_mut(node.at);
-            let g = &mut here[..node.len()];
+            let (below, rest) = grads.split_at_mut(at[i]);
+            let (g, above) = rest.split_at_mut(node.len());
             if writes[i] & SLICED != 0 {
                 settle_rows(g, node.cols, writes[i] & !SLICED, &sliced_rows(&mut sliced, i)[..]);
             }
@@ -741,7 +727,8 @@ impl<'p> Tape<'p> {
             }
             let g = &*g;
             let (rows, cols) = (node.rows, node.cols);
-            let mut s = Sink { nodes: &self.nodes, grads: below, writes: &mut writes[..i], sliced: &mut sliced, queues: &mut queues };
+            let grads = Around { below, above, above_at: at[i] + node.len() };
+            let mut s = Sink { nodes: &self.nodes, at, grads, writes: &mut writes[..i], sliced: &mut sliced, queues: &mut queues };
             match node.op {
                 Op::Const => {}
                 // The parameter's only leaf: every use has added to `g`.
@@ -860,7 +847,57 @@ impl<'p> Tape<'p> {
             }
         }
         self.grads.set(grads);
+        self.slots.set(slots);
         out
+    }
+
+    /// Lays out the gradient slots of a backward pass from `loss` in
+    /// `slots` and returns the size of the buffer they need. The loss and
+    /// every node with a consumer but a constant get one, taken when its
+    /// last consumer runs — the first writer of its gradient, as the pass
+    /// runs in reverse tape order — and given back once the node has passed
+    /// its gradient on, for the next slot of its size: the buffer holds the
+    /// gradients live at once, not one per value recorded. Where a gradient
+    /// sits changes none of its bits.
+    fn lay_out(&self, loss: usize, slots: &mut Slots) -> usize {
+        let Slots { at, free, born, ends } = slots;
+        let n = self.uses.len();
+        // The nodes grouped by last consumer, `t`'s in
+        // `born[ends[t - 1]..ends[t]]`: a counting sort.
+        ends.clear();
+        ends.resize(n, 0);
+        for u in self.uses.iter().filter(|u| u.last != UNUSED) {
+            ends[u.last as usize] += 1;
+        }
+        let mut sum = 0;
+        for end in ends.iter_mut() {
+            sum += *end;
+            *end = sum - *end;
+        }
+        born.clear();
+        born.resize(sum as usize, 0);
+        for (p, u) in self.uses.iter().enumerate().filter(|(_, u)| u.last != UNUSED) {
+            let end = &mut ends[u.last as usize];
+            born[*end as usize] = p as u32;
+            *end += 1;
+        }
+        at.clear();
+        at.resize(n, NO_SLOT);
+        free.clear();
+        let mut size = 0;
+        for t in (0..n).rev() {
+            let first = if t == 0 { 0 } else { ends[t - 1] as usize };
+            for &p in &born[first..ends[t] as usize] {
+                at[p as usize] = free.take(self.uses[p as usize].len as usize, &mut size);
+            }
+            if t == loss && at[t] == NO_SLOT {
+                at[t] = free.take(1, &mut size);
+            }
+            if at[t] != NO_SLOT {
+                free.give(self.uses[t].len as usize, at[t]);
+            }
+        }
+        size
     }
 
     /// The gradients of `x` and `w` through the product `x·w` of an affine
@@ -962,13 +999,126 @@ impl Queue {
     }
 }
 
-/// Where a backward step writes its parents' gradients: the slots below the
-/// node's own (parents are always recorded first), how many writers each
-/// has had, the rows of the slots that slices wrote into, and the terms
-/// the parameters' slots have queued.
+/// Marks a node without a gradient slot in [`Slots::at`].
+const NO_SLOT: usize = usize::MAX;
+
+/// Marks a node no consumer has read in [`Use::last`].
+const UNUSED: u32 = u32::MAX;
+
+/// A node's size, and the last node recorded that reads it and can pass it
+/// a gradient: none for a constant.
+struct Use {
+    len: u32,
+    last: u32,
+}
+
+/// Where [`Tape::backward`] keeps each node's gradient
+/// ([`Tape::lay_out`]).
+#[derive(Default)]
+struct Slots {
+    /// By node: where its slot starts, or [`NO_SLOT`].
+    at: Vec<usize>,
+    free: Free,
+    /// The nodes, grouped by last consumer, and the end of each group.
+    born: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+/// Calls `f` on each parent of a node recording `op`, whose part lists are
+/// in `sums` and `parts`.
+fn parents(op: Op, sums: &[(usize, f32)], parts: &[usize], mut f: impl FnMut(usize)) {
+    match op {
+        Op::Const | Op::Param(_) => {}
+        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::MatMul(a, b) | Op::AddBias(a, b) | Op::MseLoss(a, b) => {
+            f(a);
+            f(b);
+        }
+        Op::AffineAct(x, w, b, _) => [x, w, b].into_iter().for_each(f),
+        Op::Affine2 { x, w, h, u, b, .. } => [x, w, h, u, b].into_iter().for_each(f),
+        Op::Scale(a, _)
+        | Op::Sigmoid(a)
+        | Op::Tanh(a)
+        | Op::Relu(a)
+        | Op::SliceRows(a, _)
+        | Op::Mean(a)
+        | Op::Sum(a)
+        | Op::MeanRows(a)
+        | Op::RowL2Norm(a) => f(a),
+        Op::WeightedSum(start, end) => sums[start..end].iter().for_each(|&(p, _)| f(p)),
+        Op::ConcatCols(start, end) | Op::ConcatRows(start, end) => parts[start..end].iter().copied().for_each(f),
+    }
+}
+
+/// The slots given back during a layout, by size.
+#[derive(Default)]
+struct Free {
+    /// A slot size and the starts of the free slots of that size.
+    sizes: Vec<(usize, Vec<usize>)>,
+    /// The index in `sizes` last found for a size, by size modulo its
+    /// length: the pass meets a few sizes over and over.
+    recent: [usize; 32],
+}
+
+impl Free {
+    /// Empties every size's list, keeping the lists.
+    fn clear(&mut self) {
+        self.sizes.iter_mut().for_each(|(_, starts)| starts.clear());
+    }
+
+    /// The list of the free slots of `len` floats.
+    fn of(&mut self, len: usize) -> &mut Vec<usize> {
+        let hint = &mut self.recent[len % 31];
+        if self.sizes.get(*hint).is_none_or(|s| s.0 != len) {
+            *hint = match self.sizes.iter().position(|s| s.0 == len) {
+                Some(b) => b,
+                None => {
+                    self.sizes.push((len, Vec::new()));
+                    self.sizes.len() - 1
+                }
+            };
+        }
+        &mut self.sizes[*hint].1
+    }
+
+    /// The start of a free slot of `len` floats, or of a new one at the end
+    /// of the buffer, which grows to `size`.
+    fn take(&mut self, len: usize, size: &mut usize) -> usize {
+        self.of(len).pop().unwrap_or_else(|| {
+            *size += len;
+            *size - len
+        })
+    }
+
+    fn give(&mut self, len: usize, start: usize) {
+        self.of(len).push(start);
+    }
+}
+
+/// The backward pass's buffer around the slot being read: what lies below
+/// it, and what lies above it, from `above_at` on.
+struct Around<'a> {
+    below: &'a mut [f32],
+    above: &'a mut [f32],
+    above_at: usize,
+}
+
+impl Around<'_> {
+    /// The `len` floats at `at`, a slot other than the one being read.
+    fn get(&mut self, at: usize, len: usize) -> &mut [f32] {
+        match at.checked_sub(self.above_at) {
+            Some(at) => &mut self.above[at..at + len],
+            None => &mut self.below[at..at + len],
+        }
+    }
+}
+
+/// Where a backward step writes its parents' gradients: their slots, how
+/// many writers each has had, the rows of the slots that slices wrote
+/// into, and the terms the parameters' slots have queued.
 struct Sink<'a> {
     nodes: &'a [Node],
-    grads: &'a mut [f32],
+    at: &'a [usize],
+    grads: Around<'a>,
     writes: &'a mut [u32],
     /// Per sliced node, the writer that last touched each row (0: none).
     sliced: &'a mut Vec<(usize, Vec<u32>)>,
@@ -978,7 +1128,7 @@ struct Sink<'a> {
 
 impl Sink<'_> {
     /// `p`'s whole slot for its next writer, and whether that writer is the
-    /// first; `None` if `p` reaches no parameter.
+    /// first; `None` for a constant.
     fn slot(&mut self, p: usize) -> Option<(bool, &mut [f32])> {
         let rows = self.nodes[p].rows;
         self.rows(p, 0, rows)
@@ -1004,14 +1154,14 @@ impl Sink<'_> {
     /// time linear in the rows written.
     fn rows(&mut self, p: usize, r0: usize, r1: usize) -> Option<(bool, &mut [f32])> {
         let node = &self.nodes[p];
-        if !node.grad {
-            return None;
-        }
+        let slot = match node.op {
+            Op::Const => return None,
+            _ => self.grads.get(self.at[p], node.len()),
+        };
         if let Op::Param(id) = node.op {
-            self.queues[id.0].flush(&mut self.grads[node.range()]);
+            self.queues[id.0].flush(slot);
         }
         let (cols, writer) = (node.cols, (self.writes[p] & !SLICED) + 1);
-        let slot = &mut self.grads[node.range()];
         let mut tracked = self.writes[p] & SLICED != 0;
         if !tracked && (r0, r1) != (0, node.rows) {
             if writer == 1 {
@@ -1045,7 +1195,7 @@ impl Sink<'_> {
         self.writes[w] += 1;
         let queue = &mut self.queues[id.0];
         if queue.push(x, d) {
-            queue.flush(&mut self.grads[node.range()]);
+            queue.flush(self.grads.get(self.at[w], node.len()));
         }
         true
     }
@@ -1529,6 +1679,24 @@ mod tests {
             let (fused, chain) = (fused.get(id).unwrap(), chain.get(id).unwrap());
             assert_eq!(bits(fused.as_slice()), bits(chain.as_slice()), "{}", ps.name(id));
         }
+    }
+
+    #[test]
+    fn a_chain_holds_only_its_live_gradients() {
+        let mut ps = ParamStore::new();
+        let w = ps.register("w", Matrix::filled(1, 16, 0.5));
+        let mut tape = Tape::new(&ps);
+        let mut y = tape.param(w);
+        for _ in 0..100 {
+            y = tape.tanh(y);
+        }
+        let loss = tape.sum(y);
+        let grads = tape.backward(loss);
+        assert!(grads.get(w).unwrap().as_slice().iter().all(|g| g.is_finite() && *g > 0.0));
+        // The loss's slot and, at any time, the gradient being read and the
+        // one being written: not one slot per value recorded.
+        let held = tape.grads.take().len();
+        assert!(held <= 1 + 2 * 16, "{held} floats for a 101-node chain");
     }
 
     #[test]

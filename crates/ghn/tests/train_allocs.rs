@@ -65,7 +65,7 @@ fn one_step_on_the_benchmark_batch_stays_under_its_allocation_bounds() {
     let run = |epochs| requested(|| drop(trainer(epochs).train_on(&mut ghn.clone(), &graphs)));
     let ((calls_two, bytes_two), (calls_one, bytes_one)) = (run(2), run(1));
     let (calls, bytes) = (calls_two - calls_one, bytes_two - bytes_one);
-    // Measured: 165 allocations for 0.45 MB, since the tape writes values
+    // Measured: 167 allocations for 0.45 MB, since the tape writes values
     // and gradients into buffers it owns and the trainer hands them from
     // step to step (37,465 for 10.8 MB while every op allocated its value
     // and its gradients; 152.6 MB while every layer call also cloned its
@@ -96,7 +96,7 @@ fn backward_bytes_grow_linearly_in_the_node_count() {
     assert!(large_nodes >= 20 * small_nodes, "{large_nodes} against {small_nodes} nodes");
     // Per node, the large graph's pass may not cost more than the small
     // one's, which also pays for the weight transposes and the returned
-    // gradients: 4.5 KB per densenet201 node against 19 KB per alexnet
+    // gradients: 1.5 KB per densenet201 node against 16.5 KB per alexnet
     // node. A zero-padded parent-sized gradient per row slice made it
     // quadratic: 102 KB per densenet201 node against 16 KB.
     let per_node = |bytes: u64, nodes: usize| bytes as f64 / nodes as f64;
