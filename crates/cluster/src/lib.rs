@@ -1,27 +1,26 @@
 //! Cluster resource modeling for PredictDDL.
 //!
-//! Covers four pieces of the paper:
+//! Covers three pieces of the paper:
 //! * **§IV-A1 testbed specs** — the three CloudLab server classes
 //!   ([`spec::ServerSpec`] presets) used in every experiment;
 //! * **§III-C Inference Engine inputs** — the cluster-description feature
 //!   vector (number of servers, CPUs, GPUs, RAM, cores, FLOPS) and the
-//!   partial-load transformations of Eq. (1)–(2) ([`equations`]);
-//! * **§III-F Cluster Resource Collector** — a real client/server inventory
-//!   service over TCP ([`collector`]);
-//! * **§III-D/III-F the listener** — the one connection core every TCP
+//!   partial-load transformations of Eq. (1)–(2) ([`equations`]). The
+//!   paper's §III-F Cluster Resource Collector has no counterpart: each
+//!   request describes its own cluster, live load included
+//!   ([`ClusterState`]);
+//! * **§III-D the listener** — the one connection core every TCP
 //!   server and client in the workspace runs on ([`wire`]), and the
 //!   backoff its clients retry transient failures with ([`retry`]; the
 //!   typed replies a controller or router refuses with are
 //!   `predictddl::protocol::ErrorReply`).
 
-pub mod collector;
 pub mod equations;
 pub mod retry;
 pub mod spec;
 pub mod state;
 pub mod wire;
 
-pub use collector::{ClientMsg, CollectorClient, CollectorServer, ServerMsg, DEFAULT_STALE_AFTER};
 pub use equations::{available_flops, available_ram, per_core};
 pub use wire::{LinePoll, LineReader, WireError, MAX_FRAME_BYTES};
 pub use retry::{is_transient, Backoff, RetryPolicy};

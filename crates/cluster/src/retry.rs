@@ -1,8 +1,8 @@
-//! Capped, jittered exponential backoff shared by the wire-layer clients
-//! (the collector client here and the controller client in `predictddl`),
-//! and the one rule for which failures are worth a retry. What a typed
-//! refusal carries is the protocol's business
-//! (`predictddl::protocol::ErrorReply`), not this module's.
+//! Capped, jittered exponential backoff for the wire-layer client (the
+//! controller client in `predictddl`), and the one rule for which
+//! failures are worth a retry. What a typed refusal carries is the
+//! protocol's business (`predictddl::protocol::ErrorReply`), not this
+//! module's.
 
 use pddl_telemetry::rng::Rng;
 use std::time::Duration;

@@ -1,5 +1,7 @@
-//! Live cluster state and the feature vector consumed by the Inference
-//! Engine (§III-C: number of servers, CPUs, GPUs, RAM, cores, FLOPS).
+//! The cluster a request describes, each server's live load included,
+//! and the feature vector consumed by the Inference Engine (§III-C:
+//! number of servers, CPUs, GPUs, RAM, cores, FLOPS). The client reports
+//! the load the paper's §III-F Collector would have gathered.
 
 use crate::equations::{available_flops, available_ram};
 use crate::spec::{ServerClass, ServerSpec};
@@ -13,12 +15,10 @@ pub struct ServerStatus {
     pub cpu_util: f64,
     /// GPUs currently allocated to other jobs.
     pub gpus_busy: usize,
-    /// True when the collector has not heard a heartbeat from this server
-    /// recently: the spec and load figures are last-known-good, not live.
-    /// Stale servers still count toward capacity (the paper's collector
-    /// treats missing heartbeats as stale data, not departure) — consumers
-    /// that want to exclude them can filter on this flag. May be absent on
-    /// the wire (reads as `false`).
+    /// Kept for the wire only: no server sets or reads it. Every request
+    /// `ControllerClient` writes carries `"stale":false`, so the field
+    /// stays in the codec to keep those bytes. May be absent on the wire
+    /// (reads as `false`).
     pub stale: bool,
 }
 
@@ -196,8 +196,9 @@ mod tests {
     #[test]
     fn utilization_shrinks_ram() {
         let mut c = ClusterState::homogeneous(ServerClass::CpuE5_2630, 1);
-        let idle = c.total_available_ram();
+        let (idle, idle_features) = (c.total_available_ram(), c.feature_vector());
         c.servers[0].cpu_util = 0.75;
         assert!(c.total_available_ram() < idle / 3.0);
+        assert!(c.feature_vector()[7] > idle_features[7], "mean utilization did not rise");
     }
 }

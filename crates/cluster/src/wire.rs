@@ -4,14 +4,12 @@
 //! [`LineReader`].
 //!
 //! The paper's Controller "has a listener to receive and forward incoming
-//! requests" and its Cluster Resource Collector speaks the same
-//! newline-delimited JSON (§III-D, §III-F). What the three services —
-//! controller, router, collector — and their clients share is therefore
-//! all here, once: bind, the non-blocking accept loop and its shutdown
-//! flag, the connection cap, socket options (`TCP_NODELAY`, the
-//! [`SHUTDOWN_POLL`] read timeout), fault-plan wrapping by accept-order
-//! connection number, the bounded polled frame reader (both directions:
-//! a server's requests and a client's replies are cut off at
+//! requests" (§III-D). What the two services — controller and router — and
+//! their clients share is therefore all here, once: bind, the non-blocking
+//! accept loop and its shutdown flag, the connection cap, socket options
+//! (`TCP_NODELAY`, the [`SHUTDOWN_POLL`] read timeout), fault-plan wrapping
+//! by accept-order connection number, the bounded polled frame reader (both
+//! directions: a server's requests and a client's replies are cut off at
 //! [`MAX_FRAME_BYTES`]), connection metrics, and the drain on drop. A
 //! service sees **lines and a [`Writer`]**, never a socket.
 //!
@@ -195,15 +193,6 @@ impl Writer {
     }
 }
 
-/// What a handler wants done with the connection after a frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flow {
-    /// Keep reading frames.
-    Continue,
-    /// Close the connection (cleanly: not counted as a disconnect).
-    Close,
-}
-
 /// One service behind a [`Listener`]: what to do with each frame, and the
 /// two typed lines the listener sends on the service's behalf.
 pub trait Handler: Send + Sync + 'static {
@@ -217,8 +206,7 @@ pub trait Handler: Send + Sync + 'static {
     /// One complete, non-blank frame (newline stripped, at most
     /// [`MAX_FRAME_BYTES`]). Replies go through `out`, in any number. An
     /// `Err` closes the connection and counts a disconnect.
-    fn frame(&self, conn: &mut Self::Conn, line: String, out: &Writer)
-        -> std::io::Result<Flow>;
+    fn frame(&self, conn: &mut Self::Conn, line: String, out: &Writer) -> std::io::Result<()>;
 
     /// The line a connection past the cap is answered with before it is
     /// closed.
@@ -446,7 +434,7 @@ fn split_stream(
 
 /// One connection's reader: frames the byte stream and hands every
 /// non-blank line to the handler. Returns on clean EOF, a handler's
-/// [`Flow::Close`], an over-long frame, shutdown, or transport death.
+/// error, an over-long frame, shutdown, or transport death.
 fn serve_conn<H: Handler>(
     stream: TcpStream,
     conn: u64,
@@ -476,9 +464,7 @@ fn serve_conn<H: Handler>(
         if line.trim().is_empty() {
             continue;
         }
-        if handler.frame(&mut state, line, &out)? == Flow::Close {
-            break;
-        }
+        handler.frame(&mut state, line, &out)?;
     }
     Ok(())
 }
@@ -549,7 +535,7 @@ mod tests {
     use std::net::Shutdown;
     use std::time::Instant;
 
-    /// Answers every frame with itself; `bye` also hangs up.
+    /// Answers every frame with itself.
     struct Echo;
 
     impl Handler for Echo {
@@ -557,9 +543,8 @@ mod tests {
 
         fn open(&self, _local: SocketAddr) {}
 
-        fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<Flow> {
-            out.send(&line)?;
-            Ok(if line == "bye" { Flow::Close } else { Flow::Continue })
+        fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<()> {
+            out.send(&line)
         }
 
         fn connection_limit_line(&self) -> String {
@@ -596,9 +581,8 @@ mod tests {
         assert_eq!(pddl_telemetry::counter("wiretest.cap.connections_shed").get(), 1);
         assert_eq!(pddl_telemetry::counter("wiretest.cap.connections_total").get(), 2);
         assert_eq!(server.connections(), 1);
-        // The admitted connection is untouched, and `Close` hangs up.
-        assert_eq!(first.exchange("bye").unwrap(), "bye");
-        assert!(eof(&mut first));
+        // The admitted connection is untouched.
+        assert_eq!(first.exchange("b").unwrap(), "b");
         assert_eq!(pddl_telemetry::counter("wiretest.cap.disconnects").get(), 0);
     }
 
@@ -610,12 +594,11 @@ mod tests {
 
         fn open(&self, _local: SocketAddr) {}
 
-        fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<Flow> {
+        fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<()> {
             if line == "boom" {
                 panic!("handler panics on boom");
             }
-            out.send(&line)?;
-            Ok(Flow::Continue)
+            out.send(&line)
         }
 
         fn connection_limit_line(&self) -> String {

@@ -4,7 +4,7 @@
 //! counts `/proc/self/fd`.
 #![cfg(target_os = "linux")]
 
-use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
+use pddl_cluster::wire::{Handler, LineConn, Listener, Writer};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -16,9 +16,8 @@ impl Handler for Echo {
 
     fn open(&self, _local: SocketAddr) {}
 
-    fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<Flow> {
-        out.send(&line)?;
-        Ok(Flow::Continue)
+    fn frame(&self, _conn: &mut (), line: String, out: &Writer) -> std::io::Result<()> {
+        out.send(&line)
     }
 
     fn connection_limit_line(&self) -> String {

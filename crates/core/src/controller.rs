@@ -2,14 +2,13 @@
 //! predict the training time of a DNN architecture. The controller has a
 //! listener to receive and forward incoming requests to the Task Checker."
 //!
-//! The Listener speaks newline-delimited JSON over TCP — the same framing
-//! as the Cluster Resource Collector. Each connection may send any number
-//! of requests and receives one response line per request. A line holding
-//! a JSON *array* of prediction requests is a batch: the controller fans
-//! the batch out across the [`pddl_par`] work pool and answers with one
-//! JSON array of responses in request order. Besides prediction requests,
-//! the wire protocol carries five control ops, each answered inline by
-//! the reader so they stay available during overload:
+//! The Listener speaks newline-delimited JSON over TCP. Each connection may
+//! send any number of requests and receives one response line per request.
+//! A line holding a JSON *array* of prediction requests is a batch: the
+//! controller fans the batch out across the [`pddl_par`] work pool and
+//! answers with one JSON array of responses in request order. Besides
+//! prediction requests, the wire protocol carries five control ops, each
+//! answered inline by the reader so they stay available during overload:
 //!
 //! * `{"op":"stats"}` — a live JSON snapshot of the telemetry registry
 //!   (see `OPERATIONS.md` for the metric catalogue);
@@ -74,15 +73,15 @@
 //!
 //! Connections are accepted by a single acceptor thread and read by cheap
 //! per-connection reader threads (capped at `max_connections`): that part
-//! is the [`pddl_cluster::wire::Listener`] the router and the collector
-//! also run on, and the controller is the [`Handler`] behind it. The
-//! *work* runs on a fixed pool of worker threads consuming a bounded FIFO
-//! admission queue ([`crate::serve::ServePool`]). A full queue sheds the
-//! request immediately with a typed
-//! `{"error":"overloaded","retry_after_ms":...}` reply — the same reply a
-//! request gets if it waits in the queue past the configured deadline, or
-//! a connection gets past the connection cap. Overload replies are
-//! classified as transient by [`pddl_cluster::retry::is_transient`], so
+//! is the [`pddl_cluster::wire::Listener`] the router also runs on, and the
+//! controller is the [`Handler`] behind it. The *work* runs on a fixed pool
+//! of worker threads consuming a bounded FIFO admission queue
+//! ([`crate::serve::ServePool`]). A full queue sheds the request
+//! immediately with a typed `{"error":"overloaded","retry_after_ms":...}`
+//! reply — the same reply a request gets if it waits in the queue past the
+//! configured deadline, or a connection gets past the connection cap.
+//! Overload replies are classified as transient by
+//! [`pddl_cluster::retry::is_transient`], so
 //! [`ControllerClient::connect_resilient`] retries them end-to-end,
 //! honoring the server's `retry_after_ms` pacing hint. Shutdown is a
 //! graceful drain: stop accepting, let readers finish their in-flight
@@ -118,7 +117,7 @@ use crate::reload::{LiveSystem, ReloadManager, ReloadOutcome};
 use crate::request::{Prediction, PredictionRequest, RequestError};
 use crate::serve::{JobOutcome, Latch, OpenOnDrop, ServeConfig, ServePool, SubmitError};
 use pddl_cluster::retry::{is_transient, Backoff, RetryPolicy};
-use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer};
+use pddl_cluster::wire::{Handler, LineConn, Listener, Writer};
 use pddl_telemetry::json::{self, ToJson};
 use pddl_telemetry::trace::TraceDump;
 use pddl_telemetry::{
@@ -399,7 +398,7 @@ impl Handler for Serving {
         frame_too_long_line(limit)
     }
 
-    fn frame(&self, conn: &mut ConnState, line: String, writer: &Writer) -> std::io::Result<Flow> {
+    fn frame(&self, conn: &mut ConnState, line: String, writer: &Writer) -> std::io::Result<()> {
         let m = metrics();
         let config = self.config;
         let arrived = Instant::now();
@@ -412,8 +411,7 @@ impl Handler for Serving {
                 self.served.fetch_add(1, Ordering::Relaxed);
                 let response =
                     WireResponse::Err { error: RequestError::InvalidParams(detail) };
-                writer.send(&encode_reply(&response))?;
-                return Ok(Flow::Continue);
+                return writer.send(&encode_reply(&response));
             }
         };
         let decode = arrived.elapsed();
@@ -618,7 +616,7 @@ impl Handler for Serving {
                 },
             )?,
         }
-        Ok(Flow::Continue)
+        Ok(())
     }
 }
 

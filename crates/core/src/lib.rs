@@ -10,8 +10,8 @@
 //! 1. a fixed-size **GHN-2 embedding** of the DNN's computational graph
 //!    ([`pddl_ghn`]), trained **once per dataset** and reused across
 //!    arbitrary architectures — no retraining when the workload changes;
-//! 2. **cluster-description features** (servers, cores, FLOPS, RAM, GPUs)
-//!    from the Cluster Resource Collector ([`pddl_cluster`]);
+//! 2. **cluster-description features** (servers, cores, FLOPS, RAM, GPUs,
+//!    load) from the cluster each request describes ([`pddl_cluster`]);
 //! 3. a pluggable **regression model** ([`pddl_regress`]), defaulting to the
 //!    paper's second-order polynomial regression.
 //!

@@ -43,9 +43,8 @@ use std::time::Duration;
 /// Every operation the controller-plane wire protocol carries, in the
 /// order PROTOCOL.md documents them. The first three are the prediction
 /// frame shapes (no `"op"` tag on the wire — they are distinguished
-/// structurally); the middle five are the `{"op":…}` control frames; the
-/// last three are the Cluster Resource Collector's registration protocol
-/// (see [`pddl_cluster::ClientMsg`]). `tests/protocol_docs.rs` requires a
+/// structurally); the other five are the `{"op":…}` control frames.
+/// `tests/protocol_docs.rs` requires a
 /// ``### `<op>` `` section in PROTOCOL.md for each entry, holding at
 /// least one complete request line and one complete reply line.
 pub const WIRE_OPS: &[&str] = &[
@@ -57,9 +56,6 @@ pub const WIRE_OPS: &[&str] = &[
     "route_table",
     "reload",
     "observe",
-    "register",
-    "heartbeat",
-    "leave",
 ];
 
 /// Wire response: one object, tagged by `"status"` (`ok` / `err`).

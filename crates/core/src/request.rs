@@ -48,7 +48,7 @@ pub struct PredictionRequest {
     pub batch_size: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Target cluster description (from the Cluster Resource Collector).
+    /// Target cluster description, each server's live load included.
     pub cluster: ClusterState,
 }
 

@@ -237,6 +237,11 @@ mod tests {
         assert!(t4 < t1, "scaling broken: {t1} -> {t4}");
         // Sub-linear: 16 servers cannot be 16× faster (communication).
         assert!(t1 / t16 < 16.0, "{t1} -> {t16}");
+        // Compute-bound VGG-16 slows when one of three workers leaves.
+        let vgg = Workload::new("vgg16", "cifar10", 128, 1);
+        let t3 = s.expected_time(&vgg, &gpu_cluster(3)).unwrap();
+        let t2 = s.expected_time(&vgg, &gpu_cluster(2)).unwrap();
+        assert!(t2 > t3, "losing a worker should slow training: {t3} -> {t2}");
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! byte-for-byte, so a soak-test failure log names everything needed to
 //! replay it (see `TESTING.md`).
 //!
-//! The controller and the cluster resource collector are handed a plan
-//! when they start serving (`ServeConfig::fault_plan`, the second argument
-//! of `CollectorServer::bind`) and wrap every accepted connection in it;
+//! The controller is handed a plan when it starts serving
+//! (`ServeConfig::fault_plan`) and wraps every accepted connection in it;
 //! the CLI gets its plan from `predictddl-cli serve --fault-plan`.
 //! Integration tests and the CLI therefore run identical chaos schedules,
 //! and nothing reads the environment.

@@ -46,7 +46,7 @@
 
 use crate::key::{frame_key, line_key};
 use crate::ring::HashRing;
-use pddl_cluster::wire::{Flow, Handler, LineConn, Listener, Writer, SHUTDOWN_POLL};
+use pddl_cluster::wire::{Handler, LineConn, Listener, Writer, SHUTDOWN_POLL};
 use pddl_telemetry::{
     flight_recorder, tlog, Counter, Gauge, Level, SpanStatus, Stage, TraceContext,
 };
@@ -412,7 +412,7 @@ impl Handler for Routing {
         frame_too_long_line(limit)
     }
 
-    fn frame(&self, legs: &mut ShardLegs, line: String, client: &Writer) -> std::io::Result<Flow> {
+    fn frame(&self, legs: &mut ShardLegs, line: String, client: &Writer) -> std::io::Result<()> {
         let m = metrics();
         let (membership, config) = (&*self.membership, self.config);
         m.requests_total.inc();
@@ -443,7 +443,7 @@ impl Handler for Routing {
                 forward(&line, line_key(&line), None, membership, legs, client, config)?;
             }
         }
-        Ok(Flow::Continue)
+        Ok(())
     }
 }
 

@@ -25,9 +25,9 @@
 //! rule keeps a hand-written pair:
 //!
 //! * enums tagged by `status` / `op` / `type` or in snake_case (the
-//!   controller and collector messages, `RequestError`), and the reply
-//!   structs stamped with a `status` (`ReloadReply`, `StatsReply`,
-//!   `TraceDump`, …): the tag is not a field of the type;
+//!   controller messages, `RequestError`), and the reply structs stamped
+//!   with a `status` (`ReloadReply`, `StatsReply`, `TraceDump`, …): the
+//!   tag is not a field of the type;
 //! * externally tagged payload enums (`ModelRef`, `Regression`, `Kernel`)
 //!   and unit enums on [`read_unit_variant`]: a variant is not a field
 //!   list;

@@ -258,8 +258,8 @@ mod tests {
         let f = LogFilter::parse("warn,controller=debug");
         assert!(f.enabled(Level::Debug, "controller"));
         assert!(f.enabled(Level::Debug, "controller.request"));
-        assert!(!f.enabled(Level::Debug, "collector"));
-        assert!(f.enabled(Level::Warn, "collector"));
+        assert!(!f.enabled(Level::Debug, "router"));
+        assert!(f.enabled(Level::Warn, "router"));
         // Prefix must stop at a dot boundary: "controllerx" is unrelated.
         assert!(!f.enabled(Level::Debug, "controllerx"));
     }

@@ -160,17 +160,15 @@ pub enum Stage {
     /// Zero-length marker at the moment a connection was accepted,
     /// recorded with the connection's first traced frame.
     Accept,
-    // Seed 10 belonged to a deleted stage and is not reused.
-    /// One collector wire exchange (register or heartbeat).
-    Collect = 11,
+    // Seeds 10 and 11 belonged to deleted stages and are not reused.
     /// Router-side handling of one request: ring lookup, forward to the
     /// routed shard, and relay of its reply.
-    Route,
+    Route = 12,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 10] = [
         Stage::FrameRead,
         Stage::Request,
         Stage::QueueWait,
@@ -180,7 +178,6 @@ impl Stage {
         Stage::Dispatch,
         Stage::Serialize,
         Stage::Accept,
-        Stage::Collect,
         Stage::Route,
     ];
 
@@ -196,7 +193,6 @@ impl Stage {
             Stage::Dispatch => "dispatch",
             Stage::Serialize => "serialize",
             Stage::Accept => "accept",
-            Stage::Collect => "collect",
             Stage::Route => "route",
         }
     }
@@ -233,7 +229,6 @@ impl Stage {
             Stage::Dispatch => crate::histogram("trace.stage.dispatch"),
             Stage::Serialize => crate::histogram("trace.stage.serialize"),
             Stage::Accept => crate::histogram("trace.stage.accept"),
-            Stage::Collect => crate::histogram("trace.stage.collect"),
             Stage::Route => crate::histogram("trace.stage.route"),
         })
     }
@@ -246,7 +241,7 @@ impl Stage {
     }
 
     /// [`Stage::record`] as the span `span` itself rather than a child:
-    /// for the root `request` span, or a `collect` exchange.
+    /// for the root `request` span.
     pub fn record_as(self, span: Option<TraceContext>, dur: Duration, status: SpanStatus) {
         let rec = flight_recorder();
         // The start only matters to the ring: untraced records read no clock.
@@ -918,7 +913,6 @@ mod tests {
             ("dispatch", 7),
             ("serialize", 8),
             ("accept", 9),
-            ("collect", 11),
             ("route", 12),
         ];
         let live: Vec<(&str, u64)> = Stage::ALL.iter().map(|s| (s.name(), s.seed())).collect();
@@ -932,9 +926,9 @@ mod tests {
     #[test]
     fn untraced_records_feed_the_histogram_only() {
         let r = FlightRecorder::new(8, 4);
-        let before = Stage::Collect.histogram().count();
-        r.record(Stage::Collect, None, 0, ms(1), SpanStatus::Ok);
-        assert!(Stage::Collect.histogram().count() > before);
+        let before = Stage::Route.histogram().count();
+        r.record(Stage::Route, None, 0, ms(1), SpanStatus::Ok);
+        assert!(Stage::Route.histogram().count() > before);
         assert!(r.recent().is_empty(), "no context, no ring slot");
     }
 }

@@ -31,10 +31,11 @@ use predictddl::{OfflineTrainer, PredictDdl, PredictionRequest};
 use std::sync::OnceLock;
 
 /// Meta-training set per dataset: the largest of 128×20 (the benchmark's
-/// full size; 116 s), 64×10 (37 s) and 32×10 that stays under a minute in
-/// the unoptimised test profile on 2 vCPU. The record split reads 0.048212
-/// and 12.449× (128×20: 0.044111, 13.606×), so the paper's numbers hold
-/// as they are, with no margin taken.
+/// full size; 116 s), 64×10 (37 s) and 32×10 that stayed under a minute
+/// in the test profile on 2 vCPU while it built every crate at opt-level
+/// 0 (the numeric crates now build at 2: TESTING.md). The record split
+/// reads 0.048212 and 12.449× (128×20: 0.044111, 13.606×), so the
+/// paper's numbers hold as they are, with no margin taken.
 const NUM_GRAPHS: usize = 64;
 const EPOCHS: usize = 10;
 const TRAIN_FRACTION: f64 = 0.8;

@@ -133,17 +133,34 @@ fn stats_op_over_raw_wire() {
 
 #[test]
 fn malformed_line_gets_typed_error() {
+    use pddl_telemetry::json;
+    use predictddl::WireResponse;
     use std::io::{BufRead, BufReader, Write};
     let controller = serve_tiny();
     let stream = std::net::TcpStream::connect(controller.addr()).unwrap();
     let mut w = stream.try_clone().unwrap();
-    w.write_all(b"this is not json\n").unwrap();
-    w.flush().unwrap();
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("err"), "{line}");
-    assert!(line.contains("malformed"), "{line}");
+    let mut exchange = |frame: &[u8]| {
+        w.write_all(frame).unwrap();
+        w.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    };
+    // Not JSON, then not UTF-8: each is one malformed frame, answered in
+    // turn, and the stream stays in step for the valid request after them.
+    for frame in [&b"this is not json\n"[..], b"\xff\xfe\xfd\n"] {
+        let line = exchange(frame);
+        assert!(line.contains("err"), "{line}");
+        assert!(line.contains("malformed"), "{line}");
+    }
+    let req = PredictionRequest::zoo(
+        Workload::new("resnet18", "cifar10", 128, 2),
+        ClusterState::homogeneous(ServerClass::GpuP100, 4),
+    );
+    let line = exchange(format!("{}\n", json::to_string(&req).unwrap()).as_bytes());
+    let reply: WireResponse = json::from_str(&line).unwrap();
+    assert!(matches!(reply, WireResponse::Ok { .. }), "{line}");
 }
 
 /// Load figures outside what Eq. (1)–(2) are defined for earn the typed
@@ -312,4 +329,86 @@ fn a_retried_envelope_is_recomputed_with_identical_bits() {
     // tests in this binary, so its delta is a floor.
     assert_eq!(controller.requests_served(), 2);
     assert!(total() >= total_before + 2, "controller.requests_total");
+}
+
+/// A stand-in controller on `listener` that answers one enveloped
+/// request per connection, for `conns` connections: the first `torn` get
+/// their reply cut off mid-frame and a hang-up (what a `truncate` fault
+/// does to a reply), the rest an echo of the identity carrying an
+/// `unknown_model` error.
+fn scripted_peer(
+    listener: std::net::TcpListener,
+    torn: usize,
+    conns: usize,
+) -> std::thread::JoinHandle<()> {
+    use pddl_telemetry::json;
+    use predictddl::{parse_frame, ParsedFrame, ResponseEnvelope, WireResponse};
+    use std::io::{BufRead, BufReader, Write};
+    std::thread::spawn(move || {
+        for n in 0..conns {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut frame = String::new();
+            BufReader::new(stream.try_clone().unwrap()).read_line(&mut frame).unwrap();
+            let Ok(ParsedFrame::Enveloped(env)) = parse_frame(frame.trim_end()) else {
+                panic!("not an enveloped request: {frame}");
+            };
+            let reply = ResponseEnvelope {
+                client: env.client,
+                id: env.id,
+                trace: None,
+                shard: None,
+                resp: WireResponse::Err { error: RequestError::UnknownModel("scripted".into()) },
+            };
+            let line = json::to_string(&reply).unwrap();
+            let bytes = if n < torn { &line.as_bytes()[..line.len() / 2] } else { line.as_bytes() };
+            stream.write_all(bytes).unwrap();
+            if n >= torn {
+                stream.write_all(b"\n").unwrap();
+            }
+        }
+    })
+}
+
+fn sample_request() -> PredictionRequest {
+    PredictionRequest::zoo(
+        Workload::new("resnet18", "cifar10", 128, 2),
+        ClusterState::homogeneous(ServerClass::GpuP100, 1),
+    )
+}
+
+/// A reply torn in transit cannot be trusted to keep the stream in step:
+/// the resilient client drops the connection and lands the request on a
+/// fresh one.
+#[test]
+fn a_torn_reply_is_retried_on_a_fresh_connection() {
+    use pddl_cluster::RetryPolicy;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = scripted_peer(listener, 1, 2);
+    let mut client = ControllerClient::connect_resilient(addr, RetryPolicy::fast(3)).unwrap();
+    let verdict = client.predict(&sample_request()).expect("retried past the torn reply");
+    assert_eq!(verdict.unwrap_err(), RequestError::UnknownModel("scripted".into()));
+    peer.join().unwrap();
+}
+
+/// A resilient client can be created before its controller is up: a
+/// refused connect backs off and retries until the port is bound.
+#[test]
+fn a_resilient_client_waits_out_a_late_controller() {
+    use pddl_cluster::RetryPolicy;
+    // Reserve an ephemeral port, free it, and bind it again only after
+    // a delay: the first attempts see ConnectionRefused.
+    let addr = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap()
+    };
+    let peer = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(60));
+        scripted_peer(std::net::TcpListener::bind(addr).unwrap(), 0, 1).join().unwrap();
+    });
+    let mut client = ControllerClient::connect_resilient(addr, RetryPolicy::fast(1))
+        .expect("connect retries until the controller is up");
+    let verdict = client.predict(&sample_request()).unwrap();
+    assert_eq!(verdict.unwrap_err(), RequestError::UnknownModel("scripted".into()));
+    peer.join().unwrap();
 }

@@ -56,19 +56,21 @@ fn offline_training_predicts_heldout_configurations() {
 }
 
 /// The full prediction flow through the request API, including the nearest-
-/// architecture diagnostics.
+/// architecture diagnostics, against the simulator's answer for the same
+/// cluster.
 #[test]
 fn prediction_response_is_complete() {
     let system = system();
-    let req = PredictionRequest::zoo(
-        Workload::new("resnet18", "cifar10", 128, 2),
-        ClusterState::homogeneous(ServerClass::GpuP100, 4),
-    );
-    let pred = system.predict(&req).unwrap();
+    let w = Workload::new("resnet18", "cifar10", 128, 2);
+    let cluster = ClusterState::homogeneous(ServerClass::GpuP100, 4);
+    let pred = system.predict(&PredictionRequest::zoo(w.clone(), cluster.clone())).unwrap();
     assert!(pred.seconds > 0.0);
     let (name, sim) = pred.nearest_architecture.unwrap();
     assert_eq!(name, "resnet18", "self-match expected");
     assert!(sim > 0.999);
+    let actual = Simulator::new(SimConfig::default()).expected_time(&w, &cluster).unwrap();
+    let ratio = pred.seconds / actual;
+    assert!((0.3..3.0).contains(&ratio), "4×P100 ratio {ratio}");
 }
 
 /// The simulator's own expectation should correlate strongly with PredictDDL

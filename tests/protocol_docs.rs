@@ -17,7 +17,6 @@
 //! listed in OPERATIONS.md's metric catalogue. All of them read the
 //! repository's own files, so they run wherever `cargo test` runs.
 
-use pddl_cluster::{ClientMsg, ServerMsg};
 use pddl_telemetry::json::{self, FromJson, ToJson};
 use pddl_telemetry::trace::TraceDump;
 use pddl_telemetry::JsonValue;
@@ -30,9 +29,6 @@ use std::path::{Path, PathBuf};
 
 const PROTOCOL_MD: &str = include_str!("../PROTOCOL.md");
 const OPERATIONS_MD: &str = include_str!("../OPERATIONS.md");
-
-/// The collector-channel ops; every other section is the serving channel.
-const COLLECTOR_OPS: [&str; 3] = ["register", "heartbeat", "leave"];
 
 struct DocLine {
     /// Op of the enclosing `` ### `op` `` section, if it is an op section.
@@ -69,7 +65,7 @@ fn encode(v: &impl ToJson) -> String {
     json::to_string(v).expect("documented values are finite")
 }
 
-/// The frame kind a serving-channel section's requests must classify to.
+/// The frame kind a section's requests must classify to.
 fn frame_kind(frame: &ParsedFrame) -> &'static str {
     match frame {
         ParsedFrame::Single(_) => "predict",
@@ -84,17 +80,8 @@ fn frame_kind(frame: &ParsedFrame) -> &'static str {
 }
 
 /// Classifies a request line; for the shapes the codec writes itself
-/// (prediction frames, collector messages) also re-renders it.
+/// (prediction frames) also re-renders it.
 fn replay_request(l: &DocLine) -> (&'static str, Option<String>) {
-    if l.op.is_some_and(|op| COLLECTOR_OPS.contains(&op)) {
-        let msg: ClientMsg = decode(l);
-        let kind = match msg {
-            ClientMsg::Register { .. } => "register",
-            ClientMsg::Heartbeat { .. } => "heartbeat",
-            ClientMsg::Leave { .. } => "leave",
-        };
-        return (kind, Some(encode(&msg)));
-    }
     let frame = parse_frame(l.text)
         .unwrap_or_else(|e| panic!("PROTOCOL.md:{}: request does not parse: {e}", l.line_no));
     let rendered = match &frame {
@@ -118,9 +105,6 @@ fn replay_reply(l: &DocLine) -> String {
     if doc.get("client").is_some() {
         return encode(&decode::<ResponseEnvelope>(l));
     }
-    if tag("type").is_some() {
-        return encode(&decode::<ServerMsg>(l));
-    }
     match (tag("status"), tag("error")) {
         (Some("ok" | "err"), _) => encode(&decode::<WireResponse>(l)),
         (Some("stats"), _) => decode::<StatsReply>(l).to_line(),
@@ -134,7 +118,7 @@ fn replay_reply(l: &DocLine) -> String {
             assert_eq!(recognised.as_ref(), Some(&reply), "PROTOCOL.md:{}", l.line_no);
             encode(&reply)
         }
-        _ => panic!("PROTOCOL.md:{}: reply has no status, error or type tag", l.line_no),
+        _ => panic!("PROTOCOL.md:{}: reply has no status or error tag", l.line_no),
     }
 }
 
@@ -205,13 +189,11 @@ fn non_test_hits(file: &str, src: &str, needles: &[&str]) -> Vec<String> {
 
 /// The peer-facing code must stay panic-free: an `unwrap()` outside the
 /// `#[cfg(test)]` module of the connection core and its frame reader,
-/// the collector's message parser, the frame classifier or the JSON codec
-/// fails this gate — return the typed error instead.
+/// the frame classifier or the JSON codec fails this gate — return the typed error instead.
 #[test]
 fn peer_facing_parsers_contain_no_unwrap() {
     for (file, src) in [
         ("crates/cluster/src/wire.rs", include_str!("../crates/cluster/src/wire.rs")),
-        ("crates/cluster/src/collector.rs", include_str!("../crates/cluster/src/collector.rs")),
         ("crates/core/src/protocol.rs", include_str!("../crates/core/src/protocol.rs")),
         ("crates/telemetry/src/json.rs", include_str!("../crates/telemetry/src/json.rs")),
     ] {
@@ -231,7 +213,6 @@ fn sockets_are_opened_only_by_the_connection_core() {
     for (file, src) in [
         ("crates/core/src/controller.rs", include_str!("../crates/core/src/controller.rs")),
         ("crates/router/src/router.rs", include_str!("../crates/router/src/router.rs")),
-        ("crates/cluster/src/collector.rs", include_str!("../crates/cluster/src/collector.rs")),
         (
             "crates/router/src/bin/pddl-router.rs",
             include_str!("../crates/router/src/bin/pddl-router.rs"),
@@ -527,11 +508,11 @@ fn metric_catalogue() -> BTreeMap<&'static str, BTreeSet<String>> {
 /// `crates/*/src` passes to `counter(`, `gauge(` or `histogram(` (the
 /// trace stages' histograms included), and each `name("…")` the
 /// connection core in `wire.rs` prefixes with its server's name, under
-/// all three servers' rows.
+/// both servers' rows.
 #[test]
 fn every_registered_metric_is_in_the_catalogue() {
     const CALLS: [&str; 4] = ["counter(\"", "gauge(\"", "histogram(\"", "name(\""];
-    const SERVERS: [&str; 3] = ["controller.", "router.", "collector."];
+    const SERVERS: [&str; 2] = ["controller.", "router."];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let catalogue = metric_catalogue();
     let (mut registered, mut missing) = (0, Vec::new());
@@ -567,6 +548,6 @@ fn every_registered_metric_is_in_the_catalogue() {
             }
         }
     }
-    assert!(registered > 100, "the walk found only {registered} metric registrations");
+    assert!(registered > 90, "the walk found only {registered} metric registrations");
     assert!(missing.is_empty(), "metrics missing from OPERATIONS.md's catalogue: {missing:#?}");
 }

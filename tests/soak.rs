@@ -1,5 +1,5 @@
-//! Chaos soak: an in-process controller, collector, and a small fleet of
-//! resilient clients running under a deterministic [`pddl_faults`] plan.
+//! Chaos soak: an in-process controller and a small fleet of resilient
+//! clients running under a deterministic [`pddl_faults`] plan.
 //!
 //! For every fault-plan seed the test asserts the exactly-once contract:
 //! each client request yields exactly one accepted reply whose prediction
@@ -20,9 +20,7 @@
 //! Garbage bytes are covered by `tests/wire_fuzz.rs` and the `pddl-faults`
 //! unit tests, where the assertion is "structured error, no panic".
 
-use pddl_cluster::{
-    ClusterState, CollectorClient, CollectorServer, RetryPolicy, ServerClass, ServerSpec,
-};
+use pddl_cluster::{ClusterState, RetryPolicy, ServerClass};
 use pddl_ddlsim::Workload;
 use pddl_faults::{Direction, FaultPlan, FaultyWrite};
 use pddl_telemetry::trace::flight_recorder;
@@ -182,35 +180,6 @@ fn soak_round(seed: u64, truth: &[(PredictionRequest, Result<u64, String>)]) {
     await_gauge("controller.active_connections", idle_connections);
 }
 
-/// Collector under the same chaos: heartbeats retry through resets and
-/// dropped acks, and the inventory converges to the full fleet.
-fn collector_round(seed: u64) {
-    let plan = FaultPlan::parse(&plan_spec(seed)).expect("plan spec");
-    let server = CollectorServer::bind("127.0.0.1:0", Some(plan)).expect("bind collector");
-    let addr = server.addr();
-
-    std::thread::scope(|s| {
-        for c in 0..CLIENTS {
-            s.spawn(move || {
-                let spec =
-                    ServerSpec::preset(ServerClass::GpuP100, format!("soak-node-{seed:x}-{c}"));
-                let mut client =
-                    CollectorClient::register_with_retry(addr, spec, soak_policy(seed ^ c as u64))
-                        .expect("register under chaos");
-                for beat in 0..20 {
-                    client
-                        .heartbeat(0.1 * (beat % 10) as f64, beat % 4)
-                        .expect("heartbeat lost despite retry budget");
-                }
-            });
-        }
-    });
-
-    let state = server.snapshot();
-    assert_eq!(state.servers.len(), CLIENTS, "seed {seed}: inventory incomplete");
-    assert!(state.servers.iter().all(|st| !st.stale));
-}
-
 #[test]
 fn soak_exactly_once_under_fault_plans() {
     // Serial ground truth, computed once on a fault-free system.
@@ -242,7 +211,6 @@ fn soak_exactly_once_under_fault_plans() {
 
     for seed in SEEDS {
         soak_round(seed, &truth);
-        collector_round(seed);
     }
 
     // Opt-in extended soak: keep cycling derived seeds for PDDL_SOAK_SECS.
@@ -252,7 +220,6 @@ fn soak_exactly_once_under_fault_plans() {
         let mut seed = 0x50AC_u64;
         while start.elapsed() < budget {
             soak_round(seed, &truth);
-            collector_round(seed);
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
         }
     }
@@ -267,7 +234,7 @@ fn soak_exactly_once_under_fault_plans() {
     );
 
     // Retries (if any were needed) are visible in the stats counters.
-    let retries = counter("controller_client.retries") + counter("collector_client.retries");
+    let retries = counter("controller_client.retries");
     let computed = counter("controller.requests_total");
     println!(
         "soak: {} injected faults, {retries} client retries, {computed} controller computations",

@@ -1,6 +1,6 @@
 //! Seeded wire-layer fuzzing: arbitrary, truncated, and corrupted bytes
 //! fed into the frame reader every server and client runs
-//! ([`LineReader`]) and both peer-facing parsers must come back as
+//! ([`LineReader`]) and the peer-facing frame parser must come back as
 //! structured errors (or clean parses) — never a panic, never an
 //! unbounded buffer — and read timeouts between chunks must not change a
 //! single line.
@@ -9,9 +9,7 @@
 //! reproducible from the seed printed in the assertion message. 10 000
 //! cases per seed, three seeds.
 
-use pddl_cluster::{
-    ClientMsg, ClusterState, LinePoll, LineReader, ServerClass, WireError, MAX_FRAME_BYTES,
-};
+use pddl_cluster::{ClusterState, LinePoll, LineReader, ServerClass, WireError, MAX_FRAME_BYTES};
 use pddl_ddlsim::Workload;
 use pddl_telemetry::json;
 use pddl_tensor::Rng;
@@ -151,9 +149,9 @@ fn seeded_cases() -> impl Iterator<Item = (u64, usize, Vec<u8>, usize)> {
 }
 
 /// Drains every case through the bounded reader exactly as a connection
-/// does, feeding every extracted line to both peer-facing parsers — the
-/// controller's and the collector's. Panics only if a parser panics or a
-/// line escapes the bound — the bug classes this test exists to catch.
+/// does, feeding every extracted line to the controller's peer-facing
+/// parser. Panics only if the parser panics or a line escapes the bound —
+/// the bug classes this test exists to catch.
 #[test]
 fn arbitrary_bytes_never_panic_the_wire_layer() {
     for (seed, case, bytes, cap) in seeded_cases() {
@@ -161,7 +159,6 @@ fn arbitrary_bytes_never_panic_the_wire_layer() {
         for line in &lines {
             assert!(line.len() <= LIMIT, "seed {seed} case {case}: line over limit");
             let _ = parse_frame(line);
-            let _ = json::from_str::<ClientMsg>(line);
         }
         assert!(too_long.is_none_or(|limit| limit == LIMIT), "seed {seed} case {case}");
     }
