@@ -196,9 +196,18 @@ mod tests {
     #[test]
     fn utilization_shrinks_ram() {
         let mut c = ClusterState::homogeneous(ServerClass::CpuE5_2630, 1);
-        let (idle, idle_features) = (c.total_available_ram(), c.feature_vector());
+        let idle = c.total_available_ram();
         c.servers[0].cpu_util = 0.75;
         assert!(c.total_available_ram() < idle / 3.0);
-        assert!(c.feature_vector()[7] > idle_features[7], "mean utilization did not rise");
+    }
+
+    #[test]
+    fn utilization_raises_the_mean_util_feature() {
+        let mut c = ClusterState::homogeneous(ServerClass::CpuE5_2630, 3);
+        let idle = c.feature_vector();
+        c.servers[0].cpu_util = 0.9;
+        let loaded = c.feature_vector();
+        assert!(loaded[7] > idle[7], "mean utilization did not rise");
+        assert!(loaded[3] < idle[3], "available RAM did not fall");
     }
 }

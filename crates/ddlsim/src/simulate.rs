@@ -237,7 +237,12 @@ mod tests {
         assert!(t4 < t1, "scaling broken: {t1} -> {t4}");
         // Sub-linear: 16 servers cannot be 16× faster (communication).
         assert!(t1 / t16 < 16.0, "{t1} -> {t16}");
-        // Compute-bound VGG-16 slows when one of three workers leaves.
+    }
+
+    #[test]
+    fn losing_one_of_three_workers_slows_vgg16() {
+        // VGG-16 is compute-bound: fewer workers → slower.
+        let s = sim();
         let vgg = Workload::new("vgg16", "cifar10", 128, 1);
         let t3 = s.expected_time(&vgg, &gpu_cluster(3)).unwrap();
         let t2 = s.expected_time(&vgg, &gpu_cluster(2)).unwrap();

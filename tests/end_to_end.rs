@@ -56,18 +56,28 @@ fn offline_training_predicts_heldout_configurations() {
 }
 
 /// The full prediction flow through the request API, including the nearest-
-/// architecture diagnostics, against the simulator's answer for the same
-/// cluster.
+/// architecture diagnostics.
 #[test]
 fn prediction_response_is_complete() {
     let system = system();
-    let w = Workload::new("resnet18", "cifar10", 128, 2);
-    let cluster = ClusterState::homogeneous(ServerClass::GpuP100, 4);
-    let pred = system.predict(&PredictionRequest::zoo(w.clone(), cluster.clone())).unwrap();
+    let req = PredictionRequest::zoo(
+        Workload::new("resnet18", "cifar10", 128, 2),
+        ClusterState::homogeneous(ServerClass::GpuP100, 4),
+    );
+    let pred = system.predict(&req).unwrap();
     assert!(pred.seconds > 0.0);
     let (name, sim) = pred.nearest_architecture.unwrap();
     assert_eq!(name, "resnet18", "self-match expected");
     assert!(sim > 0.999);
+}
+
+/// The cluster a request describes drives the prediction: on 4×P100 it
+/// lands within 3× of the simulator's answer for the same cluster.
+#[test]
+fn prediction_tracks_the_simulator_on_the_requested_cluster() {
+    let w = Workload::new("resnet18", "cifar10", 128, 2);
+    let cluster = ClusterState::homogeneous(ServerClass::GpuP100, 4);
+    let pred = system().predict(&PredictionRequest::zoo(w.clone(), cluster.clone())).unwrap();
     let actual = Simulator::new(SimConfig::default()).expected_time(&w, &cluster).unwrap();
     let ratio = pred.seconds / actual;
     assert!((0.3..3.0).contains(&ratio), "4×P100 ratio {ratio}");
